@@ -270,15 +270,16 @@ let run_benchmarks ~smoke registry =
       | _ -> Printf.printf "  %-32s (no estimate)\n" name)
     (List.sort compare rows)
 
-let simulator_performance ~smoke registry =
-  (* A reference scenario to gauge engine throughput. *)
-  print_endline "";
-  print_endline "Simulator performance (reference scenario)";
-  print_endline "==========================================";
-  let horizon = if smoke then 0.5 else 30.0 in
+(* The ring8 reference scenario every throughput section runs: six
+   crossing CBR flows and one TCP connection for [horizon] seconds.  Set-up
+   order is fixed (probe, routing, schedule, flows, TCP) because it
+   decides event order, so each section measures the same event set. *)
+let ring8_reference ~horizon ?probe ?schedule ?pooling () =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 g in
+  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ?pooling g in
+  Netsim.Net.set_probe net probe;
   Netsim.Net.use_routing net (Topology.Routing.compute g);
+  Option.iter (fun s -> ignore (Faults.Injector.apply ?probe ~net s)) schedule;
   List.iter
     (fun (s, d) ->
       ignore
@@ -286,6 +287,15 @@ let simulator_performance ~smoke registry =
            ~stop:horizon))
     [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
   ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+  net
+
+let simulator_performance ~smoke registry =
+  (* A reference scenario to gauge engine throughput. *)
+  print_endline "";
+  print_endline "Simulator performance (reference scenario)";
+  print_endline "==========================================";
+  let horizon = if smoke then 0.5 else 30.0 in
+  let net = ring8_reference ~horizon () in
   let t0 = Unix.gettimeofday () in
   Netsim.Net.run ~until:horizon net;
   let wall = Unix.gettimeofday () -. t0 in
@@ -317,17 +327,7 @@ let tracing_overhead ~smoke registry =
   print_endline "===========================================";
   let horizon = if smoke then 0.5 else 20.0 in
   let run_mode probe =
-    let g = Topology.Generate.ring ~n:8 in
-    let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 g in
-    Netsim.Net.set_probe net probe;
-    Netsim.Net.use_routing net (Topology.Routing.compute g);
-    List.iter
-      (fun (s, d) ->
-        ignore
-          (Netsim.Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500 ~start:0.0
-             ~stop:horizon))
-      [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
-    ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+    let net = ring8_reference ~horizon ?probe () in
     let t0 = Unix.gettimeofday () in
     Netsim.Net.run ~until:horizon net;
     let wall = Unix.gettimeofday () -. t0 in
@@ -394,21 +394,8 @@ let tracing_overhead ~smoke registry =
    regression gate ({!check_gate}) re-measures the exact workload the
    recording pass committed to BENCH_faults.json. *)
 let faults_reference_run ~horizon schedule =
-  let g = Topology.Generate.ring ~n:8 in
   let probe = Netsim.Probe.create ~journal_capacity:4096 () in
-  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 g in
-  Netsim.Net.set_probe net (Some probe);
-  Netsim.Net.use_routing net (Topology.Routing.compute g);
-  (match schedule with
-  | Some s -> ignore (Faults.Injector.apply ~probe ~net s)
-  | None -> ());
-  List.iter
-    (fun (s, d) ->
-      ignore
-        (Netsim.Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500 ~start:0.0
-           ~stop:horizon))
-    [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
-  ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+  let net = ring8_reference ~horizon ~probe ?schedule () in
   let t0 = Unix.gettimeofday () in
   Netsim.Net.run ~until:horizon net;
   let wall = Unix.gettimeofday () -. t0 in
@@ -508,16 +495,7 @@ let recorded_seed_events_per_second = 3984214.25394
    meaningless numbers) so the @bench-smoke alias exercises the writer
    end to end. *)
 let reference_alloc_run ~horizon ~pooling () =
-  let g = Topology.Generate.ring ~n:8 in
-  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
-  Netsim.Net.use_routing net (Topology.Routing.compute g);
-  List.iter
-    (fun (s, d) ->
-      ignore
-        (Netsim.Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500
-           ~start:0.0 ~stop:horizon))
-    [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
-  ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+  let net = ring8_reference ~horizon ~pooling () in
   (* Settle setup garbage so the delta measures the event loop. *)
   Gc.full_major ();
   let t0 = Unix.gettimeofday () in

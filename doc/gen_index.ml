@@ -62,8 +62,8 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
    distribution), {!Crypto_sim.Sampling} (secret hash ranges).}
 {- [Mrstats] — {!Mrstats.Erf}, {!Mrstats.Ztest}, {!Mrstats.Welford},
    {!Mrstats.Histogram}, {!Mrstats.Variate}.}
-{- [Telemetry] — {!Telemetry.Metrics} (labeled counters, gauges,
-   log-bucketed histograms), {!Telemetry.Journal} (bounded typed event
+{- [Telemetry] — {!Telemetry.Metrics} (labeled counters, gauges and
+   {!Telemetry.Hist} histograms), {!Telemetry.Journal} (bounded typed event
    ring), {!Telemetry.Export} (JSON and Prometheus text),
    {!Telemetry.Profile} (wall-clock phase timing), {!Telemetry.Span}
    (causal packet traces, detector round spans, verdict provenance and

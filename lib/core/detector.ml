@@ -24,8 +24,6 @@ module type S = sig
   val name : string
   val doc : string
   val init : env -> t
-  val on_round : t -> now:float -> unit
-  val on_ctrl : t -> now:float -> src:int -> dst:int -> up:bool -> unit
   val verdicts : t -> verdict list
   val report : t -> unit
 end
@@ -48,8 +46,5 @@ let name_of (module M : S) = M.name
 
 let init (module M : S) env = Instance ((module M), M.init env)
 let instance_name (Instance ((module M), _)) = M.name
-let on_round (Instance ((module M), t)) ~now = M.on_round t ~now
-let on_ctrl (Instance ((module M), t)) ~now ~src ~dst ~up =
-  M.on_ctrl t ~now ~src ~dst ~up
 let verdicts (Instance ((module M), t)) = M.verdicts t
 let report (Instance ((module M), t)) = M.report t

@@ -4,18 +4,15 @@
     every protocol is now a first-class module implementing {!S},
     registered by name in a global table.  The harness looks a detector
     up by its command-line spelling, [init]s it against the scenario
-    environment, and drives it through the four hooks — so adding a
-    protocol is one module plus one {!register} call, with no harness
-    edits.
+    environment, and reads it back through [verdicts] and [report] — so
+    adding a protocol is one module plus one {!register} call, with no
+    harness edits.
 
-    The hooks mirror how the paper's protocols consume a network:
-    [init] deploys the monitor (subscribing to whatever events it
-    needs), [on_round] fires at engine epoch barriers (the sharded
-    engine's quantum — classic runs never call it, live protocols
-    self-schedule their τ rounds), [on_ctrl] reports administrative
-    link-state changes (benign failures a detector must excuse rather
-    than accuse, §4.2), and [verdicts]/[report] expose what the detector
-    concluded. *)
+    [init] deploys the monitor: it subscribes to whatever events it
+    needs and schedules its own work (χ/Fatih/Π2 their τ rounds) on the
+    network's simulation, so the harness never drives a detector during
+    the run.
+    [verdicts]/[report] expose what the detector concluded. *)
 
 type env = {
   net : Netsim.Net.t;
@@ -60,14 +57,6 @@ module type S = sig
       raises [Invalid_argument] when the environment cannot host the
       protocol (e.g. χ without an attacker to monitor). *)
 
-  val on_round : t -> now:float -> unit
-  (** Epoch barrier of the sharded engine.  Live protocols that schedule
-      their own validation rounds ignore it. *)
-
-  val on_ctrl : t -> now:float -> src:int -> dst:int -> up:bool -> unit
-  (** An administrative link-state change ({!Netsim.Net.fail_link} and
-      friends) became visible. *)
-
   val verdicts : t -> verdict list
   (** Accusations so far, oldest first. *)
 
@@ -93,7 +82,5 @@ val name_of : detector -> string
 
 val init : detector -> env -> instance
 val instance_name : instance -> string
-val on_round : instance -> now:float -> unit
-val on_ctrl : instance -> now:float -> src:int -> dst:int -> up:bool -> unit
 val verdicts : instance -> verdict list
 val report : instance -> unit

@@ -43,9 +43,6 @@ module Chi_adapter = struct
     in
     { attacker; next; chi }
 
-  let on_round _ ~now:_ = ()
-  let on_ctrl _ ~now:_ ~src:_ ~dst:_ ~up:_ = ()
-
   let verdicts t =
     List.map
       (fun (r : Chi.report) ->
@@ -78,9 +75,6 @@ module Fatih_adapter = struct
   let init (env : Detector.env) =
     Fatih.deploy ~net:env.Detector.net ~rt:env.Detector.rt ?probe:env.Detector.probe
       ?ctrl:env.Detector.ctrl ?retry:env.Detector.retry ?byz:env.Detector.byz ()
-
-  let on_round _ ~now:_ = ()
-  let on_ctrl _ ~now:_ ~src:_ ~dst:_ ~up:_ = ()
 
   let verdicts t =
     List.map
@@ -134,9 +128,6 @@ module Pi2_adapter = struct
       ?probe:env.Detector.probe ?ctrl:env.Detector.ctrl ?retry:env.Detector.retry
       ?byz:env.Detector.byz ()
 
-  let on_round _ ~now:_ = ()
-  let on_ctrl _ ~now:_ ~src:_ ~dst:_ ~up:_ = ()
-
   let verdicts t =
     List.map
       (fun (d : Pi2_live.detection) ->
@@ -168,9 +159,6 @@ module Watchers_adapter = struct
 
   let init (env : Detector.env) =
     Watchers_live.deploy ~net:env.Detector.net ?probe:env.Detector.probe ()
-
-  let on_round _ ~now:_ = ()
-  let on_ctrl _ ~now:_ ~src:_ ~dst:_ ~up:_ = ()
 
   let verdicts t =
     List.filter_map
@@ -218,8 +206,6 @@ module Perlman_adapter = struct
     done;
     p
 
-  let on_round _ ~now:_ = ()
-  let on_ctrl _ ~now:_ ~src:_ ~dst:_ ~up:_ = ()
   let verdicts _ = []
 
   let report t =

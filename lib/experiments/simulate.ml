@@ -375,11 +375,8 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   let inst =
     Telemetry.Profile.time profile "setup" (fun () -> Core.Detector.init detector env)
   in
-  Net.subscribe_link_state net (fun ~src ~dst ~up ->
-      Core.Detector.on_ctrl inst ~now:(Sim.now (Net.sim net)) ~src ~dst ~up);
+  (* Sharded engine: the epoch barrier doubles as the live-view tick. *)
   let on_epoch ~now =
-    Core.Detector.on_round inst ~now;
-    (* Sharded engine: the epoch barrier doubles as the live-view tick. *)
     match on_progress with
     | Some f when shards > 0 -> f ~now net
     | _ -> ()

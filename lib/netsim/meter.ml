@@ -25,28 +25,3 @@ let series t =
       (float_of_int (bin + 1) *. t.bucket, float_of_int bytes /. t.bucket))
 
 let total_bytes t = t.total
-
-type queue_series = { series_journal : (float * int) Telemetry.Journal.t }
-
-let queue_occupancy net ~router ~next ?(capacity = 262144) ~period () =
-  if period <= 0.0 then invalid_arg "Meter.queue_occupancy: period must be positive";
-  let iface =
-    match Net.iface net ~src:router ~dst:next with
-    | Some i -> i
-    | None -> invalid_arg "Meter.queue_occupancy: no such link"
-  in
-  let t = { series_journal = Telemetry.Journal.create ~capacity () } in
-  let sim = Net.sim net in
-  let rec sample () =
-    Telemetry.Journal.record t.series_journal (Sim.now sim, Iface.occupancy iface);
-    Sim.schedule sim ~delay:period sample
-  in
-  Sim.schedule sim ~delay:period sample;
-  t
-
-let samples t = Telemetry.Journal.to_list t.series_journal
-
-let occupancy_stats t =
-  let xs = Array.of_list (List.map (fun (_, o) -> float_of_int o) (samples t)) in
-  if Array.length xs = 0 then (0.0, 0.0)
-  else (Mrstats.Descriptive.mean xs, Mrstats.Descriptive.stddev xs)

@@ -1,11 +1,9 @@
-(** Measurement taps: per-flow delivery series and queue occupancy
-    sampling.
+(** Measurement tap: per-flow delivery series.
 
     The Chapter 6 figures plot victim-flow throughput collapsing under
-    attack next to the detector's confidence; this module collects those
+    attack next to the detector's confidence; this module collects that
     series from the event stream without touching the forwarding path.
-    Sampled series are stored in bounded {!Telemetry.Journal} rings, so
-    a long-running measurement cannot grow without bound. *)
+    Per-router queue depth is kept by {!Stats}. *)
 
 type flow_series
 
@@ -19,19 +17,3 @@ val series : flow_series -> (float * float) list
     empty bins up to the last delivery. *)
 
 val total_bytes : flow_series -> int
-
-type queue_series
-
-val queue_occupancy :
-  Net.t -> router:int -> next:int -> ?capacity:int -> period:float -> unit ->
-  queue_series
-(** Sample the output queue every [period] seconds from t = 0 (runs for
-    the lifetime of the simulation).  The series lives in a bounded
-    {!Telemetry.Journal} keeping the newest [capacity] samples (default
-    262144).  Raises [Invalid_argument] if the link does not exist. *)
-
-val samples : queue_series -> (float * int) list
-(** [(time, bytes)] in time order. *)
-
-val occupancy_stats : queue_series -> float * float
-(** (mean, stddev) of the sampled occupancy in bytes. *)

@@ -30,7 +30,6 @@ type t = {
   mutable routers : Router.t array;
   mutable iface_listeners : (iface_event -> unit) list;
   mutable router_listeners : (router_event -> unit) list;
-  mutable link_listeners : (src:int -> dst:int -> up:bool -> unit) list;
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
@@ -100,8 +99,6 @@ let subscribe_iface t f =
 let subscribe_router t f =
   t.router_listeners <- f :: t.router_listeners;
   refresh_observe t
-
-let subscribe_link_state t f = t.link_listeners <- f :: t.link_listeners
 
 let set_probe t probe =
   t.probe <- probe;
@@ -218,7 +215,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
       routers = [||];
       iface_listeners = [];
       router_listeners = [];
-      link_listeners = [];
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;
@@ -389,9 +385,7 @@ let pin_flow_path t ~flow ~path =
 
 let set_link t ~src ~dst up =
   match iface t ~src ~dst with
-  | Some i ->
-      Iface.set_up i up;
-      List.iter (fun f -> f ~src ~dst ~up) t.link_listeners
+  | Some i -> Iface.set_up i up
   | None -> invalid_arg "Net: no such link"
 
 let fail_link t ~src ~dst = set_link t ~src ~dst false

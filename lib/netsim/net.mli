@@ -100,11 +100,6 @@ val subscribe_router : t -> (router_event -> unit) -> unit
 (** Observe router-level events (malicious actions, TTL expiry, local
     deliveries, ...). *)
 
-val subscribe_link_state : t -> (src:int -> dst:int -> up:bool -> unit) -> unit
-(** Observe administrative link-state changes ({!fail_link},
-    {!restore_link}, {!set_link} — the fault injector's flaps and
-    crashes); feeds {!Core.Detector.S.on_ctrl}. *)
-
 val set_probe : t -> Probe.t option -> unit
 (** Attach (or detach) the telemetry probe: every iface/router event and
     every origination is counted and journaled through it.  With no
@@ -189,9 +184,8 @@ val flow_rng : t -> flow:int -> Random.State.t
 val run : ?until:float -> ?on_epoch:(now:float -> unit) -> t -> unit
 (** Run the engine.  Classic: [Sim.run (sim t)].  Sharded: conservative
     time windows with an observation flush at every epoch boundary;
-    [on_epoch] fires after each flush (the hook behind
-    {!Core.Detector.S.on_round}) and never fires on the classic
-    engine. *)
+    [on_epoch] fires after each flush (the live view's tick) and never
+    fires on the classic engine. *)
 
 val shards : t -> int
 (** Shard count of the engine ([0] = classic single heap). *)

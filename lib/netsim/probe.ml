@@ -51,8 +51,7 @@ type t = {
   verdicts : Telemetry.Metrics.counter;
   alarms : Telemetry.Metrics.counter;
   faults_injected : Telemetry.Metrics.counter;
-  pkt_size : Telemetry.Metrics.histogram;
-  delivery_latency : Telemetry.Metrics.histogram;
+  pkt_size : Telemetry.Hist.t;
   malice_by_router : (int, Telemetry.Metrics.counter) Hashtbl.t;
   mutable first_alarm_time : float option;
   (* Verdicts are rare and load-bearing (the robustness oracle scores
@@ -123,9 +122,6 @@ let create ?registry ?(journal_capacity = 65536) ?tracer () =
     pkt_size =
       Telemetry.Metrics.histogram reg "pkt_size_bytes" ~buckets:16 ~min_exp:4
         ~help:"size of injected packets";
-    delivery_latency =
-      Telemetry.Metrics.histogram reg "delivery_latency_seconds" ~buckets:24
-        ~min_exp:(-14) ~help:"origination-to-delivery latency";
     malice_by_router = Hashtbl.create 8;
     first_alarm_time = None;
     verdicts_rev = [];
@@ -162,7 +158,7 @@ let malice_counter t router =
 
 let on_originate t (pkt : Packet.t) =
   Telemetry.Metrics.inc t.injected;
-  Telemetry.Metrics.observe t.pkt_size (float_of_int pkt.Packet.size);
+  Telemetry.Hist.record t.pkt_size (float_of_int pkt.Packet.size);
   match t.tracer with
   | None -> ()
   | Some sp -> (
@@ -308,9 +304,7 @@ let on_router t ~time ~router (ev : Router.event) =
       Telemetry.Metrics.add t.fragments_created fragments
   | Router.No_route _ -> Telemetry.Metrics.inc t.drop_no_route
   | Router.Ttl_expired _ -> Telemetry.Metrics.inc t.drop_ttl_expired
-  | Router.Delivered_local pkt ->
-      Telemetry.Metrics.inc t.delivered;
-      Telemetry.Metrics.observe t.delivery_latency (time -. pkt.Packet.created));
+  | Router.Delivered_local _ -> Telemetry.Metrics.inc t.delivered);
   Telemetry.Journal.record t.journal (Node { time; router; ev });
   match t.tracer with
   | Some sp -> trace_router t sp ~time ~router ev

@@ -1,9 +1,11 @@
 (** The simulator's observability pipeline.
 
     A probe bundles a {!Telemetry.Metrics} registry (packet counters by
-    outcome, per-router malice counters, size and latency histograms)
-    with a bounded {!Telemetry.Journal} of typed records covering all
-    three layers: link events, router events, and detector verdicts.
+    outcome, per-router malice counters, a packet-size histogram) with a
+    bounded {!Telemetry.Journal} of typed records covering all three
+    layers: link events, router events, and detector verdicts.  Delivery
+    latency is recorded once per delivered packet, by the {!Stats}
+    collector the probe carries.
     Attach one to a network with {!Net.set_probe} — the forwarding plane
     feeds it directly, and detectors add verdicts via
     {!record_verdict}.  With no probe attached the per-event cost in the

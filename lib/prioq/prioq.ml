@@ -2,10 +2,7 @@
    {priority; seq; value} record per element.  [prio] is an unboxed
    float array, so a push allocates nothing (beyond amortized growth)
    and sift-up/down touch cache-friendly flat storage.  Ties break by
-   the int in [seq]: an insertion sequence number for {!push} (FIFO
-   order), or a caller-supplied rank for {!push_ranked} (the sharded
-   engine's deterministic event order, which must not depend on
-   insertion order). *)
+   the insertion sequence number in [seq] (FIFO order). *)
 
 type 'a t = {
   mutable prio : float array;
@@ -18,7 +15,6 @@ type 'a t = {
 let create () = { prio = [||]; seq = [||]; vals = [||]; size = 0; next_seq = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
-let capacity t = Array.length t.prio
 
 (* Overwrite vals.(i .. i+len-1) with an immediate so the slots no
    longer reference user values.  When ['a] is [float] the backing
@@ -78,11 +74,6 @@ let push t ~priority value =
   t.next_seq <- sq + 1;
   push_key t sq ~priority value
 
-let push_ranked t ~priority ~rank value = push_key t rank ~priority value
-
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.vals.(0))
-let peek_key t = if t.size = 0 then None else Some (t.prio.(0), t.seq.(0))
-
 (* Sift the element (p, sq, v) down from the root of the first [t.size]
    slots, writing it into its final slot. *)
 let sift_down t p sq v =
@@ -133,27 +124,6 @@ let pop_root t =
   (top_p, top_v)
 
 let pop t = if t.size = 0 then None else Some (pop_root t)
-
-let pop_if_before t ~until =
-  if t.size = 0 || t.prio.(0) > until then None else Some (pop_root t)
-
-let pop_ranked t ~until ~strict =
-  if t.size = 0 then None
-  else
-    let p = t.prio.(0) in
-    if (if strict then p >= until else p > until) then None
-    else begin
-      let key = t.seq.(0) in
-      let _, v = pop_root t in
-      Some (p, key, v)
-    end
-
-let clear t =
-  (* Keep capacity so a cleared heap can be refilled without re-growth;
-     scrub the live prefix so no cleared element stays reachable (slots
-     beyond [size] were already scrubbed by pop/grow). *)
-  scrub t.vals 0 t.size;
-  t.size <- 0
 
 (* Re-export the flat event heap so library users reach it as
    [Prioq.Event] (this module is the library's curated interface). *)

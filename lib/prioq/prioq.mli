@@ -1,18 +1,17 @@
 (** A mutable binary min-heap keyed by a float priority.
 
-    Shared by the Dijkstra implementations (priority = path cost) and the
-    discrete-event simulator (priority = event time).  Ties are broken by
-    an int key: an insertion sequence number for {!push} (FIFO order) or
-    a caller-supplied rank for {!push_ranked} — the sharded engine keys
-    events by a deterministic rank so that the pop order of same-time
-    events does not depend on which shard (or insertion order) produced
-    them.
+    Used by the Dijkstra implementations ([Topology.Dijkstra],
+    [Topology.Policy]; priority = path cost).  Ties are broken by
+    insertion order.  The simulator's event queue is the specialized
+    {!Event} heap.
 
     Storage is flat parallel arrays (an unboxed float array for
     priorities, an int array for tie-break keys and a value array), so
-    pushing an element performs no per-element allocation.
+    pushing an element performs no per-element allocation.  A popped
+    element's slot is scrubbed, so the heap never keeps a popped value
+    reachable.
 
-    Heaps are not thread-safe; each shard owns its own. *)
+    Heaps are not thread-safe. *)
 
 type 'a t
 
@@ -22,50 +21,12 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
-val capacity : 'a t -> int
-(** Current backing-array capacity ([>= length]); exposed so tests can
-    check that {!clear} does not shed it. *)
-
 val push : 'a t -> priority:float -> 'a -> unit
 (** Insert an element; ties with equal priority pop in insertion order. *)
 
-val push_ranked : 'a t -> priority:float -> rank:int -> 'a -> unit
-(** Insert an element whose tie-break key is the caller-supplied [rank]
-    instead of an insertion sequence number.  Elements with equal
-    priority pop in increasing rank order regardless of insertion
-    order.  Do not mix {!push} and {!push_ranked} on one heap unless the
-    two key spaces are intentionally comparable. *)
-
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the minimum-priority element; [None] when empty.
-    Equal priorities come out in increasing key order. *)
-
-val pop_if_before : 'a t -> until:float -> (float * 'a) option
-(** [pop_if_before t ~until] pops the minimum element only when its
-    priority is [<= until]; a single traversal replacing the
-    peek-then-pop pattern on the event-loop hot path.  [~until:infinity]
-    behaves like {!pop}. *)
-
-val pop_ranked : 'a t -> until:float -> strict:bool -> (float * int * 'a) option
-(** Like {!pop_if_before} but also returns the element's tie-break key
-    (its rank for {!push_ranked} elements, its sequence number
-    otherwise).  When [strict] the element is popped only if its
-    priority is [< until] — the sharded engine's time windows are
-    half-open so that boundary events land in the next window on every
-    shard alike. *)
-
-val peek : 'a t -> (float * 'a) option
-(** The minimum without removing it. *)
-
-val peek_key : 'a t -> (float * int) option
-(** Priority and tie-break key of the minimum without removing it; used
-    by the shard coordinator to take the minimum over per-shard heaps. *)
-
-val clear : 'a t -> unit
-(** Empty the heap, keeping the backing capacity for reuse.  No cleared
-    element remains referenced by the backing store (slots are scrubbed,
-    so values become collectable immediately — including slots beyond
-    the live prefix left by an earlier capacity growth). *)
+    Equal priorities come out in insertion order. *)
 
 module Event : module type of Evheap
 (** The simulator's flat event heap — same parallel-array design,

@@ -263,16 +263,16 @@ let to_string_opt = function String s -> Some s | _ -> None
 let json_of_sample = function
   | Metrics.Counter_sample c -> [ ("type", String "counter"); ("value", Int c) ]
   | Metrics.Gauge_sample g -> [ ("type", String "gauge"); ("value", Float g) ]
-  | Metrics.Histogram_sample { uppers; counts; sum; count } ->
+  | Metrics.Histogram_sample h ->
       [ ("type", String "histogram");
-        ("count", Int count);
-        ("sum", Float sum);
+        ("count", Int (Hist.count h));
+        ("sum", Float (Hist.sum h));
         ("buckets",
          List
-           (Array.to_list
-              (Array.mapi
-                 (fun i c -> Assoc [ ("le", Float uppers.(i)); ("count", Int c) ])
-                 counts))) ]
+           (List.init (Hist.buckets h) (fun i ->
+                Assoc
+                  [ ("le", Float (Hist.bucket_upper h i));
+                    ("count", Int (Hist.bucket_count h i)) ]))) ]
 
 let json_of_registry reg =
   List
@@ -370,6 +370,32 @@ let prom_float f =
   else if f = Float.neg_infinity then "-Inf"
   else Printf.sprintf "%.12g" f
 
+let prom_header buf ~name ~help kind =
+  if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
+  Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+
+(* The one histogram renderer: cumulative [_bucket] lines whose [le=]
+   edges are [Hist.uppers], then [_sum] and [_count]. *)
+let prom_hist_lines buf ~name ~labels h =
+  let cumulative = ref 0 in
+  Array.iteri
+    (fun i upper ->
+      cumulative := !cumulative + Hist.bucket_count h i;
+      Buffer.add_string buf
+        (Printf.sprintf "%s_bucket%s %d\n" name
+           (prom_labels (labels @ [ ("le", prom_float upper) ]))
+           !cumulative))
+    (Hist.uppers h);
+  Buffer.add_string buf
+    (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels)
+       (prom_float (Hist.sum h)));
+  Buffer.add_string buf
+    (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) (Hist.count h))
+
+let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
+  prom_header buf ~name ~help "histogram";
+  prom_hist_lines buf ~name ~labels h
+
 let prometheus_of_registry reg =
   let buf = Buffer.create 4096 in
   let seen_header = Hashtbl.create 16 in
@@ -383,9 +409,7 @@ let prometheus_of_registry reg =
       in
       if not (Hashtbl.mem seen_header name) then begin
         Hashtbl.add seen_header name ();
-        if help <> "" then
-          Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
+        prom_header buf ~name ~help kind
       end;
       match sample with
       | Metrics.Counter_sample c ->
@@ -394,45 +418,9 @@ let prometheus_of_registry reg =
       | Metrics.Gauge_sample g ->
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_float g))
-      | Metrics.Histogram_sample { uppers; counts; sum; count } ->
-          let cumulative = ref 0 in
-          Array.iteri
-            (fun i c ->
-              cumulative := !cumulative + c;
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket%s %d\n" name
-                   (prom_labels (labels @ [ ("le", prom_float uppers.(i)) ]))
-                   !cumulative))
-            counts;
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels)
-               (prom_float sum));
-          Buffer.add_string buf
-            (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) count))
+      | Metrics.Histogram_sample h -> prom_hist_lines buf ~name ~labels h)
     (Metrics.snapshot reg);
   Buffer.contents buf
-
-(* Prometheus rendering for the always-on collectors.  The [le=] edges
-   are taken straight from [Hist.uppers], which shares its geometry with
-   [Metrics.histogram] — the two exposition paths agree edge for edge. *)
-let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
-  if help <> "" then Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name help);
-  Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" name);
-  let uppers = Hist.uppers h in
-  let cumulative = ref 0 in
-  Array.iteri
-    (fun i upper ->
-      cumulative := !cumulative + Hist.bucket_count h i;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_bucket%s %d\n" name
-           (prom_labels (labels @ [ ("le", prom_float upper) ]))
-           !cumulative))
-    uppers;
-  Buffer.add_string buf
-    (Printf.sprintf "%s_sum%s %s\n" name (prom_labels labels)
-       (prom_float (Hist.sum h)));
-  Buffer.add_string buf
-    (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) (Hist.count h))
 
 let prometheus_of_hist ~name ?help ?labels h =
   let buf = Buffer.create 512 in
@@ -444,9 +432,7 @@ let prometheus_of_hist ~name ?help ?labels h =
 let prometheus_append_timeseries buf ~name ?(help = "") ?(labels = []) ts =
   let emit suffix value_of =
     let metric = name ^ suffix in
-    if help <> "" then
-      Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" metric help);
-    Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" metric);
+    prom_header buf ~name:metric ~help "gauge";
     for i = 0 to Timeseries.used ts - 1 do
       Buffer.add_string buf
         (Printf.sprintf "%s%s %s\n" metric

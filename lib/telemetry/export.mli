@@ -46,7 +46,8 @@ val json_of_registry : Metrics.t -> json
 
 val prometheus_of_registry : Metrics.t -> string
 (** Prometheus text format: # HELP / # TYPE headers, label escaping,
-    cumulative [_bucket{le=...}] / [_sum] / [_count] histogram series. *)
+    histograms rendered exactly as {!prometheus_append_hist} renders
+    them. *)
 
 (** {2 Always-on collector exposition}
 
@@ -70,8 +71,7 @@ val prometheus_of_hist :
   name:string -> ?help:string -> ?labels:(string * string) list -> Hist.t ->
   string
 (** Cumulative [_bucket{le=...}] / [_sum] / [_count] lines whose [le=]
-    edges are exactly [Hist.uppers] — byte-compatible with a
-    {!Metrics.histogram} of the same shape. *)
+    edges are exactly [Hist.uppers]. *)
 
 val prometheus_append_timeseries :
   Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->

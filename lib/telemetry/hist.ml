@@ -1,19 +1,18 @@
-(* Mergeable HDR-style log-bucketed histogram.
+(* Mergeable HDR-style log-bucketed histogram — the only one in the
+   library: Metrics.histogram registers one of these.
 
-   Bucket geometry is identical to Metrics.histogram — bin 0 collects
-   values <= 0, bin i (1 <= i < n-1) the upper-inclusive range
-   (2^(i-2+min_exp), 2^(i-1+min_exp)], last bin overflow — so the
-   Prometheus exporter can emit the exact same le= edges for both.
+   Bin 0 collects values <= 0, bin i (1 <= i < n-1) the upper-inclusive
+   range (2^(i-2+min_exp), 2^(i-1+min_exp)], last bin overflow; the
+   Prometheus exporter emits exactly these edges as le=.
 
-   The twist relative to Metrics.histogram is [merge]: per-shard local
-   collectors are folded together at epoch barriers, and the result must
-   be byte-identical for every shard count.  Bucket counts are ints, so
-   their addition is exact; the running sum would NOT be (float addition
-   is commutative but not associative, and each shard accumulates its
-   own subsequence), so the sum is kept in fixed point — an integer
-   count of 2^-26 quanta (~15 ns when the unit is seconds).  Integer
-   addition is exact, hence merge is commutative AND associative, hence
-   shard-order-independent. *)
+   Per-shard local collectors are folded together at epoch barriers,
+   and the result must be byte-identical for every shard count.  Bucket
+   counts are ints, so their addition is exact; the running sum would
+   NOT be (float addition is commutative but not associative, and each
+   shard accumulates its own subsequence), so the sum is kept in fixed
+   point — an integer count of 2^-26 quanta (~15 ns when the unit is
+   seconds).  Integer addition is exact, hence merge is commutative AND
+   associative, hence shard-order-independent. *)
 
 type t = {
   counts : int array; (* [0]: <= 0; [i]: (2^(i-2+min_exp), 2^(i-1+min_exp)];
@@ -41,16 +40,23 @@ let min_exp t = t.min_exp
 let count t = t.count
 let bucket_count t i = t.counts.(i)
 
-let quantize v = int_of_float (Float.round (v *. 0x1p26))
+(* 2^36 units are 2^62 quanta, the first count an OCaml int cannot
+   hold; int_of_float past it (or of an infinity or NaN) is unspecified
+   and wraps the sum.  The comparison is false for NaN. *)
+let quantize v =
+  if Float.abs v < 0x1p36 then int_of_float (Float.round (v *. 0x1p26)) else 0
+
 let sum t = float_of_int t.sum_q *. quantum
 let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
 
-(* Same exponent extraction as Metrics.bucket_index: ceil log2 because
-   edges are upper-inclusive. *)
+(* ceil log2, not floor: buckets are upper-inclusive (2^(e-1), 2^e] so
+   they agree with the le= edges the Prometheus exporter emits. *)
 let bucket_index t v =
   if v <= 0.0 then 0
   else begin
     let n = Array.length t.counts in
+    (* not (v < infinity) also catches NaN; int_of_float of either is
+       unspecified, so route both to the overflow bin explicitly. *)
     if not (v < infinity) then n - 1
     else begin
       let e = int_of_float (Float.ceil (Float.log2 v)) in
@@ -60,7 +66,8 @@ let bucket_index t v =
   end
 
 let record t v =
-  t.counts.(bucket_index t v) <- t.counts.(bucket_index t v) + 1;
+  let i = bucket_index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum_q <- t.sum_q + quantize v
 

@@ -1,16 +1,22 @@
-(** Mergeable HDR-style log-bucketed histogram.
+(** Mergeable HDR-style log-bucketed histogram — the library's only
+    histogram: {!Metrics.histogram} registers and returns one.
 
-    Bucket geometry matches {!Metrics.histogram} exactly — bin 0
-    collects values [<= 0], bin [i] ([1 <= i < buckets-1]) the
-    upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], last bin
-    overflow — so Prometheus [le=] edges agree between the two.
+    Bin 0 collects values [<= 0], bin [i] ([1 <= i < buckets-1]) the
+    upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], and the
+    last bin is the overflow; these are the Prometheus [le=] edges.
 
-    Unlike [Metrics.histogram], a [Hist.t] is built to be {e merged}:
-    per-shard local collectors are combined at epoch barriers, and the
-    combined result must be byte-identical for every shard count.
-    Bucket counts are ints and the value sum is held in fixed point
-    ({!quantum} units), so {!merge} is exact integer addition —
-    commutative {e and} associative, hence independent of merge order.
+    A [Hist.t] is built to be {e merged}: per-shard local collectors are
+    combined at epoch barriers, and the combined result must be
+    byte-identical for every shard count.  Bucket counts are ints and
+    the value sum is held in fixed point ({!quantum} units), so {!merge}
+    is exact integer addition — commutative {e and} associative, hence
+    independent of merge order.
+
+    The fixed point holds magnitudes below [2^36] (about [6.9e10]).  A
+    value outside that range — or an infinity or NaN — still counts in
+    its bucket and in {!count}, but stays out of {!sum} and {!mean}.
+    The running sum itself is exact while its magnitude stays below
+    [2^36] as well.
 
     [record] is O(1) and allocation-free. *)
 
@@ -22,7 +28,9 @@ val quantum : float
 
 val quantize : float -> int
 (** Round a value to the nearest multiple of {!quantum}, as an integer
-    count of quanta — the representation {!sum} accumulates in. *)
+    count of quanta — the representation {!sum} accumulates in.  [0]
+    for a value the fixed point cannot hold: magnitude [>= 2^36], an
+    infinity or NaN. *)
 
 val create : ?buckets:int -> ?min_exp:int -> unit -> t
 (** [buckets] defaults to 32 (minimum 3); [min_exp] to 0, making bin 1
@@ -33,7 +41,8 @@ val copy : t -> t
 val clear : t -> unit
 
 val record : t -> float -> unit
-(** Count a value: one array increment, one int add.  No allocation. *)
+(** Count a value: one array increment, one int add.  No allocation.
+    A value outside the fixed-point range adds nothing to {!sum}. *)
 
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into] (exact integer addition).  Raises

@@ -1,21 +1,12 @@
 type counter = { mutable c : int }
 type gauge = { mutable g : float }
 
-type histogram = {
-  counts : int array; (* [0]: <= 0; [i]: (2^(i-2+min_exp), 2^(i-1+min_exp)];
-                         last: overflow *)
-  min_exp : int;
-  mutable h_count : int;
-  mutable h_sum : float;
-}
-
 type sample =
   | Counter_sample of int
   | Gauge_sample of float
-  | Histogram_sample of { uppers : float array; counts : int array;
-                          sum : float; count : int }
+  | Histogram_sample of Hist.t
 
-type kind = C of counter | G of gauge | H of histogram
+type kind = C of counter | G of gauge | H of Hist.t
 
 type series = {
   name : string;
@@ -60,11 +51,9 @@ let gauge t ?(help = "") ?(labels = []) name =
       | G g -> g
       | C _ | H _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " is not a gauge"))
 
-let histogram t ?(help = "") ?(labels = []) ?(buckets = 32) ?(min_exp = 0) name =
-  if buckets < 3 then invalid_arg "Metrics.histogram: need at least 3 buckets";
+let histogram t ?(help = "") ?(labels = []) ?buckets ?min_exp name =
   register t ~name ~help ~labels
-    ~fresh:(fun () ->
-      H { counts = Array.make buckets 0; min_exp; h_count = 0; h_sum = 0.0 })
+    ~fresh:(fun () -> H (Hist.create ?buckets ?min_exp ()))
     ~cast:(function
       | H h -> h
       | C _ | G _ ->
@@ -78,49 +67,12 @@ let set g v = g.g <- v
 let add_gauge g v = g.g <- g.g +. v
 let gauge_value g = g.g
 
-(* Hot path: an exponent extraction, a clamp and two in-place updates —
-   no allocation beyond float temporaries. *)
-let bucket_index h v =
-  if v <= 0.0 then 0
-  else begin
-    let n = Array.length h.counts in
-    (* not (v < infinity) also catches NaN; int_of_float of either is
-       unspecified, so route both to the overflow bin explicitly. *)
-    if not (v < infinity) then n - 1
-    else begin
-      (* ceil, not floor: buckets are upper-inclusive (2^(e-1), 2^e] so
-         they agree with the le= edges the Prometheus exporter emits. *)
-      let e = int_of_float (Float.ceil (Float.log2 v)) in
-      let i = e - h.min_exp + 1 in
-      if i < 1 then 1 else if i >= n then n - 1 else i
-    end
-  end
-
-let observe h v =
-  h.counts.(bucket_index h v) <- h.counts.(bucket_index h v) + 1;
-  h.h_count <- h.h_count + 1;
-  h.h_sum <- h.h_sum +. v
-
-let histogram_count h = h.h_count
-let histogram_sum h = h.h_sum
-
-(* Inclusive upper edge of bucket [i]; the overflow bucket has edge
-   +inf. *)
-let bucket_upper h i =
-  let n = Array.length h.counts in
-  if i <= 0 then 0.0
-  else if i >= n - 1 then infinity
-  else Float.pow 2.0 (float_of_int (i - 1 + h.min_exp))
-
 let snapshot_series s =
   let sample =
     match s.kind with
     | C c -> Counter_sample c.c
     | G g -> Gauge_sample g.g
-    | H h ->
-        Histogram_sample
-          { uppers = Array.init (Array.length h.counts) (bucket_upper h);
-            counts = Array.copy h.counts; sum = h.h_sum; count = h.h_count }
+    | H h -> Histogram_sample (Hist.copy h)
   in
   (s.name, s.help, s.labels, sample)
 

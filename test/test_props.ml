@@ -77,42 +77,6 @@ let prop_prioq_fifo_ties_interleaved =
           List.sort compare ids = ids)
         [ 0; 1; 2; 3 ])
 
-let prop_prioq_pop_if_before =
-  (* pop_if_before returns exactly the elements at or before the cutoff,
-     in order, and leaves the rest intact. *)
-  QCheck.Test.make ~name:"pop_if_before splits at the cutoff" ~count:200
-    QCheck.(pair (float_range 0.0 100.0) (list (float_range 0.0 100.0)))
-    (fun (cutoff, priorities) ->
-      let q = Prioq.create () in
-      List.iteri (fun i p -> Prioq.push q ~priority:p i) priorities;
-      let rec drain acc =
-        match Prioq.pop_if_before q ~until:cutoff with
-        | None -> List.rev acc
-        | Some (p, _) -> drain (p :: acc)
-      in
-      let popped = drain [] in
-      List.for_all (fun p -> p <= cutoff) popped
-      && List.length popped = List.length (List.filter (fun p -> p <= cutoff) priorities)
-      && Prioq.length q = List.length priorities - List.length popped
-      && match Prioq.peek q with None -> true | Some (p, _) -> p > cutoff)
-
-let prop_prioq_clear_keeps_capacity =
-  QCheck.Test.make ~name:"clear empties but keeps capacity" ~count:100
-    QCheck.(int_range 1 500)
-    (fun n ->
-      let q = Prioq.create () in
-      for i = 0 to n - 1 do
-        Prioq.push q ~priority:(float_of_int (i * 7 mod 13)) i
-      done;
-      let cap = Prioq.capacity q in
-      Prioq.clear q;
-      Prioq.is_empty q && Prioq.capacity q = cap
-      && begin
-           (* The heap stays usable after clear. *)
-           Prioq.push q ~priority:1.0 42;
-           Prioq.pop q = Some (1.0, 42)
-         end)
-
 let prop_prioq_length =
   QCheck.Test.make ~name:"length tracks pushes and pops" ~count:100
     QCheck.(list (float_range 0.0 10.0))
@@ -353,7 +317,15 @@ let prop_chi_sound_and_complete =
 module Hist = Telemetry.Hist
 module Ts = Telemetry.Timeseries
 
-let sample_gen = QCheck.(list_of_size Gen.(0 -- 60) (float_range (-2.0) 900.0))
+(* Mostly ordinary values, plus ones the fixed-point sum cannot hold:
+   they land in a bucket but stay out of the sum, on every merge order. *)
+let sample_gen =
+  QCheck.(
+    list_of_size
+      Gen.(0 -- 60)
+      (frequency
+         [ (8, float_range (-2.0) 900.0);
+           (1, oneofl [ 1e11; -3e11; 1e30; infinity; neg_infinity; nan ]) ]))
 
 let hist_of_values vs =
   let h = Hist.create ~buckets:20 ~min_exp:(-10) () in
@@ -439,8 +411,7 @@ let () =
     [ ( "prioq",
         List.map to_alco
           [ prop_prioq_sorted; prop_prioq_fifo_ties; prop_prioq_length;
-            prop_prioq_matches_sorted_reference; prop_prioq_fifo_ties_interleaved;
-            prop_prioq_pop_if_before; prop_prioq_clear_keeps_capacity ] );
+            prop_prioq_matches_sorted_reference; prop_prioq_fifo_ties_interleaved ] );
       ("keyring-mac", List.map to_alco [ prop_keyring_mac_roundtrip ]);
       ("sim", List.map to_alco [ prop_sim_time_monotone ]);
       ("queues", List.map to_alco [ prop_fifo_occupancy_invariant; prop_red_physical_limit ]);

@@ -165,9 +165,9 @@ let test_timeseries_roundtrip () =
           (Ts.bucket_sum ts i) (Ts.bucket_sum ts' i)
       done
 
-(* The Prometheus rendering of a Hist must use exactly the le edges the
-   registry histogram with the same geometry emits — the satellite
-   contract tying the always-on layer to the existing exporter. *)
+(* A registry histogram and a standalone Hist of the same geometry must
+   render the same le edges — the always-on collectors and the registry
+   share one exposition path. *)
 let test_prom_le_edges_agree () =
   let buckets = 10 and min_exp = -3 in
   let h = Hist.create ~buckets ~min_exp () in
@@ -176,7 +176,7 @@ let test_prom_le_edges_agree () =
   List.iter
     (fun v ->
       Hist.record h v;
-      Telemetry.Metrics.observe mh v)
+      Hist.record mh v)
     [ 0.01; 0.3; 0.3; 2.0; 500.0 ];
   let edges_of text =
     (* every le="..." occurrence, in order *)

@@ -9,72 +9,33 @@
 module G = Topology.Graph
 open Netsim
 
-(* --- Prioq regression: stale references after grow + clear ---------- *)
+(* --- Prioq regression: stale references after grow + pop ------------ *)
 
-(* The bug: [clear] used to spread one live value reference across the
-   whole (possibly grown) capacity, and popping the last element left
-   the popped value referenced in slot 0 — both kept dead values
-   reachable.  Watch collectability directly with a finaliser. *)
+(* Two ways the heap could keep dead values reachable: the slot a pop
+   vacates (slot 0 when the heap empties), and the spare capacity growth
+   fills with the value being pushed.  Watch collectability directly
+   with a finaliser. *)
 let test_prioq_no_stale_refs () =
-  let q = Prioq.create () in
-  let collected = ref 0 in
-  let n = 100 in
-  (* Enough pushes to grow capacity several times. *)
-  for i = 0 to n - 1 do
-    let v = ref i in
-    Gc.finalise (fun _ -> incr collected) v;
-    Prioq.push q ~priority:(float_of_int i) v
-  done;
-  (* Pop half (exercises pop's scrub incl. the just-emptied case via the
-     second heap below), then clear the rest with capacity grown. *)
-  for _ = 1 to n / 2 do
-    ignore (Prioq.pop q)
-  done;
-  Prioq.clear q;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check int) "all cleared values collected" n !collected;
-  Alcotest.(check bool) "capacity retained" true (Prioq.capacity q >= n);
-  (* Pop-to-empty leaves nothing referenced either. *)
-  let q2 = Prioq.create () in
-  let collected2 = ref 0 in
-  for i = 0 to 2 do
-    let v = ref i in
-    Gc.finalise (fun _ -> incr collected2) v;
-    Prioq.push q2 ~priority:(float_of_int i) v
-  done;
-  while Prioq.pop q2 <> None do
-    ()
-  done;
-  Gc.full_major ();
-  Gc.full_major ();
-  Alcotest.(check int) "popped-to-empty values collected" 3 !collected2
-
-let test_prioq_ranked () =
-  let q = Prioq.create () in
-  (* Same priority, ranks inserted out of order: pops must follow rank. *)
-  List.iter
-    (fun r -> Prioq.push_ranked q ~priority:1.0 ~rank:r r)
-    [ 5; 1; 9; 3; 7 ];
-  Alcotest.(check (option (pair (float 0.0) int)))
-    "peek_key" (Some (1.0, 1)) (Prioq.peek_key q);
-  let order = ref [] in
-  let rec drain () =
-    match Prioq.pop_ranked q ~until:infinity ~strict:false with
-    | None -> ()
-    | Some (_, r, v) ->
-        Alcotest.(check int) "rank equals value" r v;
-        order := r :: !order;
-        drain ()
+  let collect_after_drain n =
+    let q = Prioq.create () in
+    let collected = ref 0 in
+    for i = 0 to n - 1 do
+      let v = ref i in
+      Gc.finalise (fun _ -> incr collected) v;
+      Prioq.push q ~priority:(float_of_int i) v
+    done;
+    while Prioq.pop q <> None do
+      ()
+    done;
+    Gc.full_major ();
+    Gc.full_major ();
+    !collected
   in
-  drain ();
-  Alcotest.(check (list int)) "rank order" [ 1; 3; 5; 7; 9 ] (List.rev !order);
-  (* Strict window excludes the boundary. *)
-  Prioq.push_ranked q ~priority:2.0 ~rank:1 1;
-  Alcotest.(check bool) "strict excludes boundary" true
-    (Prioq.pop_ranked q ~until:2.0 ~strict:true = None);
-  Alcotest.(check bool) "inclusive takes boundary" true
-    (Prioq.pop_ranked q ~until:2.0 ~strict:false <> None)
+  (* Enough pushes to grow capacity several times. *)
+  Alcotest.(check int) "grown heap: popped values collected" 100
+    (collect_after_drain 100);
+  Alcotest.(check int) "small heap: popped-to-empty values collected" 3
+    (collect_after_drain 3)
 
 (* --- Partition ------------------------------------------------------ *)
 
@@ -335,9 +296,8 @@ let test_shard_validation () =
 let () =
   Alcotest.run "shard"
     [ ( "prioq",
-        [ Alcotest.test_case "no stale refs after grow+clear" `Quick
-            test_prioq_no_stale_refs;
-          Alcotest.test_case "ranked push/pop" `Quick test_prioq_ranked ] );
+        [ Alcotest.test_case "no stale refs after grow+pop" `Quick
+            test_prioq_no_stale_refs ] );
       ( "partition",
         [ Alcotest.test_case "covers, balanced, deterministic" `Quick test_partition ] );
       ("mailbox", [ Alcotest.test_case "push order, overflow" `Quick test_mailbox_order ]);

@@ -11,47 +11,64 @@ open Telemetry
 let test_histogram_zero_and_negative () =
   let reg = Metrics.create () in
   let h = Metrics.histogram reg ~buckets:8 "h" in
-  Alcotest.(check int) "zero lands in bin 0" 0 (Metrics.bucket_index h 0.0);
-  Alcotest.(check int) "negative lands in bin 0" 0 (Metrics.bucket_index h (-3.5));
-  Metrics.observe h 0.0;
-  Metrics.observe h (-1.0);
-  Alcotest.(check int) "count tracks observes" 2 (Metrics.histogram_count h)
+  Alcotest.(check int) "zero lands in bin 0" 0 (Hist.bucket_index h 0.0);
+  Alcotest.(check int) "negative lands in bin 0" 0 (Hist.bucket_index h (-3.5));
+  Hist.record h 0.0;
+  Hist.record h (-1.0);
+  Alcotest.(check int) "count tracks records" 2 (Hist.count h)
 
 let test_histogram_boundaries () =
   (* With min_exp = 0: bin 1 is (0, 1], bin 2 is (1, 2], bin 3 is (2, 4]. *)
   let reg = Metrics.create () in
   let h = Metrics.histogram reg ~buckets:8 "h" in
-  Alcotest.(check int) "1.0 in bin 1" 1 (Metrics.bucket_index h 1.0);
-  Alcotest.(check int) "just above 1 in bin 2" 2 (Metrics.bucket_index h 1.0001);
-  Alcotest.(check int) "2.0 in bin 2" 2 (Metrics.bucket_index h 2.0);
-  Alcotest.(check int) "3.0 in bin 3" 3 (Metrics.bucket_index h 3.0);
-  Alcotest.(check int) "4.0 in bin 3" 3 (Metrics.bucket_index h 4.0);
-  Alcotest.(check (float 1e-9)) "bin 3 upper edge" 4.0 (Metrics.bucket_upper h 3)
+  Alcotest.(check int) "1.0 in bin 1" 1 (Hist.bucket_index h 1.0);
+  Alcotest.(check int) "just above 1 in bin 2" 2 (Hist.bucket_index h 1.0001);
+  Alcotest.(check int) "2.0 in bin 2" 2 (Hist.bucket_index h 2.0);
+  Alcotest.(check int) "3.0 in bin 3" 3 (Hist.bucket_index h 3.0);
+  Alcotest.(check int) "4.0 in bin 3" 3 (Hist.bucket_index h 4.0);
+  Alcotest.(check (float 1e-9)) "bin 3 upper edge" 4.0 (Hist.bucket_upper h 3)
 
 let test_histogram_overflow () =
   let reg = Metrics.create () in
   let h = Metrics.histogram reg ~buckets:4 "h" in
   (* buckets = 4: bin 0 (<= 0), bin 1 (0,1], bin 2 (1,2], bin 3 overflow. *)
   Alcotest.(check int) "huge value in overflow bin" 3
-    (Metrics.bucket_index h 1e30);
+    (Hist.bucket_index h 1e30);
   Alcotest.(check int) "infinity in overflow bin" 3
-    (Metrics.bucket_index h infinity);
+    (Hist.bucket_index h infinity);
   Alcotest.(check bool) "overflow upper edge is +inf" true
-    (Metrics.bucket_upper h 3 = infinity);
-  Metrics.observe h 1e30;
-  Metrics.observe h 0.5;
-  Alcotest.(check int) "count" 2 (Metrics.histogram_count h);
-  Alcotest.(check (float 1e20)) "sum" 1e30 (Metrics.histogram_sum h)
+    (Hist.bucket_upper h 3 = infinity);
+  Hist.record h 1e30;
+  Hist.record h 0.5;
+  Alcotest.(check int) "count" 2 (Hist.count h);
+  (* 1e30 is past the fixed-point range: counted, but not summed. *)
+  Alcotest.(check (float 0.0)) "sum" 0.5 (Hist.sum h)
+
+let test_histogram_unrepresentable_sum () =
+  (* At |v| >= 2^36 the count of 2^-26 quanta overflows an OCaml int, so
+     quantizing such a value wraps the sum (1e11 would add about
+     -3.7e10).  It must land in its bucket and leave the sum alone. *)
+  let h = Hist.create ~buckets:8 () in
+  List.iter (Hist.record h) [ 0.5; 1e11; -3e11; 1e30; infinity; neg_infinity; nan ];
+  Alcotest.(check int) "every value counted" 7 (Hist.count h);
+  Alcotest.(check int) "overflow bin" 4 (Hist.bucket_count h 7);
+  Alcotest.(check int) "non-positive bin" 2 (Hist.bucket_count h 0);
+  Alcotest.(check (float 0.0)) "sum holds only the representable value" 0.5
+    (Hist.sum h);
+  (* Just inside the range still sums exactly. *)
+  Hist.record h 0x1.fffffp35;
+  Alcotest.(check (float 0.0)) "largest representable magnitudes sum"
+    (0.5 +. 0x1.fffffp35) (Hist.sum h)
 
 let test_histogram_min_exp () =
   (* min_exp shifts the whole ladder: with min_exp = -14, bin 1 is
      (0, 2^-14] — sub-millisecond latencies stay distinguishable. *)
   let reg = Metrics.create () in
   let h = Metrics.histogram reg ~buckets:24 ~min_exp:(-14) "lat" in
-  Alcotest.(check int) "2^-14 in bin 1" 1 (Metrics.bucket_index h (Float.pow 2.0 (-14.0)));
-  Alcotest.(check int) "2^-13 in bin 2" 2 (Metrics.bucket_index h (Float.pow 2.0 (-13.0)));
+  Alcotest.(check int) "2^-14 in bin 1" 1 (Hist.bucket_index h (Float.pow 2.0 (-14.0)));
+  Alcotest.(check int) "2^-13 in bin 2" 2 (Hist.bucket_index h (Float.pow 2.0 (-13.0)));
   Alcotest.(check bool) "tiny value above zero not in bin 0" true
-    (Metrics.bucket_index h 1e-9 >= 1)
+    (Hist.bucket_index h 1e-9 >= 1)
 
 (* --- counters: label cardinality --- *)
 
@@ -212,9 +229,9 @@ let test_prom_label_escaping () =
 let test_prom_histogram_le_edges () =
   let reg = Metrics.create () in
   let h = Metrics.histogram reg ~buckets:4 "lat" ~labels:[ ("queue", "q0") ] in
-  Metrics.observe h 0.5;
-  Metrics.observe h 1.5;
-  Metrics.observe h 1e30;
+  Hist.record h 0.5;
+  Hist.record h 1.5;
+  Hist.record h 1e30;
   let text = Export.prometheus_of_registry reg in
   (* Finite bucket edges render as plain numbers, the overflow bin as
      +Inf, and the counts are cumulative. *)
@@ -290,8 +307,9 @@ let req_int path doc =
   | Some v -> v
   | None -> Alcotest.failf "missing integer field %s" (String.concat "." path)
 
-let test_simulate_metrics_conserve () =
+let simulate_metrics_conserve ~shards =
   let path = Filename.temp_file "mrdetect_metrics" ".json" in
+  let check_int name = Alcotest.(check int) (Printf.sprintf "K=%d: %s" shards name) in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -310,7 +328,7 @@ let test_simulate_metrics_conserve () =
           Experiments.Simulate.run
             (Experiments.Simulate.Config.make_exn ~protocol:"chi"
                ~attack:(Experiments.Simulate.Drop_fraction 0.3) ~attacker:2
-               ~duration:12.0 ~seed:7 ~flows:6 ~metrics:path
+               ~duration:12.0 ~seed:7 ~flows:6 ~metrics:path ~shards
                Experiments.Simulate.Ring));
       let contents =
         let ic = open_in path in
@@ -329,25 +347,56 @@ let test_simulate_metrics_conserve () =
           let fragmented = req_int [ "conservation"; "fragmented" ] doc in
           let in_flight = req_int [ "conservation"; "in_flight" ] doc in
           Alcotest.(check bool) "some traffic ran" true (injected > 0);
-          Alcotest.(check int) "packets conserve" injected
+          check_int "packets conserve" injected
             (delivered + dropped + fragmented + in_flight);
           Alcotest.(check bool) "engine processed events" true
             (req_int [ "engine"; "events_processed" ] doc > 0);
           (* The registry view agrees with the conservation block. *)
           let metrics = Option.get (field [ "metrics" ] doc) in
           let series = Option.get (Export.to_list_opt metrics) in
+          let str key s = Option.bind (Export.member key s) Export.to_string_opt in
           let sum_counter name =
             List.fold_left
               (fun acc s ->
-                match Option.bind (Export.member "name" s) Export.to_string_opt with
+                match str "name" s with
                 | Some n when n = name ->
                     acc + Option.value ~default:0
                             (Option.bind (Export.member "value" s) Export.to_int)
                 | _ -> acc)
               0 series
           in
-          Alcotest.(check int) "dropped counter family sums to the block"
-            dropped (sum_counter "pkt_dropped_total"))
+          check_int "dropped counter family sums to the block"
+            dropped (sum_counter "pkt_dropped_total");
+          (* One latency record per delivered packet: the stats block keeps
+             it, the registry carries no second copy. *)
+          let stats_hists =
+            Option.get (Option.bind (field [ "stats"; "hists" ] doc) Export.to_list_opt)
+          in
+          let latency =
+            List.find (fun h -> str "name" h = Some "delivery_latency") stats_hists
+          in
+          check_int "stats latency counts every delivery" delivered
+            (req_int [ "count" ] latency);
+          Alcotest.(check (list string)) "registry has no latency histogram" []
+            (List.filter_map
+               (fun s ->
+                 match (str "name" s, str "type" s) with
+                 | Some n, Some "histogram" when contains n "latency" -> Some n
+                 | _ -> None)
+               series);
+          (* The size histogram keeps its 16-bucket, 2^4-based geometry. *)
+          let pkt_size = List.find (fun s -> str "name" s = Some "pkt_size_bytes") series in
+          let edges =
+            List.map
+              (fun b -> Export.to_string (Option.get (Export.member "le" b)))
+              (Option.get (Option.bind (Export.member "buckets" pkt_size) Export.to_list_opt))
+          in
+          Alcotest.(check (list string)) "pkt_size_bytes le edges"
+            (("0" :: List.init 14 (fun i -> string_of_int (1 lsl (i + 4)))) @ [ "1e999" ])
+            edges)
+
+let test_simulate_metrics_conserve () =
+  List.iter (fun shards -> simulate_metrics_conserve ~shards) [ 0; 2 ]
 
 let () =
   Alcotest.run "telemetry"
@@ -355,6 +404,8 @@ let () =
        [ Alcotest.test_case "zero and negative" `Quick test_histogram_zero_and_negative;
          Alcotest.test_case "bucket boundaries" `Quick test_histogram_boundaries;
          Alcotest.test_case "overflow bin" `Quick test_histogram_overflow;
+         Alcotest.test_case "unrepresentable values skip the sum" `Quick
+           test_histogram_unrepresentable_sum;
          Alcotest.test_case "min_exp shift" `Quick test_histogram_min_exp ]);
       ("counters",
        [ Alcotest.test_case "label identity" `Quick test_counter_label_identity;
