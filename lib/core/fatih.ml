@@ -75,19 +75,19 @@ let detections t = List.rev t.detections_rev
 let response t = t.response
 let monitored_segments t = Hashtbl.fold (fun seg _ acc -> seg :: acc) t.segs []
 
-let fresh_state policy =
+let fresh_state policy ~new_mid =
   { sent = Summary.create policy;
     received = Summary.create policy;
     prev_sent = Summary.create policy;
     excused = false;
-    mid = Summary.create policy;
+    mid = new_mid ();
     degraded_streak = 0; mute_streak = 0; failstopped = false }
 
-let reset_state policy st =
+let reset_state policy ~new_mid st =
   st.prev_sent <- st.sent;
   st.sent <- Summary.create policy;
   st.received <- Summary.create policy;
-  st.mid <- Summary.create policy;
+  st.mid <- new_mid ();
   st.excused <- false
 
 let deploy ~net ~rt ?(config = default_config)
@@ -99,10 +99,19 @@ let deploy ~net ~rt ?(config = default_config)
       fingerprints_observed = 0; words_exchanged = 0; round = 0;
       rounds_degraded = 0; rounds_excused = 0 }
   in
+  (* Only a Byzantine plan observes the interior's summary; without one
+     every segment shares one placeholder that is never written. *)
+  let new_mid =
+    match byz with
+    | Some _ -> fun () -> Summary.create config.policy
+    | None ->
+        let unobserved = Summary.create Summary.Flow in
+        fun () -> unobserved
+  in
   List.iter
     (fun seg ->
       if List.length seg = 3 && not (Hashtbl.mem t.segs seg) then
-        Hashtbl.add t.segs seg (fresh_state config.policy))
+        Hashtbl.add t.segs seg (fresh_state config.policy ~new_mid))
     (Topology.Segments.pik2_family rt ~k:1);
   (* Predicted path per (src, dst): how a terminal router decides which
      monitored segments a packet belongs to (§4.1 predictability).  After
@@ -130,7 +139,7 @@ let deploy ~net ~rt ?(config = default_config)
           st.sent <- Summary.create config.policy;
           st.received <- Summary.create config.policy;
           st.prev_sent <- Summary.create config.policy;
-          st.mid <- Summary.create config.policy;
+          st.mid <- new_mid ();
           st.excused <- false)
         t.segs);
   (* Which monitored segments a directed link belongs to, for excusing
@@ -653,7 +662,7 @@ let deploy ~net ~rt ?(config = default_config)
             end);
         match exchange with
         | `Degraded _ -> () (* carry state: compare the union next round *)
-        | `Skip | `Ok _ -> reset_state config.policy st)
+        | `Skip | `Ok _ -> reset_state config.policy ~new_mid st)
       t.segs;
     (match probe with
     | Some probe ->

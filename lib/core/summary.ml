@@ -9,9 +9,12 @@ type t = {
   times : (int64, float) Hashtbl.t;         (* Timeliness *)
 }
 
+(* The fps table keeps its 64 initial buckets under every policy:
+   [fingerprints] iterates in bucket order, and Byz's pruning depends on
+   that order. *)
 let create policy =
   { policy; packets = 0; bytes = 0; fps = Hashtbl.create 64; seq_rev = [];
-    times = Hashtbl.create 64 }
+    times = Hashtbl.create (if policy = Timeliness then 64 else 1) }
 
 let policy t = t.policy
 

@@ -337,28 +337,25 @@ let with_pins t r fallback ~prev pkt =
   | Some next -> Some next
   | None -> fallback ~prev pkt
 
-let use_routing t rt =
-  (* The common forwarding plane goes through the int-returning table
-     lookup: no option box per hop, and no pin-key tuple unless a pin
-     actually exists. *)
+(* The common forwarding plane goes through an int-returning lookup: no
+   option box per hop, and no pin-key tuple unless a pin actually
+   exists. *)
+let use_lookup t lookup =
   Array.iter
     (fun r ->
-      let id = Router.id r in
-      Router.set_forwarding_id r (fun ~prev:_ pkt ->
+      let cur = Router.id r in
+      Router.set_forwarding_id r (fun ~prev pkt ->
           if Hashtbl.length t.pins > 0 then
-            match Hashtbl.find_opt t.pins (pkt.Packet.flow, id) with
+            match Hashtbl.find_opt t.pins (pkt.Packet.flow, cur) with
             | Some next -> next
-            | None -> Topology.Routing.next_hop_id rt id ~dst:pkt.Packet.dst
-          else Topology.Routing.next_hop_id rt id ~dst:pkt.Packet.dst))
+            | None -> lookup ~prev ~cur ~dst:pkt.Packet.dst
+          else lookup ~prev ~cur ~dst:pkt.Packet.dst))
     t.routers
 
-let use_policy t pol =
-  Array.iter
-    (fun r ->
-      Router.set_forwarding r
-        (with_pins t r (fun ~prev pkt ->
-             Topology.Policy.next_hop pol ~prev ~cur:(Router.id r) ~dst:pkt.Packet.dst)))
-    t.routers
+let use_routing t rt =
+  use_lookup t (fun ~prev:_ ~cur ~dst -> Topology.Routing.next_hop_id rt cur ~dst)
+
+let use_policy t pol = use_lookup t (Topology.Policy.next_hop_id pol)
 
 let use_ecmp t ecmp =
   Array.iter

@@ -85,7 +85,9 @@ val use_routing : t -> Topology.Routing.t -> unit
 (** Install plain link-state forwarding on every router. *)
 
 val use_policy : t -> Topology.Policy.t -> unit
-(** Install policy (segment-excising) forwarding on every router. *)
+(** Install policy (segment-excising) forwarding on every router.  Each
+    hop is a {!Topology.Policy.next_hop_id} lookup, which allocates
+    nothing once the destination's table is built. *)
 
 val use_ecmp : t -> Topology.Ecmp.t -> unit
 (** Install deterministic equal-cost multipath forwarding (§7.4.1):

@@ -1,15 +1,9 @@
 let unreachable = max_int
 
-let transpose g =
-  let rev = Graph.create ~n:(Graph.size g) in
-  List.iter
-    (fun (l : Graph.link) ->
-      Graph.add_link rev ~cost:l.cost ~bw:l.bw ~delay:l.delay l.dst l.src)
-    (Graph.links g);
-  rev
-
-let distances g ~src =
-  let n = Graph.size g in
+(* Single-source Dijkstra over one orientation of a snapshot: [next.(u)]
+   are the nodes one hop from [u], [cost.(u).(i)] the cost of that hop. *)
+let run ~next ~cost ~src =
+  let n = Array.length next in
   if src < 0 || src >= n then invalid_arg "Dijkstra.distances: bad source";
   let dist = Array.make n unreachable in
   let settled = Array.make n false in
@@ -22,19 +16,22 @@ let distances g ~src =
     | Some (_, u) ->
         if not settled.(u) then begin
           settled.(u) <- true;
-          List.iter
-            (fun v ->
-              let l = Graph.link_exn g u v in
-              let cand = dist.(u) + l.Graph.cost in
-              if cand < dist.(v) then begin
-                dist.(v) <- cand;
-                Prioq.push heap ~priority:(float_of_int cand) v
-              end)
-            (Graph.out_neighbors g u)
+          let nu = next.(u) and cu = cost.(u) in
+          for i = 0 to Array.length nu - 1 do
+            let v = nu.(i) in
+            let cand = dist.(u) + cu.(i) in
+            if cand < dist.(v) then begin
+              dist.(v) <- cand;
+              Prioq.push heap ~priority:(float_of_int cand) v
+            end
+          done
         end;
         drain ()
   in
   drain ();
   dist
 
-let distances_to g ~dst = distances (transpose g) ~src:dst
+let distances (a : Graph.adjacency) ~src = run ~next:a.succ ~cost:a.succ_cost ~src
+
+let distances_to (a : Graph.adjacency) ~dst =
+  run ~next:a.pred ~cost:a.pred_cost ~src:dst

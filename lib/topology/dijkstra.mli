@@ -10,12 +10,10 @@
 val unreachable : int
 (** Distance value for unreachable nodes ([max_int]). *)
 
-val distances : Graph.t -> src:Graph.node -> int array
-(** Least cost from [src] to every node. *)
+val distances : Graph.adjacency -> src:Graph.node -> int array
+(** Least cost from [src] to every node, relaxing the successor rows of
+    the snapshot.  Raises [Invalid_argument] on an out-of-range node. *)
 
-val distances_to : Graph.t -> dst:Graph.node -> int array
-(** Least cost from every node to [dst] (Dijkstra on the transposed
-    graph); this is the orientation hop-by-hop forwarding needs. *)
-
-val transpose : Graph.t -> Graph.t
-(** The graph with every link reversed (attributes preserved). *)
+val distances_to : Graph.adjacency -> dst:Graph.node -> int array
+(** Least cost from every node to [dst], relaxing the predecessor rows;
+    this is the orientation hop-by-hop forwarding needs. *)

@@ -14,8 +14,8 @@ let default_hash ~router ~dst ~flow =
 
 let compute ?(hash = default_hash) graph =
   let n = Graph.size graph in
-  let rev = Dijkstra.transpose graph in
-  { graph; dist_to = Array.init n (fun d -> Dijkstra.distances rev ~src:d); hash }
+  let adj = Graph.adjacency graph in
+  { graph; dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d); hash }
 
 let candidates t v ~dst =
   if v = dst then []

@@ -35,6 +35,43 @@ let out_neighbors t v =
   check_node t v "out_neighbors";
   Hashtbl.fold (fun dst _ acc -> dst :: acc) t.adj.(v) [] |> List.sort compare
 
+type adjacency = {
+  succ : node array array;
+  succ_cost : int array array;
+  pred : node array array;
+  pred_cost : int array array;
+}
+
+let adjacency t =
+  let succ =
+    Array.map
+      (fun h ->
+        let a = Array.of_seq (Hashtbl.to_seq_keys h) in
+        Array.sort compare a;
+        a)
+      t.adj
+  in
+  let succ_cost =
+    Array.mapi (fun v s -> Array.map (fun w -> (Hashtbl.find t.adj.(v) w).cost) s) succ
+  in
+  let indeg = Array.make t.n 0 in
+  Array.iter (Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1)) succ;
+  let pred = Array.map (fun d -> Array.make d 0) indeg in
+  let pred_cost = Array.map (fun d -> Array.make d 0) indeg in
+  let fill = Array.make t.n 0 in
+  (* Sources are visited in ascending order, so each pred row fills
+     ascending too. *)
+  Array.iteri
+    (fun u s ->
+      Array.iteri
+        (fun i w ->
+          pred.(w).(fill.(w)) <- u;
+          pred_cost.(w).(fill.(w)) <- succ_cost.(u).(i);
+          fill.(w) <- fill.(w) + 1)
+        s)
+    succ;
+  { succ; succ_cost; pred; pred_cost }
+
 let links t =
   Array.to_list t.adj
   |> List.concat_map (fun h -> Hashtbl.fold (fun _ l acc -> l :: acc) h [])
@@ -55,27 +92,22 @@ let out_degree t v =
 
 let degrees t = Array.map Hashtbl.length t.adj
 
-let reachable_from t start =
-  let seen = Array.make t.n false in
-  let rec visit v =
-    if not seen.(v) then begin
-      seen.(v) <- true;
-      Hashtbl.iter (fun dst _ -> visit dst) t.adj.(v)
-    end
-  in
-  if t.n > 0 then visit start;
-  seen
-
 let is_connected t =
-  if t.n <= 1 then true
-  else begin
-    let fwd = reachable_from t 0 in
-    (* Reverse reachability: build the transposed adjacency once. *)
-    let rev = create ~n:t.n in
-    List.iter (fun l -> add_link rev ~cost:l.cost ~bw:l.bw ~delay:l.delay l.dst l.src) (links t);
-    let bwd = reachable_from rev 0 in
-    Array.for_all Fun.id fwd && Array.for_all Fun.id bwd
-  end
+  let reaches_all rows =
+    let seen = Array.make t.n false in
+    let rec visit v =
+      if not seen.(v) then begin
+        seen.(v) <- true;
+        Array.iter visit rows.(v)
+      end
+    in
+    visit 0;
+    Array.for_all Fun.id seen
+  in
+  t.n <= 1
+  ||
+  let a = adjacency t in
+  reaches_all a.succ && reaches_all a.pred
 
 let copy t = { n = t.n; adj = Array.map Hashtbl.copy t.adj }
 

@@ -43,6 +43,20 @@ val out_neighbors : t -> node -> node list
 (** Successors of a node, in ascending id order (deterministic routing
     tie-breaks depend on this order). *)
 
+type adjacency = {
+  succ : node array array;      (** successors of each node, ascending *)
+  succ_cost : int array array;  (** [succ_cost.(v).(i)]: cost of [v -> succ.(v).(i)] *)
+  pred : node array array;      (** predecessors of each node, ascending *)
+  pred_cost : int array array;  (** [pred_cost.(v).(i)]: cost of [pred.(v).(i) -> v] *)
+}
+(** A flat snapshot of the links for the route computations: scanning a
+    row allocates nothing, and the ascending order is the deterministic
+    tie-break order of {!out_neighbors}. *)
+
+val adjacency : t -> adjacency
+(** Snapshot of the current links, O(n + E log deg).  Later
+    {!add_link}/{!remove_link} calls do not change it. *)
+
 val links : t -> link list
 (** Every directed link. *)
 

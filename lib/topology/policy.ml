@@ -1,17 +1,14 @@
-module Transition = struct
-  type t = int * int * int
-
-  let equal (a, b, c) (x, y, z) = a = x && b = y && c = z
-  let hash (a, b, c) = Hashtbl.hash (a, b, c)
-end
-
-module Tset = Hashtbl.Make (Transition)
+module Keys = Hashtbl.Make (Int)
 
 type t = {
-  work : Graph.t; (* topology with length-2 segments removed *)
-  banned : unit Tset.t;
-  (* dist_cache.(dst) lazily holds distTo.(u * n + v): least cost from v
-     to dst given the previous hop was u. *)
+  n : int;
+  (* Snapshot of the topology with length-2 segments removed. *)
+  adj : Graph.adjacency;
+  (* Banned transitions u -> v -> w, keyed by (u * n + v) * n + w. *)
+  banned : unit Keys.t;
+  (* dist_cache.(dst) lazily holds, at u * n + v, the least cost from u
+     to dst whose first hop is the link u -> v (so v continues with
+     previous hop u). *)
   dist_cache : int array option array;
 }
 
@@ -31,59 +28,57 @@ let rec triples = function
   | a :: (b :: c :: _ as rest) -> (a, b, c) :: triples rest
   | _ -> []
 
+let key n u v w = (((u * n) + v) * n) + w
+
 let compute g ~forbidden =
   List.iter (validate_segment g) forbidden;
+  let n = Graph.size g in
   let work = Graph.copy g in
-  let banned = Tset.create 16 in
+  let banned = Keys.create 16 in
   List.iter
     (fun seg ->
       match seg with
       | [ a; b ] -> Graph.remove_link work a b
-      | _ -> List.iter (fun tr -> Tset.replace banned tr ()) (triples seg))
+      | _ ->
+          List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
     forbidden;
-  { work; banned; dist_cache = Array.make (Graph.size g) None }
+  { n; adj = Graph.adjacency work; banned; dist_cache = Array.make n None }
 
 let infinity_cost = max_int
+
+let is_banned t u v w = Keys.mem t.banned (key t.n u v w)
 
 (* Backward Dijkstra over (prev, cur) states toward [dst]. *)
 let state_distances t dst =
   match t.dist_cache.(dst) with
   | Some d -> d
   | None ->
-      let n = Graph.size t.work in
+      let n = t.n in
       let dist = Array.make (n * n) infinity_cost in
       let heap = Prioq.create () in
-      (* Entry states: arriving at dst over any existing link. *)
-      List.iter
-        (fun (l : Graph.link) ->
-          if l.Graph.dst = dst then begin
-            dist.((l.Graph.src * n) + dst) <- 0;
-            Prioq.push heap ~priority:0.0 ((l.Graph.src * n) + dst)
-          end)
-        (Graph.links t.work);
+      let relax state cand =
+        if cand < dist.(state) then begin
+          dist.(state) <- cand;
+          Prioq.push heap ~priority:(float_of_int cand) state
+        end
+      in
+      (* Entry states: the last link into dst. *)
+      Array.iteri
+        (fun i u -> relax ((u * n) + dst) t.adj.Graph.pred_cost.(dst).(i))
+        t.adj.Graph.pred.(dst);
       let rec drain () =
         match Prioq.pop heap with
         | None -> ()
         | Some (prio, state) ->
             if int_of_float prio = dist.(state) then begin
               let v = state / n and w = state mod n in
-              (* Relax predecessor states (u, v) for links u -> v where the
-                 transition u -> v -> w is allowed. *)
-              List.iter
-                (fun (l : Graph.link) ->
-                  if l.Graph.dst = v then begin
-                    let u = l.Graph.src in
-                    if not (Tset.mem t.banned (u, v, w)) then begin
-                      let hop = (Graph.link_exn t.work v w).Graph.cost in
-                      let cand = hop + dist.(state) in
-                      let pstate = (u * n) + v in
-                      if cand < dist.(pstate) then begin
-                        dist.(pstate) <- cand;
-                        Prioq.push heap ~priority:(float_of_int cand) pstate
-                      end
-                    end
-                  end)
-                (Graph.links t.work)
+              (* Prepend each link u -> v for which the transition
+                 u -> v -> w is allowed. *)
+              Array.iteri
+                (fun i u ->
+                  if not (is_banned t u v w) then
+                    relax ((u * n) + v) (t.adj.Graph.pred_cost.(v).(i) + dist.(state)))
+                t.adj.Graph.pred.(v)
             end;
             drain ()
       in
@@ -91,35 +86,36 @@ let state_distances t dst =
       t.dist_cache.(dst) <- Some dist;
       dist
 
-let next_hop t ~prev ~cur ~dst =
-  let n = Graph.size t.work in
-  if cur < 0 || cur >= n || dst < 0 || dst >= n then invalid_arg "Policy.next_hop: bad node";
-  if cur = dst then None
+let next_hop_id t ~prev ~cur ~dst =
+  let n = t.n in
+  if cur < 0 || cur >= n || dst < 0 || dst >= n || prev < -1 || prev >= n then
+    invalid_arg "Policy.next_hop: bad node";
+  if cur = dst then -1
   else begin
     let dist = state_distances t dst in
-    let score w =
-      let allowed =
-        match prev with Some p -> not (Tset.mem t.banned (p, cur, w)) | None -> true
-      in
-      if not allowed then None
-      else begin
-        let tail = if w = dst then 0 else dist.((cur * n) + w) in
-        if tail = infinity_cost then None
-        else Some ((Graph.link_exn t.work cur w).Graph.cost + tail)
+    let succ = t.adj.Graph.succ.(cur) in
+    (* The first minimum in ascending neighbour order. *)
+    let best = ref (-1) and best_cost = ref infinity_cost in
+    for i = 0 to Array.length succ - 1 do
+      let w = succ.(i) in
+      let c = dist.((cur * n) + w) in
+      if c < !best_cost && not (prev >= 0 && is_banned t prev cur w) then begin
+        best := w;
+        best_cost := c
       end
-    in
-    let best =
-      List.fold_left
-        (fun acc w ->
-          match score w with
-          | None -> acc
-          | Some c -> (
-              match acc with Some (c0, _) when c0 <= c -> acc | _ -> Some (c, w)))
-        None
-        (Graph.out_neighbors t.work cur)
-    in
-    Option.map snd best
+    done;
+    !best
   end
+
+let next_hop t ~prev ~cur ~dst =
+  let prev =
+    match prev with
+    | None -> -1
+    | Some p when p < 0 -> invalid_arg "Policy.next_hop: bad node"
+    | Some p -> p
+  in
+  let w = next_hop_id t ~prev ~cur ~dst in
+  if w < 0 then None else Some w
 
 let path t ~src ~dst =
   if src = dst then Some [ src ]
@@ -127,19 +123,23 @@ let path t ~src ~dst =
     let rec follow prev cur acc =
       if cur = dst then Some (List.rev (cur :: acc))
       else begin
-        match next_hop t ~prev ~cur ~dst with
-        | None -> None
-        | Some w -> follow (Some cur) w (cur :: acc)
+        let w = next_hop_id t ~prev ~cur ~dst in
+        if w < 0 then None else follow cur w (cur :: acc)
       end
     in
-    follow None src []
+    follow (-1) src []
   end
 
-let forbidden_transitions t = Tset.fold (fun tr () acc -> tr :: acc) t.banned []
+let forbidden_transitions t =
+  let n = t.n in
+  Keys.fold (fun k () acc -> (k / (n * n), (k / n) mod n, k mod n) :: acc) t.banned []
+  |> List.sort compare
 
 let is_forbidden_path t chain =
   let rec bad_link = function
-    | a :: (b :: _ as rest) -> Graph.link t.work a b = None || bad_link rest
+    | a :: (b :: _ as rest) ->
+        a < 0 || a >= t.n || (not (Array.mem b t.adj.Graph.succ.(a))) || bad_link rest
     | [ _ ] | [] -> false
   in
-  bad_link chain || List.exists (Tset.mem t.banned) (triples chain)
+  bad_link chain
+  || List.exists (fun (u, v, w) -> is_banned t u v w) (triples chain)

@@ -11,7 +11,17 @@
 
     Forwarding decisions depend on (previous hop, current router,
     destination) — the simulator-level equivalent of Fatih's
-    source-address policy routing. *)
+    source-address policy routing.
+
+    Cost: {!compute} takes one flat adjacency snapshot
+    ({!Graph.adjacency}) and does no routing work.  The first query
+    toward a destination builds its table: for every link, the least
+    policy-respecting cost to the destination that starts with it.  The
+    build is a backward Dijkstra over links that relaxes only the
+    predecessors of each popped link: O(E·deg) relaxations (each a heap
+    push) and n² words per destination.  Once a destination's table
+    exists, {!next_hop_id} scans the router's successor row and
+    allocates nothing. *)
 
 type t
 
@@ -21,18 +31,26 @@ val compute : Graph.t -> forbidden:Graph.node list list -> t
     adjacent routers of the graph; length-2 segments remove the link.
     Raises [Invalid_argument] on malformed segments. *)
 
+val next_hop_id : t -> prev:Graph.node -> cur:Graph.node -> dst:Graph.node -> Graph.node
+(** Deterministic next hop given where the packet came from, in the
+    forwarding plane's int encoding: [prev = -1] for locally originated
+    traffic, and [-1] returned when the destination is unreachable under
+    the policy or [cur = dst].  Among the successors with the least
+    remaining cost the lowest id wins.  Raises [Invalid_argument] when
+    [cur] or [dst] is outside [\[0, n)] or [prev] outside [\[-1, n)]. *)
+
 val next_hop :
   t -> prev:Graph.node option -> cur:Graph.node -> dst:Graph.node -> Graph.node option
-(** Deterministic next hop given where the packet came from ([None] for
-    locally originated traffic); [None] when the destination is
-    unreachable under the policy or [cur = dst]. *)
+(** {!next_hop_id} with options: [prev = None] for locally originated
+    traffic, [None] for no next hop.  [Some p] with [p] outside
+    [\[0, n)] raises [Invalid_argument]. *)
 
 val path : t -> src:Graph.node -> dst:Graph.node -> Graph.node list option
 (** Forwarding chain under the policy ([Some [src]] when [src = dst]). *)
 
 val forbidden_transitions : t -> (Graph.node * Graph.node * Graph.node) list
-(** The effective set of banned 3-windows after normalization (for
-    inspection and tests). *)
+(** The effective set of banned 3-windows after normalization, sorted
+    (for inspection and tests). *)
 
 val is_forbidden_path : t -> Graph.node list -> bool
 (** Whether a chain traverses a banned window or removed link. *)

@@ -8,28 +8,28 @@ type t = {
   nh : int array array;
 }
 
+(* Neighbors are in ascending order, so the first optimal one is the
+   deterministic choice shared by all routers. *)
+let first_optimal succ cost dist v =
+  let rec scan i =
+    if i = Array.length succ then -1
+    else
+      let w = succ.(i) in
+      if dist.(w) <> Dijkstra.unreachable && cost.(i) + dist.(w) = dist.(v) then w
+      else scan (i + 1)
+  in
+  scan 0
+
 let compute graph =
   let n = Graph.size graph in
-  let rev = Dijkstra.transpose graph in
-  let dist_to = Array.init n (fun d -> Dijkstra.distances rev ~src:d) in
+  let adj = Graph.adjacency graph in
+  let dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d) in
   let nh =
     Array.init n (fun dst ->
         let dist = dist_to.(dst) in
         Array.init n (fun v ->
             if v = dst || dist.(v) = Dijkstra.unreachable then -1
-            else
-              (* Neighbors are in ascending order, so the first optimal
-                 one is the deterministic choice shared by all routers. *)
-              match
-                List.find_opt
-                  (fun w ->
-                    dist.(w) <> Dijkstra.unreachable
-                    && (Graph.link_exn graph v w).Graph.cost + dist.(w)
-                       = dist.(v))
-                  (Graph.out_neighbors graph v)
-              with
-              | Some w -> w
-              | None -> -1))
+            else first_optimal adj.Graph.succ.(v) adj.Graph.succ_cost.(v) dist v))
   in
   { graph; dist_to; nh }
 

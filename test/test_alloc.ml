@@ -19,11 +19,12 @@ open Netsim
    the first simulated second is warm-up (pools filling, rings and
    journals growing), the remaining four are the steady state the
    budget applies to. *)
-let ring8_run ~pooling =
+let ring8_run ?(install = fun net g -> Net.use_routing net (Topology.Routing.compute g))
+    ~pooling () =
   let horizon = 5.0 in
   let g = Topology.Generate.ring ~n:8 in
   let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
-  Net.use_routing net (Topology.Routing.compute g);
+  install net g;
   List.iter
     (fun (s, d) ->
       ignore
@@ -44,8 +45,8 @@ let ring8_run ~pooling =
 let seed_words_per_event = 62.97
 
 let test_steady_state_budget () =
-  let unpooled, events_unpooled, _ = ring8_run ~pooling:false in
-  let pooled, events_pooled, stats = ring8_run ~pooling:true in
+  let unpooled, events_unpooled, _ = ring8_run ~pooling:false () in
+  let pooled, events_pooled, stats = ring8_run ~pooling:true () in
   (* Identical scenario, identical event set: pooling must be invisible
      to the simulation itself. *)
   Alcotest.(check int)
@@ -68,6 +69,37 @@ let test_steady_state_budget () =
        (stats.Pool.recycled + stats.Pool.fresh))
     true
     (stats.Pool.recycled > 10 * stats.Pool.fresh)
+
+(* Fatih's response path: once a destination's state table is warm, a
+   policy forwarding decision is a scan of the router's successor row
+   and allocates nothing; a run forwarding through [Net.use_policy]
+   stays inside the link-state budget above. *)
+let test_policy_next_hop_no_alloc () =
+  let rows = 4 and cols = 4 in
+  let n = rows * cols and dst = (rows * cols) - 1 in
+  let g = Topology.Generate.grid ~rows ~cols in
+  let pol = Topology.Policy.compute g ~forbidden:[ [ 0; 1; 2 ]; [ 5; 6 ] ] in
+  ignore (Topology.Policy.next_hop_id pol ~prev:(-1) ~cur:0 ~dst);
+  let hops = ref 0 in
+  let m0 = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let prev = (i mod (n + 1)) - 1 and cur = (i / 3) mod n in
+    if Topology.Policy.next_hop_id pol ~prev ~cur ~dst >= 0 then incr hops
+  done;
+  let words = Gc.minor_words () -. m0 in
+  Alcotest.(check (float 0.0)) "minor words over 10k warm calls" 0.0 words;
+  Alcotest.(check bool) "the calls found next hops" true (!hops > 9_000)
+
+let test_policy_forwarding_budget () =
+  let pooled, _, _ =
+    ring8_run ~pooling:true
+      ~install:(fun net g ->
+        Net.use_policy net (Topology.Policy.compute g ~forbidden:[ [ 0; 1; 2 ]; [ 5; 4 ] ]))
+      ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "policy-forwarded pooled %.2f w/ev under 20.0 ceiling" pooled)
+    true (pooled < 20.0)
 
 let test_pool_inert_when_observed () =
   (* A probe retains packets in its journal, so recycling must switch
@@ -183,7 +215,11 @@ let () =
           Alcotest.test_case "pooling inert when observed" `Quick
             test_pool_inert_when_observed;
           Alcotest.test_case "span recycling after ring wrap" `Quick
-            test_span_recycling ] );
+            test_span_recycling;
+          Alcotest.test_case "warm policy next hop allocates nothing" `Quick
+            test_policy_next_hop_no_alloc;
+          Alcotest.test_case "policy forwarding under ceiling" `Quick
+            test_policy_forwarding_budget ] );
       ( "poison",
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;

@@ -54,13 +54,13 @@ let test_graph_copy_independent () =
 
 let test_dijkstra_line () =
   let g = Generate.line ~n:5 in
-  let d = Dijkstra.distances g ~src:0 in
+  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
   Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4 |] d
 
 let test_dijkstra_unreachable () =
   let g = Graph.create ~n:3 in
   Graph.add_duplex g 0 1;
-  let d = Dijkstra.distances g ~src:0 in
+  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
   Alcotest.(check int) "isolated" Dijkstra.unreachable d.(2)
 
 let test_dijkstra_respects_costs () =
@@ -69,7 +69,7 @@ let test_dijkstra_respects_costs () =
   Graph.add_duplex g ~cost:1 0 1;
   Graph.add_duplex g ~cost:1 1 2;
   Graph.add_duplex g ~cost:5 0 2;
-  let d = Dijkstra.distances g ~src:0 in
+  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
   Alcotest.(check int) "via middle" 2 d.(2)
 
 let test_routing_path () =
@@ -247,6 +247,37 @@ let test_policy_rejects_bogus_segment () =
        ignore (Policy.compute g ~forbidden:[ [ 0; 2 ] ]);
        false
      with Invalid_argument _ -> true)
+
+let test_policy_rejects_bad_prev () =
+  (* The ban set is keyed by (prev * n + cur) * n + next: a previous hop
+     outside [-1, n) must be refused, not folded into some other key. *)
+  let g = Generate.grid ~rows:2 ~cols:3 in
+  let pol = Policy.compute g ~forbidden:[ [ 0; 1; 2 ] ] in
+  let bad = Invalid_argument "Policy.next_hop: bad node" in
+  List.iter
+    (fun prev ->
+      Alcotest.check_raises (Printf.sprintf "next_hop_id prev %d" prev) bad (fun () ->
+          ignore (Policy.next_hop_id pol ~prev ~cur:1 ~dst:2)))
+    [ -2; 6; 7; max_int ];
+  List.iter
+    (fun prev ->
+      Alcotest.check_raises (Printf.sprintf "next_hop prev Some %d" prev) bad (fun () ->
+          ignore (Policy.next_hop pol ~prev:(Some prev) ~cur:1 ~dst:2)))
+    [ -1; 6 ];
+  Alcotest.(check int) "prev -1 is locally originated" 2
+    (Policy.next_hop_id pol ~prev:(-1) ~cur:1 ~dst:2);
+  Alcotest.(check bool) "banned 0 -> 1 -> 2 is avoided" true
+    (Policy.next_hop_id pol ~prev:0 ~cur:1 ~dst:2 <> 2)
+
+let test_policy_forbidden_transitions_sorted () =
+  let g = Generate.grid ~rows:3 ~cols:3 in
+  let a = [ [ 5; 4; 3 ]; [ 0; 1; 2; 5 ]; [ 7; 4; 1 ] ] in
+  let expected = [ (0, 1, 2); (1, 2, 5); (5, 4, 3); (7, 4, 1) ] in
+  let triple = Alcotest.(list (triple int int int)) in
+  Alcotest.check triple "sorted" expected
+    (Policy.forbidden_transitions (Policy.compute g ~forbidden:a));
+  Alcotest.check triple "independent of insertion order" expected
+    (Policy.forbidden_transitions (Policy.compute g ~forbidden:(List.rev a)))
 
 let test_policy_paths_loop_free () =
   let g = Generate.grid ~rows:3 ~cols:4 in
@@ -457,6 +488,195 @@ let prop_policy_avoids_forbidden =
           (List.init n Fun.id)
       end)
 
+(* --- differential: route computations against list-scanning oracles --- *)
+
+(* The list-scanning policy router that the adjacency snapshot replaced,
+   kept as the oracle: a backward Dijkstra over (prev, cur) states that
+   rescans every link of the graph for each popped state. *)
+module Ref_policy = struct
+  module Tset = Hashtbl.Make (struct
+    type t = int * int * int
+
+    let equal (a, b, c) (x, y, z) = a = x && b = y && c = z
+    let hash = Hashtbl.hash
+  end)
+
+  type t = { work : Graph.t; banned : unit Tset.t; dist_cache : int array option array }
+
+  let rec triples = function
+    | a :: (b :: c :: _ as rest) -> (a, b, c) :: triples rest
+    | _ -> []
+
+  let compute g ~forbidden =
+    let work = Graph.copy g in
+    let banned = Tset.create 16 in
+    List.iter
+      (function
+        | [ a; b ] -> Graph.remove_link work a b
+        | seg -> List.iter (fun tr -> Tset.replace banned tr ()) (triples seg))
+      forbidden;
+    { work; banned; dist_cache = Array.make (Graph.size g) None }
+
+  let state_distances t dst =
+    match t.dist_cache.(dst) with
+    | Some d -> d
+    | None ->
+        let n = Graph.size t.work in
+        let dist = Array.make (n * n) max_int in
+        let heap = Prioq.create () in
+        List.iter
+          (fun (l : Graph.link) ->
+            if l.Graph.dst = dst then begin
+              dist.((l.Graph.src * n) + dst) <- 0;
+              Prioq.push heap ~priority:0.0 ((l.Graph.src * n) + dst)
+            end)
+          (Graph.links t.work);
+        let rec drain () =
+          match Prioq.pop heap with
+          | None -> ()
+          | Some (prio, state) ->
+              if int_of_float prio = dist.(state) then begin
+                let v = state / n and w = state mod n in
+                List.iter
+                  (fun (l : Graph.link) ->
+                    if l.Graph.dst = v then begin
+                      let u = l.Graph.src in
+                      if not (Tset.mem t.banned (u, v, w)) then begin
+                        let cand = (Graph.link_exn t.work v w).Graph.cost + dist.(state) in
+                        let pstate = (u * n) + v in
+                        if cand < dist.(pstate) then begin
+                          dist.(pstate) <- cand;
+                          Prioq.push heap ~priority:(float_of_int cand) pstate
+                        end
+                      end
+                    end)
+                  (Graph.links t.work)
+              end;
+              drain ()
+        in
+        drain ();
+        t.dist_cache.(dst) <- Some dist;
+        dist
+
+  let next_hop t ~prev ~cur ~dst =
+    let n = Graph.size t.work in
+    if cur = dst then None
+    else begin
+      let dist = state_distances t dst in
+      let score w =
+        let allowed =
+          match prev with Some p -> not (Tset.mem t.banned (p, cur, w)) | None -> true
+        in
+        if not allowed then None
+        else begin
+          let tail = if w = dst then 0 else dist.((cur * n) + w) in
+          if tail = max_int then None
+          else Some ((Graph.link_exn t.work cur w).Graph.cost + tail)
+        end
+      in
+      List.fold_left
+        (fun acc w ->
+          match score w with
+          | None -> acc
+          | Some c -> ( match acc with Some (c0, _) when c0 <= c -> acc | _ -> Some (c, w)))
+        None
+        (Graph.out_neighbors t.work cur)
+      |> Option.map snd
+    end
+end
+
+(* Reference link-state next hops toward [dst]: Bellman-Ford distances
+   over the link list, then the lowest-id neighbour on a shortest path. *)
+let ref_next_hops g ~dst =
+  let n = Graph.size g in
+  let dist = Array.make n max_int in
+  dist.(dst) <- 0;
+  for _ = 1 to n do
+    List.iter
+      (fun (l : Graph.link) ->
+        if dist.(l.Graph.dst) <> max_int && dist.(l.Graph.dst) + l.Graph.cost < dist.(l.Graph.src)
+        then dist.(l.Graph.src) <- dist.(l.Graph.dst) + l.Graph.cost)
+      (Graph.links g)
+  done;
+  Array.init n (fun v ->
+      if v = dst || dist.(v) = max_int then -1
+      else
+        List.find_opt
+          (fun w ->
+            dist.(w) <> max_int && (Graph.link_exn g v w).Graph.cost + dist.(w) = dist.(v))
+          (List.sort compare (Graph.out_neighbors g v))
+        |> Option.value ~default:(-1))
+
+(* A Waxman or grid graph, half the time with link costs drawn from 1..3
+   so that cost rather than hop count decides, and 1-4 forbidden
+   segments of 2-4 routers drawn as random walks. *)
+let route_case =
+  QCheck.make
+    ~print:(fun (grid, seed) -> Printf.sprintf "%s seed %d" (if grid then "grid" else "waxman") seed)
+    QCheck.Gen.(pair bool (int_bound 100_000))
+
+let case_graph (grid, seed) =
+  let rng = Random.State.make [| seed |] in
+  let g =
+    if grid then
+      Generate.grid ~rows:(2 + Random.State.int rng 3) ~cols:(2 + Random.State.int rng 4)
+    else Generate.waxman ~seed ~n:(5 + Random.State.int rng 12) ()
+  in
+  if Random.State.bool rng then
+    List.iter
+      (fun (l : Graph.link) ->
+        Graph.add_link g ~cost:(1 + Random.State.int rng 3) ~bw:l.Graph.bw
+          ~delay:l.Graph.delay l.Graph.src l.Graph.dst)
+      (Graph.links g);
+  (g, rng)
+
+let random_segments g rng =
+  let rec walk v len acc =
+    if len = 0 then List.rev acc
+    else
+      match Graph.out_neighbors g v with
+      | [] -> List.rev acc
+      | ns ->
+          let w = List.nth ns (Random.State.int rng (List.length ns)) in
+          walk w (len - 1) (w :: acc)
+  in
+  List.init (1 + Random.State.int rng 4) (fun _ ->
+      let v = Random.State.int rng (Graph.size g) in
+      walk v (1 + Random.State.int rng 3) [ v ])
+  |> List.filter (fun s -> List.length s >= 2)
+
+let prop_policy_matches_reference =
+  QCheck.Test.make ~name:"policy next hop = list-scanning reference" ~count:40 route_case
+    (fun case ->
+      let g, rng = case_graph case in
+      let forbidden = random_segments g rng in
+      let pol = Policy.compute g ~forbidden and oracle = Ref_policy.compute g ~forbidden in
+      let n = Graph.size g in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        for cur = 0 to n - 1 do
+          for p = -1 to n - 1 do
+            let prev = if p < 0 then None else Some p in
+            let want = Ref_policy.next_hop oracle ~prev ~cur ~dst in
+            if Policy.next_hop pol ~prev ~cur ~dst <> want
+               || Policy.next_hop_id pol ~prev:p ~cur ~dst <> Option.value want ~default:(-1)
+            then ok := false
+          done
+        done
+      done;
+      !ok)
+
+let prop_routing_matches_reference =
+  QCheck.Test.make ~name:"routing next hop = reference dijkstra" ~count:40 route_case
+    (fun case ->
+      let g, _ = case_graph case in
+      let rt = Routing.compute g in
+      List.for_all
+        (fun dst ->
+          let want = ref_next_hops g ~dst in
+          Array.for_all Fun.id (Array.mapi (fun v w -> Routing.next_hop_id rt v ~dst = w) want))
+        (List.init (Graph.size g) Fun.id))
+
 let () =
   Alcotest.run "topology"
     [ ( "graph",
@@ -490,6 +710,9 @@ let () =
           Alcotest.test_case "long segment" `Quick test_policy_long_segment_conservative;
           Alcotest.test_case "unreachable" `Quick test_policy_unreachable_when_cut;
           Alcotest.test_case "bogus segment" `Quick test_policy_rejects_bogus_segment;
+          Alcotest.test_case "bad prev" `Quick test_policy_rejects_bad_prev;
+          Alcotest.test_case "forbidden transitions sorted" `Quick
+            test_policy_forbidden_transitions_sorted;
           Alcotest.test_case "loop free" `Quick test_policy_paths_loop_free ] );
       ( "generate",
         [ Alcotest.test_case "line ring grid" `Quick test_generate_line_ring_grid;
@@ -513,4 +736,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_routing_paths_consistent; prop_segments_are_subpaths;
-            prop_policy_avoids_forbidden ] ) ]
+            prop_policy_avoids_forbidden; prop_policy_matches_reference;
+            prop_routing_matches_reference ] ) ]
