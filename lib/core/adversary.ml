@@ -13,14 +13,17 @@ let on_flows flows behavior : Router.behavior =
 
 let drop_all = transit_only (fun _ _ -> Router.Drop)
 
-let coin ~seed ~fraction pkt =
-  let key = Crypto_sim.Siphash.key_of_ints (Int64.of_int seed) 0xadfeL in
+(* A behaviour builds its coin key once; the coin itself runs per packet. *)
+let coin_key seed = Crypto_sim.Siphash.key_of_ints (Int64.of_int seed) 0xadfeL
+
+let coin key ~fraction pkt =
   let h = Crypto_sim.Siphash.hash_int64s key [ Int64.of_int pkt.Packet.uid ] in
   let u = Int64.to_float (Int64.shift_right_logical h 11) /. 9.007199254740992e15 in
   u < fraction
 
 let drop_fraction ?(seed = 1) fraction =
-  transit_only (fun _ pkt -> if coin ~seed ~fraction pkt then Router.Drop else Router.Forward)
+  let key = coin_key seed in
+  transit_only (fun _ pkt -> if coin key ~fraction pkt then Router.Drop else Router.Forward)
 
 let drop_when_queue_above frac =
   transit_only (fun ctx _ ->
@@ -36,20 +39,23 @@ let drop_when_red_avg_above bytes =
       | Some _ | None -> Router.Forward)
 
 let drop_fraction_when_red_avg_above ?(seed = 1) ~fraction ~avg () =
+  let key = coin_key seed in
   transit_only (fun ctx pkt ->
       match ctx.Router.red_avg with
-      | Some a when a > avg && coin ~seed ~fraction pkt -> Router.Drop
+      | Some a when a > avg && coin key ~fraction pkt -> Router.Drop
       | Some _ | None -> Router.Forward)
 
 let drop_syn =
   transit_only (fun _ pkt -> if Packet.is_syn pkt then Router.Drop else Router.Forward)
 
 let modify_fraction ?(seed = 1) fraction =
+  let key = coin_key seed in
   transit_only (fun _ pkt ->
-      if coin ~seed ~fraction pkt then
+      if coin key ~fraction pkt then
         Router.Modify (Int64.logxor pkt.Packet.payload 0x6d616c6963656421L)
       else Router.Forward)
 
 let delay_fraction ?(seed = 1) ~delay fraction =
+  let key = coin_key seed in
   transit_only (fun _ pkt ->
-      if coin ~seed ~fraction pkt then Router.Delay delay else Router.Forward)
+      if coin key ~fraction pkt then Router.Delay delay else Router.Forward)

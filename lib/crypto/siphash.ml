@@ -7,75 +7,84 @@ let key_of_string s =
   let h1 = Fnv.hash_string (s ^ "\x01siphash-key-expansion") in
   { k0 = h0; k1 = h1 }
 
-type state = { mutable v0 : int64; mutable v1 : int64; mutable v2 : int64; mutable v3 : int64 }
+let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
 
-let rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_logical x (64 - b))
+(* The one SipHash-2-4 kernel.  It hashes the little-endian byte string
+   [fields ^ words ^ s], where [fields] is the first [nf] of the ten
+   inline words [a b c d e w t0 t1 t2 t3] (ints sign-extended); each
+   public function fills one source and leaves the others empty.
 
-let sipround st =
-  st.v0 <- Int64.add st.v0 st.v1;
-  st.v1 <- rotl st.v1 13;
-  st.v1 <- Int64.logxor st.v1 st.v0;
-  st.v0 <- rotl st.v0 32;
-  st.v2 <- Int64.add st.v2 st.v3;
-  st.v3 <- rotl st.v3 16;
-  st.v3 <- Int64.logxor st.v3 st.v2;
-  st.v0 <- Int64.add st.v0 st.v3;
-  st.v3 <- rotl st.v3 21;
-  st.v3 <- Int64.logxor st.v3 st.v0;
-  st.v2 <- Int64.add st.v2 st.v1;
-  st.v1 <- rotl st.v1 17;
-  st.v1 <- Int64.logxor st.v1 st.v2;
-  st.v2 <- rotl st.v2 32
-
-let init key =
-  { v0 = Int64.logxor key.k0 0x736f6d6570736575L;
-    v1 = Int64.logxor key.k1 0x646f72616e646f6dL;
-    v2 = Int64.logxor key.k0 0x6c7967656e657261L;
-    v3 = Int64.logxor key.k1 0x7465646279746573L }
-
-let compress st m =
-  st.v3 <- Int64.logxor st.v3 m;
-  sipround st;
-  sipround st;
-  st.v0 <- Int64.logxor st.v0 m
-
-let finalize st =
-  st.v2 <- Int64.logxor st.v2 0xffL;
-  sipround st;
-  sipround st;
-  sipround st;
-  sipround st;
-  Int64.logxor (Int64.logxor st.v0 st.v1) (Int64.logxor st.v2 st.v3)
-
-let word_le s off len =
-  (* Little-endian load of up to 7 tail bytes starting at [off]; full
-     words go through [String.get_int64_le] (one load, no per-byte
-     Int64 traffic). *)
-  let w = ref 0L in
-  for i = len - 1 downto 0 do
-    w := Int64.logor (Int64.shift_left !w 8) (Int64.of_int (Char.code s.[off + i]))
+   Without flambda, ocamlopt keeps an int64 unboxed only in a local ref
+   that never crosses a function boundary, so the state [v0..v3] and the
+   message word [m] live here and every SipRound is written out in this
+   function: a helper taking or returning the state would box a fresh
+   Int64 on every assignment.  Blocks [0, n) are the message words,
+   block [n] the length block, block [n + 1] finalization. *)
+let kernel key nf a b c d e w t0 t1 t2 t3 words s =
+  let v0 = ref (Int64.logxor key.k0 0x736f6d6570736575L) in
+  let v1 = ref (Int64.logxor key.k1 0x646f72616e646f6dL) in
+  let v2 = ref (Int64.logxor key.k0 0x6c7967656e657261L) in
+  let v3 = ref (Int64.logxor key.k1 0x7465646279746573L) in
+  let nl = List.length words and len = String.length s in
+  let ns = len / 8 in
+  let n = nf + nl + ns in
+  (* Length block: the total byte length mod 256 in the top byte over
+     the trailing [len mod 8] bytes of [s]. *)
+  let last = ref (Int64.shift_left (Int64.of_int (((8 * (nf + nl)) + len) land 0xff)) 56) in
+  for j = (8 * ns) to len - 1 do
+    last :=
+      Int64.logor !last
+        (Int64.shift_left (Int64.of_int (Char.code (String.unsafe_get s j))) (8 * (j - (8 * ns))))
   done;
-  !w
-
-let hash key s =
-  let st = init key in
-  let len = String.length s in
-  let full = len / 8 in
-  for i = 0 to full - 1 do
-    compress st (String.get_int64_le s (8 * i))
+  let rest = ref words and m = ref 0L in
+  for i = 0 to n + 1 do
+    if i < nf then
+      m :=
+        (match i with
+         | 0 -> Int64.of_int a
+         | 1 -> Int64.of_int b
+         | 2 -> Int64.of_int c
+         | 3 -> Int64.of_int d
+         | 4 -> Int64.of_int e
+         | 5 -> w
+         | 6 -> Int64.of_int t0
+         | 7 -> Int64.of_int t1
+         | 8 -> Int64.of_int t2
+         | _ -> Int64.of_int t3)
+    else if i < nf + nl then begin
+      match !rest with
+      | x :: tl ->
+          m := x;
+          rest := tl
+      | [] -> ()
+    end
+    else if i < n then m := String.get_int64_le s (8 * (i - nf - nl))
+    else m := !last;
+    let final = i > n in
+    if final then v2 := Int64.logxor !v2 0xffL else v3 := Int64.logxor !v3 !m;
+    for _ = 1 to if final then 4 else 2 do
+      v0 := Int64.add !v0 !v1;
+      v1 := rotl !v1 13;
+      v1 := Int64.logxor !v1 !v0;
+      v0 := rotl !v0 32;
+      v2 := Int64.add !v2 !v3;
+      v3 := rotl !v3 16;
+      v3 := Int64.logxor !v3 !v2;
+      v0 := Int64.add !v0 !v3;
+      v3 := rotl !v3 21;
+      v3 := Int64.logxor !v3 !v0;
+      v2 := Int64.add !v2 !v1;
+      v1 := rotl !v1 17;
+      v1 := Int64.logxor !v1 !v2;
+      v2 := rotl !v2 32
+    done;
+    if not final then v0 := Int64.logxor !v0 !m
   done;
-  let rem = len - (8 * full) in
-  let last =
-    Int64.logor (word_le s (8 * full) rem)
-      (Int64.shift_left (Int64.of_int (len land 0xff)) 56)
-  in
-  compress st last;
-  finalize st
+  Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
-let hash_int64s key words =
-  let st = init key in
-  let n = List.length words in
-  List.iter (fun w -> compress st w) words;
-  (* Trailing length block, mirroring the byte-string padding rule. *)
-  compress st (Int64.shift_left (Int64.of_int ((8 * n) land 0xff)) 56);
-  finalize st
+let hash key s = kernel key 0 0 0 0 0 0 0L 0 0 0 0 [] s
+let hash_int64s key words = kernel key 0 0 0 0 0 0 0L 0 0 0 0 words ""
+
+let hash_fields key a b c d e w ~tail t0 t1 t2 t3 =
+  if tail < 0 || tail > 4 then invalid_arg "Siphash.hash_fields: tail outside [0,4]";
+  kernel key (6 + tail) a b c d e w t0 t1 t2 t3 [] ""

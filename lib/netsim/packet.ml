@@ -53,18 +53,18 @@ let reinit p ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
   p.q_start <- -1.0;
   p.tx_start <- -1.0
 
-let proto_words = function
-  | Udp -> [ 0L ]
-  | Tcp { seq; ack; syn; fin } ->
-      [ 1L; Int64.of_int seq; Int64.of_int ack;
-        Int64.of_int ((if syn then 2 else 0) lor if fin then 1 else 0) ]
-  | Ping seq -> [ 2L; Int64.of_int seq ]
-  | Pong seq -> [ 3L; Int64.of_int seq ]
-
+(* The fingerprinted words: uid, src, dst, flow, size, payload, then a
+   protocol tag (Udp 0, Tcp 1, Ping 2, Pong 3) and its fields; Tcp's
+   last word is syn * 2 + fin.  test_crypto pins this wire format. *)
 let fingerprint key p =
-  Crypto_sim.Siphash.hash_int64s key
-    (Int64.of_int p.uid :: Int64.of_int p.src :: Int64.of_int p.dst
-     :: Int64.of_int p.flow :: Int64.of_int p.size :: p.payload :: proto_words p.proto)
+  let h = Crypto_sim.Siphash.hash_fields in
+  match p.proto with
+  | Udp -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:1 0 0 0 0
+  | Tcp { seq; ack; syn; fin } ->
+      h key p.uid p.src p.dst p.flow p.size p.payload ~tail:4 1 seq ack
+        ((if syn then 2 else 0) lor if fin then 1 else 0)
+  | Ping seq -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:2 2 seq 0 0
+  | Pong seq -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:2 3 seq 0 0
 
 let is_syn p = match p.proto with Tcp h -> h.syn | Udp | Ping _ | Pong _ -> false
 

@@ -101,6 +101,36 @@ let test_policy_forwarding_budget () =
     (Printf.sprintf "policy-forwarded pooled %.2f w/ev under 20.0 ceiling" pooled)
     true (pooled < 20.0)
 
+(* The per-hop keyed fingerprint: the SipHash state stays unboxed, so a
+   warm call allocates only its boxed int64 result (3 words).  A kernel
+   that boxes its state pays 3 words per SipRound assignment, ~951 per
+   fingerprint. *)
+let words_per_call f =
+  ignore (f ());
+  let calls = 10_000 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. m0) /. float_of_int calls
+
+let test_fingerprint_no_alloc () =
+  let key = Crypto_sim.Siphash.key_of_string "alloc" in
+  let udp = Packet.make_at ~now:0.0 ~uid:41 ~src:0 ~dst:7 ~flow:3 ~size:500 Packet.Udp in
+  let tcp =
+    Packet.make_at ~now:0.0 ~uid:42 ~src:7 ~dst:0 ~flow:4 ~size:1500
+      (Packet.Tcp { seq = 1000; ack = 77; syn = false; fin = true })
+  in
+  let words = [ 41L; 0L; 7L; 3L; 500L; 0x5eedL; 0L ] in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.2f words per call <= 3" name w) true
+        (w <= 3.0))
+    [ ("udp fingerprint", fun () -> Packet.fingerprint key udp);
+      ("tcp fingerprint", fun () -> Packet.fingerprint key tcp);
+      ("hash_int64s on a prebuilt list", fun () -> Crypto_sim.Siphash.hash_int64s key words) ]
+
 let test_pool_inert_when_observed () =
   (* A probe retains packets in its journal, so recycling must switch
      itself off rather than corrupt the observations. *)
@@ -219,7 +249,9 @@ let () =
           Alcotest.test_case "warm policy next hop allocates nothing" `Quick
             test_policy_next_hop_no_alloc;
           Alcotest.test_case "policy forwarding under ceiling" `Quick
-            test_policy_forwarding_budget ] );
+            test_policy_forwarding_budget;
+          Alcotest.test_case "packet fingerprint allocates only its result" `Quick
+            test_fingerprint_no_alloc ] );
       ( "poison",
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;

@@ -66,7 +66,10 @@ let test_siphash_int64s_deterministic () =
   let h2 = Siphash.hash_int64s reference_key [ 1L; 2L; 3L ] in
   let h3 = Siphash.hash_int64s reference_key [ 1L; 3L; 2L ] in
   Alcotest.(check int64) "deterministic" h1 h2;
-  Alcotest.(check bool) "order matters" true (h1 <> h3)
+  Alcotest.(check bool) "order matters" true (h1 <> h3);
+  Alcotest.check_raises "tail outside [0,4]"
+    (Invalid_argument "Siphash.hash_fields: tail outside [0,4]") (fun () ->
+      ignore (Siphash.hash_fields reference_key 1 2 3 4 5 6L ~tail:5 7 8 9 10))
 
 let test_key_of_string_stable () =
   let k1 = Siphash.key_of_string "router-7" in
@@ -137,16 +140,21 @@ let test_sampling_all () =
   done
 
 let test_sampling_fraction () =
+  (* Fractions above 1/2 put the unsigned threshold at or above 2^63,
+     past what Int64.of_float can represent. *)
   let key = Siphash.key_of_string "sampler" in
-  let s = Sampling.create ~key ~fraction:0.25 in
-  let selected = ref 0 in
-  let n = 40000 in
-  for i = 1 to n do
-    if Sampling.selects s (Int64.of_int (i * 7919)) then incr selected
-  done;
-  let freq = float_of_int !selected /. float_of_int n in
-  if Float.abs (freq -. 0.25) > 0.02 then
-    Alcotest.failf "sampling frequency %.4f too far from 0.25" freq
+  let n = 200_000 in
+  List.iter
+    (fun fraction ->
+      let s = Sampling.create ~key ~fraction in
+      let selected = ref 0 in
+      for i = 1 to n do
+        if Sampling.selects s (Int64.of_int (i * 7919)) then incr selected
+      done;
+      let freq = float_of_int !selected /. float_of_int n in
+      if Float.abs (freq -. fraction) > 0.01 then
+        Alcotest.failf "sampling frequency %.4f too far from %.2f" freq fraction)
+    [ 0.25; 0.6; 0.75; 0.99 ]
 
 let test_sampling_agreement () =
   (* Both ends of a path-segment with the same key pick the same subset:
@@ -178,6 +186,51 @@ let prop_siphash_no_trivial_collision =
   QCheck.Test.make ~name:"distinct strings rarely collide" ~count:300
     QCheck.(pair string string)
     (fun (a, b) -> a = b || Siphash.hash reference_key a <> Siphash.hash reference_key b)
+
+(* Differential properties: the word entry points agree with the byte
+   entry point, which the reference vectors pin. *)
+let le_concat words =
+  let b = Bytes.create (8 * List.length words) in
+  List.iteri (fun i w -> Bytes.set_int64_le b (8 * i) w) words;
+  Bytes.to_string b
+
+let prop_int64s_match_bytes =
+  QCheck.Test.make ~name:"hash_int64s = hash of little-endian words" ~count:500
+    QCheck.(list_of_size Gen.(0 -- 12) int64)
+    (fun words ->
+      Siphash.hash_int64s reference_key words = Siphash.hash reference_key (le_concat words))
+
+(* The packet fingerprint wire format, written out word by word: uid,
+   src, dst, flow, size, payload, then the protocol tag and its fields
+   (Tcp's flags word is syn * 2 + fin).  Fingerprint values order Byz
+   pruning and feed every golden digest, so this format must not move. *)
+let prop_fingerprint_tuple =
+  QCheck.Test.make ~name:"Packet.fingerprint = hash_int64s of its tuple" ~count:1000
+    QCheck.(pair (quad int int int int) (quad int int64 (int_bound 6) (pair int int)))
+    (fun ((uid, src, dst, flow), (size, payload, kind, (seq, ack))) ->
+      let tcp ~syn ~fin flags =
+        ( Netsim.Packet.Tcp { seq; ack; syn; fin },
+          [ 1L; Int64.of_int seq; Int64.of_int ack; flags ] )
+      in
+      let proto, proto_words =
+        match kind with
+        | 0 -> (Netsim.Packet.Udp, [ 0L ])
+        | 1 -> tcp ~syn:false ~fin:false 0L
+        | 2 -> tcp ~syn:false ~fin:true 1L
+        | 3 -> tcp ~syn:true ~fin:false 2L
+        | 4 -> tcp ~syn:true ~fin:true 3L
+        | 5 -> (Netsim.Packet.Ping seq, [ 2L; Int64.of_int seq ])
+        | _ -> (Netsim.Packet.Pong seq, [ 3L; Int64.of_int seq ])
+      in
+      let p = Netsim.Packet.make_at ~now:0.0 ~uid ~src ~dst ~flow ~size:1 proto in
+      p.Netsim.Packet.size <- size;
+      p.Netsim.Packet.payload <- payload;
+      let tuple =
+        [ Int64.of_int uid; Int64.of_int src; Int64.of_int dst; Int64.of_int flow;
+          Int64.of_int size; payload ]
+        @ proto_words
+      in
+      Netsim.Packet.fingerprint reference_key p = Siphash.hash_int64s reference_key tuple)
 
 let prop_sign_roundtrip =
   QCheck.Test.make ~name:"sign/verify roundtrip" ~count:200
@@ -350,6 +403,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_siphash_deterministic; prop_siphash_no_trivial_collision;
-            prop_sign_roundtrip; prop_sha256_deterministic;
-            prop_sha256_matches_reference; prop_hmac_matches_reference;
+            prop_int64s_match_bytes; prop_fingerprint_tuple; prop_sign_roundtrip;
+            prop_sha256_deterministic; prop_sha256_matches_reference; prop_hmac_matches_reference;
             prop_hmac_key_sensitive ] ) ]
