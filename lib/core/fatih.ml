@@ -52,7 +52,7 @@ type seg_state = {
 type t = {
   config : config;
   response : Response.t;
-  segs : (Topology.Graph.node list, seg_state) Hashtbl.t;
+  index : seg_state Seg_index.t;
   mutable detections_rev : detection list;
   (* Time of the last routing installation: validation windows that
      overlap it see in-flight packets attributed under two different
@@ -73,162 +73,125 @@ type t = {
 
 let detections t = List.rev t.detections_rev
 let response t = t.response
-let monitored_segments t = Hashtbl.fold (fun seg _ acc -> seg :: acc) t.segs []
+let monitored_segments t =
+  Array.fold_left (fun acc seg -> seg :: acc) [] (Seg_index.segments t.index)
 
-let fresh_state policy ~new_mid =
-  { sent = Summary.create policy;
-    received = Summary.create policy;
-    prev_sent = Summary.create policy;
-    excused = false;
-    mid = new_mid ();
-    degraded_streak = 0; mute_streak = 0; failstopped = false }
+(* Every summary slot starts as [empty], one shared placeholder that is
+   never written: the per-hop path swaps in a fresh summary on a slot's
+   first observation, and round ends and reroutes put the placeholder
+   back instead of allocating.  Sharing is safe because nothing else
+   modifies a summary in place — [Byz.summary_claim] and [Byz.screen]
+   work on copies — so an idle segment costs no summary at all. *)
+let fresh_state empty =
+  { sent = empty; received = empty; prev_sent = empty; excused = false;
+    mid = empty; degraded_streak = 0; mute_streak = 0; failstopped = false }
 
-let reset_state policy ~new_mid st =
+let reset_state ~empty st =
   st.prev_sent <- st.sent;
-  st.sent <- Summary.create policy;
-  st.received <- Summary.create policy;
-  st.mid <- new_mid ();
+  st.sent <- empty;
+  st.received <- empty;
+  st.mid <- empty;
   st.excused <- false
 
 let deploy ~net ~rt ?(config = default_config)
     ?(key = Crypto_sim.Siphash.key_of_string "fatih") ?probe ?ctrl ?retry ?byz
     () =
+  let empty = Summary.create config.policy in
   let t =
     { config; response = Response.create ~net ~config:config.response ?probe ();
-      segs = Hashtbl.create 256; detections_rev = []; last_policy_change = neg_infinity;
+      index = Seg_index.create ~rt (fun () -> fresh_state empty);
+      detections_rev = []; last_policy_change = neg_infinity;
       fingerprints_observed = 0; words_exchanged = 0; round = 0;
       rounds_degraded = 0; rounds_excused = 0 }
   in
-  (* Only a Byzantine plan observes the interior's summary; without one
-     every segment shares one placeholder that is never written. *)
-  let new_mid =
-    match byz with
-    | Some _ -> fun () -> Summary.create config.policy
-    | None ->
-        let unobserved = Summary.create Summary.Flow in
-        fun () -> unobserved
-  in
-  List.iter
-    (fun seg ->
-      if List.length seg = 3 && not (Hashtbl.mem t.segs seg) then
-        Hashtbl.add t.segs seg (fresh_state config.policy ~new_mid))
-    (Topology.Segments.pik2_family rt ~k:1);
-  (* Predicted path per (src, dst): how a terminal router decides which
-     monitored segments a packet belongs to (§4.1 predictability).  After
-     a routing update the coordinator re-derives the predictions from the
-     freshly installed tables (§5.3.1). *)
-  let path_cache = Hashtbl.create 256 in
-  let path_fn =
-    ref (fun src dst -> Topology.Routing.path rt ~src ~dst)
-  in
-  let predicted src dst =
-    match Hashtbl.find_opt path_cache (src, dst) with
-    | Some p -> p
-    | None ->
-        let p = Option.map Array.of_list (!path_fn src dst) in
-        Hashtbl.add path_cache (src, dst) p;
-        p
-  in
+  let segments = Seg_index.segments t.index and states = Seg_index.states t.index in
+  (* Predicted paths decide which monitored segments a packet belongs to
+     (§4.1 predictability).  After a routing update the coordinator
+     re-derives the predictions from the freshly installed tables
+     (§5.3.1). *)
   Response.set_on_update t.response (fun pol ->
       t.last_policy_change <- Netsim.Sim.now (Netsim.Net.sim net);
-      Hashtbl.reset path_cache;
-      path_fn := (fun src dst -> Topology.Policy.path pol ~src ~dst);
+      Seg_index.reroute t.index pol;
       (* Discard mid-round state collected under the old tables. *)
-      Hashtbl.iter
-        (fun _ st ->
-          st.sent <- Summary.create config.policy;
-          st.received <- Summary.create config.policy;
-          st.prev_sent <- Summary.create config.policy;
-          st.mid <- new_mid ();
-          st.excused <- false)
-        t.segs);
-  (* Which monitored segments a directed link belongs to, for excusing
-     rounds on observable link failures. *)
-  let edge_index = Hashtbl.create 256 in
-  let index_edge e seg =
-    Hashtbl.replace edge_index e
-      (seg :: Option.value (Hashtbl.find_opt edge_index e) ~default:[])
-  in
-  Hashtbl.iter
-    (fun seg _ ->
-      match seg with
-      | [ a; b; c ] ->
-          index_edge (a, b) seg;
-          index_edge (b, c) seg
-      | _ -> ())
-    t.segs;
+      Array.iter
+        (fun st ->
+          reset_state ~empty st;
+          st.prev_sent <- empty)
+        states);
+  (* Only a Byzantine plan observes the interior's summary. *)
+  let interior = Option.is_some byz in
   Netsim.Net.subscribe_iface net (fun ev ->
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt -> (
+      | Netsim.Iface.Delivered pkt ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
-          match predicted pkt.Netsim.Packet.src pkt.Netsim.Packet.dst with
-          | None -> ()
-          | Some p ->
-              let len = Array.length p in
-              let fp = Netsim.Packet.fingerprint key pkt in
-              let observed = ref 0 in
-              let observe state_of seg =
-                match Hashtbl.find_opt t.segs seg with
-                | Some st ->
-                    t.fingerprints_observed <- t.fingerprints_observed + 1;
-                    incr observed;
-                    Summary.observe (state_of st) ~fp ~size:pkt.Netsim.Packet.size
-                      ~time:ev.Netsim.Net.time
-                | None -> ()
-              in
-              for i = 0 to len - 2 do
-                if p.(i) = u && p.(i + 1) = v then begin
-                  (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩: terminal
-                     router u records what it sent into it. *)
-                  if i + 2 < len then
-                    observe (fun st -> st.sent) [ u; v; p.(i + 2) ];
-                  (* Link (u,v) closes ⟨p(i-1),u,v⟩: terminal router v
-                     records what came out. *)
-                  if i >= 1 then begin
-                    observe (fun st -> st.received) [ p.(i - 1); u; v ];
-                    (* With a Byzantine plan armed, the interior router u
-                       also fingerprints its own egress: the third claim
-                       the corroboration quorum compares against the
-                       terminals' stories. *)
-                    if byz <> None then
-                      observe (fun st -> st.mid) [ p.(i - 1); u; v ]
-                  end
-                end
-              done;
-              (* One MAC-compute instant per traced hop, however many
-                 segment summaries the fingerprint landed in. *)
-              if !observed > 0 && pkt.Netsim.Packet.trace <> 0 then
-                Option.iter
-                  (fun probe ->
-                    ignore
-                      (Netsim.Probe.trace_instant probe ~track:"fatih"
-                         ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.time
-                         ~routers:[ u; v ]
-                         ~args:
-                           [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
-                             ("summaries", Telemetry.Export.Int !observed) ]
-                         ()))
-                  probe)
-      | Netsim.Iface.Drop_link_down _ -> (
-          match
-            Hashtbl.find_opt edge_index (ev.Netsim.Net.router, ev.Netsim.Net.next)
-          with
-          | Some segs ->
-              List.iter
-                (fun seg ->
-                  match Hashtbl.find_opt t.segs seg with
-                  | Some st -> st.excused <- true
-                  | None -> ())
-                segs
-          | None -> ())
+          let r =
+            Seg_index.route t.index ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst
+          in
+          let i = Seg_index.position r ~u ~v in
+          (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩, where terminal
+             router u records what it sent into it, and closes
+             ⟨p(i-1),u,v⟩, where terminal router v records what came
+             out. *)
+          let opens = Seg_index.opens r i and closes = Seg_index.closes r i in
+          if opens >= 0 || closes >= 0 then begin
+            let fp = Netsim.Packet.fingerprint key pkt in
+            let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
+            if opens >= 0 then begin
+              let st = states.(opens) in
+              if st.sent == empty then st.sent <- Summary.create config.policy;
+              Summary.observe st.sent ~fp ~size ~time
+            end;
+            if closes >= 0 then begin
+              let st = states.(closes) in
+              if st.received == empty then st.received <- Summary.create config.policy;
+              Summary.observe st.received ~fp ~size ~time;
+              (* With a Byzantine plan armed, the interior router u also
+                 fingerprints its own egress: the third claim the
+                 corroboration quorum compares against the terminals'
+                 stories. *)
+              if interior then begin
+                if st.mid == empty then st.mid <- Summary.create config.policy;
+                Summary.observe st.mid ~fp ~size ~time
+              end
+            end;
+            let observed =
+              (if opens >= 0 then 1 else 0)
+              + if closes < 0 then 0 else if interior then 2 else 1
+            in
+            t.fingerprints_observed <- t.fingerprints_observed + observed;
+            (* One MAC-compute instant per traced hop, however many
+               segment summaries the fingerprint landed in. *)
+            if pkt.Netsim.Packet.trace <> 0 then
+              Option.iter
+                (fun probe ->
+                  ignore
+                    (Netsim.Probe.trace_instant probe ~track:"fatih"
+                       ~name:"fingerprint" ~cat:"mac" ~time ~routers:[ u; v ]
+                       ~args:
+                         [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
+                           ("summaries", Telemetry.Export.Int observed) ]
+                       ()))
+                probe
+          end
+      | Netsim.Iface.Drop_link_down _ ->
+          (* An observable link failure on a segment edge excuses the
+             segment's round. *)
+          Seg_index.iter_link t.index ~src:ev.Netsim.Net.router ~dst:ev.Netsim.Net.next
+            (fun st -> st.excused <- true)
       | _ -> ());
+  let down ~src ~dst =
+    match Netsim.Net.iface net ~src ~dst with
+    | Some i -> not (Netsim.Iface.is_up i)
+    | None -> false
+  in
   let sim = Netsim.Net.sim net in
   let rec tick () =
     let now = Netsim.Sim.now sim in
     let judged = ref 0 in
     let detected = ref 0 in
-    Hashtbl.iter
-      (fun seg st ->
+    Array.iteri
+      (fun i st ->
+        let seg = segments.(i) in
         let eligible =
           now -. config.tau > t.last_policy_change +. 1e-9
           && Summary.packets st.sent >= config.min_packets
@@ -236,16 +199,13 @@ let deploy ~net ~rt ?(config = default_config)
         (* A segment edge still down at judgment time is an announced
            fail-stop: the round is judged normally so the dead segment
            is detected and excised from routing, but the verdict is not
-           an accusation — the link-state flood already told everyone. *)
+           an accusation — the link-state flood already told everyone.
+           Only a judged round asks. *)
         let link_failed =
+          eligible
+          &&
           match seg with
-          | [ a; m; b ] ->
-              let down ~src ~dst =
-                match Netsim.Net.iface net ~src ~dst with
-                | Some i -> not (Netsim.Iface.is_up i)
-                | None -> false
-              in
-              down ~src:a ~dst:m || down ~src:m ~dst:b
+          | [ a; m; b ] -> down ~src:a ~dst:m || down ~src:m ~dst:b
           | _ -> false
         in
         let excused = st.excused && not link_failed in
@@ -313,6 +273,13 @@ let deploy ~net ~rt ?(config = default_config)
         | `Ok _ -> st.degraded_streak <- 0
         | `Degraded _ -> st.degraded_streak <- st.degraded_streak + 1
         | `Skip -> ());
+        (* Every retransmission ships the summary again, whether or not
+           the exchange finally got through. *)
+        (match exchange with
+        | `Ok attempts | `Degraded (attempts, _) ->
+            t.words_exchanged <-
+              t.words_exchanged + ((attempts - 1) * Summary.state_words st.sent)
+        | `Skip -> ());
         (* Persistent silence is fail-stop, not malice: after
            [mute_rounds] consecutive refusals the segment is excised
            from routing with a non-alarming verdict — the α-accuracy
@@ -356,12 +323,8 @@ let deploy ~net ~rt ?(config = default_config)
                          ("waited", Telemetry.Export.Float waited) ]
                      ())
             | None -> ())
-        | `Ok attempts ->
+        | `Ok _ ->
           incr judged;
-          (* Retransmissions ship the summary again. *)
-          if attempts > 1 then
-            t.words_exchanged <-
-              t.words_exchanged + ((attempts - 1) * Summary.state_words st.sent);
           (* The terminal routers ship this round's summaries for
              comparison — the dispatch is part of a verdict's evidence. *)
           let dispatch =
@@ -662,8 +625,8 @@ let deploy ~net ~rt ?(config = default_config)
             end);
         match exchange with
         | `Degraded _ -> () (* carry state: compare the union next round *)
-        | `Skip | `Ok _ -> reset_state config.policy ~new_mid st)
-      t.segs;
+        | `Skip | `Ok _ -> reset_state ~empty st)
+      states;
     (match probe with
     | Some probe ->
         ignore
@@ -673,7 +636,7 @@ let deploy ~net ~rt ?(config = default_config)
              ~start:(Float.max 0.0 (now -. config.tau))
              ~finish:now
              ~args:
-               [ ("segments", Telemetry.Export.Int (Hashtbl.length t.segs));
+               [ ("segments", Telemetry.Export.Int (Array.length states));
                  ("judged", Telemetry.Export.Int !judged);
                  ("detections", Telemetry.Export.Int !detected) ]
              ())

@@ -106,14 +106,18 @@ val response : t -> Response.t
 val monitored_segments : t -> Topology.Graph.node list list
 
 val fingerprints_observed : t -> int
-(** Total fingerprint computations across all segment summaries — the
-    §5.3.2 per-packet monitoring overhead. *)
+(** Total fingerprint insertions across all segment summaries — the
+    §5.3.2 per-packet monitoring overhead.  A hop that lands in several
+    summaries counts once per summary, though the fingerprint itself
+    (SipHash) is computed once per hop, and not at all for a hop that
+    lands in none. *)
 
 val words_exchanged : t -> int
 (** Total 64-bit words of summary state shipped between segment ends
     over all validation rounds (full-set exchange; see `mrdetect comm`
     for the reconciliation alternative).  Retransmissions over a lossy
-    [ctrl] channel count each attempt. *)
+    [ctrl] channel count each attempt, including the attempts of an
+    exchange that finally timed out and degraded its round. *)
 
 val rounds_degraded : t -> int
 (** Segment-rounds whose summary exchange exhausted its retry budget

@@ -33,7 +33,7 @@ type misreport = segment:Topology.Graph.node list -> pos:int -> Summary.t -> Sum
 type t = {
   thresholds : Validation.thresholds;
   min_packets : int;
-  segs : (Topology.Graph.node list, seg_state) Hashtbl.t;
+  index : seg_state Seg_index.t;
   misreports : (Topology.Graph.node, misreport) Hashtbl.t;
   probe : Netsim.Probe.t option;
   ctrl : Ctrl.t option;
@@ -57,81 +57,49 @@ let rounds_excused t = t.rounds_excused
 
 let set_misreport t ~router f = Hashtbl.replace t.misreports router f
 
-let fresh () = Summary.create Summary.Content
-
 let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
     ?(min_packets = 20) ?(key = Crypto_sim.Siphash.key_of_string "pi2-live")
     ?probe ?ctrl ?retry ?byz () =
+  (* Summaries share one never-written placeholder until their first
+     observation, as in {!Fatih}: misreports and Byzantine claims work on
+     copies, so nothing else writes to a summary. *)
+  let empty = Summary.create Summary.Content in
   let t =
-    { thresholds; min_packets; segs = Hashtbl.create 256;
+    { thresholds; min_packets;
+      index =
+        Seg_index.create ~rt (fun () ->
+            { s01 = empty; s12 = empty; prev_s01 = empty; prev_s12 = empty;
+              mute_streak = 0; failstopped = false; excused = false });
       misreports = Hashtbl.create 4; probe; ctrl; retry; byz;
       detections_rev = []; rounds_degraded = 0; rounds_excused = 0; round = 0 }
   in
-  List.iter
-    (fun seg ->
-      if List.length seg = 3 && not (Hashtbl.mem t.segs seg) then
-        Hashtbl.add t.segs seg
-          { s01 = fresh (); s12 = fresh (); prev_s01 = fresh ();
-            prev_s12 = fresh (); mute_streak = 0; failstopped = false;
-            excused = false })
-    (Topology.Segments.pik2_family rt ~k:1);
-  let edge_index = Hashtbl.create 256 in
-  Hashtbl.iter
-    (fun seg _ ->
-      match seg with
-      | [ a; x; b ] ->
-          List.iter
-            (fun edge ->
-              let segs =
-                Option.value (Hashtbl.find_opt edge_index edge) ~default:[]
-              in
-              Hashtbl.replace edge_index edge (seg :: segs))
-            [ (a, x); (x, b) ]
-      | _ -> ())
-    t.segs;
-  let path_cache = Hashtbl.create 256 in
-  let predicted src dst =
-    match Hashtbl.find_opt path_cache (src, dst) with
-    | Some p -> p
-    | None ->
-        let p = Option.map Array.of_list (Topology.Routing.path rt ~src ~dst) in
-        Hashtbl.add path_cache (src, dst) p;
-        p
-  in
+  let segments = Seg_index.segments t.index and states = Seg_index.states t.index in
   Netsim.Net.subscribe_iface net (fun ev ->
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt -> (
+      | Netsim.Iface.Delivered pkt ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
-          match predicted pkt.Netsim.Packet.src pkt.Netsim.Packet.dst with
-          | None -> ()
-          | Some p ->
-              let len = Array.length p in
-              let fp = Netsim.Packet.fingerprint key pkt in
-              let observe field seg =
-                match Hashtbl.find_opt t.segs seg with
-                | Some st ->
-                    Summary.observe (field st) ~fp ~size:pkt.Netsim.Packet.size
-                      ~time:ev.Netsim.Net.time
-                | None -> ()
-              in
-              for i = 0 to len - 2 do
-                if p.(i) = u && p.(i + 1) = v then begin
-                  if i + 2 < len then observe (fun st -> st.s01) [ u; v; p.(i + 2) ];
-                  if i >= 1 then observe (fun st -> st.s12) [ p.(i - 1); u; v ]
-                end
-              done)
-      | Netsim.Iface.Drop_link_down _ -> (
-          match
-            Hashtbl.find_opt edge_index (ev.Netsim.Net.router, ev.Netsim.Net.next)
-          with
-          | Some segs ->
-              List.iter
-                (fun seg ->
-                  match Hashtbl.find_opt t.segs seg with
-                  | Some st -> st.excused <- true
-                  | None -> ())
-                segs
-          | None -> ())
+          let r =
+            Seg_index.route t.index ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst
+          in
+          let i = Seg_index.position r ~u ~v in
+          let opens = Seg_index.opens r i and closes = Seg_index.closes r i in
+          if opens >= 0 || closes >= 0 then begin
+            let fp = Netsim.Packet.fingerprint key pkt in
+            let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
+            if opens >= 0 then begin
+              let st = states.(opens) in
+              if st.s01 == empty then st.s01 <- Summary.create Summary.Content;
+              Summary.observe st.s01 ~fp ~size ~time
+            end;
+            if closes >= 0 then begin
+              let st = states.(closes) in
+              if st.s12 == empty then st.s12 <- Summary.create Summary.Content;
+              Summary.observe st.s12 ~fp ~size ~time
+            end
+          end
+      | Netsim.Iface.Drop_link_down _ ->
+          Seg_index.iter_link t.index ~src:ev.Netsim.Net.router ~dst:ev.Netsim.Net.next
+            (fun st -> st.excused <- true)
       | _ -> ());
   let sim = Netsim.Net.sim net in
   let report seg ~pos ~router truth =
@@ -165,23 +133,23 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
     in
     report seg ~pos ~router claimed
   in
+  let down ~src ~dst =
+    match Netsim.Net.iface net ~src ~dst with
+    | Some i -> not (Netsim.Iface.is_up i)
+    | None -> false
+  in
   let rec tick () =
     let now = Netsim.Sim.now sim in
-    Hashtbl.iter
-      (fun seg st ->
+    Array.iteri
+      (fun i st ->
+        let seg = segments.(i) in
         (* An observable benign link failure on a segment edge — seen as
            drops this round, or still open at judgment time — excuses
            the whole round: the link-state flood already announced it,
            so conservation gaps are not evidence against either pair. *)
         let link_failed =
           match seg with
-          | [ a; x; b ] ->
-              let down ~src ~dst =
-                match Netsim.Net.iface net ~src ~dst with
-                | Some i -> not (Netsim.Iface.is_up i)
-                | None -> false
-              in
-              down ~src:a ~dst:x || down ~src:x ~dst:b
+          | [ a; x; b ] -> down ~src:a ~dst:x || down ~src:x ~dst:b
           | _ -> false
         in
         (match seg with
@@ -273,10 +241,10 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
         | _ -> ());
         st.prev_s01 <- st.s01;
         st.prev_s12 <- st.s12;
-        st.s01 <- fresh ();
-        st.s12 <- fresh ();
+        st.s01 <- empty;
+        st.s12 <- empty;
         st.excused <- false)
-      t.segs;
+      states;
     t.round <- t.round + 1;
     Netsim.Sim.schedule sim ~delay:tau tick
   in

@@ -25,7 +25,13 @@ val pi2_family : Routing.t -> k:int -> segment list
 
 val pik2_family : Routing.t -> k:int -> segment list
 (** The distinct segments monitored under Protocol Πk+2 (all x-segments,
-    3 <= x <= k+2, of routed paths). *)
+    3 <= x <= k+2, of routed paths).  Raises [Invalid_argument] if
+    [k < 1].
+
+    The list, order included, is the one obtained by taking {!windows}
+    of every path of {!Routing.all_routed_paths} (widths ascending) and
+    keeping first occurrences in a hash table; the implementation walks
+    the next-hop tables instead and builds a segment's list only once. *)
 
 val pi2_pr : Routing.t -> k:int -> segment list array
 (** [pi2_pr rt ~k].(r) is Pr for router r under Π2: the distinct

@@ -131,6 +131,52 @@ let test_fingerprint_no_alloc () =
       ("tcp fingerprint", fun () -> Packet.fingerprint key tcp);
       ("hash_int64s on a prebuilt list", fun () -> Crypto_sim.Siphash.hash_int64s key words) ]
 
+(* Fatih's per-segment state costs nothing while the segment carries no
+   traffic: every summary slot starts as, and returns to, one shared
+   placeholder, so an idle round walks all 14,882 segments of the
+   Sprintlink shape without allocating for any of them: 28 words per
+   round, as on ring8's 16 segments.  Allocating three fresh summaries
+   per segment per round cost 3,080,605 words per idle Sprintlink round.
+   Words per idle round, after a first round of warm-up. *)
+let idle_fatih_round_words g =
+  let rt = Topology.Routing.compute g in
+  let net = Net.create ~seed:1 g in
+  Net.use_routing net rt;
+  let fatih = Core.Fatih.deploy ~net ~rt () in
+  let tau = Core.Fatih.default_config.Core.Fatih.tau in
+  Net.run ~until:(tau +. 1.0) net;
+  let m0 = Gc.minor_words () in
+  Net.run ~until:((4.0 *. tau) +. 1.0) net;
+  let words = (Gc.minor_words () -. m0) /. 3.0 in
+  (words, List.length (Core.Fatih.monitored_segments fatih))
+
+let test_fatih_idle_round () =
+  let small, small_segs = idle_fatih_round_words (Topology.Generate.ring ~n:8) in
+  let isp, isp_segs = idle_fatih_round_words (Topology.Generate.sprintlink_like ()) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sprintlink: %.0f words per idle round over %d segments, under 256"
+       isp isp_segs)
+    true (isp < 256.0);
+  Alcotest.(check bool)
+    (Printf.sprintf "no more than ring8's %.0f words over %d segments" small small_segs)
+    true
+    (isp <= small +. 8.0)
+
+(* Fatih's steady state on the ring8 reference scenario: the per-hop
+   path finds the hop's segments through the route index, and a round
+   end swaps placeholders back in.  29.3 words per event measured; the
+   list-keyed lookup and per-round summaries cost 39.4. *)
+let test_fatih_hop_budget () =
+  let w, _, _ =
+    ring8_run ~pooling:true
+      ~install:(fun net g ->
+        let rt = Topology.Routing.compute g in
+        Net.use_routing net rt;
+        ignore (Core.Fatih.deploy ~net ~rt ()))
+      ()
+  in
+  Alcotest.(check bool) (Printf.sprintf "fatih ring8 %.2f w/ev under 34.0 ceiling" w) true (w < 34.0)
+
 let test_pool_inert_when_observed () =
   (* A probe retains packets in its journal, so recycling must switch
      itself off rather than corrupt the observations. *)
@@ -251,7 +297,10 @@ let () =
           Alcotest.test_case "policy forwarding under ceiling" `Quick
             test_policy_forwarding_budget;
           Alcotest.test_case "packet fingerprint allocates only its result" `Quick
-            test_fingerprint_no_alloc ] );
+            test_fingerprint_no_alloc;
+          Alcotest.test_case "idle fatih round allocates nothing per segment" `Quick
+            test_fatih_idle_round;
+          Alcotest.test_case "fatih hop under ceiling" `Quick test_fatih_hop_budget ] );
       ( "poison",
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;

@@ -514,7 +514,62 @@ let test_fatih_detects_modification () =
   List.iter
     (fun d -> Alcotest.(check bool) "accurate" true (List.mem 5 d.Fatih.segment))
     detections
-
+(* ISP scale: Fatih on the 315-router Sprintlink shape, a fixed draw of
+   16 CBR pairs and the router most of them transit dropping 20% from
+   4 s on.  The ring and Abilene runs never grow a segment table past
+   8192 buckets nor reroute at this size; here 14,882 segments are
+   monitored and the response engine reroutes at 10 s.  The expected
+   values were recorded from the list-keyed per-hop lookup and
+   per-round summary allocation that the segment index replaced. *)
+let test_fatih_sprintlink_golden () =
+  let g = Topology.Generate.sprintlink_like () in
+  let n = G.size g in
+  let net = Net.create ~seed:5 ~jitter_bound:100e-6 g in
+  let rt = Rt.compute g in
+  Net.use_routing net rt;
+  let fatih = Fatih.deploy ~net ~rt () in
+  let rng = Random.State.make [| 16 |] in
+  let rec draw acc =
+    if List.length acc = 16 then List.rev acc
+    else
+      let s = Random.State.int rng n and d = Random.State.int rng n in
+      if s = d || List.mem (s, d) acc then draw acc else draw ((s, d) :: acc)
+  in
+  let pairs = draw [] in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:80.0 ~size:500 ~start:0.0 ~stop:12.0))
+    pairs;
+  let load = Array.make n 0 in
+  List.iter
+    (fun (src, dst) ->
+      match Rt.path rt ~src ~dst with
+      | Some p ->
+          List.iteri
+            (fun i r -> if i > 0 && i < List.length p - 1 then load.(r) <- load.(r) + 1)
+            p
+      | None -> ())
+    pairs;
+  let attacker = ref 0 in
+  Array.iteri (fun r l -> if l > load.(!attacker) then attacker := r) load;
+  Router.set_behavior (Net.router net !attacker)
+    (Adversary.after 4.0 (Adversary.drop_fraction ~seed:5 0.2));
+  Net.run ~until:12.0 net;
+  Alcotest.(check int) "monitored segments" 14882
+    (List.length (Fatih.monitored_segments fatih));
+  Alcotest.(check int) "attacker" 1 !attacker;
+  Alcotest.(check (list (pair string (list int))))
+    "detections (time, segment)"
+    [ ("5.000000", [ 3; 1; 35 ]); ("5.000000", [ 51; 1; 98 ]); ("5.000000", [ 111; 1; 2 ]) ]
+    (List.map
+       (fun (d : Fatih.detection) -> (Printf.sprintf "%.6f" d.Fatih.time, d.Fatih.segment))
+       (Fatih.detections fatih));
+  Alcotest.(check int) "fingerprints observed" 64131 (Fatih.fingerprints_observed fatih);
+  Alcotest.(check int) "words exchanged" 146111 (Fatih.words_exchanged fatih);
+  Alcotest.(check (list string)) "reroute times" [ "10.000000" ]
+    (List.map
+       (fun (u : Response.event) -> Printf.sprintf "%.6f" u.Response.time)
+       (Response.updates (Fatih.response fatih)))
 
 (* --- Pi2 live (packet-level §5.1) --- *)
 
@@ -627,4 +682,5 @@ let () =
           Alcotest.test_case "order policy" `Slow test_fatih_order_policy_catches_reordering;
           Alcotest.test_case "content blind to delay" `Slow test_fatih_content_policy_blind_to_delay;
           Alcotest.test_case "reconcile exchange" `Slow test_fatih_reconcile_exchange;
-          Alcotest.test_case "modification" `Slow test_fatih_detects_modification ] ) ]
+          Alcotest.test_case "modification" `Slow test_fatih_detects_modification;
+          Alcotest.test_case "sprintlink golden" `Slow test_fatih_sprintlink_golden ] ) ]

@@ -645,6 +645,36 @@ let test_fatih_detects_with_clean_ctrl () =
   Alcotest.(check (float 1e-9)) "attacker detected" 1.0 t.Rob.outcome.Oracle.recall;
   Alcotest.(check int) "no false alarms" 0 t.Rob.outcome.Oracle.false_alarms
 
+(* Retransmissions count toward [words_exchanged] whether or not the
+   exchange finally gets through.  On a 3-router line, CBR both ways
+   from 0 s to 4 s (81 packets each way, all delivered) fills the two
+   monitored segments ⟨0,1,2⟩ and ⟨2,1,0⟩ with 81 fingerprints per
+   summary, 83 words each.  The channel drops every 0 -> 2 message, so
+   ⟨0,1,2⟩'s exchange in the round at 5 s burns 4 attempts and degrades,
+   while ⟨2,1,0⟩'s goes through first time.  Each segment ships its two
+   summaries once (2 x 166); the degraded one also re-sent its sent
+   summary 3 times (3 x 83) — 581 words, where only counting delivered
+   exchanges' retries gives 332. *)
+let test_fatih_degraded_exchange_words () =
+  let g = Topology.Generate.line ~n:3 in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  let ctrl = Ctrl.create ~links:[ ((0, 2), { Ctrl.clean with Ctrl.loss = 1.0 }) ] () in
+  let fatih = Core.Fatih.deploy ~net ~rt ~ctrl () in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:20.0 ~size:500 ~start:0.0 ~stop:4.0))
+    [ (0, 2); (2, 0) ];
+  Net.run ~until:6.0 net;
+  Alcotest.(check int) "fingerprints observed" (4 * 81)
+    (Core.Fatih.fingerprints_observed fatih);
+  Alcotest.(check int) "one degraded segment-round" 1 (Core.Fatih.rounds_degraded fatih);
+  Alcotest.(check int) "the other judged clean" 0
+    (List.length (Core.Fatih.detections fatih));
+  Alcotest.(check int) "words exchanged" ((2 * 166) + (3 * 83))
+    (Core.Fatih.words_exchanged fatih)
+
 (* --- the golden robustness property --- *)
 
 let test_golden_fatih_benign_chaos () =
@@ -801,7 +831,9 @@ let () =
         [ Alcotest.test_case "fatih degrades under full loss" `Slow
             test_fatih_degrades_under_full_loss;
           Alcotest.test_case "fatih detects with clean ctrl" `Slow
-            test_fatih_detects_with_clean_ctrl ] );
+            test_fatih_detects_with_clean_ctrl;
+          Alcotest.test_case "degraded exchanges count their retries" `Quick
+            test_fatih_degraded_exchange_words ] );
       ( "golden",
         [ Alcotest.test_case "fatih: benign chaos, zero false accusations" `Slow
             test_golden_fatih_benign_chaos;

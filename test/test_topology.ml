@@ -677,6 +677,48 @@ let prop_routing_matches_reference =
           Array.for_all Fun.id (Array.mapi (fun v w -> Routing.next_hop_id rt v ~dst = w) want))
         (List.init (Graph.size g) Fun.id))
 
+(* The list-windows enumeration that the next-hop walk in
+   [Segments.pik2_family] replaced, kept as the oracle: every x-window,
+   3 <= x <= k+2, of every routed path, first occurrences kept through a
+   list-keyed table. *)
+let ref_pik2_family rt ~k =
+  let windows xs x =
+    let arr = Array.of_list xs in
+    let n = Array.length arr in
+    if n < x then [] else List.init (n - x + 1) (fun i -> Array.to_list (Array.sub arr i x))
+  in
+  let distinct segs =
+    let tbl = Hashtbl.create 4096 in
+    List.iter (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s ()) segs;
+    tbl
+  in
+  let raw =
+    List.concat_map
+      (fun p -> List.concat_map (fun x -> windows p x) (List.init k (fun i -> i + 3)))
+      (Routing.all_routed_paths rt)
+  in
+  Hashtbl.fold (fun s () acc -> s :: acc) (distinct raw) []
+
+(* Exact list equality, order included: the deployments number their
+   segments in this order. *)
+let prop_pik2_family_matches_reference =
+  QCheck.Test.make ~name:"pik2_family = list-windows reference" ~count:40 route_case
+    (fun case ->
+      let g, _ = case_graph case in
+      let rt = Routing.compute g in
+      List.for_all (fun k -> Segments.pik2_family rt ~k = ref_pik2_family rt ~k) [ 1; 2; 3 ])
+
+let test_pik2_family_grid8x8 () =
+  let rt = Routing.compute (Generate.grid ~rows:8 ~cols:8) in
+  List.iter
+    (fun k ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "k = %d" k) (ref_pik2_family rt ~k) (Segments.pik2_family rt ~k))
+    [ 1; 2; 3 ];
+  Alcotest.check_raises "k = 0"
+    (Invalid_argument "Segments.pik2_family: k must be >= 1")
+    (fun () -> ignore (Segments.pik2_family rt ~k:0))
+
 let () =
   Alcotest.run "topology"
     [ ( "graph",
@@ -702,6 +744,8 @@ let () =
           Alcotest.test_case "pi2 pr membership" `Quick test_pi2_pr_membership;
           Alcotest.test_case "pik2 ends only" `Quick test_pik2_pr_ends_only;
           Alcotest.test_case "pr stats" `Quick test_pr_stats;
+          Alcotest.test_case "pik2 family grid8x8 = reference" `Quick
+            test_pik2_family_grid8x8;
           Alcotest.test_case "pik2 < pi2 state" `Slow test_pik2_smaller_than_pi2 ] );
       ( "policy",
         [ Alcotest.test_case "matches routing" `Quick test_policy_no_forbidden_matches_routing;
@@ -737,4 +781,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_routing_paths_consistent; prop_segments_are_subpaths;
             prop_policy_avoids_forbidden; prop_policy_matches_reference;
-            prop_routing_matches_reference ] ) ]
+            prop_routing_matches_reference; prop_pik2_family_matches_reference ] ) ]
