@@ -1,481 +1,34 @@
-(* The benchmark / reproduction harness.
+(* The kernel and allocation bench.
 
-   Running this executable regenerates every table and figure of the
-   dissertation's evaluation (see DESIGN.md's per-experiment index),
-   reports Bechamel microbenchmarks for the per-packet costs of
-   Chapter 7 (fingerprint computation, traffic validation, set
-   reconciliation), and writes the JSON artifacts:
+   perfbench/ owns every end-to-end number (wall time, hops/s and words
+   per hop with a detector deployed) and `mrdetect all` reproduces the
+   evaluation.  This harness keeps the two measurements perfbench does
+   not take, one artifact each, both recorded by one run into the
+   working directory:
 
-   - BENCH_telemetry.json — every gauge the stdout tables show;
-   - BENCH_parallel.json  — serial vs parallel experiment-suite wall
-     clock (honestly marked "skipped" on a 1-domain host), with
-     Gc.quick_stat deltas for both passes;
-   - BENCH_hotpath.json   — before/after ns-per-op for the lib/crypto
-     and event-loop hot-path kernels, measured against the in-process
-     reference implementation and against the numbers recorded by the
-     previous PR;
-   - BENCH_alloc.json     — words allocated per simulation event on the
-     reference scenario, pooling off/on, against the seed's numbers;
-   - BENCH_faults.json / BENCH_shard.json — fault-injection overhead
-     and sharded-engine scaling (the latter with per-mode GC deltas and
-     the 2-domain mailbox micro-benchmark).
+   - BENCH_hotpath.json — ns/op of the per-packet and per-round kernels
+     behind Chapter 7 and Appendix A (fingerprints, traffic validation,
+     set reconciliation, routing, SHA-256/HMAC, Dolev-Strong), plus the
+     2-domain Mailbox SPSC rate as context;
+   - BENCH_alloc.json — words allocated per simulation event on the
+     ring8 reference scenario, pooling off and on, against the seed's
+     numbers.
 
-   [main.exe --smoke] runs every microbenchmark with a tiny quota and
-   skips the reproduction and the JSON writes — except BENCH_alloc.json,
-   which smoke writes too so the writer itself stays covered; the
-   @bench-smoke dune alias uses it to keep the harness compiling and
-   running under `dune runtest`. *)
+   main.exe records both; --smoke runs every measurement with tiny
+   quotas and writes no file; --check [--check-handicap F] [--baseline
+   DIR] re-measures and gates against DIR's artifacts (default .):
+   exit 0 ok, 1 regression, 2 usage error or unusable baseline. *)
 
-module Exp = Experiments.Exp
-module Registry = Experiments.Registry
-module Pool = Experiments.Pool
+module G = Experiments.Benchgate
+module J = Telemetry.Export
 
-(* Gc.quick_stat delta across a thunk: the BENCH artifacts record these
-   counters alongside wall clock so an allocation regression shows up
-   in a file diff exactly the way a throughput regression does. *)
-type gc_delta = {
-  gd_minor_words : float;
-  gd_promoted_words : float;
-  gd_major_words : float;
-  gd_minor_collections : int;
-  gd_major_collections : int;
-}
+let usage () =
+  prerr_endline
+    "usage: main.exe [--smoke | --check [--check-handicap F] [--baseline DIR]]\n\
+    \  F is a finite slowdown factor >= 1 applied to fresh measurements";
+  exit 2
 
-let with_gc_delta f =
-  let s0 = Gc.quick_stat () in
-  (* [quick_stat] counters settle at collection boundaries; the minor
-     allocation pointer is read exactly so short runs measure true. *)
-  let mw0 = Gc.minor_words () in
-  let r = f () in
-  let mw1 = Gc.minor_words () in
-  let s1 = Gc.quick_stat () in
-  ( r,
-    { gd_minor_words = mw1 -. mw0;
-      gd_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-      gd_major_words = s1.Gc.major_words -. s0.Gc.major_words;
-      gd_minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-      gd_major_collections = s1.Gc.major_collections - s0.Gc.major_collections
-    } )
-
-let gc_json d =
-  let open Telemetry.Export in
-  Assoc
-    [ ("minor_words", Float d.gd_minor_words);
-      ("promoted_words", Float d.gd_promoted_words);
-      ("major_words", Float d.gd_major_words);
-      ("minor_collections", Int d.gd_minor_collections);
-      ("major_collections", Int d.gd_major_collections) ]
-
-(* Evaluate the whole registry serially (timed), then render — the same
-   list mrdetect and the odoc index use, not a private copy. *)
-let reproduction () =
-  print_endline "Detecting Malicious Routers - evaluation reproduction";
-  print_endline "======================================================";
-  let t0 = Unix.gettimeofday () in
-  let results, gc = with_gc_delta (fun () -> Registry.eval_all ~jobs:1 ()) in
-  let serial = Unix.gettimeofday () -. t0 in
-  List.iter Exp.render results;
-  (results, serial, gc)
-
-(* Serial vs parallel wall clock for the experiment suite.  The
-   parallel pass uses the machine's recommended domain count and checks
-   that its merged JSON document is byte-identical to the serial one.
-   On a host where the recommended count is 1 a "parallel" rerun would
-   only measure run-to-run noise and report a meaningless ~1.0x, so the
-   comparison is recorded as skipped instead. *)
-let parallel_comparison ~serial ~serial_gc serial_results =
-  print_endline "";
-  print_endline "Experiment suite: serial vs parallel (Domain pool)";
-  print_endline "==================================================";
-  let recommended = Domain.recommended_domain_count () in
-  let jobs = Pool.default_jobs () in
-  let registry = Telemetry.Metrics.create () in
-  let set name help v =
-    Telemetry.Metrics.set
-      (Telemetry.Metrics.gauge registry name ~help ~labels:[ ("suite", "registry") ])
-      v
-  in
-  set "experiments_serial_seconds" "wall clock, jobs=1" serial;
-  set "experiments_domains_recommended" "Domain.recommended_domain_count"
-    (float_of_int recommended);
-  let parallel_gc = ref None in
-  let status =
-    if jobs <= 1 then begin
-      Printf.printf "  serial (1 domain)      %8.2f s\n" serial;
-      Printf.printf
-        "  parallel pass          skipped (recommended domain count is %d;\n\
-        \                         a rerun would measure noise, not parallelism)\n"
-        recommended;
-      "skipped-single-domain"
-    end
-    else begin
-      let t0 = Unix.gettimeofday () in
-      let parallel_results, pgc =
-        with_gc_delta (fun () -> Registry.eval_all ~jobs ())
-      in
-      parallel_gc := Some pgc;
-      let parallel = Unix.gettimeofday () -. t0 in
-      let doc results =
-        Telemetry.Export.to_string (Registry.json_document results)
-      in
-      if doc parallel_results <> doc serial_results then
-        failwith "parallel evaluation diverged from the serial results";
-      let speedup = serial /. parallel in
-      Printf.printf "  serial (1 domain)      %8.2f s\n" serial;
-      Printf.printf "  parallel (%d domains)  %8.2f s\n" jobs parallel;
-      Printf.printf "  speedup                %8.2fx  (results byte-identical)\n"
-        speedup;
-      set "experiments_parallel_seconds" "wall clock, jobs=recommended" parallel;
-      set "experiments_parallel_jobs" "domains used by the parallel pass"
-        (float_of_int jobs);
-      set "experiments_parallel_speedup" "serial / parallel wall clock" speedup;
-      "measured"
-    end
-  in
-  Telemetry.Export.write_file "BENCH_parallel.json"
-    (Telemetry.Export.Assoc
-       [ ("schema", Telemetry.Export.String "mrdetect-bench-parallel-v3");
-         ("status", Telemetry.Export.String status);
-         ("domains_recommended", Telemetry.Export.Int recommended);
-         ( "gc",
-           Telemetry.Export.Assoc
-             [ ("serial", gc_json serial_gc);
-               ( "parallel",
-                 match !parallel_gc with
-                 | Some d -> gc_json d
-                 | None -> Telemetry.Export.Null ) ] );
-         ("metrics", Telemetry.Export.json_of_registry registry) ]);
-  print_endline "\nparallel benchmark metrics written to BENCH_parallel.json"
-
-(* --- microbenchmarks (§7.1 computing fingerprints, Appendix A) --- *)
-
-open Bechamel
-open Toolkit
-
-(* Tiny quota for --smoke so the whole harness runs in about a second
-   under `dune runtest`; the numbers are meaningless, the point is that
-   every benchmark thunk executes. *)
-let bench_cfg ~smoke =
-  if smoke then Benchmark.cfg ~limit:50 ~quota:(Time.millisecond 5.0) ()
-  else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-
-let packet_bytes n = String.init n (fun i -> Char.chr ((i * 7) land 0xff))
-
-let bench_fingerprints =
-  let key = Crypto_sim.Siphash.key_of_string "bench" in
-  let small = packet_bytes 40 and full = packet_bytes 1500 in
-  [ Test.make ~name:"siphash-40B" (Staged.stage (fun () -> Crypto_sim.Siphash.hash key small));
-    Test.make ~name:"siphash-1500B" (Staged.stage (fun () -> Crypto_sim.Siphash.hash key full));
-    Test.make ~name:"fnv-1500B" (Staged.stage (fun () -> Crypto_sim.Fnv.hash_string full)) ]
-
-let bench_tv =
-  let mk n offset =
-    let s = Core.Summary.create Core.Summary.Content in
-    for i = 0 to n - 1 do
-      Core.Summary.observe s ~fp:(Int64.of_int (i + offset)) ~size:1000 ~time:0.0
-    done;
-    s
-  in
-  let sent = mk 1000 0 and received = mk 995 0 in
-  [ Test.make ~name:"tv-content-1000pkts"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Validation.tv
-                ~thresholds:(Core.Validation.lenient ())
-                ~sent ~received ()))) ]
-
-let bench_reconcile =
-  let shared = Array.init 512 (fun i -> (i * 211) + 5) in
-  let mk_pair diff =
-    let a = Array.append shared (Array.init diff (fun i -> 900_000 + i)) in
-    let b = Array.append shared (Array.init diff (fun i -> 800_000 + i)) in
-    (a, b)
-  in
-  let a8, b8 = mk_pair 8 in
-  let a32, b32 = mk_pair 32 in
-  let rng = Random.State.make [| 3 |] in
-  [ Test.make ~name:"reconcile-diff16"
-      (Staged.stage (fun () -> ignore (Setrecon.Reconcile.diff ~rng ~a:a8 ~b:b8 ())));
-    Test.make ~name:"reconcile-diff64"
-      (Staged.stage (fun () -> ignore (Setrecon.Reconcile.diff ~rng ~a:a32 ~b:b32 ())));
-    Test.make ~name:"bloom-add+query"
-      (Staged.stage
-         (let f = Setrecon.Bloom.create ~bits:8192 () in
-          fun () ->
-            Setrecon.Bloom.add f 123456789L;
-            ignore (Setrecon.Bloom.mem f 987654321L))) ]
-
-let bench_routing =
-  let g = Topology.Generate.ebone_like () in
-  let rt = Topology.Routing.compute g in
-  [ Test.make ~name:"link-state-tables-ebone"
-      (Staged.stage (fun () -> ignore (Topology.Routing.compute g)));
-    Test.make ~name:"pik2-family-ebone-k1"
-      (Staged.stage (fun () -> ignore (Topology.Segments.pik2_family rt ~k:1)));
-    Test.make ~name:"policy-tables-1-exclusion"
-      (Staged.stage
-         (let seg =
-            match Topology.Routing.all_routed_paths rt with
-            | p :: _ when List.length p >= 3 -> List.filteri (fun i _ -> i < 3) p
-            | _ -> [ 0; 1 ]
-          in
-          fun () -> ignore (Topology.Policy.compute g ~forbidden:[ seg ]))) ]
-
-let bench_crypto_heavy =
-  let msg = packet_bytes 1500 in
-  let keyring = Crypto_sim.Keyring.create ~n:5 () in
-  let hk = Crypto_sim.Sha256.hmac_key ~key:"k" in
-  [ Test.make ~name:"sha256-1500B"
-      (Staged.stage (fun () -> ignore (Crypto_sim.Sha256.digest msg)));
-    (* The per-packet HMAC path: midstates precomputed once per key
-       (as Keyring caches them), one pass over the payload per call. *)
-    Test.make ~name:"hmac-sha256-1500B"
-      (Staged.stage (fun () -> ignore (Crypto_sim.Sha256.hmac_with hk msg)));
-    (* Key expansion on every call, for comparison with the row above. *)
-    Test.make ~name:"hmac-sha256-keyexp-1500B"
-      (Staged.stage (fun () -> ignore (Crypto_sim.Sha256.hmac ~key:"k" msg)));
-    Test.make ~name:"keyring-mac64-1500B"
-      (Staged.stage (fun () -> ignore (Crypto_sim.Keyring.mac64 keyring 0 1 msg)));
-    Test.make ~name:"dolev-strong-5-parties"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Consensus.broadcast ~keyring ~parties:5 ~f:1 ~sender:0 ~value:7L
-                ~behavior:(fun _ -> Core.Consensus.Correct)))) ]
-
-let all_tests =
-  Test.make_grouped ~name:"costs"
-    (bench_fingerprints @ bench_tv @ bench_reconcile @ bench_routing
-    @ bench_crypto_heavy)
-
-let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-
-let run_benchmarks ~smoke registry =
-  print_endline "";
-  print_endline "Microbenchmarks (Ch. 7 per-packet and per-round costs)";
-  print_endline "======================================================";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = bench_cfg ~smoke in
-  let raw = Benchmark.all cfg instances all_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-          Printf.printf "  %-32s %12.1f ns/op\n" name ns;
-          Telemetry.Metrics.set
-            (Telemetry.Metrics.gauge registry "bench_ns_per_op"
-               ~help:"microbenchmark cost" ~labels:[ ("name", name) ])
-            ns
-      | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-    (List.sort compare rows)
-
-(* The ring8 reference scenario every throughput section runs: six
-   crossing CBR flows and one TCP connection for [horizon] seconds.  Set-up
-   order is fixed (probe, routing, schedule, flows, TCP) because it
-   decides event order, so each section measures the same event set. *)
-let ring8_reference ~horizon ?probe ?schedule ?pooling () =
-  let g = Topology.Generate.ring ~n:8 in
-  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ?pooling g in
-  Netsim.Net.set_probe net probe;
-  Netsim.Net.use_routing net (Topology.Routing.compute g);
-  Option.iter (fun s -> ignore (Faults.Injector.apply ?probe ~net s)) schedule;
-  List.iter
-    (fun (s, d) ->
-      ignore
-        (Netsim.Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500 ~start:0.0
-           ~stop:horizon))
-    [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
-  ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
-  net
-
-let simulator_performance ~smoke registry =
-  (* A reference scenario to gauge engine throughput. *)
-  print_endline "";
-  print_endline "Simulator performance (reference scenario)";
-  print_endline "==========================================";
-  let horizon = if smoke then 0.5 else 30.0 in
-  let net = ring8_reference ~horizon () in
-  let t0 = Unix.gettimeofday () in
-  Netsim.Net.run ~until:horizon net;
-  let wall = Unix.gettimeofday () -. t0 in
-  let events = Netsim.Sim.events_processed (Netsim.Net.sim net) in
-  Printf.printf "  %d events in %.2f s wall = %.1fk events/s (%.1f s simulated)\n"
-    events wall
-    (float_of_int events /. wall /. 1000.0)
-    horizon;
-  let set name help v =
-    Telemetry.Metrics.set
-      (Telemetry.Metrics.gauge registry name ~help
-         ~labels:[ ("scenario", "ring8-reference") ])
-      v
-  in
-  set "sim_events_processed" "events in the reference scenario" (float_of_int events);
-  set "sim_wall_seconds" "wall clock for the reference scenario" wall;
-  set "sim_events_per_second" "engine throughput" (float_of_int events /. wall);
-  float_of_int events /. wall
-
-(* Throughput cost of observability on the same reference scenario:
-   no probe at all, a probe without a tracer (counters + journal), and a
-   probe bridging into a span collector at two sample rates.  The
-   honest-overhead rule: if full-rate tracing costs more than 5% of
-   simulator throughput, say so here and in BENCH_telemetry.json rather
-   than hiding it in an average. *)
-let tracing_overhead ~smoke registry =
-  print_endline "";
-  print_endline "Tracing overhead (ring8 reference scenario)";
-  print_endline "===========================================";
-  let horizon = if smoke then 0.5 else 20.0 in
-  let run_mode probe =
-    let net = ring8_reference ~horizon ?probe () in
-    let t0 = Unix.gettimeofday () in
-    Netsim.Net.run ~until:horizon net;
-    let wall = Unix.gettimeofday () -. t0 in
-    float_of_int (Netsim.Sim.events_processed (Netsim.Net.sim net)) /. wall
-  in
-  let mode name mk =
-    (* Best of a few runs per mode: on a shared vCPU neighbor load only
-       ever deflates a throughput reading. *)
-    let reps = if smoke then 1 else 3 in
-    let best = ref 0.0 in
-    for _ = 1 to reps do
-      let eps = run_mode (mk ()) in
-      if eps > !best then best := eps
-    done;
-    (name, !best)
-  in
-  let rows =
-    [ mode "off" (fun () -> None);
-      mode "probe" (fun () -> Some (Netsim.Probe.create ~journal_capacity:4096 ()));
-      mode "trace-0.1" (fun () ->
-          Some
-            (Netsim.Probe.create ~journal_capacity:4096
-               ~tracer:(Telemetry.Span.create ~sample:0.1 ())
-               ()));
-      mode "trace-1.0" (fun () ->
-          Some
-            (Netsim.Probe.create ~journal_capacity:4096
-               ~tracer:(Telemetry.Span.create ~sample:1.0 ())
-               ())) ]
-  in
-  let baseline = List.assoc "off" rows in
-  let overhead eps =
-    if baseline > 0.0 then (1.0 -. (eps /. baseline)) *. 100.0 else 0.0
-  in
-  List.iter
-    (fun (name, eps) ->
-      Printf.printf "  %-12s %10.0f events/s  %+6.1f%% vs off\n" name eps
-        (overhead eps);
-      let set g help v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge registry g ~help
-             ~labels:[ ("scenario", "ring8-reference"); ("mode", name) ])
-          v
-      in
-      set "tracing_events_per_second" "engine throughput by tracing mode" eps;
-      set "tracing_overhead_percent" "throughput cost vs tracing off" (overhead eps))
-    rows;
-  let full_overhead = overhead (List.assoc "trace-1.0" rows) in
-  if full_overhead > 5.0 then
-    Printf.printf
-      "  note: full-rate tracing costs %.1f%% of simulator throughput (>5%%); \
-       prefer --trace-sample below 1.0 for long runs\n"
-      full_overhead
-
-(* Throughput cost of fault injection on the same reference scenario:
-   the probe alone, the probe plus a small fixed schedule (one flap, one
-   crash/restart), and the probe plus a default-budget chaos plan.  The
-   injector's per-event cost is zero — faults are ordinary scheduled
-   events — so what this measures is the simulation actually getting
-   harder: rerouting around downed links, retransmits, journal traffic.
-   Writes BENCH_faults.json (skipped on --smoke). *)
-(* One timed run of the fault-overhead reference scenario: events/s on
-   ring8 with an optional schedule applied.  Top-level because the
-   regression gate ({!check_gate}) re-measures the exact workload the
-   recording pass committed to BENCH_faults.json. *)
-let faults_reference_run ~horizon schedule =
-  let probe = Netsim.Probe.create ~journal_capacity:4096 () in
-  let net = ring8_reference ~horizon ~probe ?schedule () in
-  let t0 = Unix.gettimeofday () in
-  Netsim.Net.run ~until:horizon net;
-  let wall = Unix.gettimeofday () -. t0 in
-  float_of_int (Netsim.Sim.events_processed (Netsim.Net.sim net)) /. wall
-
-let faults_reference_chaos ~horizon budget =
-  Faults.Chaos.generate ~seed:11 ~graph:(Topology.Generate.ring ~n:8)
-    ~duration:horizon ~budget ()
-
-let fault_overhead ~smoke registry =
-  print_endline "";
-  print_endline "Fault-injection overhead (ring8 reference scenario)";
-  print_endline "===================================================";
-  let horizon = if smoke then 0.5 else 20.0 in
-  let run_mode schedule = faults_reference_run ~horizon schedule in
-  let fixed =
-    let open Faults.Schedule in
-    { seed = 1;
-      actions =
-        [ Link_down { src = 1; dst = 2; at = 0.2 *. horizon };
-          Link_up { src = 1; dst = 2; at = 0.5 *. horizon };
-          Crash { router = 6; at = 0.4 *. horizon };
-          Restart { router = 6; at = 0.7 *. horizon } ] }
-  in
-  let chaos = faults_reference_chaos ~horizon Faults.Chaos.default_budget in
-  let byz = faults_reference_chaos ~horizon Faults.Chaos.byzantine_budget in
-  let mode name schedule =
-    let reps = if smoke then 1 else 3 in
-    let best = ref 0.0 in
-    for _ = 1 to reps do
-      let eps = run_mode schedule in
-      if eps > !best then best := eps
-    done;
-    (name, !best)
-  in
-  let rows =
-    [ mode "off" None; mode "schedule" (Some fixed); mode "chaos" (Some chaos);
-      mode "byz" (Some byz) ]
-  in
-  let baseline = List.assoc "off" rows in
-  let overhead eps =
-    if baseline > 0.0 then (1.0 -. (eps /. baseline)) *. 100.0 else 0.0
-  in
-  List.iter
-    (fun (name, eps) ->
-      Printf.printf "  %-12s %10.0f events/s  %+6.1f%% vs off\n" name eps
-        (overhead eps);
-      let set g help v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge registry g ~help
-             ~labels:[ ("scenario", "ring8-reference"); ("mode", name) ])
-          v
-      in
-      set "fault_events_per_second" "engine throughput by fault mode" eps;
-      set "fault_overhead_percent" "throughput cost vs faults off" (overhead eps))
-    rows;
-  if not smoke then begin
-    let open Telemetry.Export in
-    write_file "BENCH_faults.json"
-      (Assoc
-         [ ("schema", String "mrdetect-bench-faults-v1");
-           ( "method",
-             String
-               "best events/s of 3 runs per mode on the ring8 reference \
-                scenario; 'schedule' is one link flap plus one crash/restart, \
-                'chaos' a default-budget generated plan, 'byz' a \
-                byzantine-budget one (protocol-faulty roles armed)" );
-           ( "modes",
-             List
-               (List.map
-                  (fun (name, eps) ->
-                    Assoc
-                      [ ("mode", String name);
-                        ("events_per_second", Float eps);
-                        ("overhead_percent", Float (overhead eps)) ])
-                  rows) ) ]);
-    print_endline "\nfault-injection overhead written to BENCH_faults.json"
-  end
-
-(* --- allocation regression (BENCH_alloc.json) ----------------------- *)
+(* --- allocation (BENCH_alloc.json) ------------------------------------ *)
 
 (* Per-event allocation recorded by the seed's bench run on the same
    ring8 reference scenario, before the zero-allocation work (flat
@@ -485,262 +38,215 @@ let recorded_seed_minor_words_per_event = 62.97
 let recorded_seed_promoted_words_per_event = 1.1772
 let recorded_seed_events_per_second = 3984214.25394
 
-(* Words allocated per simulation event, pooling off and on, against
-   the numbers the seed recorded.  Allocation counters come from a
-   single pass (they are a deterministic count, not a timing); the
-   wall clock takes the minimum over a few repeat runs — the same
-   estimator as the hot-path harness, since on a shared vCPU neighbor
-   load only ever inflates a reading.  Unlike the other artifacts this
-   one is written on --smoke too (with the [smoke] flag set and
-   meaningless numbers) so the @bench-smoke alias exercises the writer
-   end to end. *)
-let reference_alloc_run ~horizon ~pooling () =
-  let net = ring8_reference ~horizon ~pooling () in
+(* The ring8 reference scenario: six crossing CBR flows and one TCP
+   connection for [horizon] seconds. *)
+let ring8_reference ~horizon ~pooling =
+  let g = Topology.Generate.ring ~n:8 in
+  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
+  Netsim.Net.use_routing net (Topology.Routing.compute g);
+  List.iter
+    (fun (s, d) ->
+      ignore
+        (Netsim.Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500 ~start:0.0
+           ~stop:horizon))
+    [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
+  ignore (Netsim.Tcp.connect net ~src:0 ~dst:3 ());
+  net
+
+(* One run of the reference scenario, as (minor words per event, row).
+   Words per event are a deterministic count, so one run measures them;
+   events/s is context.  [quick_stat] counters settle at collection
+   boundaries, so the minor allocation pointer is read exactly. *)
+let alloc_row ~smoke mode =
+  let pooling = mode = "pooled" in
+  let horizon = if smoke then 0.5 else 30.0 in
+  let net = ring8_reference ~horizon ~pooling in
   (* Settle setup garbage so the delta measures the event loop. *)
   Gc.full_major ();
+  let s0 = Gc.quick_stat () and mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
-  let (), gc = with_gc_delta (fun () -> Netsim.Net.run ~until:horizon net) in
+  Netsim.Net.run ~until:horizon net;
   let wall = Unix.gettimeofday () -. t0 in
-  (Netsim.Net.events_processed net, wall, gc, Netsim.Net.pool_stats net)
+  let mw1 = Gc.minor_words () and s1 = Gc.quick_stat () in
+  let minor = mw1 -. mw0 in
+  let promoted = s1.Gc.promoted_words -. s0.Gc.promoted_words in
+  let events = Netsim.Net.events_processed net in
+  let per w = w /. float_of_int (max 1 events) in
+  let pool = Netsim.Net.pool_stats net in
+  let eps = float_of_int events /. wall in
+  Printf.printf "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s\n"
+    mode (per minor) (per promoted) eps;
+  ( per minor,
+    J.Assoc
+      [ ("mode", String mode);
+        ("pooling", Bool pooling);
+        ("events", Int events);
+        ("wall_seconds", Float wall);
+        ("events_per_second", Float eps);
+        ("minor_words_per_event", Float (per minor));
+        ("promoted_words_per_event", Float (per promoted));
+        ( "reduction_vs_seed_percent",
+          Float ((1.0 -. (per minor /. recorded_seed_minor_words_per_event)) *. 100.0) );
+        ( "pool",
+          Assoc
+            [ ("fresh", Int pool.Netsim.Pool.fresh);
+              ("recycled", Int pool.Netsim.Pool.recycled);
+              ("released", Int pool.Netsim.Pool.released);
+              ("available", Int pool.Netsim.Pool.available) ] );
+        ( "gc",
+          Assoc
+            [ ("minor_words", Float minor);
+              ("promoted_words", Float promoted);
+              ("major_words", Float (s1.Gc.major_words -. s0.Gc.major_words));
+              ( "minor_collections",
+                Int (s1.Gc.minor_collections - s0.Gc.minor_collections) );
+              ( "major_collections",
+                Int (s1.Gc.major_collections - s0.Gc.major_collections) ) ] ) ] )
 
-let allocation ~smoke registry =
-  print_endline "";
-  print_endline "Allocation (ring8 reference scenario, words per event)";
-  print_endline "======================================================";
-  let horizon = if smoke then 0.5 else 30.0 in
-  let reps = if smoke then 1 else 3 in
-  let one_run ~pooling = reference_alloc_run ~horizon ~pooling () in
-  let run_mode ~pooling =
-    let events, wall, gc, pool = one_run ~pooling in
-    let best = ref wall in
-    for _ = 2 to reps do
-      let _, w, _, _ = one_run ~pooling in
-      if w < !best then best := w
+let alloc_file = "BENCH_alloc.json"
+let alloc_modes = [ "unpooled"; "pooled" ]
+
+(* --- kernels (BENCH_hotpath.json) ------------------------------------- *)
+
+let hotpath_file = "BENCH_hotpath.json"
+
+let packet_bytes n = String.init n (fun i -> Char.chr ((i * 7) land 0xff))
+
+(* The one kernel table, recorded and gated alike. *)
+let kernels () =
+  let small = packet_bytes 40 and msg = packet_bytes 1500 in
+  let sip_key = Crypto_sim.Siphash.key_of_string "bench" in
+  let hk = Crypto_sim.Sha256.hmac_key ~key:"k" in
+  let keyring = Crypto_sim.Keyring.create ~n:5 () in
+  let summary n =
+    let s = Core.Summary.create Core.Summary.Content in
+    for i = 0 to n - 1 do
+      Core.Summary.observe s ~fp:(Int64.of_int i) ~size:1000 ~time:0.0
     done;
-    (events, !best, gc, pool)
+    s
   in
-  let rows =
-    [ ("unpooled", false, run_mode ~pooling:false);
-      ("pooled", true, run_mode ~pooling:true) ]
+  let sent = summary 1000 and received = summary 995 in
+  let shared = Array.init 512 (fun i -> (i * 211) + 5) in
+  let diff_pair d =
+    ( Array.append shared (Array.init d (fun i -> 900_000 + i)),
+      Array.append shared (Array.init d (fun i -> 800_000 + i)) )
   in
-  let per events w = w /. float_of_int (max 1 events) in
-  let row_json = ref [] in
-  List.iter
-    (fun (name, pooling, (events, wall, gc, pool)) ->
-      let minor = per events gc.gd_minor_words in
-      let promoted = per events gc.gd_promoted_words in
-      let eps = float_of_int events /. wall in
-      Printf.printf
-        "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s%s\n"
-        name minor promoted eps
-        (if pooling then
-           Printf.sprintf "  (recycled %d of %d packets)"
-             pool.Netsim.Pool.recycled
-             (pool.Netsim.Pool.recycled + pool.Netsim.Pool.fresh)
-         else "");
-      let set g help v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge registry g ~help
-             ~labels:[ ("scenario", "ring8-reference"); ("mode", name) ])
-          v
-      in
-      set "alloc_minor_words_per_event" "minor-heap words per event" minor;
-      set "alloc_promoted_words_per_event" "promoted words per event" promoted;
-      set "alloc_events_per_second" "throughput, best of repeat runs" eps;
-      let open Telemetry.Export in
-      row_json :=
-        Assoc
-          [ ("mode", String name);
-            ("pooling", Bool pooling);
-            ("events", Int events);
-            ("wall_seconds", Float wall);
-            ("events_per_second", Float eps);
-            ("minor_words_per_event", Float minor);
-            ("promoted_words_per_event", Float promoted);
-            ( "reduction_vs_seed_percent",
-              Float
-                ((1.0 -. (minor /. recorded_seed_minor_words_per_event))
-                *. 100.0) );
-            ( "pool",
-              Assoc
-                [ ("fresh", Int pool.Netsim.Pool.fresh);
-                  ("recycled", Int pool.Netsim.Pool.recycled);
-                  ("released", Int pool.Netsim.Pool.released);
-                  ("available", Int pool.Netsim.Pool.available) ] );
-            ("gc", gc_json gc) ]
-        :: !row_json)
-    rows;
-  Printf.printf
-    "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s  \
-     (recorded at seed)\n"
-    "seed" recorded_seed_minor_words_per_event
-    recorded_seed_promoted_words_per_event recorded_seed_events_per_second;
-  (let _, _, (events, _, gc, _) = List.nth rows 1 in
-   Printf.printf "  pooled minor-allocation reduction vs seed: %.1f%%\n"
-     ((1.0 -. (per events gc.gd_minor_words /. recorded_seed_minor_words_per_event))
-     *. 100.0));
-  let open Telemetry.Export in
-  write_file "BENCH_alloc.json"
-    (Assoc
-       [ ("schema", String "mrdetect-bench-alloc-v1");
-         ( "method",
-           String
-             "Gc.quick_stat delta over the 30 s ring8 reference scenario \
-              (6 crossing CBR flows + 1 TCP connection) after a full major \
-              collection; words-per-event divides by Sim events processed; \
-              wall clock is the minimum over 3 runs" );
-         ("smoke", Bool smoke);
-         ("scenario", String "ring8-reference");
-         ( "recorded_seed",
-           Assoc
-             [ ( "minor_words_per_event",
-                 Float recorded_seed_minor_words_per_event );
-               ( "promoted_words_per_event",
-                 Float recorded_seed_promoted_words_per_event );
-               ("events_per_second", Float recorded_seed_events_per_second)
-             ] );
-         ("modes", List (List.rev !row_json)) ]);
-  print_endline "\nallocation regression written to BENCH_alloc.json"
+  let a8, b8 = diff_pair 8 and a32, b32 = diff_pair 32 in
+  let rng = Random.State.make [| 3 |] in
+  let bloom = Setrecon.Bloom.create ~bits:8192 () in
+  let g = Topology.Generate.ebone_like () in
+  let rt = Topology.Routing.compute g in
+  let seg =
+    match Topology.Routing.all_routed_paths rt with
+    | p :: _ when List.length p >= 3 -> List.filteri (fun i _ -> i < 3) p
+    | _ -> [ 0; 1 ]
+  in
+  [ ("siphash-40B", fun () -> ignore (Crypto_sim.Siphash.hash sip_key small));
+    ("siphash-1500B", fun () -> ignore (Crypto_sim.Siphash.hash sip_key msg));
+    ("fnv-1500B", fun () -> ignore (Crypto_sim.Fnv.hash_string msg));
+    ( "tv-content-1000pkts",
+      fun () ->
+        ignore
+          (Core.Validation.tv ~thresholds:(Core.Validation.lenient ()) ~sent
+             ~received ()) );
+    ( "reconcile-diff16",
+      fun () -> ignore (Setrecon.Reconcile.diff ~rng ~a:a8 ~b:b8 ()) );
+    ( "reconcile-diff64",
+      fun () -> ignore (Setrecon.Reconcile.diff ~rng ~a:a32 ~b:b32 ()) );
+    ( "bloom-add+query",
+      fun () ->
+        Setrecon.Bloom.add bloom 123456789L;
+        ignore (Setrecon.Bloom.mem bloom 987654321L) );
+    ("link-state-tables-ebone", fun () -> ignore (Topology.Routing.compute g));
+    ( "pik2-family-ebone-k1",
+      fun () -> ignore (Topology.Segments.pik2_family rt ~k:1) );
+    ( "policy-tables-1-exclusion",
+      fun () -> ignore (Topology.Policy.compute g ~forbidden:[ seg ]) );
+    ("sha256-1500B", fun () -> ignore (Crypto_sim.Sha256.digest msg));
+    (* The per-packet HMAC path: midstates precomputed once per key, as
+       Keyring caches them; the keyexp row expands the key every call. *)
+    ("hmac-sha256-1500B", fun () -> ignore (Crypto_sim.Sha256.hmac_with hk msg));
+    ( "hmac-sha256-keyexp-1500B",
+      fun () -> ignore (Crypto_sim.Sha256.hmac ~key:"k" msg) );
+    ( "keyring-mac64-1500B",
+      fun () -> ignore (Crypto_sim.Keyring.mac64 keyring 0 1 msg) );
+    ( "dolev-strong-5-parties",
+      fun () ->
+        ignore
+          (Core.Consensus.broadcast ~keyring ~parties:5 ~f:1 ~sender:0 ~value:7L
+             ~behavior:(fun _ -> Core.Consensus.Correct)) ) ]
 
-(* --- hot-path before/after regression harness (BENCH_hotpath.json) --- *)
-
-(* ns-per-op recorded by the previous PR's bench run (the values in
-   BENCH_telemetry.json at the time this harness was written); kept as
-   literals so the speedup-versus-recorded column survives later
-   telemetry rewrites. *)
-let recorded_pr2 =
-  [ ("sha256-1500B", 24261.8062269);
-    ("hmac-sha256-1500B", 27758.7809007);
-    ("siphash-1500B", 18023.3601006);
-    ("siphash-40B", 763.922337726);
-    ("fnv-1500B", 5611.93684059) ]
-
-let recorded_pr2_events_per_second = 3369518.42992
-
-(* Minimum ns/op over many short timed batches.  On a shared vCPU the
-   measurement error is dominated by neighbor load, which only ever
-   inflates a reading, so the minimum over short batches estimates the
-   uncontended cost — a long averaging window (OLS over half a second)
-   instead bakes the noise in.  The same estimator is applied to the
-   reference kernels and the optimized ones, so the ratios are fair. *)
-let measure_min ~batches f =
-  (* Calibrate the batch size to roughly 0.3 ms per batch. *)
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to 8 do f () done;
-  let per_call = (Unix.gettimeofday () -. t0) /. 8.0 in
-  let per_batch = max 1 (int_of_float (0.0003 /. Float.max per_call 1e-9)) in
-  let best = ref infinity in
-  for _ = 1 to batches do
-    let t0 = Unix.gettimeofday () in
+(* One reading: the minimum ns/op over ~0.3 ms batches (one call of a
+   slow kernel) for [budget] s of process CPU time.  CPU time leaves
+   preemption out, and other load only ever inflates a batch, so the
+   minimum estimates the uncontended cost. *)
+let measure_min ~budget ~per_batch f =
+  let best = ref infinity and batches = ref 0 in
+  let stop = Sys.time () +. budget in
+  while !batches = 0 || Sys.time () < stop do
+    let t0 = Sys.time () in
     for _ = 1 to per_batch do f () done;
-    let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int per_batch in
-    if ns < !best then best := ns
+    let ns = (Sys.time () -. t0) *. 1e9 /. float_of_int per_batch in
+    if ns < !best then best := ns;
+    incr batches
   done;
   !best
 
-(* (name, before thunk or None, after thunk); the before thunk is the
-   in-process reference implementation where one exists.  Shared by the
-   recording pass ({!hotpath}) and the regression gate ({!check_gate}). *)
-let hotpath_kernels () =
-  let msg = packet_bytes 1500 in
-  let small = packet_bytes 40 in
-  let sip_key = Crypto_sim.Siphash.key_of_string "bench" in
-  let hk = Crypto_sim.Sha256.hmac_key ~key:"k" in
-  [ ( "sha256-1500B",
-      Some (fun () -> ignore (Crypto_sim.Sha256_ref.digest msg)),
-      fun () -> ignore (Crypto_sim.Sha256.digest msg) );
-    ( "hmac-sha256-1500B",
-      Some (fun () -> ignore (Crypto_sim.Sha256_ref.hmac ~key:"k" msg)),
-      fun () -> ignore (Crypto_sim.Sha256.hmac_with hk msg) );
-    ( "siphash-1500B",
-      None,
-      fun () -> ignore (Crypto_sim.Siphash.hash sip_key msg) );
-    ( "siphash-40B",
-      None,
-      fun () -> ignore (Crypto_sim.Siphash.hash sip_key small) );
-    ("fnv-1500B", None, fun () -> ignore (Crypto_sim.Fnv.hash_string msg)) ]
+(* Calls per ~0.3 ms batch, from the calls that fit in 1 ms. *)
+let batch_size f =
+  f ();
+  let t0 = Sys.time () and calls = ref 0 in
+  while Sys.time () -. t0 < 0.001 do f (); incr calls done;
+  max 1 (int_of_float (0.0003 *. float_of_int !calls /. (Sys.time () -. t0)))
 
-let hotpath ~smoke ~sim_events_per_second =
-  print_endline "";
-  print_endline "Hot-path kernels: before/after (BENCH_hotpath.json)";
-  print_endline "===================================================";
-  let batches = if smoke then 5 else 400 in
-  let kernels = hotpath_kernels () in
-  let rows =
-    List.map
-      (fun (name, before, after) ->
-        let after_ns = measure_min ~batches after in
-        let before_ns = Option.map (fun f -> measure_min ~batches f) before in
-        let recorded = List.assoc_opt name recorded_pr2 in
-        (name, before_ns, after_ns, recorded))
-      kernels
-  in
-  let open Telemetry.Export in
-  let kernel_json (name, before_ns, after_ns, recorded) =
-    let ratio b = if after_ns > 0.0 then b /. after_ns else 0.0 in
-    Assoc
-      ([ ("name", String name); ("measured_ns_per_op", Float after_ns) ]
-      @ (match before_ns with
-        | Some b ->
-            [ ("baseline_ns_per_op", Float b);
-              ("baseline_source", String "in-process-reference");
-              ("speedup_vs_baseline", Float (ratio b)) ]
-        | None -> [])
-      @
-      match recorded with
-      | Some r ->
-          [ ("recorded_pr2_ns_per_op", Float r);
-            ("speedup_vs_recorded", Float (ratio r)) ]
-      | None -> [])
-  in
-  List.iter
-    (fun (name, before_ns, after_ns, recorded) ->
-      let show tag = function
-        | Some b when after_ns > 0.0 ->
-            Printf.sprintf "  %s %9.1f ns (%.2fx)" tag b (b /. after_ns)
-        | _ -> ""
-      in
-      Printf.printf "  %-24s %9.1f ns/op%s%s\n" name after_ns
-        (show "ref" before_ns)
-        (show "pr2" recorded))
-    rows;
-  let sim_speedup =
-    if sim_events_per_second > 0.0 then
-      sim_events_per_second /. recorded_pr2_events_per_second
-    else 0.0
-  in
-  Printf.printf "  %-24s %9.0f events/s (%.2fx vs recorded)\n"
-    "sim-ring8-reference" sim_events_per_second sim_speedup;
-  if not smoke then begin
-    write_file "BENCH_hotpath.json"
-      (Assoc
-         [ ("schema", String "mrdetect-bench-hotpath-v1");
-           ( "method",
-             String
-               "min ns/op over 400 short timed batches (~0.3ms each); the \
-                minimum estimates the uncontended cost on a shared vCPU; \
-                the same estimator is applied to reference and optimized \
-                kernels" );
-           ("kernels", List (List.map kernel_json rows));
-           ( "simulator",
-             Assoc
-               [ ("scenario", String "ring8-reference");
-                 ("events_per_second", Float sim_events_per_second);
-                 ( "recorded_pr2_events_per_second",
-                   Float recorded_pr2_events_per_second );
-                 ("speedup_vs_recorded", Float sim_speedup) ] ) ]);
-    print_endline "\nhot-path before/after written to BENCH_hotpath.json"
-  end
+(* Readings come in [rounds] passes over the whole table, [pause] s
+   apart.  A shared host has slow phases lasting seconds, so the
+   recording spreads its passes over ~20 s: its median is the host's
+   typical speed and its spread covers the phases.  The gate takes five
+   quick passes. *)
+type schedule = { rounds : int; budget : float; pause : float }
 
-(* --- sharded-engine scaling (BENCH_shard.json) ---------------------- *)
+let recording = { rounds = 9; budget = 0.01; pause = 2.0 }
+let gating = { rounds = 5; budget = 0.01; pause = 0.0 }
+let smoke_run = { rounds = 1; budget = 0.001; pause = 0.0 }
 
-(* Sustained push/drain throughput of the cross-shard mailbox with a
-   real producer domain: the producer pushes [n] messages while this
-   domain live-drains the ring, then the spill is settled once the
-   producer has quiesced.  The padding between [head] and [tail] in
-   {!Netsim.Mailbox} keeps the two atomics off one cache line; this row
-   is the regression guard for that layout. *)
-let mailbox_throughput ~smoke =
+type kernel_stat = {
+  name : string;
+  median : float;
+  spread : float; (* (max - min) / median *)
+  readings : float array;
+}
+
+let measure_kernels { rounds; budget; pause } =
+  let table =
+    Array.of_list (List.map (fun (n, f) -> (n, f, batch_size f)) (kernels ()))
+  in
+  (* Start from a compacted heap, whatever ran before. *)
+  Gc.compact ();
+  let readings = Array.map (fun _ -> Array.make rounds 0.0) table in
+  for r = 0 to rounds - 1 do
+    if r > 0 then Unix.sleepf pause;
+    Array.iteri
+      (fun i (_, f, per_batch) ->
+        readings.(i).(r) <- measure_min ~budget ~per_batch f)
+      table
+  done;
+  Array.to_list
+    (Array.mapi
+       (fun i (name, _, _) ->
+         let s = Array.copy readings.(i) in
+         Array.sort compare s;
+         let n = Array.length s in
+         let median = s.(n / 2) in
+         let spread = (s.(n - 1) -. s.(0)) /. median in
+         { name; median; spread; readings = readings.(i) })
+       table)
+
+(* 2-domain push/drain throughput of the cross-shard mailbox: the
+   producer pushes [n] messages while this domain live-drains the ring,
+   then the spill is settled once the producer has quiesced.  Context
+   only: it needs two cores to mean anything, so it is not gated. *)
+let mailbox_spsc ~smoke =
   let n = if smoke then 10_000 else 500_000 in
   let run () =
     let mb = Netsim.Mailbox.create ~capacity:4096 in
@@ -763,323 +269,228 @@ let mailbox_throughput ~smoke =
     if !received <> n then failwith "mailbox micro-bench lost messages";
     float_of_int n /. wall
   in
-  let reps = if smoke then 1 else 3 in
-  let best = ref 0.0 in
-  for _ = 1 to reps do
-    let v = run () in
-    if v > !best then best := v
-  done;
-  (n, !best)
+  let best = List.fold_left (fun b _ -> Float.max b (run ())) 0.0 [ 1; 2; 3 ] in
+  Printf.printf "  %-26s %9.0f msgs/s  (%d messages, best of 3)\n" "mailbox-spsc" best n;
+  J.Assoc [ ("messages", Int n); ("msgs_per_second", Float best) ]
 
-(* Wall clock of the same 64-router grid scenario under the classic
-   single-heap engine and the sharded engine at K = 1, 2, 4.  Speedups
-   are quoted against the sharded K = 1 run (same engine family, same
-   event set — the classic engine runs a different event decomposition,
-   so its row is context, not a baseline).  The K = 1 row against the
-   classic row is the engine's synchronization overhead — the
-   zero-allocation work holds it under 1.3x on this host.  The scenario
-   is heavy enough (32 crossing CBR flows) that shard heaps stay busy
-   between barriers. *)
-let shard_scaling ~smoke registry =
-  print_endline "";
-  print_endline "Sharded-engine scaling (grid8x8, 32 flows)";
-  print_endline "==========================================";
-  let horizon = if smoke then 0.3 else 10.0 in
-  let g = Topology.Generate.grid ~rows:8 ~cols:8 in
-  let n = Topology.Graph.size g in
-  let run_shards k =
-    let net =
-      Netsim.Net.create ~seed:1 ~jitter_bound:100e-6
-        ?shards:(if k = 0 then None else Some k)
-        g
-    in
-    Netsim.Net.use_routing net (Topology.Routing.compute g);
-    for i = 0 to 31 do
-      ignore
-        (Netsim.Flow.cbr net ~src:i ~dst:(n - 1 - i) ~rate_pps:120.0 ~size:500
-           ~start:0.0 ~stop:horizon)
-    done;
-    let t0 = Unix.gettimeofday () in
-    Netsim.Net.run ~until:horizon net;
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, Netsim.Net.events_processed net)
+(* --- recording -------------------------------------------------------- *)
+
+let first_line cmd =
+  let ic = Unix.open_process_in cmd in
+  let line = In_channel.input_line ic in
+  ignore (Unix.close_process_in ic);
+  line
+
+(* Which code and machine a recording came from.  [dirty] marks a
+   working tree with uncommitted changes on top of [commit]. *)
+let stamp () =
+  let commit = first_line "git rev-parse HEAD 2>/dev/null" in
+  let dirty =
+    first_line "git status --porcelain --untracked-files=no 2>/dev/null" <> None
   in
-  let reps = if smoke then 1 else 3 in
-  let best k =
-    let wall = ref infinity and events = ref 0 in
-    let (), gc =
-      (* The delta spans all reps of the mode — per-rep allocation is
-         identical, so dividing by [reps] recovers one run. *)
-      with_gc_delta (fun () ->
-          for _ = 1 to reps do
-            let w, e = run_shards k in
-            if w < !wall then begin wall := w; events := e end
-          done)
-    in
-    (k, !wall, !events, gc)
+  let cpu = first_line "sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null" in
+  [ ("commit", J.String (Option.value commit ~default:"unknown"));
+    ("dirty", Bool dirty);
+    ("host", String (Option.value cpu ~default:"unknown"));
+    ("recommended_domain_count", Int (Domain.recommended_domain_count ())) ]
+
+let record ~smoke =
+  let stamp = stamp () in
+  let artifact schema method_ fields =
+    J.Assoc
+      ([ ("schema", J.String schema); ("method", String method_); ("smoke", Bool smoke) ]
+      @ stamp @ fields)
   in
-  let rows = List.map best [ 0; 1; 2; 4 ] in
-  let wall_of p =
-    match List.find_opt (fun (k, _, _, _) -> k = p) rows with
-    | Some (_, w, _, _) -> w
-    | None -> 0.0
+  print_endline "Allocation (ring8 reference scenario, words per event)";
+  let modes = List.map (fun m -> snd (alloc_row ~smoke m)) alloc_modes in
+  Printf.printf
+    "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s  (recorded at seed)\n"
+    "seed" recorded_seed_minor_words_per_event
+    recorded_seed_promoted_words_per_event recorded_seed_events_per_second;
+  let alloc =
+    artifact "mrdetect-bench-alloc-v2"
+      "Gc counter deltas over one run of the 30 s ring8 reference scenario \
+       (6 crossing CBR flows + 1 TCP connection) after a full major \
+       collection; words per event divide by Sim events processed; \
+       events/s is that run's, context only"
+      [ ("scenario", String "ring8-reference");
+        ( "recorded_seed",
+          Assoc
+            [ ("minor_words_per_event", Float recorded_seed_minor_words_per_event);
+              ( "promoted_words_per_event",
+                Float recorded_seed_promoted_words_per_event );
+              ("events_per_second", Float recorded_seed_events_per_second) ] );
+        ("modes", List modes) ]
   in
-  let wall_k1 = wall_of 1 and wall_classic = wall_of 0 in
+  print_endline "\nKernels (ns/op, median of the readings)";
+  let schedule = if smoke then smoke_run else recording in
+  let stats = measure_kernels schedule in
   List.iter
-    (fun (k, wall, events, _gc) ->
-      let name = if k = 0 then "classic" else Printf.sprintf "shards=%d" k in
-      let speedup = if k > 0 && wall > 0.0 then wall_k1 /. wall else 0.0 in
-      Printf.printf "  %-10s %7.3f s wall  %9.0f events/s%s\n" name wall
-        (float_of_int events /. wall)
-        (if k > 0 then Printf.sprintf "  %.2fx vs shards=1" speedup else "");
-      let set gname help v =
-        Telemetry.Metrics.set
-          (Telemetry.Metrics.gauge registry gname ~help
-             ~labels:[ ("scenario", "grid8x8"); ("mode", name) ])
-          v
-      in
-      set "shard_wall_seconds" "wall clock of the grid8x8 scaling scenario" wall;
-      set "shard_events_per_second" "engine throughput by shard count"
-        (float_of_int events /. wall))
-    rows;
-  if wall_classic > 0.0 then
-    Printf.printf "  shards=1 overhead vs classic: %.2fx\n"
-      (wall_k1 /. wall_classic);
-  let mb_n, mb_eps = mailbox_throughput ~smoke in
-  Printf.printf "  mailbox SPSC (2 domains) %9.0f msgs/s  (%d messages)\n"
-    mb_eps mb_n;
-  Telemetry.Metrics.set
-    (Telemetry.Metrics.gauge registry "mailbox_msgs_per_second"
-       ~help:"2-domain SPSC mailbox push/drain throughput"
-       ~labels:[ ("bench", "mailbox-spsc") ])
-    mb_eps;
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "  (host offers %d recommended domain(s))\n" cores;
-  if not smoke then begin
-    let open Telemetry.Export in
-    write_file "BENCH_shard.json"
-      (Assoc
-         [ ("schema", String "mrdetect-bench-shard-v2");
-           ( "method",
-             String
-               "best wall clock of 3 runs of a 10 s grid8x8 scenario (64 \
-                routers, 32 crossing CBR flows); speedup is against the \
-                sharded K=1 run, which executes the identical event set; \
-                gc counters are the Gc.quick_stat delta across all 3 runs \
-                of the mode" );
-           ("recommended_domain_count", Int cores);
-           ( "mailbox_spsc",
-             Assoc
-               [ ("messages", Int mb_n);
-                 ("msgs_per_second", Float mb_eps) ] );
-           ( "note",
-             String
-               (if cores <= 1 then
-                  "measured on a single-core host: every shard domain \
-                   timeshares one CPU, so parallel speedup is not \
-                   attainable here and the numbers below record the \
-                   engine's synchronization overhead honestly rather than \
-                   a simulated gain; on a multi-core host the same harness \
-                   measures real scaling"
-                else "measured with real domain parallelism") );
-           ( "modes",
-             List
-               (List.map
-                  (fun (k, wall, events, gc) ->
-                    Assoc
-                      [ ("shards", Int k);
-                        ( "engine",
-                          String (if k = 0 then "classic" else "sharded") );
-                        ("wall_seconds", Float wall);
-                        ( "events_per_second",
-                          Float (float_of_int events /. wall) );
-                        ( "speedup_vs_shards1",
-                          if k > 0 && wall > 0.0 then Float (wall_k1 /. wall)
-                          else Null );
-                        ( "overhead_vs_classic",
-                          if k > 0 && wall_classic > 0.0 then
-                            Float (wall /. wall_classic)
-                          else Null );
-                        ("gc", gc_json gc) ])
-                  rows) ) ]);
-    print_endline "\nsharded-engine scaling written to BENCH_shard.json"
-  end
+    (fun k ->
+      Printf.printf "  %-26s %11.1f ns/op  spread %5.1f%%\n" k.name k.median
+        (k.spread *. 100.0))
+    stats;
+  let mailbox = mailbox_spsc ~smoke in
+  let hotpath =
+    artifact "mrdetect-bench-hotpath-v2"
+      (Printf.sprintf
+         "%d readings per kernel, taken in passes over the whole table %.0f s \
+          apart; a reading is the min ns/op over ~0.3 ms batches timed in \
+          process CPU time for %.0f ms; ns_per_op is their median, spread \
+          is (max - min) / median"
+         schedule.rounds schedule.pause (schedule.budget *. 1000.0))
+      [ ( "kernels",
+          List
+            (List.map
+               (fun k ->
+                 J.Assoc
+                   [ ("name", String k.name);
+                     ("ns_per_op", Float k.median);
+                     ("spread", Float k.spread);
+                     ( "readings",
+                       List (List.map (fun x -> J.Float x) (Array.to_list k.readings)) )
+                   ])
+               stats) );
+        ("mailbox_spsc", mailbox) ]
+  in
+  [ (alloc_file, alloc); (hotpath_file, hotpath) ]
 
-(* Machine-readable trajectory: every run rewrites BENCH_telemetry.json
-   with the same numbers the stdout table shows, so per-PR performance
-   diffs are a file diff, not a transcript scrape. *)
-let write_json registry path =
-  Telemetry.Export.write_file path
-    (Telemetry.Export.Assoc
-       [ ("schema", Telemetry.Export.String "mrdetect-bench-v1");
-         ("metrics", Telemetry.Export.json_of_registry registry) ]);
-  Printf.printf "\nbenchmark metrics written to %s\n" path
+(* --- the gate (`--check`) ----------------------------------------------- *)
 
-(* --- regression gate (`bench --check`) ------------------------------- *)
+(* One band rule per kind of measurement.  Words per event are a
+   deterministic count: a tight band, with one word of slack for the
+   near-zero pooled baseline.  A kernel may be 1 + spread times slower
+   than its recorded median (roughly the slowest reading the recording
+   saw), but no less than 1.5x and no more than 1.7x, so a 2x slowdown
+   of any kernel fails. *)
+let words_band metric = G.band ~slack:1.0 ~direction:G.Lower_better ~limit:1.25 metric
 
-(* Re-measure the cheap reference numbers and compare them against the
-   committed BENCH_*.json baselines through one-sided tolerance bands
-   (Experiments.Benchgate).  The ring8 reference scenario simulates its
-   full 30 s horizon even under --smoke — that is ~0.2 s of wall clock,
-   so the gate always measures the same workload the baselines recorded;
-   --smoke only trims the kernel batch count.
+let kernel_band metric ~spread =
+  let limit = Float.min 1.7 (Float.max 1.5 (1.0 +. spread)) in
+  G.band ~direction:G.Lower_better ~limit metric
 
-   [handicap] degrades every fresh measurement by a factor (latency and
-   allocation multiplied, throughput divided) so the failure path of the
-   gate itself is testable without a real regression. *)
-let check_gate ~smoke ~handicap ~baseline_dir =
-  let module G = Experiments.Benchgate in
+let fail_baseline fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("bench --check: " ^ s);
+      exit 2)
+    fmt
+
+(* A baseline must come from a full, stamped recording. *)
+let check_recorded (file, doc) =
+  (match J.member "smoke" doc with
+  | Some (Bool false) -> ()
+  | _ -> fail_baseline "%s is not from a full run (smoke flag set or missing)" file);
+  match Option.bind (J.member "commit" doc) J.to_string_opt with
+  | Some _ -> ()
+  | None -> fail_baseline "%s has no commit stamp" file
+
+(* The gated rows of a pair of artifacts as (band, baseline), in the
+   order {!fresh} measures them. *)
+let gated_rows docs =
+  let row file ~field ~key ~value =
+    match G.find_by (List.assoc file docs) ~field ~key ~value with
+    | Some r -> r
+    | None -> fail_baseline "%s has no %s %S" file key value
+  in
+  let num file r field =
+    match G.float_at r [ field ] with
+    | Some v -> v
+    | None -> fail_baseline "%s row lacks %s" file field
+  in
+  List.map
+    (fun mode ->
+      let r = row alloc_file ~field:"modes" ~key:"mode" ~value:mode in
+      ( words_band (Printf.sprintf "alloc.%s.minor_words_per_event" mode),
+        num alloc_file r "minor_words_per_event" ))
+    alloc_modes
+  @ List.map
+      (fun (name, _) ->
+        let r = row hotpath_file ~field:"kernels" ~key:"name" ~value:name in
+        ( kernel_band (Printf.sprintf "hotpath.%s.ns_per_op" name)
+            ~spread:(num hotpath_file r "spread"),
+          num hotpath_file r "ns_per_op" ))
+      (kernels ())
+
+(* A kernel is judged on the best of its readings: a regression slows
+   every reading, a slow phase of the host only some. *)
+let fresh () =
+  List.map (fun mode -> fst (alloc_row ~smoke:false mode)) alloc_modes
+  @ List.map
+      (fun k -> Array.fold_left Float.min infinity k.readings)
+      (measure_kernels gating)
+
+(* Re-measure every gated row the way the recording did and judge it.
+   [handicap] multiplies every fresh measurement, so the gate's failure
+   path is testable without a real regression. *)
+let check ~handicap ~baseline_dir =
   print_endline "Bench regression gate (--check)";
-  print_endline "===============================";
   if handicap <> 1.0 then
     Printf.printf "  synthetic handicap: %.2fx applied to fresh measurements\n"
       handicap;
-  let load name =
-    match G.load_json (Filename.concat baseline_dir name) with
-    | Ok doc -> doc
-    | Error msg ->
-        Printf.eprintf "bench --check: cannot load baseline %s: %s\n" name msg;
-        exit 2
+  let docs =
+    List.map
+      (fun file ->
+        match G.load_json (Filename.concat baseline_dir file) with
+        | Ok doc -> (file, doc)
+        | Error msg -> fail_baseline "cannot load baseline %s: %s" file msg)
+      [ alloc_file; hotpath_file ]
   in
-  let alloc_doc = load "BENCH_alloc.json" in
-  let hotpath_doc = load "BENCH_hotpath.json" in
-  let faults_doc = load "BENCH_faults.json" in
-  let baseline doc path =
-    match G.float_at doc path with
-    | Some v -> v
-    | None ->
-        Printf.eprintf "bench --check: baseline missing %s\n"
-          (String.concat "." path);
-        exit 2
+  List.iter check_recorded docs;
+  let rows = gated_rows docs in
+  let verdicts =
+    List.map2
+      (fun (band, baseline) measured ->
+        G.judge band ~baseline ~measured:(measured *. handicap))
+      rows (fresh ())
   in
-  let verdicts = ref [] in
-  let push v = verdicts := v :: !verdicts in
-  (* Allocation + throughput: min over a few repetitions of the exact
-     recording scenario.  Words-per-event is near-deterministic, so its
-     band is tight; wall clock gets the wide shared-vCPU band. *)
-  let reps = if smoke then 2 else 3 in
-  List.iter
-    (fun mode ->
-      let pooling = mode = "pooled" in
-      let words = ref infinity and eps = ref 0.0 in
-      for _ = 1 to reps do
-        let events, wall, gc, _ = reference_alloc_run ~horizon:30.0 ~pooling () in
-        let w = gc.gd_minor_words /. float_of_int (max 1 events) in
-        if w < !words then words := w;
-        let e = float_of_int events /. wall in
-        if e > !eps then eps := e
-      done;
-      let row =
-        match G.find_by alloc_doc ~field:"modes" ~key:"mode" ~value:mode with
-        | Some row -> row
-        | None ->
-            Printf.eprintf "bench --check: BENCH_alloc.json has no mode %S\n"
-              mode;
-            exit 2
-      in
-      push
-        (G.judge
-           (G.band ~slack:1.0 ~direction:G.Lower_better ~limit:1.25
-              (Printf.sprintf "alloc.%s.minor_words_per_event" mode))
-           ~baseline:(baseline row [ "minor_words_per_event" ])
-           ~measured:(!words *. handicap));
-      push
-        (G.judge
-           (G.band ~direction:G.Higher_better ~limit:1.6
-              (Printf.sprintf "alloc.%s.events_per_second" mode))
-           ~baseline:(baseline row [ "events_per_second" ])
-           ~measured:(!eps /. handicap)))
-    [ "unpooled"; "pooled" ];
-  (* Hot-path kernels: the same min-estimator the recording pass uses. *)
-  let batches = if smoke then 60 else 400 in
-  List.iter
-    (fun (name, _before, after) ->
-      let row =
-        match G.find_by hotpath_doc ~field:"kernels" ~key:"name" ~value:name with
-        | Some row -> row
-        | None ->
-            Printf.eprintf "bench --check: BENCH_hotpath.json has no kernel %S\n"
-              name;
-            exit 2
-      in
-      push
-        (G.judge
-           (G.band ~slack:50.0 ~direction:G.Lower_better ~limit:1.8
-              (Printf.sprintf "hotpath.%s.ns_per_op" name))
-           ~baseline:(baseline row [ "measured_ns_per_op" ])
-           ~measured:(measure_min ~batches after *. handicap)))
-    (hotpath_kernels ());
-  (* Fault-injection throughput: re-run the exact 20 s reference
-     scenario the recording pass measured, faults off and under the
-     default-budget chaos plan.  Wall-clock throughput on a shared vCPU
-     gets the same wide band as the allocation scenario's events/s. *)
-  List.iter
-    (fun (mode, schedule) ->
-      let row =
-        match G.find_by faults_doc ~field:"modes" ~key:"mode" ~value:mode with
-        | Some row -> row
-        | None ->
-            Printf.eprintf "bench --check: BENCH_faults.json has no mode %S\n"
-              mode;
-            exit 2
-      in
-      let eps = ref 0.0 in
-      for _ = 1 to reps do
-        let e = faults_reference_run ~horizon:20.0 schedule in
-        if e > !eps then eps := e
-      done;
-      push
-        (G.judge
-           (G.band ~direction:G.Higher_better ~limit:1.6
-              (Printf.sprintf "faults.%s.events_per_second" mode))
-           ~baseline:(baseline row [ "events_per_second" ])
-           ~measured:(!eps /. handicap)))
-    [ ("off", None);
-      ("chaos",
-       Some (faults_reference_chaos ~horizon:20.0 Faults.Chaos.default_budget))
-    ];
-  let verdicts = List.rev !verdicts in
   List.iter (fun v -> print_endline (G.render v)) verdicts;
   let ok = G.all_ok verdicts in
   print_endline (if ok then "\nbench --check: ok" else "\nbench --check: REGRESSION");
   ok
 
+(* --- command line ------------------------------------------------------- *)
+
 let () =
-  let argv = Sys.argv in
-  let smoke = Array.exists (( = ) "--smoke") argv in
-  let flag_value name default parse =
-    let v = ref default in
-    Array.iteri
-      (fun i a -> if a = name && i + 1 < Array.length argv then v := parse argv.(i + 1))
-      argv;
-    !v
+  let smoke = ref false and gate = ref false in
+  let handicap = ref None and baseline_dir = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--smoke" :: rest -> smoke := true; parse rest
+    | "--check" :: rest -> gate := true; parse rest
+    | "--check-handicap" :: f :: rest -> (
+        match float_of_string_opt f with
+        | Some f when Float.is_finite f && f >= 1.0 ->
+            handicap := Some f;
+            parse rest
+        | _ -> usage ())
+    | "--baseline" :: dir :: rest -> baseline_dir := Some dir; parse rest
+    | _ -> usage ()
   in
-  if Array.exists (( = ) "--check") argv then begin
-    let handicap = flag_value "--check-handicap" 1.0 float_of_string in
-    let baseline_dir = flag_value "--baseline" "." Fun.id in
-    exit (if check_gate ~smoke ~handicap ~baseline_dir then 0 else 1)
-  end;
-  let registry = Telemetry.Metrics.create () in
-  if smoke then begin
-    (* Compile-and-run check for the whole harness: tiny quotas, a short
-       simulation horizon, no reproduction pass and no JSON rewrites. *)
-    let eps = simulator_performance ~smoke registry in
-    tracing_overhead ~smoke registry;
-    fault_overhead ~smoke registry;
-    allocation ~smoke registry;
-    shard_scaling ~smoke registry;
-    run_benchmarks ~smoke registry;
-    hotpath ~smoke ~sim_events_per_second:eps
-  end
-  else begin
-    let results, serial, serial_gc = reproduction () in
-    parallel_comparison ~serial ~serial_gc results;
-    let eps = simulator_performance ~smoke registry in
-    tracing_overhead ~smoke registry;
-    fault_overhead ~smoke registry;
-    allocation ~smoke registry;
-    shard_scaling ~smoke registry;
-    run_benchmarks ~smoke registry;
-    hotpath ~smoke ~sim_events_per_second:eps;
-    write_json registry "BENCH_telemetry.json"
-  end
+  parse (List.tl (Array.to_list Sys.argv));
+  match (!gate, !smoke, !handicap, !baseline_dir) with
+  | true, false, handicap, dir ->
+      let handicap = Option.value handicap ~default:1.0 in
+      let baseline_dir = Option.value dir ~default:"." in
+      exit (if check ~handicap ~baseline_dir then 0 else 1)
+  | false, true, None, None ->
+      (* Cover the writer and the gate's reader without touching the
+         committed baselines: render, parse back, extract every row. *)
+      let docs =
+        List.map
+          (fun (file, doc) ->
+            let text = J.to_string doc in
+            match J.of_string text with
+            | Ok back when J.to_string back = text -> (file, back)
+            | _ -> failwith (file ^ " does not round-trip"))
+          (record ~smoke:true)
+      in
+      Printf.printf "\nsmoke: %d gated rows read back, no file written\n"
+        (List.length (gated_rows docs))
+  | false, false, None, None ->
+      List.iter
+        (fun (file, doc) ->
+          J.write_file file doc;
+          Printf.printf "wrote %s\n" file)
+        (record ~smoke:false)
+  | _ -> usage ()

@@ -2,8 +2,8 @@
 
    Every subcommand regenerates one table/figure of the dissertation's
    evaluation; the set of experiments, their descriptions and their
-   cost classes all come from Experiments.Registry (the same list
-   bench/main.exe and the odoc index use).  `all` runs the whole set —
+   cost classes all come from Experiments.Registry (the same list the
+   odoc index uses).  `all` runs the whole set —
    optionally on a pool of domains (--jobs) and merged into one JSON
    document (--json). *)
 
@@ -219,23 +219,15 @@ let trace_cmd =
          & info [] ~docv:"FILE" ~doc:"a trace file written by --trace-out")
   in
   let explain file =
-    match
-      let ( let* ) = Result.bind in
-      let* text =
-        try
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in ic)
-            (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-        with Sys_error msg -> Error msg
-      in
-      let* doc = Telemetry.Export.of_string (String.trim text) in
-      Telemetry.Trace_export.explain doc
-    with
-    | Ok report ->
-        print_string report;
-        `Ok ()
-    | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg)
+    (* read_file's errors already name the file. *)
+    match Telemetry.Export.read_file file with
+    | Error msg -> `Error (false, msg)
+    | Ok doc -> (
+        match Telemetry.Trace_export.explain doc with
+        | Ok report ->
+            print_string report;
+            `Ok ()
+        | Error msg -> `Error (false, Printf.sprintf "%s: %s" file msg))
   in
   let explain_cmd =
     Cmd.v

@@ -123,19 +123,17 @@ let postamble =
   {|
 {1 Reproduction}
 
-Run [dune exec bench/main.exe] (or [mrdetect all]) to regenerate every
-table and figure; [mrdetect all --jobs N] evaluates the suite on a pool
-of N domains with byte-identical output, and [--json FILE] merges the
-structured results into one JSON document.  The bench driver also
-writes the machine-readable performance artifacts — BENCH.json,
-BENCH_parallel.json, BENCH_telemetry.json, BENCH_faults.json,
-BENCH_shard.json and BENCH_alloc.json (the allocation-regression
-harness: steady-state minor/promoted words per event on the ring8
-reference scenario, unpooled vs pooled, with [Gc.quick_stat] deltas
-and {!Netsim.Pool} recycling counters; the [@alloc] test alias pins
-the same budget deterministically).  DESIGN.md in the repository
-root maps each experiment to its module and EXPERIMENTS.md records
-paper-vs-measured outcomes.
+Run [mrdetect all] to regenerate every table and figure;
+[mrdetect all --jobs N] evaluates the suite on a pool of N domains
+with byte-identical output, and [--json FILE] merges the structured
+results into one JSON document.  Performance numbers live in two
+places: [perfbench/] measures detector-deployed workloads end to end,
+and [bench/main.exe] records the kernel ns/op and allocation-per-event
+baselines (BENCH_hotpath.json, BENCH_alloc.json) that its [--check]
+mode gates; the [@alloc] test alias pins the steady-state allocation
+budget deterministically.  DESIGN.md in the repository root maps each
+experiment to its module and EXPERIMENTS.md records paper-vs-measured
+outcomes.
 |}
 
 let cost = function

@@ -1,14 +1,9 @@
 (* The original Int32-based SHA-256 kernel, kept verbatim as
    [Sha256_ref] after lib/crypto's hot-path rewrite.
 
-   It has two jobs:
-   - correctness oracle: the property tests check the optimized
-     [Sha256] byte-for-byte against this straightforward transcription
-     of FIPS 180-4, on top of the fixed published test vectors;
-   - honest baseline: bench/main.exe measures it in the same process
-     and run as the optimized kernel, so the before/after ratios in
-     BENCH_hotpath.json compare like with like instead of trusting
-     numbers recorded under a different machine load.
+   It is the correctness oracle: the property tests check the optimized
+   [Sha256] byte-for-byte against this straightforward transcription of
+   FIPS 180-4, on top of the fixed published test vectors.
 
    Do not optimize this module; its value is being boring. *)
 

@@ -1,8 +1,9 @@
 (* The bench regression gate (`bench --check`).
 
    Pure band arithmetic plus the JSON spelunking needed to pull baseline
-   numbers out of the recorded BENCH_*.json artifacts; the measuring
-   itself stays in bench/main.ml.  Kept as a library so the band logic
+   numbers out of recorded artifacts (BENCH_alloc.json,
+   BENCH_hotpath.json, perfbench's sets); the measuring itself stays in
+   bench/main.ml and perfbench/.  Kept as a library so the band logic
    is unit-testable without running a single benchmark.
 
    Wall-clock numbers on a shared vCPU are noisy in one direction per
@@ -61,20 +62,9 @@ let render v =
 
 module J = Telemetry.Export
 
-let load_json path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match J.of_string (String.trim text) with
-      | Ok doc -> Ok doc
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+let load_json = J.read_file
 
-(* Walk an object path, e.g. ["simulator"; "events_per_second"]. *)
+(* Walk an object path, e.g. ["recorded_seed"; "minor_words_per_event"]. *)
 let rec float_at doc = function
   | [] -> J.to_float doc
   | key :: rest -> Option.bind (J.member key doc) (fun v -> float_at v rest)

@@ -1,7 +1,8 @@
 (** The bench regression gate behind [bench --check].
 
     Band arithmetic and baseline-file spelunking for comparing fresh
-    benchmark measurements against the recorded BENCH_*.json artifacts.
+    benchmark measurements against recorded artifacts (BENCH_alloc.json,
+    BENCH_hotpath.json, and perfbench's sets).
     Bands are one-sided: a throughput metric only fails low, a latency
     or allocation metric only fails high — on a shared vCPU the noise
     direction is known per metric kind, so a symmetric band would either
@@ -42,9 +43,11 @@ val render : verdict -> string
 (** One aligned report line, ending in [ok] or [REGRESSION]. *)
 
 val load_json : string -> (Telemetry.Export.json, string) result
+(** {!Telemetry.Export.read_file}: a baseline document or a message
+    naming the file. *)
 
 val float_at : Telemetry.Export.json -> string list -> float option
-(** Walk an object path ([["simulator"; "events_per_second"]]). *)
+(** Walk an object path ([["recorded_seed"; "minor_words_per_event"]]). *)
 
 val find_by :
   Telemetry.Export.json ->

@@ -50,18 +50,7 @@ let of_metrics doc =
       Error (Printf.sprintf "expected an mrdetect-metrics-v1 document, got %S" other)
   | _ -> Error "not an mrdetect metrics document (no schema field)"
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text -> (
-      match J.of_string (String.trim text) with
-      | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-      | Ok doc -> of_metrics doc)
+let load path = Result.bind (J.read_file path) of_metrics
 
 (* --- HTML rendering --------------------------------------------------- *)
 

@@ -247,6 +247,14 @@ let of_string s =
   | exception Parse_error msg -> Error msg
   | exception Failure msg -> Error msg
 
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+      match of_string (String.trim text) with
+      | Ok doc -> Ok doc
+      | Error msg -> Error (Printf.sprintf "%s: %s" path msg))
+
 (* --- accessors for consumers of parsed documents --- *)
 
 let member key = function

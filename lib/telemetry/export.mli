@@ -28,6 +28,11 @@ val write_file : string -> json -> unit
 
 val of_string : string -> (json, string) result
 
+val read_file : string -> (json, string) result
+(** Parse a file holding one JSON document (surrounding whitespace
+    ignored).  The error is the [Sys_error] text when the file cannot be
+    read, and ["<path>: <parse error>"] when it does not parse. *)
+
 val member : string -> json -> json option
 (** Field lookup on an [Assoc]; [None] elsewhere. *)
 

@@ -367,7 +367,12 @@ let prop_hmac_key_sensitive =
   QCheck.Test.make ~name:"hmac distinguishes keys" ~count:200
     QCheck.(triple string string string)
     (fun (k1, k2, msg) ->
-      k1 = k2 || Sha256.hmac ~key:k1 msg <> Sha256.hmac ~key:k2 msg)
+      (* HMAC zero-pads keys up to the 64-byte block, so keys that differ
+         only in trailing zero bytes are the same key. *)
+      let padded k =
+        if String.length k > 64 then k else k ^ String.make (64 - String.length k) '\000'
+      in
+      padded k1 = padded k2 || Sha256.hmac ~key:k1 msg <> Sha256.hmac ~key:k2 msg)
 
 let () =
   Alcotest.run "crypto_sim"

@@ -8,7 +8,7 @@
      re-import with identical observable state, and the Prometheus
      rendering of a Hist uses exactly the registry histogram's le edges.
    - Benchgate band arithmetic: pass/fail on both sides of each
-     threshold, plus baseline-document spelunking. *)
+     threshold, plus baseline-document spelunking and the file reader. *)
 
 module Export = Telemetry.Export
 module Hist = Telemetry.Hist
@@ -248,7 +248,32 @@ let test_gate_baseline_lookup () =
         (Gate.float_at row [ "minor_words_per_event" ] = Some 10.6)
   | None -> Alcotest.fail "find_by missed");
   Alcotest.(check bool) "absent row" true
-    (Gate.find_by doc ~field:"modes" ~key:"mode" ~value:"unpooled" = None)
+    (Gate.find_by doc ~field:"modes" ~key:"mode" ~value:"unpooled" = None);
+  (* The file reader: a missing file, a malformed one, a padded good one. *)
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "no-such-baseline.json"
+  in
+  (match Gate.load_json missing with
+  | Error msg ->
+      Alcotest.(check string) "missing file" (missing ^ ": No such file or directory") msg
+  | Ok _ -> Alcotest.fail "loaded a missing file");
+  let with_file text f =
+    let path = Filename.temp_file "baseline" ".json" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  with_file "{\"modes\": [1,\n" (fun path ->
+      match Gate.load_json path with
+      | Error msg ->
+          Alcotest.(check bool) "malformed file names itself" true
+            (String.starts_with ~prefix:(path ^ ": ") msg)
+      | Ok _ -> Alcotest.fail "parsed a malformed file");
+  with_file ("\n " ^ Export.to_string doc ^ "\n") (fun path ->
+      match Gate.load_json path with
+      | Ok back ->
+          Alcotest.(check string) "padded file reads back" (Export.to_string doc)
+            (Export.to_string back)
+      | Error msg -> Alcotest.fail msg)
 
 let () =
   Alcotest.run "report"
