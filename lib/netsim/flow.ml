@@ -3,9 +3,13 @@ type t = { flow : int; mutable sent : int }
 let flow_id t = t.flow
 let sent t = t.sent
 
+(* Written so NaN fails every test: [nan <= 0.0] is false too. *)
 let check_args ~rate_pps ~size ~start ~stop =
-  if rate_pps <= 0.0 then invalid_arg "Flow: rate must be positive";
+  if not (rate_pps > 0.0 && Float.is_finite rate_pps) then
+    invalid_arg "Flow: rate must be positive and finite";
   if size <= 0 then invalid_arg "Flow: size must be positive";
+  if not (Float.is_finite start) || Float.is_nan stop then
+    invalid_arg "Flow: start must be finite and stop a number";
   if stop < start then invalid_arg "Flow: stop before start"
 
 (* Ticks run on the source node's data-plane sim (its shard under the

@@ -20,7 +20,9 @@ val cbr :
   stop:float ->
   t
 (** Constant spacing [1/rate_pps]; packets of [size] bytes.  Raises
-    [Invalid_argument] on non-positive rate/size or [stop < start]. *)
+    [Invalid_argument] on a rate that is not positive and finite (NaN
+    included), a non-positive size, a non-finite [start], a NaN [stop]
+    or [stop < start]; [stop] may be [infinity]. *)
 
 val poisson :
   Net.t ->
@@ -31,7 +33,8 @@ val poisson :
   start:float ->
   stop:float ->
   t
-(** Exponential inter-departure times with the given mean rate. *)
+(** Exponential inter-departure times with the given mean rate; the
+    arguments are checked as for {!cbr}. *)
 
 val delivered_counter : Net.t -> node:int -> flow:int -> (unit -> int)
 (** Attach a counting sink for a flow at a node; the returned thunk reads

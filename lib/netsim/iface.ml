@@ -17,19 +17,28 @@ type delivery =
   | Direct
   | Split of {
       rng : Random.State.t;
-      handoff : time:float -> rank:int -> prev:int -> Packet.t -> unit;
+      handoff : at:Sim.fbox -> rank:int -> prev:int -> Packet.t -> unit;
     }
 
 type t = {
   sim : Sim.t;
+  clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   link : Topology.Graph.link;
   queue : queue;
   delivery : delivery;
   on_event : t -> event -> unit;
   deliver : prev:int -> Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
+  (* The packet on the wire finishes at [tx_end] under the key
+     [tx_key], reserved when its serialization started.  The
+     transmission-end event is pushed with that key only once a packet
+     waits behind it ([txend_pending]); until then it is virtual, and
+     the interface is busy while the virtual event has not fired. *)
+  tx_end : Sim.fbox;
+  mutable tx_key : int;
+  mutable txend_pending : bool;
+  arrive_at : Sim.fbox;  (* scratch: the arrival time being scheduled *)
   mutable observe : bool;
-  mutable busy : bool;
   mutable up : bool;
   mutable corruption : float;
   (* Always-on per-interface counters (the dissertation's per-router
@@ -63,8 +72,9 @@ let create ~sim ~link ~kind ?(delivery = Direct) ?(release = no_release)
         in
         Red_q (Red.create ~params ~rng ())
   in
-  { sim; link; queue; delivery; on_event; deliver; release; observe = true;
-    busy = false; up = true;
+  { sim; clock = Sim.clock sim; link; queue; delivery; on_event; deliver; release;
+    tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
+    arrive_at = { Sim.f = 0.0 }; observe = true; up = true;
     corruption = 0.0; tx_packets = 0; tx_bytes = 0; delivered_packets = 0;
     dropped_packets = 0 }
 
@@ -97,57 +107,76 @@ let dequeue_exn t =
   | Fifo q -> Queue_fifo.dequeue_exn q
   | Red_q q -> Red.dequeue_exn q ~now:(Sim.now t.sim)
 
-(* Serialize the head packet; at transmission end start the next one; at
-   transmission end + propagation delay the packet reaches the
-   neighbour. *)
+let push_txend t =
+  t.txend_pending <- true;
+  Sim.schedule_ev_keyed t.sim ~at:t.tx_end ~key:t.tx_key ~tag:!tag_txend ~i:0
+    (Obj.repr t) Sim.nil
+
+(* Serialize the head packet; at transmission end + propagation delay
+   the packet reaches the neighbour. *)
+let transmit t =
+  let p = dequeue_exn t in
+  (* Busy while [on_event] runs.  The key is reserved after it, so every
+     event a listener schedules keeps the key it would have had if the
+     transmission-end event were pushed here. *)
+  t.txend_pending <- true;
+  t.tx_packets <- t.tx_packets + 1;
+  t.tx_bytes <- t.tx_bytes + p.Packet.size;
+  if t.observe then t.on_event t (Transmit_start p);
+  let now = t.clock.f in
+  let tx = float_of_int p.Packet.size /. t.link.Topology.Graph.bw in
+  t.tx_end.f <- now +. tx;
+  t.tx_key <- Sim.reserve_key t.sim;
+  (* Only a packet already waiting needs the transmission end to start
+     it; a zero-length transmission is pushed because a reserved event
+     must lie in the future. *)
+  if (not (queue_empty t)) || t.tx_end.f <= now then push_txend t
+  else t.txend_pending <- false;
+  match t.delivery with
+  | Direct ->
+      t.arrive_at.f <- now +. (tx +. t.link.Topology.Graph.delay);
+      Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive ~i:0 (Obj.repr t)
+        (Obj.repr p)
+  | Split { rng; handoff } ->
+      (* Sharded mode: the corruption coin is drawn now, from the
+         per-interface stream, and the receive step is handed off with a
+         rank drawn now — everything about the arrival is decided at
+         transmit-start, which is what gives the engine its lookahead
+         (the arrival lies at least one link latency in the future).
+         The owner-side arrival event keeps the counters and the wire
+         observation on this shard; the receive itself runs as its own
+         event on the neighbour's shard at the same instant.  When
+         nothing observes the network the owner-side event is elided
+         entirely — counters are settled here at transmit-start — which
+         is safe for every K at once because observation is a
+         whole-network property. *)
+      t.arrive_at.f <- now +. tx +. t.link.Topology.Graph.delay;
+      let corrupted =
+        t.corruption > 0.0 && Random.State.float rng 1.0 < t.corruption
+      in
+      if t.observe then begin
+        Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive_obs
+          ~i:(if corrupted then 1 else 0)
+          (Obj.repr t) (Obj.repr p);
+        if not corrupted then
+          handoff ~at:t.arrive_at ~rank:(Sim.reserve_key t.sim) ~prev:(owner t) p
+      end
+      else if corrupted then begin
+        t.dropped_packets <- t.dropped_packets + 1;
+        t.release p
+      end
+      else begin
+        t.delivered_packets <- t.delivered_packets + 1;
+        handoff ~at:t.arrive_at ~rank:(Sim.reserve_key t.sim) ~prev:(owner t) p
+      end
+
+(* Start the next transmission if the wire is free.  While a packet is
+   on it, a waiting packet needs the transmission-end event in the heap
+   to start it. *)
 let kick t =
-  if (not t.busy) && t.up && not (queue_empty t) then begin
-    let p = dequeue_exn t in
-        t.busy <- true;
-        t.tx_packets <- t.tx_packets + 1;
-        t.tx_bytes <- t.tx_bytes + p.Packet.size;
-        if t.observe then t.on_event t (Transmit_start p);
-        let tx = float_of_int p.Packet.size /. t.link.Topology.Graph.bw in
-        Sim.schedule_ev t.sim ~delay:tx ~tag:!tag_txend ~i:0 (Obj.repr t)
-          Sim.nil;
-        (match t.delivery with
-        | Direct ->
-            Sim.schedule_ev t.sim ~delay:(tx +. t.link.Topology.Graph.delay)
-              ~tag:!tag_arrive ~i:0 (Obj.repr t) (Obj.repr p)
-        | Split { rng; handoff } ->
-            (* Sharded mode: the corruption coin is drawn now, from the
-               per-interface stream, and the receive step is handed off
-               with a rank drawn now — everything about the arrival is
-               decided at transmit-start, which is what gives the engine
-               its lookahead (the arrival lies at least one link latency
-               in the future).  The owner-side arrival event keeps the
-               counters and the wire observation on this shard; the
-               receive itself runs as its own event on the neighbour's
-               shard at the same instant.  When nothing observes the
-               network the owner-side event is elided entirely —
-               counters are settled here at transmit-start — which is
-               safe for every K at once because observation is a
-               whole-network property. *)
-            let at = Sim.now t.sim +. tx +. t.link.Topology.Graph.delay in
-            let corrupted =
-              t.corruption > 0.0 && Random.State.float rng 1.0 < t.corruption
-            in
-            if t.observe then begin
-              Sim.schedule_ev_at t.sim ~time:at ~tag:!tag_arrive_obs
-                ~i:(if corrupted then 1 else 0)
-                (Obj.repr t) (Obj.repr p);
-              if not corrupted then
-                handoff ~time:at ~rank:(Sim.fresh_rank t.sim) ~prev:(owner t) p
-            end
-            else if corrupted then begin
-              t.dropped_packets <- t.dropped_packets + 1;
-              t.release p
-            end
-            else begin
-              t.delivered_packets <- t.delivered_packets + 1;
-              handoff ~time:at ~rank:(Sim.fresh_rank t.sim) ~prev:(owner t) p
-            end)
-  end
+  if (not t.txend_pending) && not (queue_empty t) then
+    if not (Sim.fired t.sim ~at:t.tx_end ~key:t.tx_key) then push_txend t
+    else if t.up then transmit t
 
 (* Direct-mode arrival: the coin comes from the simulation stream at the
    arrival instant, exactly as the classic engine always drew it. *)
@@ -180,7 +209,7 @@ let () =
   tag_txend :=
     Sim.new_tag (fun _ a _ _ ->
         let t : t = Obj.obj a in
-        t.busy <- false;
+        t.txend_pending <- false;
         kick t);
   tag_arrive :=
     Sim.new_tag (fun _ a b _ -> arrive_direct (Obj.obj a) (Obj.obj b));

@@ -5,7 +5,27 @@
     rate, and delivered to the neighbour after the propagation delay.
     Every observable transition is reported through an event callback;
     the monitoring layer builds its traffic information from these events
-    exactly as neighbours would observe them on the wire. *)
+    exactly as neighbours would observe them on the wire.
+
+    {2 Lazy transmission end}
+
+    Starting a transmission of [tx] seconds at time [t0] reserves the
+    key of its transmission-end event at ([t0 + tx]) with
+    {!Sim.reserve_key}, at the moment the event itself used to be
+    scheduled.  The event is pushed with that key only when a packet
+    waits behind the one on the wire — at transmit-start when the queue
+    is still non-empty, or at {!enqueue} while the interface is busy —
+    because only then does it have work to do (start the head of the
+    queue).  An uncongested hop therefore costs two heap events (the
+    router's post-jitter enqueue and the arrival), not three.
+
+    The interface is {e busy} while a pushed transmission-end event is
+    pending or the virtual one has not fired ({!Sim.fired}: [t0 + tx] is
+    still ahead, or it is now and its key sorts after the events run so
+    far at this instant).  Same-time ties therefore resolve exactly as
+    if the event had been in the heap all along: events, observations
+    and random draws happen in the same order, and only
+    {!Sim.events_processed} counts fewer events. *)
 
 type kind =
   | Droptail of int        (** drop-tail with the given byte limit *)
@@ -28,13 +48,14 @@ type delivery =
           inline. *)
   | Split of {
       rng : Random.State.t;
-      handoff : time:float -> rank:int -> prev:int -> Packet.t -> unit;
+      handoff : at:Sim.fbox -> rank:int -> prev:int -> Packet.t -> unit;
     }
       (** Sharded engine: the corruption coin comes from the given
           per-interface stream and is drawn at transmit-start; intact
-          packets are handed off (arrival time, deterministic event
-          rank, previous hop) so the engine can schedule the receive on
-          the destination router's shard.  The owner-side arrival event
+          packets are handed off (arrival time in a box the handoff must
+          not keep, deterministic event rank, previous hop) so the
+          engine can schedule the receive on the destination router's
+          shard.  The owner-side arrival event
           (counters + [Delivered]/[Drop_corrupted] observation) stays on
           this shard.  Deciding the arrival at transmit-start is what
           gives the shard engine its lookahead. *)

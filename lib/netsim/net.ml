@@ -203,6 +203,8 @@ let () =
 
 let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shards ?epoch
     ?(pooling = false) ?(poison = false) graph =
+  if not (Float.is_finite jitter_bound) then
+    invalid_arg "Net.create: jitter_bound must be finite";
   let n = Topology.Graph.size graph in
   let engine =
     match shards with
@@ -243,18 +245,13 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
   t.routers <-
     Array.init n (fun id ->
         let sim = node_sim id in
-        let jitter =
+        let rng =
           match engine with
-          | Single _ ->
-              fun () ->
-                if jitter_bound <= 0.0 then 0.0
-                else Random.State.float (Sim.rng sim) jitter_bound
+          | Single _ -> Sim.rng sim
           | Sharded _ ->
               (* Per-router stream: forwarding jitter must not depend on
                  how draws interleave across shards. *)
-              let rng = Random.State.make [| seed; id; 0x71e2 |] in
-              fun () ->
-                if jitter_bound <= 0.0 then 0.0 else Random.State.float rng jitter_bound
+              Random.State.make [| seed; id; 0x71e2 |]
         in
         let fresh_uid =
           match engine with
@@ -262,7 +259,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
           | Sharded _ -> Some (fun () -> fresh_uid t ~node:id)
         in
         let local_apps = t.apps.(id) in
-        Router.create ~sim ~id ~jitter ?fresh_uid ~release:(release_into id)
+        Router.create ~sim ~id ~n ~rng ~jitter_bound ?fresh_uid ~release:(release_into id)
           ~on_event:(fun r ev ->
             match engine with
             | Sharded sh when Shard.in_window () ->
@@ -302,8 +299,8 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
               (Iface.Split
                  { rng;
                    handoff =
-                     (fun ~time ~rank ~prev pkt ->
-                       Shard.post sh ~dest:dshard ~time ~rank ~tag:!tag_recv
+                     (fun ~at ~rank ~prev pkt ->
+                       Shard.post sh ~dest:dshard ~at ~rank ~tag:!tag_recv
                          ~i:prev rdst (Obj.repr pkt)) })
       in
       let rdst = t.routers.(dst) in

@@ -37,7 +37,8 @@ val create :
     outgoing link with the given queue discipline (default
     [Droptail 64000]).  [jitter_bound] is the per-packet processing delay
     upper bound, drawn uniformly (default 300 microseconds; pass 0. for a
-    perfectly deterministic forwarding plane).
+    perfectly deterministic forwarding plane); a non-finite bound raises
+    [Invalid_argument].
 
     [shards] selects the engine: absent or [0] runs the classic
     single-heap engine, byte-for-byte as before; [k >= 1] runs the

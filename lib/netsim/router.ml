@@ -29,13 +29,22 @@ type event =
 
 type t = {
   sim : Sim.t;
+  clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   id : int;
-  jitter : unit -> float;
+  (* Per-packet processing jitter, uniform in [0, jitter_bound), drawn
+     from [rng] in place: a [unit -> float] closure would box every
+     draw. *)
+  rng : Random.State.t;
+  jitter_bound : float;
+  enqueue_at : Sim.fbox;  (* scratch: when the jittered packet enqueues *)
   fresh_uid : unit -> int;
   on_event : t -> event -> unit;
   local_deliver : Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
+  (* Output interfaces by neighbour id: [by_next] is the per-hop lookup
+     (no hashing), [out] keeps the historical {!ifaces} order. *)
   out : (int, Iface.t) Hashtbl.t;
+  by_next : Iface.t option array;  (* one slot per router id *)
   mutable observe : bool;
   (* prev is the previous-hop router id, -1 for locally originated: the
      int encoding keeps the per-hop path free of option boxes.  The
@@ -53,13 +62,14 @@ type t = {
 
 let no_release (_ : Packet.t) = ()
 
-let create ~sim ~id ~jitter ?fresh_uid ?(release = no_release) ~on_event
+let create ~sim ~id ~n ~rng ~jitter_bound ?fresh_uid ?(release = no_release) ~on_event
     ~local_deliver () =
   let fresh_uid =
     match fresh_uid with Some f -> f | None -> fun () -> Sim.fresh_id sim
   in
-  { sim; id; jitter; fresh_uid; on_event; local_deliver; release;
-    out = Hashtbl.create 4; observe = true;
+  { sim; clock = Sim.clock sim; id; rng; jitter_bound; enqueue_at = { Sim.f = 0.0 };
+    fresh_uid; on_event; local_deliver; release;
+    out = Hashtbl.create 4; by_next = Array.make n None; observe = true;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
     received_packets = 0; forwarded_packets = 0; delivered_packets = 0 }
@@ -69,9 +79,15 @@ let set_observe t v = t.observe <- v
 
 let add_iface t iface =
   if Iface.owner iface <> t.id then invalid_arg "Router.add_iface: foreign interface";
-  Hashtbl.replace t.out (Iface.next_hop iface) iface
+  let next = Iface.next_hop iface in
+  if next < 0 || next >= Array.length t.by_next then
+    invalid_arg "Router.add_iface: neighbour id outside the network";
+  Hashtbl.replace t.out next iface;
+  t.by_next.(next) <- Some iface
 
-let iface_to t next = Hashtbl.find_opt t.out next
+let iface_to t next =
+  if next >= 0 && next < Array.length t.by_next then t.by_next.(next) else None
+
 let ifaces t = Hashtbl.fold (fun _ i acc -> i :: acc) t.out []
 
 let set_forwarding_id t f = t.forwarding <- f
@@ -86,7 +102,7 @@ let set_behavior t b = t.behavior <- b
 let add_multicast_route t ~group ~next_hops ~local =
   List.iter
     (fun nh ->
-      if not (Hashtbl.mem t.out nh) then
+      if iface_to t nh = None then
         invalid_arg "Router.add_multicast_route: no interface to a listed branch")
     next_hops;
   Hashtbl.replace t.mcast group (next_hops, local)
@@ -106,11 +122,15 @@ let () =
     Sim.new_tag (fun _ a b _ -> Iface.enqueue (Obj.obj a) (Obj.obj b))
 
 let enqueue_after_jitter t iface pkt =
-  let j = t.jitter () in
+  let j =
+    if t.jitter_bound <= 0.0 then 0.0 else Random.State.float t.rng t.jitter_bound
+  in
   if j <= 0.0 then Iface.enqueue iface pkt
-  else
-    Sim.schedule_ev t.sim ~delay:j ~tag:!tag_enqueue ~i:0 (Obj.repr iface)
+  else begin
+    t.enqueue_at.f <- t.clock.f +. j;
+    Sim.schedule_ev t.sim ~at:t.enqueue_at ~tag:!tag_enqueue ~i:0 (Obj.repr iface)
       (Obj.repr pkt)
+  end
 
 (* §7.4.4: splitting produces fresh packets whose fingerprints no
    upstream router ever announced. *)
@@ -140,10 +160,9 @@ let fragment_if_needed t ~next iface pkt =
   | Some _ | None -> enqueue_after_jitter t iface pkt
 
 let forward_one t ~prev ~next pkt =
-  match Hashtbl.find t.out next with
-  | exception Not_found ->
-      if t.observe then t.on_event t (No_route pkt) else t.release pkt
-  | iface ->
+  match iface_to t next with
+  | None -> if t.observe then t.on_event t (No_route pkt) else t.release pkt
+  | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
          forwarding plane its state, and building it costs boxes. *)
@@ -180,32 +199,30 @@ let forward_one t ~prev ~next pkt =
                 fragment_if_needed t ~next iface pkt)
       end
 
-let receive_prev t ~prev pkt =
-  t.received_packets <- t.received_packets + 1;
-  match Hashtbl.find_opt t.mcast pkt.Packet.dst with
-  | Some (branches, local) ->
-      (* Multicast: duplicate per branch (same identity, §7.4.3);
-         deliver locally if this router is a leaf. *)
-      let expired =
-        prev >= 0
-        && begin
-             pkt.Packet.ttl <- pkt.Packet.ttl - 1;
-             pkt.Packet.ttl <= 0
-           end
-      in
-      if expired then begin
-        if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
-      end
-      else begin
-        if local then begin
-          t.delivered_packets <- t.delivered_packets + 1;
-          if t.observe then t.on_event t (Delivered_local pkt);
-          t.local_deliver pkt
-        end;
-        List.iter (fun next -> forward_one t ~prev ~next (Packet.clone pkt)) branches;
-        t.release pkt
-      end
-  | None ->
+let multicast t ~prev pkt (branches, local) =
+  (* Duplicate per branch (same identity, §7.4.3); deliver locally if
+     this router is a leaf. *)
+  let expired =
+    prev >= 0
+    && begin
+         pkt.Packet.ttl <- pkt.Packet.ttl - 1;
+         pkt.Packet.ttl <= 0
+       end
+  in
+  if expired then begin
+    if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
+  end
+  else begin
+    if local then begin
+      t.delivered_packets <- t.delivered_packets + 1;
+      if t.observe then t.on_event t (Delivered_local pkt);
+      t.local_deliver pkt
+    end;
+    List.iter (fun next -> forward_one t ~prev ~next (Packet.clone pkt)) branches;
+    t.release pkt
+  end
+
+let unicast t ~prev pkt =
   if pkt.Packet.dst = t.id then begin
     t.delivered_packets <- t.delivered_packets + 1;
     if t.observe then t.on_event t (Delivered_local pkt);
@@ -232,6 +249,15 @@ let receive_prev t ~prev pkt =
       else forward_one t ~prev ~next pkt
     end
   end
+
+(* Routers outside every multicast tree skip the group lookup's hash. *)
+let receive_prev t ~prev pkt =
+  t.received_packets <- t.received_packets + 1;
+  if Hashtbl.length t.mcast = 0 then unicast t ~prev pkt
+  else
+    match Hashtbl.find_opt t.mcast pkt.Packet.dst with
+    | Some route -> multicast t ~prev pkt route
+    | None -> unicast t ~prev pkt
 
 let receive t ~prev pkt =
   receive_prev t ~prev:(match prev with None -> -1 | Some p -> p) pkt

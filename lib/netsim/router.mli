@@ -42,29 +42,43 @@ type t
 val create :
   sim:Sim.t ->
   id:int ->
-  jitter:(unit -> float) ->
+  n:int ->
+  rng:Random.State.t ->
+  jitter_bound:float ->
   ?fresh_uid:(unit -> int) ->
   ?release:(Packet.t -> unit) ->
   on_event:(t -> event -> unit) ->
   local_deliver:(Packet.t -> unit) ->
   unit ->
   t
-(** [jitter ()] is the per-packet processing delay (the source of the
-    queue-prediction error Protocol χ calibrates, §6.2.1).  [fresh_uid]
-    overrides the uid source for packets the router itself mints
-    (fragments); the sharded engine supplies a per-node stream so uids
-    are independent of cross-shard interleaving.  Defaults to the
-    simulation-global counter.  [release] (default: no-op) receives
-    packets that die at this router while the network is unobserved —
-    the pool-recycling hook. *)
+(** Router [id] of a network of [n] routers: neighbour ids lie in
+    [0 .. n-1], and the per-hop interface lookup is a read of an
+    [n]-slot array.
+
+    Every forwarded packet waits a processing delay drawn uniformly below
+    [jitter_bound] with [Random.State.float rng jitter_bound] (the
+    source of the queue-prediction error Protocol χ calibrates, §6.2.1);
+    a bound [<= 0] draws nothing and enqueues at once.  The draw happens
+    in place, so a hop boxes no float.  [rng] is the simulation stream
+    under the classic engine and a per-router stream under the sharded
+    one.  [fresh_uid] overrides the uid source for packets the router
+    itself mints (fragments); the sharded engine supplies a per-node
+    stream so uids are independent of cross-shard interleaving.
+    Defaults to the simulation-global counter.  [release] (default:
+    no-op) receives packets that die at this router while the network is
+    unobserved — the pool-recycling hook. *)
 
 val id : t -> int
 
 val add_iface : t -> Iface.t -> unit
 (** Register the output interface toward [Iface.next_hop].  Replaces any
-    previous interface to the same neighbour. *)
+    previous interface to the same neighbour.  Raises [Invalid_argument]
+    for an interface of another router or toward an id outside
+    [0 .. n-1]. *)
 
 val iface_to : t -> int -> Iface.t option
+(** The output interface toward a neighbour: an array read, no hashing. *)
+
 val ifaces : t -> Iface.t list
 
 val set_forwarding : t -> (prev:int option -> Packet.t -> int option) -> unit

@@ -37,10 +37,10 @@ type obs_rec = { at : float; rank : int; ix : int; obs : obs }
 
 (* A cross-shard handoff travels as a flat tagged-event descriptor, not
    a closure: the receive step is a registered {!Sim} tag plus two
-   payload words, so posting allocates one message record and nothing
-   else. *)
+   payload words, so posting allocates one message record and its time
+   box and nothing else. *)
 type msg = {
-  time : float;
+  time : Sim.fbox;
   rank : int;
   dest : int;
   tag : int;
@@ -198,20 +198,20 @@ let record t obs =
   Buf.push t.obs_bufs.(s)
     { at = Sim.now sim; rank = Sim.current_rank (); ix = Sim.next_obs_ix (); obs }
 
-let post t ~dest ~time ~rank ~tag ~i a b =
+let post t ~dest ~(at : Sim.fbox) ~rank ~tag ~i a b =
   let s = current () in
   if s = dest || s < 0 then
     (* Same shard, or coordinator context at a barrier: the destination
        heap is not being mutated by anyone else — schedule directly. *)
-    Sim.schedule_ev_ranked t.sims.(dest) ~time ~rank ~tag ~i a b
-  else Mailbox.push t.outbox.(s) { time; rank; dest; tag; i; a; b }
+    Sim.schedule_ev_keyed t.sims.(dest) ~at ~key:rank ~tag ~i a b
+  else Mailbox.push t.outbox.(s) { time = { Sim.f = at.f }; rank; dest; tag; i; a; b }
 
 let drain_mailboxes t =
   Array.iter
     (fun box ->
       Mailbox.drain box (fun m ->
-          Sim.schedule_ev_ranked t.sims.(m.dest) ~time:m.time ~rank:m.rank
-            ~tag:m.tag ~i:m.i m.a m.b))
+          Sim.schedule_ev_keyed t.sims.(m.dest) ~at:m.time ~key:m.rank ~tag:m.tag
+            ~i:m.i m.a m.b))
     t.outbox
 
 let data_min t =
@@ -323,10 +323,7 @@ let window t pool ~until ~inclusive =
       in
       Array.iter await workers;
       (match inline_err with Some e -> raise e | None -> ());
-      Array.iter (fun w -> match w.err with Some e -> w.err <- None; raise e | None -> ()) workers);
-  (* A window leaves every shard clock at [until]; scheduling done at
-     the barrier (control plane, mailbox drains) sees one global time. *)
-  Array.iter (fun sim -> Sim.set_time sim until) t.sims
+      Array.iter (fun w -> match w.err with Some e -> w.err <- None; raise e | None -> ()) workers)
 
 let obs_key r = (r.at, r.rank, r.ix)
 
@@ -368,7 +365,7 @@ let flush t ~boundary ~emit =
   in
   loop ();
   Array.iter Buf.clear t.obs_bufs;
-  Sim.set_time t.ctrl boundary
+  Sim.settle t.ctrl ~until:boundary ~inclusive:true
 
 (* Advance every shard to [boundary], then flush.  [final] switches the
    last window to inclusive and keeps looping until no event <= boundary
@@ -386,7 +383,10 @@ let advance_to t pool ~boundary ~final ~emit =
     end
     else continue := false
   done;
-  Array.iter (fun sim -> Sim.set_time sim boundary) t.sims;
+  (* Every shard has now run everything before the boundary (and, in
+     the final call, at it): scheduling at the barrier (control plane,
+     mailbox drains) sees one global time. *)
+  Array.iter (fun sim -> Sim.settle sim ~until:boundary ~inclusive:final) t.sims;
   t.epochs <- t.epochs + 1;
   flush t ~boundary ~emit
 

@@ -95,14 +95,15 @@ val record : t -> obs -> unit
 
 val post :
   t ->
-  dest:int -> time:float -> rank:int -> tag:int -> i:int ->
+  dest:int -> at:Sim.fbox -> rank:int -> tag:int -> i:int ->
   Obj.t -> Obj.t -> unit
 (** Schedule a tagged event ({!Sim.new_tag}) onto shard [dest]'s heap:
     directly when the caller is [dest] itself or the coordinator at a
-    barrier, through the calling shard's mailbox otherwise.  The flat
-    descriptor replaces the closure the handoff used to box:
-    [time]/[rank] were computed by the sender (at transmit-start), so
-    the destination key is identical for every K. *)
+    barrier, through the calling shard's mailbox otherwise (the message
+    copies [at], so the caller may reuse the box).  The flat descriptor
+    replaces the closure the handoff used to box: [at]/[rank] were
+    computed by the sender (at transmit-start), so the destination key
+    is identical for every K. *)
 
 val run :
   ?until:float -> ?on_epoch:(now:float -> unit) -> t -> emit:(obs_rec -> unit) -> unit
@@ -113,7 +114,10 @@ val run :
     flush with the boundary time.  Subsequent calls continue the epoch
     grid, so splitting one horizon into several calls at epoch-aligned
     points preserves determinism.  An exception raised by any shard or
-    control event is re-raised here after the workers quiesce. *)
+    control event is re-raised here after the workers quiesce.
+    Quiescence counts heap events only: a transmission end that was
+    never needed ({!Iface}'s lazy one, after an unobserved packet was
+    corrupted in flight) holds no epoch open. *)
 
 val events_processed : t -> int
 (** Events executed, summed over shard heaps and the control heap. *)

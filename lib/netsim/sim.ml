@@ -72,8 +72,15 @@ end
 
 module Ev = Prioq.Event
 
+type fbox = Ev.fbox = { mutable f : float }
+
 type t = {
-  clock : Ev.fbox;       (* flat box: advancing the clock never allocates *)
+  clock : fbox;          (* flat box: advancing the clock never allocates *)
+  (* Every event before [clock], and every event at [clock] whose key is
+     at most [done_key], has run: the watermark {!fired} compares an
+     unpushed event against. *)
+  mutable done_key : int;
+  scratch : fbox;        (* a time on its way into the heap *)
   events : Ev.t;
   cursor : Ev.cursor;    (* reused by every pop of this heap *)
   rng : Random.State.t;
@@ -108,49 +115,61 @@ let new_tag f =
 let nil = Ev.nil
 
 let create ?(seed = 1) ?(det = false) () =
-  { clock = { Ev.f = 0.0 }; events = Ev.create (); cursor = Ev.cursor ();
+  { clock = { f = 0.0 }; done_key = min_int; scratch = { f = 0.0 };
+    events = Ev.create (); cursor = Ev.cursor ();
     rng = Random.State.make [| seed; 0x51a7 |];
     processed = 0; next_id = 0; run_cpu = 0.0; det }
 
-let now t = t.clock.Ev.f
+let now t = t.clock.f
+let clock t = t.clock
 let rng t = t.rng
 
 (* --- scheduling ----------------------------------------------------- *)
 
-let past_check t time what =
-  if time < t.clock.Ev.f -. 1e-12 then
+let reserve_key t = if t.det then Det.fresh_rank () else Ev.reserve t.events
+
+let fired t ~(at : fbox) ~key =
+  let x = at.f and now = t.clock.f in
+  x < now || (x = now && key <= t.done_key)
+
+(* Only the failure path formats (and so boxes) the time. *)
+let bad_time t what x =
+  if x -. x <> 0.0 then invalid_arg (Printf.sprintf "%s: non-finite time %g" what x)
+  else
     invalid_arg
-      (Printf.sprintf "%s: time %.9f is in the past (now %.9f)" what time
-         t.clock.Ev.f)
+      (Printf.sprintf "%s: time %.9f is in the past (now %.9f)" what x t.clock.f)
 
-let schedule_ev_at t ~time ~tag ~i a b =
-  past_check t time "Sim.schedule_at";
-  let time = Float.max time t.clock.Ev.f in
-  if t.det then
-    Ev.push_ranked t.events ~time ~rank:(Det.fresh_rank ()) ~tag ~iarg:i a b
-  else Ev.push t.events ~time ~tag ~iarg:i a b
+let check t (at : fbox) what =
+  let x = at.f in
+  if not (x -. x = 0.0 && x >= t.clock.f -. 1e-12) then bad_time t what x
 
-let schedule_ev t ~delay ~tag ~i a b =
-  if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_ev_at t ~time:(t.clock.Ev.f +. delay) ~tag ~i a b
+(* Insert at [at] raised to now (a time within 1e-12 before now passes
+   {!check}); [at] may be [t.scratch] itself. *)
+let push t (at : fbox) ~key ~tag ~i a b =
+  let x = at.f and now = t.clock.f in
+  t.scratch.f <- (if x > now then x else now);
+  Ev.push_keyed t.events ~at:t.scratch ~key ~tag ~iarg:i a b
 
-let schedule_ev_ranked t ~time ~rank ~tag ~i a b =
-  past_check t time "Sim.schedule_ranked";
-  Ev.push_ranked t.events ~time:(Float.max time t.clock.Ev.f) ~rank ~tag
-    ~iarg:i a b
+let schedule_ev t ~at ~tag ~i a b =
+  check t at "Sim.schedule_ev";
+  push t at ~key:(reserve_key t) ~tag ~i a b
+
+let schedule_ev_keyed t ~at ~key ~tag ~i a b =
+  check t at "Sim.schedule_ev_keyed";
+  push t at ~key ~tag ~i a b
 
 let schedule_at t ~time thunk =
-  schedule_ev_at t ~time ~tag:0 ~i:0 (Obj.repr thunk) nil
+  t.scratch.f <- time;
+  check t t.scratch "Sim.schedule_at";
+  push t t.scratch ~key:(reserve_key t) ~tag:0 ~i:0 (Obj.repr thunk) nil
 
 let schedule t ~delay thunk =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_ev_at t ~time:(t.clock.Ev.f +. delay) ~tag:0 ~i:0 (Obj.repr thunk)
-    nil
+  if delay -. delay <> 0.0 then invalid_arg "Sim.schedule: non-finite delay";
+  t.scratch.f <- t.clock.f +. delay;
+  check t t.scratch "Sim.schedule";
+  push t t.scratch ~key:(reserve_key t) ~tag:0 ~i:0 (Obj.repr thunk) nil
 
-let schedule_ranked t ~time ~rank thunk =
-  schedule_ev_ranked t ~time ~rank ~tag:0 ~i:0 (Obj.repr thunk) nil
-
-let fresh_rank _t = Det.fresh_rank ()
 let reset_det_context () = Det.reset ()
 let current_rank () = (Det.ctx ()).parent
 
@@ -173,7 +192,10 @@ let dispatch t (c : Ev.cursor) =
   else (Array.unsafe_get !handlers tag) t a b c.Ev.iarg
 
 let exec t (c : Ev.cursor) =
-  t.clock.Ev.f <- c.Ev.time.Ev.f;
+  let time = c.Ev.time.f and key = c.Ev.key_out in
+  (* Ranks are not monotone within an instant, so keep the largest. *)
+  if time > t.clock.f || key > t.done_key then t.done_key <- key;
+  t.clock.f <- time;
   t.processed <- t.processed + 1;
   if t.det then begin
     Det.enter c.Ev.key_out;
@@ -185,6 +207,15 @@ let exec t (c : Ev.cursor) =
   end
   else dispatch t c
 
+(* Everything before [until] has run, and everything at [until] too
+   when [inclusive]: move the clock and the watermark there. *)
+let settle t ~until ~inclusive =
+  if until > t.clock.f then begin
+    t.clock.f <- until;
+    t.done_key <- (if inclusive then max_int else min_int)
+  end
+  else if inclusive && until = t.clock.f then t.done_key <- max_int
+
 let run ?until t =
   let cpu0 = Sys.time () in
   let limit = match until with None -> Float.infinity | Some u -> u in
@@ -193,9 +224,7 @@ let run ?until t =
     exec t c
   done;
   t.run_cpu <- t.run_cpu +. (Sys.time () -. cpu0);
-  match until with
-  | Some u when u > t.clock.Ev.f -> t.clock.Ev.f <- u
-  | _ -> ()
+  match until with Some u -> settle t ~until:u ~inclusive:true | None -> ()
 
 let run_window t ~until ~inclusive =
   let cpu0 = Sys.time () in
@@ -204,15 +233,13 @@ let run_window t ~until ~inclusive =
     exec t c
   done;
   t.run_cpu <- t.run_cpu +. (Sys.time () -. cpu0);
-  if until > t.clock.Ev.f then t.clock.Ev.f <- until
+  settle t ~until ~inclusive
 
 let next_key t = Ev.peek_key t.events
 
 let run_next t =
   if Ev.pop t.events ~until:Float.infinity ~strict:false t.cursor then
     exec t t.cursor
-
-let set_time t time = if time > t.clock.Ev.f then t.clock.Ev.f <- time
 
 let events_processed t = t.processed
 let pending t = Ev.length t.events

@@ -23,6 +23,11 @@
 
 type t
 
+type fbox = Prioq.Event.fbox = { mutable f : float }
+(** A flat float box.  Hot-path callers pass absolute times in these:
+    the dev profile compiles with [-opaque], so nothing is inlined across
+    modules and a float argument or result would be boxed per call. *)
+
 val create : ?seed:int -> ?det:bool -> unit -> t
 (** Fresh simulation at time 0.  [det] (default [false]) switches on
     deterministic-rank event keys; see the module preamble. *)
@@ -30,26 +35,22 @@ val create : ?seed:int -> ?det:bool -> unit -> t
 val now : t -> float
 (** Current simulation time in seconds. *)
 
+val clock : t -> fbox
+(** The live clock itself: [(clock t).f] is {!now} without a boxed
+    result.  Read-only — writing it corrupts the simulation. *)
+
 val rng : t -> Random.State.t
 (** The simulation's random state (single source of randomness for the
     classic engine; the sharded engine gives data-plane entities their
     own derived streams instead). *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Run a thunk [delay] seconds from now ([delay >= 0]). *)
+(** Run a thunk [delay] seconds from now.  Raises [Invalid_argument]
+    for a negative or non-finite delay. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
-(** Run a thunk at an absolute time (must not be in the past). *)
-
-val schedule_ranked : t -> time:float -> rank:int -> (unit -> unit) -> unit
-(** Schedule with an explicit, caller-computed rank — how a cross-shard
-    handoff lands an event in the destination shard's heap with the rank
-    drawn on the source shard (so the key is K-invariant). *)
-
-val fresh_rank : t -> int
-(** Draw the next deterministic rank from the calling domain's context
-    (the executing event's child counter, or the root counter outside
-    events).  Only meaningful for [~det:true] simulations. *)
+(** Run a thunk at an absolute time.  Raises [Invalid_argument] for a
+    time in the past or a non-finite one. *)
 
 val run : ?until:float -> t -> unit
 (** Process events until the queue is empty or the clock passes [until].
@@ -70,10 +71,12 @@ val next_key : t -> (float * int) option
 val run_next : t -> unit
 (** Execute exactly the earliest pending event (no-op when idle). *)
 
-val set_time : t -> float -> unit
-(** Advance the clock to the given time if it is ahead of the current
-    clock (never moves it backwards); the coordinator pins every shard
-    clock to the epoch boundary between windows. *)
+val settle : t -> until:float -> inclusive:bool -> unit
+(** Declare every event before [until] run ([<= until] when
+    [inclusive]) — the caller guarantees none is pending — and advance
+    the clock there if it is behind (never backwards); {!fired} then
+    answers accordingly.  The coordinator pins every shard clock to the
+    epoch boundary this way between windows. *)
 
 val events_processed : t -> int
 (** Total number of events executed so far. *)
@@ -107,13 +110,16 @@ val next_obs_ix : unit -> int
 
 (** {2 Tagged events (the zero-allocation scheduling path)}
 
-    The engine's hot events — queue kicks, transmissions, arrivals,
-    post-jitter enqueues — are scheduled as an int tag plus two uniform
-    payload slots straight into the flat event heap ({!Prioq.Event}),
-    instead of boxing a closure per event.  A tag names a handler
-    registered once at module-initialization time; the handler owns the
-    typing discipline for the payload slots of its tag.  The closure
-    API above remains for cold-path and control-plane work (tag 0). *)
+    The engine's hot events — transmission ends, arrivals, post-jitter
+    enqueues, cross-shard receives — are scheduled as an int tag plus
+    two uniform payload slots straight into the flat event heap
+    ({!Prioq.Event}), instead of boxing a closure per event.  A tag
+    names a handler registered once at module-initialization time; the
+    handler owns the typing discipline for the payload slots of its
+    tag.  Times travel in an {!fbox}, so scheduling allocates nothing.
+    The closure API above remains for cold-path and control-plane work
+    (tag 0).  Every entry point raises [Invalid_argument] for a time in
+    the past or a non-finite one, before drawing a key. *)
 
 val new_tag : (t -> Obj.t -> Obj.t -> int -> unit) -> int
 (** Register an event handler and return its tag.  Must be called at
@@ -124,12 +130,39 @@ val new_tag : (t -> Obj.t -> Obj.t -> int -> unit) -> int
 val nil : Obj.t
 (** Empty payload slot. *)
 
-val schedule_ev : t -> delay:float -> tag:int -> i:int -> Obj.t -> Obj.t -> unit
-(** [schedule delay] for a tagged event; allocates nothing. *)
+val schedule_ev : t -> at:fbox -> tag:int -> i:int -> Obj.t -> Obj.t -> unit
+(** A tagged event at absolute time [at.f], keyed like any other event
+    scheduled now (the next sequence number, or a fresh rank). *)
 
-val schedule_ev_at : t -> time:float -> tag:int -> i:int -> Obj.t -> Obj.t -> unit
-(** [schedule_at] for a tagged event. *)
+(** {2 Reserved keys (events scheduled only if needed)}
 
-val schedule_ev_ranked :
-  t -> time:float -> rank:int -> tag:int -> i:int -> Obj.t -> Obj.t -> unit
-(** [schedule_ranked] for a tagged event (cross-shard handoffs). *)
+    A caller that may or may not need an event at a known time T — the
+    interface's transmission end, needed only when a packet waits behind
+    the one on the wire — reserves its key at the moment it would have
+    scheduled it, and pushes it later with {!schedule_ev_keyed} only if
+    the need arises while {!fired} is still false.  Every other event
+    keeps exactly the key it would have had, so the run pops in the same
+    order as if the event had been scheduled up front; an event that is
+    never needed costs no heap operation and is counted by neither
+    {!events_processed} nor {!pending}.  T must lie strictly after the
+    time of reservation. *)
+
+val reserve_key : t -> int
+(** Claim the key the next scheduled event would get: the next
+    insertion sequence number (classic engine) or a fresh deterministic
+    rank from the calling domain's context ([~det:true]; also the rank a
+    cross-shard handoff carries). *)
+
+val fired : t -> at:fbox -> key:int -> bool
+(** Whether an event at ([at.f], [key]) would already have run: its
+    time is before now, or it is now and its key is at most the largest
+    key run at this instant (inside an event), or the engine has
+    finished this instant ({!run} or an inclusive {!run_window} stopped
+    here).  Allocates nothing. *)
+
+val schedule_ev_keyed :
+  t -> at:fbox -> key:int -> tag:int -> i:int -> Obj.t -> Obj.t -> unit
+(** A tagged event with a caller-supplied key: one from {!reserve_key},
+    or a rank drawn on another shard (cross-shard handoffs land in the
+    destination heap with the rank drawn at the source, so the key is
+    K-invariant). *)

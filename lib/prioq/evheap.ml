@@ -23,6 +23,13 @@
    Prioq stale-reference contract).  Free handles form a freelist
    threaded through their own first cell as an immediate int. *)
 
+(* A flat float box: an all-float record is stored unboxed, so reading
+   or writing [f] never allocates (a mutable float field in a mixed
+   record would allocate a fresh box per store on the non-flambda
+   compiler).  Hot-path event times travel in these, not as float
+   arguments. *)
+type fbox = { mutable f : float }
+
 type t = {
   mutable prio : float array;
   mutable key : int array;
@@ -33,14 +40,10 @@ type t = {
   mutable fresh : int; (* next never-used handle *)
   mutable size : int;
   mutable next_seq : int;
+  scratch : fbox; (* [push]'s time, handed on to [push_keyed] *)
 }
 
-(* Popped-event cursor.  [time] is an all-float box so reading an
-   event's time out of the heap stores an unboxed float (a mutable
-   float field in this mixed record would allocate a fresh box per
-   pop on the non-flambda compiler). *)
-type fbox = { mutable f : float }
-
+(* Popped-event cursor; [time] is an fbox so a pop stores it unboxed. *)
 type cursor = {
   time : fbox;
   mutable key_out : int;
@@ -57,7 +60,7 @@ let cursor () =
 
 let create () =
   { prio = [||]; key = [||]; meta = [||]; hnd = [||]; slots = [||];
-    free = -1; fresh = 0; size = 0; next_seq = 0 }
+    free = -1; fresh = 0; size = 0; next_seq = 0; scratch = { f = 0.0 } }
 
 let length t = t.size
 let is_empty t = t.size = 0
@@ -105,7 +108,11 @@ let grow t =
     t.slots <- slots
   end
 
-let push_key t k ~time ~tag ~iarg pa pb =
+(* The time arrives in a flat box and is read once into a local: a
+   float argument would be boxed at every call, since nothing here is
+   inlined across modules. *)
+let push_keyed t ~(at : fbox) ~key:k ~tag ~iarg pa pb =
+  let time = at.f in
   grow t;
   let h = acquire t in
   Array.unsafe_set t.slots (2 * h) pa;
@@ -133,13 +140,14 @@ let push_key t k ~time ~tag ~iarg pa pb =
   Array.unsafe_set meta !i m;
   Array.unsafe_set hnd !i h
 
-let push t ~time ~tag ~iarg pa pb =
+let reserve t =
   let sq = t.next_seq in
   t.next_seq <- sq + 1;
-  push_key t sq ~time ~tag ~iarg pa pb
+  sq
 
-let push_ranked t ~time ~rank ~tag ~iarg pa pb =
-  push_key t rank ~time ~tag ~iarg pa pb
+let push t ~time ~tag ~iarg pa pb =
+  t.scratch.f <- time;
+  push_keyed t ~at:t.scratch ~key:(reserve t) ~tag ~iarg pa pb
 
 let peek_key t = if t.size = 0 then None else Some (t.prio.(0), t.key.(0))
 

@@ -22,8 +22,10 @@
 type t
 
 type fbox = { mutable f : float }
-(** Single-field float record: flat storage, so writing through it does
-    not box. *)
+(** Single-field float record: flat storage, so reading or writing [f]
+    does not box.  Event times cross module boundaries in these: the
+    dev profile compiles with [-opaque], so no cross-module call is
+    inlined and every float argument would be boxed. *)
 
 type cursor = {
   time : fbox;          (** event time (unboxed store) *)
@@ -49,15 +51,23 @@ val is_empty : t -> bool
 val capacity : t -> int
 (** Backing-array capacity; {!clear} keeps it. *)
 
-val push : t -> time:float -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
-(** Insert an event; ties at equal time pop in insertion order.
-    [tag] must fit 8 bits and [iarg] must be non-negative (they share a
-    packed descriptor word). *)
+val reserve : t -> int
+(** Claim the next insertion sequence number without inserting: the key
+    an event pushed now by {!push} would get.  {!push_keyed} can insert
+    it later, and the event then pops exactly where it would have had it
+    been pushed at reservation time. *)
 
-val push_ranked :
-  t -> time:float -> rank:int -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
-(** Insert with a caller-supplied tie-break rank instead of a sequence
-    number (the sharded engine's deterministic event order). *)
+val push : t -> time:float -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
+(** Insert an event with the next sequence number ({!reserve}); ties at
+    equal time pop in insertion order.  [tag] must fit 8 bits and [iarg]
+    must be non-negative (they share a packed descriptor word). *)
+
+val push_keyed :
+  t -> at:fbox -> key:int -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
+(** Insert at time [at.f] with a caller-supplied tie-break key: a
+    reserved sequence number, or the sharded engine's deterministic
+    rank.  The time travels in a flat box so the call allocates
+    nothing even where it is not inlined. *)
 
 val pop : t -> until:float -> strict:bool -> cursor -> bool
 (** Pop the minimum element into the cursor when its time is within the

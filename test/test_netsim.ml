@@ -6,6 +6,12 @@ module G = Topology.Graph
 module Gen = Topology.Generate
 module Rt = Topology.Routing
 
+let line_net ?(jitter_bound = 0.0) ?(queue = Net.Droptail 64000) n =
+  let g = Gen.line ~n in
+  let net = Net.create ~queue ~jitter_bound g in
+  Net.use_routing net (Rt.compute g);
+  net
+
 (* --- Sim --- *)
 
 let test_sim_ordering () =
@@ -62,6 +68,38 @@ let test_sim_rejects_past () =
            false
          with Invalid_argument _ -> true));
   Sim.run sim
+
+(* A NaN delay passes [delay < 0.0] and the past-time check, and used to
+   reach the heap as a NaN time: delays [1; nan; 2; 3] then ran in the
+   order 1, 3, 2, nan and left the clock at nan.  Non-finite times and
+   delays are rejected at every entry point instead. *)
+let test_sim_rejects_non_finite () =
+  let sim = Sim.create () in
+  let ran = ref [] in
+  List.iter
+    (fun d ->
+      match Sim.schedule sim ~delay:d (fun () -> ran := d :: !ran) with
+      | () -> ()
+      | exception Invalid_argument _ -> ())
+    [ 1.0; nan; 2.0; 3.0 ];
+  Sim.run sim;
+  Alcotest.(check (list (float 0.0))) "finite delays run in order" [ 1.0; 2.0; 3.0 ]
+    (List.rev !ran);
+  Alcotest.(check (float 0.0)) "clock stays finite" 3.0 (Sim.now sim);
+  let rejects name f =
+    Alcotest.(check bool) (name ^ " rejected") true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "infinite delay" (fun () -> Sim.schedule sim ~delay:infinity ignore);
+  rejects "NaN time" (fun () -> Sim.schedule_at sim ~time:nan ignore);
+  rejects "infinite time" (fun () -> Sim.schedule_at sim ~time:infinity ignore);
+  let net = line_net 2 in
+  rejects "NaN CBR rate" (fun () ->
+      ignore (Flow.cbr net ~src:0 ~dst:1 ~rate_pps:nan ~size:500 ~start:0.0 ~stop:1.0));
+  rejects "NaN Poisson rate" (fun () ->
+      ignore (Flow.poisson net ~src:0 ~dst:1 ~rate_pps:nan ~size:500 ~start:0.0 ~stop:1.0));
+  rejects "NaN jitter bound" (fun () -> ignore (Net.create ~jitter_bound:nan (Gen.line ~n:2)));
+  Alcotest.(check int) "nothing left queued" 0 (Sim.pending sim)
 
 let test_sim_fresh_ids () =
   let sim = Sim.create () in
@@ -215,12 +253,6 @@ let test_iface_serialization () =
   | _ -> Alcotest.fail "expected two deliveries"
 
 (* --- network-level --- *)
-
-let line_net ?(jitter_bound = 0.0) ?(queue = Net.Droptail 64000) n =
-  let g = Gen.line ~n in
-  let net = Net.create ~queue ~jitter_bound g in
-  Net.use_routing net (Rt.compute g);
-  net
 
 let test_net_end_to_end () =
   let net = line_net 4 in
@@ -600,6 +632,90 @@ let test_tcp_receiver_reordering () =
   Alcotest.(check bool) "finished despite reordering" true (Tcp.finished conn);
   Alcotest.(check int) "exact bytes" 200_000 (Tcp.bytes_acked conn)
 
+(* --- lazy transmission end --- *)
+
+(* Exact same-time ties everywhere: 512-byte packets serialize in
+   exactly 2^-11 s on 2^20 B/s links with 2^-9 s latency, CBR gaps are
+   powers of two, and every sum stays exact, so transmission ends land
+   on generator ticks, arrivals and other transmission ends, and two
+   flows overload some links so packets queue behind the wire.  Returns
+   the probe journal plus every router's delivery order. *)
+let tie_scenario ?shards () =
+  let n = 6 in
+  let g = G.create ~n in
+  for i = 0 to n - 1 do
+    G.add_duplex g ~bw:1048576.0 ~delay:(1.0 /. 512.0) i ((i + 1) mod n)
+  done;
+  let net = Net.create ~seed:3 ~jitter_bound:0.0 ?shards g in
+  Net.use_routing net (Rt.compute g);
+  let probe = Probe.create ~journal_capacity:1_000_000 () in
+  Net.set_probe net (Some probe);
+  let deliveries = Array.make n [] in
+  for node = 0 to n - 1 do
+    Net.attach_app net ~node (fun pkt ->
+        deliveries.(node) <- (pkt.Packet.flow, pkt.Packet.uid) :: deliveries.(node))
+  done;
+  let gap = 1.0 /. 2048.0 in
+  let flows =
+    List.map
+      (fun (src, dst, rate, size, start) ->
+        Flow.cbr net ~src ~dst ~rate_pps:rate ~size ~start ~stop:0.25)
+      [ (0, 3, 2048.0, 512, 0.0); (1, 4, 1024.0, 1024, 2.0 *. gap);
+        (2, 0, 512.0, 512, 4.0 *. gap); (5, 2, 2048.0, 512, gap);
+        (3, 1, 1024.0, 512, 0.0); (4, 1, 2048.0, 512, 3.0 *. gap) ]
+  in
+  Net.run ~until:0.3 net;
+  let buf = Buffer.create 1_000_000 in
+  Telemetry.Journal.iter (Probe.journal probe) (fun e ->
+      Buffer.add_string buf (Telemetry.Export.to_string (Probe.json_of_event e));
+      Buffer.add_char buf '\n');
+  Array.iteri
+    (fun node got ->
+      Buffer.add_string buf (Printf.sprintf "router %d:" node);
+      List.iter (fun (flow, uid) -> Buffer.add_string buf (Printf.sprintf " %d/%d" flow uid))
+        (List.rev got);
+      Buffer.add_char buf '\n')
+    deliveries;
+  Buffer.add_string buf
+    (Printf.sprintf "sent %s\n"
+       (String.concat "," (List.map (fun f -> string_of_int (Flow.sent f)) flows)));
+  Buffer.contents buf
+
+(* Digests recorded with the transmission-end event pushed for every
+   packet: the lazy event must resolve every tie the same way. *)
+let test_lazy_txend_tie_order () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  let classic = tie_scenario () in
+  Alcotest.(check bool) "journal retained every record" true (String.length classic > 100_000);
+  Alcotest.(check string) "classic engine" "227f4df2c227dbc7837384bf34682841" (hex classic);
+  List.iter
+    (fun k ->
+      Alcotest.(check string)
+        (Printf.sprintf "sharded engine, K=%d" k)
+        "94fc07c25ef2e446dcd2e2498b27fab8"
+        (hex (tie_scenario ~shards:k ())))
+    [ 1; 2 ]
+
+(* Uncongested, jittered: a hop is the post-jitter enqueue plus the
+   arrival; the transmission end never reaches the heap (it used to, for
+   ticks + 3 hops). *)
+let test_two_events_per_hop () =
+  let net = line_net ~jitter_bound:100e-6 4 in
+  let flows =
+    [ Flow.cbr net ~src:0 ~dst:3 ~rate_pps:50.0 ~size:500 ~start:0.0 ~stop:1.0;
+      Flow.cbr net ~src:3 ~dst:0 ~rate_pps:40.0 ~size:500 ~start:0.01 ~stop:1.0 ]
+  in
+  Net.run net;
+  (* Every tick that sent schedules one more, which finds the flow over. *)
+  let ticks = List.fold_left (fun acc f -> acc + Flow.sent f + 1) 0 flows in
+  let hops = ref 0 in
+  for r = 0 to 3 do
+    List.iter (fun i -> hops := !hops + Iface.tx_packets i) (Router.ifaces (Net.router net r))
+  done;
+  Alcotest.(check int) "hops" (3 * List.fold_left (fun acc f -> acc + Flow.sent f) 0 flows) !hops;
+  Alcotest.(check int) "events = ticks + 2 hops" (ticks + (2 * !hops))
+    (Net.events_processed net)
+
 let test_net_determinism () =
   (* Identical seeds produce identical traces. *)
   let run () =
@@ -621,6 +737,7 @@ let () =
           Alcotest.test_case "until" `Quick test_sim_until;
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "rejects past" `Quick test_sim_rejects_past;
+          Alcotest.test_case "rejects non-finite" `Quick test_sim_rejects_non_finite;
           Alcotest.test_case "fresh ids" `Quick test_sim_fresh_ids ] );
       ( "queues",
         [ Alcotest.test_case "fifo capacity" `Quick test_fifo_capacity;
@@ -643,6 +760,10 @@ let () =
           Alcotest.test_case "link failure" `Quick test_link_failure;
           Alcotest.test_case "failure resume" `Quick test_link_failure_buffered_resume;
           Alcotest.test_case "determinism" `Quick test_net_determinism ] );
+      ( "lazy txend",
+        [ Alcotest.test_case "tie order golden" `Quick test_lazy_txend_tie_order;
+          Alcotest.test_case "two events per uncongested hop" `Quick
+            test_two_events_per_hop ] );
       ( "flows",
         [ Alcotest.test_case "cbr count" `Quick test_cbr_count;
           Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
