@@ -44,7 +44,7 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {ul
 {- [Netsim] — discrete-event packet simulator: {!Netsim.Net},
    {!Netsim.Tcp}, {!Netsim.Red}, {!Netsim.Router} (with adversarial
-   forwarding hooks), {!Netsim.Tracer}, {!Netsim.Meter}.  Two engines
+   forwarding hooks), {!Netsim.Meter}.  Two engines
    drive it: the classic single-heap {!Netsim.Sim} loop, and
    {!Netsim.Shard} — a conservative-synchronization parallel engine
    (one domain per graph partition, cross-shard packets through
@@ -72,9 +72,11 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
    behind [mrdetect trace explain]).  The always-on time-series layer
    sits beside these: {!Telemetry.Timeseries} (fixed-capacity
    downsampling rings) and {!Telemetry.Hist} (mergeable HDR-style
-   log-bucketed histograms) feed {!Netsim.Stats}, whose per-shard
-   collectors merge exactly at epoch barriers — byte-identical output
-   for every [--shards K >= 1] — and surface as [mrdetect report]
+   log-bucketed histograms) feed {!Netsim.Stats}, which the probe feeds
+   from the same hooks that journal each event — under the sharded
+   engine when the epoch flush replays observations in single-heap
+   order, so the output is byte-identical for every [--shards K >= 1] —
+   and surface as [mrdetect report]
    (self-contained HTML dashboard or [mrdetect-report-v1] JSON),
    [mrdetect top] (live terminal view) and
    {!Experiments.Benchgate}-backed [bench --check] regression gating.

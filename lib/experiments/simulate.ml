@@ -290,7 +290,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
     | _ -> ()
   in
   let attack_start = duration /. 3.0 in
-  let net, rt, pairs, malicious, congestion, tracer =
+  let net, rt, pairs, malicious, congestion, trace_journal =
     Telemetry.Profile.time profile "setup" (fun () ->
         let net = Net.create ~seed ~jitter_bound:200e-6 ~shards g in
         Net.set_probe net probe;
@@ -327,12 +327,20 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
             Router.set_behavior (Net.router net attacker)
               (Core.Adversary.after attack_start b)
         | None -> ());
-        let tracer =
-          if trace > 0 then
-            Some (Tracer.attach ~net ~capacity:trace ~routers:[ attacker ] ())
+        (* --trace N: the attacker's last N link and router events. *)
+        let trace_journal =
+          if trace > 0 then begin
+            let j = Telemetry.Journal.create ~capacity:trace () in
+            let record = Telemetry.Journal.record j in
+            Net.subscribe_iface net (fun ev ->
+                if ev.Net.router = attacker then record (Probe.Link ev));
+            Net.subscribe_router net (fun ev ->
+                if ev.Net.router = attacker then record (Probe.Node ev));
+            Some j
+          end
           else None
         in
-        (net, rt, !pairs, malicious, congestion, tracer))
+        (net, rt, !pairs, malicious, congestion, trace_journal))
   in
   let injector =
     Option.map
@@ -359,10 +367,10 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   Printf.printf "topology: %d routers, %d links; %d flows; attack at %.0f s\n"
     n (Topology.Graph.link_count g) (List.length pairs) attack_start;
   let dump_trace () =
-    match tracer with
-    | Some tr ->
+    match trace_journal with
+    | Some j ->
         Printf.printf "last %d events at router %d:\n" trace attacker;
-        List.iter (fun line -> Printf.printf "  %s\n" line) (Tracer.events tr)
+        Telemetry.Journal.iter j (fun ev -> Printf.printf "  %s\n" (Probe.describe ev))
     | None -> ()
   in
   (* Deploy the detector through the registry: same setup profiling the

@@ -2,14 +2,14 @@ type queue_spec =
   | Droptail of int
   | Red of Red.params
 
-type iface_event = {
+type iface_event = Probe.iface_record = {
   time : float;
   router : int;
   next : int;
   kind : Iface.event;
 }
 
-type router_event = {
+type router_event = Probe.router_record = {
   time : float;
   router : int;
   kind : Router.event;
@@ -33,15 +33,6 @@ type t = {
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
-  (* Always-on stats ride with the probe: [stats] is the main collector;
-     [shard_stats] one local per shard (empty for the classic engine),
-     fed inside windows on the shard domains and drained into [stats] at
-     every epoch barrier.  [replaying] marks the obs-replay path at a
-     flush so events already counted by a shard-local collector are not
-     counted again by the main one. *)
-  mutable stats : Stats.t option;
-  mutable shard_stats : Stats.t array;
-  mutable replaying : bool;
   (* Sharded mode: per-node uid counters, so packet identity never
      depends on cross-shard event interleaving.  Only the owning
      shard's domain touches a node's counter. *)
@@ -101,50 +92,31 @@ let subscribe_router t f =
   refresh_observe t
 
 let set_probe t probe =
+  let n = Topology.Graph.size t.graph in
+  Option.iter (fun p -> Probe.set_stats p (Some (Stats.create ~n ()))) probe;
   t.probe <- probe;
-  (match probe with
-  | Some p ->
-      let main = Stats.create ~n:(Topology.Graph.size t.graph) () in
-      t.stats <- Some main;
-      t.shard_stats <-
-        (match t.engine with
-        | Single _ -> [||]
-        | Sharded sh -> Array.init (Shard.k sh) (fun _ -> Stats.local main));
-      Probe.set_stats p (Some main)
-  | None ->
-      t.stats <- None;
-      t.shard_stats <- [||]);
   refresh_observe t
 let probe t = t.probe
-let stats t = t.stats
+let stats t = Option.bind t.probe Probe.stats
 
-(* Listener records are only built when a listener exists: the common
-   observed configuration (probe only) pays fields, not boxes. *)
-let emit_iface t ~time ~router ~next kind =
-  (match t.stats with
-  | Some st when not t.replaying -> Stats.on_iface st ~time ~router ~next kind
-  | _ -> ());
-  (match t.probe with
-  | Some p -> Probe.on_iface p ~time ~router ~next kind
-  | None -> ());
-  match t.iface_listeners with
+(* One record per observation: the probe journals it and every listener
+   receives the same value. *)
+let rec notify ev = function
   | [] -> ()
-  | ls ->
-      let ev = { time; router; next; kind } in
-      List.iter (fun f -> f ev) ls
+  | f :: rest ->
+      f ev;
+      notify ev rest
 
-let emit_router t ~time ~router kind =
-  (match t.stats with
-  | Some st when not t.replaying -> Stats.on_router st ~time ~router kind
-  | _ -> ());
-  (match t.probe with
-  | Some p -> Probe.on_router p ~time ~router kind
-  | None -> ());
-  match t.router_listeners with
-  | [] -> ()
-  | ls ->
-      let ev = { time; router; kind } in
-      List.iter (fun f -> f ev) ls
+let emit_iface t (ev : iface_event) =
+  (match t.probe with Some p -> Probe.on_iface p ev | None -> ());
+  notify ev t.iface_listeners
+
+let emit_router t (ev : router_event) =
+  (match t.probe with Some p -> Probe.on_router p ev | None -> ());
+  notify ev t.router_listeners
+
+let emit_originate t pkt =
+  match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
 
 let attach_app t ~node f =
   t.apps.(node) := f :: !(t.apps.(node));
@@ -171,27 +143,14 @@ let flow_rng t ~flow =
   | Sharded _ -> Random.State.make [| t.seed; flow; 0xf10a |]
 
 (* Deliver one buffered shard observation at an epoch flush, in the
-   merged (time, rank, emission) order — probes, listeners and apps see
-   exactly the single-heap event stream.  Stats were already collected
-   by the shard-local collector when the observation was buffered, so
-   the replay is marked and the emit paths skip the main collector. *)
+   merged (time, rank, emission) order — probes (and through them Stats),
+   listeners and apps see exactly the single-heap event stream. *)
 let deliver_obs t (r : Shard.obs_rec) =
   match r.obs with
-  | Shard.Obs_iface { router; next; kind } ->
-      t.replaying <- true;
-      emit_iface t ~time:r.at ~router ~next kind;
-      t.replaying <- false
-  | Shard.Obs_router { router; kind } ->
-      t.replaying <- true;
-      emit_router t ~time:r.at ~router kind;
-      t.replaying <- false
-  | Shard.Obs_originate pkt -> (
-      match t.probe with Some p -> Probe.on_originate p pkt | None -> ())
-  | Shard.Obs_app { node; pkt } ->
-      (* App callbacks may re-enter the network (a TCP endpoint answering
-         synchronously); anything they cause is a new event, not a
-         replay, so the flag stays down. *)
-      List.iter (fun f -> f pkt) !(t.apps.(node))
+  | Shard.Obs_iface ev -> emit_iface t ev
+  | Shard.Obs_router ev -> emit_router t ev
+  | Shard.Obs_originate pkt -> emit_originate t pkt
+  | Shard.Obs_app { node; pkt } -> List.iter (fun f -> f pkt) !(t.apps.(node))
 
 (* Cross-shard receive as a registered tag: the handoff descriptor is
    (dest router, packet, prev) — no closure crosses the mailbox. *)
@@ -220,9 +179,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;
-      stats = None;
-      shard_stats = [||];
-      replaying = false;
       uid_next = Array.make n 0;
       observed = false;
       has_apps = false;
@@ -260,15 +216,11 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
         in
         let local_apps = t.apps.(id) in
         Router.create ~sim ~id ~n ~rng ~jitter_bound ?fresh_uid ~release:(release_into id)
-          ~on_event:(fun r ev ->
+          ~on_event:(fun r kind ->
+            let ev : router_event = { time = Sim.now sim; router = Router.id r; kind } in
             match engine with
-            | Sharded sh when Shard.in_window () ->
-                if Array.length t.shard_stats > 0 then
-                  Stats.on_router
-                    t.shard_stats.(Shard.current ())
-                    ~time:(Sim.now sim) ~router:(Router.id r) ev;
-                Shard.record sh (Shard.Obs_router { router = Router.id r; kind = ev })
-            | _ -> emit_router t ~time:(Sim.now sim) ~router:(Router.id r) ev)
+            | Sharded sh when Shard.in_window () -> Shard.record sh (Shard.Obs_router ev)
+            | _ -> emit_router t ev)
           ~local_deliver:(fun pkt ->
             (* Nodes without apps skip the buffered record entirely:
                the emission would iterate an empty list at the flush. *)
@@ -278,7 +230,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
                   Shard.record sh (Shard.Obs_app { node = id; pkt })
               | _ -> List.iter (fun f -> f pkt) !local_apps)
           ());
-  let kind =
+  let queue_kind =
     match queue with Droptail b -> Iface.Droptail b | Red p -> Iface.Red_queue p
   in
   List.iter
@@ -305,22 +257,15 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shard
       in
       let rdst = t.routers.(dst) in
       let iface =
-        Iface.create ~sim ~link:l ~kind ?delivery
+        Iface.create ~sim ~link:l ~kind:queue_kind ?delivery
           ~release:(release_into l.Topology.Graph.src)
-          ~on_event:(fun i ev ->
+          ~on_event:(fun i kind ->
+            let ev : iface_event =
+              { time = Sim.now sim; router = Iface.owner i; next = Iface.next_hop i; kind }
+            in
             match engine with
-            | Sharded sh when Shard.in_window () ->
-                if Array.length t.shard_stats > 0 then
-                  Stats.on_iface
-                    t.shard_stats.(Shard.current ())
-                    ~time:(Sim.now sim) ~router:(Iface.owner i)
-                    ~next:(Iface.next_hop i) ev;
-                Shard.record sh
-                  (Shard.Obs_iface
-                     { router = Iface.owner i; next = Iface.next_hop i; kind = ev })
-            | _ ->
-                emit_iface t ~time:(Sim.now sim) ~router:(Iface.owner i)
-                  ~next:(Iface.next_hop i) ev)
+            | Sharded sh when Shard.in_window () -> Shard.record sh (Shard.Obs_iface ev)
+            | _ -> emit_iface t ev)
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
           ()
       in
@@ -391,22 +336,13 @@ let set_link_corruption t ~src ~dst p =
 let restore_link t ~src ~dst = set_link t ~src ~dst true
 
 let originate t pkt =
-  match t.engine with
+  (match t.engine with
   | Sharded sh when Shard.in_window () ->
-      if Array.length t.shard_stats > 0 then
-        Stats.on_originate
-          t.shard_stats.(Shard.current ())
-          ~time:pkt.Packet.created pkt;
       (* The buffered record only feeds the probe; skip it when no probe
          can consume it at the flush. *)
-      if t.probe <> None then Shard.record sh (Shard.Obs_originate pkt);
-      Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
-  | _ ->
-      (match t.stats with
-      | Some st -> Stats.on_originate st ~time:pkt.Packet.created pkt
-      | None -> ());
-      (match t.probe with Some p -> Probe.on_originate p pkt | None -> ());
-      Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
+      if t.probe <> None then Shard.record sh (Shard.Obs_originate pkt)
+  | _ -> emit_originate t pkt);
+  Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
 (* Traffic sources mint packets here so recycling is transparent: a
    freelisted record when the pool is live, a fresh one otherwise. *)
@@ -450,21 +386,7 @@ let run ?until ?on_epoch t =
   | Single s ->
       ignore on_epoch;
       Sim.run ?until s
-  | Sharded sh ->
-      (* Fold the per-shard stats collectors into the main one at every
-         epoch barrier, before any user epoch work reads them.  The fold
-         is exact integer arithmetic, so the aggregate is independent of
-         the shard count. *)
-      let on_epoch =
-        match t.stats with
-        | Some main when Array.length t.shard_stats > 0 ->
-            Some
-              (fun ~now ->
-                Array.iter (fun s -> Stats.drain ~into:main s) t.shard_stats;
-                match on_epoch with Some f -> f ~now | None -> ())
-        | _ -> on_epoch
-      in
-      Shard.run ?until ?on_epoch sh ~emit:(deliver_obs t)
+  | Sharded sh -> Shard.run ?until ?on_epoch sh ~emit:(deliver_obs t)
 
 let shards t = match t.engine with Single _ -> 0 | Sharded sh -> Shard.k sh
 let shard_engine t = match t.engine with Single _ -> None | Sharded sh -> Some sh

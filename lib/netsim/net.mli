@@ -8,14 +8,16 @@ type queue_spec =
   | Droptail of int         (** byte limit for every output queue *)
   | Red of Red.params
 
-type iface_event = {
+type iface_event = Probe.iface_record = {
   time : float;
   router : int;            (** owner of the queue *)
   next : int;              (** neighbour the queue feeds *)
   kind : Iface.event;
 }
+(** The probe's record: each observed event is built once, journaled by
+    the probe and handed to every listener. *)
 
-type router_event = {
+type router_event = Probe.router_record = {
   time : float;
   router : int;
   kind : Router.event;
@@ -107,17 +109,17 @@ val set_probe : t -> Probe.t option -> unit
 (** Attach (or detach) the telemetry probe: every iface/router event and
     every origination is counted and journaled through it.  With no
     probe attached the per-event overhead is one pointer test.
-    Attaching a probe also creates the always-on {!Stats} collector
-    (see {!stats}); in sharded mode, one local collector per shard is
-    fed on the shard domains and drained into the main one at every
-    epoch barrier, so the aggregate is byte-identical for every shard
-    count [K >= 1]. *)
+    Attaching a probe also gives it a fresh always-on {!Stats} collector
+    (see {!stats}), which the probe feeds itself.  In sharded mode both
+    are fed when the epoch flush replays the buffered observations in
+    single-heap order, so the aggregate is byte-identical for every
+    shard count [K >= 1]. *)
 
 val probe : t -> Probe.t option
 
 val stats : t -> Stats.t option
-(** The always-on time-series collector riding with the probe; [None]
-    when no probe is attached. *)
+(** The probe's always-on time-series collector; [None] when no probe
+    is attached. *)
 
 val attach_app : t -> node:int -> (Packet.t -> unit) -> unit
 (** Register a local-delivery handler at a node; every handler attached

@@ -1,5 +1,5 @@
-type iface_record = { time : float; router : int; next : int; ev : Iface.event }
-type router_record = { time : float; router : int; ev : Router.event }
+type iface_record = { time : float; router : int; next : int; kind : Iface.event }
+type router_record = { time : float; router : int; kind : Router.event }
 
 type verdict = {
   time : float;
@@ -69,9 +69,10 @@ type t = {
      fresh records, so branches never share a window. *)
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
-  (* Always-on stats collector (wired by [Net.set_probe]): verdicts,
-     round durations and faults feed its control-plane series directly —
-     they happen on the coordinator, outside any shard window. *)
+  (* Always-on stats collector (wired by [Net.set_probe]), fed by every
+     hook below.  Under the sharded engine the data-plane hooks run at
+     the epoch flush, in the merged single-heap order, so the collector
+     sees one event stream whatever the shard count. *)
   mutable stats : Stats.t option;
 }
 
@@ -131,7 +132,6 @@ let create ?registry ?(journal_capacity = 65536) ?tracer () =
 
 let registry t = t.registry
 let journal t = t.journal
-let tracer t = t.tracer
 let set_stats t stats = t.stats <- stats
 let stats t = t.stats
 
@@ -159,6 +159,7 @@ let malice_counter t router =
 let on_originate t (pkt : Packet.t) =
   Telemetry.Metrics.inc t.injected;
   Telemetry.Hist.record t.pkt_size (float_of_int pkt.Packet.size);
+  (match t.stats with Some st -> Stats.on_originate st pkt | None -> ());
   match t.tracer with
   | None -> ()
   | Some sp -> (
@@ -234,8 +235,8 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
       end
 
-let on_iface t ~time ~router ~next (ev : Iface.event) =
-  (match ev with
+let on_iface t (r : iface_record) =
+  (match r.kind with
   | Iface.Enqueued _ -> Telemetry.Metrics.inc t.enqueued
   | Iface.Drop_congestion _ -> Telemetry.Metrics.inc t.drop_congestion
   | Iface.Drop_red_early _ -> Telemetry.Metrics.inc t.drop_red_early
@@ -243,9 +244,12 @@ let on_iface t ~time ~router ~next (ev : Iface.event) =
   | Iface.Drop_corrupted _ -> Telemetry.Metrics.inc t.drop_corrupted
   | Iface.Transmit_start _ -> ()
   | Iface.Delivered _ -> Telemetry.Metrics.inc t.forwarded_hops);
-  Telemetry.Journal.record t.journal (Link { time; router; next; ev });
+  (match t.stats with
+  | Some st -> Stats.on_iface st ~time:r.time ~router:r.router ~next:r.next r.kind
+  | None -> ());
+  Telemetry.Journal.record t.journal (Link r);
   match t.tracer with
-  | Some sp -> trace_iface t sp ~time ~router ~next ev
+  | Some sp -> trace_iface t sp ~time:r.time ~router:r.router ~next:r.next r.kind
   | None -> ()
 
 let trace_router t sp ~time ~router (ev : Router.event) =
@@ -285,8 +289,9 @@ let trace_router t sp ~time ~router (ev : Router.event) =
          ~name ~cat ~pid ~tid ~time ~routers:[ router ] ~args ())
   end
 
-let on_router t ~time ~router (ev : Router.event) =
-  (match ev with
+let on_router t (r : router_record) =
+  let router = r.router in
+  (match r.kind with
   | Router.Malicious_drop _ ->
       Telemetry.Metrics.inc t.drop_malicious;
       Telemetry.Metrics.inc (malice_counter t router)
@@ -305,9 +310,10 @@ let on_router t ~time ~router (ev : Router.event) =
   | Router.No_route _ -> Telemetry.Metrics.inc t.drop_no_route
   | Router.Ttl_expired _ -> Telemetry.Metrics.inc t.drop_ttl_expired
   | Router.Delivered_local _ -> Telemetry.Metrics.inc t.delivered);
-  Telemetry.Journal.record t.journal (Node { time; router; ev });
+  (match t.stats with Some st -> Stats.on_router st ~time:r.time r.kind | None -> ());
+  Telemetry.Journal.record t.journal (Node r);
   match t.tracer with
-  | Some sp -> trace_router t sp ~time ~router ev
+  | Some sp -> trace_router t sp ~time:r.time ~router r.kind
   | None -> ()
 
 let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alarm
@@ -403,7 +409,7 @@ let conservation t =
   { total_injected; total_delivered; total_dropped; total_fragmented;
     in_flight = total_injected - total_delivered - total_dropped - total_fragmented }
 
-(* --- formatting: the legacy Tracer line format, derived on demand --- *)
+(* --- formatting: one line per record, derived on demand --- *)
 
 let describe_iface_kind = function
   | Iface.Enqueued _ -> "enqueue"
@@ -426,12 +432,12 @@ let describe_router_kind = function
   | Router.Delivered_local _ -> "local-deliver"
 
 let describe = function
-  | Link { time; router; next; ev } ->
-      Printf.sprintf "%.4f r%d->r%d %s %s" time router next (describe_iface_kind ev)
-        (Packet.describe (iface_packet ev))
-  | Node { time; router; ev } ->
-      Printf.sprintf "%.4f r%d %s %s" time router (describe_router_kind ev)
-        (Packet.describe (router_packet ev))
+  | Link { time; router; next; kind } ->
+      Printf.sprintf "%.4f r%d->r%d %s %s" time router next (describe_iface_kind kind)
+        (Packet.describe (iface_packet kind))
+  | Node { time; router; kind } ->
+      Printf.sprintf "%.4f r%d %s %s" time router (describe_router_kind kind)
+        (Packet.describe (router_packet kind))
   | Verdict { time; detector; suspects; alarm; _ } ->
       Printf.sprintf "%.4f %s %s%s" time detector
         (if alarm then "ALARM" else "verdict")
@@ -453,8 +459,8 @@ let event_time = function
       time
 
 let event_packet = function
-  | Link { ev; _ } -> Some (iface_packet ev)
-  | Node { ev; _ } -> Some (router_packet ev)
+  | Link { kind; _ } -> Some (iface_packet kind)
+  | Node { kind; _ } -> Some (router_packet kind)
   | Verdict _ | Fault _ -> None
 
 let json_of_packet (p : Packet.t) =
@@ -469,13 +475,13 @@ let json_of_event ev =
   let open Telemetry.Export in
   let base =
     match ev with
-    | Link { router; next; ev; _ } ->
-        [ ("event", String (describe_iface_kind ev));
+    | Link { router; next; kind; _ } ->
+        [ ("event", String (describe_iface_kind kind));
           ("layer", String "link");
           ("router", Int router);
           ("next", Int next) ]
-    | Node { router; ev; _ } ->
-        [ ("event", String (describe_router_kind ev));
+    | Node { router; kind; _ } ->
+        [ ("event", String (describe_router_kind kind));
           ("layer", String "router");
           ("router", Int router) ]
     | Verdict { detector; subject; suspects; confidence; alarm; detail; _ } ->

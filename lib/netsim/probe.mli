@@ -11,9 +11,12 @@
     {!record_verdict}.  With no probe attached the per-event cost in the
     forwarding plane is a single pointer test.
 
-    {!Tracer} derives its legacy line format from the same typed records
-    via {!describe}; exporters turn the journal into JSONL with
-    {!write_journal}.
+    The probe is also where the always-on {!Stats} collector is fed:
+    every hook below forwards to it.  The journal keeps the very record
+    [Net] hands to its listeners ({!iface_record} / {!router_record} are
+    [Net.iface_event] / [Net.router_event]), so an observed event is
+    built once.  {!describe} renders a record as one line; exporters
+    turn the journal into JSONL with {!write_journal}.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -24,8 +27,21 @@
     implicated routers.  Detectors add their own round spans and
     evidence instants via {!trace_span} / {!trace_instant}. *)
 
-type iface_record = { time : float; router : int; next : int; ev : Iface.event }
-type router_record = { time : float; router : int; ev : Router.event }
+type iface_record = {
+  time : float;
+  router : int;            (** owner of the queue *)
+  next : int;              (** neighbour the queue feeds *)
+  kind : Iface.event;
+}
+(** One queue/link observation: the record [Net] builds, buffers across
+    shard windows, journals here and passes to its iface listeners. *)
+
+type router_record = {
+  time : float;
+  router : int;
+  kind : Router.event;
+}
+(** One router observation, shared the same way. *)
 
 type verdict = {
   time : float;
@@ -68,26 +84,24 @@ val create :
 val registry : t -> Telemetry.Metrics.t
 val journal : t -> event Telemetry.Journal.t
 
-val tracer : t -> Telemetry.Span.t option
-(** The span collector attached at creation, if any. *)
-
 val set_stats : t -> Stats.t option -> unit
 (** Wire the always-on {!Stats} collector (done by [Net.set_probe]):
-    verdicts, faults and round spans then feed its control-plane series
-    and histograms — with or without a tracer attached. *)
+    originations, link and router events, verdicts, faults and round
+    spans then feed it — with or without a tracer attached. *)
 
 val stats : t -> Stats.t option
 
 val on_originate : t -> Packet.t -> unit
-(** Count an application origination.  With a tracer attached this also
-    draws the sampling coin and, when sampled, stamps [Packet.trace]
-    and records an "originate" instant. *)
+(** Count an application origination (in {!Stats} too).  With a tracer
+    attached this also draws the sampling coin and, when sampled, stamps
+    [Packet.trace] and records an "originate" instant. *)
 
-val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
-val on_router : t -> time:float -> router:int -> Router.event -> unit
-(** Forwarding-plane hooks (called by {!Net}): bump the matching
-    counters, journal the typed record and (for traced packets) record
-    hop spans / instants. *)
+val on_iface : t -> iface_record -> unit
+val on_router : t -> router_record -> unit
+(** Forwarding-plane hooks (called by {!Net}, at the epoch flush under
+    the sharded engine): bump the matching counters, feed {!Stats},
+    journal the record itself and (for traced packets) record hop
+    spans / instants. *)
 
 val record_verdict :
   t ->

@@ -24,12 +24,13 @@
      boundaries, where every shard clock equals the boundary exactly;
    - observations emitted inside windows are buffered per shard with
      their (time, rank, emission index) key and k-way merged with
-     control events at the flush, so probes/journals/traces see the
-     exact single-heap order. *)
+     control events at the flush, so probes (and the Stats collector
+     they feed), journals, traces and listeners see the exact
+     single-heap order. *)
 
 type obs =
-  | Obs_iface of { router : int; next : int; kind : Iface.event }
-  | Obs_router of { router : int; kind : Router.event }
+  | Obs_iface of Probe.iface_record
+  | Obs_router of Probe.router_record
   | Obs_originate of Packet.t
   | Obs_app of { node : int; pkt : Packet.t }
 

@@ -28,7 +28,8 @@
     boundaries where every shard clock is exactly the boundary; and
     observations emitted inside windows are buffered per shard and
     k-way merged by (time, rank, emission index) at the flush, so the
-    telemetry layer replays the exact single-heap order.  K = 1 is the
+    telemetry layer — probe, {!Stats}, listeners — replays the exact
+    single-heap order; nothing is collected on the shard domains.  K = 1 is the
     sequential reference of the same engine (one shard, no domains
     spawned beyond the coordinator).
 
@@ -36,12 +37,14 @@
     [Net.create] without [~shards]. *)
 
 type obs =
-  | Obs_iface of { router : int; next : int; kind : Iface.event }
-  | Obs_router of { router : int; kind : Router.event }
+  | Obs_iface of Probe.iface_record
+  | Obs_router of Probe.router_record
   | Obs_originate of Packet.t
   | Obs_app of { node : int; pkt : Packet.t }
       (** One data-plane observation, buffered inside a window and
-          delivered at the epoch flush. *)
+          delivered at the epoch flush.  Link and router observations
+          carry the record the probe journals and listeners receive,
+          built once when the event fires. *)
 
 type obs_rec = { at : float; rank : int; ix : int; obs : obs }
 (** An observation with its merge key: emission time, rank of the

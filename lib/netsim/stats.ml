@@ -1,31 +1,16 @@
 (* Always-on time-series collection for a simulated run.
 
-   One [Stats.t] rides along with the probe and is fed from the same
-   event sites; everything it keeps is bounded: downsampling
-   [Telemetry.Timeseries] rings for the headline rates, mergeable
+   One [Stats.t] rides inside the probe, which feeds it from its own
+   hooks; everything it keeps is bounded: downsampling
+   [Telemetry.Timeseries] rings for the headline rates,
    [Telemetry.Hist] histograms for latencies and durations, and flat
    per-router / per-link arrays for the topology-shaped counters.
 
-   Sharded runs split the collector in two tiers:
-
-   - {e per-shard locals} ([local]) receive the data-plane events of
-     their shard's windows on the shard's own domain and are folded into
-     the main collector at every epoch barrier ([drain]).  All merged
-     state is integer (bucket counts and fixed-point sums), so the fold
-     is exact — commutative and associative — and the aggregate is
-     byte-identical for every shard count K >= 1.
-
-   - {e shared single-writer state} (queue-depth tracking and the
-     per-link counters) is physically one set of arrays referenced by
-     the main collector and every local: cell [r] is only ever touched
-     by the domain executing router [r]'s events (its owning shard
-     inside a window, the coordinator at a barrier), so sharing is
-     race-free and the running queue depth never splits across
-     collectors.
-
-   Control-plane observations (verdicts, round durations, ctrl channel
-   retries, faults) happen at epoch barriers on the coordinator and feed
-   the main collector directly. *)
+   Every call arrives on the coordinator: under the sharded engine the
+   probe's data-plane hooks run when the epoch flush replays the
+   buffered observations in (time, rank, index) order — the single-heap
+   order — so one collector sees one event stream, whatever the shard
+   count. *)
 
 module Ts = Telemetry.Timeseries
 module Hist = Telemetry.Hist
@@ -39,24 +24,18 @@ let series_resolution = 0.05
 let router_capacity = 128
 let router_resolution = 0.1
 
-type shared = {
+type t = {
   n : int;
   depth : int array; (* running queued-packet count per router *)
   queue_depth : Ts.t array; (* event-weighted depth samples per router *)
   link_tx : int array; (* (router * n + next) transmit starts *)
   link_drop : int array; (* (router * n + next) iface drops *)
-}
-
-type t = {
-  shared : shared;
-  (* Mergeable data-plane collectors (per-shard local in sharded runs). *)
   injected : Ts.t;
   delivered : Ts.t;
   enqueued : Ts.t;
   dropped : Ts.t;
   malice : Ts.t;
   latency : Hist.t; (* origination-to-delivery, matches probe geometry *)
-  (* Control plane: main collector only (locals leave these empty). *)
   verdicts : Ts.t;
   alarms : Ts.t;
   faults : Ts.t;
@@ -73,8 +52,14 @@ let latency_hist () = Hist.create ~buckets:24 ~min_exp:(-14) ()
 let round_hist () = Hist.create ~buckets:20 ~min_exp:(-10) ()
 let detect_hist () = Hist.create ~buckets:20 ~min_exp:(-4) ()
 
-let of_shared shared =
-  { shared;
+let create ~n () =
+  { n;
+    depth = Array.make n 0;
+    queue_depth =
+      Array.init n (fun _ ->
+          Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
+    link_tx = Array.make (n * n) 0;
+    link_drop = Array.make (n * n) 0;
     injected = headline ();
     delivered = headline ();
     enqueued = headline ();
@@ -91,54 +76,41 @@ let of_shared shared =
     ctrl_timeouts = 0;
     attack_start = -1.0 }
 
-let create ~n () =
-  of_shared
-    { n;
-      depth = Array.make n 0;
-      queue_depth =
-        Array.init n (fun _ ->
-            Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
-      link_tx = Array.make (n * n) 0;
-      link_drop = Array.make (n * n) 0 }
-
-let local t = of_shared t.shared
-
-let routers t = t.shared.n
+let routers t = t.n
 let set_attack_start t time = t.attack_start <- time
-let attack_start t = if t.attack_start < 0.0 then None else Some t.attack_start
 
 (* --- data plane ----------------------------------------------------- *)
 
-let on_originate t ~time (_pkt : Packet.t) = Ts.record t.injected ~time 1.0
+let on_originate t (pkt : Packet.t) =
+  Ts.record t.injected ~time:pkt.Packet.created 1.0
 
-let depth_sample sh ~time router =
-  Ts.record sh.queue_depth.(router) ~time (float_of_int sh.depth.(router))
+let depth_sample t ~time router =
+  Ts.record t.queue_depth.(router) ~time (float_of_int t.depth.(router))
 
 let on_iface t ~time ~router ~next (ev : Iface.event) =
-  let sh = t.shared in
-  let link = (router * sh.n) + next in
+  let link = (router * t.n) + next in
   match ev with
   | Iface.Enqueued _ ->
       Ts.record t.enqueued ~time 1.0;
-      sh.depth.(router) <- sh.depth.(router) + 1;
-      depth_sample sh ~time router
+      t.depth.(router) <- t.depth.(router) + 1;
+      depth_sample t ~time router
   | Iface.Transmit_start _ ->
-      sh.link_tx.(link) <- sh.link_tx.(link) + 1;
-      if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
-      depth_sample sh ~time router
+      t.link_tx.(link) <- t.link_tx.(link) + 1;
+      if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
+      depth_sample t ~time router
   | Iface.Drop_link_down _ ->
       Ts.record t.dropped ~time 1.0;
-      sh.link_drop.(link) <- sh.link_drop.(link) + 1;
-      (* The packet had left the queue (or the queue is being flushed);
-         keep the running depth honest either way. *)
-      if sh.depth.(router) > 0 then sh.depth.(router) <- sh.depth.(router) - 1;
-      depth_sample sh ~time router
+      t.link_drop.(link) <- t.link_drop.(link) + 1;
+      (* The packet was refused at a failed link and never queued, and
+         the packets already queued wait there: the depth is unchanged,
+         and the sample reads the backlog this packet met. *)
+      depth_sample t ~time router
   | Iface.Drop_congestion _ | Iface.Drop_red_early _ | Iface.Drop_corrupted _ ->
       Ts.record t.dropped ~time 1.0;
-      sh.link_drop.(link) <- sh.link_drop.(link) + 1
+      t.link_drop.(link) <- t.link_drop.(link) + 1
   | Iface.Delivered _ -> ()
 
-let on_router t ~time ~router:_ (ev : Router.event) =
+let on_router t ~time (ev : Router.event) =
   match ev with
   | Router.Delivered_local pkt ->
       Ts.record t.delivered ~time 1.0;
@@ -191,46 +163,6 @@ let on_ctrl_send t ~attempts ~ok =
 
 let on_fault t ~time = Ts.record t.faults ~time 1.0
 
-(* --- epoch-barrier aggregation --------------------------------------- *)
-
-let merge_tbl ~into fresh src =
-  Hashtbl.iter
-    (fun key h -> Hist.merge_into ~into:(find_hist into fresh key) h)
-    src
-
-let merge_into ~into src =
-  Ts.merge_into ~into:into.injected src.injected;
-  Ts.merge_into ~into:into.delivered src.delivered;
-  Ts.merge_into ~into:into.enqueued src.enqueued;
-  Ts.merge_into ~into:into.dropped src.dropped;
-  Ts.merge_into ~into:into.malice src.malice;
-  Hist.merge_into ~into:into.latency src.latency;
-  Ts.merge_into ~into:into.verdicts src.verdicts;
-  Ts.merge_into ~into:into.alarms src.alarms;
-  Ts.merge_into ~into:into.faults src.faults;
-  merge_tbl ~into:into.round_duration round_hist src.round_duration;
-  merge_tbl ~into:into.detection_latency detect_hist src.detection_latency;
-  Hist.merge_into ~into:into.ctrl_attempts src.ctrl_attempts;
-  into.ctrl_sends <- into.ctrl_sends + src.ctrl_sends;
-  into.ctrl_timeouts <- into.ctrl_timeouts + src.ctrl_timeouts
-
-let drain ~into src =
-  merge_into ~into src;
-  Ts.clear src.injected;
-  Ts.clear src.delivered;
-  Ts.clear src.enqueued;
-  Ts.clear src.dropped;
-  Ts.clear src.malice;
-  Hist.clear src.latency;
-  Ts.clear src.verdicts;
-  Ts.clear src.alarms;
-  Ts.clear src.faults;
-  Hashtbl.reset src.round_duration;
-  Hashtbl.reset src.detection_latency;
-  Hist.clear src.ctrl_attempts;
-  src.ctrl_sends <- 0;
-  src.ctrl_timeouts <- 0
-
 (* --- JSON view ------------------------------------------------------- *)
 
 let series_json name ts =
@@ -262,7 +194,6 @@ let sorted_hists tbl =
 
 let to_json t =
   let open Telemetry.Export in
-  let sh = t.shared in
   let series =
     [ ("injected", t.injected); ("delivered", t.delivered);
       ("enqueued", t.enqueued); ("dropped", t.dropped); ("malice", t.malice);
@@ -279,24 +210,24 @@ let to_json t =
   in
   let links =
     let acc = ref [] in
-    for r = sh.n - 1 downto 0 do
-      for nx = sh.n - 1 downto 0 do
-        let i = (r * sh.n) + nx in
-        if sh.link_tx.(i) > 0 || sh.link_drop.(i) > 0 then
+    for r = t.n - 1 downto 0 do
+      for nx = t.n - 1 downto 0 do
+        let i = (r * t.n) + nx in
+        if t.link_tx.(i) > 0 || t.link_drop.(i) > 0 then
           acc :=
             Assoc
               [ ("src", Int r); ("dst", Int nx);
-                ("tx", Int sh.link_tx.(i)); ("drops", Int sh.link_drop.(i)) ]
+                ("tx", Int t.link_tx.(i)); ("drops", Int t.link_drop.(i)) ]
             :: !acc
       done
     done;
     !acc
   in
   let routers =
-    List.init sh.n (fun r ->
+    List.init t.n (fun r ->
         Assoc
           [ ("router", Int r);
-            ("queue_depth", series_json "queue_depth" sh.queue_depth.(r)) ])
+            ("queue_depth", series_json "queue_depth" t.queue_depth.(r)) ])
   in
   Assoc
     [ ("series", List (List.map (fun (n, ts) -> series_json n ts) series));
@@ -340,16 +271,12 @@ let prometheus t =
     (fun r ts ->
       prometheus_append_timeseries buf ~name:"stats_queue_depth"
         ~labels:[ ("router", string_of_int r) ] ts)
-    t.shared.queue_depth;
+    t.queue_depth;
   Buffer.contents buf
-
-let json_of_series = series_json
-let json_of_hist = hist_json
 
 (* Accessors for the live view and the exporters. *)
 let injected t = t.injected
 let delivered t = t.delivered
-let enqueued t = t.enqueued
 let dropped t = t.dropped
 let malice t = t.malice
 let alarms t = t.alarms
@@ -357,9 +284,7 @@ let delivery_latency t = t.latency
 let ctrl_attempts_hist t = t.ctrl_attempts
 let ctrl_sends t = t.ctrl_sends
 let ctrl_timeouts t = t.ctrl_timeouts
-let queue_depth t r = t.shared.queue_depth.(r)
-let link_tx t ~src ~dst = t.shared.link_tx.((src * t.shared.n) + dst)
-let link_drops t ~src ~dst = t.shared.link_drop.((src * t.shared.n) + dst)
+let queue_depth t r = t.queue_depth.(r)
 
 let round_durations t = sorted_hists t.round_duration
 let detection_latencies t = sorted_hists t.detection_latency

@@ -1,29 +1,21 @@
 (** Always-on time-series collection for a simulated run.
 
-    A [Stats.t] rides along with the {!Probe}: headline event rates as
+    A [Stats.t] rides inside the {!Probe}: headline event rates as
     downsampling {!Telemetry.Timeseries} rings, latency and duration
     {!Telemetry.Hist} histograms, per-router queue-depth series and
     per-link transmit/drop counters — all bounded, all fed with O(1)
-    allocation-free records from the same sites that feed the probe.
+    allocation-free records by the probe's own hooks.
 
-    Sharded runs keep one {!local} collector per shard, fed on the
-    shard's own domain inside windows, and {!drain} them into the main
-    collector at every epoch barrier.  Merged state is integer bucket
-    counts plus fixed-point sums, so the fold is exact (commutative and
-    associative) and the aggregate is byte-identical for every shard
-    count [K >= 1].  Queue-depth tracking and the per-link counters are
-    shared single-writer arrays (router [r]'s cells are only touched by
-    the domain executing [r]'s events), so the running depth never
-    splits across collectors. *)
+    Every call runs on the coordinator.  Under the sharded engine the
+    probe's data-plane hooks fire when the epoch flush replays the
+    buffered observations in (time, rank, index) order, which is the
+    single-heap order, so the collector is byte-identical for every
+    shard count [K >= 1]. *)
 
 type t
 
 val create : n:int -> unit -> t
-(** The main collector for an [n]-router network. *)
-
-val local : t -> t
-(** A per-shard local collector: fresh mergeable series/histograms,
-    {e sharing} the per-router and per-link arrays of the parent. *)
+(** A collector for an [n]-router network. *)
 
 val routers : t -> int
 
@@ -31,15 +23,18 @@ val set_attack_start : t -> float -> unit
 (** Arms the detection-latency histograms: subsequent alarming verdicts
     record [time - attack_start]. *)
 
-val attack_start : t -> float option
+(** {2 Data plane} *)
 
-(** {2 Data plane} (safe on shard domains via {!local} collectors) *)
+val on_originate : t -> Packet.t -> unit
+(** Count an origination at the packet's creation time. *)
 
-val on_originate : t -> time:float -> Packet.t -> unit
 val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
-val on_router : t -> time:float -> router:int -> Router.event -> unit
+(** A link event.  Queue depth moves on [Enqueued] and [Transmit_start]
+    only: a [Drop_link_down] packet never entered the queue. *)
 
-(** {2 Control plane} (coordinator only — feed the main collector) *)
+val on_router : t -> time:float -> Router.event -> unit
+
+(** {2 Control plane} *)
 
 val on_verdict : t -> time:float -> detector:string -> alarm:bool -> unit
 
@@ -51,18 +46,6 @@ val on_round : t -> track:string -> start:float -> finish:float -> unit
 val on_ctrl_send : t -> attempts:int -> ok:bool -> unit
 val on_fault : t -> time:float -> unit
 
-(** {2 Aggregation} *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src]'s mergeable collectors into [into] (exact integer
-    arithmetic; shared arrays are left alone). *)
-
-val drain : into:t -> t -> unit
-(** {!merge_into} followed by clearing [src]'s mergeable collectors —
-    the per-epoch-barrier step for per-shard locals.  Shared state
-    (queue depths, link counters) is untouched: it lives in one place
-    and needs no folding. *)
-
 (** {2 Views} *)
 
 val to_json : t -> Telemetry.Export.json
@@ -70,9 +53,6 @@ val to_json : t -> Telemetry.Export.json
     histograms (with deterministic p50/p95/p99), ctrl channel counters,
     per-link totals and per-router queue-depth series.  Deterministically
     ordered. *)
-
-val json_of_series : string -> Telemetry.Timeseries.t -> Telemetry.Export.json
-val json_of_hist : string -> Telemetry.Hist.t -> Telemetry.Export.json
 
 val prometheus : t -> string
 (** Prometheus text rendering of every collector ([stats_] prefix):
@@ -82,7 +62,6 @@ val prometheus : t -> string
 
 val injected : t -> Telemetry.Timeseries.t
 val delivered : t -> Telemetry.Timeseries.t
-val enqueued : t -> Telemetry.Timeseries.t
 val dropped : t -> Telemetry.Timeseries.t
 val malice : t -> Telemetry.Timeseries.t
 val alarms : t -> Telemetry.Timeseries.t
@@ -91,7 +70,5 @@ val ctrl_attempts_hist : t -> Telemetry.Hist.t
 val ctrl_sends : t -> int
 val ctrl_timeouts : t -> int
 val queue_depth : t -> int -> Telemetry.Timeseries.t
-val link_tx : t -> src:int -> dst:int -> int
-val link_drops : t -> src:int -> dst:int -> int
 val round_durations : t -> (string * Telemetry.Hist.t) list
 val detection_latencies : t -> (string * Telemetry.Hist.t) list

@@ -56,7 +56,7 @@ val prometheus_of_registry : Metrics.t -> string
 
 (** {2 Always-on collector exposition}
 
-    The mergeable {!Hist} / {!Timeseries} collectors round-trip through
+    The fixed-point {!Hist} / {!Timeseries} collectors round-trip through
     JSON ([x = of_json (to_json x)] bucket for bucket — exported sums
     are exact multiples of {!Hist.quantum}) and render to the same
     Prometheus text format as the registry, with [le=] edges exactly

@@ -5,14 +5,13 @@
    range (2^(i-2+min_exp), 2^(i-1+min_exp)], last bin overflow; the
    Prometheus exporter emits exactly these edges as le=.
 
-   Per-shard local collectors are folded together at epoch barriers,
-   and the result must be byte-identical for every shard count.  Bucket
-   counts are ints, so their addition is exact; the running sum would
-   NOT be (float addition is commutative but not associative, and each
-   shard accumulates its own subsequence), so the sum is kept in fixed
-   point — an integer count of 2^-26 quanta (~15 ns when the unit is
-   seconds).  Integer addition is exact, hence merge is commutative AND
-   associative, hence shard-order-independent. *)
+   Histograms are merged (the robustness oracle folds per-run
+   latencies), and a merge must not depend on grouping.  Bucket counts
+   are ints, so their addition is exact; the running sum would NOT be
+   (float addition is commutative but not associative), so the sum is
+   kept in fixed point — an integer count of 2^-26 quanta (~15 ns when
+   the unit is seconds).  Integer addition is exact, hence merge is
+   commutative AND associative. *)
 
 type t = {
   counts : int array; (* [0]: <= 0; [i]: (2^(i-2+min_exp), 2^(i-1+min_exp)];
@@ -29,11 +28,6 @@ let create ?(buckets = 32) ?(min_exp = 0) () =
   { counts = Array.make buckets 0; min_exp; count = 0; sum_q = 0 }
 
 let copy t = { t with counts = Array.copy t.counts }
-
-let clear t =
-  Array.fill t.counts 0 (Array.length t.counts) 0;
-  t.count <- 0;
-  t.sum_q <- 0
 
 let buckets t = Array.length t.counts
 let min_exp t = t.min_exp

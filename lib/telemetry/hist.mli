@@ -5,12 +5,11 @@
     upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], and the
     last bin is the overflow; these are the Prometheus [le=] edges.
 
-    A [Hist.t] is built to be {e merged}: per-shard local collectors are
-    combined at epoch barriers, and the combined result must be
-    byte-identical for every shard count.  Bucket counts are ints and
-    the value sum is held in fixed point ({!quantum} units), so {!merge}
-    is exact integer addition — commutative {e and} associative, hence
-    independent of merge order.
+    A [Hist.t] can be {e merged} (the robustness oracle folds per-run
+    latency histograms this way).  Bucket counts are ints and the value sum is
+    held in fixed point ({!quantum} units), so {!merge} is exact integer
+    addition — commutative {e and} associative, hence independent of
+    merge order.
 
     The fixed point holds magnitudes below [2^36] (about [6.9e10]).  A
     value outside that range — or an infinity or NaN — still counts in
@@ -38,7 +37,6 @@ val create : ?buckets:int -> ?min_exp:int -> unit -> t
     buckets. *)
 
 val copy : t -> t
-val clear : t -> unit
 
 val record : t -> float -> unit
 (** Count a value: one array increment, one int add.  No allocation.

@@ -4,7 +4,7 @@
     the memory footprint is set at creation no matter how many events
     flow through — under sustained load the journal keeps the newest
     [capacity] records and counts the rest as dropped.  This is the one
-    storage primitive behind {!Netsim.Probe}, {!Netsim.Tracer} and
+    storage primitive behind {!Netsim.Probe}, [simulate --trace] and
     {!Span}.
 
     {b Single-writer}: the ring indices are plain mutable fields, so a

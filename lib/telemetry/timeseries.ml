@@ -5,14 +5,11 @@
    series coarsens — adjacent buckets fold pairwise and the resolution
    doubles — so memory stays bounded at [capacity] buckets forever while
    the horizon grows.  Coarsening is aligned at t = 0 and always by
-   powers of two, which is what makes [merge] exact: two series with the
-   same base resolution can be folded to a common (the coarser) level
-   with pure integer index shifts, then added bucket-wise.
+   powers of two.
 
    Like Hist, the per-bucket value sums are fixed point (Hist.quantum
-   units) so merging per-shard collectors is commutative AND associative
-   — integer addition all the way down — and therefore yields
-   byte-identical results for every shard count.  [record] is O(1)
+   units): integer addition makes a coarsening pass exact, and an
+   exported series re-imports losslessly ([of_raw]).  [record] is O(1)
    amortized (a coarsening pass is O(capacity) but halves the used
    range) and allocation-free after [create]. *)
 
@@ -32,16 +29,6 @@ let create ?(capacity = 256) ~resolution () =
     invalid_arg "Timeseries.create: resolution must be positive";
   { capacity; res0 = resolution; level = 0; res = resolution;
     counts = Array.make capacity 0; sums_q = Array.make capacity 0; used = 0 }
-
-let copy t =
-  { t with counts = Array.copy t.counts; sums_q = Array.copy t.sums_q }
-
-let clear t =
-  Array.fill t.counts 0 t.capacity 0;
-  Array.fill t.sums_q 0 t.capacity 0;
-  t.level <- 0;
-  t.res <- t.res0;
-  t.used <- 0
 
 let capacity t = t.capacity
 let base_resolution t = t.res0
@@ -93,27 +80,6 @@ let record t ~time v =
   t.counts.(i) <- t.counts.(i) + 1;
   t.sums_q.(i) <- t.sums_q.(i) + Hist.quantize v;
   if i >= t.used then t.used <- i + 1
-
-let same_shape a b = a.capacity = b.capacity && a.res0 = b.res0
-
-let merge_into ~into src =
-  if not (same_shape into src) then
-    invalid_arg "Timeseries.merge_into: incompatible capacity or resolution";
-  while into.level < src.level do
-    coarsen into
-  done;
-  let shift = into.level - src.level in
-  for i = 0 to src.used - 1 do
-    let j = i lsr shift in
-    into.counts.(j) <- into.counts.(j) + src.counts.(i);
-    into.sums_q.(j) <- into.sums_q.(j) + src.sums_q.(i);
-    if j >= into.used then into.used <- j + 1
-  done
-
-let merge a b =
-  let r = copy a in
-  merge_into ~into:r b;
-  r
 
 (* Rebuild from exported raw state (Export round-trips through this).
    Exported per-bucket sums are exact multiples of Hist.quantum, so the

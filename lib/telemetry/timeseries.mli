@@ -6,10 +6,8 @@
     doubles — so memory stays bounded at [capacity] buckets while the
     horizon grows without limit.  Coarsening is aligned at [t = 0] and
     by powers of two only, and per-bucket value sums are fixed point
-    ({!Hist.quantum} units), so {!merge} is exact integer arithmetic:
-    commutative, associative, and independent of how per-shard
-    collectors are grouped — the property the sharded engine's
-    epoch-barrier aggregation relies on for byte-identical output.
+    ({!Hist.quantum} units), so coarsening is exact integer addition and
+    an exported series re-imports losslessly ({!of_raw}).
 
     {!record} is O(1) amortized and allocation-free after {!create}. *)
 
@@ -21,22 +19,11 @@ val create : ?capacity:int -> resolution:float -> unit -> t
     before its first coarsening.  Raises [Invalid_argument] on a
     capacity below 2 or a non-positive resolution. *)
 
-val copy : t -> t
-val clear : t -> unit
-
 val record : t -> time:float -> float -> unit
 (** Add a sample with value [v] at sim time [time] (negative times clamp
     to bucket 0).  For counter-style series record [1.0] per event; for
     gauge-style series record the observed value — per-bucket count and
     sum support both rate and mean readouts. *)
-
-val merge_into : into:t -> t -> unit
-(** Fold [src] into [into], coarsening either side to the coarser of the
-    two resolutions first.  Raises [Invalid_argument] when capacity or
-    base resolution differ. *)
-
-val merge : t -> t -> t
-(** Pure merge into a fresh series; commutative and associative. *)
 
 val capacity : t -> int
 

@@ -225,6 +225,27 @@ let test_fatih_hop_budget () =
   in
   Alcotest.(check bool) (Printf.sprintf "fatih ring8 %.2f w/ev under 34.0 ceiling" w) true (w < 34.0)
 
+(* Observation on the ring8 reference scenario: a probe (counters,
+   journal and Stats) plus one iface listener.  Each observed event
+   builds one record, which the journal keeps and the listener reads:
+   22.95 words per event measured, against 33.51 when the journal and
+   the listener each built their own copy. *)
+let observed_ceiling = 24.5
+
+let test_observed_budget () =
+  let w, _, _ =
+    ring8_run ~pooling:false
+      ~install:(fun net g ->
+        Net.set_probe net (Some (Probe.create ()));
+        Net.subscribe_iface net ignore;
+        Net.use_routing net (Topology.Routing.compute g))
+      ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "probe + listener ring8 %.2f w/ev under %.1f ceiling" w
+       observed_ceiling)
+    true (w < observed_ceiling)
+
 let test_pool_inert_when_observed () =
   (* A probe retains packets in its journal, so recycling must switch
      itself off rather than corrupt the observations. *)
@@ -340,6 +361,8 @@ let () =
             test_sprintlink_hop_budget;
           Alcotest.test_case "pooling inert when observed" `Quick
             test_pool_inert_when_observed;
+          Alcotest.test_case "probe and listener under ceiling" `Quick
+            test_observed_budget;
           Alcotest.test_case "span recycling after ring wrap" `Quick
             test_span_recycling;
           Alcotest.test_case "warm policy next hop allocates nothing" `Quick

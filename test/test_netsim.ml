@@ -399,54 +399,71 @@ let test_ping_loss () =
   Net.run net;
   Alcotest.(check int) "all lost" (Ping.sent p) (Ping.lost p)
 
-(* --- Tracer --- *)
+(* --- Probe --- *)
 
-let test_tracer_records_and_bounds () =
-  let net = line_net 3 in
-  let tracer = Tracer.attach ~net ~capacity:50 () in
-  ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:100.0 ~size:200 ~start:0.0 ~stop:1.0);
-  Net.run net;
-  Alcotest.(check bool) "recorded plenty" true (Tracer.count tracer > 50);
-  Alcotest.(check int) "ring bounded" 50 (List.length (Tracer.events tracer));
-  (* Lines are timestamped and chronological. *)
-  let times =
-    List.map (fun line -> float_of_string (List.hd (String.split_on_char ' ' line)))
-      (Tracer.events tracer)
-  in
-  Alcotest.(check bool) "chronological" true (List.sort compare times = times)
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
+  scan 0
 
-let test_tracer_filters () =
-  let net = line_net 3 in
-  let f1 = Flow.cbr net ~src:0 ~dst:2 ~rate_pps:20.0 ~size:200 ~start:0.0 ~stop:1.0 in
-  let f2 = Flow.cbr net ~src:2 ~dst:0 ~rate_pps:20.0 ~size:200 ~start:0.0 ~stop:1.0 in
-  let tracer = Tracer.attach ~net ~flows:[ Flow.flow_id f1 ] () in
-  Net.run net;
-  let marker = Printf.sprintf "flow=%d" (Flow.flow_id f2) in
-  List.iter
-    (fun line ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec scan i = i + n <= String.length s && (String.sub s i n = sub || scan (i + 1)) in
-        scan 0
-      in
-      if contains line marker then Alcotest.fail "filtered flow leaked into trace")
-    (Tracer.events tracer)
-
-let test_tracer_marks_malice () =
+let test_probe_marks_malice () =
   let net = line_net 3 in
   Router.set_behavior (Net.router net 1) (Core.Adversary.drop_fraction ~seed:2 0.5);
-  let tracer = Tracer.attach ~net ~capacity:5000 () in
+  let probe = Probe.create () in
+  Net.set_probe net (Some probe);
   ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:50.0 ~size:200 ~start:0.0 ~stop:1.0);
   Net.run net;
+  let lines = List.map Probe.describe (Telemetry.Journal.to_list (Probe.journal probe)) in
   Alcotest.(check bool) "malicious drops visible" true
-    (List.exists
-       (fun line ->
-         let n = String.length "MALICIOUS-drop" in
-         let rec scan i =
-           i + n <= String.length line && (String.sub line i n = "MALICIOUS-drop" || scan (i + 1))
-         in
-         scan 0)
-       (Tracer.events tracer))
+    (List.exists (fun line -> contains line "MALICIOUS-drop") lines)
+
+(* An observed event is built once: the probe journals the very record
+   the listeners receive. *)
+let test_probe_shares_listener_record () =
+  let net = line_net 3 in
+  let probe = Probe.create () in
+  Net.set_probe net (Some probe);
+  let heard = ref [] in
+  Net.subscribe_iface net (fun ev -> heard := Probe.Link ev :: !heard);
+  Net.subscribe_router net (fun ev -> heard := Probe.Node ev :: !heard);
+  ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:50.0 ~size:200 ~start:0.0 ~stop:0.5);
+  Net.run net;
+  let journaled = Telemetry.Journal.to_list (Probe.journal probe) in
+  Alcotest.(check int) "one journal record per listener event" (List.length !heard)
+    (List.length journaled);
+  Alcotest.(check bool) "journal and listeners hold the same records" true
+    (List.for_all2
+       (fun a b ->
+         match (a, b) with
+         | Probe.Link x, Probe.Link y -> x == y
+         | Probe.Node x, Probe.Node y -> x == y
+         | _ -> false)
+       journaled (List.rev !heard))
+
+(* --- Stats --- *)
+
+(* A packet offered to a failed link never enters the queue, and the
+   packets already queued stay there: the depth series must keep reading
+   the backlog instead of counting each refused packet out of it.
+   r1->r2 serializes 20 kB/s under a 50 kB/s offer, then fails at 0.5 s
+   with 29 packets queued. *)
+let test_stats_depth_behind_failed_link () =
+  let g = G.create ~n:3 in
+  G.add_duplex g ~bw:1.25e6 ~delay:0.010 0 1;
+  G.add_duplex g ~bw:20e3 ~delay:0.010 1 2;
+  let net = Net.create ~jitter_bound:0.0 g in
+  Net.use_routing net (Rt.compute g);
+  Net.set_probe net (Some (Probe.create ()));
+  ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:100.0 ~size:500 ~start:0.0 ~stop:2.0);
+  Sim.schedule_at (Net.sim net) ~time:0.5 (fun () -> Net.fail_link net ~src:1 ~dst:2);
+  Net.run ~until:2.0 net;
+  let backlog = Iface.backlog (Option.get (Net.iface net ~src:1 ~dst:2)) in
+  Alcotest.(check int) "packets wait behind the failed link" 29 backlog;
+  let ts = Stats.queue_depth (Option.get (Net.stats net)) 1 in
+  let module Ts = Telemetry.Timeseries in
+  let last = Ts.used ts - 1 in
+  Alcotest.(check (float 1e-9)) "depth series reads the backlog" (float_of_int backlog)
+    (Ts.bucket_sum ts last /. float_of_int (Ts.bucket_count ts last))
 
 (* --- TCP --- *)
 
@@ -769,10 +786,13 @@ let () =
           Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
           Alcotest.test_case "ping rtt" `Quick test_ping_rtt;
           Alcotest.test_case "ping loss" `Quick test_ping_loss ] );
-      ( "tracer",
-        [ Alcotest.test_case "records and bounds" `Quick test_tracer_records_and_bounds;
-          Alcotest.test_case "filters" `Quick test_tracer_filters;
-          Alcotest.test_case "marks malice" `Quick test_tracer_marks_malice ] );
+      ( "probe",
+        [ Alcotest.test_case "journal marks malice" `Quick test_probe_marks_malice;
+          Alcotest.test_case "listeners share the journal's record" `Quick
+            test_probe_shares_listener_record ] );
+      ( "stats",
+        [ Alcotest.test_case "queue depth behind a failed link" `Quick
+            test_stats_depth_behind_failed_link ] );
       ( "tcp",
         [ Alcotest.test_case "completes" `Quick test_tcp_completes_transfer;
           Alcotest.test_case "goodput" `Quick test_tcp_goodput_bounded;

@@ -309,13 +309,12 @@ let prop_chi_sound_and_complete =
 
 (* --- Telemetry merge laws --- *)
 
-(* The sharded engine's epoch-barrier aggregation depends on Hist and
-   Timeseries merges being exact integer arithmetic: commutative and
-   associative, so any grouping of per-shard collectors produces the
-   same bytes.  Compare full observable state, not just totals. *)
+(* The robustness oracle folds per-run latency histograms; Hist merges
+   are exact integer arithmetic, commutative and associative, so any
+   grouping produces the same bytes.  Compare full observable state, not
+   just totals. *)
 
 module Hist = Telemetry.Hist
-module Ts = Telemetry.Timeseries
 
 (* Mostly ordinary values, plus ones the fixed-point sum cannot hold:
    they land in a bucket but stay out of the sum, on every merge order. *)
@@ -354,42 +353,6 @@ let prop_hist_merge_associative =
       hist_state (Hist.merge (Hist.merge ha hb) hc)
       = hist_state (Hist.merge ha (Hist.merge hb hc)))
 
-(* Timed samples spread far enough to force coarsening on some inputs,
-   so the law is exercised across mismatched levels too. *)
-let timed_gen =
-  QCheck.(
-    list_of_size
-      Gen.(0 -- 60)
-      (pair (float_range 0.0 40.0) (float_range (-1.0) 50.0)))
-
-let ts_of_samples samples =
-  let ts = Ts.create ~capacity:8 ~resolution:1.0 () in
-  List.iter (fun (time, v) -> Ts.record ts ~time v) samples;
-  ts
-
-let ts_state ts =
-  ( Ts.level ts,
-    Ts.used ts,
-    Array.init (Ts.used ts) (Ts.bucket_count ts),
-    Array.init (Ts.used ts) (Ts.bucket_sum ts) )
-
-let prop_ts_merge_commutative =
-  QCheck.Test.make ~name:"timeseries merge is commutative" ~count:300
-    QCheck.(pair timed_gen timed_gen)
-    (fun (a, b) ->
-      let ta = ts_of_samples a and tb = ts_of_samples b in
-      ts_state (Ts.merge ta tb) = ts_state (Ts.merge tb ta))
-
-let prop_ts_merge_associative =
-  QCheck.Test.make ~name:"timeseries merge is associative" ~count:300
-    QCheck.(triple timed_gen timed_gen timed_gen)
-    (fun (a, b, c) ->
-      let ta = ts_of_samples a
-      and tb = ts_of_samples b
-      and tc = ts_of_samples c in
-      ts_state (Ts.merge (Ts.merge ta tb) tc)
-      = ts_state (Ts.merge ta (Ts.merge tb tc)))
-
 (* --- Meter --- *)
 
 let prop_meter_totals =
@@ -423,6 +386,5 @@ let () =
       ("chi", List.map to_alco [ prop_chi_sound_and_complete ]);
       ( "telemetry-merge",
         List.map to_alco
-          [ prop_hist_merge_commutative; prop_hist_merge_associative;
-            prop_ts_merge_commutative; prop_ts_merge_associative ] );
+          [ prop_hist_merge_commutative; prop_hist_merge_associative ] );
       ("meter", List.map to_alco [ prop_meter_totals ]) ]

@@ -40,8 +40,9 @@ let with_captured_stdout f =
   Sys.remove path;
   s
 
-(* The shard suite's golden scenario: ring8/fatih, 12 s, seed 7. *)
-let report_json ~shards () =
+(* The shard suite's golden scenario: ring8/fatih, 12 s, seed 7.  Returns
+   the "stats" section of the metrics export and the normalized report. *)
+let golden_outputs ~shards () =
   let metrics = Filename.temp_file "report_metrics" ".json" in
   ignore
     (with_captured_stdout (fun () ->
@@ -54,9 +55,35 @@ let report_json ~shards () =
     | Error e -> Alcotest.failf "metrics parse (K=%d): %s" shards e
   in
   Sys.remove metrics;
+  let stats =
+    match Export.member "stats" doc with
+    | Some (Export.Assoc _ as s) -> Export.to_string s
+    | _ -> Alcotest.failf "metrics export (K=%d) has no stats section" shards
+  in
   match Report.of_metrics doc with
-  | Ok report -> Export.to_string report
+  | Ok report -> (stats, Export.to_string report)
   | Error e -> Alcotest.failf "report (K=%d): %s" shards e
+
+let report_json ~shards () = snd (golden_outputs ~shards ())
+
+(* MD5 digests of the golden scenario's stats section and report,
+   recorded before Stats moved behind the probe: the classic engine and
+   the sharded engine (K=1, which K=2 and K=4 must equal).  Pins every K
+   at once, where the identity test below only compares K against K. *)
+let test_stats_pinned () =
+  List.iter
+    (fun (shards, stats_hex, report_hex) ->
+      let stats, report = golden_outputs ~shards () in
+      Alcotest.(check string)
+        (Printf.sprintf "K=%d stats section matches the recorded digest" shards)
+        stats_hex
+        (Digest.to_hex (Digest.string stats));
+      Alcotest.(check string)
+        (Printf.sprintf "K=%d report matches the recorded digest" shards)
+        report_hex
+        (Digest.to_hex (Digest.string report)))
+    [ (0, "00fde74f6076d7beac108ec9da608188", "5ce0fcb7ed01de164f75e2f166c1c252");
+      (1, "371647c96b15d0789216f0031ad4ce2d", "0203dd0d47ca1b37d5ab9cdeae889e0e") ]
 
 let test_report_shard_identity () =
   let reference = report_json ~shards:1 () in
@@ -279,7 +306,8 @@ let () =
   Alcotest.run "report"
     [ ( "determinism",
         [ Alcotest.test_case "shard-count byte identity" `Slow
-            test_report_shard_identity ] );
+            test_report_shard_identity;
+          Alcotest.test_case "stats and report pinned" `Slow test_stats_pinned ] );
       ("html", [ Alcotest.test_case "self-contained page" `Quick test_report_html ]);
       ( "roundtrip",
         [ Alcotest.test_case "hist json" `Quick test_hist_roundtrip;

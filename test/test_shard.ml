@@ -273,6 +273,37 @@ let test_golden_chaos_faults () =
             "8c39d490fe34bbca97ded1f1d9391730" (* sharded, any K *) )
         ())
 
+(* `mrdetect simulate --trace 20`: the attacker's last 20 wire and
+   router events, one rendered line each, after the report.  Digests
+   recorded before the trace journal moved into Simulate, for the
+   classic engine and the sharded engine. *)
+let test_golden_trace () =
+  List.iter
+    (fun (shards, hex) ->
+      let out =
+        with_captured_stdout (fun () ->
+            Experiments.Simulate.run
+              (Experiments.Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0
+                 ~seed:7 ~flows:6 ~trace:20 ~shards Experiments.Simulate.Ring))
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "K=%d --trace 20 stdout matches the recorded digest" shards)
+        hex
+        (Digest.to_hex (Digest.string out));
+      let rec dump = function
+        | [] -> Alcotest.failf "K=%d: no trace header" shards
+        | "last 20 events at router 2:" :: rest -> List.filter (( <> ) "") rest
+        | _ :: rest -> dump rest
+      in
+      let lines = dump (String.split_on_char '\n' out) in
+      Alcotest.(check int) (Printf.sprintf "K=%d: bounded to 20 lines" shards) 20
+        (List.length lines);
+      let time l = float_of_string (List.hd (String.split_on_char ' ' (String.trim l))) in
+      let times = List.map time lines in
+      Alcotest.(check bool) (Printf.sprintf "K=%d: chronological" shards) true
+        (List.sort compare times = times))
+    [ (0, "87b610cc1d3fdafd7fea5a8e0bc79bd9"); (2, "7f2d799f33e2eb31f7218603ad607c5b") ]
+
 (* Cross-shard mailbox delivery must reproduce the single-heap order
    even when K does not divide the ring: every cut link is cross-shard
    on one side and not the other, so any ordering bug shows up as a
@@ -312,4 +343,5 @@ let () =
         [ Alcotest.test_case "ring8 fatih K-invariant" `Quick test_golden_ring_fatih;
           Alcotest.test_case "abilene chi K-invariant" `Quick test_golden_abilene_chi;
           Alcotest.test_case "chaos faults K-invariant" `Quick
-            test_golden_chaos_faults ] ) ]
+            test_golden_chaos_faults;
+          Alcotest.test_case "simulate --trace pinned" `Quick test_golden_trace ] ) ]
