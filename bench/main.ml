@@ -8,8 +8,7 @@
 
    - BENCH_hotpath.json — ns/op of the per-packet and per-round kernels
      behind Chapter 7 and Appendix A (fingerprints, traffic validation,
-     set reconciliation, routing, SHA-256/HMAC, Dolev-Strong), plus the
-     2-domain Mailbox SPSC rate as context;
+     set reconciliation, routing, SHA-256/HMAC, Dolev-Strong);
    - BENCH_alloc.json — words allocated per simulation event on the
      ring8 reference scenario, pooling off and on, against the seed's
      numbers.
@@ -217,10 +216,8 @@ type kernel_stat = {
   readings : float array;
 }
 
-let measure_kernels { rounds; budget; pause } =
-  let table =
-    Array.of_list (List.map (fun (n, f) -> (n, f, batch_size f)) (kernels ()))
-  in
+let measure_kernels ?(table = kernels ()) { rounds; budget; pause } =
+  let table = Array.of_list (List.map (fun (n, f) -> (n, f, batch_size f)) table) in
   (* Start from a compacted heap, whatever ran before. *)
   Gc.compact ();
   let readings = Array.map (fun _ -> Array.make rounds 0.0) table in
@@ -241,37 +238,6 @@ let measure_kernels { rounds; budget; pause } =
          let spread = (s.(n - 1) -. s.(0)) /. median in
          { name; median; spread; readings = readings.(i) })
        table)
-
-(* 2-domain push/drain throughput of the cross-shard mailbox: the
-   producer pushes [n] messages while this domain live-drains the ring,
-   then the spill is settled once the producer has quiesced.  Context
-   only: it needs two cores to mean anything, so it is not gated. *)
-let mailbox_spsc ~smoke =
-  let n = if smoke then 10_000 else 500_000 in
-  let run () =
-    let mb = Netsim.Mailbox.create ~capacity:4096 in
-    let finished = Atomic.make false in
-    let received = ref 0 in
-    let t0 = Unix.gettimeofday () in
-    let producer =
-      Domain.spawn (fun () ->
-          for i = 1 to n do
-            Netsim.Mailbox.push mb i
-          done;
-          Atomic.set finished true)
-    in
-    while not (Atomic.get finished) do
-      Netsim.Mailbox.drain_ring mb (fun _ -> incr received)
-    done;
-    Domain.join producer;
-    Netsim.Mailbox.drain mb (fun _ -> incr received);
-    let wall = Unix.gettimeofday () -. t0 in
-    if !received <> n then failwith "mailbox micro-bench lost messages";
-    float_of_int n /. wall
-  in
-  let best = List.fold_left (fun b _ -> Float.max b (run ())) 0.0 [ 1; 2; 3 ] in
-  Printf.printf "  %-26s %9.0f msgs/s  (%d messages, best of 3)\n" "mailbox-spsc" best n;
-  J.Assoc [ ("messages", Int n); ("msgs_per_second", Float best) ]
 
 (* --- recording -------------------------------------------------------- *)
 
@@ -330,7 +296,6 @@ let record ~smoke =
       Printf.printf "  %-26s %11.1f ns/op  spread %5.1f%%\n" k.name k.median
         (k.spread *. 100.0))
     stats;
-  let mailbox = mailbox_spsc ~smoke in
   let hotpath =
     artifact "mrdetect-bench-hotpath-v2"
       (Printf.sprintf
@@ -350,8 +315,7 @@ let record ~smoke =
                      ( "readings",
                        List (List.map (fun x -> J.Float x) (Array.to_list k.readings)) )
                    ])
-               stats) );
-        ("mailbox_spsc", mailbox) ]
+               stats) ) ]
   in
   [ (alloc_file, alloc); (hotpath_file, hotpath) ]
 
@@ -385,8 +349,9 @@ let check_recorded (file, doc) =
   | Some _ -> ()
   | None -> fail_baseline "%s has no commit stamp" file
 
-(* The gated rows of a pair of artifacts as (band, baseline), in the
-   order {!fresh} measures them. *)
+(* The gated rows of a pair of artifacts as (band, baseline): the
+   allocation rows in [alloc_modes] order, the kernel rows in table
+   order. *)
 let gated_rows docs =
   let row file ~field ~key ~value =
     match G.find_by (List.assoc file docs) ~field ~key ~value with
@@ -398,27 +363,49 @@ let gated_rows docs =
     | Some v -> v
     | None -> fail_baseline "%s row lacks %s" file field
   in
-  List.map
-    (fun mode ->
-      let r = row alloc_file ~field:"modes" ~key:"mode" ~value:mode in
-      ( words_band (Printf.sprintf "alloc.%s.minor_words_per_event" mode),
-        num alloc_file r "minor_words_per_event" ))
-    alloc_modes
-  @ List.map
+  ( List.map
+      (fun mode ->
+        let r = row alloc_file ~field:"modes" ~key:"mode" ~value:mode in
+        ( words_band (Printf.sprintf "alloc.%s.minor_words_per_event" mode),
+          num alloc_file r "minor_words_per_event" ))
+      alloc_modes,
+    List.map
       (fun (name, _) ->
         let r = row hotpath_file ~field:"kernels" ~key:"name" ~value:name in
         ( kernel_band (Printf.sprintf "hotpath.%s.ns_per_op" name)
             ~spread:(num hotpath_file r "spread"),
           num hotpath_file r "ns_per_op" ))
-      (kernels ())
+      (kernels ()) )
 
 (* A kernel is judged on the best of its readings: a regression slows
-   every reading, a slow phase of the host only some. *)
-let fresh () =
-  List.map (fun mode -> fst (alloc_row ~smoke:false mode)) alloc_modes
-  @ List.map
-      (fun k -> Array.fold_left Float.min infinity k.readings)
-      (measure_kernels gating)
+   every reading, a slow phase of the host or a process running beside
+   the gate only some.  Every kernel gets the gating readings; one still
+   over its limit gets one more reading per pass on the recording's
+   schedule, and fails only if it is over its limit after every pass. *)
+let judge_kernels judge rows =
+  let table = Array.of_list (kernels ()) and rows = Array.of_list rows in
+  let best =
+    Array.of_list
+      (List.map
+         (fun k -> Array.fold_left Float.min infinity k.readings)
+         (measure_kernels ~table:(Array.to_list table) gating))
+  in
+  let over i = not (judge rows.(i) best.(i)).G.ok in
+  let rec pass p =
+    match List.filter over (List.init (Array.length table) Fun.id) with
+    | failing when failing <> [] && p < recording.rounds ->
+        Unix.sleepf recording.pause;
+        let retaken =
+          measure_kernels
+            ~table:(List.map (fun i -> table.(i)) failing)
+            { recording with rounds = 1 }
+        in
+        List.iter2 (fun i k -> best.(i) <- Float.min best.(i) k.readings.(0)) failing retaken;
+        pass (p + 1)
+    | _ -> ()
+  in
+  pass 1;
+  List.init (Array.length rows) (fun i -> judge rows.(i) best.(i))
 
 (* Re-measure every gated row the way the recording did and judge it.
    [handicap] multiplies every fresh measurement, so the gate's failure
@@ -437,12 +424,14 @@ let check ~handicap ~baseline_dir =
       [ alloc_file; hotpath_file ]
   in
   List.iter check_recorded docs;
-  let rows = gated_rows docs in
+  let judge (band, baseline) measured =
+    G.judge band ~baseline ~measured:(measured *. handicap)
+  in
+  let alloc_rows, kernel_rows = gated_rows docs in
   let verdicts =
-    List.map2
-      (fun (band, baseline) measured ->
-        G.judge band ~baseline ~measured:(measured *. handicap))
-      rows (fresh ())
+    List.map2 judge alloc_rows
+      (List.map (fun mode -> fst (alloc_row ~smoke:false mode)) alloc_modes)
+    @ judge_kernels judge kernel_rows
   in
   List.iter (fun v -> print_endline (G.render v)) verdicts;
   let ok = G.all_ok verdicts in
@@ -485,8 +474,9 @@ let () =
             | _ -> failwith (file ^ " does not round-trip"))
           (record ~smoke:true)
       in
+      let alloc_rows, kernel_rows = gated_rows docs in
       Printf.printf "\nsmoke: %d gated rows read back, no file written\n"
-        (List.length (gated_rows docs))
+        (List.length alloc_rows + List.length kernel_rows)
   | false, false, None, None ->
       List.iter
         (fun (file, doc) ->

@@ -48,7 +48,8 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
    drive it: the classic single-heap {!Netsim.Sim} loop, and
    {!Netsim.Shard} — a conservative-synchronization parallel engine
    (one domain per graph partition, cross-shard packets through
-   {!Netsim.Mailbox} rings, observations merged at epoch barriers)
+   per-shard outboxes drained between windows, observations merged at
+   epoch barriers)
    whose output is byte-identical for every shard count.
    [mrdetect simulate --shards K] selects it.}
 {- [Topology] — {!Topology.Routing} (deterministic link state),

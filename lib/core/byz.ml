@@ -179,6 +179,14 @@ let screen t ?probe ?(time = 0.0) ~claimant ~summary ~extras () =
     extras;
   !rejected
 
+let claim t ?probe ~time ~claimant ~peer ~segment ~round truth =
+  match summary_claim t ~claimant ~peer ~segment ~round truth with
+  | cl, [] -> cl
+  | cl, extras ->
+      let c = if cl == truth then Summary.copy cl else cl in
+      ignore (screen t ?probe ~time ~claimant ~summary:c ~extras ());
+      c
+
 let digest s =
   List.fold_left
     (fun acc fp -> Int64.logxor acc (Int64.mul fp 0x9e3779b97f4a7c15L))

@@ -132,6 +132,23 @@ val screen :
     rejected.  With [hardened = false] every extra is folded in and
     counted as accepted. *)
 
+val claim :
+  t ->
+  ?probe:Netsim.Probe.t ->
+  time:float ->
+  claimant:int ->
+  peer:int ->
+  segment:int list ->
+  round:int ->
+  Summary.t ->
+  Summary.t
+(** The summary a verifier ends up judging: {!summary_claim}, then, when
+    the claim carries extras, {!screen} of those extras (journaled at
+    [time] with [probe]) into a copy of it.  Honest claimants get
+    [truth] itself back; [truth] is never mutated.  A router that
+    broadcasts one signed summary to every peer (Pi2_live's consensus)
+    claims with [~peer:(-1)]. *)
+
 val digest : Summary.t -> int64
 (** Order-independent fingerprint-set digest — what peers compare to
     detect equivocation without shipping whole summaries twice. *)

@@ -50,7 +50,6 @@ type t = {
   mutable error_samples_rev : float list;
   mutable error_sample_count : int;
   mutable qpred : float;
-  mutable carry_d : Qmon.entry list;   (* departures past the horizon *)
   mutable round : int;
   mutable reports_rev : report list;
   (* Graceful degradation under a faulty control plane: rounds whose
@@ -72,59 +71,36 @@ let c_single t ~qpred ~size =
      X = q_act - q_pred satisfies X + q_pred + ps <= q_limit. *)
   Mrstats.Erf.normal_cdf ~mu ~sigma (t.qlimit -. qpred -. float_of_int size)
 
-type replay_event =
-  | Arrive of Qmon.entry
-  | Depart of Qmon.entry
-
+(* The per-event rule over Qmon's replay: q_pred follows the replayed
+   queue, and each loss gets its c_single confidence. *)
 let process_round t (data : Qmon.round_data) ~horizon ~learning =
-  let departed = Hashtbl.create (List.length data.Qmon.departures * 2) in
-  List.iter (fun (e : Qmon.entry) -> Hashtbl.replace departed e.Qmon.fp ())
-    data.Qmon.departures;
   let occ_of = Hashtbl.create 16 in
   List.iter (fun (fp, occ) -> Hashtbl.replace occ_of fp occ) data.Qmon.occupancy_samples;
-  (* Departures beyond the horizon belong to the next replay so that
-     q_pred carries the backlog across round boundaries. *)
-  let now_d, later_d =
-    List.partition (fun (e : Qmon.entry) -> e.Qmon.time <= horizon) data.Qmon.departures
-  in
-  let events =
-    List.merge
-      (fun a b ->
-        let time = function Arrive e | Depart e -> e.Qmon.time in
-        compare (time a) (time b))
-      (List.map (fun e -> Arrive e) data.Qmon.arrivals)
-      (List.map (fun e -> Depart e) (List.merge Qmon.(fun a b -> compare a.time b.time)
-                                       t.carry_d now_d))
-  in
-  t.carry_d <- later_d;
   let losses = ref [] in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Depart e -> t.qpred <- Float.max 0.0 (t.qpred -. float_of_int e.Qmon.size)
-      | Arrive e ->
-          if Hashtbl.mem departed e.Qmon.fp then begin
-            (* Admitted: calibrate the prediction error if the trusted
-               occupancy sample is available. *)
-            (match Hashtbl.find_opt occ_of e.Qmon.fp with
-            | Some occ when learning ->
-                let err = float_of_int occ -. t.qpred in
-                Mrstats.Welford.add t.error err;
-                if t.error_sample_count < 100_000 then begin
-                  t.error_sample_count <- t.error_sample_count + 1;
-                  t.error_samples_rev <- err :: t.error_samples_rev
-                end
-            | _ -> ());
-            t.qpred <- t.qpred +. float_of_int e.Qmon.size
-          end
-          else begin
-            let confidence = c_single t ~qpred:t.qpred ~size:e.Qmon.size in
-            losses :=
-              { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
-                time = e.Qmon.time; qpred = t.qpred; confidence }
-              :: !losses
-          end)
-    events;
+  Qmon.replay t.qmon data ~horizon
+    ~depart:(fun e -> t.qpred <- Float.max 0.0 (t.qpred -. float_of_int e.Qmon.size))
+    ~arrive:(fun e ~admitted ->
+      if admitted then begin
+        (* Calibrate the prediction error if the trusted occupancy
+           sample is available. *)
+        (match Hashtbl.find_opt occ_of e.Qmon.fp with
+        | Some occ when learning ->
+            let err = float_of_int occ -. t.qpred in
+            Mrstats.Welford.add t.error err;
+            if t.error_sample_count < 100_000 then begin
+              t.error_sample_count <- t.error_sample_count + 1;
+              t.error_samples_rev <- err :: t.error_samples_rev
+            end
+        | _ -> ());
+        t.qpred <- t.qpred +. float_of_int e.Qmon.size
+      end
+      else begin
+        let confidence = c_single t ~qpred:t.qpred ~size:e.Qmon.size in
+        losses :=
+          { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
+            time = e.Qmon.time; qpred = t.qpred; confidence }
+          :: !losses
+      end);
   List.rev !losses
 
 let evaluate t ~losses ~fabricated ~learning =
@@ -230,8 +206,6 @@ let run_round t ~start_time ~end_time ~learning ~degraded =
           ()
       end
 
-let mute_rounds = 3
-
 let deploy ~net ~rt ~router ~next ?(config = default_config)
     ?(key = Crypto_sim.Siphash.key_of_string "chi-monitor") ?predict ?skew ?probe
     ?ctrl ?retry () =
@@ -247,7 +221,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
   let t =
     { qmon; config; qlimit; router; next; probe; ctrl; retry;
       error = Mrstats.Welford.create ();
-      error_samples_rev = []; error_sample_count = 0; qpred = 0.0; carry_d = [];
+      error_samples_rev = []; error_sample_count = 0; qpred = 0.0;
       round = 0; reports_rev = [];
       rounds_degraded = 0; mute_streak = 0; failstopped = false }
   in
@@ -278,7 +252,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
               true)
     in
     run_round t ~start_time ~end_time ~learning ~degraded;
-    if t.mute_streak >= mute_rounds && not t.failstopped then begin
+    if t.mute_streak >= Ctrl.mute_rounds && not t.failstopped then begin
       t.failstopped <- true;
       match t.probe with
       | None -> ()
@@ -291,7 +265,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
               (Printf.sprintf
                  "fail-stop: departure reports refused %d consecutive rounds \
                   — excised, not accused"
-                 mute_rounds)
+                 Ctrl.mute_rounds)
             ()
     end;
     if t.round >= config.learning_rounds then Qmon.set_calibrating qmon false;

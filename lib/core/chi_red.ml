@@ -47,7 +47,6 @@ type t = {
   mutable count : int;
   mutable occ : int;
   mutable idle_since : float option;
-  mutable carry_d : Qmon.entry list;
   mutable round : int;
   mutable reports_rev : report list;
   (* Cumulative evidence since the end of learning: catches attacks whose
@@ -63,75 +62,57 @@ type t = {
 
 and flow_acc = { mutable f_obs : int; mutable f_mu : float; mutable f_var : float }
 
-type replay_event = Arrive of Qmon.entry | Depart of Qmon.entry
-
+(* The per-event rule over Qmon's replay: RED's EWMA and drop count
+   follow the replayed queue, and each arrival gets its drop
+   probability. *)
 let process_round t (data : Qmon.round_data) ~horizon =
-  let departed = Hashtbl.create (List.length data.Qmon.departures * 2) in
-  List.iter (fun (e : Qmon.entry) -> Hashtbl.replace departed e.Qmon.fp ())
-    data.Qmon.departures;
-  let now_d, later_d =
-    List.partition (fun (e : Qmon.entry) -> e.Qmon.time <= horizon) data.Qmon.departures
-  in
-  let events =
-    List.merge
-      (fun a b ->
-        let time = function Arrive e | Depart e -> e.Qmon.time in
-        compare (time a) (time b))
-      (List.map (fun e -> Arrive e) data.Qmon.arrivals)
-      (List.map (fun e -> Depart e)
-         (List.merge Qmon.(fun a b -> compare a.time b.time) t.carry_d now_d))
-  in
-  t.carry_d <- later_d;
   let losses = ref [] in
   let all_probs = ref [] in (* (flow, p) per arrival *)
-  List.iter
-    (fun ev ->
-      match ev with
-      | Depart e ->
-          t.occ <- max 0 (t.occ - e.Qmon.size);
-          if t.occ = 0 then t.idle_since <- Some e.Qmon.time
-      | Arrive e ->
-          (* Replay RED's deterministic side (§6.5.2). *)
-          (match t.idle_since with
-          | Some since when t.occ = 0 ->
-              t.avg <-
-                Netsim.Red.decay_avg t.params ~avg:t.avg ~idle:(e.Qmon.time -. since)
-                  ~link_bw:t.link_bw;
-              t.idle_since <- None
-          | _ -> ());
-          t.avg <- Netsim.Red.update_avg t.params ~avg:t.avg ~occupancy:t.occ;
-          let forced = t.occ + e.Qmon.size > t.params.Netsim.Red.limit_bytes in
-          let pb0 = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:0 in
-          let p_red =
-            if pb0 <= 0.0 then if forced then 1.0 else 0.0
-            else if pb0 >= 1.0 then 1.0
-            else begin
-              t.count <- t.count + 1;
-              let p = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:t.count in
-              if forced then 1.0 else p
-            end
-          in
-          if pb0 <= 0.0 then t.count <- -1;
-          all_probs := (e.Qmon.flow, p_red) :: !all_probs;
-          if Hashtbl.mem departed e.Qmon.fp then t.occ <- t.occ + e.Qmon.size
-          else begin
-            t.count <- 0;
-            (* RED cannot drop below min_th (other than by overflow), so
-               a drop with the replayed EWMA more than the drift margin
-               below min_th — and room in the replayed queue — is
-               individually malicious. *)
-            let certain =
-              (not forced)
-              && t.avg < t.params.Netsim.Red.min_th -. t.config.drift_margin
-              && float_of_int (t.occ + e.Qmon.size)
-                 <= float_of_int t.params.Netsim.Red.limit_bytes -. t.config.drift_margin
-            in
-            losses :=
-              { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
-                time = e.Qmon.time; red_prob = p_red; avg = t.avg; certain }
-              :: !losses
-          end)
-    events;
+  Qmon.replay t.qmon data ~horizon
+    ~depart:(fun e ->
+      t.occ <- max 0 (t.occ - e.Qmon.size);
+      if t.occ = 0 then t.idle_since <- Some e.Qmon.time)
+    ~arrive:(fun e ~admitted ->
+      (* Replay RED's deterministic side (§6.5.2). *)
+      (match t.idle_since with
+      | Some since when t.occ = 0 ->
+          t.avg <-
+            Netsim.Red.decay_avg t.params ~avg:t.avg ~idle:(e.Qmon.time -. since)
+              ~link_bw:t.link_bw;
+          t.idle_since <- None
+      | _ -> ());
+      t.avg <- Netsim.Red.update_avg t.params ~avg:t.avg ~occupancy:t.occ;
+      let forced = t.occ + e.Qmon.size > t.params.Netsim.Red.limit_bytes in
+      let pb0 = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:0 in
+      let p_red =
+        if pb0 <= 0.0 then if forced then 1.0 else 0.0
+        else if pb0 >= 1.0 then 1.0
+        else begin
+          t.count <- t.count + 1;
+          let p = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:t.count in
+          if forced then 1.0 else p
+        end
+      in
+      if pb0 <= 0.0 then t.count <- -1;
+      all_probs := (e.Qmon.flow, p_red) :: !all_probs;
+      if admitted then t.occ <- t.occ + e.Qmon.size
+      else begin
+        t.count <- 0;
+        (* RED cannot drop below min_th (other than by overflow), so a
+           drop with the replayed EWMA more than the drift margin below
+           min_th — and room in the replayed queue — is individually
+           malicious. *)
+        let certain =
+          (not forced)
+          && t.avg < t.params.Netsim.Red.min_th -. t.config.drift_margin
+          && float_of_int (t.occ + e.Qmon.size)
+             <= float_of_int t.params.Netsim.Red.limit_bytes -. t.config.drift_margin
+        in
+        losses :=
+          { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
+            time = e.Qmon.time; red_prob = p_red; avg = t.avg; certain }
+          :: !losses
+      end);
   (List.rev !losses, Array.of_list (List.rev !all_probs))
 
 let run_round t ~start_time ~end_time ~learning =
@@ -234,7 +215,7 @@ let deploy ~net ~rt ~router ~next ~params ?(config = default_config)
   in
   let t =
     { qmon; config; params; link_bw; avg = 0.0; count = -1; occ = 0;
-      idle_since = Some 0.0; carry_d = []; round = 0; reports_rev = [];
+      idle_since = Some 0.0; round = 0; reports_rev = [];
       cum_observed = 0; cum_mu = 0.0; cum_var = 0.0; cum_flows = Hashtbl.create 16 }
   in
   let sim = Netsim.Net.sim net in

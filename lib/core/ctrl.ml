@@ -11,6 +11,8 @@ type retry = { max_attempts : int; base_timeout : float; backoff : float }
 
 let default_retry = { max_attempts = 4; base_timeout = 0.25; backoff = 2.0 }
 
+let mute_rounds = 3
+
 type outcome =
   | Delivered of { attempts : int; duplicated : bool; extra_delay : float }
   | Timed_out of { attempts : int; waited : float }

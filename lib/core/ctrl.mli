@@ -44,10 +44,14 @@ val default_retry : retry
     (backoff - 1)], i.e. exactly 3.75 s under the defaults.  Exhaustion
     is a {e degradation} signal, never a verdict: the protocols riding
     the channel carry their round state over (fatih, pi2) and only
-    after several {e consecutive} exhausted rounds judge the
+    after {!mute_rounds} {e consecutive} exhausted rounds judge the
     unreachable peer fail-stop — excised from routing, recorded
     non-alarming — mirroring the dissertation's §4.2.1 benign-failure
     rule that silence is never treated as malice. *)
+
+val mute_rounds : int
+(** 3: the consecutive exhausted or refused rounds after which fatih,
+    pi2 and chi judge a silent peer fail-stop. *)
 
 type outcome =
   | Delivered of {

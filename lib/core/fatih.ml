@@ -7,13 +7,12 @@ type config = {
   policy : Summary.policy;
   exchange : exchange;
   response : Response.config;
-  mute_rounds : int;
 }
 
 let default_config =
   { tau = 5.0; thresholds = Validation.lenient (); min_packets = 20;
     policy = Summary.Content; exchange = Full_sets;
-    response = Response.default_config; mute_rounds = 3 }
+    response = Response.default_config }
 
 type detection = {
   time : float;
@@ -42,7 +41,7 @@ type seg_state = {
      plan is armed. *)
   mutable mid : Summary.t;
   (* Consecutive summary-exchange timeouts / interior-heartbeat
-     timeouts: either streak reaching [mute_rounds] judges the silent
+     timeouts: either streak reaching [Ctrl.mute_rounds] judges the silent
      party fail-stop — excised from routing, never accused. *)
   mutable degraded_streak : int;
   mutable mute_streak : int;
@@ -80,8 +79,8 @@ let monitored_segments t =
    never written: the per-hop path swaps in a fresh summary on a slot's
    first observation, and round ends and reroutes put the placeholder
    back instead of allocating.  Sharing is safe because nothing else
-   modifies a summary in place — [Byz.summary_claim] and [Byz.screen]
-   work on copies — so an idle segment costs no summary at all. *)
+   modifies a summary in place — [Byz.claim] works on copies — so an
+   idle segment costs no summary at all. *)
 let fresh_state empty =
   { sent = empty; received = empty; prev_sent = empty; excused = false;
     mid = empty; degraded_streak = 0; mute_streak = 0; failstopped = false }
@@ -96,6 +95,11 @@ let reset_state ~empty st =
 let deploy ~net ~rt ?(config = default_config)
     ?(key = Crypto_sim.Siphash.key_of_string "fatih") ?probe ?ctrl ?retry ?byz
     () =
+  (* Flow summaries keep no packet identities: TV could only judge their
+     counters, which count the packets straddling a round boundary and
+     would accuse honest routers. *)
+  if config.policy = Summary.Flow then
+    invalid_arg "Fatih.deploy: the Flow policy keeps no packet identities";
   let empty = Summary.create config.policy in
   let t =
     { config; response = Response.create ~net ~config:config.response ?probe ();
@@ -179,11 +183,6 @@ let deploy ~net ~rt ?(config = default_config)
           Seg_index.iter_link t.index ~src:ev.Netsim.Net.router ~dst:ev.Netsim.Net.next
             (fun st -> st.excused <- true)
       | _ -> ());
-  let down ~src ~dst =
-    match Netsim.Net.iface net ~src ~dst with
-    | Some i -> not (Netsim.Iface.is_up i)
-    | None -> false
-  in
   let sim = Netsim.Net.sim net in
   let rec tick () =
     let now = Netsim.Sim.now sim in
@@ -205,7 +204,10 @@ let deploy ~net ~rt ?(config = default_config)
           eligible
           &&
           match seg with
-          | [ a; m; b ] -> down ~src:a ~dst:m || down ~src:m ~dst:b
+          | [ a; m; b ] ->
+              not
+                (Netsim.Net.link_up net ~src:a ~dst:m
+                && Netsim.Net.link_up net ~src:m ~dst:b)
           | _ -> false
         in
         let excused = st.excused && not link_failed in
@@ -281,15 +283,15 @@ let deploy ~net ~rt ?(config = default_config)
               t.words_exchanged + ((attempts - 1) * Summary.state_words st.sent)
         | `Skip -> ());
         (* Persistent silence is fail-stop, not malice: after
-           [mute_rounds] consecutive refusals the segment is excised
+           [Ctrl.mute_rounds] consecutive refusals the segment is excised
            from routing with a non-alarming verdict — the α-accuracy
            bar forbids convicting a router for being unreachable. *)
         (if (match byz with Some bz -> Byz.hardened bz | None -> false)
             && not st.failstopped
-            && (st.degraded_streak >= config.mute_rounds
-               || st.mute_streak >= config.mute_rounds) then begin
+            && (st.degraded_streak >= Ctrl.mute_rounds
+               || st.mute_streak >= Ctrl.mute_rounds) then begin
            st.failstopped <- true;
-           let mute = st.mute_streak >= config.mute_rounds in
+           let mute = st.mute_streak >= Ctrl.mute_rounds in
            (match probe with
            | Some probe ->
                Netsim.Probe.record_verdict probe ~time:now ~detector:"fatih"
@@ -303,7 +305,7 @@ let deploy ~net ~rt ?(config = default_config)
                       "fail-stop: %s %d consecutive rounds — excised, not accused"
                       (if mute then "interior heartbeat refused"
                        else "summary exchange timed out")
-                      config.mute_rounds)
+                      Ctrl.mute_rounds)
                  ()
            | None -> ());
            Response.suspect t.response seg
@@ -348,52 +350,23 @@ let deploy ~net ~rt ?(config = default_config)
              hardened verifier therefore never even sees a forged
              entry; the unhardened baseline folds them in and measures
              the damage. *)
-          let s_claim, r_claim =
+          let claim ~claimant ~peer truth =
             match byz with
-            | None -> (st.sent, st.received)
+            | None -> truth
             | Some bz ->
-                let claim ~claimant ~peer truth =
-                  let cl, extras =
-                    Byz.summary_claim bz ~claimant ~peer ~segment:seg
-                      ~round:t.round truth
-                  in
-                  match extras with
-                  | [] -> cl
-                  | extras ->
-                      let c = if cl == truth then Summary.copy cl else cl in
-                      ignore
-                        (Byz.screen bz ?probe ~time:now ~claimant ~summary:c
-                           ~extras ());
-                      c
-                in
-                ( claim ~claimant:a_end ~peer:b_end st.sent,
-                  claim ~claimant:b_end ~peer:a_end st.received )
+                Byz.claim bz ?probe ~time:now ~claimant ~peer ~segment:seg
+                  ~round:t.round truth
           in
-          let v =
-            Validation.tv ~thresholds:config.thresholds ~sent:s_claim
-              ~received:r_claim ()
+          let s_claim = claim ~claimant:a_end ~peer:b_end st.sent in
+          let r_claim = claim ~claimant:b_end ~peer:a_end st.received in
+          let tv ~sent ~received =
+            Validation.tv ~thresholds:config.thresholds ~prev:st.prev_sent ~sent
+              ~received ()
           in
-          (* Boundary filter: ignore "fabricated" packets announced in the
-             previous round. *)
-          let fabricated =
-            List.filter
-              (fun fp -> not (Summary.mem st.prev_sent fp))
-              v.Validation.fabricated
-          in
+          let v = tv ~sent:s_claim ~received:r_claim in
+          let missing = List.length v.Validation.missing
+          and fabricated = List.length v.Validation.fabricated in
           let sent_n = Summary.packets s_claim in
-          let loss_bad =
-            float_of_int (List.length v.Validation.missing)
-            > config.thresholds.Validation.max_loss_fraction *. float_of_int sent_n
-          in
-          let fab_bad =
-            List.length fabricated > config.thresholds.Validation.max_fabricated
-          in
-          let order_bad =
-            v.Validation.reordered > config.thresholds.Validation.max_reordered
-          in
-          let delay_bad =
-            v.Validation.max_delay_seen > config.thresholds.Validation.max_delay
-          in
           let verdict ?subject ?(evidence = Option.to_list dispatch)
               ~suspects ~alarm ~detail () =
             match probe with
@@ -403,9 +376,7 @@ let deploy ~net ~rt ?(config = default_config)
                   ?subject ~suspects ~alarm ~detail ~evidence ()
           in
           let counts =
-            Printf.sprintf "missing=%d/%d fabricated=%d"
-              (List.length v.Validation.missing) sent_n
-              (List.length fabricated)
+            Printf.sprintf "missing=%d/%d fabricated=%d" missing sent_n fabricated
           in
           (* The interior router's own forwarded-claim, requested over
              the control plane each judged round when the hardened
@@ -416,14 +387,8 @@ let deploy ~net ~rt ?(config = default_config)
             match byz with
             | Some bz when Byz.hardened bz && m_reachable && not st.failstopped
               ->
-                let m_to_a, _ =
-                  Byz.summary_claim bz ~claimant:m_int ~peer:a_end ~segment:seg
-                    ~round:t.round st.mid
-                in
-                let m_to_b, _ =
-                  Byz.summary_claim bz ~claimant:m_int ~peer:b_end ~segment:seg
-                    ~round:t.round st.mid
-                in
+                let m_to_a = claim ~claimant:m_int ~peer:a_end st.mid in
+                let m_to_b = claim ~claimant:m_int ~peer:b_end st.mid in
                 Some (bz, m_to_a, m_to_b)
             | _ -> None
           in
@@ -448,16 +413,11 @@ let deploy ~net ~rt ?(config = default_config)
                 true
             | _ -> false
           in
-          if (not equivocated) && (loss_bad || fab_bad || order_bad || delay_bad)
-          then begin
+          if (not equivocated) && not v.Validation.ok then begin
             incr detected;
-            let ends =
-              match seg with [ a; _; b ] -> (a, b) | _ -> assert false
-            in
             t.detections_rev <-
-              { time = now; segment = seg; detected_by = ends;
-                missing = List.length v.Validation.missing;
-                fabricated = List.length fabricated;
+              { time = now; segment = seg; detected_by = (a_end, b_end); missing;
+                fabricated;
                 reordered = v.Validation.reordered;
                 max_delay = v.Validation.max_delay_seen; sent = sent_n }
               :: t.detections_rev;
@@ -469,10 +429,8 @@ let deploy ~net ~rt ?(config = default_config)
                     ~name:"summary-mismatch" ~cat:"evidence" ~time:now
                     ~routers:seg
                     ~args:
-                      [ ("missing", Telemetry.Export.Int
-                           (List.length v.Validation.missing));
-                        ("fabricated", Telemetry.Export.Int
-                           (List.length fabricated));
+                      [ ("missing", Telemetry.Export.Int missing);
+                        ("fabricated", Telemetry.Export.Int fabricated);
                         ("reordered", Telemetry.Export.Int
                            v.Validation.reordered);
                         ("max_delay", Telemetry.Export.Float
@@ -490,9 +448,7 @@ let deploy ~net ~rt ?(config = default_config)
             | None ->
                 (* The accused is the segment's interior router: the two
                    ends are the detecting terminals. *)
-                verdict
-                  ?subject:(match seg with [ _; m; _ ] -> Some m | _ -> None)
-                  ~suspects:seg ~alarm:(not link_failed)
+                verdict ~subject:m_int ~suspects:seg ~alarm:(not link_failed)
                   ~detail:
                     (counts ^ if link_failed then " link-failure" else "")
                   ();
@@ -538,26 +494,14 @@ let deploy ~net ~rt ?(config = default_config)
                              accusing")
                         ()
                 | Some (_, m_to_a, m_to_b) ->
-                    let half_bad ~sent ~received =
-                      let hv =
-                        Validation.tv ~thresholds:config.thresholds ~sent
-                          ~received ()
-                      in
-                      let fab =
-                        List.filter
-                          (fun fp -> not (Summary.mem st.prev_sent fp))
-                          hv.Validation.fabricated
-                      in
-                      float_of_int (List.length hv.Validation.missing)
-                      > config.thresholds.Validation.max_loss_fraction
-                        *. float_of_int (Summary.packets sent)
-                      || List.length fab
-                         > config.thresholds.Validation.max_fabricated
+                    let conserved ~sent ~received =
+                      (tv ~sent ~received).Validation.conserved
                     in
-                    let bad_am = half_bad ~sent:s_claim ~received:m_to_a in
-                    let bad_mb = half_bad ~sent:m_to_b ~received:r_claim in
-                    match (bad_am, bad_mb) with
-                    | true, false ->
+                    match
+                      ( conserved ~sent:s_claim ~received:m_to_a,
+                        conserved ~sent:m_to_b ~received:r_claim )
+                    with
+                    | false, true ->
                         verdict ~suspects:[ a_end; m_int ] ~alarm:true
                           ~detail:
                             (counts
@@ -566,7 +510,7 @@ let deploy ~net ~rt ?(config = default_config)
                                  %d and %d" a_end m_int)
                           ();
                         Response.suspect t.response seg
-                    | false, true ->
+                    | true, false ->
                         verdict ~suspects:[ m_int; b_end ] ~alarm:true
                           ~detail:
                             (counts
@@ -575,7 +519,7 @@ let deploy ~net ~rt ?(config = default_config)
                                  %d and %d" m_int b_end)
                           ();
                         Response.suspect t.response seg
-                    | true, true ->
+                    | false, false ->
                         verdict ~suspects:seg ~alarm:true
                           ~detail:
                             (counts
@@ -583,7 +527,7 @@ let deploy ~net ~rt ?(config = default_config)
                                neither terminal")
                           ();
                         Response.suspect t.response seg
-                    | false, false ->
+                    | true, true ->
                         (* Neither half of the segment individually
                            exceeds the thresholds: the disagreement does
                            not survive corroboration, so degrade

@@ -19,22 +19,17 @@ type config = {
   policy : Summary.policy;
       (** the conservation policy of the summaries: [Content] (default)
           catches loss/modification/fabrication; [Order] additionally
-          reordering; [Timeliness] additionally delaying (§2.4.1) *)
+          reordering; [Timeliness] additionally delaying (§2.4.1).
+          [Flow] is rejected by {!deploy} *)
   exchange : exchange;
       (** how segment ends compare summaries; affects
           {!words_exchanged}, not detections *)
   response : Response.config;
-  mute_rounds : int;
-      (** consecutive exchange timeouts (or interior-heartbeat
-          refusals, with a Byzantine plan armed) after which the silent
-          party is judged fail-stop: excised from routing with a
-          non-alarming verdict, never accused *)
 }
 
 val default_config : config
 (** tau 5 s, 2% loss tolerance, min 20 packets, Content policy,
-    full-set exchange, default OSPF timers, fail-stop after 3 mute
-    rounds. *)
+    full-set exchange, default OSPF timers. *)
 
 type detection = {
   time : float;
@@ -66,6 +61,12 @@ val deploy :
     [probe], each detection is journaled as a typed
     {!Netsim.Probe.verdict} accusing the segment's interior router.
 
+    Each round judges [Validation.tv ~prev] of the segment's summaries,
+    [prev] being the previous round's sent summary: packets it announced
+    that arrive this round crossed the round boundary.  Raises
+    [Invalid_argument] for the [Flow] policy, whose counters cannot
+    tell those boundary packets from losses or fabrications.
+
     With [ctrl], every per-segment summary exchange rides that lossy
     control-plane channel under [retry] (default {!Ctrl.default_retry}):
     a timed-out exchange {e degrades} the round — the summaries carry
@@ -89,7 +90,7 @@ val deploy :
       (equivocation);
     - a disagreement that no half of the segment corroborates degrades
       the round with a non-alarming verdict instead of accusing;
-    - [mute_rounds] consecutive exchange timeouts or refused interior
+    - {!Ctrl.mute_rounds} consecutive exchange timeouts or refused interior
       heartbeats judge the silent router {b fail-stop}: the segment is
       excised via the response engine under a non-alarming verdict.
 

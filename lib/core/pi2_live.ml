@@ -45,8 +45,6 @@ type t = {
   mutable round : int;
 }
 
-let mute_rounds = 3
-
 let detections t = List.rev t.detections_rev
 
 let suspected_pairs t =
@@ -117,26 +115,11 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
     let claimed =
       match byz with
       | None -> truth
-      | Some bz -> (
-          let cl, extras =
-            Byz.summary_claim bz ~claimant:router ~peer:(-1) ~segment:seg
-              ~round:t.round truth
-          in
-          match extras with
-          | [] -> cl
-          | extras ->
-              let c = if cl == truth then Summary.copy cl else cl in
-              ignore
-                (Byz.screen bz ?probe ~time:now ~claimant:router ~summary:c
-                   ~extras ());
-              c)
+      | Some bz ->
+          Byz.claim bz ?probe ~time:now ~claimant:router ~peer:(-1) ~segment:seg
+            ~round:t.round truth
     in
     report seg ~pos ~router claimed
-  in
-  let down ~src ~dst =
-    match Netsim.Net.iface net ~src ~dst with
-    | Some i -> not (Netsim.Iface.is_up i)
-    | None -> false
   in
   let rec tick () =
     let now = Netsim.Sim.now sim in
@@ -149,7 +132,10 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
            so conservation gaps are not evidence against either pair. *)
         let link_failed =
           match seg with
-          | [ a; x; b ] -> down ~src:a ~dst:x || down ~src:x ~dst:b
+          | [ a; x; b ] ->
+              not
+                (Netsim.Net.link_up net ~src:a ~dst:x
+                && Netsim.Net.link_up net ~src:x ~dst:b)
           | _ -> false
         in
         (match seg with
@@ -183,7 +169,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
             in
             if not x_submitted then begin
               (match byz with Some bz -> Byz.note_mute_refusal bz | None -> ());
-              if st.mute_streak >= mute_rounds then begin
+              if st.mute_streak >= Ctrl.mute_rounds then begin
                 st.failstopped <- true;
                 match probe with
                 | None -> ()
@@ -194,7 +180,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
                         (Printf.sprintf
                            "fail-stop: consensus submission refused %d \
                             consecutive rounds — excised, not accused"
-                           mute_rounds)
+                           Ctrl.mute_rounds)
                       ()
               end
             end
@@ -203,21 +189,12 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
               let r1 = submit ~now seg ~pos:1 ~router:x st.s12 in
               let r2 = submit ~now seg ~pos:2 ~router:b st.s12 in
               let judge ~pair ~sent ~received ~prev =
-                let v = Validation.tv ~thresholds:t.thresholds ~sent ~received () in
-                let fabricated =
-                  List.filter (fun fp -> not (Summary.mem prev fp)) v.Validation.fabricated
-                in
-                let loss_bad =
-                  float_of_int (List.length v.Validation.missing)
-                  > t.thresholds.Validation.max_loss_fraction
-                    *. float_of_int (Summary.packets sent)
-                in
-                if loss_bad || List.length fabricated > t.thresholds.Validation.max_fabricated
-                then begin
+                let v = Validation.tv ~thresholds:t.thresholds ~prev ~sent ~received () in
+                if not v.Validation.ok then begin
+                  let missing = List.length v.Validation.missing
+                  and fabricated = List.length v.Validation.fabricated in
                   t.detections_rev <-
-                    { time = now; pair; segment = seg;
-                      missing = List.length v.Validation.missing;
-                      fabricated = List.length fabricated }
+                    { time = now; pair; segment = seg; missing; fabricated }
                     :: t.detections_rev;
                   (* Precision 2 is α-safe by construction: a failing
                      adjacent pair always contains the router whose
@@ -229,9 +206,8 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
                       Netsim.Probe.record_verdict probe ~time:now
                         ~detector:"pi2" ~suspects:[ pa; pb ] ~alarm:true
                         ~detail:
-                          (Printf.sprintf "missing=%d fabricated=%d"
-                             (List.length v.Validation.missing)
-                             (List.length fabricated))
+                          (Printf.sprintf "missing=%d fabricated=%d" missing
+                             fabricated)
                         ()
                 end
               in

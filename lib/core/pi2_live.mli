@@ -39,7 +39,9 @@ val deploy :
   t
 (** Monitor every 3-segment of the routed paths with per-position
     summaries, validating every [tau] seconds (default 5 s, 2% loss
-    tolerance, 20-packet minimum).
+    tolerance, 20-packet minimum).  Each adjacent pair is judged by
+    [Validation.tv ~prev], [prev] being the pair's upstream summary of
+    the previous round.
 
     With [probe], every failing pair is journaled as an alarming
     {!Netsim.Probe.verdict} suspecting exactly that pair — precision 2
@@ -48,17 +50,17 @@ val deploy :
 
     With [ctrl], the interior router's consensus submission rides that
     lossy channel under [retry]: a timed-out submission {e degrades}
-    the round (nothing is judged on a missing story), and three
-    consecutive refusals judge the interior {b fail-stop} — a
-    non-alarming verdict and no further judgment of the segment.
+    the round (nothing is judged on a missing story), and
+    {!Ctrl.mute_rounds} consecutive refusals judge the interior
+    {b fail-stop} — a non-alarming verdict and no further judgment of
+    the segment.
 
-    With [byz], each submission is the router's {e claim}
-    ({!Byz.summary_claim}), with asserted extras screened against their
-    origin MACs before validation — consensus submissions are signed,
-    so a hardened run rejects every forged entry.  Consensus broadcasts
-    one signed summary per router, which makes equivocation
-    structurally impossible here: the claim is keyed on a single
-    pseudo-peer. *)
+    With [byz], each submission is the router's {e claim} ({!Byz.claim}),
+    with asserted extras screened against their origin MACs before
+    validation — consensus submissions are signed, so a hardened run
+    rejects every forged entry.  Consensus broadcasts one signed summary
+    per router, which makes equivocation structurally impossible here:
+    the claim is keyed on a single pseudo-peer. *)
 
 val set_misreport :
   t ->

@@ -14,6 +14,7 @@ type t = {
   mutable benign_excused : int;
   occ_samples : (int64, int) Hashtbl.t;    (* calibration *)
   mutable calibrating : bool;
+  mutable carried : entry list;            (* departures past the horizon *)
 }
 
 let router t = t.router
@@ -39,7 +40,7 @@ let attach ~net ~predict ~key ?(skew = fun ~reporter:_ -> 0.0) ~router ~next () 
   let t =
     { router; next; predict; pending_s = []; pending_d = []; s_fps = Hashtbl.create 256;
       benign_fps = Hashtbl.create 16; benign_excused = 0;
-      occ_samples = Hashtbl.create 64; calibrating = false }
+      occ_samples = Hashtbl.create 64; calibrating = false; carried = [] }
   in
   let monitored_iface = Netsim.Net.iface net ~src:router ~dst:next in
   Netsim.Net.subscribe_iface net (fun ev ->
@@ -146,3 +147,26 @@ let drain t ~horizon =
     departures = List.sort by_time matched_d;
     fabricated = List.map (fun e -> e.fp) fabricated_d;
     occupancy_samples }
+
+let replay t data ~horizon ~arrive ~depart =
+  let departed = Hashtbl.create (List.length data.departures * 2) in
+  List.iter (fun e -> Hashtbl.replace departed e.fp ()) data.departures;
+  (* Departures beyond the horizon belong to the next replay, so the
+     replayed queue carries its backlog across round boundaries. *)
+  let now_d, later_d = List.partition (fun e -> e.time <= horizon) data.departures in
+  let departures = List.merge (fun a b -> Float.compare a.time b.time) t.carried now_d in
+  t.carried <- later_d;
+  let rec walk arrivals departures =
+    match (arrivals, departures) with
+    | [], [] -> ()
+    | a :: rest, [] ->
+        arrive a ~admitted:(Hashtbl.mem departed a.fp);
+        walk rest []
+    | a :: rest, d :: _ when Float.compare a.time d.time <= 0 ->
+        arrive a ~admitted:(Hashtbl.mem departed a.fp);
+        walk rest departures
+    | _, d :: rest ->
+        depart d;
+        walk arrivals rest
+  in
+  walk data.arrivals departures

@@ -87,3 +87,21 @@ val drain : t -> horizon:float -> round_data
     matching departures; later arrivals stay buffered for the next
     round.  [horizon] must leave enough slack for queued packets to
     drain (the caller uses round end minus a guard interval). *)
+
+val replay :
+  t ->
+  round_data ->
+  horizon:float ->
+  arrive:(entry -> admitted:bool -> unit) ->
+  depart:(entry -> unit) ->
+  unit
+(** Walk one drained round through Q in time order, the queue replay of
+    Fig 6.2 that χ and χ-RED apply their per-event rules to.  Each
+    arrival is reported with [admitted], true iff the round's
+    departures include its fingerprint (otherwise Q lost it).  The
+    round's departures at or before [horizon] are reported together
+    with the ones the previous replay carried, all of which replay now;
+    later departures are carried to the next replay, so the replayed
+    occupancy keeps its backlog across round boundaries.  On equal
+    times arrivals come first, then carried departures, then this
+    round's.  [horizon] is the one the round was {!drain}ed with. *)

@@ -12,6 +12,7 @@ let lenient ?(max_loss_fraction = 0.02) () = { strict with max_loss_fraction }
 
 type verdict = {
   ok : bool;
+  conserved : bool;
   missing : int64 list;
   fabricated : int64 list;
   reordered : int;
@@ -35,21 +36,26 @@ let lcs_length a b =
     prev.(m)
   end
 
-let tv ?(thresholds = strict) ~sent ~received () =
+let tv ?(thresholds = strict) ?prev ~sent ~received () =
   if Summary.policy sent <> Summary.policy received then
     invalid_arg "Validation.tv: summaries use different policies";
   let sent_n = Summary.packets sent in
   let loss_budget = thresholds.max_loss_fraction *. float_of_int sent_n in
+  let within ~missing_n ~fabricated_n =
+    float_of_int missing_n <= loss_budget && fabricated_n <= thresholds.max_fabricated
+  in
   match Summary.policy sent with
   | Summary.Flow ->
       (* Conservation of flow: counters only.  Missing/fabricated are
          counts without identities; we expose them as empty lists and
          decide on the counters. *)
-      let missing_n = max 0 (sent_n - Summary.packets received) in
-      let fabricated_n = max 0 (Summary.packets received - sent_n) in
-      { ok =
-          float_of_int missing_n <= loss_budget
-          && fabricated_n <= thresholds.max_fabricated;
+      let conserved =
+        within
+          ~missing_n:(max 0 (sent_n - Summary.packets received))
+          ~fabricated_n:(max 0 (Summary.packets received - sent_n))
+      in
+      { ok = conserved;
+        conserved;
         missing = [];
         fabricated = [];
         reordered = 0;
@@ -58,8 +64,13 @@ let tv ?(thresholds = strict) ~sent ~received () =
       let missing =
         List.filter (fun fp -> not (Summary.mem received fp)) (Summary.fingerprints sent)
       in
+      (* A packet the previous round's sent summary announced was in
+         flight across the round boundary, not fabricated. *)
+      let announced fp = match prev with Some p -> Summary.mem p fp | None -> false in
       let fabricated =
-        List.filter (fun fp -> not (Summary.mem sent fp)) (Summary.fingerprints received)
+        List.filter
+          (fun fp -> not (Summary.mem sent fp || announced fp))
+          (Summary.fingerprints received)
       in
       let reordered =
         if Summary.policy sent = Summary.Content then 0
@@ -82,11 +93,14 @@ let tv ?(thresholds = strict) ~sent ~received () =
               | _ -> acc)
             0.0 (Summary.fingerprints sent)
       in
+      let conserved =
+        within ~missing_n:(List.length missing) ~fabricated_n:(List.length fabricated)
+      in
       { ok =
-          float_of_int (List.length missing) <= loss_budget
-          && List.length fabricated <= thresholds.max_fabricated
+          conserved
           && reordered <= thresholds.max_reordered
           && max_delay_seen <= thresholds.max_delay;
+        conserved;
         missing;
         fabricated;
         reordered;

@@ -22,19 +22,42 @@ val lenient : ?max_loss_fraction:float -> unit -> thresholds
     static-threshold configuration. *)
 
 type verdict = {
-  ok : bool;
+  ok : bool;                (** [conserved], in order and in time *)
+  conserved : bool;
+      (** loss and fabrication within [max_loss_fraction] and
+          [max_fabricated] *)
   missing : int64 list;     (** sent but not received *)
-  fabricated : int64 list;  (** received but never sent *)
+  fabricated : int64 list;
+      (** received but neither sent nor announced by [prev] *)
   reordered : int;          (** positions out of order (|S| - LCS) *)
   max_delay_seen : float;   (** largest per-packet latency (Timeliness) *)
 }
 
-val tv : ?thresholds:thresholds -> sent:Summary.t -> received:Summary.t -> unit -> verdict
+val tv :
+  ?thresholds:thresholds ->
+  ?prev:Summary.t ->
+  sent:Summary.t ->
+  received:Summary.t ->
+  unit ->
+  verdict
 (** Evaluate conservation of traffic between an upstream and a downstream
     summary.  The checks applied depend on the summaries' policy (both
     must share one; raises [Invalid_argument] otherwise):
     [Flow] compares counters only, [Content] adds identity, [Order] adds
-    ordering, [Timeliness] adds delay. *)
+    ordering, [Timeliness] adds delay.
+
+    [prev] is the previous round's sent summary, passed by the live
+    deployments whose rounds cut a packet stream in flight.  A received
+    fingerprint that [prev] announced crossed the round boundary and is
+    not fabricated: it is dropped from [fabricated] before the
+    thresholds apply, so [conserved] and [ok] judge the filtered list.
+    [Flow] summaries keep no identities, so [prev] does not change their
+    verdict.  The abstract engines ({!Pi2}, {!Pik2}) judge whole rounds
+    and pass no [prev].
+
+    [conserved] is the verdict on loss and fabrication alone; [ok] adds
+    [max_reordered] and [max_delay].  [Content] summaries keep no order
+    or times, so under non-negative thresholds the two agree there. *)
 
 val lcs_length : int64 array -> int64 array -> int
 (** Longest common subsequence length — the reordering metric of §2.2.1

@@ -153,7 +153,7 @@ let deliver_obs t (r : Shard.obs_rec) =
   | Shard.Obs_app { node; pkt } -> List.iter (fun f -> f pkt) !(t.apps.(node))
 
 (* Cross-shard receive as a registered tag: the handoff descriptor is
-   (dest router, packet, prev) — no closure crosses the mailbox. *)
+   (dest router, packet, prev) — no closure crosses the outbox. *)
 let tag_recv = ref 0
 
 let () =
@@ -328,6 +328,11 @@ let set_link t ~src ~dst up =
   | None -> invalid_arg "Net: no such link"
 
 let fail_link t ~src ~dst = set_link t ~src ~dst false
+
+let link_up t ~src ~dst =
+  match iface t ~src ~dst with
+  | Some i -> Iface.is_up i
+  | None -> invalid_arg "Net: no such link"
 
 let set_link_corruption t ~src ~dst p =
   match iface t ~src ~dst with

@@ -142,6 +142,10 @@ val fail_link : t -> src:int -> dst:int -> unit
 
 val restore_link : t -> src:int -> dst:int -> unit
 
+val link_up : t -> src:int -> dst:int -> bool
+(** Whether the directed link is currently up.  Raises
+    [Invalid_argument] if absent. *)
+
 val set_link_corruption : t -> src:int -> dst:int -> float -> unit
 (** Give a link a bit-error floor: each packet is damaged in flight with
     this probability (4.2.1's benign corruption losses).  Raises

@@ -7,7 +7,7 @@
 
    Synchronization is the classic null-message/time-window scheme: within
    an epoch the coordinator repeatedly (1) drains every cross-shard
-   mailbox into the destination heaps, (2) computes T_min, the earliest
+   outbox into the destination heaps, (2) computes T_min, the earliest
    pending data event anywhere, and (3) lets all shards run the half-open
    window [.., min (T_min + lookahead, epoch_end)) in parallel, where
    lookahead is the minimum latency of any cross-shard link.  A packet
@@ -92,8 +92,12 @@ type t = {
   ctrl : Sim.t; (* control plane, coordinator only *)
   lookahead : float; (* min cross-shard link latency; infinity when none *)
   epoch : float;
-  outbox : msg Mailbox.t array; (* per *source* shard *)
+  (* Cross-shard handoffs, one buffer per *source* shard: only that
+     shard's domain pushes, inside a window; the coordinator drains them
+     between windows, after the handshake that ends the window. *)
+  outbox : msg Buf.t array;
   obs_bufs : obs_rec Buf.t array; (* per shard, flushed each epoch *)
+  mutable crossed : int;
   mutable next_epoch : float;
   mutable windows : int;
   mutable epochs : int;
@@ -108,8 +112,7 @@ let epoch t = t.epoch
 let windows_run t = t.windows
 let epochs_run t = t.epochs
 
-let cross_messages t =
-  Array.fold_left (fun acc m -> acc + Mailbox.pushed m) 0 t.outbox
+let cross_messages t = t.crossed
 
 (* Contiguous partition: BFS outward from k evenly spaced seed routers,
    expanding the k frontiers round-robin so regions stay balanced.
@@ -189,9 +192,9 @@ let create ~seed ?(epoch = 0.1) ~graph ~k () =
     sims = Array.init k (fun s -> Sim.create ~seed:(seed + (7919 * (s + 1))) ~det:true ());
     ctrl = Sim.create ~seed ~det:true ();
     lookahead; epoch;
-    outbox = Array.init k (fun _ -> Mailbox.create ~capacity:8192);
+    outbox = Array.init k (fun _ -> Buf.create ());
     obs_bufs = Array.init k (fun _ -> Buf.create ());
-    next_epoch = epoch; windows = 0; epochs = 0 }
+    crossed = 0; next_epoch = epoch; windows = 0; epochs = 0 }
 
 let record t obs =
   let s = current () in
@@ -205,14 +208,18 @@ let post t ~dest ~(at : Sim.fbox) ~rank ~tag ~i a b =
     (* Same shard, or coordinator context at a barrier: the destination
        heap is not being mutated by anyone else — schedule directly. *)
     Sim.schedule_ev_keyed t.sims.(dest) ~at ~key:rank ~tag ~i a b
-  else Mailbox.push t.outbox.(s) { time = { Sim.f = at.f }; rank; dest; tag; i; a; b }
+  else Buf.push t.outbox.(s) { time = { Sim.f = at.f }; rank; dest; tag; i; a; b }
 
-let drain_mailboxes t =
+let drain_outboxes t =
   Array.iter
     (fun box ->
-      Mailbox.drain box (fun m ->
-          Sim.schedule_ev_keyed t.sims.(m.dest) ~at:m.time ~key:m.rank ~tag:m.tag
-            ~i:m.i m.a m.b))
+      for j = 0 to Buf.length box - 1 do
+        let m = Buf.get box j in
+        Sim.schedule_ev_keyed t.sims.(m.dest) ~at:m.time ~key:m.rank ~tag:m.tag ~i:m.i
+          m.a m.b
+      done;
+      t.crossed <- t.crossed + Buf.length box;
+      Buf.clear box)
     t.outbox
 
 let data_min t =
@@ -375,7 +382,7 @@ let flush t ~boundary ~emit =
 let advance_to t pool ~boundary ~final ~emit =
   let continue = ref true in
   while !continue do
-    drain_mailboxes t;
+    drain_outboxes t;
     let tmin = data_min t in
     if tmin < boundary || (final && tmin <= boundary) then begin
       let until = Float.min (tmin +. t.lookahead) boundary in
@@ -386,7 +393,7 @@ let advance_to t pool ~boundary ~final ~emit =
   done;
   (* Every shard has now run everything before the boundary (and, in
      the final call, at it): scheduling at the barrier (control plane,
-     mailbox drains) sees one global time. *)
+     outbox drains) sees one global time. *)
   Array.iter (fun sim -> Sim.settle sim ~until:boundary ~inclusive:final) t.sims;
   t.epochs <- t.epochs + 1;
   flush t ~boundary ~emit
@@ -394,7 +401,7 @@ let advance_to t pool ~boundary ~final ~emit =
 let pending t =
   Array.fold_left (fun acc sim -> acc + Sim.pending sim) (Sim.pending t.ctrl) t.sims
 
-let mail_pending t = Array.exists (fun m -> not (Mailbox.is_empty m)) t.outbox
+let mail_pending t = Array.exists (fun m -> Buf.length m > 0) t.outbox
 
 let run ?until ?on_epoch t ~emit =
   let pool = make_pool t in

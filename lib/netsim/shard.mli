@@ -4,14 +4,14 @@
     BFS from evenly spaced seeds — the per-segment locality the
     path-segment protocols already exploit), runs each region's events
     on its own domain with its own {!Prioq} heap, and exchanges
-    cross-shard packet handoffs through lock-free bounded mailboxes
-    ({!Mailbox}).
+    cross-shard packet handoffs through per-source-shard outboxes that
+    the coordinator drains between windows.
 
     {2 Synchronization}
 
     Null-message/time-window scheme with lookahead equal to the minimum
     cross-shard link latency: within an epoch the coordinator repeatedly
-    drains all mailboxes, computes the earliest pending data event
+    drains all outboxes, computes the earliest pending data event
     [T_min] over all shards, and runs every shard in parallel through
     the half-open window [[.., min (T_min + lookahead, epoch_end))].  A
     packet handed to a cross-shard link at [t] arrives no earlier than
@@ -102,7 +102,7 @@ val post :
   Obj.t -> Obj.t -> unit
 (** Schedule a tagged event ({!Sim.new_tag}) onto shard [dest]'s heap:
     directly when the caller is [dest] itself or the coordinator at a
-    barrier, through the calling shard's mailbox otherwise (the message
+    barrier, through the calling shard's outbox otherwise (the message
     copies [at], so the caller may reuse the box).  The flat descriptor
     replaces the closure the handoff used to box: [at]/[rank] were
     computed by the sender (at transmit-start), so the destination key
@@ -135,4 +135,4 @@ val epochs_run : t -> int
 (** Epoch flushes performed. *)
 
 val cross_messages : t -> int
-(** Cross-shard handoffs that travelled through a mailbox. *)
+(** Cross-shard handoffs that travelled through an outbox. *)

@@ -467,6 +467,36 @@ let test_fatih_content_policy_blind_to_delay () =
   in
   Alcotest.(check int) "blind" 0 (List.length detections)
 
+(* Flow summaries keep counters only: TV returns no missing or
+   fabricated identities for them, and their counters cannot tell the
+   packets straddling a round boundary from losses or fabrications, so
+   a blatant dropper would go unjudged.  Deploy refuses the policy. *)
+let test_fatih_rejects_flow_policy () =
+  let run policy =
+    let g = Topology.Generate.ring ~n:6 in
+    let net = Net.create ~seed:3 ~jitter_bound:0.0 g in
+    let rt = Rt.compute g in
+    Net.use_routing net rt;
+    let config = { Fatih.default_config with Fatih.policy } in
+    let fatih = Fatih.deploy ~net ~rt ~config () in
+    List.iter
+      (fun (src, dst) ->
+        ignore (Flow.cbr net ~src ~dst ~rate_pps:60.0 ~size:400 ~start:0.0 ~stop:40.0))
+      [ (0, 4); (4, 0); (1, 3) ];
+    Router.set_behavior (Net.router net 2) (Adversary.after 10.0 Adversary.drop_all);
+    Net.run ~until:40.0 net;
+    Fatih.detections fatih
+  in
+  (match run Summary.Content with
+  | [ d ] ->
+      Alcotest.(check (float 1e-9)) "content: detected at 15 s" 15.0 d.Fatih.time;
+      Alcotest.(check (pair int int)) "content: every packet missing" (300, 300)
+        (d.Fatih.missing, d.Fatih.sent)
+  | ds -> Alcotest.failf "content: expected one detection, got %d" (List.length ds));
+  Alcotest.check_raises "flow rejected"
+    (Invalid_argument "Fatih.deploy: the Flow policy keeps no packet identities")
+    (fun () -> ignore (run Summary.Flow))
+
 let test_fatih_reconcile_exchange () =
   (* Appendix A inside the protocol: reconciliation ships orders of
      magnitude fewer words while the detections are identical. *)
@@ -681,6 +711,7 @@ let () =
           Alcotest.test_case "timeliness policy" `Slow test_fatih_timeliness_policy_catches_delayer;
           Alcotest.test_case "order policy" `Slow test_fatih_order_policy_catches_reordering;
           Alcotest.test_case "content blind to delay" `Slow test_fatih_content_policy_blind_to_delay;
+          Alcotest.test_case "flow policy rejected" `Slow test_fatih_rejects_flow_policy;
           Alcotest.test_case "reconcile exchange" `Slow test_fatih_reconcile_exchange;
           Alcotest.test_case "modification" `Slow test_fatih_detects_modification;
           Alcotest.test_case "sprintlink golden" `Slow test_fatih_sprintlink_golden ] ) ]

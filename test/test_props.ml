@@ -188,6 +188,154 @@ let prop_tv_missing_fabricated_swap =
       && List.sort compare v1.Core.Validation.fabricated
          = List.sort compare v2.Core.Validation.missing)
 
+(* The live deployments' own verdict, from before [Validation.tv] took
+   [?prev]: TV's lists over identity-keeping summaries, the boundary
+   filter dropping "fabricated" packets the previous round announced,
+   and the threshold tests Fatih (all four) and Pi2_live (loss and
+   fabrication) applied themselves.  Kept as the oracle for [ok],
+   [conserved], [missing] and the filtered [fabricated]. *)
+let ref_live_tv ~(thresholds : Core.Validation.thresholds) ~prev ~sent ~received =
+  let module S = Core.Summary in
+  let missing = List.filter (fun fp -> not (S.mem received fp)) (S.fingerprints sent) in
+  let fabricated = List.filter (fun fp -> not (S.mem sent fp)) (S.fingerprints received) in
+  let reordered =
+    if S.policy sent = S.Content then 0
+    else begin
+      let keep other seq = Array.of_list (List.filter (S.mem other) (Array.to_list seq)) in
+      let s = keep received (S.sequence sent) in
+      let f = keep sent (S.sequence received) in
+      Array.length s - Core.Validation.lcs_length s f
+    end
+  in
+  let max_delay_seen =
+    if S.policy sent <> S.Timeliness then 0.0
+    else
+      List.fold_left
+        (fun acc fp ->
+          match (S.time_of sent fp, S.time_of received fp) with
+          | Some t0, Some t1 -> Float.max acc (t1 -. t0)
+          | _ -> acc)
+        0.0 (S.fingerprints sent)
+  in
+  let fabricated = List.filter (fun fp -> not (S.mem prev fp)) fabricated in
+  let loss_bad =
+    float_of_int (List.length missing)
+    > thresholds.max_loss_fraction *. float_of_int (S.packets sent)
+  in
+  let fab_bad = List.length fabricated > thresholds.max_fabricated in
+  let order_bad = reordered > thresholds.max_reordered in
+  let delay_bad = max_delay_seen > thresholds.max_delay in
+  (not (loss_bad || fab_bad || order_bad || delay_bad), not (loss_bad || fab_bad), missing,
+   fabricated)
+
+let live_tv_case =
+  let open QCheck.Gen in
+  let obs = list_size (0 -- 14) (pair (map Int64.of_int (0 -- 11)) (float_bound_inclusive 1.0)) in
+  let thresholds =
+    map
+      (fun (((max_loss_fraction, max_fabricated), max_reordered), max_delay) ->
+        { Core.Validation.max_loss_fraction; max_fabricated; max_reordered; max_delay })
+      (pair
+         (pair (pair (float_bound_inclusive 0.5) (0 -- 3)) (0 -- 3))
+         (oneof [ float_bound_inclusive 1.0; return infinity ]))
+  in
+  QCheck.make
+    (pair
+       (pair (oneofl Core.Summary.[ Content; Order; Timeliness ]) thresholds)
+       (triple obs obs obs))
+
+let prop_tv_prev_matches_live_reference =
+  QCheck.Test.make ~name:"tv ~prev = live filter-then-threshold reference" ~count:500
+    live_tv_case
+    (fun ((policy, thresholds), (sent, received, prev)) ->
+      let mk obs =
+        let s = Core.Summary.create policy in
+        List.iter (fun (fp, time) -> Core.Summary.observe s ~fp ~size:100 ~time) obs;
+        s
+      in
+      let sent = mk sent and received = mk received and prev = mk prev in
+      let v = Core.Validation.tv ~thresholds ~prev ~sent ~received () in
+      (v.Core.Validation.ok, v.conserved, v.missing, v.fabricated)
+      = ref_live_tv ~thresholds ~prev ~sent ~received)
+
+(* --- Qmon's queue replay --- *)
+
+(* The arrival/departure walk Chi and Chi_red each carried before Qmon
+   owned it: departures past the horizon wait for the next round, the
+   carried ones merge ahead of this round's on equal times, and arrivals
+   go ahead of departures on equal times.  An arrival is admitted when
+   the round departs its fingerprint. *)
+let ref_replay carry (data : Core.Qmon.round_data) ~horizon =
+  let departed = Hashtbl.create 16 in
+  List.iter (fun (e : Core.Qmon.entry) -> Hashtbl.replace departed e.fp ()) data.departures;
+  let now_d, later_d =
+    List.partition (fun (e : Core.Qmon.entry) -> e.time <= horizon) data.departures
+  in
+  let time = function `Arrive (e : Core.Qmon.entry) | `Depart e -> e.time in
+  let events =
+    List.merge
+      (fun a b -> compare (time a) (time b))
+      (List.map (fun e -> `Arrive e) data.arrivals)
+      (List.map
+         (fun e -> `Depart e)
+         (List.merge (fun (a : Core.Qmon.entry) b -> compare a.time b.time) !carry now_d))
+  in
+  carry := later_d;
+  List.map
+    (function
+      | `Arrive (e : Core.Qmon.entry) -> (true, e.fp, e.time, Hashtbl.mem departed e.fp)
+      | `Depart (e : Core.Qmon.entry) -> (false, e.fp, e.time, false))
+    events
+
+(* Rounds end at 2, 4, 6, ...; times sit on a half-second grid so ties
+   between arrivals, carried departures and fresh departures are common,
+   and departures reach up to 3 s past their round's horizon. *)
+let replay_rounds =
+  let open QCheck.Gen in
+  let entries ~lo ~hi =
+    map
+      (fun es ->
+        List.sort
+          (fun (a : Core.Qmon.entry) b -> compare (a.time, a.fp) (b.time, b.fp))
+          es)
+      (list_size (0 -- 8)
+         (map2
+            (fun fp half ->
+              { Core.Qmon.fp = Int64.of_int fp; size = 100 + fp; flow = fp mod 3;
+                time = float_of_int half /. 2.0 })
+            (0 -- 15) (2 * lo -- 2 * hi)))
+  in
+  let round r =
+    let h = 2 * (r + 1) in
+    map2
+      (fun arrivals departures ->
+        ( float_of_int h,
+          { Core.Qmon.arrivals; departures; fabricated = []; occupancy_samples = [] } ))
+      (entries ~lo:(h - 2) ~hi:h) (entries ~lo:(h - 2) ~hi:(h + 3))
+  in
+  QCheck.make (1 -- 5 >>= fun n -> flatten_l (List.init n round))
+
+let prop_qmon_replay_matches_reference =
+  QCheck.Test.make ~name:"qmon replay = partition/merge reference" ~count:300
+    replay_rounds
+    (fun rounds ->
+      let g = Topology.Generate.line ~n:2 in
+      let net = Net.create ~jitter_bound:0.0 g in
+      let qmon =
+        Core.Qmon.attach ~net ~predict:(fun _ -> None)
+          ~key:(Crypto_sim.Siphash.key_of_string "replay") ~router:0 ~next:1 ()
+      in
+      let carry = ref [] in
+      List.for_all
+        (fun (horizon, data) ->
+          let got = ref [] in
+          Core.Qmon.replay qmon data ~horizon
+            ~arrive:(fun (e : Core.Qmon.entry) ~admitted ->
+              got := (true, e.fp, e.time, admitted) :: !got)
+            ~depart:(fun e -> got := (false, e.fp, e.time, false) :: !got);
+          List.rev !got = ref_replay carry data ~horizon)
+        rounds)
+
 (* --- Reconciliation over packet fingerprints --- *)
 
 let prop_reconcile_fingerprints =
@@ -378,7 +526,11 @@ let () =
       ("keyring-mac", List.map to_alco [ prop_keyring_mac_roundtrip ]);
       ("sim", List.map to_alco [ prop_sim_time_monotone ]);
       ("queues", List.map to_alco [ prop_fifo_occupancy_invariant; prop_red_physical_limit ]);
-      ("tv", List.map to_alco [ prop_tv_reflexive; prop_tv_missing_fabricated_swap ]);
+      ( "tv",
+        List.map to_alco
+          [ prop_tv_reflexive; prop_tv_missing_fabricated_swap;
+            prop_tv_prev_matches_live_reference ] );
+      ("qmon", List.map to_alco [ prop_qmon_replay_matches_reference ]);
       ("reconcile", List.map to_alco [ prop_reconcile_fingerprints ]);
       ("ecmp", List.map to_alco [ prop_ecmp_paths_shortest ]);
       ( "tcp",

@@ -62,27 +62,6 @@ let test_partition () =
     (Invalid_argument "Shard.partition: 9 shards for 8 routers") (fun () ->
       ignore (Shard.partition g ~k:9))
 
-(* --- Mailbox -------------------------------------------------------- *)
-
-let test_mailbox_order () =
-  let m = Mailbox.create ~capacity:4 in
-  (* Push past capacity: ring + overflow must drain in push order. *)
-  for i = 0 to 9 do
-    Mailbox.push m i
-  done;
-  Alcotest.(check int) "pushed" 10 (Mailbox.pushed m);
-  Alcotest.(check int) "overflowed" 6 (Mailbox.overflowed m);
-  let got = ref [] in
-  Mailbox.drain m (fun i -> got := i :: !got);
-  Alcotest.(check (list int)) "drain order" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !got);
-  Alcotest.(check bool) "empty after drain" true (Mailbox.is_empty m);
-  (* Reusable after drain. *)
-  Mailbox.push m 42;
-  let got2 = ref [] in
-  Mailbox.drain m (fun i -> got2 := i :: !got2);
-  Alcotest.(check (list int)) "ring reused" [ 42 ] !got2
-
 (* --- Engine-level determinism --------------------------------------- *)
 
 (* A scenario rich enough to cross shards constantly: ring of 8, CBR and
@@ -304,7 +283,7 @@ let test_golden_trace () =
         (List.sort compare times = times))
     [ (0, "87b610cc1d3fdafd7fea5a8e0bc79bd9"); (2, "7f2d799f33e2eb31f7218603ad607c5b") ]
 
-(* Cross-shard mailbox delivery must reproduce the single-heap order
+(* Cross-shard outbox delivery must reproduce the single-heap order
    even when K does not divide the ring: every cut link is cross-shard
    on one side and not the other, so any ordering bug shows up as a
    journal diff. *)
@@ -331,7 +310,6 @@ let () =
             test_prioq_no_stale_refs ] );
       ( "partition",
         [ Alcotest.test_case "covers, balanced, deterministic" `Quick test_partition ] );
-      ("mailbox", [ Alcotest.test_case "push order, overflow" `Quick test_mailbox_order ]);
       ( "engine",
         [ Alcotest.test_case "K in {1,2,4} byte-identical" `Quick test_shard_k_invariance;
           Alcotest.test_case "consecutive runs identical" `Quick
