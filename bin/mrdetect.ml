@@ -139,20 +139,12 @@ let simulate_cmd =
                    section of the README for the schedule syntax) and score \
                    every verdict against ground truth")
   in
-  let shards =
-    Arg.(value & opt int 0
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"partition the router graph into K shards and run the \
-                   conservative-parallel engine (one domain per shard); 0 \
-                   runs the classic single-heap engine.  Output is \
-                   byte-identical for every K >= 1")
-  in
   let run topology protocol attack fraction attacker duration seed flows trace
-      metrics journal trace_out trace_sample faults shards =
+      metrics journal trace_out trace_sample faults =
     match
       Experiments.Simulate.Config.of_cmdline ~topology ~protocol ~attack ~fraction
         ~attacker ~duration ~seed ~flows ~trace ~metrics ~journal ~trace_out
-        ~trace_sample ~faults ~shards
+        ~trace_sample ~faults
     with
     | Error msg -> `Error (false, msg)
     | Ok config -> (
@@ -167,7 +159,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Run a custom attack/detector scenario")
     Term.(ret (const run $ topo $ protocol $ attack $ fraction $ attacker $ duration
                $ seed $ flows $ trace $ metrics $ journal $ trace_out
-               $ trace_sample $ faults $ shards))
+               $ trace_sample $ faults))
 
 let chaos_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"rng seed") in
@@ -182,12 +174,6 @@ let chaos_cmd =
              ~doc:"short deterministic run (10 s, at most 2 trials) for CI; \
                    this is what the @chaos-smoke dune alias executes")
   in
-  let shards =
-    Arg.(value & opt int 0
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"run each trial on the K-shard conservative-parallel \
-                   engine (0 = classic single heap)")
-  in
   let byzantine =
     Arg.(value & flag
          & info [ "byzantine" ]
@@ -196,10 +182,10 @@ let chaos_cmd =
                    mute, staller) per trial, with the hardened detectors' \
                    framing metrics reported")
   in
-  let run seed trials jobs smoke byzantine shards json =
+  let run seed trials jobs smoke byzantine json =
     try
       Experiments.Fig_robustness.chaos_run ~seed ~trials
-        ~jobs:(resolve_jobs jobs) ~smoke ~byzantine ~shards ?json ();
+        ~jobs:(resolve_jobs jobs) ~smoke ~byzantine ?json ();
       `Ok ()
     with
     | Sys_error msg -> `Error (false, "cannot write output file: " ^ msg)
@@ -210,8 +196,7 @@ let chaos_cmd =
        ~doc:"Sweep seeded random benign faults (within a budget) over the \
              ring8 scenario and score fatih against the ground-truth oracle; \
              output is byte-identical for a given --seed across --jobs values")
-    Term.(ret (const run $ seed $ trials $ jobs_arg $ smoke $ byzantine $ shards
-               $ json_arg))
+    Term.(ret (const run $ seed $ trials $ jobs_arg $ smoke $ byzantine $ json_arg))
 
 let trace_cmd =
   let file =
@@ -257,8 +242,8 @@ let report_cmd =
     Arg.(value & flag
          & info [ "json" ]
              ~doc:"emit the normalized mrdetect-report-v1 JSON document \
-                   instead of HTML (engine-independent: byte-identical for \
-                   every --shards K >= 1 of the same scenario)")
+                   instead of HTML (machine-independent: byte-identical \
+                   for every run of the same scenario)")
   in
   let run file out as_json =
     match Experiments.Report.load file with
@@ -293,7 +278,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:"Render a simulate --metrics document as a self-contained HTML \
              dashboard (inline SVG sparklines and histograms) or, with \
-             --json, as the engine-independent mrdetect-report-v1 document")
+             --json, as the machine-independent mrdetect-report-v1 document")
     Term.(ret (const run $ file $ out $ as_json))
 
 let top_cmd =
@@ -324,23 +309,16 @@ let top_cmd =
     Arg.(value & opt (some string) None
          & info [ "faults" ] ~docv:"FILE" ~doc:"inject the benign fault plan in FILE")
   in
-  let shards =
-    Arg.(value & opt int 0
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"run the K-shard conservative-parallel engine (0 = classic)")
-  in
   let refresh =
     Arg.(value & opt float 0.5
-         & info [ "refresh" ] ~docv:"S"
-             ~doc:"sim seconds between dashboard refreshes (classic engine; \
-                   the sharded engine refreshes at its epoch barriers)")
+         & info [ "refresh" ] ~docv:"S" ~doc:"sim seconds between dashboard refreshes")
   in
   let run topology protocol attack fraction attacker duration seed flows faults
-      shards refresh =
+      refresh =
     match
       Experiments.Simulate.Config.of_cmdline ~topology ~protocol ~attack ~fraction
         ~attacker ~duration ~seed ~flows ~trace:0 ~metrics:None ~journal:None
-        ~trace_out:None ~trace_sample:1.0 ~faults ~shards
+        ~trace_out:None ~trace_sample:1.0 ~faults
     with
     | Error msg -> `Error (false, msg)
     | Ok config -> (
@@ -379,7 +357,7 @@ let top_cmd =
              latency quantiles, per-router queue depths) fed by the always-on \
              stats collectors; on a non-TTY only the final frame is printed")
     Term.(ret (const run $ topo $ protocol $ attack $ fraction $ attacker
-               $ duration $ seed $ flows $ faults $ shards $ refresh))
+               $ duration $ seed $ flows $ faults $ refresh))
 
 let subcommand (e : Exp.entry) =
   let run () = Exp.render (e.eval ()) in

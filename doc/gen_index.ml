@@ -44,14 +44,9 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {ul
 {- [Netsim] — discrete-event packet simulator: {!Netsim.Net},
    {!Netsim.Tcp}, {!Netsim.Red}, {!Netsim.Router} (with adversarial
-   forwarding hooks), {!Netsim.Meter}.  Two engines
-   drive it: the classic single-heap {!Netsim.Sim} loop, and
-   {!Netsim.Shard} — a conservative-synchronization parallel engine
-   (one domain per graph partition, cross-shard packets through
-   per-shard outboxes drained between windows, observations merged at
-   epoch barriers)
-   whose output is byte-identical for every shard count.
-   [mrdetect simulate --shards K] selects it.}
+   forwarding hooks), {!Netsim.Meter}, driven by one single-heap
+   {!Netsim.Sim} event loop with one random stream, so a run is
+   byte-identical for a given seed.}
 {- [Topology] — {!Topology.Routing} (deterministic link state),
    {!Topology.Ecmp}, {!Topology.Policy} (segment excision),
    {!Topology.Segments} (Pr enumeration), {!Topology.Abilene},
@@ -74,10 +69,8 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
    sits beside these: {!Telemetry.Timeseries} (fixed-capacity
    downsampling rings) and {!Telemetry.Hist} (mergeable HDR-style
    log-bucketed histograms) feed {!Netsim.Stats}, which the probe feeds
-   from the same hooks that journal each event — under the sharded
-   engine when the epoch flush replays observations in single-heap
-   order, so the output is byte-identical for every [--shards K >= 1] —
-   and surface as [mrdetect report]
+   from the same hooks that journal each event, and surface as
+   [mrdetect report]
    (self-contained HTML dashboard or [mrdetect-report-v1] JSON),
    [mrdetect top] (live terminal view) and
    {!Experiments.Benchgate}-backed [bench --check] regression gating.

@@ -76,7 +76,7 @@ let stall_margin t ~router =
 type extra = { fp : int64; origin : int; tag : Crypto_sim.Keyring.signature }
 
 (* Fabricated fingerprints are a pure function of (claimant, victim,
-   round, index): replay-deterministic, shard-count independent. *)
+   round, index), so runs replay deterministically. *)
 let fabricated_fp t ~claimant ~victim ~round ~i =
   Crypto_sim.Siphash.hash_int64s t.key
     [ Int64.of_int claimant; Int64.of_int victim; Int64.of_int round;

@@ -17,8 +17,8 @@
       consuming nearly the whole retry budget without ever tripping it.
 
     Everything is a pure function of (seed, router, peer, round), so a
-    run with a Byzantine plan is replay-deterministic and byte-identical
-    across shard counts, exactly like the benign fault machinery.
+    run with a Byzantine plan is replay-deterministic, exactly like the
+    benign fault machinery.
 
     {b Unforgeability is by construction}: claimed summary additions
     must carry the {e origin router's} signature over the fingerprint

@@ -95,8 +95,7 @@ val deploy :
       excised via the response engine under a non-alarming verdict.
 
     Every hardening decision is a pure function of (plan seed, segment,
-    round), so Byzantine runs stay replay-deterministic and
-    byte-identical across shard counts. *)
+    round), so Byzantine runs stay replay-deterministic. *)
 
 val detections : t -> detection list
 (** All alerts raised, oldest first. *)

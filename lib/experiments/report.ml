@@ -1,15 +1,14 @@
 (* mrdetect report: turn an mrdetect-metrics-v1 document into the
-   engine-independent mrdetect-report-v1 form, and render that as a
+   machine-independent mrdetect-report-v1 form, and render that as a
    self-contained HTML dashboard (inline SVG, no external assets).
 
    The report schema deliberately normalizes away everything that is
-   allowed to differ between the classic and sharded engines or between
-   machines: the [engine] self-profiling section, the wall-clock
-   [phases], and the [scenario.shards] field all vanish.  What remains —
-   scenario, packet conservation, detection outcome, and the always-on
-   stats collectors — is byte-identical for every shard count K >= 1 of
-   the same scenario (and stable run-to-run for K = 0), which is what
-   the report-determinism golden test pins. *)
+   allowed to differ between machines or runs: the [engine]
+   self-profiling section and the wall-clock [phases] both vanish.  What
+   remains — scenario, packet conservation, detection outcome, and the
+   always-on stats collectors — is byte-identical run-to-run for the
+   same scenario, which is what the report-determinism golden test
+   pins. *)
 
 module J = Telemetry.Export
 
@@ -33,12 +32,6 @@ let of_metrics doc =
       if stats = J.Null then
         Error "metrics document has no stats section (re-run with --metrics)"
       else
-        let scenario =
-          match scenario with
-          | J.Assoc kvs ->
-              J.Assoc (List.filter (fun (k, _) -> k <> "shards") kvs)
-          | other -> other
-        in
         Ok
           (J.Assoc
              [ ("schema", J.String schema);

@@ -1,12 +1,12 @@
-(** `mrdetect report`: the engine-independent run report.
+(** `mrdetect report`: the machine-independent run report.
 
     Consumes an [mrdetect-metrics-v1] document (written by
     [simulate --metrics]) and produces the [mrdetect-report-v1] form:
     scenario, packet conservation, detection outcome and the always-on
-    {!Netsim.Stats} collectors, with every engine-specific field —
-    [engine], [phases], [scenario.shards] — normalized away.  The
-    result is byte-identical for every shard count [K >= 1] of the same
-    scenario, the contract the report-determinism golden test pins.
+    {!Netsim.Stats} collectors, with the machine-dependent fields —
+    [engine], [phases] — normalized away.  The result is byte-identical
+    run-to-run for the same scenario, the contract the
+    report-determinism golden test pins.
 
     {!html} renders the report as a single self-contained HTML page:
     inline SVG sparklines for the time series, inline SVG bars for the

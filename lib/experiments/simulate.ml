@@ -48,14 +48,12 @@ module Config = struct
     trace_out : string option;
     trace_sample : float;
     faults : string option;
-    shards : int;
   }
 
   let default =
     { topo = Ring; protocol = "fatih"; attack = Drop_fraction 0.2; attacker = 2;
       duration = 60.0; seed = 1; flows = 8; trace = 0; metrics = None;
-      journal = None; trace_out = None; trace_sample = 1.0; faults = None;
-      shards = 0 }
+      journal = None; trace_out = None; trace_sample = 1.0; faults = None }
 
   let validate c =
     Core.Detectors.register_all ();
@@ -84,11 +82,6 @@ module Config = struct
         Error
           (Printf.sprintf "attacker %d outside this topology's routers [0,%d)"
              c.attacker n)
-      else if c.shards < 0 || c.shards > n then
-        Error
-          (Printf.sprintf
-             "shards must lie in [0,%d] for this topology's %d routers (got %d)"
-             n n c.shards)
       else begin
         match fraction_of c.attack with
         | Some f when not (Float.is_finite f) || f < 0.0 || f > 1.0 ->
@@ -101,28 +94,28 @@ module Config = struct
       ?(attacker = default.attacker) ?(duration = default.duration)
       ?(seed = default.seed) ?(flows = default.flows) ?(trace = default.trace)
       ?metrics ?journal ?trace_out ?(trace_sample = default.trace_sample) ?faults
-      ?(shards = default.shards) topo =
+      topo =
     validate
       { topo; protocol; attack; attacker; duration; seed; flows; trace; metrics;
-        journal; trace_out; trace_sample; faults; shards }
+        journal; trace_out; trace_sample; faults }
 
   let make_exn ?protocol ?attack ?attacker ?duration ?seed ?flows ?trace ?metrics
-      ?journal ?trace_out ?trace_sample ?faults ?shards topo =
+      ?journal ?trace_out ?trace_sample ?faults topo =
     match
       make ?protocol ?attack ?attacker ?duration ?seed ?flows ?trace ?metrics
-        ?journal ?trace_out ?trace_sample ?faults ?shards topo
+        ?journal ?trace_out ?trace_sample ?faults topo
     with
     | Ok c -> c
     | Error msg -> invalid_arg ("Simulate.Config.make: " ^ msg)
 
   let of_cmdline ~topology ~protocol ~attack ~fraction ~attacker ~duration ~seed
-      ~flows ~trace ~metrics ~journal ~trace_out ~trace_sample ~faults ~shards =
+      ~flows ~trace ~metrics ~journal ~trace_out ~trace_sample ~faults =
     let ( let* ) = Result.bind in
     let* topo = topo_of_string topology in
     let* attack = attack_of_string attack ~fraction in
     validate
       { topo; protocol; attack; attacker; duration; seed; flows; trace; metrics;
-        journal; trace_out; trace_sample; faults; shards }
+        journal; trace_out; trace_sample; faults }
 end
 
 let behavior_of = function
@@ -186,16 +179,6 @@ let summary_json ~scenario ~attack_start net probe profile =
       ("journal_total", Int (Telemetry.Journal.total (Probe.journal probe)));
       ("journal_dropped", Int (Telemetry.Journal.dropped (Probe.journal probe))) ]
   in
-  let engine =
-    match Net.shard_engine net with
-    | None -> engine
-    | Some sh ->
-        engine
-        @ [ ("shards", Int (Shard.k sh));
-            ("epochs_run", Int (Shard.epochs_run sh));
-            ("windows_run", Int (Shard.windows_run sh));
-            ("cross_shard_messages", Int (Shard.cross_messages sh)) ]
-  in
   Assoc
     [ ("schema", String "mrdetect-metrics-v1");
       ("scenario", Assoc scenario);
@@ -237,7 +220,7 @@ let write_journal path probe =
 
 let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   let { Config.topo; protocol; attack; attacker; duration; seed; flows; trace;
-        metrics; journal; trace_out; trace_sample; faults; shards } =
+        metrics; journal; trace_out; trace_sample; faults } =
     match Config.validate config with
     | Ok c -> c
     | Error msg -> invalid_arg ("Simulate.run: " ^ msg)
@@ -292,7 +275,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   let attack_start = duration /. 3.0 in
   let net, rt, pairs, malicious, congestion, trace_journal =
     Telemetry.Profile.time profile "setup" (fun () ->
-        let net = Net.create ~seed ~jitter_bound:200e-6 ~shards g in
+        let net = Net.create ~seed ~jitter_bound:200e-6 g in
         Net.set_probe net probe;
         (* Arm the detection-latency histograms before any traffic runs. *)
         (match Net.stats net with
@@ -383,26 +366,20 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   let inst =
     Telemetry.Profile.time profile "setup" (fun () -> Core.Detector.init detector env)
   in
-  (* Sharded engine: the epoch barrier doubles as the live-view tick. *)
-  let on_epoch ~now =
-    match on_progress with
-    | Some f when shards > 0 -> f ~now net
-    | _ -> ()
-  in
   let drive () =
     match on_progress with
-    | Some f when shards = 0 ->
-        (* Classic engine: slice the run.  [Sim.run ~until] pops the
+    | Some f ->
+        (* Slice the run for the live view.  [Sim.run ~until] pops the
            same heap in the same order whatever the slicing, so output
            is byte-identical to a single-shot run. *)
         let rec go t =
           let t' = Float.min duration (t +. progress_interval) in
-          Net.run ~until:t' ~on_epoch net;
+          Net.run ~until:t' net;
           f ~now:t' net;
           if t' < duration then go t'
         in
         go 0.0
-    | _ -> Net.run ~until:duration ~on_epoch net
+    | None -> Net.run ~until:duration net
   in
   (try Telemetry.Profile.time profile "run" drive
    with e ->
@@ -466,7 +443,6 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
           ("duration", Float duration);
           ("seed", Int seed);
           ("flows", Int flows);
-          ("shards", Int shards);
           ("faults",
            match faults with Some path -> String path | None -> Null) ]
       in

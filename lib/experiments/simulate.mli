@@ -42,13 +42,11 @@ module Config : sig
     trace_out : string option; (** Chrome trace-event export path *)
     trace_sample : float;    (** fraction of packets traced, in [0,1] *)
     faults : string option;  (** benign fault-plan file ({!Faults.Schedule}) *)
-    shards : int;            (** engine shards; [0] = classic single heap *)
   }
 
   val default : t
   (** Ring topology, fatih, 20% drop fraction at router 2, 60 s, seed 1,
-      8 flows, no trace, no exports, trace sampling at 1.0, no faults,
-      classic engine. *)
+      8 flows, no trace, no exports, trace sampling at 1.0, no faults. *)
 
   val make :
     ?protocol:string ->
@@ -63,7 +61,6 @@ module Config : sig
     ?trace_out:string ->
     ?trace_sample:float ->
     ?faults:string ->
-    ?shards:int ->
     topo ->
     (t, string) result
   (** Build and {!validate} a configuration; unstated fields take the
@@ -82,7 +79,6 @@ module Config : sig
     ?trace_out:string ->
     ?trace_sample:float ->
     ?faults:string ->
-    ?shards:int ->
     topo ->
     t
   (** {!make}, raising [Invalid_argument] on rejection. *)
@@ -91,9 +87,8 @@ module Config : sig
   (** Reject non-positive duration, fewer than one flow, a negative
       trace length, a sample rate outside [0,1], a protocol name absent
       from the {!Core.Detector} registry, an attacker id outside the
-      chosen topology, a shard count outside [0, routers], and a
-      drop/queue fraction outside [0,1] — before any simulation state is
-      built. *)
+      chosen topology and a drop/queue fraction outside [0,1] — before
+      any simulation state is built. *)
 
   val of_cmdline :
     topology:string ->
@@ -110,7 +105,6 @@ module Config : sig
     trace_out:string option ->
     trace_sample:float ->
     faults:string option ->
-    shards:int ->
     (t, string) result
   (** Parse the raw command-line spellings and {!validate} the result. *)
 end
@@ -120,16 +114,14 @@ val run :
   ?progress_interval:float ->
   Config.t ->
   unit
-(** Build the network ([shards > 0] selects the {!Netsim.Shard}
-    conservative-parallel engine), start [flows] CBR flows between
+(** Build the network, start [flows] CBR flows between
     distinct random pairs plus TCP where the detector needs congestion,
     compromise [attacker] at one third of [duration], run, and print a
     summary.
 
     [metrics] names a file for the metrics/summary export: JSON by
     default (schema ["mrdetect-metrics-v1"]: scenario echo, packet
-    conservation, detection latency, engine self-profiling — including
-    shard/epoch/window counts under the sharded engine — per-phase
+    conservation, detection latency, engine self-profiling, per-phase
     wall clock, and the full registry), Prometheus text for a
     [.prom]/[.txt] suffix.  [journal] names a JSONL file receiving the
     typed event journal (newest 262144 records).  With neither given, no
@@ -145,8 +137,7 @@ val run :
     routers or links outside the topology.
 
     [on_progress] is the live-view hook ([mrdetect top]): it fires every
-    [progress_interval] sim seconds (default 0.5) on the classic engine
-    — which is sliced into multiple [Net.run] calls, byte-identical to a
-    single-shot run — and at every epoch barrier on the sharded engine.
+    [progress_interval] sim seconds (default 0.5): the run is sliced
+    into multiple [Net.run] calls, byte-identical to a single-shot run.
     Passing it forces a probe (and thus the always-on {!Netsim.Stats}
     collector) even with no exports configured. *)

@@ -12,11 +12,8 @@ let check_args ~rate_pps ~size ~start ~stop =
     invalid_arg "Flow: start must be finite and stop a number";
   if stop < start then invalid_arg "Flow: stop before start"
 
-(* Ticks run on the source node's data-plane sim (its shard under the
-   sharded engine), and uids come from the node's stream, so generated
-   traffic is identical for any shard count. *)
 let generator net ~flow ~src ~dst ~size ~start ~stop ~gap =
-  let sim = Net.data_sim net ~node:src in
+  let sim = Net.sim net in
   let t = { flow; sent = 0 } in
   let rec tick () =
     if Sim.now sim <= stop then begin
@@ -37,7 +34,7 @@ let cbr net ~src ~dst ~rate_pps ~size ~start ~stop =
 let poisson net ~src ~dst ~rate_pps ~size ~start ~stop =
   check_args ~rate_pps ~size ~start ~stop;
   let flow = Net.fresh_flow_id net in
-  let rng = Net.flow_rng net ~flow in
+  let rng = Sim.rng (Net.sim net) in
   generator net ~flow ~src ~dst ~size ~start ~stop ~gap:(fun () ->
       Mrstats.Variate.exponential rng ~rate:rate_pps)
 

@@ -13,19 +13,11 @@ type event =
 
 type queue = Fifo of Queue_fifo.t | Red_q of Red.t
 
-type delivery =
-  | Direct
-  | Split of {
-      rng : Random.State.t;
-      handoff : at:Sim.fbox -> rank:int -> prev:int -> Packet.t -> unit;
-    }
-
 type t = {
   sim : Sim.t;
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   link : Topology.Graph.link;
   queue : queue;
-  delivery : delivery;
   on_event : t -> event -> unit;
   deliver : prev:int -> Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
@@ -54,25 +46,17 @@ type t = {
    callees exist).  Tagged scheduling replaces the two closures the old
    hot path boxed per transmission. *)
 let tag_txend = ref 0
-let tag_arrive = ref 0      (* Direct-mode arrival: coin, counters, deliver *)
-let tag_arrive_obs = ref 0  (* Split-mode owner-side arrival observation *)
+let tag_arrive = ref 0
 
 let no_release (_ : Packet.t) = ()
 
-let create ~sim ~link ~kind ?(delivery = Direct) ?(release = no_release)
-    ~on_event ~deliver () =
+let create ~sim ~link ~kind ?(release = no_release) ~on_event ~deliver () =
   let queue =
     match kind with
     | Droptail limit_bytes -> Fifo (Queue_fifo.create ~limit_bytes ())
-    | Red_queue params ->
-        (* Sharded mode gives RED its own per-interface stream so drop
-           coins do not depend on the shard count. *)
-        let rng =
-          match delivery with Split { rng; _ } -> rng | Direct -> Sim.rng sim
-        in
-        Red_q (Red.create ~params ~rng ())
+    | Red_queue params -> Red_q (Red.create ~params ~rng:(Sim.rng sim) ())
   in
-  { sim; clock = Sim.clock sim; link; queue; delivery; on_event; deliver; release;
+  { sim; clock = Sim.clock sim; link; queue; on_event; deliver; release;
     tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
     arrive_at = { Sim.f = 0.0 }; observe = true; up = true;
     corruption = 0.0; tx_packets = 0; tx_bytes = 0; delivered_packets = 0;
@@ -132,43 +116,8 @@ let transmit t =
      must lie in the future. *)
   if (not (queue_empty t)) || t.tx_end.f <= now then push_txend t
   else t.txend_pending <- false;
-  match t.delivery with
-  | Direct ->
-      t.arrive_at.f <- now +. (tx +. t.link.Topology.Graph.delay);
-      Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive ~i:0 (Obj.repr t)
-        (Obj.repr p)
-  | Split { rng; handoff } ->
-      (* Sharded mode: the corruption coin is drawn now, from the
-         per-interface stream, and the receive step is handed off with a
-         rank drawn now — everything about the arrival is decided at
-         transmit-start, which is what gives the engine its lookahead
-         (the arrival lies at least one link latency in the future).
-         The owner-side arrival event keeps the counters and the wire
-         observation on this shard; the receive itself runs as its own
-         event on the neighbour's shard at the same instant.  When
-         nothing observes the network the owner-side event is elided
-         entirely — counters are settled here at transmit-start — which
-         is safe for every K at once because observation is a
-         whole-network property. *)
-      t.arrive_at.f <- now +. tx +. t.link.Topology.Graph.delay;
-      let corrupted =
-        t.corruption > 0.0 && Random.State.float rng 1.0 < t.corruption
-      in
-      if t.observe then begin
-        Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive_obs
-          ~i:(if corrupted then 1 else 0)
-          (Obj.repr t) (Obj.repr p);
-        if not corrupted then
-          handoff ~at:t.arrive_at ~rank:(Sim.reserve_key t.sim) ~prev:(owner t) p
-      end
-      else if corrupted then begin
-        t.dropped_packets <- t.dropped_packets + 1;
-        t.release p
-      end
-      else begin
-        t.delivered_packets <- t.delivered_packets + 1;
-        handoff ~at:t.arrive_at ~rank:(Sim.reserve_key t.sim) ~prev:(owner t) p
-      end
+  t.arrive_at.f <- now +. (tx +. t.link.Topology.Graph.delay);
+  Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive ~i:0 (Obj.repr t) (Obj.repr p)
 
 (* Start the next transmission if the wire is free.  While a packet is
    on it, a waiting packet needs the transmission-end event in the heap
@@ -178,9 +127,9 @@ let kick t =
     if not (Sim.fired t.sim ~at:t.tx_end ~key:t.tx_key) then push_txend t
     else if t.up then transmit t
 
-(* Direct-mode arrival: the coin comes from the simulation stream at the
-   arrival instant, exactly as the classic engine always drew it. *)
-let arrive_direct t p =
+(* Arrival: the corruption coin comes from the simulation stream at the
+   arrival instant. *)
+let arrive t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
     t.dropped_packets <- t.dropped_packets + 1;
@@ -192,29 +141,13 @@ let arrive_direct t p =
     t.deliver ~prev:(owner t) p
   end
 
-(* Split-mode owner-side arrival (observed runs only): settle counters
-   and report the wire event; the corruption coin was already drawn at
-   transmit-start ([iarg] carries the outcome). *)
-let arrive_obs t p corrupted =
-  if corrupted = 1 then begin
-    t.dropped_packets <- t.dropped_packets + 1;
-    t.on_event t (Drop_corrupted p)
-  end
-  else begin
-    t.delivered_packets <- t.delivered_packets + 1;
-    t.on_event t (Delivered p)
-  end
-
 let () =
   tag_txend :=
     Sim.new_tag (fun _ a _ _ ->
         let t : t = Obj.obj a in
         t.txend_pending <- false;
         kick t);
-  tag_arrive :=
-    Sim.new_tag (fun _ a b _ -> arrive_direct (Obj.obj a) (Obj.obj b));
-  tag_arrive_obs :=
-    Sim.new_tag (fun _ a b i -> arrive_obs (Obj.obj a) (Obj.obj b) i)
+  tag_arrive := Sim.new_tag (fun _ a b _ -> arrive (Obj.obj a) (Obj.obj b))
 
 let is_up t = t.up
 

@@ -41,52 +41,29 @@ type event =
   | Transmit_start of Packet.t   (** left the queue, serialization begins *)
   | Delivered of Packet.t        (** arrived at the far end of the link *)
 
-type delivery =
-  | Direct
-      (** Classic single-heap engine: the arrival event draws the
-          corruption coin from the simulation rng and calls [deliver]
-          inline. *)
-  | Split of {
-      rng : Random.State.t;
-      handoff : at:Sim.fbox -> rank:int -> prev:int -> Packet.t -> unit;
-    }
-      (** Sharded engine: the corruption coin comes from the given
-          per-interface stream and is drawn at transmit-start; intact
-          packets are handed off (arrival time in a box the handoff must
-          not keep, deterministic event rank, previous hop) so the
-          engine can schedule the receive on the destination router's
-          shard.  The owner-side arrival event
-          (counters + [Delivered]/[Drop_corrupted] observation) stays on
-          this shard.  Deciding the arrival at transmit-start is what
-          gives the shard engine its lookahead. *)
-
 type t
 
 val create :
   sim:Sim.t ->
   link:Topology.Graph.link ->
   kind:kind ->
-  ?delivery:delivery ->
   ?release:(Packet.t -> unit) ->
   on_event:(t -> event -> unit) ->
   deliver:(prev:int -> Packet.t -> unit) ->
   unit ->
   t
 (** Build the interface for a directed link.  [deliver] is invoked at the
-    packet's arrival instant at [link.dst] with [prev = link.src]
-    (ignored in [Split] mode, where [handoff] replaces it).  [release]
+    packet's arrival instant at [link.dst] with [prev = link.src]; the
+    corruption coin is drawn from the simulation stream at that instant.
+    A [Red_queue] draws its drop coins from the same stream.  [release]
     (default: no-op) receives packets this interface kills while the
     network is unobserved — the pool-recycling hook. *)
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this interface's events.  [true] (the
-    default) reports every transition through [on_event] exactly as
-    before; [false] elides event construction — and, in [Split] mode,
-    the owner-side arrival event itself (counters settle at
-    transmit-start) — so the steady-state hot path allocates nothing.
-    Must be fixed before the run starts: flipping it mid-run changes the
-    event structure.  {!Net} manages it from its probe and subscriber
-    state. *)
+    default) reports every transition through [on_event]; [false]
+    elides event construction, so the steady-state hot path allocates
+    nothing.  {!Net} manages it from its probe and subscriber state. *)
 
 val owner : t -> int
 (** The router that owns the queue ([link.src]). *)

@@ -15,17 +15,8 @@ type router_event = Probe.router_record = {
   kind : Router.event;
 }
 
-(* The classic engine is one heap; the sharded engine is K data-plane
-   heaps plus a coordinator-side control heap ({!Shard}).  Everything
-   above this module (probes, detectors, TCP, the fault injector)
-   schedules on [sim t], which in sharded mode is the control heap —
-   control work then runs at epoch barriers, where every shard clock
-   agrees, so its behaviour cannot depend on the shard count. *)
-type engine = Single of Sim.t | Sharded of Shard.t
-
 type t = {
-  engine : engine;
-  seed : int;
+  sim : Sim.t;
   graph : Topology.Graph.t;
   mutable routers : Router.t array;
   mutable iface_listeners : (iface_event -> unit) list;
@@ -33,50 +24,32 @@ type t = {
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
-  (* Sharded mode: per-node uid counters, so packet identity never
-     depends on cross-shard event interleaving.  Only the owning
-     shard's domain touches a node's counter. *)
-  uid_next : int array;
-  (* Whether anything consumes wire observations (probe or data-plane
-     listeners).  Pushed down into every Router/Iface [observe] flag so
-     the unobserved hot path builds no events at all. *)
-  mutable observed : bool;
-  mutable has_apps : bool;
-  (* Packet recycling: one freelist per shard (index 0 for the classic
-     engine); entities release into the pool of the shard that executes
-     them, so pools are never contended.  [pool_on] is the effective
-     switch: pooling requested AND nothing observing packets beyond
-     their network lifetime. *)
+  (* Packet recycling.  [pool_on] is the effective switch: pooling
+     requested AND nothing observing packets beyond their network
+     lifetime. *)
   pooling : bool;
-  pools : Pool.t array;
+  pool : Pool.t;
   mutable pool_on : bool;
 }
 
-let sim t = match t.engine with Single s -> s | Sharded sh -> Shard.ctrl_sim sh
+let sim t = t.sim
 
 (* Observation elision and pooling are whole-network properties; both
-   must be settled before the run starts.  Pooling stays inert while
-   observed (events retain packets past their network lifetime) and, in
-   sharded mode, while apps are attached (buffered [Obs_app] records
-   would outlive the router's release of the packet). *)
+   must be settled before the run starts.  Whether anything consumes
+   wire observations (probe or data-plane listeners) is pushed down into
+   every Router/Iface [observe] flag, so the unobserved hot path builds
+   no events at all.  Pooling stays inert while observed: events retain
+   packets past their network lifetime. *)
 let refresh_observe t =
   let observed =
     t.probe <> None || t.iface_listeners <> [] || t.router_listeners <> []
   in
-  t.observed <- observed;
-  t.pool_on <-
-    t.pooling && (not observed)
-    && (match t.engine with Single _ -> true | Sharded _ -> not t.has_apps);
+  t.pool_on <- t.pooling && not observed;
   Array.iter
     (fun r ->
       Router.set_observe r observed;
       List.iter (fun i -> Iface.set_observe i observed) (Router.ifaces r))
     t.routers
-
-let data_sim t ~node =
-  match t.engine with
-  | Single s -> s
-  | Sharded sh -> Shard.shard_sim sh (Shard.owner sh node)
 
 let graph t = t.graph
 let router t id = t.routers.(id)
@@ -100,7 +73,8 @@ let probe t = t.probe
 let stats t = Option.bind t.probe Probe.stats
 
 (* One record per observation: the probe journals it and every listener
-   receives the same value. *)
+   receives the same value.  Apps get delivered packets the same way; the
+   walk builds no closure per call. *)
 let rec notify ev = function
   | [] -> ()
   | f :: rest ->
@@ -118,154 +92,48 @@ let emit_router t (ev : router_event) =
 let emit_originate t pkt =
   match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
 
-let attach_app t ~node f =
-  t.apps.(node) := f :: !(t.apps.(node));
-  t.has_apps <- true;
-  refresh_observe t
+let attach_app t ~node f = t.apps.(node) := f :: !(t.apps.(node))
 
-(* Uids in sharded mode: high bits are the minting node, low bits a
-   per-node counter.  Disjoint from the control plane's small
-   [Sim.fresh_id] uids (TCP/Ping packets), and independent of shard
-   count by construction. *)
-let fresh_uid t ~node =
-  match t.engine with
-  | Single s -> Sim.fresh_id s
-  | Sharded _ ->
-      let c = t.uid_next.(node) in
-      t.uid_next.(node) <- c + 1;
-      ((node + 1) lsl 40) lor c
+let fresh_flow_id t = Sim.fresh_id t.sim
 
-let fresh_flow_id t = Sim.fresh_id (sim t)
-
-let flow_rng t ~flow =
-  match t.engine with
-  | Single s -> Sim.rng s
-  | Sharded _ -> Random.State.make [| t.seed; flow; 0xf10a |]
-
-(* Deliver one buffered shard observation at an epoch flush, in the
-   merged (time, rank, emission) order — probes (and through them Stats),
-   listeners and apps see exactly the single-heap event stream. *)
-let deliver_obs t (r : Shard.obs_rec) =
-  match r.obs with
-  | Shard.Obs_iface ev -> emit_iface t ev
-  | Shard.Obs_router ev -> emit_router t ev
-  | Shard.Obs_originate pkt -> emit_originate t pkt
-  | Shard.Obs_app { node; pkt } -> List.iter (fun f -> f pkt) !(t.apps.(node))
-
-(* Cross-shard receive as a registered tag: the handoff descriptor is
-   (dest router, packet, prev) — no closure crosses the outbox. *)
-let tag_recv = ref 0
-
-let () =
-  tag_recv :=
-    Sim.new_tag (fun _ a b i -> Router.receive_prev (Obj.obj a) ~prev:i (Obj.obj b))
-
-let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6) ?shards ?epoch
+let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
     ?(pooling = false) ?(poison = false) graph =
   if not (Float.is_finite jitter_bound) then
     invalid_arg "Net.create: jitter_bound must be finite";
   let n = Topology.Graph.size graph in
-  let engine =
-    match shards with
-    | None | Some 0 -> Single (Sim.create ~seed ())
-    | Some k -> Sharded (Shard.create ~seed ?epoch ~graph ~k ())
-  in
-  let npools = match engine with Single _ -> 1 | Sharded sh -> Shard.k sh in
+  let sim = Sim.create ~seed () in
   let t =
-    { engine; seed; graph;
+    { sim; graph;
       routers = [||];
       iface_listeners = [];
       router_listeners = [];
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;
-      uid_next = Array.make n 0;
-      observed = false;
-      has_apps = false;
       pooling;
-      pools = Array.init npools (fun _ -> Pool.create ~poison ());
+      pool = Pool.create ~poison ();
       pool_on = false }
   in
-  let pool_ix id =
-    match engine with Single _ -> 0 | Sharded sh -> Shard.owner sh id
-  in
-  let release_into id =
-    let pool = t.pools.(pool_ix id) in
-    fun p -> if t.pool_on then Pool.release pool p
-  in
-  let node_sim id =
-    match engine with
-    | Single s -> s
-    | Sharded sh -> Shard.shard_sim sh (Shard.owner sh id)
-  in
+  let release p = if t.pool_on then Pool.release t.pool p in
   t.routers <-
     Array.init n (fun id ->
-        let sim = node_sim id in
-        let rng =
-          match engine with
-          | Single _ -> Sim.rng sim
-          | Sharded _ ->
-              (* Per-router stream: forwarding jitter must not depend on
-                 how draws interleave across shards. *)
-              Random.State.make [| seed; id; 0x71e2 |]
-        in
-        let fresh_uid =
-          match engine with
-          | Single _ -> None
-          | Sharded _ -> Some (fun () -> fresh_uid t ~node:id)
-        in
         let local_apps = t.apps.(id) in
-        Router.create ~sim ~id ~n ~rng ~jitter_bound ?fresh_uid ~release:(release_into id)
+        Router.create ~sim ~id ~n ~jitter_bound ~release
           ~on_event:(fun r kind ->
-            let ev : router_event = { time = Sim.now sim; router = Router.id r; kind } in
-            match engine with
-            | Sharded sh when Shard.in_window () -> Shard.record sh (Shard.Obs_router ev)
-            | _ -> emit_router t ev)
-          ~local_deliver:(fun pkt ->
-            (* Nodes without apps skip the buffered record entirely:
-               the emission would iterate an empty list at the flush. *)
-            if !local_apps <> [] then
-              match engine with
-              | Sharded sh when Shard.in_window () ->
-                  Shard.record sh (Shard.Obs_app { node = id; pkt })
-              | _ -> List.iter (fun f -> f pkt) !local_apps)
+            emit_router t { time = Sim.now sim; router = Router.id r; kind })
+          ~local_deliver:(fun pkt -> notify pkt !local_apps)
           ());
   let queue_kind =
     match queue with Droptail b -> Iface.Droptail b | Red p -> Iface.Red_queue p
   in
   List.iter
     (fun (l : Topology.Graph.link) ->
-      let sim = node_sim l.Topology.Graph.src in
-      let dst = l.Topology.Graph.dst in
-      let delivery =
-        match engine with
-        | Single _ -> None
-        | Sharded sh ->
-            (* Per-link corruption/RED stream plus the cross-shard (or
-               same-shard — the event split is identical either way)
-               receive handoff. *)
-            let rng = Random.State.make [| seed; l.Topology.Graph.src; dst; 0xc0f1 |] in
-            let rdst = Obj.repr t.routers.(dst) in
-            let dshard = Shard.owner sh dst in
-            Some
-              (Iface.Split
-                 { rng;
-                   handoff =
-                     (fun ~at ~rank ~prev pkt ->
-                       Shard.post sh ~dest:dshard ~at ~rank ~tag:!tag_recv
-                         ~i:prev rdst (Obj.repr pkt)) })
-      in
-      let rdst = t.routers.(dst) in
+      let rdst = t.routers.(l.Topology.Graph.dst) in
       let iface =
-        Iface.create ~sim ~link:l ~kind:queue_kind ?delivery
-          ~release:(release_into l.Topology.Graph.src)
+        Iface.create ~sim ~link:l ~kind:queue_kind ~release
           ~on_event:(fun i kind ->
-            let ev : iface_event =
-              { time = Sim.now sim; router = Iface.owner i; next = Iface.next_hop i; kind }
-            in
-            match engine with
-            | Sharded sh when Shard.in_window () -> Shard.record sh (Shard.Obs_iface ev)
-            | _ -> emit_iface t ev)
+            emit_iface t
+              { time = Sim.now sim; router = Iface.owner i; next = Iface.next_hop i; kind })
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
           ()
       in
@@ -341,67 +209,19 @@ let set_link_corruption t ~src ~dst p =
 let restore_link t ~src ~dst = set_link t ~src ~dst true
 
 let originate t pkt =
-  (match t.engine with
-  | Sharded sh when Shard.in_window () ->
-      (* The buffered record only feeds the probe; skip it when no probe
-         can consume it at the flush. *)
-      if t.probe <> None then Shard.record sh (Shard.Obs_originate pkt)
-  | _ -> emit_originate t pkt);
+  emit_originate t pkt;
   Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
 (* Traffic sources mint packets here so recycling is transparent: a
    freelisted record when the pool is live, a fresh one otherwise. *)
 let make_packet t ~src ~dst ~flow ~size proto =
-  let uid = fresh_uid t ~node:src in
-  let now = Sim.now (data_sim t ~node:src) in
-  if t.pool_on then
-    let ix = match t.engine with Single _ -> 0 | Sharded sh -> Shard.owner sh src in
-    Pool.acquire t.pools.(ix) ~now ~uid ~src ~dst ~flow ~size proto
+  let uid = Sim.fresh_id t.sim in
+  let now = Sim.now t.sim in
+  if t.pool_on then Pool.acquire t.pool ~now ~uid ~src ~dst ~flow ~size proto
   else Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
 
-(* Control-plane sources (TCP, Ping) mint with uids from the control
-   heap's counter — identity unchanged — but still draw records from the
-   classic engine's pool when recycling is live.  Sharded control
-   packets stay fresh: pooling is inert there whenever apps are
-   attached, and control endpoints always attach one. *)
-let make_ctrl_packet t ~src ~dst ~flow ~size proto =
-  let s = sim t in
-  let uid = Sim.fresh_id s in
-  let now = Sim.now s in
-  match t.engine with
-  | Single _ when t.pool_on ->
-      Pool.acquire t.pools.(0) ~now ~uid ~src ~dst ~flow ~size proto
-  | _ -> Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
-
 let pooling_active t = t.pool_on
-
-let pool_stats t =
-  Array.fold_left
-    (fun (acc : Pool.stats) p ->
-      let s = Pool.stats p in
-      { Pool.fresh = acc.fresh + s.fresh;
-        recycled = acc.recycled + s.recycled;
-        released = acc.released + s.released;
-        available = acc.available + s.available })
-    { Pool.fresh = 0; recycled = 0; released = 0; available = 0 }
-    t.pools
-
-let run ?until ?on_epoch t =
-  match t.engine with
-  | Single s ->
-      ignore on_epoch;
-      Sim.run ?until s
-  | Sharded sh -> Shard.run ?until ?on_epoch sh ~emit:(deliver_obs t)
-
-let shards t = match t.engine with Single _ -> 0 | Sharded sh -> Shard.k sh
-let shard_engine t = match t.engine with Single _ -> None | Sharded sh -> Some sh
-
-let events_processed t =
-  match t.engine with
-  | Single s -> Sim.events_processed s
-  | Sharded sh -> Shard.events_processed sh
-
-let cpu_time_in_run t =
-  match t.engine with
-  | Single s -> Sim.cpu_time_in_run s
-  | Sharded sh -> Shard.cpu_time_in_run sh
+let pool_stats t = Pool.stats t.pool
+let run ?until t = Sim.run ?until t.sim
+let events_processed t = Sim.events_processed t.sim
+let cpu_time_in_run t = Sim.cpu_time_in_run t.sim

@@ -29,8 +29,6 @@ val create :
   ?seed:int ->
   ?queue:queue_spec ->
   ?jitter_bound:float ->
-  ?shards:int ->
-  ?epoch:float ->
   ?pooling:bool ->
   ?poison:bool ->
   Topology.Graph.t ->
@@ -40,45 +38,21 @@ val create :
     [Droptail 64000]).  [jitter_bound] is the per-packet processing delay
     upper bound, drawn uniformly (default 300 microseconds; pass 0. for a
     perfectly deterministic forwarding plane); a non-finite bound raises
-    [Invalid_argument].
-
-    [shards] selects the engine: absent or [0] runs the classic
-    single-heap engine, byte-for-byte as before; [k >= 1] runs the
-    conservative-synchronization sharded engine ({!Shard}) with the
-    graph partitioned into [k] regions, one domain per region.  Sharded
-    output is byte-identical for every [k >= 1] (verdicts, journal,
-    trace), but not to the classic engine: randomness moves from the
-    single simulation stream to per-entity streams so that no draw
-    depends on cross-shard interleaving.  [epoch] is the sharded
-    engine's control-plane quantum in seconds (default 0.1): detectors,
-    TCP endpoints and observation delivery run at epoch barriers.
-    Raises [Invalid_argument] for more shards than routers or a
-    zero-latency cross-shard link.
+    [Invalid_argument].  Every router, interface and traffic source runs
+    on one event heap ({!sim}) and draws from its one random stream.
 
     [pooling] (default false) turns on packet recycling: dead packets
-    return to a per-shard freelist ({!Pool}) and {!make_packet} reuses
-    them, so steady-state traffic allocates no packet records.  The
-    pool is automatically inert while the network is observed (probe or
-    data-plane listeners — observations retain packets), and, under the
-    sharded engine, while apps are attached (buffered app deliveries
-    outlive the packet's network lifetime); it never changes simulation
-    output.  [poison] (default false) additionally stamps released
+    return to a freelist ({!Pool}) and {!make_packet} reuses them, so
+    steady-state traffic allocates no packet records.  The pool is
+    automatically inert while the network is observed (probe or
+    data-plane listeners — observations retain packets); it never
+    changes simulation output.  [poison] (default false) additionally stamps released
     packets so stale references read loudly-wrong data and double
     releases raise — the debug mode the allocation tests use. *)
 
 val sim : t -> Sim.t
-(** The simulation to schedule control-plane work on.  Classic engine:
-    the one heap.  Sharded engine: the coordinator's control heap —
-    events run at epoch barriers where every shard clock agrees.
-    Consequence: feedback loops closed through this heap (e.g. a TCP
-    endpoint's ACK clock) observe the network at epoch granularity, so
-    adaptive senders pace to the epoch rather than the wire RTT — the
-    same way for every shard count, so determinism is unaffected. *)
-
-val data_sim : t -> node:int -> Sim.t
-(** The simulation that executes [node]'s data-plane events: the shard
-    heap owning the node (sharded), or the single heap (classic).
-    Traffic generators schedule their ticks here. *)
+(** The simulation the network runs on: traffic generators, probes,
+    detectors, TCP and the fault injector schedule their work here. *)
 
 val graph : t -> Topology.Graph.t
 val router : t -> int -> Router.t
@@ -110,10 +84,7 @@ val set_probe : t -> Probe.t option -> unit
     every origination is counted and journaled through it.  With no
     probe attached the per-event overhead is one pointer test.
     Attaching a probe also gives it a fresh always-on {!Stats} collector
-    (see {!stats}), which the probe feeds itself.  In sharded mode both
-    are fed when the epoch flush replays the buffered observations in
-    single-heap order, so the aggregate is byte-identical for every
-    shard count [K >= 1]. *)
+    (see {!stats}), which the probe feeds itself. *)
 
 val probe : t -> Probe.t option
 
@@ -159,53 +130,25 @@ val make_packet :
   t -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto -> Packet.t
 (** Mint a data packet originated at [src]: a recycled record when
     pooling is live, a fresh one otherwise — identical content either
-    way (uid from {!fresh_uid}, creation time from [src]'s data-plane
-    clock).  Traffic generators must mint through this so recycling is
-    transparent to them. *)
-
-val make_ctrl_packet :
-  t -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto -> Packet.t
-(** {!make_packet} for control-plane endpoints (TCP, Ping): the uid
-    comes from the control heap's counter exactly as their direct
-    [Packet.make ~sim] calls always drew it, so packet identity is
-    unchanged under every engine. *)
+    way (uid from {!Sim.fresh_id}, creation time now).  Traffic
+    generators and the TCP and Ping endpoints must mint through this so
+    recycling is transparent to them. *)
 
 val pooling_active : t -> bool
 (** Whether packet recycling is currently live (requested at {!create}
     and not suppressed by observation state). *)
 
 val pool_stats : t -> Pool.stats
-(** Freelist counters summed over the per-shard pools. *)
-
-val fresh_uid : t -> node:int -> int
-(** Mint a packet uid for a packet originated at [node]: the
-    simulation-global counter (classic), or the node's private stream
-    (sharded — uids must not depend on cross-shard interleaving). *)
+(** The freelist's counters. *)
 
 val fresh_flow_id : t -> int
-(** Flow identifier from the control-plane counter (setup-time, so
-    identical under every engine). *)
+(** Flow identifier from the simulation's id counter. *)
 
-val flow_rng : t -> flow:int -> Random.State.t
-(** Random stream for a traffic generator: the shared simulation stream
-    (classic) or a per-flow derived stream (sharded). *)
-
-val run : ?until:float -> ?on_epoch:(now:float -> unit) -> t -> unit
-(** Run the engine.  Classic: [Sim.run (sim t)].  Sharded: conservative
-    time windows with an observation flush at every epoch boundary;
-    [on_epoch] fires after each flush (the live view's tick) and never
-    fires on the classic engine. *)
-
-val shards : t -> int
-(** Shard count of the engine ([0] = classic single heap). *)
-
-val shard_engine : t -> Shard.t option
-(** The sharded engine itself, for stats (windows, epochs, cross-shard
-    messages) and tests. *)
+val run : ?until:float -> t -> unit
+(** [Sim.run (sim t)]. *)
 
 val events_processed : t -> int
-(** Events executed across every heap of the engine. *)
+(** Events the simulation has executed. *)
 
 val cpu_time_in_run : t -> float
-(** Processor seconds spent inside event loops, summed over shard
-    domains (can exceed wall clock on multiple cores). *)
+(** Processor seconds spent inside the event loop. *)

@@ -30,9 +30,8 @@ let make_at ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
     payload = Crypto_sim.Fnv.hash_int64 (Int64.of_int uid); created = now;
     trace = 0; q_start = -1.0; tx_start = -1.0 }
 
-let make ~sim ?uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
-  let uid = match uid with Some uid -> uid | None -> Sim.fresh_id sim in
-  make_at ~now:(Sim.now sim) ~uid ~src ~dst ~flow ~size ~ttl proto
+let make ~sim ~src ~dst ~flow ~size ?(ttl = 64) proto =
+  make_at ~now:(Sim.now sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
 
 let clone t = { t with uid = t.uid }
 

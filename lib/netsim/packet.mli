@@ -44,13 +44,10 @@ type t = {
 
 val make :
   sim:Sim.t ->
-  ?uid:int ->
   src:int -> dst:int -> flow:int -> size:int -> ?ttl:int -> proto -> t
-(** Allocate a packet with a fresh uid and a pseudo-random payload (so
-    applications' packets are indistinguishable on the wire).  [uid]
-    overrides the simulation-global counter — the sharded engine draws
-    uids from per-node streams so they do not depend on event
-    interleaving across shards.  Raises [Invalid_argument] for a
+(** Allocate a packet with a fresh uid ({!Sim.fresh_id}) and a
+    pseudo-random payload (so applications' packets are
+    indistinguishable on the wire).  Raises [Invalid_argument] for a
     non-positive size. *)
 
 val make_at :

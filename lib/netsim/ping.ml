@@ -14,7 +14,7 @@ let start net ~src ~dst ?(interval = 1.0) ?(size = 100) ~start ~stop () =
         match pkt.Packet.proto with
         | Packet.Ping seq ->
             let reply =
-              Net.make_ctrl_packet net ~src:dst ~dst:src ~flow:t.flow
+              Net.make_packet net ~src:dst ~dst:src ~flow:t.flow
                 ~size:pkt.Packet.size (Packet.Pong seq)
             in
             Net.originate net reply
@@ -34,7 +34,7 @@ let start net ~src ~dst ?(interval = 1.0) ?(size = 100) ~start ~stop () =
       end);
   let rec tick seq () =
     if Sim.now sim <= stop then begin
-      let pkt = Net.make_ctrl_packet net ~src ~dst ~flow:t.flow ~size (Packet.Ping seq) in
+      let pkt = Net.make_packet net ~src ~dst ~flow:t.flow ~size (Packet.Ping seq) in
       t.sent <- t.sent + 1;
       Hashtbl.replace t.sent_at seq (Sim.now sim);
       Net.originate net pkt;

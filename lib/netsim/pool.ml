@@ -1,9 +1,7 @@
-(* Packet freelist (per shard): dead packets come back through the
-   entity [release] hooks and are recycled by the flow layer instead of
-   being re-allocated, so a steady-state run touches the minor heap only
-   for boxes the engine cannot avoid (Int64 payload refresh).  Pools are
-   never shared across shards — each shard releases into its own pool —
-   so no synchronization is needed.
+(* Packet freelist: dead packets come back through the entity [release]
+   hooks and are recycled by the flow layer instead of being
+   re-allocated, so a steady-state run touches the minor heap only for
+   boxes the engine cannot avoid (Int64 payload refresh).
 
    Debug poison mode stamps released packets with a sentinel uid and a
    zero size; any later read of a recycled packet through a stale

@@ -3,9 +3,8 @@
     A pool recycles dead {!Packet.t} records: the engine's [release]
     hooks return packets the network has killed (delivered, dropped,
     TTL-expired) and the traffic sources draw replacements from the
-    freelist instead of the minor heap.  Pools are strictly per shard —
-    every entity releases into the pool of the shard that executes it —
-    so they need no synchronization.
+    freelist instead of the minor heap.  A pool is not thread-safe; each
+    network owns one.
 
     Pooling only runs while the network is unobserved: the moment
     anything subscribes to wire events, packets outlive their network

@@ -70,9 +70,7 @@ type t = {
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
   (* Always-on stats collector (wired by [Net.set_probe]), fed by every
-     hook below.  Under the sharded engine the data-plane hooks run at
-     the epoch flush, in the merged single-heap order, so the collector
-     sees one event stream whatever the shard count. *)
+     hook below. *)
   mutable stats : Stats.t option;
 }
 

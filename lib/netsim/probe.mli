@@ -33,8 +33,8 @@ type iface_record = {
   next : int;              (** neighbour the queue feeds *)
   kind : Iface.event;
 }
-(** One queue/link observation: the record [Net] builds, buffers across
-    shard windows, journals here and passes to its iface listeners. *)
+(** One queue/link observation: the record [Net] builds, journals here
+    and passes to its iface listeners. *)
 
 type router_record = {
   time : float;
@@ -98,10 +98,9 @@ val on_originate : t -> Packet.t -> unit
 
 val on_iface : t -> iface_record -> unit
 val on_router : t -> router_record -> unit
-(** Forwarding-plane hooks (called by {!Net}, at the epoch flush under
-    the sharded engine): bump the matching counters, feed {!Stats},
-    journal the record itself and (for traced packets) record hop
-    spans / instants. *)
+(** Forwarding-plane hooks (called by {!Net}): bump the matching
+    counters, feed {!Stats}, journal the record itself and (for traced
+    packets) record hop spans / instants. *)
 
 val record_verdict :
   t ->

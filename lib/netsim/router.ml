@@ -32,12 +32,11 @@ type t = {
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   id : int;
   (* Per-packet processing jitter, uniform in [0, jitter_bound), drawn
-     from [rng] in place: a [unit -> float] closure would box every
-     draw. *)
+     from the simulation stream in place: a [unit -> float] closure
+     would box every draw. *)
   rng : Random.State.t;
   jitter_bound : float;
   enqueue_at : Sim.fbox;  (* scratch: when the jittered packet enqueues *)
-  fresh_uid : unit -> int;
   on_event : t -> event -> unit;
   local_deliver : Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
@@ -62,13 +61,10 @@ type t = {
 
 let no_release (_ : Packet.t) = ()
 
-let create ~sim ~id ~n ~rng ~jitter_bound ?fresh_uid ?(release = no_release) ~on_event
-    ~local_deliver () =
-  let fresh_uid =
-    match fresh_uid with Some f -> f | None -> fun () -> Sim.fresh_id sim
-  in
-  { sim; clock = Sim.clock sim; id; rng; jitter_bound; enqueue_at = { Sim.f = 0.0 };
-    fresh_uid; on_event; local_deliver; release;
+let create ~sim ~id ~n ~jitter_bound ?(release = no_release) ~on_event ~local_deliver
+    () =
+  { sim; clock = Sim.clock sim; id; rng = Sim.rng sim; jitter_bound; enqueue_at = { Sim.f = 0.0 };
+    on_event; local_deliver; release;
     out = Hashtbl.create 4; by_next = Array.make n None; observe = true;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
@@ -143,7 +139,7 @@ let fragment t ~next iface pkt mtu =
     let size = min mtu !remaining in
     remaining := !remaining - size;
     let frag =
-      Packet.make ~sim:t.sim ~uid:(t.fresh_uid ()) ~src:pkt.Packet.src
+      Packet.make ~sim:t.sim ~src:pkt.Packet.src
         ~dst:pkt.Packet.dst ~flow:pkt.Packet.flow ~size ~ttl:pkt.Packet.ttl
         pkt.Packet.proto
     in

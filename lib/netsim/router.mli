@@ -43,9 +43,7 @@ val create :
   sim:Sim.t ->
   id:int ->
   n:int ->
-  rng:Random.State.t ->
   jitter_bound:float ->
-  ?fresh_uid:(unit -> int) ->
   ?release:(Packet.t -> unit) ->
   on_event:(t -> event -> unit) ->
   local_deliver:(Packet.t -> unit) ->
@@ -56,15 +54,11 @@ val create :
     [n]-slot array.
 
     Every forwarded packet waits a processing delay drawn uniformly below
-    [jitter_bound] with [Random.State.float rng jitter_bound] (the
-    source of the queue-prediction error Protocol χ calibrates, §6.2.1);
-    a bound [<= 0] draws nothing and enqueues at once.  The draw happens
-    in place, so a hop boxes no float.  [rng] is the simulation stream
-    under the classic engine and a per-router stream under the sharded
-    one.  [fresh_uid] overrides the uid source for packets the router
-    itself mints (fragments); the sharded engine supplies a per-node
-    stream so uids are independent of cross-shard interleaving.
-    Defaults to the simulation-global counter.  [release] (default:
+    [jitter_bound] from the simulation stream ({!Sim.rng}; the source
+    of the queue-prediction error Protocol χ calibrates, §6.2.1); a
+    bound [<= 0] draws nothing and enqueues at once.  The draw happens
+    in place, so a hop boxes no float.  Fragments the router mints take
+    their uids from the simulation-global counter.  [release] (default:
     no-op) receives packets that die at this router while the network is
     unobserved — the pool-recycling hook. *)
 

@@ -1,75 +1,3 @@
-(* Deterministic-rank context, one per domain.
-
-   The sharded engine needs every event to carry a tie-break key that is
-   identical for any shard count K: the obvious per-heap sequence number
-   depends on which shard inserted the event and in what order, so it
-   cannot be used.  Instead each event gets a rank derived purely from
-   its *causal* position — rank = mix (parent rank, i) for the i-th
-   event scheduled while executing the parent, and mix (0, i) for the
-   i-th event scheduled outside any event (setup code).  The mix is
-   a splitmix64-style finalizer truncated to a non-negative OCaml int
-   (62 bits), so ranks are effectively collision-free and, crucially,
-   K-invariant: the causal tree of events does not depend on how routers
-   are partitioned.
-
-   The context lives in domain-local storage so each shard domain tracks
-   its own executing event without synchronization. *)
-module Det = struct
-  type ctx = {
-    mutable active : bool;  (* currently executing an event *)
-    mutable parent : int;   (* rank of the executing event *)
-    mutable child_ix : int; (* events scheduled by the executing event *)
-    mutable obs_ix : int;   (* observations emitted by the executing event *)
-    mutable root_ix : int;  (* root events scheduled outside any event *)
-  }
-
-  let key =
-    Domain.DLS.new_key (fun () ->
-        { active = false; parent = 0; child_ix = 0; obs_ix = 0; root_ix = 0 })
-
-  let ctx () = Domain.DLS.get key
-
-  let mix a b =
-    let z =
-      let open Int64 in
-      let z = add (mul (of_int a) 0x9E3779B97F4A7C15L) (of_int (b + 1)) in
-      let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-      let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-      logxor z (shift_right_logical z 31)
-    in
-    Int64.to_int z land max_int
-
-  let fresh_rank () =
-    let c = ctx () in
-    if c.active then begin
-      let i = c.child_ix in
-      c.child_ix <- i + 1;
-      mix c.parent i
-    end
-    else begin
-      let i = c.root_ix in
-      c.root_ix <- i + 1;
-      mix 0 i
-    end
-
-  let reset () =
-    let c = ctx () in
-    c.active <- false;
-    c.parent <- 0;
-    c.child_ix <- 0;
-    c.obs_ix <- 0;
-    c.root_ix <- 0
-
-  let enter rank =
-    let c = ctx () in
-    c.active <- true;
-    c.parent <- rank;
-    c.child_ix <- 0;
-    c.obs_ix <- 0
-
-  let leave () = (ctx ()).active <- false
-end
-
 module Ev = Prioq.Event
 
 type fbox = Ev.fbox = { mutable f : float }
@@ -87,14 +15,12 @@ type t = {
   mutable processed : int;
   mutable next_id : int;
   mutable run_cpu : float;
-  det : bool;
 }
 
 (* Tag-handler registry: event kinds the engine schedules without boxing
-   a closure.  Handlers are installed at module-initialization time
-   (single-threaded), the table is read-only afterwards, so shard
-   domains dispatch through it without synchronization.  Tag 0 is the
-   legacy closure event: payload A is the thunk itself. *)
+   a closure.  Handlers are installed at module-initialization time and
+   the table is read-only afterwards.  Tag 0 is the legacy closure
+   event: payload A is the thunk itself. *)
 let handlers : (t -> Obj.t -> Obj.t -> int -> unit) array ref =
   ref (Array.make 8 (fun _ _ _ _ -> ()))
 
@@ -114,11 +40,11 @@ let new_tag f =
 
 let nil = Ev.nil
 
-let create ?(seed = 1) ?(det = false) () =
+let create ?(seed = 1) () =
   { clock = { f = 0.0 }; done_key = min_int; scratch = { f = 0.0 };
     events = Ev.create (); cursor = Ev.cursor ();
     rng = Random.State.make [| seed; 0x51a7 |];
-    processed = 0; next_id = 0; run_cpu = 0.0; det }
+    processed = 0; next_id = 0; run_cpu = 0.0 }
 
 let now t = t.clock.f
 let clock t = t.clock
@@ -126,7 +52,7 @@ let rng t = t.rng
 
 (* --- scheduling ----------------------------------------------------- *)
 
-let reserve_key t = if t.det then Det.fresh_rank () else Ev.reserve t.events
+let reserve_key t = Ev.reserve t.events
 
 let fired t ~(at : fbox) ~key =
   let x = at.f and now = t.clock.f in
@@ -170,15 +96,6 @@ let schedule t ~delay thunk =
   check t t.scratch "Sim.schedule";
   push t t.scratch ~key:(reserve_key t) ~tag:0 ~i:0 (Obj.repr thunk) nil
 
-let reset_det_context () = Det.reset ()
-let current_rank () = (Det.ctx ()).parent
-
-let next_obs_ix () =
-  let c = Det.ctx () in
-  let i = c.obs_ix in
-  c.obs_ix <- i + 1;
-  i
-
 (* --- the dispatch loop ---------------------------------------------- *)
 
 let dispatch t (c : Ev.cursor) =
@@ -193,28 +110,12 @@ let dispatch t (c : Ev.cursor) =
 
 let exec t (c : Ev.cursor) =
   let time = c.Ev.time.f and key = c.Ev.key_out in
-  (* Ranks are not monotone within an instant, so keep the largest. *)
+  (* The watermark only grows within an instant: a run that stopped
+     here has already raised it to [max_int]. *)
   if time > t.clock.f || key > t.done_key then t.done_key <- key;
   t.clock.f <- time;
   t.processed <- t.processed + 1;
-  if t.det then begin
-    Det.enter c.Ev.key_out;
-    match dispatch t c with
-    | () -> Det.leave ()
-    | exception e ->
-        Det.leave ();
-        raise e
-  end
-  else dispatch t c
-
-(* Everything before [until] has run, and everything at [until] too
-   when [inclusive]: move the clock and the watermark there. *)
-let settle t ~until ~inclusive =
-  if until > t.clock.f then begin
-    t.clock.f <- until;
-    t.done_key <- (if inclusive then max_int else min_int)
-  end
-  else if inclusive && until = t.clock.f then t.done_key <- max_int
+  dispatch t c
 
 let run ?until t =
   let cpu0 = Sys.time () in
@@ -224,22 +125,13 @@ let run ?until t =
     exec t c
   done;
   t.run_cpu <- t.run_cpu +. (Sys.time () -. cpu0);
-  match until with Some u -> settle t ~until:u ~inclusive:true | None -> ()
-
-let run_window t ~until ~inclusive =
-  let cpu0 = Sys.time () in
-  let c = t.cursor in
-  while Ev.pop t.events ~until ~strict:(not inclusive) c do
-    exec t c
-  done;
-  t.run_cpu <- t.run_cpu +. (Sys.time () -. cpu0);
-  settle t ~until ~inclusive
-
-let next_key t = Ev.peek_key t.events
-
-let run_next t =
-  if Ev.pop t.events ~until:Float.infinity ~strict:false t.cursor then
-    exec t t.cursor
+  (* Everything at or before [until] has run: move the clock and the
+     watermark there. *)
+  match until with
+  | Some u when u >= t.clock.f ->
+      t.clock.f <- u;
+      t.done_key <- max_int
+  | Some _ | None -> ()
 
 let events_processed t = t.processed
 let pending t = Ev.length t.events

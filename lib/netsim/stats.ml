@@ -4,13 +4,7 @@
    hooks; everything it keeps is bounded: downsampling
    [Telemetry.Timeseries] rings for the headline rates,
    [Telemetry.Hist] histograms for latencies and durations, and flat
-   per-router / per-link arrays for the topology-shaped counters.
-
-   Every call arrives on the coordinator: under the sharded engine the
-   probe's data-plane hooks run when the epoch flush replays the
-   buffered observations in (time, rank, index) order — the single-heap
-   order — so one collector sees one event stream, whatever the shard
-   count. *)
+   per-router / per-link arrays for the topology-shaped counters. *)
 
 module Ts = Telemetry.Timeseries
 module Hist = Telemetry.Hist

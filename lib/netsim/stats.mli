@@ -4,13 +4,7 @@
     downsampling {!Telemetry.Timeseries} rings, latency and duration
     {!Telemetry.Hist} histograms, per-router queue-depth series and
     per-link transmit/drop counters — all bounded, all fed with O(1)
-    allocation-free records by the probe's own hooks.
-
-    Every call runs on the coordinator.  Under the sharded engine the
-    probe's data-plane hooks fire when the epoch flush replays the
-    buffered observations in (time, rank, index) order, which is the
-    single-heap order, so the collector is byte-identical for every
-    shard count [K >= 1]. *)
+    allocation-free records by the probe's own hooks. *)
 
 type t
 

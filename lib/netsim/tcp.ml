@@ -61,7 +61,7 @@ let mssf t = float_of_int t.mss
 
 let send_segment t ~seq ~len =
   let pkt =
-    Net.make_ctrl_packet t.net ~src:t.src ~dst:t.dst ~flow:t.flow
+    Net.make_packet t.net ~src:t.src ~dst:t.dst ~flow:t.flow
       ~size:(len + header_bytes)
       (Packet.Tcp { seq; ack = -1; syn = false; fin = false })
   in
@@ -69,21 +69,21 @@ let send_segment t ~seq ~len =
 
 let send_syn t =
   let pkt =
-    Net.make_ctrl_packet t.net ~src:t.src ~dst:t.dst ~flow:t.flow ~size:header_bytes
+    Net.make_packet t.net ~src:t.src ~dst:t.dst ~flow:t.flow ~size:header_bytes
       (Packet.Tcp { seq = -1; ack = -1; syn = true; fin = false })
   in
   Net.originate t.net pkt
 
 let send_synack t =
   let pkt =
-    Net.make_ctrl_packet t.net ~src:t.dst ~dst:t.src ~flow:t.flow ~size:header_bytes
+    Net.make_packet t.net ~src:t.dst ~dst:t.src ~flow:t.flow ~size:header_bytes
       (Packet.Tcp { seq = -1; ack = 0; syn = true; fin = false })
   in
   Net.originate t.net pkt
 
 let send_ack t =
   let pkt =
-    Net.make_ctrl_packet t.net ~src:t.dst ~dst:t.src ~flow:t.flow ~size:ack_size
+    Net.make_packet t.net ~src:t.dst ~dst:t.src ~flow:t.flow ~size:ack_size
       (Packet.Tcp { seq = -1; ack = t.rcv_nxt; syn = false; fin = false })
   in
   Net.originate t.net pkt

@@ -149,8 +149,6 @@ let push t ~time ~tag ~iarg pa pb =
   t.scratch.f <- time;
   push_keyed t ~at:t.scratch ~key:(reserve t) ~tag ~iarg pa pb
 
-let peek_key t = if t.size = 0 then None else Some (t.prio.(0), t.key.(0))
-
 (* Sift the element (p, k, m, h) down from the root of the first
    [t.size] slots, writing it into its final slot. *)
 let sift_down t p k m h =

@@ -17,7 +17,7 @@
     vacated by pops and {!clear} are scrubbed, so finished events never
     keep their payloads reachable.
 
-    Not thread-safe; each shard owns its own. *)
+    Not thread-safe. *)
 
 type t
 
@@ -29,7 +29,7 @@ type fbox = { mutable f : float }
 
 type cursor = {
   time : fbox;          (** event time (unboxed store) *)
-  mutable key_out : int;(** tie-break key: rank or sequence number *)
+  mutable key_out : int;(** tie-break key (sequence number) *)
   mutable tag : int;    (** event tag, [0..255] *)
   mutable iarg : int;   (** small operand, [>= 0] *)
   mutable pa : Obj.t;   (** payload slot A *)
@@ -64,9 +64,8 @@ val push : t -> time:float -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
 
 val push_keyed :
   t -> at:fbox -> key:int -> tag:int -> iarg:int -> Obj.t -> Obj.t -> unit
-(** Insert at time [at.f] with a caller-supplied tie-break key: a
-    reserved sequence number, or the sharded engine's deterministic
-    rank.  The time travels in a flat box so the call allocates
+(** Insert at time [at.f] with a caller-supplied tie-break key, a
+    reserved sequence number ({!reserve}).  The time travels in a flat box so the call allocates
     nothing even where it is not inlined. *)
 
 val pop : t -> until:float -> strict:bool -> cursor -> bool
@@ -74,9 +73,6 @@ val pop : t -> until:float -> strict:bool -> cursor -> bool
     window ([< until] when [strict], [<= until] otherwise); returns
     [false] (cursor untouched) when the heap is empty or the minimum is
     beyond the window.  Allocates nothing. *)
-
-val peek_key : t -> (float * int) option
-(** Time and tie-break key of the earliest event, without popping. *)
 
 val clear : t -> unit
 (** Empty the heap, keeping capacity; payload slots are scrubbed. *)

@@ -1,8 +1,7 @@
 (* Byzantine control-plane adversary suite: Core.Byz units (role
    validation, claim determinism, origin-MAC screening, equivocation
    digests) and the golden α-accuracy property — under protocol-faulty
-   chaos, hardened fatih/chi/pi2 never convict an honest router, and a
-   byzantine trial is byte-identical across shard counts. *)
+   chaos, hardened fatih/chi/pi2 never convict an honest router. *)
 
 module Byz = Core.Byz
 module Summary = Core.Summary
@@ -315,17 +314,6 @@ let test_golden_pi2_byz_chaos () =
         0 o.Oracle.framed_honest)
     [ 1; 2; 3 ]
 
-(* The byzantine trial is part of the K-invariance contract: identical
-   outcomes for shard counts 1, 2 and 4. *)
-let test_byz_shard_identity () =
-  let run shards =
-    Rob.ring_trial ~seed:31 ~duration:20.0 ~schedule:Rob.byz_plan ~shards
-      ~attacked:true ()
-  in
-  let k1 = run 1 in
-  Alcotest.(check bool) "K=2 byte-identical to K=1" true (run 2 = k1);
-  Alcotest.(check bool) "K=4 byte-identical to K=1" true (run 4 = k1)
-
 let () =
   Alcotest.run "byz"
     [ ( "units",
@@ -348,5 +336,4 @@ let () =
           Alcotest.test_case "chi: byzantine chaos" `Slow
             test_golden_chi_byz_chaos;
           Alcotest.test_case "pi2: byzantine chaos" `Slow
-            test_golden_pi2_byz_chaos;
-          Alcotest.test_case "shard K-invariance" `Slow test_byz_shard_identity ] ) ]
+            test_golden_pi2_byz_chaos ] ) ]

@@ -748,12 +748,11 @@ let test_chaos_jobs_determinism () =
 
 let test_config_validation () =
   let of_cmdline ?(topology = "ring") ?(protocol = "fatih") ?(duration = 30.0)
-      ?(flows = 8) ?(trace_sample = 1.0) ?(attacker = 2) ?(fraction = 0.2)
-      ?(shards = 0) () =
+      ?(flows = 8) ?(trace_sample = 1.0) ?(attacker = 2) ?(fraction = 0.2) () =
     Experiments.Simulate.Config.of_cmdline ~topology ~protocol
       ~attack:"drop-fraction" ~fraction ~attacker ~duration ~seed:1 ~flows
       ~trace:0 ~metrics:None ~journal:None ~trace_out:None ~trace_sample
-      ~faults:None ~shards
+      ~faults:None
   in
   (match of_cmdline () with
   | Ok _ -> ()
@@ -781,12 +780,7 @@ let test_config_validation () =
   rejected "attacker out of range" (of_cmdline ~attacker:64 ()) "attacker";
   rejected "fraction above 1" (of_cmdline ~fraction:1.5 ()) "fraction";
   rejected "unknown topology" (of_cmdline ~topology:"moebius" ()) "topology";
-  rejected "unknown protocol" (of_cmdline ~protocol:"psychic" ()) "protocol";
-  rejected "negative shards" (of_cmdline ~shards:(-1) ()) "shards";
-  rejected "more shards than routers" (of_cmdline ~shards:9 ()) "shards";
-  (match of_cmdline ~shards:4 () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "valid shard count rejected: %s" e)
+  rejected "unknown protocol" (of_cmdline ~protocol:"psychic" ()) "protocol"
 
 let () =
   Alcotest.run "faults"

@@ -657,13 +657,13 @@ let test_tcp_receiver_reordering () =
    on generator ticks, arrivals and other transmission ends, and two
    flows overload some links so packets queue behind the wire.  Returns
    the probe journal plus every router's delivery order. *)
-let tie_scenario ?shards () =
+let tie_scenario () =
   let n = 6 in
   let g = G.create ~n in
   for i = 0 to n - 1 do
     G.add_duplex g ~bw:1048576.0 ~delay:(1.0 /. 512.0) i ((i + 1) mod n)
   done;
-  let net = Net.create ~seed:3 ~jitter_bound:0.0 ?shards g in
+  let net = Net.create ~seed:3 ~jitter_bound:0.0 g in
   Net.use_routing net (Rt.compute g);
   let probe = Probe.create ~journal_capacity:1_000_000 () in
   Net.set_probe net (Some probe);
@@ -702,16 +702,9 @@ let tie_scenario ?shards () =
    packet: the lazy event must resolve every tie the same way. *)
 let test_lazy_txend_tie_order () =
   let hex s = Digest.to_hex (Digest.string s) in
-  let classic = tie_scenario () in
-  Alcotest.(check bool) "journal retained every record" true (String.length classic > 100_000);
-  Alcotest.(check string) "classic engine" "227f4df2c227dbc7837384bf34682841" (hex classic);
-  List.iter
-    (fun k ->
-      Alcotest.(check string)
-        (Printf.sprintf "sharded engine, K=%d" k)
-        "94fc07c25ef2e446dcd2e2498b27fab8"
-        (hex (tie_scenario ~shards:k ())))
-    [ 1; 2 ]
+  let got = tie_scenario () in
+  Alcotest.(check bool) "journal retained every record" true (String.length got > 100_000);
+  Alcotest.(check string) "recorded digest" "227f4df2c227dbc7837384bf34682841" (hex got)
 
 (* Uncongested, jittered: a hop is the post-jitter enqueue plus the
    arrival; the transmission end never reaches the heap (it used to, for
@@ -746,6 +739,68 @@ let test_net_determinism () =
   let a = run () and b = run () in
   Alcotest.(check bool) "identical" true (a = b)
 
+(* A scenario that exercises every observable at once: ring of 8, CBR
+   and Poisson flows on antipodal pairs, one malicious dropper, link
+   corruption, a mid-run link failure and data-plane subscriptions.
+   The digest folds the event stream (order, times, uids, payloads) and
+   the app deliveries into one string. *)
+let run_scenario ~duration () =
+  let g = Gen.ring ~n:8 in
+  let net = Net.create ~seed:11 ~jitter_bound:200e-6 g in
+  Net.use_routing net (Rt.compute g);
+  let buf = Buffer.create 4096 in
+  Net.subscribe_iface net (fun ev ->
+      let tag =
+        match ev.Net.kind with
+        | Iface.Enqueued p -> Printf.sprintf "enq:%d" p.Packet.uid
+        | Iface.Drop_congestion p -> Printf.sprintf "dcong:%d" p.Packet.uid
+        | Iface.Drop_red_early p -> Printf.sprintf "dred:%d" p.Packet.uid
+        | Iface.Drop_link_down p -> Printf.sprintf "ddown:%d" p.Packet.uid
+        | Iface.Drop_corrupted p -> Printf.sprintf "dcorr:%d" p.Packet.uid
+        | Iface.Transmit_start p -> Printf.sprintf "tx:%d" p.Packet.uid
+        | Iface.Delivered p -> Printf.sprintf "dlv:%d:%Ld" p.Packet.uid p.Packet.payload
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "%.9f i %d>%d %s\n" ev.Net.time ev.Net.router ev.Net.next tag));
+  Net.subscribe_router net (fun ev ->
+      let tag =
+        match ev.Net.kind with
+        | Router.Malicious_drop { pkt; _ } -> Printf.sprintf "mdrop:%d" pkt.Packet.uid
+        | Router.Delivered_local pkt -> Printf.sprintf "local:%d" pkt.Packet.uid
+        | Router.Ttl_expired pkt -> Printf.sprintf "ttl:%d" pkt.Packet.uid
+        | Router.No_route pkt -> Printf.sprintf "noroute:%d" pkt.Packet.uid
+        | _ -> "other"
+      in
+      Buffer.add_string buf
+        (Printf.sprintf "%.9f r %d %s\n" ev.Net.time ev.Net.router tag));
+  Router.set_behavior (Net.router net 2) (Core.Adversary.drop_fraction ~seed:7 0.3);
+  Net.set_link_corruption net ~src:5 ~dst:6 0.05;
+  let flows =
+    [ Flow.cbr net ~src:0 ~dst:4 ~rate_pps:300.0 ~size:400 ~start:0.05 ~stop:duration;
+      Flow.poisson net ~src:1 ~dst:5 ~rate_pps:200.0 ~size:600 ~start:0.1 ~stop:duration;
+      Flow.cbr net ~src:6 ~dst:2 ~rate_pps:250.0 ~size:300 ~start:0.02 ~stop:duration ]
+  in
+  let counted = Flow.delivered_counter net ~node:4 ~flow:(Flow.flow_id (List.hd flows)) in
+  Sim.schedule_at (Net.sim net) ~time:(duration /. 3.0) (fun () ->
+      Net.fail_link net ~src:3 ~dst:4);
+  Sim.schedule_at (Net.sim net) ~time:(duration /. 2.0) (fun () ->
+      Net.restore_link net ~src:3 ~dst:4);
+  Net.run ~until:duration net;
+  Buffer.add_string buf
+    (Printf.sprintf "sent=%s delivered=%d events=%d\n"
+       (String.concat "," (List.map (fun f -> string_of_int (Flow.sent f)) flows))
+       (counted ())
+       (Net.events_processed net));
+  Buffer.contents buf
+
+(* Two consecutive runs in one process must agree: no engine state
+   survives a network. *)
+let test_consecutive_runs_identical () =
+  let a = run_scenario ~duration:1.0 () in
+  let b = run_scenario ~duration:1.0 () in
+  Alcotest.(check bool) "scenario non-trivial" true (String.length a > 10_000);
+  Alcotest.(check bool) "repeatable" true (String.equal a b)
+
 let () =
   Alcotest.run "netsim"
     [ ( "sim",
@@ -777,6 +832,9 @@ let () =
           Alcotest.test_case "link failure" `Quick test_link_failure;
           Alcotest.test_case "failure resume" `Quick test_link_failure_buffered_resume;
           Alcotest.test_case "determinism" `Quick test_net_determinism ] );
+      ( "engine",
+        [ Alcotest.test_case "consecutive runs identical" `Quick
+            test_consecutive_runs_identical ] );
       ( "lazy txend",
         [ Alcotest.test_case "tie order golden" `Quick test_lazy_txend_tie_order;
           Alcotest.test_case "two events per uncongested hop" `Quick

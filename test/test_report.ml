@@ -1,9 +1,11 @@
-(* Report pipeline and bench regression gate.
+(* Simulate goldens, report pipeline and bench regression gate.
 
+   - `mrdetect simulate` goldens: stdout and journal of fixed scenarios
+     (ring8/fatih, abilene/chi, a chaos fault plan, --trace 20) pinned
+     by MD5 digests.
    - `mrdetect report` determinism: the mrdetect-report-v1 document
-     distilled from a run's metrics export is byte-identical for shard
-     counts 1, 2 and 4, and repeatable for the classic engine (K=0,
-     physically a different run — its own deterministic bytes).
+     distilled from a run's metrics export, and the stats section it
+     carries, are pinned by digest and repeatable run-to-run.
    - Export round-trips: Hist and Timeseries survive JSON export and
      re-import with identical observable state, and the Prometheus
      rendering of a Hist uses exactly the registry histogram's le edges.
@@ -40,79 +42,128 @@ let with_captured_stdout f =
   Sys.remove path;
   s
 
-(* The shard suite's golden scenario: ring8/fatih, 12 s, seed 7.  Returns
-   the "stats" section of the metrics export and the normalized report. *)
-let golden_outputs ~shards () =
+(* --- simulate goldens ------------------------------------------------ *)
+
+(* Report text and typed journal of one `mrdetect simulate` run, folded
+   into one string. *)
+let simulate_digest ~topo ~protocol ?faults () =
+  let journal = Filename.temp_file "golden_journal" ".jsonl" in
+  let out =
+    with_captured_stdout (fun () ->
+        Simulate.run
+          (Simulate.Config.make_exn ~protocol ~duration:12.0 ~seed:7 ~flows:6 ~journal
+             ?faults topo))
+  in
+  let j = read_file journal in
+  Sys.remove journal;
+  out ^ "--journal--\n" ^ j
+
+let check_digest name ~topo ~protocol ?faults hex =
+  let got = simulate_digest ~topo ~protocol ?faults () in
+  Alcotest.(check bool) (name ^ ": non-trivial run") true (String.length got > 500);
+  Alcotest.(check string) (name ^ ": matches the recorded digest") hex
+    (Digest.to_hex (Digest.string got))
+
+(* Digests recorded from the seed engine (pre-pooling, pre-flat-heap);
+   recycling, flat events and lazy transmission ends are pure
+   mechanics, never observable. *)
+let test_golden_ring_fatih () =
+  check_digest "ring8/fatih" ~topo:Simulate.Ring ~protocol:"fatih"
+    "7d5e6c82190cb7a07b88a63c9fc89647"
+
+let test_golden_abilene_chi () =
+  check_digest "abilene/chi" ~topo:Simulate.Abilene ~protocol:"chi"
+    "9b6bdd95e53f33ec11f0d32be6056d78"
+
+(* Under a gentle chaos plan (benign flaps and a crash), the oracle line
+   and every journaled fault record are pinned too. *)
+let test_golden_chaos_faults () =
+  let g = Topology.Generate.ring ~n:8 in
+  let schedule =
+    Faults.Chaos.generate ~seed:5 ~graph:g ~duration:12.0
+      ~budget:Faults.Chaos.gentle_budget ()
+  in
+  let path = Filename.temp_file "golden_faults" ".txt" in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Faults.Schedule.to_string schedule));
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_digest "ring8/fatih/chaos" ~topo:Simulate.Ring ~protocol:"fatih"
+        ~faults:path "d0941d928d0d1cb8318bc0378b0f3647")
+
+(* `mrdetect simulate --trace 20`: the attacker's last 20 wire and
+   router events, one rendered line each, after the report.  Digest
+   recorded before the trace journal moved into Simulate. *)
+let test_golden_trace () =
+  let out =
+    with_captured_stdout (fun () ->
+        Simulate.run
+          (Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0 ~seed:7 ~flows:6
+             ~trace:20 Simulate.Ring))
+  in
+  Alcotest.(check string) "--trace 20 stdout matches the recorded digest"
+    "87b610cc1d3fdafd7fea5a8e0bc79bd9"
+    (Digest.to_hex (Digest.string out));
+  let rec dump = function
+    | [] -> Alcotest.fail "no trace header"
+    | "last 20 events at router 2:" :: rest -> List.filter (( <> ) "") rest
+    | _ :: rest -> dump rest
+  in
+  let lines = dump (String.split_on_char '\n' out) in
+  Alcotest.(check int) "bounded to 20 lines" 20 (List.length lines);
+  let time l = float_of_string (List.hd (String.split_on_char ' ' (String.trim l))) in
+  let times = List.map time lines in
+  Alcotest.(check bool) "chronological" true (List.sort compare times = times)
+
+(* --- report determinism ---------------------------------------------- *)
+
+(* The golden scenario: ring8/fatih, 12 s, seed 7.  Returns the "stats"
+   section of the metrics export and the normalized report. *)
+let golden_outputs () =
   let metrics = Filename.temp_file "report_metrics" ".json" in
   ignore
     (with_captured_stdout (fun () ->
          Simulate.run
            (Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0 ~seed:7
-              ~flows:6 ~metrics ~shards Simulate.Ring)));
+              ~flows:6 ~metrics Simulate.Ring)));
   let doc =
     match Export.of_string (read_file metrics) with
     | Ok doc -> doc
-    | Error e -> Alcotest.failf "metrics parse (K=%d): %s" shards e
+    | Error e -> Alcotest.failf "metrics parse: %s" e
   in
   Sys.remove metrics;
   let stats =
     match Export.member "stats" doc with
     | Some (Export.Assoc _ as s) -> Export.to_string s
-    | _ -> Alcotest.failf "metrics export (K=%d) has no stats section" shards
+    | _ -> Alcotest.fail "metrics export has no stats section"
   in
   match Report.of_metrics doc with
   | Ok report -> (stats, Export.to_string report)
-  | Error e -> Alcotest.failf "report (K=%d): %s" shards e
-
-let report_json ~shards () = snd (golden_outputs ~shards ())
+  | Error e -> Alcotest.failf "report: %s" e
 
 (* MD5 digests of the golden scenario's stats section and report,
-   recorded before Stats moved behind the probe: the classic engine and
-   the sharded engine (K=1, which K=2 and K=4 must equal).  Pins every K
-   at once, where the identity test below only compares K against K. *)
+   recorded before Stats moved behind the probe; a second run must
+   reproduce the report byte for byte. *)
 let test_stats_pinned () =
-  List.iter
-    (fun (shards, stats_hex, report_hex) ->
-      let stats, report = golden_outputs ~shards () in
-      Alcotest.(check string)
-        (Printf.sprintf "K=%d stats section matches the recorded digest" shards)
-        stats_hex
-        (Digest.to_hex (Digest.string stats));
-      Alcotest.(check string)
-        (Printf.sprintf "K=%d report matches the recorded digest" shards)
-        report_hex
-        (Digest.to_hex (Digest.string report)))
-    [ (0, "00fde74f6076d7beac108ec9da608188", "5ce0fcb7ed01de164f75e2f166c1c252");
-      (1, "371647c96b15d0789216f0031ad4ce2d", "0203dd0d47ca1b37d5ab9cdeae889e0e") ]
-
-let test_report_shard_identity () =
-  let reference = report_json ~shards:1 () in
-  Alcotest.(check bool)
-    "non-trivial report" true
-    (String.length reference > 500);
-  List.iter
-    (fun k ->
-      Alcotest.(check bool)
-        (Printf.sprintf "K=%d report byte-identical to K=1" k)
-        true
-        (String.equal reference (report_json ~shards:k ())))
-    [ 2; 4 ];
-  (* The classic engine is a physically different run (its own RNG
-     streams) but must be deterministic in its own right. *)
-  let classic = report_json ~shards:0 () in
-  Alcotest.(check bool)
-    "K=0 repeatable" true
-    (String.equal classic (report_json ~shards:0 ()));
-  match Export.of_string classic with
-  | Error e -> Alcotest.failf "classic report does not parse: %s" e
+  let stats, report = golden_outputs () in
+  Alcotest.(check string) "stats section matches the recorded digest"
+    "00fde74f6076d7beac108ec9da608188"
+    (Digest.to_hex (Digest.string stats));
+  Alcotest.(check string) "report matches the recorded digest"
+    "5ce0fcb7ed01de164f75e2f166c1c252"
+    (Digest.to_hex (Digest.string report));
+  Alcotest.(check bool) "report repeatable" true
+    (String.equal report (snd (golden_outputs ())));
+  match Export.of_string report with
+  | Error e -> Alcotest.failf "report does not parse: %s" e
   | Ok doc -> (
       (match Export.member "schema" doc with
       | Some (Export.String s) ->
           Alcotest.(check string) "report schema" Report.schema s
       | _ -> Alcotest.fail "missing report schema");
-      (match Option.bind (Export.member "scenario" doc) (Export.member "shards") with
-      | None -> ()
-      | Some _ -> Alcotest.fail "report must not echo the shard count");
       match Export.member "stats" doc with
       | Some (Export.Assoc _) -> ()
       | _ -> Alcotest.fail "report carries no stats block")
@@ -123,7 +174,7 @@ let test_report_html () =
     (with_captured_stdout (fun () ->
          Simulate.run
            (Simulate.Config.make_exn ~protocol:"fatih" ~duration:5.0 ~seed:3
-              ~flows:4 ~metrics ~shards:1 Simulate.Ring)));
+              ~flows:4 ~metrics Simulate.Ring)));
   let doc =
     match Export.of_string (read_file metrics) with
     | Ok doc -> doc
@@ -302,12 +353,91 @@ let test_gate_baseline_lookup () =
             (Export.to_string back)
       | Error msg -> Alcotest.fail msg)
 
+(* EXPERIMENTS.md §7.1 quotes kernel rows of BENCH_hotpath.json: each
+   row is named in parentheses and backticks after the number it
+   quotes, as in "69 ns per 40 B header (`siphash-40B`)".  The quote
+   must equal the row's ns_per_op in the quoted unit, rounded to the
+   quote's own decimals, so a re-recorded artifact cannot leave stale
+   prose behind. *)
+let test_experiments_quotes_hotpath () =
+  (* The test runs in _build/default/test under dune, in the repository
+     root under dune exec. *)
+  let repo_file name = if Sys.file_exists ("../" ^ name) then "../" ^ name else name in
+  let artifact =
+    match Gate.load_json (repo_file "BENCH_hotpath.json") with
+    | Ok doc -> doc
+    | Error e -> Alcotest.fail e
+  in
+  let text = read_file (repo_file "EXPERIMENTS.md") in
+  let find_from i needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length text then Alcotest.failf "EXPERIMENTS.md: no %S" needle
+      else if String.sub text i n = needle then i
+      else go (i + 1)
+    in
+    go i
+  in
+  let start = find_from 0 "\n## §7.1" in
+  let stop = find_from (start + 1) "\n## " in
+  let scale = function "ns" -> Some 1.0 | "µs" -> Some 1e3 | "ms" -> Some 1e6 | _ -> None in
+  (* The last "<number> <unit>" among the words of [prose]. *)
+  let quote prose =
+    let words =
+      String.split_on_char ' ' (String.map (fun c -> if c = '\n' then ' ' else c) prose)
+      |> List.filter (( <> ) "")
+    in
+    let rec last = function
+      | unit :: num :: rest ->
+          if scale unit <> None && float_of_string_opt num <> None then Some (num, unit)
+          else last (num :: rest)
+      | [ _ ] | [] -> None
+    in
+    last (List.rev words)
+  in
+  let rec rows ~from checked =
+    match String.index_from_opt text from '`' with
+    | Some o when o < stop ->
+        let c = String.index_from text (o + 1) '`' in
+        let name = String.sub text (o + 1) (c - o - 1) in
+        if not (text.[o - 1] = '(' && text.[c + 1] = ')') then rows ~from:(c + 1) checked
+        else begin
+          let row =
+            match Gate.find_by artifact ~field:"kernels" ~key:"name" ~value:name with
+            | Some row -> row
+            | None -> Alcotest.failf "§7.1 names `%s`, which BENCH_hotpath.json lacks" name
+          in
+          let ns = Option.get (Gate.float_at row [ "ns_per_op" ]) in
+          (match quote (String.sub text from (o - from)) with
+          | None -> Alcotest.failf "§7.1 quotes no number for `%s`" name
+          | Some (num, unit) ->
+              let decimals =
+                match String.index_opt num '.' with
+                | Some d -> String.length num - d - 1
+                | None -> 0
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "`%s` quoted in %s" name unit)
+                (Printf.sprintf "%.*f" decimals (ns /. Option.get (scale unit)))
+                num);
+          rows ~from:(c + 1) (checked + 1)
+        end
+    | _ -> checked
+  in
+  Alcotest.(check bool) "§7.1 quotes some row" true (rows ~from:start 0 > 0)
+
 let () =
   Alcotest.run "report"
-    [ ( "determinism",
-        [ Alcotest.test_case "shard-count byte identity" `Slow
-            test_report_shard_identity;
-          Alcotest.test_case "stats and report pinned" `Slow test_stats_pinned ] );
+    [ (* The "K-invariant" names are older than the single engine; they
+         are kept so each pin's history stays under one test id. *)
+      ( "golden",
+        [ Alcotest.test_case "ring8 fatih K-invariant" `Quick test_golden_ring_fatih;
+          Alcotest.test_case "abilene chi K-invariant" `Quick test_golden_abilene_chi;
+          Alcotest.test_case "chaos faults K-invariant" `Quick
+            test_golden_chaos_faults;
+          Alcotest.test_case "simulate --trace pinned" `Quick test_golden_trace ] );
+      ( "determinism",
+        [ Alcotest.test_case "stats and report pinned" `Slow test_stats_pinned ] );
       ("html", [ Alcotest.test_case "self-contained page" `Quick test_report_html ]);
       ( "roundtrip",
         [ Alcotest.test_case "hist json" `Quick test_hist_roundtrip;
@@ -317,4 +447,6 @@ let () =
         [ Alcotest.test_case "lower-better band" `Quick test_gate_lower_better;
           Alcotest.test_case "higher-better band" `Quick test_gate_higher_better;
           Alcotest.test_case "band validation" `Quick test_gate_band_validation;
-          Alcotest.test_case "baseline lookup" `Quick test_gate_baseline_lookup ] ) ]
+          Alcotest.test_case "baseline lookup" `Quick test_gate_baseline_lookup;
+          Alcotest.test_case "EXPERIMENTS §7.1 quotes the artifact" `Quick
+            test_experiments_quotes_hotpath ] ) ]

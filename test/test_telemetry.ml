@@ -307,9 +307,8 @@ let req_int path doc =
   | Some v -> v
   | None -> Alcotest.failf "missing integer field %s" (String.concat "." path)
 
-let simulate_metrics_conserve ~shards =
+let test_simulate_metrics_conserve () =
   let path = Filename.temp_file "mrdetect_metrics" ".json" in
-  let check_int name = Alcotest.(check int) (Printf.sprintf "K=%d: %s" shards name) in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -328,7 +327,7 @@ let simulate_metrics_conserve ~shards =
           Experiments.Simulate.run
             (Experiments.Simulate.Config.make_exn ~protocol:"chi"
                ~attack:(Experiments.Simulate.Drop_fraction 0.3) ~attacker:2
-               ~duration:12.0 ~seed:7 ~flows:6 ~metrics:path ~shards
+               ~duration:12.0 ~seed:7 ~flows:6 ~metrics:path
                Experiments.Simulate.Ring));
       let contents =
         let ic = open_in path in
@@ -347,7 +346,7 @@ let simulate_metrics_conserve ~shards =
           let fragmented = req_int [ "conservation"; "fragmented" ] doc in
           let in_flight = req_int [ "conservation"; "in_flight" ] doc in
           Alcotest.(check bool) "some traffic ran" true (injected > 0);
-          check_int "packets conserve" injected
+          Alcotest.(check int) "packets conserve" injected
             (delivered + dropped + fragmented + in_flight);
           Alcotest.(check bool) "engine processed events" true
             (req_int [ "engine"; "events_processed" ] doc > 0);
@@ -365,7 +364,7 @@ let simulate_metrics_conserve ~shards =
                 | _ -> acc)
               0 series
           in
-          check_int "dropped counter family sums to the block"
+          Alcotest.(check int) "dropped counter family sums to the block"
             dropped (sum_counter "pkt_dropped_total");
           (* One latency record per delivered packet: the stats block keeps
              it, the registry carries no second copy. *)
@@ -375,7 +374,7 @@ let simulate_metrics_conserve ~shards =
           let latency =
             List.find (fun h -> str "name" h = Some "delivery_latency") stats_hists
           in
-          check_int "stats latency counts every delivery" delivered
+          Alcotest.(check int) "stats latency counts every delivery" delivered
             (req_int [ "count" ] latency);
           Alcotest.(check (list string)) "registry has no latency histogram" []
             (List.filter_map
@@ -394,9 +393,6 @@ let simulate_metrics_conserve ~shards =
           Alcotest.(check (list string)) "pkt_size_bytes le edges"
             (("0" :: List.init 14 (fun i -> string_of_int (1 lsl (i + 4)))) @ [ "1e999" ])
             edges)
-
-let test_simulate_metrics_conserve () =
-  List.iter (fun shards -> simulate_metrics_conserve ~shards) [ 0; 2 ]
 
 let () =
   Alcotest.run "telemetry"
