@@ -49,7 +49,7 @@ type t = {
   error : Mrstats.Welford.t;
   mutable error_samples_rev : float list;
   mutable error_sample_count : int;
-  mutable qpred : float;
+  qpred : qcell;  (* replayed occupancy, updated without boxing *)
   mutable round : int;
   mutable reports_rev : report list;
   (* Graceful degradation under a faulty control plane: rounds whose
@@ -60,6 +60,8 @@ type t = {
   mutable mute_streak : int;
   mutable failstopped : bool;
 }
+
+and qcell = { mutable q : float }
 
 let mu_sigma t =
   let sigma = Float.max t.config.sigma_floor (Mrstats.Welford.stddev t.error) in
@@ -74,31 +76,34 @@ let c_single t ~qpred ~size =
 (* The per-event rule over Qmon's replay: q_pred follows the replayed
    queue, and each loss gets its c_single confidence. *)
 let process_round t (data : Qmon.round_data) ~horizon ~learning =
-  let occ_of = Hashtbl.create 16 in
-  List.iter (fun (fp, occ) -> Hashtbl.replace occ_of fp occ) data.Qmon.occupancy_samples;
   let losses = ref [] in
+  let qpred = t.qpred in
   Qmon.replay t.qmon data ~horizon
-    ~depart:(fun e -> t.qpred <- Float.max 0.0 (t.qpred -. float_of_int e.Qmon.size))
-    ~arrive:(fun e ~admitted ->
+    ~depart:(fun v i ->
+      let q = qpred.q -. float_of_int (Qmon.size v i) in
+      qpred.q <- (if q > 0.0 then q else 0.0))
+    ~arrive:(fun v i ~admitted ->
       if admitted then begin
         (* Calibrate the prediction error if the trusted occupancy
            sample is available. *)
-        (match Hashtbl.find_opt occ_of e.Qmon.fp with
-        | Some occ when learning ->
-            let err = float_of_int occ -. t.qpred in
-            Mrstats.Welford.add t.error err;
-            if t.error_sample_count < 100_000 then begin
-              t.error_sample_count <- t.error_sample_count + 1;
-              t.error_samples_rev <- err :: t.error_samples_rev
-            end
-        | _ -> ());
-        t.qpred <- t.qpred +. float_of_int e.Qmon.size
+        (if learning then
+           match Qmon.occupancy v i with
+           | Some occ ->
+               let err = float_of_int occ -. qpred.q in
+               Mrstats.Welford.add t.error err;
+               if t.error_sample_count < 100_000 then begin
+                 t.error_sample_count <- t.error_sample_count + 1;
+                 t.error_samples_rev <- err :: t.error_samples_rev
+               end
+           | None -> ());
+        qpred.q <- qpred.q +. float_of_int (Qmon.size v i)
       end
       else begin
-        let confidence = c_single t ~qpred:t.qpred ~size:e.Qmon.size in
+        let size = Qmon.size v i and q = qpred.q in
+        let confidence = c_single t ~qpred:q ~size in
         losses :=
-          { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
-            time = e.Qmon.time; qpred = t.qpred; confidence }
+          { fp = Qmon.fp v i; size; flow = Qmon.flow v i; time = Qmon.time v i;
+            qpred = q; confidence }
           :: !losses
       end);
   List.rev !losses
@@ -133,7 +138,7 @@ let run_round t ~start_time ~end_time ~learning ~degraded =
   let horizon = end_time -. t.config.slack in
   let data = Qmon.drain t.qmon ~horizon in
   let losses = process_round t data ~horizon ~learning in
-  let fabricated = List.length data.Qmon.fabricated in
+  let fabricated = data.Qmon.fabricated in
   let c_single_max, c_combined, alarm = evaluate t ~losses ~fabricated ~learning in
   (* A round whose departure report never arrived has no trustworthy
      replay: suppress the alarm rather than accuse on partial data. *)
@@ -156,8 +161,8 @@ let run_round t ~start_time ~end_time ~learning ~degraded =
   in
   let report =
     { round = t.round; start_time; end_time;
-      arrivals = List.length data.Qmon.arrivals;
-      departures = List.length data.Qmon.departures;
+      arrivals = Qmon.length data.Qmon.arrivals;
+      departures = Qmon.length data.Qmon.departures;
       losses; fabricated; predicted_congestive; c_single_max; c_combined; victims;
       alarm; learning }
   in
@@ -221,7 +226,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
   let t =
     { qmon; config; qlimit; router; next; probe; ctrl; retry;
       error = Mrstats.Welford.create ();
-      error_samples_rev = []; error_sample_count = 0; qpred = 0.0;
+      error_samples_rev = []; error_sample_count = 0; qpred = { q = 0.0 };
       round = 0; reports_rev = [];
       rounds_degraded = 0; mute_streak = 0; failstopped = false }
   in

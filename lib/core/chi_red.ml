@@ -69,20 +69,21 @@ let process_round t (data : Qmon.round_data) ~horizon =
   let losses = ref [] in
   let all_probs = ref [] in (* (flow, p) per arrival *)
   Qmon.replay t.qmon data ~horizon
-    ~depart:(fun e ->
-      t.occ <- max 0 (t.occ - e.Qmon.size);
-      if t.occ = 0 then t.idle_since <- Some e.Qmon.time)
-    ~arrive:(fun e ~admitted ->
+    ~depart:(fun v i ->
+      t.occ <- max 0 (t.occ - Qmon.size v i);
+      if t.occ = 0 then t.idle_since <- Some (Qmon.time v i))
+    ~arrive:(fun v i ~admitted ->
+      let size = Qmon.size v i and flow = Qmon.flow v i and time = Qmon.time v i in
       (* Replay RED's deterministic side (§6.5.2). *)
       (match t.idle_since with
       | Some since when t.occ = 0 ->
           t.avg <-
-            Netsim.Red.decay_avg t.params ~avg:t.avg ~idle:(e.Qmon.time -. since)
+            Netsim.Red.decay_avg t.params ~avg:t.avg ~idle:(time -. since)
               ~link_bw:t.link_bw;
           t.idle_since <- None
       | _ -> ());
       t.avg <- Netsim.Red.update_avg t.params ~avg:t.avg ~occupancy:t.occ;
-      let forced = t.occ + e.Qmon.size > t.params.Netsim.Red.limit_bytes in
+      let forced = t.occ + size > t.params.Netsim.Red.limit_bytes in
       let pb0 = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:0 in
       let p_red =
         if pb0 <= 0.0 then if forced then 1.0 else 0.0
@@ -94,8 +95,8 @@ let process_round t (data : Qmon.round_data) ~horizon =
         end
       in
       if pb0 <= 0.0 then t.count <- -1;
-      all_probs := (e.Qmon.flow, p_red) :: !all_probs;
-      if admitted then t.occ <- t.occ + e.Qmon.size
+      all_probs := (flow, p_red) :: !all_probs;
+      if admitted then t.occ <- t.occ + size
       else begin
         t.count <- 0;
         (* RED cannot drop below min_th (other than by overflow), so a
@@ -105,12 +106,12 @@ let process_round t (data : Qmon.round_data) ~horizon =
         let certain =
           (not forced)
           && t.avg < t.params.Netsim.Red.min_th -. t.config.drift_margin
-          && float_of_int (t.occ + e.Qmon.size)
+          && float_of_int (t.occ + size)
              <= float_of_int t.params.Netsim.Red.limit_bytes -. t.config.drift_margin
         in
         losses :=
-          { fp = e.Qmon.fp; size = e.Qmon.size; flow = e.Qmon.flow;
-            time = e.Qmon.time; red_prob = p_red; avg = t.avg; certain }
+          { fp = Qmon.fp v i; size; flow; time; red_prob = p_red; avg = t.avg;
+            certain }
           :: !losses
       end);
   (List.rev !losses, Array.of_list (List.rev !all_probs))
@@ -119,7 +120,7 @@ let run_round t ~start_time ~end_time ~learning =
   let horizon = end_time -. t.config.slack in
   let data = Qmon.drain t.qmon ~horizon in
   let losses, probs = process_round t data ~horizon in
-  let fabricated = List.length data.Qmon.fabricated in
+  let fabricated = data.Qmon.fabricated in
   (* Only genuinely stochastic arrivals enter the statistic: where the
      replay says p = 1 (EWMA beyond max_th or physical overflow) a drop
      carries no information, and a replay/reality mismatch there would
@@ -193,8 +194,8 @@ let run_round t ~start_time ~end_time ~learning =
   in
   let report =
     { round = t.round; start_time; end_time;
-      arrivals = List.length data.Qmon.arrivals;
-      departures = List.length data.Qmon.departures;
+      arrivals = Qmon.length data.Qmon.arrivals;
+      departures = Qmon.length data.Qmon.departures;
       losses; fabricated; expected_red_drops; tail_probability;
       cumulative_observed = t.cum_observed; cumulative_expected = t.cum_mu;
       cumulative_tail; suspect_flows; alarm; learning }

@@ -1,12 +1,162 @@
 type entry = { fp : int64; size : int; flow : int; time : float }
 
+(* Growable struct-of-arrays entries: a fingerprint is 8 bytes of [fps]
+   (native-endian int64), the other fields one array slot each, so
+   storing, moving or reading an entry allocates nothing once the arrays
+   have grown.  The arrays are grown on the first push. *)
+type buf = {
+  mutable fps : Bytes.t;
+  mutable sizes : int array;
+  mutable flows : int array;
+  mutable times : float array;
+  mutable occs : int array;  (* calibration sample, [no_sample] if none *)
+  mutable len : int;
+}
+
+let no_sample = min_int
+
+let buf () =
+  { fps = Bytes.empty; sizes = [||]; flows = [||]; times = [||]; occs = [||]; len = 0 }
+
+let grow b =
+  let cap = max 64 (2 * Array.length b.sizes) in
+  let fps = Bytes.create (8 * cap) in
+  Bytes.blit b.fps 0 fps 0 (8 * b.len);
+  let extend a fill =
+    let a' = Array.make cap fill in
+    Array.blit a 0 a' 0 b.len;
+    a'
+  in
+  b.fps <- fps;
+  b.sizes <- extend b.sizes 0;
+  b.flows <- extend b.flows 0;
+  b.times <- extend b.times 0.0;
+  b.occs <- extend b.occs no_sample
+
+let push b ~fp ~size ~flow ~time =
+  if b.len = Array.length b.sizes then grow b;
+  let i = b.len in
+  Bytes.set_int64_ne b.fps (8 * i) fp;
+  b.sizes.(i) <- size;
+  b.flows.(i) <- flow;
+  b.times.(i) <- time;
+  b.occs.(i) <- no_sample;
+  b.len <- i + 1
+
+(* Store entry [i] of [src] in slot [j] of [dst]. *)
+let set_slot dst j src i =
+  Bytes.set_int64_ne dst.fps (8 * j) (Bytes.get_int64_ne src.fps (8 * i));
+  dst.sizes.(j) <- src.sizes.(i);
+  dst.flows.(j) <- src.flows.(i);
+  dst.times.(j) <- src.times.(i);
+  dst.occs.(j) <- src.occs.(i)
+
+let append dst src i =
+  if dst.len = Array.length dst.sizes then grow dst;
+  set_slot dst dst.len src i;
+  dst.len <- dst.len + 1
+
+let fp_at b i = Bytes.get_int64_ne b.fps (8 * i)
+
+let compare_at b i j =
+  let c = Float.compare b.times.(i) b.times.(j) in
+  if c <> 0 then c else Int64.compare (fp_at b i) (fp_at b j)
+
+(* Reports arrive in event order, which is (time, fp) order unless a
+   clock skew shifted some reporter's timestamps or two entries share
+   an instant; only then does a round pay for a sort. *)
+let sort_by_time_fp b =
+  let ordered = ref true in
+  for i = 1 to b.len - 1 do
+    if compare_at b (i - 1) i > 0 then ordered := false
+  done;
+  if not !ordered then begin
+    let perm = Array.init b.len Fun.id in
+    Array.stable_sort (compare_at b) perm;
+    let copy = buf () in
+    for i = 0 to b.len - 1 do
+      append copy b i
+    done;
+    Array.iteri (fun j i -> set_slot b j copy i) perm
+  end
+
+(* Open-addressed fingerprint set with linear probing.  A slot holds a
+   member iff its mark equals [gen], so clearing is one increment and
+   the table is reused from round to round.  Keys are read from and
+   compared against a buffer's bytes, never boxed. *)
+type fpset = {
+  mutable keys : Bytes.t;
+  mutable marks : int array;
+  mutable gen : int;
+  mutable count : int;
+}
+
+let fpset () = { keys = Bytes.empty; marks = [||]; gen = 1; count = 0 }
+
+let clear s =
+  s.gen <- s.gen + 1;
+  s.count <- 0
+
+(* The slot holding the fingerprint at byte [off] of [b], or the free
+   slot where it belongs.  Pre: the table has a free slot. *)
+let find s b off =
+  let k = Bytes.get_int64_ne b off in
+  let mask = Array.length s.marks - 1 in
+  let h = Int64.to_int k in
+  let h = (h lxor (h lsr 29)) * 0xBF58476D1CE4E5B in
+  let i = ref ((h lxor (h lsr 32)) land mask) in
+  while s.marks.(!i) = s.gen && Bytes.get_int64_ne s.keys (8 * !i) <> k do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let mem s b off = s.count > 0 && s.marks.(find s b off) = s.gen
+
+let rec add s b off =
+  if 2 * (s.count + 1) > Array.length s.marks then resize s;
+  let i = find s b off in
+  if s.marks.(i) <> s.gen then begin
+    s.marks.(i) <- s.gen;
+    Bytes.set_int64_ne s.keys (8 * i) (Bytes.get_int64_ne b off);
+    s.count <- s.count + 1
+  end
+
+and resize s =
+  let keys = s.keys and marks = s.marks and gen = s.gen in
+  let cap = max 64 (2 * Array.length marks) in
+  s.keys <- Bytes.create (8 * cap);
+  s.marks <- Array.make cap 0;
+  s.gen <- 1;
+  s.count <- 0;
+  Array.iteri (fun i m -> if m = gen then add s keys (8 * i)) marks
+
+let add_all s b =
+  for i = 0 to b.len - 1 do
+    add s b.fps (8 * i)
+  done
+
+type view = { b : buf; n : int }
+
+let length v = v.n
+let fp v i = fp_at v.b i
+let size v i = v.b.sizes.(i)
+let flow v i = v.b.flows.(i)
+let time v i = v.b.times.(i)
+
+let occupancy v i =
+  let o = v.b.occs.(i) in
+  if o = no_sample then None else Some o
+
 type t = {
   router : int;
   next : int;
   mutable predict : Netsim.Packet.t -> int option;
-  mutable pending_s : entry list;          (* newest first *)
-  mutable pending_d : entry list;          (* newest first *)
-  s_fps : (int64, unit) Hashtbl.t;         (* every announced arrival fp *)
+  pending_s : buf;  (* announced arrivals, in report order *)
+  pending_d : buf;  (* departures, in time order *)
+  round_s : buf;    (* the last drain's arrivals *)
+  round_d : buf;    (* the last drain's departures *)
+  carried : buf;    (* departures past the last replay's horizon *)
+  fps : fpset;      (* scratch membership, cleared per use *)
   (* Arrivals the monitored interface itself discarded because the link
      was down: the failure is locally observable (the neighbours see the
      link-state flood), so these are excused, never "unexplainable". *)
@@ -14,7 +164,6 @@ type t = {
   mutable benign_excused : int;
   occ_samples : (int64, int) Hashtbl.t;    (* calibration *)
   mutable calibrating : bool;
-  mutable carried : entry list;            (* departures past the horizon *)
 }
 
 let router t = t.router
@@ -33,140 +182,191 @@ let predict_of_ecmp ecmp ~router pkt =
     Topology.Ecmp.next_hop ecmp router ~dst:pkt.Netsim.Packet.dst
       ~flow:pkt.Netsim.Packet.flow
 
-let attach ~net ~predict ~key ?(skew = fun ~reporter:_ -> 0.0) ~router ~next () =
-  (match Netsim.Net.iface net ~src:router ~dst:next with
-  | Some _ -> ()
-  | None -> invalid_arg "Qmon.attach: no such link");
-  let t =
-    { router; next; predict; pending_s = []; pending_d = []; s_fps = Hashtbl.create 256;
-      benign_fps = Hashtbl.create 16; benign_excused = 0;
-      occ_samples = Hashtbl.create 64; calibrating = false; carried = [] }
+(* The monitor listens to Q's own link ⟨r, rd⟩ and to r's in-links,
+   nothing else: the rest of the network stays unobserved. *)
+let attach ~net ~predict ~key ?skew ~router ~next () =
+  let iface =
+    match Netsim.Net.iface net ~src:router ~dst:next with
+    | Some i -> i
+    | None -> invalid_arg "Qmon.attach: no such link"
   in
-  let monitored_iface = Netsim.Net.iface net ~src:router ~dst:next in
-  Netsim.Net.subscribe_iface net (fun ev ->
-      match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt
-        when ev.Netsim.Net.next = router && pkt.Netsim.Packet.dst <> router ->
-          (* An upstream neighbour watched this packet reach r; it enters
-             Q iff r's (predictable) forwarding decision for it is
-             [next]. *)
-          if t.predict pkt = Some next then begin
-            let fp = Netsim.Packet.fingerprint key pkt in
-            Hashtbl.replace t.s_fps fp ();
-            t.pending_s <-
-              { fp; size = pkt.Netsim.Packet.size; flow = pkt.Netsim.Packet.flow;
-                time = ev.Netsim.Net.time +. skew ~reporter:ev.Netsim.Net.router }
-              :: t.pending_s
-          end
-      | Netsim.Iface.Transmit_start pkt
-        when ev.Netsim.Net.router = router && ev.Netsim.Net.next = next ->
-          (* rd infers the dequeue instant from its own arrival time. *)
-          let fp = Netsim.Packet.fingerprint key pkt in
-          t.pending_d <-
-            { fp; size = pkt.Netsim.Packet.size; flow = pkt.Netsim.Packet.flow;
-              time = ev.Netsim.Net.time }
-            :: t.pending_d
-      | Netsim.Iface.Enqueued pkt
-        when ev.Netsim.Net.router = router && ev.Netsim.Net.next = next
-             && pkt.Netsim.Packet.src = router ->
-          (* Traffic the monitored router originates also occupies Q; the
-             router announces it itself and is trusted for its own
-             traffic (§2.1.4 fate sharing), so these entries keep the
-             replayed occupancy honest. *)
-          let fp = Netsim.Packet.fingerprint key pkt in
-          Hashtbl.replace t.s_fps fp ();
-          t.pending_s <-
-            { fp; size = pkt.Netsim.Packet.size; flow = pkt.Netsim.Packet.flow;
-              time = ev.Netsim.Net.time }
-            :: t.pending_s
-      | Netsim.Iface.Drop_link_down pkt
-        when ev.Netsim.Net.router = router && ev.Netsim.Net.next = next ->
-          Hashtbl.replace t.benign_fps (Netsim.Packet.fingerprint key pkt) ()
-      | Netsim.Iface.Enqueued pkt
-        when t.calibrating && ev.Netsim.Net.router = router && ev.Netsim.Net.next = next
-        -> (
-          match monitored_iface with
-          | Some iface ->
-              let fp = Netsim.Packet.fingerprint key pkt in
-              Hashtbl.replace t.occ_samples fp
-                (Netsim.Iface.occupancy iface - pkt.Netsim.Packet.size)
-          | None -> ())
-      | _ -> ());
+  let t =
+    { router; next; predict; pending_s = buf (); pending_d = buf (); round_s = buf ();
+      round_d = buf (); carried = buf (); fps = fpset ();
+      benign_fps = Hashtbl.create 16; benign_excused = 0;
+      occ_samples = Hashtbl.create 64; calibrating = false }
+  in
+  let record b pkt ~time =
+    push b ~fp:(Netsim.Packet.fingerprint key pkt) ~size:pkt.Netsim.Packet.size
+      ~flow:pkt.Netsim.Packet.flow ~time
+  in
+  let on_in_link (ev : Netsim.Net.iface_event) =
+    match ev.kind with
+    | Netsim.Iface.Delivered pkt when pkt.Netsim.Packet.dst <> router -> (
+        (* An upstream neighbour watched this packet reach r; it enters
+           Q iff r's (predictable) forwarding decision for it is
+           [next]. *)
+        match t.predict pkt with
+        | Some n when n = next ->
+            let time =
+              match skew with
+              | None -> ev.time
+              | Some skew -> ev.time +. skew ~reporter:ev.router
+            in
+            record t.pending_s pkt ~time
+        | Some _ | None -> ())
+    | _ -> ()
+  in
+  let on_queue (ev : Netsim.Net.iface_event) =
+    match ev.kind with
+    | Netsim.Iface.Transmit_start pkt ->
+        (* rd infers the dequeue instant from its own arrival time. *)
+        record t.pending_d pkt ~time:ev.time
+    | Netsim.Iface.Enqueued pkt when pkt.Netsim.Packet.src = router ->
+        (* Traffic the monitored router originates also occupies Q; the
+           router announces it itself and is trusted for its own
+           traffic (§2.1.4 fate sharing), so these entries keep the
+           replayed occupancy honest. *)
+        record t.pending_s pkt ~time:ev.time
+    | Netsim.Iface.Drop_link_down pkt ->
+        Hashtbl.replace t.benign_fps (Netsim.Packet.fingerprint key pkt) ()
+    | Netsim.Iface.Enqueued pkt when t.calibrating ->
+        Hashtbl.replace t.occ_samples
+          (Netsim.Packet.fingerprint key pkt)
+          (Netsim.Iface.occupancy iface - pkt.Netsim.Packet.size)
+    | _ -> ()
+  in
+  Netsim.Net.subscribe_link net ~src:router ~dst:next on_queue;
+  for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
+    if Netsim.Net.iface net ~src:u ~dst:router <> None then
+      Netsim.Net.subscribe_link net ~src:u ~dst:router on_in_link
+  done;
   t
 
-type round_data = {
-  arrivals : entry list;
-  departures : entry list;
-  fabricated : int64 list;
-  occupancy_samples : (int64 * int) list;
-}
-
-let by_time a b = compare (a.time, a.fp) (b.time, b.fp)
+type round_data = { arrivals : view; departures : view; fabricated : int }
 
 let drain t ~horizon =
-  let ready_all, rest_s = List.partition (fun e -> e.time <= horizon) t.pending_s in
-  (* Excuse announced arrivals the monitored interface discarded while
-     its link was down — those packets never entered Q. *)
-  let benign, ready_s =
-    List.partition (fun e -> Hashtbl.mem t.benign_fps e.fp) ready_all
-  in
+  let ps = t.pending_s and rs = t.round_s in
+  (* Split the pending arrivals at the horizon, compacting the later ones
+     in place.  Announced arrivals the monitored interface discarded
+     while its link was down never entered Q: excuse them. *)
+  rs.len <- 0;
+  let keep = ref 0 and benign = ref [] in
+  let any_benign = Hashtbl.length t.benign_fps > 0 in
+  for i = 0 to ps.len - 1 do
+    if ps.times.(i) <= horizon then begin
+      if any_benign && Hashtbl.mem t.benign_fps (fp_at ps i) then
+        benign := fp_at ps i :: !benign
+      else append rs ps i
+    end
+    else begin
+      set_slot ps !keep ps i;
+      incr keep
+    end
+  done;
+  ps.len <- !keep;
   List.iter
-    (fun e ->
-      Hashtbl.remove t.benign_fps e.fp;
-      Hashtbl.remove t.s_fps e.fp;
+    (fun fp ->
+      Hashtbl.remove t.benign_fps fp;
       t.benign_excused <- t.benign_excused + 1)
-    benign;
-  let ready_fps = Hashtbl.create (List.length ready_s * 2) in
-  List.iter (fun e -> Hashtbl.replace ready_fps e.fp ()) ready_s;
-  let matched_d, other_d =
-    List.partition (fun e -> Hashtbl.mem ready_fps e.fp) t.pending_d
-  in
-  (* A departure at or before the horizon whose fingerprint was never
-     announced by any upstream neighbour cannot be honest traffic: the
-     router fabricated it. *)
-  let fabricated_d, keep_d =
-    List.partition
-      (fun e -> e.time <= horizon && not (Hashtbl.mem t.s_fps e.fp))
-      other_d
-  in
-  t.pending_s <- rest_s;
-  t.pending_d <- keep_d;
-  (* Matched fingerprints will never be referenced again. *)
-  List.iter (fun e -> Hashtbl.remove t.s_fps e.fp) ready_s;
-  let occupancy_samples =
-    List.filter_map
-      (fun e ->
-        match Hashtbl.find_opt t.occ_samples e.fp with
-        | Some occ ->
-            Hashtbl.remove t.occ_samples e.fp;
-            Some (e.fp, occ)
-        | None -> None)
-      ready_s
-  in
-  { arrivals = List.sort by_time ready_s;
-    departures = List.sort by_time matched_d;
-    fabricated = List.map (fun e -> e.fp) fabricated_d;
-    occupancy_samples }
+    !benign;
+  if Hashtbl.length t.occ_samples > 0 then begin
+    for i = 0 to rs.len - 1 do
+      let fp = fp_at rs i in
+      match Hashtbl.find_opt t.occ_samples fp with
+      | Some occ ->
+          Hashtbl.remove t.occ_samples fp;
+          rs.occs.(i) <- occ
+      | None -> ()
+    done;
+    if not t.calibrating then Hashtbl.reset t.occ_samples
+  end;
+  sort_by_time_fp rs;
+  (* Every departure of a drained arrival belongs to this round. *)
+  let pd = t.pending_d and rd = t.round_d in
+  rd.len <- 0;
+  clear t.fps;
+  add_all t.fps rs;
+  let keep = ref 0 in
+  for j = 0 to pd.len - 1 do
+    if mem t.fps pd.fps (8 * j) then append rd pd j
+    else begin
+      set_slot pd !keep pd j;
+      incr keep
+    end
+  done;
+  pd.len <- !keep;
+  (* A departure at or before the horizon whose fingerprint is not among
+     the arrivals still pending was never announced by any upstream
+     neighbour: the router fabricated it. *)
+  let fabricated = ref 0 in
+  if pd.len > 0 then begin
+    clear t.fps;
+    add_all t.fps ps;
+    let keep = ref 0 in
+    for j = 0 to pd.len - 1 do
+      if pd.times.(j) <= horizon && not (mem t.fps pd.fps (8 * j)) then incr fabricated
+      else begin
+        set_slot pd !keep pd j;
+        incr keep
+      end
+    done;
+    pd.len <- !keep
+  end;
+  sort_by_time_fp rd;
+  { arrivals = { b = rs; n = rs.len }; departures = { b = rd; n = rd.len };
+    fabricated = !fabricated }
 
+(* A two-pointer merge of the arrivals with the departures, whose two
+   sources (carried and this round's) merge the same way. *)
 let replay t data ~horizon ~arrive ~depart =
-  let departed = Hashtbl.create (List.length data.departures * 2) in
-  List.iter (fun e -> Hashtbl.replace departed e.fp ()) data.departures;
-  (* Departures beyond the horizon belong to the next replay, so the
-     replayed queue carries its backlog across round boundaries. *)
-  let now_d, later_d = List.partition (fun e -> e.time <= horizon) data.departures in
-  let departures = List.merge (fun a b -> Float.compare a.time b.time) t.carried now_d in
-  t.carried <- later_d;
-  let rec walk arrivals departures =
-    match (arrivals, departures) with
-    | [], [] -> ()
-    | a :: rest, [] ->
-        arrive a ~admitted:(Hashtbl.mem departed a.fp);
-        walk rest []
-    | a :: rest, d :: _ when Float.compare a.time d.time <= 0 ->
-        arrive a ~admitted:(Hashtbl.mem departed a.fp);
-        walk rest departures
-    | _, d :: rest ->
-        depart d;
-        walk arrivals rest
+  let av = data.arrivals and dv = data.departures in
+  let a = av.b and na = av.n and d = dv.b and nd = dv.n in
+  let c = t.carried in
+  let cv = { b = c; n = c.len } in
+  let nc = cv.n in
+  clear t.fps;
+  for k = 0 to nd - 1 do
+    add t.fps d.fps (8 * k)
+  done;
+  (* Departures are in time order, so those replaying now are a prefix;
+     the rest belong to the next replay, so the replayed queue carries
+     its backlog across round boundaries. *)
+  let nk = ref 0 in
+  while !nk < nd && d.times.(!nk) <= horizon do
+    incr nk
+  done;
+  let nk = !nk in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
+  while !i < na || !j < nc || !k < nk do
+    let from_carried =
+      !j < nc && (!k >= nk || Float.compare c.times.(!j) d.times.(!k) <= 0)
+    in
+    let dep_time =
+      if from_carried then c.times.(!j) else if !k < nk then d.times.(!k) else infinity
+    in
+    if !i < na && Float.compare a.times.(!i) dep_time <= 0 then begin
+      arrive av !i ~admitted:(mem t.fps a.fps (8 * !i));
+      incr i
+    end
+    else if from_carried then begin
+      depart cv !j;
+      incr j
+    end
+    else begin
+      depart dv !k;
+      incr k
+    end
+  done;
+  c.len <- 0;
+  for k = nk to nd - 1 do
+    append c d k
+  done
+
+let round_of_entries ~arrivals ~departures =
+  let of_entries es =
+    let b = buf () in
+    List.iter (fun e -> push b ~fp:e.fp ~size:e.size ~flow:e.flow ~time:e.time) es;
+    { b; n = b.len }
   in
-  walk data.arrivals departures
+  { arrivals = of_entries arrivals; departures = of_entries departures; fabricated = 0 }

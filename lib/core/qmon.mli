@@ -26,6 +26,25 @@ type entry = {
   flow : int;     (** flow identifier from the packet header *)
   time : float;   (** entry into / exit from Q *)
 }
+(** One arrival or departure, as a record: what {!round_of_entries}
+    takes.  The monitor itself keeps entries in flat buffers ({!view}). *)
+
+type view
+(** Arrivals or departures in (time, fingerprint) order, read by index:
+    struct-of-arrays storage the monitor reuses.  The entries of a
+    drained round's views are valid until the monitor's next {!drain},
+    those of a view a {!replay} callback receives for the callback; a
+    view's {!length} stays valid. *)
+
+val length : view -> int
+val fp : view -> int -> int64
+val size : view -> int -> int
+val flow : view -> int -> int
+val time : view -> int -> float
+
+val occupancy : view -> int -> int option
+(** Calibration: the true queue bytes just before this arrival's
+    enqueue, when it was sampled (arrivals only). *)
 
 type t
 
@@ -45,8 +64,10 @@ val attach :
     clock synchronization (§7.3): each upstream reporter's timestamps
     are offset by [skew ~reporter] seconds (default none) — small skews
     are absorbed by χ's calibrated error, large ones break it (see the
-    ablation).  Raises [Invalid_argument] if that link does not
-    exist. *)
+    ablation).  The monitor subscribes to the link ⟨router, next⟩ and
+    to [router]'s in-links only ({!Netsim.Net.subscribe_link}); the rest
+    of the network stays unobserved.  Raises [Invalid_argument] if that
+    link does not exist. *)
 
 val predict_of_routing :
   Topology.Routing.t -> router:int -> Netsim.Packet.t -> int option
@@ -73,35 +94,46 @@ val benign_excused : t -> int
     disappearance as malice. *)
 
 type round_data = {
-  arrivals : entry list;        (** S, time-ordered, up to the horizon *)
-  departures : entry list;      (** D, time-ordered (complete for S) *)
-  fabricated : int64 list;
+  arrivals : view;    (** S, up to the horizon *)
+  departures : view;  (** D, complete for S (including departures past
+                          the horizon) *)
+  fabricated : int;
       (** departures never announced upstream (traffic the router
           originates itself is exempt — §2.1.4 fate sharing) *)
-  occupancy_samples : (int64 * int) list;
-      (** calibration: fp -> true queue bytes just before its enqueue *)
 }
 
 val drain : t -> horizon:float -> round_data
 (** Consume every arrival with [time <= horizon] together with all
     matching departures; later arrivals stay buffered for the next
     round.  [horizon] must leave enough slack for queued packets to
-    drain (the caller uses round end minus a guard interval). *)
+    drain (the caller uses round end minus a guard interval).  A
+    departure at or before the horizon whose fingerprint is not among
+    the arrivals still pending counts as fabricated and is dropped.
+    Occupancy samples are handed out while calibrating; a drain with
+    calibration off discards any left over.  The pending buffers are
+    compacted in place, and arrivals are sorted only when they were
+    reported out of order (a clock [skew]). *)
 
 val replay :
   t ->
   round_data ->
   horizon:float ->
-  arrive:(entry -> admitted:bool -> unit) ->
-  depart:(entry -> unit) ->
+  arrive:(view -> int -> admitted:bool -> unit) ->
+  depart:(view -> int -> unit) ->
   unit
 (** Walk one drained round through Q in time order, the queue replay of
     Fig 6.2 that χ and χ-RED apply their per-event rules to.  Each
-    arrival is reported with [admitted], true iff the round's
-    departures include its fingerprint (otherwise Q lost it).  The
-    round's departures at or before [horizon] are reported together
-    with the ones the previous replay carried, all of which replay now;
-    later departures are carried to the next replay, so the replayed
-    occupancy keeps its backlog across round boundaries.  On equal
-    times arrivals come first, then carried departures, then this
-    round's.  [horizon] is the one the round was {!drain}ed with. *)
+    callback receives a view and an index into it.  Each arrival is
+    reported with [admitted], true iff the round's departures include
+    its fingerprint (otherwise Q lost it).  The round's departures at or
+    before [horizon] are reported together with the ones the previous
+    replay carried, all of which replay now; later departures are
+    carried to the next replay, so the replayed occupancy keeps its
+    backlog across round boundaries.  On equal times arrivals come
+    first, then carried departures, then this round's.  [horizon] is
+    the one the round was {!drain}ed with.  The walk allocates nothing
+    per entry. *)
+
+val round_of_entries : arrivals:entry list -> departures:entry list -> round_data
+(** A round built from entry lists, each in (time, fingerprint) order,
+    in fresh storage: for driving {!replay} on constructed data. *)

@@ -19,28 +19,30 @@ let deploy ~net ~rt ~router ~next ?(key = Crypto_sim.Siphash.key_of_string "repl
       arrivals_rev = [];
       observed_out = Hashtbl.create 256 }
   in
-  Netsim.Net.subscribe_iface net (fun ev ->
+  let arrive pkt ~time =
+    t.arrivals_rev <-
+      { fp = Netsim.Packet.fingerprint key pkt; size = pkt.Netsim.Packet.size; time }
+      :: t.arrivals_rev
+  in
+  (* The replica hears r's in-links and the monitored link only. *)
+  Netsim.Net.subscribe_link net ~src:router ~dst:next (fun ev ->
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt
-        when ev.Netsim.Net.next = router
-             && pkt.Netsim.Packet.dst <> router
-             && Topology.Routing.next_hop rt router ~dst:pkt.Netsim.Packet.dst
-                = Some next ->
-          t.arrivals_rev <-
-            { fp = Netsim.Packet.fingerprint key pkt; size = pkt.Netsim.Packet.size;
-              time = ev.Netsim.Net.time }
-            :: t.arrivals_rev
-      | Netsim.Iface.Enqueued pkt
-        when ev.Netsim.Net.router = router && ev.Netsim.Net.next = next
-             && pkt.Netsim.Packet.src = router ->
-          t.arrivals_rev <-
-            { fp = Netsim.Packet.fingerprint key pkt; size = pkt.Netsim.Packet.size;
-              time = ev.Netsim.Net.time }
-            :: t.arrivals_rev
-      | Netsim.Iface.Transmit_start pkt
-        when ev.Netsim.Net.router = router && ev.Netsim.Net.next = next ->
+      | Netsim.Iface.Enqueued pkt when pkt.Netsim.Packet.src = router ->
+          arrive pkt ~time:ev.Netsim.Net.time
+      | Netsim.Iface.Transmit_start pkt ->
           Hashtbl.replace t.observed_out (Netsim.Packet.fingerprint key pkt) ()
       | _ -> ());
+  for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
+    if Netsim.Net.iface net ~src:u ~dst:router <> None then
+      Netsim.Net.subscribe_link net ~src:u ~dst:router (fun ev ->
+          match ev.Netsim.Net.kind with
+          | Netsim.Iface.Delivered pkt
+            when pkt.Netsim.Packet.dst <> router
+                 && Topology.Routing.next_hop rt router ~dst:pkt.Netsim.Packet.dst
+                    = Some next ->
+              arrive pkt ~time:ev.Netsim.Net.time
+          | _ -> ())
+  done;
   t
 
 type report = {

@@ -31,13 +31,11 @@ let watch_ground_truth net =
       match ev.Net.kind with
       | Router.Malicious_drop _ -> gt.malicious_drops <- gt.malicious_drops + 1
       | _ -> ());
-  Net.subscribe_iface net (fun ev ->
-      if ev.Net.router = bottleneck_router && ev.Net.next = sink then begin
-        match ev.Net.kind with
-        | Iface.Drop_congestion _ -> gt.congestion_drops <- gt.congestion_drops + 1
-        | Iface.Drop_red_early _ -> gt.red_drops <- gt.red_drops + 1
-        | _ -> ()
-      end);
+  Net.subscribe_link net ~src:bottleneck_router ~dst:sink (fun ev ->
+      match ev.Net.kind with
+      | Iface.Drop_congestion _ -> gt.congestion_drops <- gt.congestion_drops + 1
+      | Iface.Drop_red_early _ -> gt.red_drops <- gt.red_drops + 1
+      | _ -> ());
   gt
 
 (* Background plus victim traffic; returns the victim flow ids. *)

@@ -310,7 +310,10 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
             Router.set_behavior (Net.router net attacker)
               (Core.Adversary.after attack_start b)
         | None -> ());
-        (* --trace N: the attacker's last N link and router events. *)
+        (* --trace N: the attacker's last N link and router events.  The
+           journal keeps each event, and its packet, past the callback,
+           which the borrowed-packet contract allows only because this
+           network runs unpooled. *)
         let trace_journal =
           if trace > 0 then begin
             let j = Telemetry.Journal.create ~capacity:trace () in

@@ -31,15 +31,13 @@ let measure ~flows =
   Net.use_routing net rt;
   let conns = List.init flows (fun src -> Tcp.connect net ~src ~dst:sink ()) in
   let sent = ref 0 and dropped = ref 0 in
-  Net.subscribe_iface net (fun ev ->
-      if ev.Net.router = bottleneck && ev.Net.next = sink then begin
-        match ev.Net.kind with
-        | Iface.Enqueued _ -> incr sent
-        | Iface.Drop_congestion _ ->
-            incr sent;
-            incr dropped
-        | _ -> ()
-      end);
+  Net.subscribe_link net ~src:bottleneck ~dst:sink (fun ev ->
+      match ev.Net.kind with
+      | Iface.Enqueued _ -> incr sent
+      | Iface.Drop_congestion _ ->
+          incr sent;
+          incr dropped
+      | _ -> ());
   (* Sample the queue occupancy for the sigma comparison. *)
   let iface = Option.get (Net.iface net ~src:bottleneck ~dst:sink) in
   let occ = ref [] in

@@ -133,7 +133,8 @@ let arrive t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe then t.on_event t (Drop_corrupted p) else t.release p
+    if t.observe then t.on_event t (Drop_corrupted p);
+    t.release p
   end
   else begin
     t.delivered_packets <- t.delivered_packets + 1;
@@ -162,7 +163,8 @@ let set_up t up =
 let enqueue t p =
   if not t.up then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe then t.on_event t (Drop_link_down p) else t.release p
+    if t.observe then t.on_event t (Drop_link_down p);
+    t.release p
   end
   else begin
   let verdict =
@@ -176,10 +178,12 @@ let enqueue t p =
       kick t
   | `Forced_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe then t.on_event t (Drop_congestion p) else t.release p
+      if t.observe then t.on_event t (Drop_congestion p);
+      t.release p
   | `Early_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe then t.on_event t (Drop_red_early p) else t.release p
+      if t.observe then t.on_event t (Drop_red_early p);
+      t.release p
   end
 
 let tx_packets t = t.tx_packets

@@ -56,14 +56,15 @@ val create :
     packet's arrival instant at [link.dst] with [prev = link.src]; the
     corruption coin is drawn from the simulation stream at that instant.
     A [Red_queue] draws its drop coins from the same stream.  [release]
-    (default: no-op) receives packets this interface kills while the
-    network is unobserved — the pool-recycling hook. *)
+    (default: no-op) receives every packet this interface kills, after
+    its drop event — the pool-recycling hook. *)
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this interface's events.  [true] (the
     default) reports every transition through [on_event]; [false]
     elides event construction, so the steady-state hot path allocates
-    nothing.  {!Net} manages it from its probe and subscriber state. *)
+    nothing.  {!Net} manages it from its probe and subscriber state:
+    a link-scoped listener turns on this interface alone. *)
 
 val owner : t -> int
 (** The router that owns the queue ([link.src]). *)

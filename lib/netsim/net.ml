@@ -21,12 +21,16 @@ type t = {
   mutable routers : Router.t array;
   mutable iface_listeners : (iface_event -> unit) list;
   mutable router_listeners : (router_event -> unit) list;
+  (* Link-scoped listeners, by owner router: [(next, listeners)] per
+     subscribed link.  Empty until the first {!subscribe_link}, so a
+     network nobody watches per link allocates nothing for them. *)
+  mutable link_listeners : (int * (iface_event -> unit) list) list array;
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
   (* Packet recycling.  [pool_on] is the effective switch: pooling
-     requested AND nothing observing packets beyond their network
-     lifetime. *)
+     requested AND no probe journaling packets beyond their network
+     lifetime (listeners only borrow them). *)
   pooling : bool;
   pool : Pool.t;
   mutable pool_on : bool;
@@ -34,21 +38,31 @@ type t = {
 
 let sim t = t.sim
 
-(* Observation elision and pooling are whole-network properties; both
-   must be settled before the run starts.  Whether anything consumes
-   wire observations (probe or data-plane listeners) is pushed down into
-   every Router/Iface [observe] flag, so the unobserved hot path builds
-   no events at all.  Pooling stays inert while observed: events retain
-   packets past their network lifetime. *)
+(* Observation is scoped: an interface builds events when a probe or a
+   network-wide iface listener watches every link, or a listener
+   watches its own link; a router builds them for a probe or a router
+   listener.  The unobserved hot path builds no events at all.  Pooling
+   stays inert only under a probe, whose journal keeps packets past
+   their network lifetime; listeners borrow them for the callback. *)
+let rec link_subscribers next = function
+  | [] -> []
+  | (dst, fs) :: rest -> if dst = next then fs else link_subscribers next rest
+
+let link_watched t i =
+  Array.length t.link_listeners > 0
+  && link_subscribers (Iface.next_hop i) t.link_listeners.(Iface.owner i) <> []
+
 let refresh_observe t =
-  let observed =
-    t.probe <> None || t.iface_listeners <> [] || t.router_listeners <> []
-  in
-  t.pool_on <- t.pooling && not observed;
+  let probed = t.probe <> None in
+  let all_links = probed || t.iface_listeners <> [] in
+  let routers = probed || t.router_listeners <> [] in
+  t.pool_on <- t.pooling && not probed;
   Array.iter
     (fun r ->
-      Router.set_observe r observed;
-      List.iter (fun i -> Iface.set_observe i observed) (Router.ifaces r))
+      Router.set_observe r routers;
+      List.iter
+        (fun i -> Iface.set_observe i (all_links || link_watched t i))
+        (Router.ifaces r))
     t.routers
 
 let graph t = t.graph
@@ -63,6 +77,18 @@ let subscribe_iface t f =
 let subscribe_router t f =
   t.router_listeners <- f :: t.router_listeners;
   refresh_observe t
+
+(* Only the subscribed interface starts observing: no network walk. *)
+let subscribe_link t ~src ~dst f =
+  let n = Array.length t.routers in
+  match if src >= 0 && src < n then iface t ~src ~dst else None with
+  | None -> invalid_arg "Net.subscribe_link: no such link"
+  | Some i ->
+      if Array.length t.link_listeners = 0 then t.link_listeners <- Array.make n [];
+      let subs = t.link_listeners.(src) in
+      t.link_listeners.(src) <-
+        (dst, f :: link_subscribers dst subs) :: List.remove_assoc dst subs;
+      Iface.set_observe i true
 
 let set_probe t probe =
   let n = Topology.Graph.size t.graph in
@@ -83,7 +109,9 @@ let rec notify ev = function
 
 let emit_iface t (ev : iface_event) =
   (match t.probe with Some p -> Probe.on_iface p ev | None -> ());
-  notify ev t.iface_listeners
+  notify ev t.iface_listeners;
+  if Array.length t.link_listeners > 0 then
+    notify ev (link_subscribers ev.next t.link_listeners.(ev.router))
 
 let emit_router t (ev : router_event) =
   (match t.probe with Some p -> Probe.on_router p ev | None -> ());
@@ -107,6 +135,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       routers = [||];
       iface_listeners = [];
       router_listeners = [];
+      link_listeners = [||];
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;

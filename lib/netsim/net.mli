@@ -44,11 +44,12 @@ val create :
     [pooling] (default false) turns on packet recycling: dead packets
     return to a freelist ({!Pool}) and {!make_packet} reuses them, so
     steady-state traffic allocates no packet records.  The pool is
-    automatically inert while the network is observed (probe or
-    data-plane listeners — observations retain packets); it never
-    changes simulation output.  [poison] (default false) additionally stamps released
-    packets so stale references read loudly-wrong data and double
-    releases raise — the debug mode the allocation tests use. *)
+    inert under a probe, whose journal keeps packets past their network
+    lifetime; listeners only borrow packets (see {!subscribe_iface}), so
+    they leave it live.  It never changes simulation output.  [poison]
+    (default false) additionally stamps released packets so stale
+    references read loudly-wrong data and double releases raise — the
+    debug mode the allocation tests use. *)
 
 val sim : t -> Sim.t
 (** The simulation the network runs on: traffic generators, probes,
@@ -71,9 +72,29 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
     every router picks among its equal-cost next hops by the shared flow
     hash. *)
 
+(** {2 Listeners}
+
+    Observation is scoped to what is subscribed: an interface builds
+    events only under a probe, a network-wide iface listener, or a
+    listener on its own link; a router only under a probe or a router
+    listener.  Everything else stays on the unobserved hot path.
+
+    A listener {e borrows} the packet in its event: the packet may die
+    right after the callback returns and, with pooling on, be recycled
+    as another packet.  A callback must copy what it needs (uid, size,
+    fingerprint, ...) and never keep the [Packet.t] or the event
+    record. *)
+
 val subscribe_iface : t -> (iface_event -> unit) -> unit
 (** Observe every queue/link event in the network (enqueue, drops,
-    transmit, deliver). *)
+    transmit, deliver).  Turns on event construction at every
+    interface. *)
+
+val subscribe_link : t -> src:int -> dst:int -> (iface_event -> unit) -> unit
+(** Observe the events of the directed link [src -> dst] only; only
+    that interface starts building events.  A callback subscribed to
+    several links sees each event once.  Raises [Invalid_argument] if
+    the link is absent. *)
 
 val subscribe_router : t -> (router_event -> unit) -> unit
 (** Observe router-level events (malicious actions, TTL expiry, local
@@ -136,7 +157,7 @@ val make_packet :
 
 val pooling_active : t -> bool
 (** Whether packet recycling is currently live (requested at {!create}
-    and not suppressed by observation state). *)
+    and no probe attached). *)
 
 val pool_stats : t -> Pool.stats
 (** The freelist's counters. *)

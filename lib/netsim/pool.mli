@@ -6,9 +6,10 @@
     freelist instead of the minor heap.  A pool is not thread-safe; each
     network owns one.
 
-    Pooling only runs while the network is unobserved: the moment
-    anything subscribes to wire events, packets outlive their network
-    lifetime inside observations and {!Net} leaves the pool inert. *)
+    {!Net} leaves the pool inert under a probe only: the probe's journal
+    keeps packets past their network lifetime.  Listeners borrow the
+    packet for the length of their callback, so they leave it live;
+    poison mode catches one that keeps a packet anyway. *)
 
 type t
 

@@ -157,7 +157,9 @@ let fragment_if_needed t ~next iface pkt =
 
 let forward_one t ~prev ~next pkt =
   match iface_to t next with
-  | None -> if t.observe then t.on_event t (No_route pkt) else t.release pkt
+  | None ->
+      if t.observe then t.on_event t (No_route pkt);
+      t.release pkt
   | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
@@ -180,8 +182,8 @@ let forward_one t ~prev ~next pkt =
             t.forwarded_packets <- t.forwarded_packets + 1;
             fragment_if_needed t ~next iface pkt
         | Drop ->
-            if t.observe then t.on_event t (Malicious_drop { next; pkt })
-            else t.release pkt
+            if t.observe then t.on_event t (Malicious_drop { next; pkt });
+            t.release pkt
         | Modify payload ->
             let old_payload = pkt.Packet.payload in
             pkt.Packet.payload <- payload;
@@ -206,7 +208,8 @@ let multicast t ~prev pkt (branches, local) =
        end
   in
   if expired then begin
-    if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
+    if t.observe then t.on_event t (Ttl_expired pkt);
+    t.release pkt
   end
   else begin
     if local then begin
@@ -235,12 +238,14 @@ let unicast t ~prev pkt =
          end
     in
     if expired then begin
-      if t.observe then t.on_event t (Ttl_expired pkt) else t.release pkt
+      if t.observe then t.on_event t (Ttl_expired pkt);
+      t.release pkt
     end
     else begin
       let next = t.forwarding ~prev pkt in
       if next < 0 then begin
-        if t.observe then t.on_event t (No_route pkt) else t.release pkt
+        if t.observe then t.on_event t (No_route pkt);
+        t.release pkt
       end
       else forward_one t ~prev ~next pkt
     end

@@ -59,8 +59,8 @@ val create :
     bound [<= 0] draws nothing and enqueues at once.  The draw happens
     in place, so a hop boxes no float.  Fragments the router mints take
     their uids from the simulation-global counter.  [release] (default:
-    no-op) receives packets that die at this router while the network is
-    unobserved — the pool-recycling hook. *)
+    no-op) receives every packet that dies at this router, after its
+    event — the pool-recycling hook. *)
 
 val id : t -> int
 
@@ -85,9 +85,10 @@ val set_forwarding_id : t -> (prev:int -> Packet.t -> int) -> unit
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this router's events.  [false] elides
-    event construction on the hot path and hands terminal packets
-    (local delivery, TTL expiry, no-route, malicious drop) to the
-    [release] hook.  Fixed before the run; {!Net} manages it. *)
+    event construction on the hot path.  Terminal packets (local
+    delivery, TTL expiry, no-route, malicious drop) go to the [release]
+    hook either way, after their event.  Fixed before the run; {!Net}
+    manages it (a probe or a router listener). *)
 
 val set_behavior : t -> behavior -> unit
 (** Compromise (or restore) the router. *)

@@ -212,8 +212,10 @@ let test_fatih_idle_round () =
 
 (* Fatih's steady state on the ring8 reference scenario: the per-hop
    path finds the hop's segments through the route index, and a round
-   end swaps placeholders back in.  28.0 words per event measured; the
-   list-keyed lookup and per-round summaries cost 39.4. *)
+   end swaps placeholders back in.  20.86 words per event measured with
+   the pool live under Fatih's listener; 23.40 while any listener
+   switched the pool off, and the list-keyed lookup and per-round
+   summaries cost 39.4. *)
 let test_fatih_hop_budget () =
   let w, _, _ =
     ring8_run ~pooling:true
@@ -223,7 +225,177 @@ let test_fatih_hop_budget () =
         ignore (Core.Fatih.deploy ~net ~rt ()))
       ()
   in
-  Alcotest.(check bool) (Printf.sprintf "fatih ring8 %.2f w/ev under 34.0 ceiling" w) true (w < 34.0)
+  Alcotest.(check bool) (Printf.sprintf "fatih ring8 %.2f w/ev under 22.5 ceiling" w) true
+    (w < 22.5)
+
+(* χ on the ring8 reference scenario, pooled: the monitor listens to
+   the queue ⟨1, 2⟩ and router 1's in-links only, so the rest of the
+   ring stays on the unobserved path and the pool keeps recycling; the
+   monitor stores each report in flat buffers.  10.75 words per event
+   measured; 28.35 when one χ listener turned on events everywhere,
+   switched the pool off and kept its reports as lists of records. *)
+let chi_ceiling = 12.25
+
+let test_chi_hop_budget () =
+  let w, _, stats =
+    ring8_run ~pooling:true
+      ~install:(fun net g ->
+        let rt = Topology.Routing.compute g in
+        Net.use_routing net rt;
+        ignore (Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ()))
+      ()
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "chi ring8 %.2f w/ev under %.1f ceiling" w chi_ceiling)
+    true (w < chi_ceiling);
+  Alcotest.(check bool) "the pool recycles under χ" true
+    (stats.Pool.recycled > 10 * stats.Pool.fresh)
+
+(* A χ round walks its arrivals and departures in flat buffers and
+   builds records only for losses, so without loss its allocation does
+   not depend on how many packets crossed the queue: the round at
+   800 pps allocates no more than the one at 100 pps (149 and 141
+   words measured; 12,732 and 127,432 when a round partitioned, sorted
+   and merged lists of entry records).  Each measured
+   window holds one round tick (the clock runs from just before the
+   tick to the tick), averaged over four post-learning rounds. *)
+let chi_round_words ~rate_pps =
+  let g = Topology.Graph.create ~n:3 in
+  Topology.Graph.add_duplex g 0 1;
+  Topology.Graph.add_duplex g 1 2;
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling:true g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 2 } in
+  let chi = Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ~config () in
+  ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps ~size:500 ~start:0.0 ~stop:10.0);
+  let words = ref 0.0 in
+  for tick = 4 to 7 do
+    let at = float_of_int tick in
+    Net.run ~until:(at -. 1e-7) net;
+    let m0 = Gc.minor_words () in
+    Net.run ~until:at net;
+    words := !words +. (Gc.minor_words () -. m0)
+  done;
+  let judged = List.filter (fun r -> not r.Core.Chi.learning) (Core.Chi.reports chi) in
+  let arrivals = List.fold_left (fun acc r -> acc + r.Core.Chi.arrivals) 0 judged in
+  let losses = List.fold_left (fun acc r -> acc + List.length r.Core.Chi.losses) 0 judged in
+  (!words /. 4.0, arrivals / max 1 (List.length judged), losses)
+
+let test_chi_round_flat () =
+  let low, low_arrivals, low_losses = chi_round_words ~rate_pps:100.0 in
+  let high, high_arrivals, high_losses = chi_round_words ~rate_pps:800.0 in
+  Alcotest.(check int) "no loss at 100 pps" 0 low_losses;
+  Alcotest.(check int) "no loss at 800 pps" 0 high_losses;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d vs %d arrivals per round" high_arrivals low_arrivals)
+    true
+    (high_arrivals >= 7 * low_arrivals);
+  Alcotest.(check bool)
+    (Printf.sprintf "round words %.0f at 800 pps within 16 of %.0f at 100 pps" high low)
+    true
+    (high <= low +. 16.0)
+
+(* The bare χ scenario of test_chi (Fig 6.4: three TCP sources feed
+   router 3's queue toward 4, which drops a fifth of its transit after
+   10 s), pooled or not. *)
+let chi_fig64_reports ~pooling =
+  let g = Topology.Graph.create ~n:5 in
+  Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 0 3;
+  Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 1 3;
+  Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 2 3;
+  Topology.Graph.add_duplex g ~bw:1.25e6 ~delay:0.005 3 4;
+  let net = Net.create ~seed:11 ~jitter_bound:200e-6 ~pooling ~poison:pooling g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 4 } in
+  let chi = Core.Chi.deploy ~net ~rt ~router:3 ~next:4 ~config () in
+  List.iter (fun src -> ignore (Tcp.connect net ~src ~dst:4 ())) [ 0; 1; 2 ];
+  Router.set_behavior (Net.router net 3)
+    (Core.Adversary.after 10.0 (Core.Adversary.drop_fraction ~seed:5 0.2));
+  Net.run ~until:40.0 net;
+  (Core.Chi.reports chi, Core.Chi.error_samples chi, Net.pool_stats net)
+
+let fatih_ring8_detections ~pooling =
+  let g = Topology.Generate.ring ~n:8 in
+  let net = Net.create ~seed:3 ~jitter_bound:100e-6 ~pooling ~poison:pooling g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  let fatih = Core.Fatih.deploy ~net ~rt () in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:100.0 ~size:500 ~start:0.0 ~stop:20.0))
+    [ (0, 3); (3, 0); (1, 4); (4, 1); (7, 2); (2, 7) ];
+  Router.set_behavior (Net.router net 2)
+    (Core.Adversary.after 4.0 (Core.Adversary.drop_fraction ~seed:5 0.2));
+  Net.run ~until:20.0 net;
+  (Core.Fatih.detections fatih, Net.pool_stats net)
+
+(* Poison oracle for borrowed packets: with pooling and poison on, a
+   listener that kept a packet past its callback would read the poison
+   stamp (uid -0xDEAD, size 0) and report something else. *)
+let test_poison_oracle_listeners () =
+  let plain, plain_err, _ = chi_fig64_reports ~pooling:false in
+  let pooled, pooled_err, stats = chi_fig64_reports ~pooling:true in
+  Alcotest.(check bool) "chi: the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check bool) "chi: alarms raised" true
+    (List.exists (fun r -> r.Core.Chi.alarm) plain);
+  Alcotest.(check bool) "chi: pooled reports identical" true (compare plain pooled = 0);
+  Alcotest.(check bool) "chi: pooled error samples identical" true
+    (compare plain_err pooled_err = 0);
+  let plain, _ = fatih_ring8_detections ~pooling:false in
+  let pooled, stats = fatih_ring8_detections ~pooling:true in
+  Alcotest.(check bool) "fatih: the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check bool) "fatih: detections raised" true (plain <> []);
+  Alcotest.(check bool) "fatih: pooled detections identical" true (compare plain pooled = 0)
+
+(* Every death returns its packet, observed or not: on a pooled,
+   poisoned ring8 with χ on ⟨1, 2⟩ (so that queue and router 1's
+   in-links build events), a router listener (so every router does),
+   congestion, in-flight corruption, a link outage and an attacker,
+   the pool takes back exactly the packets delivered or dropped.  An
+   observed drop that skipped its release would leave the count short;
+   one released twice would trip the poison check. *)
+let test_observed_drops_released () =
+  let g = Topology.Generate.ring ~n:8 in
+  let n = Topology.Graph.size g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling:true ~poison:true g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  ignore (Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ());
+  let router_drops = ref 0 in
+  Net.subscribe_router net (fun ev ->
+      match ev.Net.kind with
+      | Router.Malicious_drop _ | Router.No_route _ | Router.Ttl_expired _ ->
+          incr router_drops
+      | _ -> ());
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:400.0 ~size:1000 ~start:0.0 ~stop:6.0))
+    [ (0, 3); (1, 3); (0, 4); (1, 4) ];
+  Net.set_link_corruption net ~src:0 ~dst:1 0.02;
+  let sim = Net.sim net in
+  Sim.schedule sim ~delay:2.0 (fun () -> Net.fail_link net ~src:1 ~dst:2);
+  Sim.schedule sim ~delay:2.2 (fun () -> Net.restore_link net ~src:1 ~dst:2);
+  Router.set_behavior (Net.router net 1)
+    (Core.Adversary.after 1.0 (Core.Adversary.drop_fraction ~seed:5 0.1));
+  Net.run ~until:6.0 net;
+  let delivered = ref 0 and iface_drops = ref 0 in
+  for r = 0 to n - 1 do
+    delivered := !delivered + Router.delivered_packets (Net.router net r);
+    List.iter
+      (fun i -> iface_drops := !iface_drops + Iface.dropped_packets i)
+      (Router.ifaces (Net.router net r))
+  done;
+  let stats = Net.pool_stats net in
+  Alcotest.(check bool) "pooling live under the listeners" true (Net.pooling_active net);
+  Alcotest.(check bool)
+    (Printf.sprintf "drops happened (%d iface, %d router)" !iface_drops !router_drops)
+    true
+    (!iface_drops > 0 && !router_drops > 0);
+  Alcotest.(check int) "released = delivered + every drop"
+    (!delivered + !iface_drops + !router_drops)
+    stats.Pool.released
 
 (* Observation on the ring8 reference scenario: a probe (counters,
    journal and Stats) plus one iface listener.  Each observed event
@@ -258,6 +430,23 @@ let test_pool_inert_when_observed () =
   let net2 = Net.create ~seed:1 ~pooling:true g in
   Net.use_routing net2 (Topology.Routing.compute g);
   Alcotest.(check bool) "pooling live unobserved" true (Net.pooling_active net2)
+
+(* Listeners borrow the packet for their callback and leave recycling
+   live, whatever their scope. *)
+let test_pool_live_under_listener () =
+  let g = Topology.Generate.ring ~n:4 in
+  let net = Net.create ~seed:1 ~pooling:true g in
+  Net.use_routing net (Topology.Routing.compute g);
+  Net.subscribe_link net ~src:0 ~dst:1 ignore;
+  Alcotest.(check bool) "live under a link listener" true (Net.pooling_active net);
+  Net.subscribe_iface net ignore;
+  Net.subscribe_router net ignore;
+  Alcotest.(check bool) "live under network-wide listeners" true
+    (Net.pooling_active net);
+  Net.set_probe net (Some (Probe.create ()));
+  Alcotest.(check bool) "inert once a probe journals" false (Net.pooling_active net);
+  Net.set_probe net None;
+  Alcotest.(check bool) "live again without the probe" true (Net.pooling_active net)
 
 (* Poison mode: a released packet is stamped loudly wrong, so a stale
    holder (the injected use-after-free) reads the sentinel instead of
@@ -361,6 +550,8 @@ let () =
             test_sprintlink_hop_budget;
           Alcotest.test_case "pooling inert when observed" `Quick
             test_pool_inert_when_observed;
+          Alcotest.test_case "pooling live under a listener" `Quick
+            test_pool_live_under_listener;
           Alcotest.test_case "probe and listener under ceiling" `Quick
             test_observed_budget;
           Alcotest.test_case "span recycling after ring wrap" `Quick
@@ -373,9 +564,16 @@ let () =
             test_fingerprint_no_alloc;
           Alcotest.test_case "idle fatih round allocates nothing per segment" `Quick
             test_fatih_idle_round;
-          Alcotest.test_case "fatih hop under ceiling" `Quick test_fatih_hop_budget ] );
+          Alcotest.test_case "fatih hop under ceiling" `Quick test_fatih_hop_budget;
+          Alcotest.test_case "chi hop under ceiling" `Quick test_chi_hop_budget;
+          Alcotest.test_case "chi round allocation flat in its arrivals" `Quick
+            test_chi_round_flat ] );
       ( "poison",
         [ Alcotest.test_case "use-after-free and double release" `Quick
             test_poison_catches_use_after_free;
+          Alcotest.test_case "observed drops return to the pool" `Quick
+            test_observed_drops_released;
+          Alcotest.test_case "borrowed packets: pooled chi and fatih identical" `Quick
+            test_poison_oracle_listeners;
           Alcotest.test_case "freelist growth and counters" `Quick
             test_pool_grows_and_counts ] ) ]

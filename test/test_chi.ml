@@ -50,9 +50,10 @@ let test_qmon_sees_all_traffic () =
   let f = Flow.cbr net ~src:0 ~dst:4 ~rate_pps:100.0 ~size:1000 ~start:0.0 ~stop:1.0 in
   Net.run net;
   let data = Qmon.drain qmon ~horizon:10.0 in
-  Alcotest.(check int) "all arrivals seen" (Flow.sent f) (List.length data.Qmon.arrivals);
-  Alcotest.(check int) "all departures seen" (Flow.sent f) (List.length data.Qmon.departures);
-  Alcotest.(check int) "no fabrication" 0 (List.length data.Qmon.fabricated)
+  Alcotest.(check int) "all arrivals seen" (Flow.sent f) (Qmon.length data.Qmon.arrivals);
+  Alcotest.(check int) "all departures seen" (Flow.sent f)
+    (Qmon.length data.Qmon.departures);
+  Alcotest.(check int) "no fabrication" 0 data.Qmon.fabricated
 
 let test_qmon_ignores_other_directions () =
   let net, rt = setup () in
@@ -65,7 +66,7 @@ let test_qmon_ignores_other_directions () =
   ignore (Flow.cbr net ~src:4 ~dst:0 ~rate_pps:50.0 ~size:500 ~start:0.0 ~stop:1.0);
   Net.run net;
   let data = Qmon.drain qmon ~horizon:10.0 in
-  Alcotest.(check int) "no arrivals" 0 (List.length data.Qmon.arrivals)
+  Alcotest.(check int) "no arrivals" 0 (Qmon.length data.Qmon.arrivals)
 
 let test_qmon_horizon_buffers () =
   let net, rt = setup () in
@@ -79,9 +80,9 @@ let test_qmon_horizon_buffers () =
   let early = Qmon.drain qmon ~horizon:1.0 in
   let late = Qmon.drain qmon ~horizon:10.0 in
   Alcotest.(check bool) "split" true
-    (List.length early.Qmon.arrivals > 0 && List.length late.Qmon.arrivals > 0);
+    (Qmon.length early.Qmon.arrivals > 0 && Qmon.length late.Qmon.arrivals > 0);
   Alcotest.(check int) "nothing lost" (Flow.sent f)
-    (List.length early.Qmon.arrivals + List.length late.Qmon.arrivals)
+    (Qmon.length early.Qmon.arrivals + Qmon.length late.Qmon.arrivals)
 
 let test_qmon_detects_fabrication () =
   let net, rt = setup () in
@@ -96,7 +97,7 @@ let test_qmon_detects_fabrication () =
       Router.fabricate (Net.router net 3) ~next:4 bogus);
   Net.run net;
   let data = Qmon.drain qmon ~horizon:10.0 in
-  Alcotest.(check int) "fabricated flagged" 1 (List.length data.Qmon.fabricated)
+  Alcotest.(check int) "fabricated flagged" 1 data.Qmon.fabricated
 
 (* --- Protocol χ, drop-tail --- *)
 

@@ -440,6 +440,47 @@ let test_probe_shares_listener_record () =
          | _ -> false)
        journaled (List.rev !heard))
 
+(* A link listener hears exactly the events of its link, in the order a
+   network-wide listener sees them, and subscribing to a link that does
+   not exist is an error. *)
+let test_link_listener_scope () =
+  let events ~scoped =
+    let net = line_net ~jitter_bound:100e-6 4 in
+    let heard = ref [] in
+    let record (ev : Net.iface_event) =
+      let tag =
+        match ev.Net.kind with
+        | Iface.Enqueued p -> Printf.sprintf "enq:%d" p.Packet.uid
+        | Iface.Transmit_start p -> Printf.sprintf "tx:%d" p.Packet.uid
+        | Iface.Delivered p -> Printf.sprintf "dlv:%d" p.Packet.uid
+        | _ -> "drop"
+      in
+      heard :=
+        Printf.sprintf "%.9f %d>%d %s" ev.Net.time ev.Net.router ev.Net.next tag :: !heard
+    in
+    if scoped then begin
+      Net.subscribe_link net ~src:1 ~dst:2 record;
+      Net.subscribe_link net ~src:2 ~dst:1 record
+    end
+    else
+      Net.subscribe_iface net (fun ev ->
+          match (ev.Net.router, ev.Net.next) with (1, 2) | (2, 1) -> record ev | _ -> ());
+    ignore (Flow.cbr net ~src:0 ~dst:3 ~rate_pps:100.0 ~size:200 ~start:0.0 ~stop:0.5);
+    ignore (Flow.cbr net ~src:3 ~dst:1 ~rate_pps:100.0 ~size:200 ~start:0.0 ~stop:0.5);
+    Net.run net;
+    List.rev !heard
+  in
+  let scoped = events ~scoped:true in
+  Alcotest.(check bool) "the link carried traffic" true (List.length scoped > 100);
+  Alcotest.(check (list string)) "same events as a filtered network-wide listener"
+    (events ~scoped:false) scoped;
+  let net = line_net 3 in
+  Alcotest.check_raises "absent link" (Invalid_argument "Net.subscribe_link: no such link")
+    (fun () -> Net.subscribe_link net ~src:0 ~dst:2 ignore);
+  Alcotest.check_raises "router out of range"
+    (Invalid_argument "Net.subscribe_link: no such link")
+    (fun () -> Net.subscribe_link net ~src:7 ~dst:0 ignore)
+
 (* --- Stats --- *)
 
 (* A packet offered to a failed link never enters the queue, and the
@@ -847,7 +888,9 @@ let () =
       ( "probe",
         [ Alcotest.test_case "journal marks malice" `Quick test_probe_marks_malice;
           Alcotest.test_case "listeners share the journal's record" `Quick
-            test_probe_shares_listener_record ] );
+            test_probe_shares_listener_record;
+          Alcotest.test_case "link listener hears its link only" `Quick
+            test_link_listener_scope ] );
       ( "stats",
         [ Alcotest.test_case "queue depth behind a failed link" `Quick
             test_stats_depth_behind_failed_link ] );

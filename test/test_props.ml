@@ -265,17 +265,17 @@ let prop_tv_prev_matches_live_reference =
    carried ones merge ahead of this round's on equal times, and arrivals
    go ahead of departures on equal times.  An arrival is admitted when
    the round departs its fingerprint. *)
-let ref_replay carry (data : Core.Qmon.round_data) ~horizon =
+let ref_replay carry (arrivals, departures) ~horizon =
   let departed = Hashtbl.create 16 in
-  List.iter (fun (e : Core.Qmon.entry) -> Hashtbl.replace departed e.fp ()) data.departures;
+  List.iter (fun (e : Core.Qmon.entry) -> Hashtbl.replace departed e.fp ()) departures;
   let now_d, later_d =
-    List.partition (fun (e : Core.Qmon.entry) -> e.time <= horizon) data.departures
+    List.partition (fun (e : Core.Qmon.entry) -> e.time <= horizon) departures
   in
   let time = function `Arrive (e : Core.Qmon.entry) | `Depart e -> e.time in
   let events =
     List.merge
       (fun a b -> compare (time a) (time b))
-      (List.map (fun e -> `Arrive e) data.arrivals)
+      (List.map (fun e -> `Arrive e) arrivals)
       (List.map
          (fun e -> `Depart e)
          (List.merge (fun (a : Core.Qmon.entry) b -> compare a.time b.time) !carry now_d))
@@ -308,13 +308,14 @@ let replay_rounds =
   let round r =
     let h = 2 * (r + 1) in
     map2
-      (fun arrivals departures ->
-        ( float_of_int h,
-          { Core.Qmon.arrivals; departures; fabricated = []; occupancy_samples = [] } ))
+      (fun arrivals departures -> (float_of_int h, (arrivals, departures)))
       (entries ~lo:(h - 2) ~hi:h) (entries ~lo:(h - 2) ~hi:(h + 3))
   in
   QCheck.make (1 -- 5 >>= fun n -> flatten_l (List.init n round))
 
+(* Qmon's replay hands its callbacks (view, index) pairs out of flat
+   buffers; the property reads each entry back and compares the walk
+   with the reference over the same entry lists. *)
 let prop_qmon_replay_matches_reference =
   QCheck.Test.make ~name:"qmon replay = partition/merge reference" ~count:300
     replay_rounds
@@ -327,13 +328,15 @@ let prop_qmon_replay_matches_reference =
       in
       let carry = ref [] in
       List.for_all
-        (fun (horizon, data) ->
+        (fun (horizon, ((arrivals, departures) as round)) ->
           let got = ref [] in
+          let data = Core.Qmon.round_of_entries ~arrivals ~departures in
           Core.Qmon.replay qmon data ~horizon
-            ~arrive:(fun (e : Core.Qmon.entry) ~admitted ->
-              got := (true, e.fp, e.time, admitted) :: !got)
-            ~depart:(fun e -> got := (false, e.fp, e.time, false) :: !got);
-          List.rev !got = ref_replay carry data ~horizon)
+            ~arrive:(fun v i ~admitted ->
+              got := (true, Core.Qmon.fp v i, Core.Qmon.time v i, admitted) :: !got)
+            ~depart:(fun v i ->
+              got := (false, Core.Qmon.fp v i, Core.Qmon.time v i, false) :: !got);
+          List.rev !got = ref_replay carry round ~horizon)
         rounds)
 
 (* --- Reconciliation over packet fingerprints --- *)
