@@ -310,14 +310,12 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
             Router.set_behavior (Net.router net attacker)
               (Core.Adversary.after attack_start b)
         | None -> ());
-        (* --trace N: the attacker's last N link and router events.  The
-           journal keeps each event, and its packet, past the callback,
-           which the borrowed-packet contract allows only because this
-           network runs unpooled. *)
+        (* --trace N: the attacker's last N link and router events,
+           rendered during the callback (listeners borrow packets). *)
         let trace_journal =
           if trace > 0 then begin
             let j = Telemetry.Journal.create ~capacity:trace () in
-            let record = Telemetry.Journal.record j in
+            let record ev = Telemetry.Journal.record j (Probe.describe ev) in
             Net.subscribe_iface net (fun ev ->
                 if ev.Net.router = attacker then record (Probe.Link ev));
             Net.subscribe_router net (fun ev ->
@@ -356,7 +354,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
     match trace_journal with
     | Some j ->
         Printf.printf "last %d events at router %d:\n" trace attacker;
-        Telemetry.Journal.iter j (fun ev -> Printf.printf "  %s\n" (Probe.describe ev))
+        Telemetry.Journal.iter j (Printf.printf "  %s\n")
     | None -> ()
   in
   (* Deploy the detector through the registry: same setup profiling the

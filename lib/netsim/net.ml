@@ -28,12 +28,9 @@ type t = {
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
-  (* Packet recycling.  [pool_on] is the effective switch: pooling
-     requested AND no probe journaling packets beyond their network
-     lifetime (listeners only borrow them). *)
   pooling : bool;
   pool : Pool.t;
-  mutable pool_on : bool;
+  mutable held : Pktring.t;  (* dead under a probe, oldest first: see [hold] *)
 }
 
 let sim t = t.sim
@@ -41,9 +38,7 @@ let sim t = t.sim
 (* Observation is scoped: an interface builds events when a probe or a
    network-wide iface listener watches every link, or a listener
    watches its own link; a router builds them for a probe or a router
-   listener.  The unobserved hot path builds no events at all.  Pooling
-   stays inert only under a probe, whose journal keeps packets past
-   their network lifetime; listeners borrow them for the callback. *)
+   listener.  The unobserved hot path builds no events at all. *)
 let rec link_subscribers next = function
   | [] -> []
   | (dst, fs) :: rest -> if dst = next then fs else link_subscribers next rest
@@ -56,7 +51,6 @@ let refresh_observe t =
   let probed = t.probe <> None in
   let all_links = probed || t.iface_listeners <> [] in
   let routers = probed || t.router_listeners <> [] in
-  t.pool_on <- t.pooling && not probed;
   Array.iter
     (fun r ->
       Router.set_observe r routers;
@@ -94,6 +88,7 @@ let set_probe t probe =
   let n = Topology.Graph.size t.graph in
   Option.iter (fun p -> Probe.set_stats p (Some (Stats.create ~n ()))) probe;
   t.probe <- probe;
+  t.held <- Pktring.create ();  (* the previous probe's go to the GC *)
   refresh_observe t
 let probe t = t.probe
 let stats t = Option.bind t.probe Probe.stats
@@ -120,6 +115,24 @@ let emit_router t (ev : router_event) =
 let emit_originate t pkt =
   match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
 
+(* Under a probe the journal may still name a dead packet, so pooling
+   defers its release until the ring has evicted every record about it.
+   A packet's records all come before its death and the journal keeps
+   its last [capacity] records, so that holds once
+   [total >= tag + capacity], [tag] being the total at its death.  A
+   dead packet's TTL is scratch (poison mode stamps it too), so the
+   packet carries its own tag there. *)
+let hold t journal p =
+  let total = Telemetry.Journal.total journal in
+  p.Packet.ttl <- total;
+  Pktring.push t.held p;
+  let evicted = total - Telemetry.Journal.capacity journal in
+  while
+    (not (Pktring.is_empty t.held)) && (Pktring.peek_exn t.held).Packet.ttl <= evicted
+  do
+    Pool.release t.pool (Pktring.pop_exn t.held)
+  done
+
 let attach_app t ~node f = t.apps.(node) := f :: !(t.apps.(node))
 
 let fresh_flow_id t = Sim.fresh_id t.sim
@@ -141,9 +154,14 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       probe = None;
       pooling;
       pool = Pool.create ~poison ();
-      pool_on = false }
+      held = Pktring.create () }
   in
-  let release p = if t.pool_on then Pool.release t.pool p in
+  let release p =
+    if pooling then
+      match t.probe with
+      | None -> Pool.release t.pool p
+      | Some probe -> hold t (Probe.journal probe) p
+  in
   t.routers <-
     Array.init n (fun id ->
         let local_apps = t.apps.(id) in
@@ -171,12 +189,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   refresh_observe t;
   t
 
-let with_pins t r fallback ~prev pkt =
-  match Hashtbl.find_opt t.pins (pkt.Packet.flow, Router.id r) with
-  | Some next -> Some next
-  | None -> fallback ~prev pkt
-
-(* The common forwarding plane goes through an int-returning lookup: no
+(* Every forwarding plane goes through an int-returning lookup: no
    option box per hop, and no pin-key tuple unless a pin actually
    exists. *)
 let use_lookup t lookup =
@@ -187,23 +200,25 @@ let use_lookup t lookup =
           if Hashtbl.length t.pins > 0 then
             match Hashtbl.find_opt t.pins (pkt.Packet.flow, cur) with
             | Some next -> next
-            | None -> lookup ~prev ~cur ~dst:pkt.Packet.dst
-          else lookup ~prev ~cur ~dst:pkt.Packet.dst))
+            | None -> lookup ~prev ~cur pkt
+          else lookup ~prev ~cur pkt))
     t.routers
 
 let use_routing t rt =
-  use_lookup t (fun ~prev:_ ~cur ~dst -> Topology.Routing.next_hop_id rt cur ~dst)
+  use_lookup t (fun ~prev:_ ~cur pkt ->
+      Topology.Routing.next_hop_id rt cur ~dst:pkt.Packet.dst)
 
-let use_policy t pol = use_lookup t (Topology.Policy.next_hop_id pol)
+let use_policy t pol =
+  use_lookup t (fun ~prev ~cur pkt ->
+      Topology.Policy.next_hop_id pol ~prev ~cur ~dst:pkt.Packet.dst)
 
 let use_ecmp t ecmp =
-  Array.iter
-    (fun r ->
-      Router.set_forwarding r
-        (with_pins t r (fun ~prev:_ pkt ->
-             Topology.Ecmp.next_hop ecmp (Router.id r) ~dst:pkt.Packet.dst
-               ~flow:pkt.Packet.flow)))
-    t.routers
+  use_lookup t (fun ~prev:_ ~cur pkt ->
+      match
+        Topology.Ecmp.next_hop ecmp cur ~dst:pkt.Packet.dst ~flow:pkt.Packet.flow
+      with
+      | Some next -> next
+      | None -> -1)
 
 let add_multicast_route t ~router ~group ~next_hops ~local =
   Router.add_multicast_route t.routers.(router) ~group ~next_hops ~local
@@ -246,10 +261,9 @@ let originate t pkt =
 let make_packet t ~src ~dst ~flow ~size proto =
   let uid = Sim.fresh_id t.sim in
   let now = Sim.now t.sim in
-  if t.pool_on then Pool.acquire t.pool ~now ~uid ~src ~dst ~flow ~size proto
+  if t.pooling then Pool.acquire t.pool ~now ~uid ~src ~dst ~flow ~size proto
   else Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
 
-let pooling_active t = t.pool_on
 let pool_stats t = Pool.stats t.pool
 let run ?until t = Sim.run ?until t.sim
 let events_processed t = Sim.events_processed t.sim

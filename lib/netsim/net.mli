@@ -43,13 +43,13 @@ val create :
 
     [pooling] (default false) turns on packet recycling: dead packets
     return to a freelist ({!Pool}) and {!make_packet} reuses them, so
-    steady-state traffic allocates no packet records.  The pool is
-    inert under a probe, whose journal keeps packets past their network
-    lifetime; listeners only borrow packets (see {!subscribe_iface}), so
-    they leave it live.  It never changes simulation output.  [poison]
-    (default false) additionally stamps released packets so stale
-    references read loudly-wrong data and double releases raise — the
-    debug mode the allocation tests use. *)
+    steady-state traffic allocates no packet records.  Observers leave
+    it live: listeners only borrow packets (see {!subscribe_iface}), and
+    under a probe a dead packet waits until the probe's journal has
+    evicted every record that names it.  It never changes simulation
+    output.  [poison] (default false) additionally stamps released
+    packets so stale references read loudly-wrong data and double
+    releases raise — the debug mode the allocation tests use. *)
 
 val sim : t -> Sim.t
 (** The simulation the network runs on: traffic generators, probes,
@@ -81,9 +81,9 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
 
     A listener {e borrows} the packet in its event: the packet may die
     right after the callback returns and, with pooling on, be recycled
-    as another packet.  A callback must copy what it needs (uid, size,
-    fingerprint, ...) and never keep the [Packet.t] or the event
-    record. *)
+    as another packet.  A callback must copy or render what it needs
+    (uid, size, fingerprint, {!Probe.describe}, ...) and never keep the
+    [Packet.t] or the event record. *)
 
 val subscribe_iface : t -> (iface_event -> unit) -> unit
 (** Observe every queue/link event in the network (enqueue, drops,
@@ -105,7 +105,9 @@ val set_probe : t -> Probe.t option -> unit
     every origination is counted and journaled through it.  With no
     probe attached the per-event overhead is one pointer test.
     Attaching a probe also gives it a fresh always-on {!Stats} collector
-    (see {!stats}), which the probe feeds itself. *)
+    (see {!stats}), which the probe feeds itself.  With pooling on, the
+    journal is safe to read while its probe is attached; once detached,
+    its records may name packets the network has since recycled. *)
 
 val probe : t -> Probe.t option
 
@@ -154,10 +156,6 @@ val make_packet :
     way (uid from {!Sim.fresh_id}, creation time now).  Traffic
     generators and the TCP and Ping endpoints must mint through this so
     recycling is transparent to them. *)
-
-val pooling_active : t -> bool
-(** Whether packet recycling is currently live (requested at {!create}
-    and no probe attached). *)
 
 val pool_stats : t -> Pool.stats
 (** The freelist's counters. *)

@@ -24,7 +24,8 @@ type t = {
   mutable flow : int;  (** flow identifier *)
   mutable size : int;  (** total bytes on the wire *)
   mutable proto : proto;
-  mutable ttl : int;   (** rewritten per hop; excluded from fingerprints *)
+  mutable ttl : int;   (** rewritten per hop; excluded from fingerprints;
+                           scratch once the packet is dead *)
   mutable payload : int64;  (** stand-in for payload bytes; a modification
                                 attack overwrites it *)
   mutable created : float;  (** origination time *)

@@ -6,10 +6,11 @@
     freelist instead of the minor heap.  A pool is not thread-safe; each
     network owns one.
 
-    {!Net} leaves the pool inert under a probe only: the probe's journal
-    keeps packets past their network lifetime.  Listeners borrow the
-    packet for the length of their callback, so they leave it live;
-    poison mode catches one that keeps a packet anyway. *)
+    Observers leave the pool live.  Listeners borrow the packet for the
+    length of their callback; under a probe, {!Net} hands a dead packet
+    back only once the probe's journal has evicted every record that
+    names it.  Poison mode catches an observer that keeps a packet
+    anyway. *)
 
 type t
 

@@ -58,15 +58,11 @@ type t = {
      them after the run), so they are retained here in full even when
      the bounded journal has long since evicted them. *)
   mutable verdicts_rev : verdict list;
-  (* Span bridge (optional).  Traced packets open per-hop spans keyed by
-     (uid, router, next) — multicast clones share a uid but traverse
-     distinct (router, next) edges, so the keys stay unique per branch. *)
-  (* Pending per-hop span windows live on the packet itself
-     ([Packet.q_start] / [Packet.tx_start]): a packet occupies at most
-     one (router, next) edge at a time, so the fields replace the
-     (uid, router, next)-keyed tables — and their per-event tuple keys —
-     the fast path used to allocate.  Multicast clones and fragments are
-     fresh records, so branches never share a window. *)
+  (* Span bridge (optional).  A traced packet's pending per-hop span
+     windows live on the packet itself ([Packet.q_start] /
+     [Packet.tx_start]): a packet occupies at most one (router, next)
+     edge at a time, and multicast clones and fragments are fresh
+     records, so branches never share a window. *)
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
   (* Always-on stats collector (wired by [Net.set_probe]), fed by every
@@ -93,8 +89,8 @@ let drop_counter reg cause =
   Telemetry.Metrics.counter reg "pkt_dropped_total"
     ~help:"packets dropped, by cause" ~labels:[ ("cause", cause) ]
 
-let create ?registry ?(journal_capacity = 65536) ?tracer () =
-  let reg = match registry with Some r -> r | None -> Telemetry.Metrics.create () in
+let create ?(journal_capacity = 65536) ?tracer () =
+  let reg = Telemetry.Metrics.create () in
   let c name help = Telemetry.Metrics.counter reg name ~help in
   { registry = reg;
     journal = Telemetry.Journal.create ~capacity:journal_capacity ();

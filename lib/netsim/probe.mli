@@ -70,16 +70,10 @@ type event =
 
 type t
 
-val create :
-  ?registry:Telemetry.Metrics.t ->
-  ?journal_capacity:int ->
-  ?tracer:Telemetry.Span.t ->
-  unit ->
-  t
-(** A fresh probe; [journal_capacity] bounds the journal (default 65536
-    records).  Pass [registry] to share one registry across several
-    probes (or with application metrics); pass [tracer] to record causal
-    spans alongside the journal. *)
+val create : ?journal_capacity:int -> ?tracer:Telemetry.Span.t -> unit -> t
+(** A fresh probe with its own metrics registry; [journal_capacity]
+    bounds the journal (default 65536 records).  Pass [tracer] to record
+    causal spans alongside the journal. *)
 
 val registry : t -> Telemetry.Metrics.t
 val journal : t -> event Telemetry.Journal.t

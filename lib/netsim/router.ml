@@ -47,7 +47,7 @@ type t = {
   mutable observe : bool;
   (* prev is the previous-hop router id, -1 for locally originated: the
      int encoding keeps the per-hop path free of option boxes.  The
-     public {!set_forwarding}/[behavior] surface keeps the option view. *)
+     [behavior] surface keeps the option view. *)
   mutable forwarding : prev:int -> Packet.t -> int;
   mutable behavior : behavior;
   mutable mtu : int option;
@@ -87,12 +87,6 @@ let iface_to t next =
 let ifaces t = Hashtbl.fold (fun _ i acc -> i :: acc) t.out []
 
 let set_forwarding_id t f = t.forwarding <- f
-
-let set_forwarding t f =
-  t.forwarding <-
-    (fun ~prev pkt ->
-      let prev = if prev < 0 then None else Some prev in
-      match f ~prev pkt with Some next -> next | None -> -1)
 
 let set_behavior t b = t.behavior <- b
 let add_multicast_route t ~group ~next_hops ~local =

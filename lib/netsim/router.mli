@@ -75,13 +75,11 @@ val iface_to : t -> int -> Iface.t option
 
 val ifaces : t -> Iface.t list
 
-val set_forwarding : t -> (prev:int option -> Packet.t -> int option) -> unit
-(** Install the forwarding decision (link-state or policy routing). *)
-
 val set_forwarding_id : t -> (prev:int -> Packet.t -> int) -> unit
-(** The allocation-free variant: previous hop and next hop are plain
-    router ids with [-1] meaning "none" — what the per-packet path
-    actually runs.  {!set_forwarding} is a wrapper over this. *)
+(** Install the forwarding decision (link-state, policy or ECMP
+    routing).  Previous hop and next hop are plain router ids with [-1]
+    meaning "none" (locally originated; no route), so the per-packet
+    path allocates no option. *)
 
 val set_observe : t -> bool -> unit
 (** Whether anything consumes this router's events.  [false] elides

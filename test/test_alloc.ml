@@ -16,28 +16,35 @@
 
 open Netsim
 
-(* Words allocated per event over the tail of a ring8 reference run:
-   the first simulated second is warm-up (pools filling, rings and
-   journals growing), the remaining four are the steady state the
-   budget applies to. *)
-let ring8_run ?(install = fun net g -> Net.use_routing net (Topology.Routing.compute g))
-    ~pooling () =
-  let horizon = 5.0 in
+(* The ring8 reference scenario: six CBR pairs and one TCP connection
+   over five simulated seconds. *)
+let ring8_horizon = 5.0
+
+let ring8_net ?(install = fun net g -> Net.use_routing net (Topology.Routing.compute g))
+    ?poison ~pooling () =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling ?poison g in
   install net g;
   List.iter
     (fun (s, d) ->
       ignore
         (Flow.cbr net ~src:s ~dst:d ~rate_pps:200.0 ~size:500 ~start:0.0
-           ~stop:horizon))
+           ~stop:ring8_horizon))
     [ (0, 4); (4, 0); (1, 5); (5, 1); (2, 6); (6, 2) ];
   ignore (Tcp.connect net ~src:0 ~dst:3 ());
+  net
+
+(* Words allocated per event over the tail of a ring8 reference run:
+   the first simulated second is warm-up (pools filling, rings and
+   journals growing), the remaining four are the steady state the
+   budget applies to. *)
+let ring8_run ?install ~pooling () =
+  let net = ring8_net ?install ~pooling () in
   Net.run ~until:1.0 net;
   Gc.full_major ();
   let m0 = Gc.minor_words () in
   let e0 = Net.events_processed net in
-  Net.run ~until:horizon net;
+  Net.run ~until:ring8_horizon net;
   let m1 = Gc.minor_words () in
   let events = Net.events_processed net - e0 in
   let words_per_event = (m1 -. m0) /. float_of_int (max 1 events) in
@@ -388,7 +395,8 @@ let test_observed_drops_released () =
       (Router.ifaces (Net.router net r))
   done;
   let stats = Net.pool_stats net in
-  Alcotest.(check bool) "pooling live under the listeners" true (Net.pooling_active net);
+  Alcotest.(check bool) "the pool recycled under the listeners" true
+    (stats.Pool.recycled > 0);
   Alcotest.(check bool)
     (Printf.sprintf "drops happened (%d iface, %d router)" !iface_drops !router_drops)
     true
@@ -400,9 +408,12 @@ let test_observed_drops_released () =
 (* Observation on the ring8 reference scenario: a probe (counters,
    journal and Stats) plus one iface listener.  Each observed event
    builds one record, which the journal keeps and the listener reads:
-   22.95 words per event measured, against 33.51 when the journal and
-   the listener each built their own copy. *)
+   22.62 words per event measured unpooled, against 33.51 when the
+   journal and the listener each built their own copy.  Pooled, the
+   network holds each dead packet until the journal evicts its records
+   and then recycles it: 21.31 measured. *)
 let observed_ceiling = 24.5
+let pooled_observed_ceiling = 22.8
 
 let test_observed_budget () =
   let w, _, _ =
@@ -418,18 +429,20 @@ let test_observed_budget () =
        observed_ceiling)
     true (w < observed_ceiling)
 
-let test_pool_inert_when_observed () =
-  (* A probe retains packets in its journal, so recycling must switch
-     itself off rather than corrupt the observations. *)
-  let g = Topology.Generate.ring ~n:4 in
-  let net = Net.create ~seed:1 ~pooling:true g in
-  Net.set_probe net (Some (Probe.create ()));
-  Net.use_routing net (Topology.Routing.compute g);
-  Alcotest.(check bool) "pooling suppressed under a probe" false
-    (Net.pooling_active net);
-  let net2 = Net.create ~seed:1 ~pooling:true g in
-  Net.use_routing net2 (Topology.Routing.compute g);
-  Alcotest.(check bool) "pooling live unobserved" true (Net.pooling_active net2)
+let test_pooled_observed_budget () =
+  let w, _, stats =
+    ring8_run ~pooling:true
+      ~install:(fun net g ->
+        Net.set_probe net (Some (Probe.create ()));
+        Net.subscribe_iface net ignore;
+        Net.use_routing net (Topology.Routing.compute g))
+      ()
+  in
+  Alcotest.(check bool) "the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "pooled probe + listener ring8 %.2f w/ev under %.1f ceiling" w
+       pooled_observed_ceiling)
+    true (w < pooled_observed_ceiling)
 
 (* Listeners borrow the packet for their callback and leave recycling
    live, whatever their scope. *)
@@ -437,16 +450,149 @@ let test_pool_live_under_listener () =
   let g = Topology.Generate.ring ~n:4 in
   let net = Net.create ~seed:1 ~pooling:true g in
   Net.use_routing net (Topology.Routing.compute g);
+  ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:200.0 ~size:500 ~start:0.0 ~stop:2.0);
   Net.subscribe_link net ~src:0 ~dst:1 ignore;
-  Alcotest.(check bool) "live under a link listener" true (Net.pooling_active net);
+  Net.run ~until:1.0 net;
+  let linked = (Net.pool_stats net).Pool.recycled in
+  Alcotest.(check bool) "live under a link listener" true (linked > 0);
   Net.subscribe_iface net ignore;
   Net.subscribe_router net ignore;
+  Net.run ~until:2.0 net;
   Alcotest.(check bool) "live under network-wide listeners" true
-    (Net.pooling_active net);
-  Net.set_probe net (Some (Probe.create ()));
-  Alcotest.(check bool) "inert once a probe journals" false (Net.pooling_active net);
-  Net.set_probe net None;
-  Alcotest.(check bool) "live again without the probe" true (Net.pooling_active net)
+    ((Net.pool_stats net).Pool.recycled > linked)
+
+(* Poison oracle for the probe's journal: under a probe, the pooled
+   network hands a dead packet to the pool only once the journal has
+   evicted every record that names it.  A journal of 512 records wraps
+   many times; one of 65536 wraps once over the ring8 run.  Releasing
+   straight to the pool leaves poisoned packets in both journals. *)
+let journal_of_ring8 ~capacity ~pooling =
+  let probe = Probe.create ~journal_capacity:capacity () in
+  let net =
+    ring8_net ~pooling ~poison:pooling
+      ~install:(fun net g ->
+        Net.set_probe net (Some probe);
+        Net.use_routing net (Topology.Routing.compute g))
+      ()
+  in
+  Net.run ~until:ring8_horizon net;
+  let journal = Probe.journal probe in
+  let poisoned =
+    Telemetry.Journal.fold journal ~init:0 ~f:(fun n ev ->
+        match ev with
+        | Probe.Link { kind; _ } when Pool.is_poisoned (Probe.iface_packet kind) ->
+            n + 1
+        | Probe.Node { kind; _ } when Pool.is_poisoned (Probe.router_packet kind) ->
+            n + 1
+        | _ -> n)
+  in
+  (poisoned, List.map Probe.describe (Telemetry.Journal.to_list journal),
+   Net.pool_stats net)
+
+let test_pool_live_under_probe () =
+  List.iter
+    (fun capacity ->
+      let _, plain, _ = journal_of_ring8 ~capacity ~pooling:false in
+      let poisoned, pooled, stats = journal_of_ring8 ~capacity ~pooling:true in
+      Alcotest.(check int)
+        (Printf.sprintf "capacity %d: no journaled packet poisoned" capacity)
+        0 poisoned;
+      Alcotest.(check (list string))
+        (Printf.sprintf "capacity %d: pooled journal reads as unpooled" capacity)
+        plain pooled;
+      Alcotest.(check bool)
+        (Printf.sprintf "capacity %d: the pool recycled (%d)" capacity
+           stats.Pool.recycled)
+        true (stats.Pool.recycled > 0))
+    [ 512; 65536 ]
+
+(* The perfbench pi2-abilene-byz scenario, shortened: π/2 on Abilene
+   under a Byzantine-budget chaos plan, a router dropping a fifth of its
+   transit from 4 s, a probe and a span tracer.  Everything a user reads
+   from the run (verdicts, the oracle's score, the Stats document, the
+   journal export and the `trace explain` text) must not depend on
+   pooling. *)
+let pi2_chaos_outputs ~pooling =
+  let horizon = 12.0 in
+  let g = Topology.Abilene.graph () in
+  let n = Topology.Graph.size g in
+  let rt = Topology.Routing.compute g in
+  let net = Net.create ~seed:1 ~jitter_bound:200e-6 ~pooling ~poison:pooling g in
+  Net.use_routing net rt;
+  let tracer = Telemetry.Span.create ~seed:1 () in
+  let probe = Probe.create ~journal_capacity:4096 ~tracer () in
+  Net.set_probe net (Some probe);
+  let rng = Random.State.make [| 1 |] in
+  let pairs =
+    List.init 32 (fun _ ->
+        let s = Random.State.int rng n in
+        (s, (s + 1 + Random.State.int rng (n - 1)) mod n))
+  in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:80.0 ~size:500 ~start:0.0 ~stop:horizon))
+    pairs;
+  (* The router the most flows transit. *)
+  let load = Array.make n 0 in
+  List.iter
+    (fun (src, dst) ->
+      match Topology.Routing.path rt ~src ~dst with
+      | Some p ->
+          List.iteri
+            (fun i r -> if i > 0 && i < List.length p - 1 then load.(r) <- load.(r) + 1)
+            p
+      | None -> ())
+    pairs;
+  let attacker = ref 0 in
+  Array.iteri (fun r l -> if l > load.(!attacker) then attacker := r) load;
+  let attack_start = horizon /. 3.0 in
+  Router.set_behavior (Net.router net !attacker)
+    (Core.Adversary.after attack_start (Core.Adversary.drop_fraction ~seed:1 0.2));
+  let plan =
+    Faults.Chaos.generate ~seed:1 ~graph:g ~duration:horizon
+      ~budget:Faults.Chaos.byzantine_budget ()
+  in
+  ignore (Faults.Injector.apply ~probe ~net plan);
+  let byz = Faults.Injector.byz ~n plan in
+  let pi2 =
+    Core.Pi2_live.deploy ~net ~rt ~probe ~ctrl:(Faults.Injector.ctrl plan) ?byz ()
+  in
+  Net.run ~until:horizon net;
+  let oracle =
+    Faults.Oracle.of_probe ~malicious:[ !attacker ]
+      ?byzantine:(Option.map Core.Byz.routers byz)
+      ?byz_stats:(Option.map Core.Byz.stats byz) ~attack_start probe
+  in
+  let journal = Filename.temp_file "pi2_chaos" ".jsonl" in
+  Out_channel.with_open_bin journal (Probe.write_journal probe);
+  let jsonl = In_channel.with_open_bin journal In_channel.input_all in
+  Sys.remove journal;
+  let explain =
+    match Telemetry.Trace_export.explain (Telemetry.Trace_export.document tracer) with
+    | Ok text -> text
+    | Error e -> Alcotest.failf "trace explain: %s" e
+  in
+  ( Core.Pi2_live.detections pi2,
+    Telemetry.Export.to_string (Faults.Oracle.json_report oracle),
+    Telemetry.Export.to_string (Netsim.Stats.to_json (Option.get (Net.stats net))),
+    jsonl,
+    explain,
+    Net.pool_stats net )
+
+let test_pi2_chaos_pooled () =
+  let verdicts, oracle, stats, jsonl, explain, _ = pi2_chaos_outputs ~pooling:false in
+  let verdicts', oracle', stats', jsonl', explain', pool =
+    pi2_chaos_outputs ~pooling:true
+  in
+  Alcotest.(check bool) "the pool recycled" true (pool.Pool.recycled > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "verdicts raised (%d)" (List.length verdicts))
+    true (verdicts <> []);
+  Alcotest.(check bool) "verdicts identical" true (compare verdicts verdicts' = 0);
+  Alcotest.(check string) "oracle score identical" oracle oracle';
+  Alcotest.(check string) "Stats document identical" stats stats';
+  Alcotest.(check string) "journal export identical" jsonl jsonl';
+  Alcotest.(check string) "trace explain identical" explain explain'
 
 (* Poison mode: a released packet is stamped loudly wrong, so a stale
    holder (the injected use-after-free) reads the sentinel instead of
@@ -548,12 +694,12 @@ let () =
             test_steady_state_budget;
           Alcotest.test_case "sprintlink forwarding hop under ceiling" `Quick
             test_sprintlink_hop_budget;
-          Alcotest.test_case "pooling inert when observed" `Quick
-            test_pool_inert_when_observed;
           Alcotest.test_case "pooling live under a listener" `Quick
             test_pool_live_under_listener;
           Alcotest.test_case "probe and listener under ceiling" `Quick
             test_observed_budget;
+          Alcotest.test_case "pooled probe and listener under ceiling" `Quick
+            test_pooled_observed_budget;
           Alcotest.test_case "span recycling after ring wrap" `Quick
             test_span_recycling;
           Alcotest.test_case "warm policy next hop allocates nothing" `Quick
@@ -575,5 +721,9 @@ let () =
             test_observed_drops_released;
           Alcotest.test_case "borrowed packets: pooled chi and fatih identical" `Quick
             test_poison_oracle_listeners;
+          Alcotest.test_case "pooling live under a probe" `Quick
+            test_pool_live_under_probe;
+          Alcotest.test_case "pi2 byzantine chaos: pooled run identical" `Quick
+            test_pi2_chaos_pooled;
           Alcotest.test_case "freelist growth and counters" `Quick
             test_pool_grows_and_counts ] ) ]
