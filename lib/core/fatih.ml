@@ -124,7 +124,9 @@ let deploy ~net ~rt ?(config = default_config)
         states);
   (* Only a Byzantine plan observes the interior's summary. *)
   let interior = Option.is_some byz in
-  Netsim.Net.subscribe_iface net (fun ev ->
+  Netsim.Net.subscribe_iface net
+    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
+    (fun ev ->
       match ev.Netsim.Net.kind with
       | Netsim.Iface.Delivered pkt ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in

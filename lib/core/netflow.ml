@@ -16,7 +16,9 @@ let attach ~net () =
       originated = Hashtbl.create 64; consumed = Hashtbl.create 64;
       transit_in = Hashtbl.create 64; transit_out = Hashtbl.create 64 }
   in
-  Netsim.Net.subscribe_iface net (fun ev ->
+  Netsim.Net.subscribe_iface net
+    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Transmit_start ])
+    (fun ev ->
       match ev.Netsim.Net.kind with
       | Netsim.Iface.Delivered pkt ->
           let v = ev.Netsim.Net.next and u = ev.Netsim.Net.router in
@@ -30,7 +32,9 @@ let attach ~net () =
           if pkt.Netsim.Packet.src = u then bump t.originated (u, dst)
           else bump t.transit_out u
       | _ -> ());
-  Netsim.Net.subscribe_router net (fun ev ->
+  Netsim.Net.subscribe_router net
+    ~kinds:(Netsim.Router.kinds [ `Delivered_local ])
+    (fun ev ->
       match ev.Netsim.Net.kind with
       | Netsim.Router.Delivered_local _ -> bump t.consumed ev.Netsim.Net.router
       | _ -> ());

@@ -72,7 +72,9 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
       detections_rev = []; rounds_degraded = 0; rounds_excused = 0; round = 0 }
   in
   let segments = Seg_index.segments t.index and states = Seg_index.states t.index in
-  Netsim.Net.subscribe_iface net (fun ev ->
+  Netsim.Net.subscribe_iface net
+    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
+    (fun ev ->
       match ev.Netsim.Net.kind with
       | Netsim.Iface.Delivered pkt ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in

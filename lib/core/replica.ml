@@ -25,7 +25,9 @@ let deploy ~net ~rt ~router ~next ?(key = Crypto_sim.Siphash.key_of_string "repl
       :: t.arrivals_rev
   in
   (* The replica hears r's in-links and the monitored link only. *)
-  Netsim.Net.subscribe_link net ~src:router ~dst:next (fun ev ->
+  Netsim.Net.subscribe_link net
+    ~kinds:(Netsim.Iface.kinds [ `Enqueued; `Transmit_start ])
+    ~src:router ~dst:next (fun ev ->
       match ev.Netsim.Net.kind with
       | Netsim.Iface.Enqueued pkt when pkt.Netsim.Packet.src = router ->
           arrive pkt ~time:ev.Netsim.Net.time
@@ -34,7 +36,8 @@ let deploy ~net ~rt ~router ~next ?(key = Crypto_sim.Siphash.key_of_string "repl
       | _ -> ());
   for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
     if Netsim.Net.iface net ~src:u ~dst:router <> None then
-      Netsim.Net.subscribe_link net ~src:u ~dst:router (fun ev ->
+      Netsim.Net.subscribe_link net ~kinds:(Netsim.Iface.kinds [ `Delivered ]) ~src:u
+        ~dst:router (fun ev ->
           match ev.Netsim.Net.kind with
           | Netsim.Iface.Delivered pkt
             when pkt.Netsim.Packet.dst <> router

@@ -176,7 +176,9 @@ let corruption_ablation () =
             Netsim.Net.use_routing net rt;
             Netsim.Net.set_link_corruption net ~src:0 ~dst:3 ber;
             let corrupted = ref 0 in
-            Netsim.Net.subscribe_iface net (fun ev ->
+            Netsim.Net.subscribe_iface net
+              ~kinds:(Netsim.Iface.kinds [ `Drop_corrupted ])
+              (fun ev ->
                 match ev.Netsim.Net.kind with
                 | Netsim.Iface.Drop_corrupted _ -> incr corrupted
                 | _ -> ());

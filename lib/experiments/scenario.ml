@@ -27,11 +27,13 @@ type ground_truth = {
 
 let watch_ground_truth net =
   let gt = { malicious_drops = 0; congestion_drops = 0; red_drops = 0 } in
-  Net.subscribe_router net (fun ev ->
+  Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
       match ev.Net.kind with
       | Router.Malicious_drop _ -> gt.malicious_drops <- gt.malicious_drops + 1
       | _ -> ());
-  Net.subscribe_link net ~src:bottleneck_router ~dst:sink (fun ev ->
+  Net.subscribe_link net
+    ~kinds:(Iface.kinds [ `Drop_congestion; `Drop_red_early ])
+    ~src:bottleneck_router ~dst:sink (fun ev ->
       match ev.Net.kind with
       | Iface.Drop_congestion _ -> gt.congestion_drops <- gt.congestion_drops + 1
       | Iface.Drop_red_early _ -> gt.red_drops <- gt.red_drops + 1

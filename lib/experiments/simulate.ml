@@ -285,9 +285,9 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
         Net.use_routing net rt;
         (* Ground truth. *)
         let malicious = ref 0 and congestion = ref 0 in
-        Net.subscribe_router net (fun ev ->
+        Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
             match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
-        Net.subscribe_iface net (fun ev ->
+        Net.subscribe_iface net ~kinds:(Iface.kinds [ `Drop_congestion ]) (fun ev ->
             match ev.Net.kind with Iface.Drop_congestion _ -> incr congestion | _ -> ());
         (* Traffic: CBR between pseudo-random distinct pairs that transit
            the attacker where possible. *)

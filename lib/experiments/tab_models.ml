@@ -31,7 +31,9 @@ let measure ~flows =
   Net.use_routing net rt;
   let conns = List.init flows (fun src -> Tcp.connect net ~src ~dst:sink ()) in
   let sent = ref 0 and dropped = ref 0 in
-  Net.subscribe_link net ~src:bottleneck ~dst:sink (fun ev ->
+  Net.subscribe_link net
+    ~kinds:(Iface.kinds [ `Enqueued; `Drop_congestion ])
+    ~src:bottleneck ~dst:sink (fun ev ->
       match ev.Net.kind with
       | Iface.Enqueued _ -> incr sent
       | Iface.Drop_congestion _ ->

@@ -11,6 +11,43 @@ type event =
   | Transmit_start of Packet.t
   | Delivered of Packet.t
 
+(* A set of event kinds is a bit set, one bit per constructor of
+   [event]: an emit site tests its own bit, so an interface builds a
+   record only for a kind some consumer wants. *)
+type kinds = int
+
+let b_enqueued = 1
+let b_drop_congestion = 2
+let b_drop_red_early = 4
+let b_drop_link_down = 8
+let b_drop_corrupted = 16
+let b_transmit_start = 32
+let b_delivered = 64
+let all_kinds = 127
+
+let kind_bit = function
+  | `Enqueued -> b_enqueued
+  | `Drop_congestion -> b_drop_congestion
+  | `Drop_red_early -> b_drop_red_early
+  | `Drop_link_down -> b_drop_link_down
+  | `Drop_corrupted -> b_drop_corrupted
+  | `Transmit_start -> b_transmit_start
+  | `Delivered -> b_delivered
+
+let kinds l = List.fold_left (fun acc k -> acc lor kind_bit k) 0 l
+let union = ( lor )
+
+let event_bit = function
+  | Enqueued _ -> b_enqueued
+  | Drop_congestion _ -> b_drop_congestion
+  | Drop_red_early _ -> b_drop_red_early
+  | Drop_link_down _ -> b_drop_link_down
+  | Drop_corrupted _ -> b_drop_corrupted
+  | Transmit_start _ -> b_transmit_start
+  | Delivered _ -> b_delivered
+
+let wants k ev = k land event_bit ev <> 0
+
 type queue = Fifo of Queue_fifo.t | Red_q of Red.t
 
 type t = {
@@ -30,7 +67,7 @@ type t = {
   mutable tx_key : int;
   mutable txend_pending : bool;
   arrive_at : Sim.fbox;  (* scratch: the arrival time being scheduled *)
-  mutable observe : bool;
+  mutable observe : kinds;  (* the kinds some consumer reads *)
   mutable up : bool;
   mutable corruption : float;
   (* Always-on per-interface counters (the dissertation's per-router
@@ -58,7 +95,7 @@ let create ~sim ~link ~kind ?(release = no_release) ~on_event ~deliver () =
   in
   { sim; clock = Sim.clock sim; link; queue; on_event; deliver; release;
     tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
-    arrive_at = { Sim.f = 0.0 }; observe = true; up = true;
+    arrive_at = { Sim.f = 0.0 }; observe = all_kinds; up = true;
     corruption = 0.0; tx_packets = 0; tx_bytes = 0; delivered_packets = 0;
     dropped_packets = 0 }
 
@@ -106,7 +143,7 @@ let transmit t =
   t.txend_pending <- true;
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + p.Packet.size;
-  if t.observe then t.on_event t (Transmit_start p);
+  if t.observe land b_transmit_start <> 0 then t.on_event t (Transmit_start p);
   let now = t.clock.f in
   let tx = float_of_int p.Packet.size /. t.link.Topology.Graph.bw in
   t.tx_end.f <- now +. tx;
@@ -133,12 +170,12 @@ let arrive t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe then t.on_event t (Drop_corrupted p);
+    if t.observe land b_drop_corrupted <> 0 then t.on_event t (Drop_corrupted p);
     t.release p
   end
   else begin
     t.delivered_packets <- t.delivered_packets + 1;
-    if t.observe then t.on_event t (Delivered p);
+    if t.observe land b_delivered <> 0 then t.on_event t (Delivered p);
     t.deliver ~prev:(owner t) p
   end
 
@@ -163,7 +200,7 @@ let set_up t up =
 let enqueue t p =
   if not t.up then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe then t.on_event t (Drop_link_down p);
+    if t.observe land b_drop_link_down <> 0 then t.on_event t (Drop_link_down p);
     t.release p
   end
   else begin
@@ -174,15 +211,15 @@ let enqueue t p =
   in
   match verdict with
   | `Enqueued ->
-      if t.observe then t.on_event t (Enqueued p);
+      if t.observe land b_enqueued <> 0 then t.on_event t (Enqueued p);
       kick t
   | `Forced_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe then t.on_event t (Drop_congestion p);
+      if t.observe land b_drop_congestion <> 0 then t.on_event t (Drop_congestion p);
       t.release p
   | `Early_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe then t.on_event t (Drop_red_early p);
+      if t.observe land b_drop_red_early <> 0 then t.on_event t (Drop_red_early p);
       t.release p
   end
 

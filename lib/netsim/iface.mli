@@ -59,12 +59,36 @@ val create :
     (default: no-op) receives every packet this interface kills, after
     its drop event — the pool-recycling hook. *)
 
-val set_observe : t -> bool -> unit
-(** Whether anything consumes this interface's events.  [true] (the
-    default) reports every transition through [on_event]; [false]
-    elides event construction, so the steady-state hot path allocates
-    nothing.  {!Net} manages it from its probe and subscriber state:
-    a link-scoped listener turns on this interface alone. *)
+type kinds
+(** A set of event kinds: what one consumer reads.  An interface builds
+    an event only when its kind is in the set it observes. *)
+
+val kinds :
+  [ `Enqueued
+  | `Drop_congestion
+  | `Drop_red_early
+  | `Drop_link_down
+  | `Drop_corrupted
+  | `Transmit_start
+  | `Delivered ] list ->
+  kinds
+(** The set of the listed kinds, named after the {!event} constructors. *)
+
+val all_kinds : kinds
+
+val union : kinds -> kinds -> kinds
+
+val wants : kinds -> event -> bool
+(** Whether the event's kind is in the set. *)
+
+val set_observe : t -> kinds -> unit
+(** The event kinds anything consumes from this interface.  Each
+    transition is reported through [on_event] only when its kind is in
+    the set ({!all_kinds}, the default, reports every transition); for
+    any other kind the interface elides event construction, so an
+    unobserved transition costs one bit test and allocates nothing.
+    {!Net} manages it from its probe and subscriber state: the union of
+    what the probe and the listeners on this interface read. *)
 
 val owner : t -> int
 (** The router that owns the queue ([link.src]). *)

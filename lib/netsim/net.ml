@@ -19,12 +19,15 @@ type t = {
   sim : Sim.t;
   graph : Topology.Graph.t;
   mutable routers : Router.t array;
-  mutable iface_listeners : (iface_event -> unit) list;
-  mutable router_listeners : (router_event -> unit) list;
+  (* Every listener is stored with the kinds it declared, fixed at
+     subscribe time. *)
+  mutable iface_listeners : (Iface.kinds * (iface_event -> unit)) list;
+  mutable router_listeners : (Router.kinds * (router_event -> unit)) list;
   (* Link-scoped listeners, by owner router: [(next, listeners)] per
      subscribed link.  Empty until the first {!subscribe_link}, so a
      network nobody watches per link allocates nothing for them. *)
-  mutable link_listeners : (int * (iface_event -> unit) list) list array;
+  mutable link_listeners :
+    (int * (Iface.kinds * (iface_event -> unit)) list) list array;
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
@@ -35,54 +38,67 @@ type t = {
 
 let sim t = t.sim
 
-(* Observation is scoped: an interface builds events when a probe or a
-   network-wide iface listener watches every link, or a listener
-   watches its own link; a router builds them for a probe or a router
-   listener.  The unobserved hot path builds no events at all. *)
+(* Observation is scoped by link and by kind.  An interface builds the
+   kinds its consumers read: every kind under a probe, plus the kinds
+   of the network-wide iface listeners, plus those of the listeners on
+   its own link.  A router builds every kind under a probe, plus the
+   kinds of the router listeners.  The unobserved hot path builds no
+   events at all. *)
 let rec link_subscribers next = function
   | [] -> []
   | (dst, fs) :: rest -> if dst = next then fs else link_subscribers next rest
 
-let link_watched t i =
-  Array.length t.link_listeners > 0
-  && link_subscribers (Iface.next_hop i) t.link_listeners.(Iface.owner i) <> []
+let union_kinds union none = List.fold_left (fun acc (k, _) -> union acc k) none
+
+let wide_iface_kinds t =
+  if t.probe <> None then Iface.all_kinds
+  else union_kinds Iface.union (Iface.kinds []) t.iface_listeners
+
+let iface_kinds t ~wide i =
+  if Array.length t.link_listeners = 0 then wide
+  else
+    union_kinds Iface.union wide
+      (link_subscribers (Iface.next_hop i) t.link_listeners.(Iface.owner i))
 
 let refresh_observe t =
-  let probed = t.probe <> None in
-  let all_links = probed || t.iface_listeners <> [] in
-  let routers = probed || t.router_listeners <> [] in
+  let wide = wide_iface_kinds t in
+  let routers =
+    if t.probe <> None then Router.all_kinds
+    else union_kinds Router.union (Router.kinds []) t.router_listeners
+  in
   Array.iter
     (fun r ->
       Router.set_observe r routers;
-      List.iter
-        (fun i -> Iface.set_observe i (all_links || link_watched t i))
-        (Router.ifaces r))
+      List.iter (fun i -> Iface.set_observe i (iface_kinds t ~wide i)) (Router.ifaces r))
     t.routers
 
 let graph t = t.graph
 let router t id = t.routers.(id)
 
-let iface t ~src ~dst = Router.iface_to t.routers.(src) dst
+let iface t ~src ~dst =
+  if src >= 0 && src < Array.length t.routers then Router.iface_to t.routers.(src) dst
+  else None
 
-let subscribe_iface t f =
-  t.iface_listeners <- f :: t.iface_listeners;
+let subscribe_iface t ?(kinds = Iface.all_kinds) f =
+  t.iface_listeners <- (kinds, f) :: t.iface_listeners;
   refresh_observe t
 
-let subscribe_router t f =
-  t.router_listeners <- f :: t.router_listeners;
+let subscribe_router t ?(kinds = Router.all_kinds) f =
+  t.router_listeners <- (kinds, f) :: t.router_listeners;
   refresh_observe t
 
-(* Only the subscribed interface starts observing: no network walk. *)
-let subscribe_link t ~src ~dst f =
-  let n = Array.length t.routers in
-  match if src >= 0 && src < n then iface t ~src ~dst else None with
+(* Only the subscribed interface changes what it observes: no network
+   walk. *)
+let subscribe_link t ?(kinds = Iface.all_kinds) ~src ~dst f =
+  match iface t ~src ~dst with
   | None -> invalid_arg "Net.subscribe_link: no such link"
   | Some i ->
-      if Array.length t.link_listeners = 0 then t.link_listeners <- Array.make n [];
+      if Array.length t.link_listeners = 0 then
+        t.link_listeners <- Array.make (Array.length t.routers) [];
       let subs = t.link_listeners.(src) in
       t.link_listeners.(src) <-
-        (dst, f :: link_subscribers dst subs) :: List.remove_assoc dst subs;
-      Iface.set_observe i true
+        (dst, (kinds, f) :: link_subscribers dst subs) :: List.remove_assoc dst subs;
+      Iface.set_observe i (iface_kinds t ~wide:(wide_iface_kinds t) i)
 
 let set_probe t probe =
   let n = Topology.Graph.size t.graph in
@@ -94,23 +110,35 @@ let probe t = t.probe
 let stats t = Option.bind t.probe Probe.stats
 
 (* One record per observation: the probe journals it and every listener
-   receives the same value.  Apps get delivered packets the same way; the
-   walk builds no closure per call. *)
-let rec notify ev = function
+   that declared its kind receives the same value.  Apps get delivered
+   packets the same way; the walks build no closure per call. *)
+let rec notify_iface (ev : iface_event) = function
+  | [] -> ()
+  | (kinds, f) :: rest ->
+      if Iface.wants kinds ev.kind then f ev;
+      notify_iface ev rest
+
+let rec notify_router (ev : router_event) = function
+  | [] -> ()
+  | (kinds, f) :: rest ->
+      if Router.wants kinds ev.kind then f ev;
+      notify_router ev rest
+
+let rec notify_apps pkt = function
   | [] -> ()
   | f :: rest ->
-      f ev;
-      notify ev rest
+      f pkt;
+      notify_apps pkt rest
 
 let emit_iface t (ev : iface_event) =
   (match t.probe with Some p -> Probe.on_iface p ev | None -> ());
-  notify ev t.iface_listeners;
+  notify_iface ev t.iface_listeners;
   if Array.length t.link_listeners > 0 then
-    notify ev (link_subscribers ev.next t.link_listeners.(ev.router))
+    notify_iface ev (link_subscribers ev.next t.link_listeners.(ev.router))
 
 let emit_router t (ev : router_event) =
   (match t.probe with Some p -> Probe.on_router p ev | None -> ());
-  notify ev t.router_listeners
+  notify_router ev t.router_listeners
 
 let emit_originate t pkt =
   match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
@@ -168,7 +196,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
         Router.create ~sim ~id ~n ~jitter_bound ~release
           ~on_event:(fun r kind ->
             emit_router t { time = Sim.now sim; router = Router.id r; kind })
-          ~local_deliver:(fun pkt -> notify pkt !local_apps)
+          ~local_deliver:(fun pkt -> notify_apps pkt !local_apps)
           ());
   let queue_kind =
     match queue with Droptail b -> Iface.Droptail b | Red p -> Iface.Red_queue p

@@ -58,6 +58,9 @@ val sim : t -> Sim.t
 val graph : t -> Topology.Graph.t
 val router : t -> int -> Router.t
 val iface : t -> src:int -> dst:int -> Iface.t option
+(** The output interface of the directed link [src -> dst]; [None] when
+    there is no such link, including when [src] or [dst] is not a router
+    of the network. *)
 
 val use_routing : t -> Topology.Routing.t -> unit
 (** Install plain link-state forwarding on every router. *)
@@ -74,10 +77,17 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
 
 (** {2 Listeners}
 
-    Observation is scoped to what is subscribed: an interface builds
-    events only under a probe, a network-wide iface listener, or a
-    listener on its own link; a router only under a probe or a router
-    listener.  Everything else stays on the unobserved hot path.
+    Observation is scoped by link and by kind.  A listener declares the
+    event kinds it reads when it subscribes ([?kinds], default every
+    kind) and receives exactly those, in emission order: the same
+    records, in the same order, as an every-kind listener's stream
+    filtered to its kinds.  An interface builds an event only when its
+    kind is wanted by the probe (every kind), a network-wide iface
+    listener, or a listener on its own link — the union of what its
+    consumers read; a router likewise builds the union of what the
+    probe and the router listeners read.  Every other transition stays
+    on the unobserved hot path, so a listener that declares only the
+    kinds it reads costs nothing for the rest.
 
     A listener {e borrows} the packet in its event: the packet may die
     right after the callback returns and, with pooling on, be recycled
@@ -85,20 +95,23 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
     (uid, size, fingerprint, {!Probe.describe}, ...) and never keep the
     [Packet.t] or the event record. *)
 
-val subscribe_iface : t -> (iface_event -> unit) -> unit
-(** Observe every queue/link event in the network (enqueue, drops,
-    transmit, deliver).  Turns on event construction at every
-    interface. *)
+val subscribe_iface : t -> ?kinds:Iface.kinds -> (iface_event -> unit) -> unit
+(** Observe the queue/link events of the given [kinds] (default
+    {!Iface.all_kinds}) at every interface in the network: enqueue,
+    drops, transmit, deliver.  Turns on construction of those kinds at
+    every interface. *)
 
-val subscribe_link : t -> src:int -> dst:int -> (iface_event -> unit) -> unit
-(** Observe the events of the directed link [src -> dst] only; only
-    that interface starts building events.  A callback subscribed to
-    several links sees each event once.  Raises [Invalid_argument] if
-    the link is absent. *)
+val subscribe_link :
+  t -> ?kinds:Iface.kinds -> src:int -> dst:int -> (iface_event -> unit) -> unit
+(** Observe the events of the given [kinds] (default every kind) on the
+    directed link [src -> dst] only; only that interface starts building
+    them.  A callback subscribed to several links sees each event once.
+    Raises [Invalid_argument] if the link is absent. *)
 
-val subscribe_router : t -> (router_event -> unit) -> unit
-(** Observe router-level events (malicious actions, TTL expiry, local
-    deliveries, ...). *)
+val subscribe_router : t -> ?kinds:Router.kinds -> (router_event -> unit) -> unit
+(** Observe router-level events of the given [kinds] (default
+    {!Router.all_kinds}): malicious actions, TTL expiry, local
+    deliveries, ... *)
 
 val set_probe : t -> Probe.t option -> unit
 (** Attach (or detach) the telemetry probe: every iface/router event and

@@ -27,6 +27,45 @@ type event =
   | Ttl_expired of Packet.t
   | Delivered_local of Packet.t
 
+(* A set of event kinds is a bit set, one bit per constructor of
+   [event], as in {!Iface}. *)
+type kinds = int
+
+let b_malicious_drop = 1
+let b_fragmented = 2
+let b_malicious_modify = 4
+let b_malicious_delay = 8
+let b_fabricated = 16
+let b_no_route = 32
+let b_ttl_expired = 64
+let b_delivered_local = 128
+let all_kinds = 255
+
+let kind_bit = function
+  | `Malicious_drop -> b_malicious_drop
+  | `Fragmented -> b_fragmented
+  | `Malicious_modify -> b_malicious_modify
+  | `Malicious_delay -> b_malicious_delay
+  | `Fabricated -> b_fabricated
+  | `No_route -> b_no_route
+  | `Ttl_expired -> b_ttl_expired
+  | `Delivered_local -> b_delivered_local
+
+let kinds l = List.fold_left (fun acc k -> acc lor kind_bit k) 0 l
+let union = ( lor )
+
+let event_bit = function
+  | Malicious_drop _ -> b_malicious_drop
+  | Fragmented _ -> b_fragmented
+  | Malicious_modify _ -> b_malicious_modify
+  | Malicious_delay _ -> b_malicious_delay
+  | Fabricated _ -> b_fabricated
+  | No_route _ -> b_no_route
+  | Ttl_expired _ -> b_ttl_expired
+  | Delivered_local _ -> b_delivered_local
+
+let wants k ev = k land event_bit ev <> 0
+
 type t = {
   sim : Sim.t;
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
@@ -44,7 +83,7 @@ type t = {
      (no hashing), [out] keeps the historical {!ifaces} order. *)
   out : (int, Iface.t) Hashtbl.t;
   by_next : Iface.t option array;  (* one slot per router id *)
-  mutable observe : bool;
+  mutable observe : kinds;  (* the kinds some consumer reads *)
   (* prev is the previous-hop router id, -1 for locally originated: the
      int encoding keeps the per-hop path free of option boxes.  The
      [behavior] surface keeps the option view. *)
@@ -65,7 +104,7 @@ let create ~sim ~id ~n ~jitter_bound ?(release = no_release) ~on_event ~local_de
     () =
   { sim; clock = Sim.clock sim; id; rng = Sim.rng sim; jitter_bound; enqueue_at = { Sim.f = 0.0 };
     on_event; local_deliver; release;
-    out = Hashtbl.create 4; by_next = Array.make n None; observe = true;
+    out = Hashtbl.create 4; by_next = Array.make n None; observe = all_kinds;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
     received_packets = 0; forwarded_packets = 0; delivered_packets = 0 }
@@ -126,7 +165,7 @@ let enqueue_after_jitter t iface pkt =
    upstream router ever announced. *)
 let fragment t ~next iface pkt mtu =
   let pieces = (pkt.Packet.size + mtu - 1) / mtu in
-  if t.observe then
+  if t.observe land b_fragmented <> 0 then
     t.on_event t (Fragmented { next; original = pkt; fragments = pieces });
   let remaining = ref pkt.Packet.size in
   for _ = 1 to pieces do
@@ -152,7 +191,7 @@ let fragment_if_needed t ~next iface pkt =
 let forward_one t ~prev ~next pkt =
   match iface_to t next with
   | None ->
-      if t.observe then t.on_event t (No_route pkt);
+      if t.observe land b_no_route <> 0 then t.on_event t (No_route pkt);
       t.release pkt
   | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
@@ -176,16 +215,16 @@ let forward_one t ~prev ~next pkt =
             t.forwarded_packets <- t.forwarded_packets + 1;
             fragment_if_needed t ~next iface pkt
         | Drop ->
-            if t.observe then t.on_event t (Malicious_drop { next; pkt });
+            if t.observe land b_malicious_drop <> 0 then t.on_event t (Malicious_drop { next; pkt });
             t.release pkt
         | Modify payload ->
             let old_payload = pkt.Packet.payload in
             pkt.Packet.payload <- payload;
-            if t.observe then
+            if t.observe land b_malicious_modify <> 0 then
               t.on_event t (Malicious_modify { next; pkt; old_payload });
             fragment_if_needed t ~next iface pkt
         | Delay d ->
-            if t.observe then
+            if t.observe land b_malicious_delay <> 0 then
               t.on_event t (Malicious_delay { next; pkt; delay = d });
             Sim.schedule t.sim ~delay:d (fun () ->
                 fragment_if_needed t ~next iface pkt)
@@ -202,13 +241,13 @@ let multicast t ~prev pkt (branches, local) =
        end
   in
   if expired then begin
-    if t.observe then t.on_event t (Ttl_expired pkt);
+    if t.observe land b_ttl_expired <> 0 then t.on_event t (Ttl_expired pkt);
     t.release pkt
   end
   else begin
     if local then begin
       t.delivered_packets <- t.delivered_packets + 1;
-      if t.observe then t.on_event t (Delivered_local pkt);
+      if t.observe land b_delivered_local <> 0 then t.on_event t (Delivered_local pkt);
       t.local_deliver pkt
     end;
     List.iter (fun next -> forward_one t ~prev ~next (Packet.clone pkt)) branches;
@@ -218,7 +257,7 @@ let multicast t ~prev pkt (branches, local) =
 let unicast t ~prev pkt =
   if pkt.Packet.dst = t.id then begin
     t.delivered_packets <- t.delivered_packets + 1;
-    if t.observe then t.on_event t (Delivered_local pkt);
+    if t.observe land b_delivered_local <> 0 then t.on_event t (Delivered_local pkt);
     t.local_deliver pkt;
     t.release pkt
   end
@@ -232,13 +271,13 @@ let unicast t ~prev pkt =
          end
     in
     if expired then begin
-      if t.observe then t.on_event t (Ttl_expired pkt);
+      if t.observe land b_ttl_expired <> 0 then t.on_event t (Ttl_expired pkt);
       t.release pkt
     end
     else begin
       let next = t.forwarding ~prev pkt in
       if next < 0 then begin
-        if t.observe then t.on_event t (No_route pkt);
+        if t.observe land b_no_route <> 0 then t.on_event t (No_route pkt);
         t.release pkt
       end
       else forward_one t ~prev ~next pkt
@@ -261,7 +300,7 @@ let fabricate t ~next pkt =
   match iface_to t next with
   | None -> invalid_arg "Router.fabricate: no interface to that neighbour"
   | Some iface ->
-      if t.observe then t.on_event t (Fabricated { next; pkt });
+      if t.observe land b_fabricated <> 0 then t.on_event t (Fabricated { next; pkt });
       Iface.enqueue iface pkt
 
 let received_packets t = t.received_packets

@@ -81,12 +81,36 @@ val set_forwarding_id : t -> (prev:int -> Packet.t -> int) -> unit
     meaning "none" (locally originated; no route), so the per-packet
     path allocates no option. *)
 
-val set_observe : t -> bool -> unit
-(** Whether anything consumes this router's events.  [false] elides
-    event construction on the hot path.  Terminal packets (local
-    delivery, TTL expiry, no-route, malicious drop) go to the [release]
-    hook either way, after their event.  Fixed before the run; {!Net}
-    manages it (a probe or a router listener). *)
+type kinds
+(** A set of event kinds, as {!Iface.kinds}: a router builds an event
+    only when its kind is in the set it observes. *)
+
+val kinds :
+  [ `Malicious_drop
+  | `Fragmented
+  | `Malicious_modify
+  | `Malicious_delay
+  | `Fabricated
+  | `No_route
+  | `Ttl_expired
+  | `Delivered_local ] list ->
+  kinds
+(** The set of the listed kinds, named after the {!event} constructors. *)
+
+val all_kinds : kinds
+
+val union : kinds -> kinds -> kinds
+
+val wants : kinds -> event -> bool
+(** Whether the event's kind is in the set. *)
+
+val set_observe : t -> kinds -> unit
+(** The event kinds anything consumes from this router ({!all_kinds} by
+    default).  Any other kind's event construction is elided on the hot
+    path.  Terminal packets (local delivery, TTL expiry, no-route,
+    malicious drop) go to the [release] hook either way, after their
+    event.  Fixed before the run; {!Net} manages it (the union of what
+    the probe and the router listeners read). *)
 
 val set_behavior : t -> behavior -> unit
 (** Compromise (or restore) the router. *)

@@ -481,6 +481,131 @@ let test_link_listener_scope () =
     (Invalid_argument "Net.subscribe_link: no such link")
     (fun () -> Net.subscribe_link net ~src:7 ~dst:0 ignore)
 
+(* Observation by kind: a listener that declares a kind set K hears
+   exactly what an every-kind listener hears, filtered to K — the same
+   records in the same order — whether it listens network-wide or on
+   one link, and whether or not a probe makes every interface build
+   every kind.  Link 1->2 of the ring carries every iface kind:
+   congestion (forced and, under RED, early drops), a failure and
+   restore, and corruption; router 2 drops packets maliciously. *)
+let iface_kind_sets =
+  [ []; [ `Enqueued ]; [ `Drop_congestion ]; [ `Drop_red_early ]; [ `Drop_link_down ];
+    [ `Drop_corrupted ]; [ `Transmit_start ]; [ `Delivered ];
+    [ `Delivered; `Drop_link_down ]; [ `Transmit_start; `Enqueued; `Drop_link_down ];
+    [ `Enqueued; `Drop_congestion ]; [ `Drop_congestion; `Drop_red_early ] ]
+
+let router_kind_sets =
+  [ []; [ `Malicious_drop ]; [ `Delivered_local ]; [ `Malicious_drop; `Delivered_local ] ]
+
+let event_time = function
+  | Probe.Link (ev : Net.iface_event) -> ev.time
+  | Probe.Node (ev : Net.router_event) -> ev.time
+  | Probe.Verdict _ | Probe.Fault _ -> Float.nan
+
+(* The ring8 run, with [listen] subscribing [hear]; returns every heard
+   record with its line rendered at callback time.  Unpooled, so the
+   records stay valid after the run. *)
+let kinds_ring8 ~red ~probed listen =
+  let g = Gen.ring ~n:8 in
+  let queue =
+    if red then
+      Net.Red
+        { Red.default_params with
+          Red.limit_bytes = 8000; min_th = 2000.0; max_th = 6000.0; wq = 0.002 }
+    else Net.Droptail 8000
+  in
+  let net = Net.create ~seed:3 ~queue ~jitter_bound:100e-6 g in
+  Net.use_routing net (Rt.compute g);
+  if probed then Net.set_probe net (Some (Probe.create ()));
+  let heard = ref [] in
+  listen net (fun ev ->
+      heard :=
+        (ev, Printf.sprintf "%.9f %s" (event_time ev) (Probe.describe ev)) :: !heard);
+  List.iter
+    (fun (s, d, pps, size) ->
+      ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:pps ~size ~start:0.0 ~stop:1.0))
+    [ (0, 4, 200.0, 500); (4, 0, 200.0, 500); (1, 3, 1500.0, 1000); (6, 2, 200.0, 500) ];
+  Net.set_link_corruption net ~src:1 ~dst:2 0.05;
+  Router.set_behavior (Net.router net 2) (Core.Adversary.drop_fraction ~seed:2 0.1);
+  Sim.schedule_at (Net.sim net) ~time:0.4 (fun () -> Net.fail_link net ~src:1 ~dst:2);
+  Sim.schedule_at (Net.sim net) ~time:0.5 (fun () -> Net.restore_link net ~src:1 ~dst:2);
+  Net.run ~until:1.5 net;
+  List.rev !heard
+
+let test_listener_hears_its_kinds () =
+  let on_link = function
+    | Probe.Link ev -> ev.Net.router = 1 && ev.Net.next = 2
+    | _ -> false
+  in
+  let iface_wants k = function Probe.Link ev -> Iface.wants k ev.Net.kind | _ -> false in
+  let router_wants k = function Probe.Node ev -> Router.wants k ev.Net.kind | _ -> false in
+  let lines = List.map snd in
+  List.iter
+    (fun red ->
+      let all =
+        kinds_ring8 ~red ~probed:false (fun net hear ->
+            Net.subscribe_iface net (fun ev -> hear (Probe.Link ev));
+            Net.subscribe_router net (fun ev -> hear (Probe.Node ev)))
+      in
+      let expect p = List.filter_map (fun (ev, line) -> if p ev then Some line else None) all in
+      List.iter
+        (fun k ->
+          if k <> [] && (red || k <> [ `Drop_red_early ]) then
+            Alcotest.(check bool) "link 1->2 shows the kinds" true
+              (expect (fun ev -> on_link ev && iface_wants (Iface.kinds k) ev) <> []))
+        iface_kind_sets;
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) "the routers show the kinds" true
+            (k = [] || expect (router_wants (Router.kinds k)) <> []))
+        router_kind_sets;
+      List.iter
+        (fun probed ->
+          let run listen = lines (kinds_ring8 ~red ~probed listen) in
+          let case = Printf.sprintf "red=%b probed=%b" red probed in
+          List.iter
+            (fun ks ->
+              let k = Iface.kinds ks in
+              Alcotest.(check (list string))
+                (case ^ ": network-wide listener")
+                (expect (iface_wants k))
+                (run (fun net hear ->
+                     Net.subscribe_iface net ~kinds:k (fun ev -> hear (Probe.Link ev))));
+              Alcotest.(check (list string))
+                (case ^ ": link listener")
+                (expect (fun ev -> on_link ev && iface_wants k ev))
+                (run (fun net hear ->
+                     Net.subscribe_link net ~kinds:k ~src:1 ~dst:2 (fun ev ->
+                         hear (Probe.Link ev)))))
+            iface_kind_sets;
+          List.iter
+            (fun ks ->
+              let k = Router.kinds ks in
+              Alcotest.(check (list string))
+                (case ^ ": router listener")
+                (expect (router_wants k))
+                (run (fun net hear ->
+                     Net.subscribe_router net ~kinds:k (fun ev -> hear (Probe.Node ev)))))
+            router_kind_sets)
+        [ false; true ])
+    [ false; true ]
+
+(* [Net.iface] answers [None] for a router outside the network, and the
+   link operations report their documented "no such link" error. *)
+let test_out_of_range_router () =
+  let net = Net.create (Gen.ring ~n:4) in
+  Alcotest.(check bool) "no interface from router 9" true (Net.iface net ~src:9 ~dst:0 = None);
+  Alcotest.(check bool) "no interface from router -1" true
+    (Net.iface net ~src:(-1) ~dst:0 = None);
+  Alcotest.(check bool) "no interface to router 9" true (Net.iface net ~src:0 ~dst:9 = None);
+  let no_link = Invalid_argument "Net: no such link" in
+  Alcotest.check_raises "link_up" no_link (fun () -> ignore (Net.link_up net ~src:9 ~dst:0));
+  Alcotest.check_raises "fail_link" no_link (fun () -> Net.fail_link net ~src:9 ~dst:0);
+  Alcotest.check_raises "restore_link" no_link (fun () -> Net.restore_link net ~src:4 ~dst:0);
+  Alcotest.check_raises "set_link_corruption"
+    (Invalid_argument "Net.set_link_corruption: no such link")
+    (fun () -> Net.set_link_corruption net ~src:(-2) ~dst:0 0.1)
+
 (* --- Stats --- *)
 
 (* A packet offered to a failed link never enters the queue, and the
@@ -889,6 +1014,10 @@ let () =
         [ Alcotest.test_case "journal marks malice" `Quick test_probe_marks_malice;
           Alcotest.test_case "listeners share the journal's record" `Quick
             test_probe_shares_listener_record;
+          Alcotest.test_case "listener hears exactly its kinds" `Quick
+            test_listener_hears_its_kinds;
+          Alcotest.test_case "out-of-range router has no link" `Quick
+            test_out_of_range_router;
           Alcotest.test_case "link listener hears its link only" `Quick
             test_link_listener_scope ] );
       ( "stats",
