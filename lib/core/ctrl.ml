@@ -13,6 +13,9 @@ let default_retry = { max_attempts = 4; base_timeout = 0.25; backoff = 2.0 }
 
 let mute_rounds = 3
 
+let segment_tag ~round ~salt seg =
+  List.fold_left (fun acc r -> (acc * 8191) + r + 1) round seg lxor salt
+
 type outcome =
   | Delivered of { attempts : int; duplicated : bool; extra_delay : float }
   | Timed_out of { attempts : int; waited : float }

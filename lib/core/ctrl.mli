@@ -53,6 +53,13 @@ val mute_rounds : int
 (** 3: the consecutive exhausted or refused rounds after which fatih,
     pi2 and chi judge a silent peer fail-stop. *)
 
+val segment_tag : round:int -> salt:int -> int list -> int
+(** The {!send} tag of one message about a path segment in one round:
+    the round number folded with the segment's routers, xor [salt].
+    Each kind of per-segment message (summary exchange, heartbeat,
+    consensus submission) passes its own salt, so its coins differ from
+    the others'. *)
+
 type outcome =
   | Delivered of {
       attempts : int;      (** transmissions used, 1 = first try *)

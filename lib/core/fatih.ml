@@ -25,24 +25,12 @@ type detection = {
   sent : int;
 }
 
+(* A segment's traffic lives in the shared collector ({!Seg_index});
+   Fatih keeps only its streaks.  Consecutive summary-exchange timeouts /
+   interior-heartbeat timeouts: either streak reaching [Ctrl.mute_rounds]
+   judges the silent party fail-stop — excised from routing, never
+   accused. *)
 type seg_state = {
-  mutable sent : Summary.t;
-  mutable received : Summary.t;
-  (* Last round's sent summary: a packet "received without being sent"
-     this round is benign if it was announced last round (it was simply
-     in flight across the round boundary). *)
-  mutable prev_sent : Summary.t;
-  (* A segment edge dropped packets with its link down this round: the
-     failure is locally observable (link-state flood), so the terminals
-     excuse the round instead of accusing the interior router. *)
-  mutable excused : bool;
-  (* The interior router's own forwarded-traffic summary — the third
-     claim of the corroboration quorum, collected only when a Byzantine
-     plan is armed. *)
-  mutable mid : Summary.t;
-  (* Consecutive summary-exchange timeouts / interior-heartbeat
-     timeouts: either streak reaching [Ctrl.mute_rounds] judges the silent
-     party fail-stop — excised from routing, never accused. *)
   mutable degraded_streak : int;
   mutable mute_streak : int;
   mutable failstopped : bool;
@@ -75,23 +63,6 @@ let response t = t.response
 let monitored_segments t =
   Array.fold_left (fun acc seg -> seg :: acc) [] (Seg_index.segments t.index)
 
-(* Every summary slot starts as [empty], one shared placeholder that is
-   never written: the per-hop path swaps in a fresh summary on a slot's
-   first observation, and round ends and reroutes put the placeholder
-   back instead of allocating.  Sharing is safe because nothing else
-   modifies a summary in place — [Byz.claim] works on copies — so an
-   idle segment costs no summary at all. *)
-let fresh_state empty =
-  { sent = empty; received = empty; prev_sent = empty; excused = false;
-    mid = empty; degraded_streak = 0; mute_streak = 0; failstopped = false }
-
-let reset_state ~empty st =
-  st.prev_sent <- st.sent;
-  st.sent <- empty;
-  st.received <- empty;
-  st.mid <- empty;
-  st.excused <- false
-
 let deploy ~net ~rt ?(config = default_config)
     ?(key = Crypto_sim.Siphash.key_of_string "fatih") ?probe ?ctrl ?retry ?byz
     () =
@@ -100,10 +71,11 @@ let deploy ~net ~rt ?(config = default_config)
      would accuse honest routers. *)
   if config.policy = Summary.Flow then
     invalid_arg "Fatih.deploy: the Flow policy keeps no packet identities";
-  let empty = Summary.create config.policy in
   let t =
     { config; response = Response.create ~net ~config:config.response ?probe ();
-      index = Seg_index.create ~rt (fun () -> fresh_state empty);
+      index =
+        Seg_index.create ~rt ~key ~policy:config.policy (fun () ->
+            { degraded_streak = 0; mute_streak = 0; failstopped = false });
       detections_rev = []; last_policy_change = neg_infinity;
       fingerprints_observed = 0; words_exchanged = 0; round = 0;
       rounds_degraded = 0; rounds_excused = 0 }
@@ -115,76 +87,42 @@ let deploy ~net ~rt ?(config = default_config)
      (§5.3.1). *)
   Response.set_on_update t.response (fun pol ->
       t.last_policy_change <- Netsim.Sim.now (Netsim.Net.sim net);
-      Seg_index.reroute t.index pol;
-      (* Discard mid-round state collected under the old tables. *)
-      Array.iter
-        (fun st ->
-          reset_state ~empty st;
-          st.prev_sent <- empty)
-        states);
-  (* Only a Byzantine plan observes the interior's summary. *)
-  let interior = Option.is_some byz in
+      Seg_index.reroute t.index pol);
+  (* With a Byzantine plan armed, the interior router of a closed
+     segment also fingerprints its own egress: the third claim the
+     corroboration quorum compares against the terminals' stories.  It
+     is the very traffic the closing terminal receives, so the claim is
+     built from [received]; only the MAC work is counted twice. *)
+  let closing = if Option.is_some byz then 2 else 1 in
   Netsim.Net.subscribe_iface net
     ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
     (fun ev ->
-      match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt ->
-          let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
-          let r =
-            Seg_index.route t.index ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst
-          in
-          let i = Seg_index.position r ~u ~v in
-          (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩, where terminal
-             router u records what it sent into it, and closes
-             ⟨p(i-1),u,v⟩, where terminal router v records what came
-             out. *)
-          let opens = Seg_index.opens r i and closes = Seg_index.closes r i in
-          if opens >= 0 || closes >= 0 then begin
-            let fp = Netsim.Packet.fingerprint key pkt in
-            let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
-            if opens >= 0 then begin
-              let st = states.(opens) in
-              if st.sent == empty then st.sent <- Summary.create config.policy;
-              Summary.observe st.sent ~fp ~size ~time
-            end;
-            if closes >= 0 then begin
-              let st = states.(closes) in
-              if st.received == empty then st.received <- Summary.create config.policy;
-              Summary.observe st.received ~fp ~size ~time;
-              (* With a Byzantine plan armed, the interior router u also
-                 fingerprints its own egress: the third claim the
-                 corroboration quorum compares against the terminals'
-                 stories. *)
-              if interior then begin
-                if st.mid == empty then st.mid <- Summary.create config.policy;
-                Summary.observe st.mid ~fp ~size ~time
-              end
-            end;
-            let observed =
-              (if opens >= 0 then 1 else 0)
-              + if closes < 0 then 0 else if interior then 2 else 1
-            in
-            t.fingerprints_observed <- t.fingerprints_observed + observed;
-            (* One MAC-compute instant per traced hop, however many
-               segment summaries the fingerprint landed in. *)
-            if pkt.Netsim.Packet.trace <> 0 then
-              Option.iter
-                (fun probe ->
-                  ignore
-                    (Netsim.Probe.trace_instant probe ~track:"fatih"
-                       ~name:"fingerprint" ~cat:"mac" ~time ~routers:[ u; v ]
-                       ~args:
-                         [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
-                           ("summaries", Telemetry.Export.Int observed) ]
-                       ()))
-                probe
-          end
-      | Netsim.Iface.Drop_link_down _ ->
-          (* An observable link failure on a segment edge excuses the
-             segment's round. *)
-          Seg_index.iter_link t.index ~src:ev.Netsim.Net.router ~dst:ev.Netsim.Net.next
-            (fun st -> st.excused <- true)
-      | _ -> ());
+      let observed =
+        match Seg_index.observe t.index ev with
+        | Seg_index.Neither -> 0
+        | Seg_index.Sent -> 1
+        | Seg_index.Received -> closing
+        | Seg_index.Both -> 1 + closing
+      in
+      if observed > 0 then begin
+        t.fingerprints_observed <- t.fingerprints_observed + observed;
+        (* One MAC-compute instant per traced hop, however many segment
+           summaries the fingerprint landed in. *)
+        match ev.Netsim.Net.kind with
+        | Netsim.Iface.Delivered pkt when pkt.Netsim.Packet.trace <> 0 ->
+            Option.iter
+              (fun probe ->
+                ignore
+                  (Netsim.Probe.trace_instant probe ~track:"fatih"
+                     ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.time
+                     ~routers:[ ev.Netsim.Net.router; ev.Netsim.Net.next ]
+                     ~args:
+                       [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);
+                         ("summaries", Telemetry.Export.Int observed) ]
+                     ()))
+              probe
+        | _ -> ()
+      end);
   let sim = Netsim.Net.sim net in
   let rec tick () =
     let now = Netsim.Sim.now sim in
@@ -193,26 +131,19 @@ let deploy ~net ~rt ?(config = default_config)
     Array.iteri
       (fun i st ->
         let seg = segments.(i) in
+        let sent = Seg_index.sent t.index i
+        and received = Seg_index.received t.index i in
         let eligible =
           now -. config.tau > t.last_policy_change +. 1e-9
-          && Summary.packets st.sent >= config.min_packets
+          && Summary.packets sent >= config.min_packets
         in
         (* A segment edge still down at judgment time is an announced
            fail-stop: the round is judged normally so the dead segment
            is detected and excised from routing, but the verdict is not
            an accusation — the link-state flood already told everyone.
            Only a judged round asks. *)
-        let link_failed =
-          eligible
-          &&
-          match seg with
-          | [ a; m; b ] ->
-              not
-                (Netsim.Net.link_up net ~src:a ~dst:m
-                && Netsim.Net.link_up net ~src:m ~dst:b)
-          | _ -> false
-        in
-        let excused = st.excused && not link_failed in
+        let link_failed = eligible && Seg_index.edge_down t.index ~net i in
+        let excused = Seg_index.excused t.index i && not link_failed in
         (* An observable benign link failure on a segment edge — already
            healed by judgment time — excuses the whole round: the
            terminals learn of the flap from the link-state flood, so the
@@ -241,9 +172,7 @@ let deploy ~net ~rt ?(config = default_config)
                 let a, b =
                   match seg with [ a; _; b ] -> (a, b) | _ -> assert false
                 in
-                let tag =
-                  List.fold_left (fun acc r -> (acc * 8191) + r + 1) t.round seg
-                in
+                let tag = Ctrl.segment_tag ~round:t.round ~salt:0 seg in
                 match Ctrl.send ch ?retry ~now ~src:a ~dst:b ~tag () with
                 | Ctrl.Delivered { attempts; _ } -> `Ok attempts
                 | Ctrl.Timed_out { attempts; waited } ->
@@ -260,10 +189,7 @@ let deploy ~net ~rt ?(config = default_config)
               let a, m =
                 match seg with [ a; m; _ ] -> (a, m) | _ -> assert false
               in
-              let tag =
-                List.fold_left (fun acc r -> (acc * 8191) + r + 1) t.round seg
-                lxor 0x68e31da4
-              in
+              let tag = Ctrl.segment_tag ~round:t.round ~salt:0x68e31da4 seg in
               match Ctrl.send ch ?retry ~now ~src:m ~dst:a ~tag () with
               | Ctrl.Delivered _ ->
                   st.mute_streak <- 0;
@@ -282,7 +208,7 @@ let deploy ~net ~rt ?(config = default_config)
         (match exchange with
         | `Ok attempts | `Degraded (attempts, _) ->
             t.words_exchanged <-
-              t.words_exchanged + ((attempts - 1) * Summary.state_words st.sent)
+              t.words_exchanged + ((attempts - 1) * Summary.state_words sent)
         | `Skip -> ());
         (* Persistent silence is fail-stop, not malice: after
            [Ctrl.mute_rounds] consecutive refusals the segment is excised
@@ -338,9 +264,9 @@ let deploy ~net ~rt ?(config = default_config)
                 Netsim.Probe.trace_instant probe ~track:"fatih"
                   ~name:"summary-dispatch" ~cat:"summary" ~time:now ~routers:seg
                   ~args:
-                    [ ("sent", Telemetry.Export.Int (Summary.packets st.sent));
+                    [ ("sent", Telemetry.Export.Int (Summary.packets sent));
                       ("received",
-                       Telemetry.Export.Int (Summary.packets st.received)) ]
+                       Telemetry.Export.Int (Summary.packets received)) ]
                   ()
           in
           let a_end, m_int, b_end =
@@ -359,11 +285,11 @@ let deploy ~net ~rt ?(config = default_config)
                 Byz.claim bz ?probe ~time:now ~claimant ~peer ~segment:seg
                   ~round:t.round truth
           in
-          let s_claim = claim ~claimant:a_end ~peer:b_end st.sent in
-          let r_claim = claim ~claimant:b_end ~peer:a_end st.received in
+          let s_claim = claim ~claimant:a_end ~peer:b_end sent in
+          let r_claim = claim ~claimant:b_end ~peer:a_end received in
+          let prev = Seg_index.prev_sent t.index i in
           let tv ~sent ~received =
-            Validation.tv ~thresholds:config.thresholds ~prev:st.prev_sent ~sent
-              ~received ()
+            Validation.tv ~thresholds:config.thresholds ~prev ~sent ~received ()
           in
           let v = tv ~sent:s_claim ~received:r_claim in
           let missing = List.length v.Validation.missing
@@ -389,8 +315,8 @@ let deploy ~net ~rt ?(config = default_config)
             match byz with
             | Some bz when Byz.hardened bz && m_reachable && not st.failstopped
               ->
-                let m_to_a = claim ~claimant:m_int ~peer:a_end st.mid in
-                let m_to_b = claim ~claimant:m_int ~peer:b_end st.mid in
+                let m_to_a = claim ~claimant:m_int ~peer:a_end received in
+                let m_to_b = claim ~claimant:m_int ~peer:b_end received in
                 Some (bz, m_to_a, m_to_b)
             | _ -> None
           in
@@ -544,34 +470,34 @@ let deploy ~net ~rt ?(config = default_config)
         (match config.exchange with
         | Full_sets ->
             t.words_exchanged <-
-              t.words_exchanged + Summary.state_words st.sent
-              + Summary.state_words st.received
+              t.words_exchanged + Summary.state_words sent
+              + Summary.state_words received
         | Reconcile ->
             (* Appendix A in the loop: each end ships characteristic-
                polynomial evaluations instead of its fingerprint set; the
                cost is O(losses), falling back to the full set when the
                difference overwhelms the bound. *)
-            if Summary.packets st.sent >= config.min_packets then begin
+            if Summary.packets sent >= config.min_packets then begin
               let elements s =
                 Array.of_list
                   (List.map Setrecon.Reconcile.element_of_fingerprint
                      (Summary.fingerprints s))
               in
               match
-                Setrecon.Reconcile.diff ~max_bound:512 ~a:(elements st.sent)
-                  ~b:(elements st.received) ()
+                Setrecon.Reconcile.diff ~max_bound:512 ~a:(elements sent)
+                  ~b:(elements received) ()
               with
               | Some r ->
                   t.words_exchanged <-
                     t.words_exchanged + (2 * r.Setrecon.Reconcile.evals_used) + 4
               | None ->
                   t.words_exchanged <-
-                    t.words_exchanged + Summary.state_words st.sent
-                    + Summary.state_words st.received
+                    t.words_exchanged + Summary.state_words sent
+                    + Summary.state_words received
             end);
         match exchange with
         | `Degraded _ -> () (* carry state: compare the union next round *)
-        | `Skip | `Ok _ -> reset_state ~empty st)
+        | `Skip | `Ok _ -> Seg_index.rotate t.index i)
       states;
     (match probe with
     | Some probe ->

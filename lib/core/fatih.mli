@@ -6,7 +6,12 @@
     round and validate them.  A failed validation raises an alert that
     feeds the {!Response} engine, reproducing the Fig 5.7 timeline
     (attack → detection within one round → rerouting after the OSPF
-    timers). *)
+    timers).
+
+    The per-hop summaries come from the shared segment collector
+    ({!Seg_index}), as {!Pi2_live}'s do; Fatih's own per-segment state
+    is only its exchange-timeout and heartbeat streaks and the fail-stop
+    mark. *)
 
 type exchange =
   | Full_sets  (** each end ships its whole fingerprint summary *)
@@ -83,7 +88,9 @@ val deploy :
       a forged entry is rejected, counted, and journaled as a
       ["forgery_rejected"] fault before validation ever sees it;
     - a threshold-crossing round is {e corroborated} before alarming:
-      the interior router's own forwarded-claim splits the segment into
+      the interior router's own forwarded-claim (what it forwarded to
+      the closing terminal: the segment's received summary, whose
+      fingerprints it also computes) splits the segment into
       two conservation halves, and the verdict names the half — a
       {e pair} of routers that provably contains a faulty one — or the
       interior alone when its claims to the two terminals disagree
@@ -110,7 +117,9 @@ val fingerprints_observed : t -> int
     §5.3.2 per-packet monitoring overhead.  A hop that lands in several
     summaries counts once per summary, though the fingerprint itself
     (SipHash) is computed once per hop, and not at all for a hop that
-    lands in none. *)
+    lands in none.  With [byz], a hop that closes a segment counts once
+    more: the interior router's MAC work on its own egress, which its
+    claim shares with the received summary. *)
 
 val words_exchanged : t -> int
 (** Total 64-bit words of summary state shipped between segment ends

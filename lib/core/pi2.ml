@@ -22,7 +22,7 @@ let exchange_ok ctrl retry ~round seg =
   | Some ch -> (
       let nodes = Array.of_list seg in
       let a = nodes.(0) and b = nodes.(Array.length nodes - 1) in
-      let tag = List.fold_left (fun acc r -> (acc * 8191) + r + 1) round seg in
+      let tag = Ctrl.segment_tag ~round ~salt:0 seg in
       match Ctrl.send ch ?retry ~src:a ~dst:b ~tag () with
       | Ctrl.Delivered _ -> true
       | Ctrl.Timed_out _ -> false)

@@ -6,26 +6,21 @@ type detection = {
   fabricated : int;
 }
 
-(* For a 3-segment <a, x, b>:
-   - s01 is the traffic a forwarded into the segment (link a -> x);
-   - s12 is the traffic x forwarded onward (link x -> b), which is also
-     what b truthfully reports having received.
-   The three consensus submissions are a's view of s01 and x's and b's
-   views of s12; misreporting routers substitute their own. *)
+(* For a 3-segment <a, x, b>, the shared collector ({!Seg_index}) holds
+   s01, the traffic a forwarded into the segment (link a -> x), as its
+   [sent], and s12, the traffic x forwarded onward (link x -> b), which
+   is also what b truthfully reports having received, as its
+   [received].  The three consensus submissions are a's view of s01 and
+   x's and b's views of s12; misreporting routers substitute their own.
+   Π2 also judges the pair (x, b) against last round's s12, which only
+   it keeps. *)
 type seg_state = {
-  mutable s01 : Summary.t;
-  mutable s12 : Summary.t;
-  mutable prev_s01 : Summary.t;
   mutable prev_s12 : Summary.t;
   (* Graceful degradation under a faulty control plane: consecutive
      rounds in which the interior's consensus submission never arrived,
      and whether the segment has been written off as fail-stop. *)
   mutable mute_streak : int;
   mutable failstopped : bool;
-  (* A segment edge dropped packets with its link down this round: the
-     flap is announced by the link-state flood, so the missing packets
-     are not evidence against either adjacent pair. *)
-  mutable excused : bool;
 }
 
 type misreport = segment:Topology.Graph.node list -> pos:int -> Summary.t -> Summary.t
@@ -58,49 +53,23 @@ let set_misreport t ~router f = Hashtbl.replace t.misreports router f
 let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
     ?(min_packets = 20) ?(key = Crypto_sim.Siphash.key_of_string "pi2-live")
     ?probe ?ctrl ?retry ?byz () =
-  (* Summaries share one never-written placeholder until their first
-     observation, as in {!Fatih}: misreports and Byzantine claims work on
-     copies, so nothing else writes to a summary. *)
+  (* Nothing writes to a summary it did not create (misreports and
+     Byzantine claims work on copies), so every segment's first
+     [prev_s12] is one shared empty summary. *)
   let empty = Summary.create Summary.Content in
+  let index =
+    Seg_index.create ~rt ~key ~policy:Summary.Content (fun () ->
+        { prev_s12 = empty; mute_streak = 0; failstopped = false })
+  in
   let t =
-    { thresholds; min_packets;
-      index =
-        Seg_index.create ~rt (fun () ->
-            { s01 = empty; s12 = empty; prev_s01 = empty; prev_s12 = empty;
-              mute_streak = 0; failstopped = false; excused = false });
+    { thresholds; min_packets; index;
       misreports = Hashtbl.create 4; probe; ctrl; retry; byz;
       detections_rev = []; rounds_degraded = 0; rounds_excused = 0; round = 0 }
   in
-  let segments = Seg_index.segments t.index and states = Seg_index.states t.index in
+  let segments = Seg_index.segments index and states = Seg_index.states index in
   Netsim.Net.subscribe_iface net
     ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
-    (fun ev ->
-      match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt ->
-          let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
-          let r =
-            Seg_index.route t.index ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst
-          in
-          let i = Seg_index.position r ~u ~v in
-          let opens = Seg_index.opens r i and closes = Seg_index.closes r i in
-          if opens >= 0 || closes >= 0 then begin
-            let fp = Netsim.Packet.fingerprint key pkt in
-            let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
-            if opens >= 0 then begin
-              let st = states.(opens) in
-              if st.s01 == empty then st.s01 <- Summary.create Summary.Content;
-              Summary.observe st.s01 ~fp ~size ~time
-            end;
-            if closes >= 0 then begin
-              let st = states.(closes) in
-              if st.s12 == empty then st.s12 <- Summary.create Summary.Content;
-              Summary.observe st.s12 ~fp ~size ~time
-            end
-          end
-      | Netsim.Iface.Drop_link_down _ ->
-          Seg_index.iter_link t.index ~src:ev.Netsim.Net.router ~dst:ev.Netsim.Net.next
-            (fun st -> st.excused <- true)
-      | _ -> ());
+    (fun ev -> ignore (Seg_index.observe index ev));
   let sim = Netsim.Net.sim net in
   let report seg ~pos ~router truth =
     match Hashtbl.find_opt t.misreports router with
@@ -128,25 +97,18 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
     Array.iteri
       (fun i st ->
         let seg = segments.(i) in
+        let sent = Seg_index.sent index i and received = Seg_index.received index i in
         (* An observable benign link failure on a segment edge — seen as
            drops this round, or still open at judgment time — excuses
            the whole round: the link-state flood already announced it,
            so conservation gaps are not evidence against either pair. *)
-        let link_failed =
-          match seg with
-          | [ a; x; b ] ->
-              not
-                (Netsim.Net.link_up net ~src:a ~dst:x
-                && Netsim.Net.link_up net ~src:x ~dst:b)
-          | _ -> false
-        in
         (match seg with
         | [ _; _; _ ]
-          when Summary.packets st.s01 >= t.min_packets && not st.failstopped
-               && (st.excused || link_failed) ->
+          when Summary.packets sent >= t.min_packets && not st.failstopped
+               && (Seg_index.excused index i || Seg_index.edge_down index ~net i) ->
             t.rounds_excused <- t.rounds_excused + 1
         | [ a; x; b ]
-          when Summary.packets st.s01 >= t.min_packets && not st.failstopped ->
+          when Summary.packets sent >= t.min_packets && not st.failstopped ->
             (* The interior's consensus submission rides the (possibly
                faulty) control plane: a refusal degrades the round —
                only x's own story is missing, and silence is never
@@ -155,11 +117,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
               match ctrl with
               | None -> true
               | Some ch -> (
-                  let tag =
-                    (List.fold_left (fun acc r -> (acc * 8191) + r + 1) t.round
-                       seg)
-                    lxor 0x2b7e1516
-                  in
+                  let tag = Ctrl.segment_tag ~round:t.round ~salt:0x2b7e1516 seg in
                   match Ctrl.send ch ?retry ~now ~src:x ~dst:b ~tag () with
                   | Ctrl.Delivered _ ->
                       st.mute_streak <- 0;
@@ -187,9 +145,9 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
               end
             end
             else begin
-              let r0 = submit ~now seg ~pos:0 ~router:a st.s01 in
-              let r1 = submit ~now seg ~pos:1 ~router:x st.s12 in
-              let r2 = submit ~now seg ~pos:2 ~router:b st.s12 in
+              let r0 = submit ~now seg ~pos:0 ~router:a sent in
+              let r1 = submit ~now seg ~pos:1 ~router:x received in
+              let r2 = submit ~now seg ~pos:2 ~router:b received in
               let judge ~pair ~sent ~received ~prev =
                 let v = Validation.tv ~thresholds:t.thresholds ~prev ~sent ~received () in
                 if not v.Validation.ok then begin
@@ -213,15 +171,13 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
                         ()
                 end
               in
-              judge ~pair:(a, x) ~sent:r0 ~received:r1 ~prev:st.prev_s01;
+              judge ~pair:(a, x) ~sent:r0 ~received:r1
+                ~prev:(Seg_index.prev_sent index i);
               judge ~pair:(x, b) ~sent:r1 ~received:r2 ~prev:st.prev_s12
             end
         | _ -> ());
-        st.prev_s01 <- st.s01;
-        st.prev_s12 <- st.s12;
-        st.s01 <- empty;
-        st.s12 <- empty;
-        st.excused <- false)
+        st.prev_s12 <- received;
+        Seg_index.rotate index i)
       states;
     t.round <- t.round + 1;
     Netsim.Sim.schedule sim ~delay:tau tick

@@ -11,7 +11,12 @@
     The consensus layer is modelled as reliable delivery of
     per-router-signed summaries (the abstraction of Fig 5.1); a
     misreporting router substitutes its own summary through
-    [set_misreport]. *)
+    [set_misreport].
+
+    The per-hop summaries come from the shared segment collector
+    ({!Seg_index}), as {!Fatih}'s do; Π2's own per-segment state is the
+    previous round's interior summary (judging the pair (x, b)), its
+    refused-submission streak and the fail-stop mark. *)
 
 type detection = {
   time : float;

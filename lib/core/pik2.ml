@@ -40,9 +40,7 @@ let detect_round ~rt ~k ~adversary ?(thresholds = Validation.strict) ?sampling
             match ctrl with
             | None -> false
             | Some ch -> (
-                let tag =
-                  List.fold_left (fun acc r -> (acc * 8191) + r + 1) round seg
-                in
+                let tag = Ctrl.segment_tag ~round ~salt:0 seg in
                 match Ctrl.send ch ?retry ~src:a ~dst:b ~tag () with
                 | Ctrl.Delivered _ -> false
                 | Ctrl.Timed_out _ -> true)

@@ -2,10 +2,27 @@ module Links = Hashtbl.Make (Int)
 
 type route = { hops : int array; opens : int array; closes : int array }
 
+type entered = Neither | Sent | Received | Both
+
 type 'st t = {
   n : int;
   segments : Topology.Graph.node list array;
   states : 'st array;
+  (* The traffic collected per segment, by segment number: flat arrays,
+     so a segment's collector state costs four words. *)
+  sent : Summary.t array;
+  received : Summary.t array;
+  prev_sent : Summary.t array;
+  excused : bool array;
+  key : Crypto_sim.Siphash.key;
+  policy : Summary.policy;
+  (* Every summary slot starts as [empty], one shared placeholder that is
+     never written: [observe] swaps in a fresh summary on a slot's first
+     observation, and [rotate] and [reroute] put the placeholder back
+     instead of allocating.  Sharing is safe because nothing else
+     modifies a summary in place — [Byz.claim] works on copies — so an
+     idle segment costs no summary at all. *)
+  empty : Summary.t;
   (* Segment -> its number; consulted only when a route is filled. *)
   number : (Topology.Graph.node list, int) Hashtbl.t;
   (* Directed link u -> v, keyed u * n + v -> numbers of the segments
@@ -17,7 +34,7 @@ type 'st t = {
   mutable predict : src:int -> dst:int -> Topology.Graph.node list option;
 }
 
-let create ~rt make =
+let create ~rt ~key ~policy make =
   let n = Topology.Graph.size (Topology.Routing.graph rt) in
   (* Filled in family order (the family is duplicate-free), this table's
      iteration order numbers the segments: the order the deployments
@@ -37,8 +54,8 @@ let create ~rt make =
   Array.iteri (fun i seg -> Hashtbl.replace number seg i) segments;
   let links = Links.create 256 in
   let add_link a b i =
-    let key = (a * n) + b in
-    Links.replace links key (i :: Option.value (Links.find_opt links key) ~default:[])
+    let link = (a * n) + b in
+    Links.replace links link (i :: Option.value (Links.find_opt links link) ~default:[])
   in
   Array.iteri
     (fun i seg ->
@@ -48,12 +65,21 @@ let create ~rt make =
           add_link m b i
       | _ -> ())
     segments;
-  { n; segments; states = Array.map (fun _ -> make ()) segments; number; links;
+  let empty = Summary.create policy in
+  let count = Array.length segments in
+  { n; segments; states = Array.map (fun _ -> make ()) segments;
+    sent = Array.make count empty; received = Array.make count empty;
+    prev_sent = Array.make count empty; excused = Array.make count false;
+    key; policy; empty; number; links;
     routes = Array.make (n * n) None;
     predict = (fun ~src ~dst -> Topology.Routing.path rt ~src ~dst) }
 
 let states t = t.states
 let segments t = t.segments
+let sent t i = t.sent.(i)
+let received t i = t.received.(i)
+let prev_sent t i = t.prev_sent.(i)
+let excused t i = t.excused.(i)
 
 let fill t ~src ~dst =
   let hops =
@@ -90,11 +116,63 @@ let position r ~u ~v = scan r.hops u v 0
 let opens r i = if i < 0 then -1 else r.opens.(i)
 let closes r i = if i < 0 then -1 else r.closes.(i)
 
+let rec excuse excused = function
+  | [] -> ()
+  | i :: rest ->
+      excused.(i) <- true;
+      excuse excused rest
+
+let observe t (ev : Netsim.Net.iface_event) =
+  match ev.Netsim.Net.kind with
+  | Netsim.Iface.Delivered pkt ->
+      let r = route t ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst in
+      let i = position r ~u:ev.Netsim.Net.router ~v:ev.Netsim.Net.next in
+      (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩, where terminal
+         router u records what it sent into it, and closes ⟨p(i-1),u,v⟩,
+         where terminal router v records what came out. *)
+      let opens = opens r i and closes = closes r i in
+      if opens < 0 && closes < 0 then Neither
+      else begin
+        let fp = Netsim.Packet.fingerprint t.key pkt in
+        let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
+        if opens >= 0 then begin
+          if t.sent.(opens) == t.empty then t.sent.(opens) <- Summary.create t.policy;
+          Summary.observe t.sent.(opens) ~fp ~size ~time
+        end;
+        if closes >= 0 then begin
+          if t.received.(closes) == t.empty then
+            t.received.(closes) <- Summary.create t.policy;
+          Summary.observe t.received.(closes) ~fp ~size ~time
+        end;
+        if closes < 0 then Sent else if opens < 0 then Received else Both
+      end
+  | Netsim.Iface.Drop_link_down _ ->
+      (* An observable link failure on a segment edge excuses the
+         segment's round. *)
+      let link = (ev.Netsim.Net.router * t.n) + ev.Netsim.Net.next in
+      (match Links.find_opt t.links link with
+      | Some segs -> excuse t.excused segs
+      | None -> ());
+      Neither
+  | _ -> Neither
+
+let rotate t i =
+  t.prev_sent.(i) <- t.sent.(i);
+  t.sent.(i) <- t.empty;
+  t.received.(i) <- t.empty;
+  t.excused.(i) <- false
+
+let edge_down t ~net i =
+  match t.segments.(i) with
+  | [ a; m; b ] ->
+      not (Netsim.Net.link_up net ~src:a ~dst:m && Netsim.Net.link_up net ~src:m ~dst:b)
+  | _ -> false
+
 let reroute t pol =
   t.predict <- (fun ~src ~dst -> Topology.Policy.path pol ~src ~dst);
-  Array.fill t.routes 0 (Array.length t.routes) None
-
-let iter_link t ~src ~dst f =
-  match Links.find_opt t.links ((src * t.n) + dst) with
-  | Some segs -> List.iter (fun i -> f t.states.(i)) segs
-  | None -> ()
+  Array.fill t.routes 0 (Array.length t.routes) None;
+  let clear a = Array.fill a 0 (Array.length a) t.empty in
+  clear t.sent;
+  clear t.received;
+  clear t.prev_sent;
+  Array.fill t.excused 0 (Array.length t.excused) false

@@ -1,56 +1,79 @@
-(** The per-hop segment index shared by the live Πk+2 deployments
+(** The one per-hop segment collector of the live Πk+2 deployments
     ({!Fatih} and {!Pi2_live}).
 
-    Both monitor every 3-path-segment of the routed paths and must find,
-    for each delivered hop, the segment the hop opens and the one it
-    closes on the packet's predicted path (§4.1 predictability).  The
-    index resolves that once per (source, destination) per routing
-    generation, into integer positions of a per-segment state array, so
-    the per-hop path does no list building and no list-keyed lookup. *)
+    Both monitor every 3-path-segment ⟨a, x, b⟩ of the routed paths and
+    summarise, per round, the traffic a sends into the segment and the
+    traffic x sends on to b.  For each delivered hop the collector finds
+    the segment the hop opens and the one it closes on the packet's
+    predicted path (§4.1 predictability), resolved once per (source,
+    destination) per routing generation into integer positions, so the
+    per-hop path does no list building and no list-keyed lookup; it
+    fingerprints the packet once and adds it to those segments'
+    summaries.  Link-down drops on a segment edge mark the segment's
+    round excused.
+
+    Every summary starts as one shared, never-written empty placeholder
+    and is created on its first observation, so an idle segment costs no
+    summary.  The protocols keep only their own judgment state (the
+    ['st] of each segment). *)
 
 type 'st t
 
-val create : rt:Topology.Routing.t -> (unit -> 'st) -> 'st t
+val create :
+  rt:Topology.Routing.t ->
+  key:Crypto_sim.Siphash.key ->
+  policy:Summary.policy ->
+  (unit -> 'st) ->
+  'st t
 (** Index every 3-segment of [rt]'s routed paths
     ({!Topology.Segments.pik2_family} with [k = 1]), giving each a
-    state built by the function.  Segments are numbered in the
-    iteration order of a list-keyed hash table filled in family order:
-    the order in which the deployments have always judged them, which
-    fixes their verdict order. *)
+    state built by the function and empty traffic.  Packets are
+    fingerprinted under [key]; summaries follow [policy].  Segments are
+    numbered in the iteration order of a list-keyed hash table filled in
+    family order: the order in which the deployments have always judged
+    them, which fixes their verdict order. *)
 
 val states : 'st t -> 'st array
-(** Per-segment state, by segment number. *)
+(** Per-segment protocol state, by segment number. *)
 
 val segments : 'st t -> Topology.Graph.node list array
 (** The segments themselves, by segment number. *)
 
-type route
-(** A predicted path p, with the segments its hops open and close. *)
+val sent : 'st t -> int -> Summary.t
+(** What the first terminal of segment [i] sent into it this round. *)
 
-val route : 'st t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> route
-(** The route predicted for traffic from [src] to [dst] under the
-    current routing generation, computed on first use; unreachable
-    destinations get an empty path. *)
+val received : 'st t -> int -> Summary.t
+(** What the interior of segment [i] forwarded to its last terminal this
+    round. *)
 
-val position : route -> u:Topology.Graph.node -> v:Topology.Graph.node -> int
-(** The index [i] with p(i) = [u] and p(i+1) = [v], or -1.  A route
-    crosses each directed link at most once, so there is at most one.
-    Allocates nothing. *)
+val prev_sent : 'st t -> int -> Summary.t
+(** Last round's {!sent}: a packet it announced that arrives this round
+    crossed the round boundary. *)
 
-val opens : route -> int -> int
-(** [opens r i] is the number of the segment ⟨p(i), p(i+1), p(i+2)⟩
-    that the hop at position [i] enters, or -1 when [i] is -1 or that
-    segment is not monitored. *)
+val excused : 'st t -> int -> bool
+(** Whether an edge of segment [i] dropped packets with its link down
+    this round. *)
 
-val closes : route -> int -> int
-(** [closes r i] is the number of ⟨p(i-1), p(i), p(i+1)⟩, the segment
-    the hop at position [i] leaves, or -1. *)
+type entered = Neither | Sent | Received | Both
+(** Which summaries a hop entered: the [sent] of the segment it opens,
+    the [received] of the one it closes, both or neither. *)
+
+val observe : 'st t -> Netsim.Net.iface_event -> entered
+(** Collect one interface event.  A [Delivered] hop is fingerprinted
+    once (not at all when it enters no summary) and added to the
+    summaries it enters; a [Drop_link_down] marks every segment having
+    that directed link as an edge excused and enters nothing; any other
+    kind is ignored. *)
+
+val rotate : 'st t -> int -> unit
+(** End segment [i]'s round: [sent] becomes [prev_sent], and [sent],
+    [received] and the excuse are cleared. *)
+
+val edge_down : 'st t -> net:Netsim.Net.t -> int -> bool
+(** Whether an edge of segment [i] is down now. *)
 
 val reroute : 'st t -> Topology.Policy.t -> unit
 (** Predict paths from the policy from now on: every route is forgotten
-    and recomputed on its next use (§5.3.1). *)
-
-val iter_link :
-  'st t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> ('st -> unit) -> unit
-(** Apply the function to the state of every segment that has the
-    directed link [src -> dst] as an edge. *)
+    and recomputed on its next use (§5.3.1), and all collected traffic,
+    [prev_sent] included, is cleared — it was attributed under the old
+    tables. *)

@@ -293,9 +293,6 @@ let receive_prev t ~prev pkt =
     | Some route -> multicast t ~prev pkt route
     | None -> unicast t ~prev pkt
 
-let receive t ~prev pkt =
-  receive_prev t ~prev:(match prev with None -> -1 | Some p -> p) pkt
-
 let fabricate t ~next pkt =
   match iface_to t next with
   | None -> invalid_arg "Router.fabricate: no interface to that neighbour"

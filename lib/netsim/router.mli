@@ -131,13 +131,9 @@ val set_mtu : t -> int option -> unit
     don't-fragment paths; see test_extensions.ml for the resulting false
     positives). *)
 
-val receive : t -> prev:int option -> Packet.t -> unit
-(** Packet arrival: local delivery or forwarding through the behavior
-    hook.  [prev = None] means the packet originates at this router. *)
-
 val receive_prev : t -> prev:int -> Packet.t -> unit
-(** {!receive} with the int encoding ([-1] = originated here): the
-    engine-internal arrival path, free of option boxes. *)
+(** Packet arrival from neighbour [prev] ([-1] = originated here): local
+    delivery or forwarding through the behavior hook. *)
 
 val fabricate : t -> next:int -> Packet.t -> unit
 (** Inject a packet the router made up straight into an output queue

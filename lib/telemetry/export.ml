@@ -295,67 +295,6 @@ let json_of_registry reg =
            @ json_of_sample sample))
        (Metrics.snapshot reg))
 
-(* --- Hist / Timeseries exporters --- *)
-
-let json_of_hist h =
-  Assoc
-    [ ("min_exp", Int (Hist.min_exp h));
-      ("counts",
-       List (List.init (Hist.buckets h) (fun i -> Int (Hist.bucket_count h i))));
-      ("sum", Float (Hist.sum h)) ]
-
-let int_list_of_json j =
-  match to_list_opt j with
-  | None -> None
-  | Some xs ->
-      let ints = List.filter_map to_int xs in
-      if List.length ints = List.length xs then Some (Array.of_list ints) else None
-
-let float_list_of_json j =
-  match to_list_opt j with
-  | None -> None
-  | Some xs ->
-      let fs = List.filter_map to_float xs in
-      if List.length fs = List.length xs then Some (Array.of_list fs) else None
-
-let hist_of_json j =
-  match
-    ( Option.bind (member "min_exp" j) to_int,
-      Option.bind (member "counts" j) int_list_of_json,
-      Option.bind (member "sum" j) to_float )
-  with
-  | Some min_exp, Some counts, Some sum -> (
-      match Hist.of_raw ~min_exp ~counts ~sum with
-      | h -> Ok h
-      | exception Invalid_argument msg -> Error msg)
-  | _ -> Error "hist_of_json: expected {min_exp, counts, sum}"
-
-let json_of_timeseries ts =
-  let nb = Timeseries.used ts in
-  Assoc
-    [ ("capacity", Int (Timeseries.capacity ts));
-      ("base_resolution", Float (Timeseries.base_resolution ts));
-      ("level", Int (Timeseries.level ts));
-      ("counts", List (List.init nb (fun i -> Int (Timeseries.bucket_count ts i))));
-      ("sums", List (List.init nb (fun i -> Float (Timeseries.bucket_sum ts i)))) ]
-
-let timeseries_of_json j =
-  match
-    ( Option.bind (member "capacity" j) to_int,
-      Option.bind (member "base_resolution" j) to_float,
-      Option.bind (member "level" j) to_int,
-      Option.bind (member "counts" j) int_list_of_json,
-      Option.bind (member "sums" j) float_list_of_json )
-  with
-  | Some capacity, Some resolution, Some level, Some counts, Some sums -> (
-      match Timeseries.of_raw ~capacity ~resolution ~level ~counts ~sums with
-      | ts -> Ok ts
-      | exception Invalid_argument msg -> Error msg)
-  | _ ->
-      Error
-        "timeseries_of_json: expected {capacity, base_resolution, level, counts, \
-         sums}"
-
 let prom_escape s =
   String.concat ""
     (List.map
@@ -430,11 +369,6 @@ let prometheus_of_registry reg =
     (Metrics.snapshot reg);
   Buffer.contents buf
 
-let prometheus_of_hist ~name ?help ?labels h =
-  let buf = Buffer.create 512 in
-  prometheus_append_hist buf ~name ?help ?labels h;
-  Buffer.contents buf
-
 (* A time series becomes two gauge vectors labelled by the inclusive
    bucket start time: per-bucket event counts and value sums. *)
 let prometheus_append_timeseries buf ~name ?(help = "") ?(labels = []) ts =
@@ -451,8 +385,3 @@ let prometheus_append_timeseries buf ~name ?(help = "") ?(labels = []) ts =
   in
   emit "_bucket_count" (fun i -> string_of_int (Timeseries.bucket_count ts i));
   emit "_bucket_sum" (fun i -> prom_float (Timeseries.bucket_sum ts i))
-
-let prometheus_of_timeseries ~name ?help ?labels ts =
-  let buf = Buffer.create 512 in
-  prometheus_append_timeseries buf ~name ?help ?labels ts;
-  Buffer.contents buf

@@ -56,35 +56,19 @@ val prometheus_of_registry : Metrics.t -> string
 
 (** {2 Always-on collector exposition}
 
-    The fixed-point {!Hist} / {!Timeseries} collectors round-trip through
-    JSON ([x = of_json (to_json x)] bucket for bucket — exported sums
-    are exact multiples of {!Hist.quantum}) and render to the same
-    Prometheus text format as the registry, with [le=] edges exactly
-    {!Hist.uppers}. *)
-
-val json_of_hist : Hist.t -> json
-val hist_of_json : json -> (Hist.t, string) result
-
-val json_of_timeseries : Timeseries.t -> json
-val timeseries_of_json : json -> (Timeseries.t, string) result
+    The fixed-point {!Hist} / {!Timeseries} collectors render to the
+    same Prometheus text format as the registry, with [le=] edges
+    exactly {!Hist.uppers}. *)
 
 val prometheus_append_hist :
   Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->
   Hist.t -> unit
-
-val prometheus_of_hist :
-  name:string -> ?help:string -> ?labels:(string * string) list -> Hist.t ->
-  string
-(** Cumulative [_bucket{le=...}] / [_sum] / [_count] lines whose [le=]
-    edges are exactly [Hist.uppers]. *)
+(** Append cumulative [_bucket{le=...}] / [_sum] / [_count] lines whose
+    [le=] edges are exactly [Hist.uppers]. *)
 
 val prometheus_append_timeseries :
   Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->
   Timeseries.t -> unit
-
-val prometheus_of_timeseries :
-  name:string -> ?help:string -> ?labels:(string * string) list ->
-  Timeseries.t -> string
-(** Two gauge vectors, [<name>_bucket_count{t=...}] and
+(** Append two gauge vectors, [<name>_bucket_count{t=...}] and
     [<name>_bucket_sum{t=...}], labelled by inclusive bucket start
     time. *)

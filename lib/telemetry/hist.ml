@@ -115,14 +115,3 @@ let quantile t q =
 let p50 t = quantile t 0.5
 let p95 t = quantile t 0.95
 let p99 t = quantile t 0.99
-
-(* Rebuild from exported raw state (Export round-trips through this).
-   [count] is derivable — every record increments exactly one bucket —
-   and [sum] re-quantizes exactly because exported sums are exact
-   multiples of [quantum]. *)
-let of_raw ~min_exp ~counts ~sum =
-  if Array.length counts < 3 then invalid_arg "Hist.of_raw: need at least 3 buckets";
-  { counts = Array.copy counts;
-    min_exp;
-    count = Array.fold_left ( + ) 0 counts;
-    sum_q = quantize sum }

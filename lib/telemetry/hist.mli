@@ -76,9 +76,3 @@ val quantile : t -> float -> float
 val p50 : t -> float
 val p95 : t -> float
 val p99 : t -> float
-
-val of_raw : min_exp:int -> counts:int array -> sum:float -> t
-(** Rebuild a histogram from exported state ({!Export.hist_of_json}):
-    the total count is the bucket sum, and [sum] — an exact multiple of
-    {!quantum} in any exported document — re-quantizes losslessly.
-    Raises [Invalid_argument] on fewer than 3 buckets. *)

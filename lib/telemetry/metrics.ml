@@ -64,8 +64,6 @@ let add c n = c.c <- c.c + n
 let counter_value c = c.c
 
 let set g v = g.g <- v
-let add_gauge g v = g.g <- g.g +. v
-let gauge_value g = g.g
 
 let snapshot_series s =
   let sample =

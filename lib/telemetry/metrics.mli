@@ -41,8 +41,6 @@ val add : counter -> int -> unit
 val counter_value : counter -> int
 
 val set : gauge -> float -> unit
-val add_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 type sample =
   | Counter_sample of int

@@ -8,8 +8,7 @@
    powers of two.
 
    Like Hist, the per-bucket value sums are fixed point (Hist.quantum
-   units): integer addition makes a coarsening pass exact, and an
-   exported series re-imports losslessly ([of_raw]).  [record] is O(1)
+   units): integer addition makes a coarsening pass exact.  [record] is O(1)
    amortized (a coarsening pass is O(capacity) but halves the used
    range) and allocation-free after [create]. *)
 
@@ -81,23 +80,3 @@ let record t ~time v =
   t.sums_q.(i) <- t.sums_q.(i) + Hist.quantize v;
   if i >= t.used then t.used <- i + 1
 
-(* Rebuild from exported raw state (Export round-trips through this).
-   Exported per-bucket sums are exact multiples of Hist.quantum, so the
-   fixed-point representation is recovered losslessly. *)
-let of_raw ~capacity ~resolution ~level ~counts ~sums =
-  if capacity < 2 then invalid_arg "Timeseries.of_raw: capacity < 2";
-  if not (resolution > 0.0) then
-    invalid_arg "Timeseries.of_raw: resolution must be positive";
-  if level < 0 then invalid_arg "Timeseries.of_raw: negative level";
-  let used = Array.length counts in
-  if Array.length sums <> used then
-    invalid_arg "Timeseries.of_raw: counts/sums length mismatch";
-  if used > capacity then invalid_arg "Timeseries.of_raw: more buckets than capacity";
-  let t =
-    { capacity; res0 = resolution; level;
-      res = resolution *. Float.pow 2.0 (float_of_int level);
-      counts = Array.make capacity 0; sums_q = Array.make capacity 0; used }
-  in
-  Array.blit counts 0 t.counts 0 used;
-  Array.iteri (fun i s -> t.sums_q.(i) <- Hist.quantize s) sums;
-  t

@@ -6,8 +6,7 @@
     doubles — so memory stays bounded at [capacity] buckets while the
     horizon grows without limit.  Coarsening is aligned at [t = 0] and
     by powers of two only, and per-bucket value sums are fixed point
-    ({!Hist.quantum} units), so coarsening is exact integer addition and
-    an exported series re-imports losslessly ({!of_raw}).
+    ({!Hist.quantum} units), so coarsening is exact integer addition.
 
     {!record} is O(1) amortized and allocation-free after {!create}. *)
 
@@ -48,15 +47,4 @@ val bucket_start : t -> int -> float
 val total_count : t -> int
 val total_sum : t -> float
 
-val of_raw :
-  capacity:int ->
-  resolution:float ->
-  level:int ->
-  counts:int array ->
-  sums:float array ->
-  t
-(** Rebuild a series from exported state ({!Export.timeseries_of_json}):
-    [resolution] is the {e base} resolution, [counts]/[sums] the leading
-    used buckets at the given [level].  Exported sums are exact multiples
-    of {!Hist.quantum} and re-quantize losslessly.  Raises
-    [Invalid_argument] on shape errors. *)
+

@@ -675,6 +675,52 @@ let test_fatih_degraded_exchange_words () =
   Alcotest.(check int) "words exchanged" ((2 * 166) + (3 * 83))
     (Core.Fatih.words_exchanged fatih)
 
+(* A link flap inside one round excuses that segment-round and nothing
+   else.  On a 3-router line, CBR both ways from 0 s to 9 s keeps the
+   segments ⟨0,1,2⟩ and ⟨2,1,0⟩ busy; the directed link 1 -> 2 fails at
+   6 s and is restored at 7 s, inside the round judged at 10 s.  Only
+   ⟨0,1,2⟩ has that link as an edge: its 10 s round is excused (the
+   link is up again by then), every other busy segment-round is judged
+   clean, and neither Fatih nor Π2 raises an alarm. *)
+let flap_run deploy =
+  let g = Topology.Generate.line ~n:3 in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 g in
+  let rt = Topology.Routing.compute g in
+  Net.use_routing net rt;
+  let probe = Probe.create () in
+  Net.set_probe net (Some probe);
+  let outcome = deploy ~net ~rt ~probe in
+  List.iter
+    (fun (src, dst) ->
+      ignore (Flow.cbr net ~src ~dst ~rate_pps:100.0 ~size:500 ~start:0.0 ~stop:9.0))
+    [ (0, 2); (2, 0) ];
+  Net.run ~until:6.0 net;
+  Net.fail_link net ~src:1 ~dst:2;
+  Net.run ~until:7.0 net;
+  Net.restore_link net ~src:1 ~dst:2;
+  Net.run ~until:16.0 net;
+  let cons = Probe.conservation probe in
+  Alcotest.(check bool) "the flap dropped traffic" true (cons.Probe.total_dropped > 0);
+  Alcotest.(check (list string)) "no alarm" []
+    (List.filter_map
+       (fun v -> if v.Probe.alarm then Some v.Probe.detail else None)
+       (Probe.verdicts probe));
+  outcome ()
+
+let test_link_flap_excused () =
+  let check name deploy =
+    let excused, detections = flap_run deploy in
+    Alcotest.(check int) (name ^ ": one excused segment-round") 1 excused;
+    Alcotest.(check int) (name ^ ": no detection") 0 detections
+  in
+  check "fatih" (fun ~net ~rt ~probe ->
+      let t = Core.Fatih.deploy ~net ~rt ~probe () in
+      fun () -> (Core.Fatih.rounds_excused t, List.length (Core.Fatih.detections t)));
+  check "pi2" (fun ~net ~rt ~probe ->
+      let t = Core.Pi2_live.deploy ~net ~rt ~probe () in
+      fun () ->
+        (Core.Pi2_live.rounds_excused t, List.length (Core.Pi2_live.detections t)))
+
 (* --- the golden robustness property --- *)
 
 let test_golden_fatih_benign_chaos () =
@@ -827,7 +873,9 @@ let () =
           Alcotest.test_case "fatih detects with clean ctrl" `Slow
             test_fatih_detects_with_clean_ctrl;
           Alcotest.test_case "degraded exchanges count their retries" `Quick
-            test_fatih_degraded_exchange_words ] );
+            test_fatih_degraded_exchange_words;
+          Alcotest.test_case "link flap inside a round excused once" `Quick
+            test_link_flap_excused ] );
       ( "golden",
         [ Alcotest.test_case "fatih: benign chaos, zero false accusations" `Slow
             test_golden_fatih_benign_chaos;

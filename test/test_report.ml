@@ -6,15 +6,13 @@
    - `mrdetect report` determinism: the mrdetect-report-v1 document
      distilled from a run's metrics export, and the stats section it
      carries, are pinned by digest and repeatable run-to-run.
-   - Export round-trips: Hist and Timeseries survive JSON export and
-     re-import with identical observable state, and the Prometheus
-     rendering of a Hist uses exactly the registry histogram's le edges.
+   - Prometheus exposition: the rendering of a Hist uses exactly the
+     registry histogram's le edges.
    - Benchgate band arithmetic: pass/fail on both sides of each
      threshold, plus baseline-document spelunking and the file reader. *)
 
 module Export = Telemetry.Export
 module Hist = Telemetry.Hist
-module Ts = Telemetry.Timeseries
 module Report = Experiments.Report
 module Gate = Experiments.Benchgate
 module Simulate = Experiments.Simulate
@@ -198,50 +196,7 @@ let test_report_html () =
     [ "<!doctype html>"; "<svg"; "delivery_latency"; "ring"; "fatih";
       "queue depth" ]
 
-(* --- export round-trips --- *)
-
-let test_hist_roundtrip () =
-  let h = Hist.create ~buckets:12 ~min_exp:(-6) () in
-  List.iter (Hist.record h) [ 0.001; 0.02; 0.02; 0.4; 7.0; 1e9; -3.0; 0.0 ];
-  match Export.hist_of_json (Export.json_of_hist h) with
-  | Error e -> Alcotest.failf "hist does not round-trip: %s" e
-  | Ok h' ->
-      Alcotest.(check int) "buckets" (Hist.buckets h) (Hist.buckets h');
-      Alcotest.(check int) "min_exp" (Hist.min_exp h) (Hist.min_exp h');
-      Alcotest.(check int) "count" (Hist.count h) (Hist.count h');
-      Alcotest.(check (float 0.0)) "sum (exact)" (Hist.sum h) (Hist.sum h');
-      for i = 0 to Hist.buckets h - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "bucket %d" i)
-          (Hist.bucket_count h i)
-          (Hist.bucket_count h' i)
-      done
-
-let test_timeseries_roundtrip () =
-  let ts = Ts.create ~capacity:8 ~resolution:0.5 () in
-  (* Push past the window so the series coarsens at least once. *)
-  List.iter
-    (fun (t, v) -> Ts.record ts ~time:t v)
-    [ (0.1, 1.0); (0.2, 2.5); (1.7, 0.25); (3.9, 4.0); (9.5, 1.0); (11.0, 6.5) ];
-  Alcotest.(check bool) "coarsened" true (Ts.level ts > 0);
-  match Export.timeseries_of_json (Export.json_of_timeseries ts) with
-  | Error e -> Alcotest.failf "timeseries does not round-trip: %s" e
-  | Ok ts' ->
-      Alcotest.(check int) "capacity" (Ts.capacity ts) (Ts.capacity ts');
-      Alcotest.(check (float 0.0))
-        "base resolution" (Ts.base_resolution ts)
-        (Ts.base_resolution ts');
-      Alcotest.(check int) "level" (Ts.level ts) (Ts.level ts');
-      Alcotest.(check int) "used" (Ts.used ts) (Ts.used ts');
-      for i = 0 to Ts.used ts - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "count %d" i)
-          (Ts.bucket_count ts i)
-          (Ts.bucket_count ts' i);
-        Alcotest.(check (float 0.0))
-          (Printf.sprintf "sum %d (exact)" i)
-          (Ts.bucket_sum ts i) (Ts.bucket_sum ts' i)
-      done
+(* --- Prometheus exposition --- *)
 
 (* A registry histogram and a standalone Hist of the same geometry must
    render the same le edges — the always-on collectors and the registry
@@ -272,7 +227,11 @@ let test_prom_le_edges_agree () =
     go 0;
     List.rev !out
   in
-  let hist_prom = Export.prometheus_of_hist ~name:"x" h in
+  let hist_prom =
+    let buf = Buffer.create 512 in
+    Export.prometheus_append_hist buf ~name:"x" h;
+    Buffer.contents buf
+  in
   let registry_prom = Export.prometheus_of_registry registry in
   Alcotest.(check (list string))
     "identical le edges" (edges_of registry_prom) (edges_of hist_prom)
@@ -440,9 +399,7 @@ let () =
         [ Alcotest.test_case "stats and report pinned" `Slow test_stats_pinned ] );
       ("html", [ Alcotest.test_case "self-contained page" `Quick test_report_html ]);
       ( "roundtrip",
-        [ Alcotest.test_case "hist json" `Quick test_hist_roundtrip;
-          Alcotest.test_case "timeseries json" `Quick test_timeseries_roundtrip;
-          Alcotest.test_case "prometheus le edges" `Quick test_prom_le_edges_agree ] );
+        [ Alcotest.test_case "prometheus le edges" `Quick test_prom_le_edges_agree ] );
       ( "benchgate",
         [ Alcotest.test_case "lower-better band" `Quick test_gate_lower_better;
           Alcotest.test_case "higher-better band" `Quick test_gate_higher_better;
