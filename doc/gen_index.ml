@@ -44,7 +44,7 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {ul
 {- [Netsim] — discrete-event packet simulator: {!Netsim.Net},
    {!Netsim.Tcp}, {!Netsim.Red}, {!Netsim.Router} (with adversarial
-   forwarding hooks), {!Netsim.Meter}, driven by one single-heap
+   forwarding hooks), {!Netsim.Stats}, driven by one single-heap
    {!Netsim.Sim} event loop with one random stream, so a run is
    byte-identical for a given seed.}
 {- [Topology] — {!Topology.Routing} (deterministic link state),
@@ -58,8 +58,7 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
    distribution), {!Crypto_sim.Sampling} (secret hash ranges).}
 {- [Mrstats] — {!Mrstats.Erf}, {!Mrstats.Ztest}, {!Mrstats.Welford},
    {!Mrstats.Histogram}, {!Mrstats.Variate}.}
-{- [Telemetry] — {!Telemetry.Metrics} (labeled counters, gauges and
-   {!Telemetry.Hist} histograms), {!Telemetry.Journal} (bounded typed event
+{- [Telemetry] — {!Telemetry.Journal} (bounded typed event
    ring), {!Telemetry.Export} (JSON and Prometheus text),
    {!Telemetry.Profile} (wall-clock phase timing), {!Telemetry.Span}
    (causal packet traces, detector round spans, verdict provenance and

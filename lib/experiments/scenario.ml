@@ -5,6 +5,7 @@
 
 open Netsim
 module G = Topology.Graph
+module Ts = Telemetry.Timeseries
 
 let bottleneck_router = 3
 let sink = 4
@@ -72,9 +73,20 @@ type droptail_run = {
   truth : ground_truth;
   attack_start : float;
   victim_flows : int list;
-  victim_meters : Meter.flow_series list;
-      (* per-victim delivered-bytes series, binned by tau *)
+  victim_meters : Ts.t list;
+      (* per-victim delivered bytes at the sink, in tau-second buckets *)
 }
+
+(* A victim flow's delivered bytes at the sink.  Bucket i covers
+   [i*tau, (i+1)*tau), and the capacity covers the whole run, so the
+   series never coarsens. *)
+let victim_meter net ~duration ~tau flow =
+  let ts = Ts.create ~capacity:(int_of_float (duration /. tau) + 2) ~resolution:tau () in
+  let sim = Net.sim net in
+  Net.attach_app net ~node:sink (fun pkt ->
+      if pkt.Packet.flow = flow then
+        Ts.record ts ~time:(Sim.now sim) (float_of_int pkt.Packet.size));
+  ts
 
 let run_droptail ?(seed = 21) ?(duration = default_duration)
     ?(attack_start = default_attack_start) ?(victim_connections = false)
@@ -88,10 +100,7 @@ let run_droptail ?(seed = 21) ?(duration = default_duration)
   let chi = Core.Chi.deploy ~net ~rt ~router:bottleneck_router ~next:sink ~config () in
   let truth = watch_ground_truth net in
   let victim_flows = offer_traffic ~victim_connections net in
-  let victim_meters =
-    List.map (fun flow -> Meter.flow_throughput net ~node:sink ~flow ~bucket:tau)
-      victim_flows
-  in
+  let victim_meters = List.map (victim_meter net ~duration ~tau) victim_flows in
   (match attack victim_flows with
   | Some behavior ->
       Router.set_behavior (Net.router net bottleneck_router)
@@ -146,11 +155,14 @@ let droptail_section ~title (run : droptail_run) =
   let victim_rate at =
     let bytes_per_s =
       List.fold_left
-        (fun acc m ->
-          List.fold_left
-            (fun acc (bin_end, rate) ->
-              if Float.abs (bin_end -. at) < 0.5 then acc +. rate else acc)
-            acc (Meter.series m))
+        (fun acc ts ->
+          let acc = ref acc in
+          for i = 0 to Ts.used ts - 1 do
+            (* Bucket i ends at the start of bucket i + 1. *)
+            if Float.abs (Ts.bucket_start ts (i + 1) -. at) < 0.5 then
+              acc := !acc +. (Ts.bucket_sum ts i /. Ts.resolution ts)
+          done;
+          !acc)
         0.0 run.victim_meters
     in
     bytes_per_s /. 1000.0

@@ -127,38 +127,15 @@ let behavior_of = function
 
 (* --- telemetry export ------------------------------------------------- *)
 
-let scrape_per_router net probe =
-  let reg = Probe.registry probe in
-  let g = Net.graph net in
-  for r = 0 to Topology.Graph.size g - 1 do
-    let router = Net.router net r in
-    let labels = [ ("router", string_of_int r) ] in
-    let set name help v =
-      Telemetry.Metrics.set
-        (Telemetry.Metrics.gauge reg name ~help ~labels)
-        (float_of_int v)
-    in
-    set "router_received_packets" "packets handed to the router"
-      (Router.received_packets router);
-    set "router_forwarded_packets" "packets the router forwarded"
-      (Router.forwarded_packets router);
-    set "router_delivered_packets" "packets delivered locally"
-      (Router.delivered_packets router);
-    let tx_p, tx_b, drops =
-      List.fold_left
-        (fun (p, b, d) i ->
-          (p + Iface.tx_packets i, b + Iface.tx_bytes i, d + Iface.dropped_packets i))
-        (0, 0, 0) (Router.ifaces router)
-    in
-    set "router_tx_packets" "packets serialized onto outgoing links" tx_p;
-    set "router_tx_bytes" "bytes serialized onto outgoing links" tx_b;
-    set "router_iface_dropped_packets" "packets its interfaces discarded" drops
-  done
-
 let summary_json ~scenario ~attack_start net probe profile =
   let open Telemetry.Export in
   let sim = Net.sim net in
   let cons = Probe.conservation probe in
+  let drops, malice =
+    match Net.stats net with
+    | Some st -> (Stats.drops st, Stats.malice_by_router st)
+    | None -> ([], [])
+  in
   let cpu = Net.cpu_time_in_run net in
   let events = Net.events_processed net in
   let detection =
@@ -192,11 +169,13 @@ let summary_json ~scenario ~attack_start net probe profile =
       ("detection", Assoc detection);
       ("engine", Assoc engine);
       ("phases", Telemetry.Profile.json profile);
-      ("metrics", json_of_registry (Probe.registry probe));
+      ("drops", Assoc (List.map (fun (cause, n) -> (cause, Int n)) drops));
+      ("malice",
+       Assoc (List.map (fun (r, n) -> (string_of_int r, Int n)) malice));
       ("stats",
        match Net.stats net with Some st -> Stats.to_json st | None -> Null) ]
 
-let write_metrics path doc net probe =
+let write_metrics path doc net =
   (* A .prom / .txt suffix selects the Prometheus text exposition format;
      anything else gets the JSON document. *)
   if Filename.check_suffix path ".prom" || Filename.check_suffix path ".txt" then begin
@@ -204,8 +183,6 @@ let write_metrics path doc net probe =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () ->
-        output_string oc (Telemetry.Export.prometheus_of_registry
-                            (Probe.registry probe));
         match Net.stats net with
         | Some st -> output_string oc (Stats.prometheus st)
         | None -> ())
@@ -425,7 +402,6 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   match probe with
   | None -> ()
   | Some probe ->
-      scrape_per_router net probe;
       let scenario =
         let open Telemetry.Export in
         [ ("topology",
@@ -448,7 +424,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
            match faults with Some path -> String path | None -> Null) ]
       in
       let doc = summary_json ~scenario ~attack_start net probe profile in
-      (match metrics with Some path -> write_metrics path doc net probe | None -> ());
+      (match metrics with Some path -> write_metrics path doc net | None -> ());
       (match journal with Some path -> write_journal path probe | None -> ());
       (match (trace_out, span_tracer) with
       | Some path, Some sp ->

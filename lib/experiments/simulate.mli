@@ -122,8 +122,9 @@ val run :
     [metrics] names a file for the metrics/summary export: JSON by
     default (schema ["mrdetect-metrics-v1"]: scenario echo, packet
     conservation, detection latency, engine self-profiling, per-phase
-    wall clock, and the full registry), Prometheus text for a
-    [.prom]/[.txt] suffix.  [journal] names a JSONL file receiving the
+    wall clock, drops by cause, malicious actions by router and the
+    {!Netsim.Stats} section), Prometheus text ({!Netsim.Stats.prometheus})
+    for a [.prom]/[.txt] suffix.  [journal] names a JSONL file receiving the
     typed event journal (newest 262144 records).  With neither given, no
     probe is attached and the forwarding plane runs exactly as before.
 

@@ -71,11 +71,8 @@ type t = {
   mutable up : bool;
   mutable corruption : float;
   (* Always-on per-interface counters (the dissertation's per-router
-     counter state): plain integer bumps on the hot path, scraped by the
-     telemetry layer at export time. *)
+     counter state): plain integer bumps on the hot path. *)
   mutable tx_packets : int;
-  mutable tx_bytes : int;
-  mutable delivered_packets : int;
   mutable dropped_packets : int;
 }
 
@@ -96,8 +93,7 @@ let create ~sim ~link ~kind ?(release = no_release) ~on_event ~deliver () =
   { sim; clock = Sim.clock sim; link; queue; on_event; deliver; release;
     tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
     arrive_at = { Sim.f = 0.0 }; observe = all_kinds; up = true;
-    corruption = 0.0; tx_packets = 0; tx_bytes = 0; delivered_packets = 0;
-    dropped_packets = 0 }
+    corruption = 0.0; tx_packets = 0; dropped_packets = 0 }
 
 let owner t = t.link.Topology.Graph.src
 let next_hop t = t.link.Topology.Graph.dst
@@ -142,7 +138,6 @@ let transmit t =
      transmission-end event were pushed here. *)
   t.txend_pending <- true;
   t.tx_packets <- t.tx_packets + 1;
-  t.tx_bytes <- t.tx_bytes + p.Packet.size;
   if t.observe land b_transmit_start <> 0 then t.on_event t (Transmit_start p);
   let now = t.clock.f in
   let tx = float_of_int p.Packet.size /. t.link.Topology.Graph.bw in
@@ -174,7 +169,6 @@ let arrive t p =
     t.release p
   end
   else begin
-    t.delivered_packets <- t.delivered_packets + 1;
     if t.observe land b_delivered <> 0 then t.on_event t (Delivered p);
     t.deliver ~prev:(owner t) p
   end
@@ -224,6 +218,4 @@ let enqueue t p =
   end
 
 let tx_packets t = t.tx_packets
-let tx_bytes t = t.tx_bytes
-let delivered_packets t = t.delivered_packets
 let dropped_packets t = t.dropped_packets

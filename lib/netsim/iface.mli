@@ -127,13 +127,7 @@ val set_corruption : t -> float -> unit
 
 val tx_packets : t -> int
 (** Packets whose serialization onto the link started (always-on
-    per-interface counter, scraped by the telemetry layer). *)
-
-val tx_bytes : t -> int
-(** Bytes of those packets. *)
-
-val delivered_packets : t -> int
-(** Packets that reached the far end intact. *)
+    per-interface counter). *)
 
 val dropped_packets : t -> int
 (** Packets this interface discarded (congestion, RED, link-down or

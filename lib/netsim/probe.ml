@@ -25,34 +25,7 @@ type event =
   | Fault of fault_record
 
 type t = {
-  registry : Telemetry.Metrics.t;
   journal : event Telemetry.Journal.t;
-  (* Conservation counters.  Every packet handed to the network
-     (originate, fabricate, fragment pieces) ends up in exactly one of:
-     delivered, a drop cause, replaced-by-fragments, or still in flight
-     when the run stops. *)
-  injected : Telemetry.Metrics.counter;
-  fabricated : Telemetry.Metrics.counter;
-  fragments_created : Telemetry.Metrics.counter;
-  delivered : Telemetry.Metrics.counter;
-  fragmented_originals : Telemetry.Metrics.counter;
-  drop_congestion : Telemetry.Metrics.counter;
-  drop_red_early : Telemetry.Metrics.counter;
-  drop_link_down : Telemetry.Metrics.counter;
-  drop_corrupted : Telemetry.Metrics.counter;
-  drop_malicious : Telemetry.Metrics.counter;
-  drop_no_route : Telemetry.Metrics.counter;
-  drop_ttl_expired : Telemetry.Metrics.counter;
-  (* Non-conservation observations. *)
-  enqueued : Telemetry.Metrics.counter;
-  forwarded_hops : Telemetry.Metrics.counter;
-  malicious_modify : Telemetry.Metrics.counter;
-  malicious_delay : Telemetry.Metrics.counter;
-  verdicts : Telemetry.Metrics.counter;
-  alarms : Telemetry.Metrics.counter;
-  faults_injected : Telemetry.Metrics.counter;
-  pkt_size : Telemetry.Hist.t;
-  malice_by_router : (int, Telemetry.Metrics.counter) Hashtbl.t;
   mutable first_alarm_time : float option;
   (* Verdicts are rare and load-bearing (the robustness oracle scores
      them after the run), so they are retained here in full even when
@@ -66,8 +39,11 @@ type t = {
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
   (* Always-on stats collector (wired by [Net.set_probe]), fed by every
-     hook below. *)
+     hook below: the probe's one set of packet counts. *)
   mutable stats : Stats.t option;
+  (* Faults count here, not in [stats]: a probe with no network scores
+     faults too. *)
+  mutable faults : int;
 }
 
 let iface_packet = function
@@ -85,46 +61,15 @@ let router_packet = function
   | Router.Fragmented { original; _ } -> original
   | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt -> pkt
 
-let drop_counter reg cause =
-  Telemetry.Metrics.counter reg "pkt_dropped_total"
-    ~help:"packets dropped, by cause" ~labels:[ ("cause", cause) ]
-
 let create ?(journal_capacity = 65536) ?tracer () =
-  let reg = Telemetry.Metrics.create () in
-  let c name help = Telemetry.Metrics.counter reg name ~help in
-  { registry = reg;
-    journal = Telemetry.Journal.create ~capacity:journal_capacity ();
-    injected = c "pkt_injected_total" "packets originated by applications";
-    fabricated = c "pkt_fabricated_total" "packets injected by a malicious router";
-    fragments_created = c "pkt_fragments_total" "fragment packets created";
-    delivered = c "pkt_delivered_total" "packets delivered to a local application";
-    fragmented_originals =
-      c "pkt_fragmented_total" "packets replaced by their fragments";
-    drop_congestion = drop_counter reg "congestion";
-    drop_red_early = drop_counter reg "red_early";
-    drop_link_down = drop_counter reg "link_down";
-    drop_corrupted = drop_counter reg "corrupted";
-    drop_malicious = drop_counter reg "malicious";
-    drop_no_route = drop_counter reg "no_route";
-    drop_ttl_expired = drop_counter reg "ttl_expired";
-    enqueued = c "pkt_enqueued_total" "packets accepted into an output queue";
-    forwarded_hops = c "pkt_forwarded_hops_total" "per-hop link deliveries";
-    malicious_modify = c "malicious_modify_total" "payload modification events";
-    malicious_delay = c "malicious_delay_total" "malicious delay events";
-    verdicts = c "detector_verdicts_total" "detector round verdicts recorded";
-    alarms = c "detector_alarms_total" "alarming detector verdicts";
-    faults_injected = c "fault_injected_total" "benign faults injected into the run";
-    pkt_size =
-      Telemetry.Metrics.histogram reg "pkt_size_bytes" ~buckets:16 ~min_exp:4
-        ~help:"size of injected packets";
-    malice_by_router = Hashtbl.create 8;
+  { journal = Telemetry.Journal.create ~capacity:journal_capacity ();
     first_alarm_time = None;
     verdicts_rev = [];
     tracer;
     named_tracks = Hashtbl.create 16;
-    stats = None }
+    stats = None;
+    faults = 0 }
 
-let registry t = t.registry
 let journal t = t.journal
 let set_stats t stats = t.stats <- stats
 let stats t = t.stats
@@ -138,21 +83,7 @@ let net_track t sp router =
   end;
   router
 
-let malice_counter t router =
-  match Hashtbl.find_opt t.malice_by_router router with
-  | Some c -> c
-  | None ->
-      let c =
-        Telemetry.Metrics.counter t.registry "malice_events_total"
-          ~help:"malicious router actions, by router"
-          ~labels:[ ("router", string_of_int router) ]
-      in
-      Hashtbl.add t.malice_by_router router c;
-      c
-
 let on_originate t (pkt : Packet.t) =
-  Telemetry.Metrics.inc t.injected;
-  Telemetry.Hist.record t.pkt_size (float_of_int pkt.Packet.size);
   (match t.stats with Some st -> Stats.on_originate st pkt | None -> ());
   match t.tracer with
   | None -> ()
@@ -230,14 +161,6 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
       end
 
 let on_iface t (r : iface_record) =
-  (match r.kind with
-  | Iface.Enqueued _ -> Telemetry.Metrics.inc t.enqueued
-  | Iface.Drop_congestion _ -> Telemetry.Metrics.inc t.drop_congestion
-  | Iface.Drop_red_early _ -> Telemetry.Metrics.inc t.drop_red_early
-  | Iface.Drop_link_down _ -> Telemetry.Metrics.inc t.drop_link_down
-  | Iface.Drop_corrupted _ -> Telemetry.Metrics.inc t.drop_corrupted
-  | Iface.Transmit_start _ -> ()
-  | Iface.Delivered _ -> Telemetry.Metrics.inc t.forwarded_hops);
   (match t.stats with
   | Some st -> Stats.on_iface st ~time:r.time ~router:r.router ~next:r.next r.kind
   | None -> ());
@@ -284,39 +207,17 @@ let trace_router t sp ~time ~router (ev : Router.event) =
   end
 
 let on_router t (r : router_record) =
-  let router = r.router in
-  (match r.kind with
-  | Router.Malicious_drop _ ->
-      Telemetry.Metrics.inc t.drop_malicious;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Malicious_modify _ ->
-      Telemetry.Metrics.inc t.malicious_modify;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Malicious_delay _ ->
-      Telemetry.Metrics.inc t.malicious_delay;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Fabricated _ ->
-      Telemetry.Metrics.inc t.fabricated;
-      Telemetry.Metrics.inc (malice_counter t router)
-  | Router.Fragmented { fragments; _ } ->
-      Telemetry.Metrics.inc t.fragmented_originals;
-      Telemetry.Metrics.add t.fragments_created fragments
-  | Router.No_route _ -> Telemetry.Metrics.inc t.drop_no_route
-  | Router.Ttl_expired _ -> Telemetry.Metrics.inc t.drop_ttl_expired
-  | Router.Delivered_local _ -> Telemetry.Metrics.inc t.delivered);
-  (match t.stats with Some st -> Stats.on_router st ~time:r.time r.kind | None -> ());
+  (match t.stats with
+  | Some st -> Stats.on_router st ~time:r.time ~router:r.router r.kind
+  | None -> ());
   Telemetry.Journal.record t.journal (Node r);
   match t.tracer with
-  | Some sp -> trace_router t sp ~time:r.time ~router r.kind
+  | Some sp -> trace_router t sp ~time:r.time ~router:r.router r.kind
   | None -> ()
 
 let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alarm
     ?(detail = "") ?(evidence = []) () =
-  Telemetry.Metrics.inc t.verdicts;
-  if alarm then begin
-    Telemetry.Metrics.inc t.alarms;
-    if t.first_alarm_time = None then t.first_alarm_time <- Some time
-  end;
+  if alarm && t.first_alarm_time = None then t.first_alarm_time <- Some time;
   let v = { time; detector; subject; suspects; confidence; alarm; detail } in
   t.verdicts_rev <- v :: t.verdicts_rev;
   (match t.stats with
@@ -332,10 +233,10 @@ let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alar
 
 let first_alarm_time t = t.first_alarm_time
 let verdicts t = List.rev t.verdicts_rev
-let faults_recorded t = Telemetry.Metrics.counter_value t.faults_injected
+let faults_recorded t = t.faults
 
 let record_fault t ~time ~kind ?(routers = []) ?(detail = "") () =
-  Telemetry.Metrics.inc t.faults_injected;
+  t.faults <- t.faults + 1;
   (match t.stats with Some st -> Stats.on_fault st ~time | None -> ());
   Telemetry.Journal.record t.journal (Fault { time; kind; routers; detail });
   match t.tracer with
@@ -381,8 +282,6 @@ let trace_instant t ~track ~name ?cat ~time ?routers ?args () =
 
 (* --- conservation --- *)
 
-let v = Telemetry.Metrics.counter_value
-
 type conservation = {
   total_injected : int;   (* originate + fabricate + fragments *)
   total_delivered : int;
@@ -392,16 +291,21 @@ type conservation = {
 }
 
 let conservation t =
-  let total_injected = v t.injected + v t.fabricated + v t.fragments_created in
-  let total_delivered = v t.delivered in
-  let total_dropped =
-    v t.drop_congestion + v t.drop_red_early + v t.drop_link_down
-    + v t.drop_corrupted + v t.drop_malicious + v t.drop_no_route
-    + v t.drop_ttl_expired
-  in
-  let total_fragmented = v t.fragmented_originals in
-  { total_injected; total_delivered; total_dropped; total_fragmented;
-    in_flight = total_injected - total_delivered - total_dropped - total_fragmented }
+  match t.stats with
+  | None ->
+      { total_injected = 0; total_delivered = 0; total_dropped = 0;
+        total_fragmented = 0; in_flight = 0 }
+  | Some st ->
+      let total = Telemetry.Timeseries.total_count in
+      let total_injected =
+        total (Stats.injected st) + Stats.fabricated st + Stats.fragments_created st
+      in
+      let total_delivered = total (Stats.delivered st) in
+      let total_dropped = total (Stats.dropped st) in
+      let total_fragmented = Stats.fragmented st in
+      { total_injected; total_delivered; total_dropped; total_fragmented;
+        in_flight =
+          total_injected - total_delivered - total_dropped - total_fragmented }
 
 (* --- formatting: one line per record, derived on demand --- *)
 

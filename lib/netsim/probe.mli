@@ -1,22 +1,21 @@
 (** The simulator's observability pipeline.
 
-    A probe bundles a {!Telemetry.Metrics} registry (packet counters by
-    outcome, per-router malice counters, a packet-size histogram) with a
-    bounded {!Telemetry.Journal} of typed records covering all three
-    layers: link events, router events, and detector verdicts.  Delivery
-    latency is recorded once per delivered packet, by the {!Stats}
-    collector the probe carries.
-    Attach one to a network with {!Net.set_probe} — the forwarding plane
-    feeds it directly, and detectors add verdicts via
+    A probe bundles the always-on {!Stats} collector — the probe's one
+    set of counts: packets by outcome, drops by cause, malice by router,
+    latency and round histograms — with a bounded {!Telemetry.Journal}
+    of typed records covering all three layers: link events, router
+    events, and detector verdicts.  Attach one to a network with
+    {!Net.set_probe}, which also creates its {!Stats}: the forwarding
+    plane feeds it directly, and detectors add verdicts via
     {!record_verdict}.  With no probe attached the per-event cost in the
     forwarding plane is a single pointer test.
 
-    The probe is also where the always-on {!Stats} collector is fed:
-    every hook below forwards to it.  The journal keeps the very record
-    [Net] hands to its listeners ({!iface_record} / {!router_record} are
-    [Net.iface_event] / [Net.router_event]), so an observed event is
-    built once.  {!describe} renders a record as one line; exporters
-    turn the journal into JSONL with {!write_journal}.
+    Every hook below forwards to {!Stats}, and {!conservation} is read
+    back from it.  The journal keeps the very record [Net] hands to its
+    listeners ({!iface_record} / {!router_record} are [Net.iface_event]
+    / [Net.router_event]), so an observed event is built once.
+    {!describe} renders a record as one line; exporters turn the journal
+    into JSONL with {!write_journal}.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -71,11 +70,10 @@ type event =
 type t
 
 val create : ?journal_capacity:int -> ?tracer:Telemetry.Span.t -> unit -> t
-(** A fresh probe with its own metrics registry; [journal_capacity]
-    bounds the journal (default 65536 records).  Pass [tracer] to record
-    causal spans alongside the journal. *)
+(** A fresh probe; [journal_capacity] bounds the journal (default 65536
+    records).  Pass [tracer] to record causal spans alongside the
+    journal. *)
 
-val registry : t -> Telemetry.Metrics.t
 val journal : t -> event Telemetry.Journal.t
 
 val set_stats : t -> Stats.t option -> unit
@@ -86,15 +84,15 @@ val set_stats : t -> Stats.t option -> unit
 val stats : t -> Stats.t option
 
 val on_originate : t -> Packet.t -> unit
-(** Count an application origination (in {!Stats} too).  With a tracer
+(** Count an application origination in {!Stats}.  With a tracer
     attached this also draws the sampling coin and, when sampled, stamps
     [Packet.trace] and records an "originate" instant. *)
 
 val on_iface : t -> iface_record -> unit
 val on_router : t -> router_record -> unit
-(** Forwarding-plane hooks (called by {!Net}): bump the matching
-    counters, feed {!Stats}, journal the record itself and (for traced
-    packets) record hop spans / instants. *)
+(** Forwarding-plane hooks (called by {!Net}): feed {!Stats}, journal
+    the record itself and (for traced packets) record hop spans /
+    instants. *)
 
 val record_verdict :
   t ->
@@ -108,8 +106,8 @@ val record_verdict :
   ?evidence:Telemetry.Span.id list ->
   unit ->
   unit
-(** Journal a detector verdict; alarming verdicts also advance the
-    alarm counter and pin {!first_alarm_time}.  With a tracer attached
+(** Journal a detector verdict and count it in {!Stats}; the first
+    alarming verdict pins {!first_alarm_time}.  With a tracer attached
     the verdict becomes a provenance record whose [evidence] ids (from
     {!trace_span} / {!trace_instant}) justify the accusation, and the
     flight-recorder window for the implicated routers is pinned. *)
@@ -150,7 +148,7 @@ val record_fault :
   unit ->
   unit
 (** Journal a benign injected fault (from {!Faults.Injector} or the
-    chaos generator), bump the fault counter, and — with a tracer
+    chaos generator), count it ({!faults_recorded} and {!Stats}), and — with a tracer
     attached — record an instant on the detector-side "faults" track so
     the churn shows up in [mrdetect trace explain] next to the verdicts
     it might have confused. *)
@@ -164,7 +162,8 @@ val verdicts : t -> verdict list
     {!Faults.Oracle} scores. *)
 
 val faults_recorded : t -> int
-(** Total benign faults recorded through {!record_fault}. *)
+(** Total benign faults recorded through {!record_fault}, with or
+    without a {!Stats} attached. *)
 
 type conservation = {
   total_injected : int;
@@ -180,6 +179,9 @@ type conservation = {
 }
 
 val conservation : t -> conservation
+(** Read off the probe's {!Stats}: the injected, delivered and dropped
+    series' totals plus its fabricated, fragment and fragmented
+    counters.  All zero for a probe never attached to a network. *)
 
 val describe : event -> string
 (** The legacy one-line trace rendering ("12.0345 r3->r4 deliver #812

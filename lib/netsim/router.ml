@@ -91,10 +91,7 @@ type t = {
   mutable behavior : behavior;
   mutable mtu : int option;
   mcast : (int, int list * bool) Hashtbl.t; (* group -> (branches, local) *)
-  (* Always-on per-router counters: plain integer bumps on the hot path,
-     scraped by the telemetry layer at export time. *)
-  mutable received_packets : int;
-  mutable forwarded_packets : int;
+  (* Always-on count of local deliveries: a plain integer bump. *)
   mutable delivered_packets : int;
 }
 
@@ -107,7 +104,7 @@ let create ~sim ~id ~n ~jitter_bound ?(release = no_release) ~on_event ~local_de
     out = Hashtbl.create 4; by_next = Array.make n None; observe = all_kinds;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
-    received_packets = 0; forwarded_packets = 0; delivered_packets = 0 }
+    delivered_packets = 0 }
 
 let id t = t.id
 let set_observe t v = t.observe <- v
@@ -197,10 +194,7 @@ let forward_one t ~prev ~next pkt =
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
          forwarding plane its state, and building it costs boxes. *)
-      if t.behavior == honest then begin
-        t.forwarded_packets <- t.forwarded_packets + 1;
-        fragment_if_needed t ~next iface pkt
-      end
+      if t.behavior == honest then fragment_if_needed t ~next iface pkt
       else begin
         let ctx =
           { now = Sim.now t.sim;
@@ -211,9 +205,7 @@ let forward_one t ~prev ~next pkt =
             red_avg = Option.map Red.avg (Iface.red_state iface) }
         in
         match t.behavior ctx pkt with
-        | Forward ->
-            t.forwarded_packets <- t.forwarded_packets + 1;
-            fragment_if_needed t ~next iface pkt
+        | Forward -> fragment_if_needed t ~next iface pkt
         | Drop ->
             if t.observe land b_malicious_drop <> 0 then t.on_event t (Malicious_drop { next; pkt });
             t.release pkt
@@ -286,7 +278,6 @@ let unicast t ~prev pkt =
 
 (* Routers outside every multicast tree skip the group lookup's hash. *)
 let receive_prev t ~prev pkt =
-  t.received_packets <- t.received_packets + 1;
   if Hashtbl.length t.mcast = 0 then unicast t ~prev pkt
   else
     match Hashtbl.find_opt t.mcast pkt.Packet.dst with
@@ -300,6 +291,4 @@ let fabricate t ~next pkt =
       if t.observe land b_fabricated <> 0 then t.on_event t (Fabricated { next; pkt });
       Iface.enqueue iface pkt
 
-let received_packets t = t.received_packets
-let forwarded_packets t = t.forwarded_packets
 let delivered_packets t = t.delivered_packets

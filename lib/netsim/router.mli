@@ -139,12 +139,6 @@ val fabricate : t -> next:int -> Packet.t -> unit
 (** Inject a packet the router made up straight into an output queue
     (packet-fabrication attack); emits [Fabricated]. *)
 
-val received_packets : t -> int
-(** Packets handed to this router (originations and arrivals; always-on
-    per-router counter, scraped by the telemetry layer). *)
-
-val forwarded_packets : t -> int
-(** Packets the router's behavior forwarded toward a next hop. *)
-
 val delivered_packets : t -> int
-(** Packets delivered to this router's local applications. *)
+(** Packets delivered to this router's local applications (always-on
+    counter). *)

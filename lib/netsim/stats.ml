@@ -4,7 +4,12 @@
    hooks; everything it keeps is bounded: downsampling
    [Telemetry.Timeseries] rings for the headline rates,
    [Telemetry.Hist] histograms for latencies and durations, and flat
-   per-router / per-link arrays for the topology-shaped counters. *)
+   per-router / per-link arrays for the topology-shaped counters.
+
+   This is the probe's one set of counts: a headline series' total is
+   exact (its bucket counts are integers), so only the facts no series
+   holds get a plain counter of their own — the cause of each drop, the
+   injections that are not originations and malice by router. *)
 
 module Ts = Telemetry.Timeseries
 module Hist = Telemetry.Hist
@@ -18,12 +23,30 @@ let series_resolution = 0.05
 let router_capacity = 128
 let router_resolution = 0.1
 
+(* Drop causes, in the order [drops] indexes them. *)
+let drop_causes =
+  [| "congestion"; "red_early"; "link_down"; "corrupted"; "malicious";
+     "no_route"; "ttl_expired" |]
+
+let congestion = 0
+let red_early = 1
+let link_down = 2
+let corrupted = 3
+let malicious = 4
+let no_route = 5
+let ttl_expired = 6
+
 type t = {
   n : int;
   depth : int array; (* running queued-packet count per router *)
   queue_depth : Ts.t array; (* event-weighted depth samples per router *)
   link_tx : int array; (* (router * n + next) transmit starts *)
   link_drop : int array; (* (router * n + next) iface drops *)
+  drops : int array; (* by cause, indexed as [drop_causes] *)
+  malice_by_router : int array; (* malicious actions per router *)
+  mutable fabricated : int; (* packets injected by a malicious router *)
+  mutable fragments_created : int; (* fragment pieces *)
+  mutable fragmented : int; (* originals replaced by their fragments *)
   injected : Ts.t;
   delivered : Ts.t;
   enqueued : Ts.t;
@@ -54,6 +77,11 @@ let create ~n () =
           Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
     link_tx = Array.make (n * n) 0;
     link_drop = Array.make (n * n) 0;
+    drops = Array.make (Array.length drop_causes) 0;
+    malice_by_router = Array.make n 0;
+    fabricated = 0;
+    fragments_created = 0;
+    fragmented = 0;
     injected = headline ();
     delivered = headline ();
     enqueued = headline ();
@@ -81,6 +109,12 @@ let on_originate t (pkt : Packet.t) =
 let depth_sample t ~time router =
   Ts.record t.queue_depth.(router) ~time (float_of_int t.depth.(router))
 
+(* A drop at an interface: the headline series, its cause and its link. *)
+let link_drop t ~time ~link cause =
+  Ts.record t.dropped ~time 1.0;
+  t.drops.(cause) <- t.drops.(cause) + 1;
+  t.link_drop.(link) <- t.link_drop.(link) + 1
+
 let on_iface t ~time ~router ~next (ev : Iface.event) =
   let link = (router * t.n) + next in
   match ev with
@@ -93,29 +127,41 @@ let on_iface t ~time ~router ~next (ev : Iface.event) =
       if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
       depth_sample t ~time router
   | Iface.Drop_link_down _ ->
-      Ts.record t.dropped ~time 1.0;
-      t.link_drop.(link) <- t.link_drop.(link) + 1;
+      link_drop t ~time ~link link_down;
       (* The packet was refused at a failed link and never queued, and
          the packets already queued wait there: the depth is unchanged,
          and the sample reads the backlog this packet met. *)
       depth_sample t ~time router
-  | Iface.Drop_congestion _ | Iface.Drop_red_early _ | Iface.Drop_corrupted _ ->
-      Ts.record t.dropped ~time 1.0;
-      t.link_drop.(link) <- t.link_drop.(link) + 1
+  | Iface.Drop_congestion _ -> link_drop t ~time ~link congestion
+  | Iface.Drop_red_early _ -> link_drop t ~time ~link red_early
+  | Iface.Drop_corrupted _ -> link_drop t ~time ~link corrupted
   | Iface.Delivered _ -> ()
 
-let on_router t ~time (ev : Router.event) =
+let router_drop t ~time cause =
+  Ts.record t.dropped ~time 1.0;
+  t.drops.(cause) <- t.drops.(cause) + 1
+
+let count_malice t ~time router =
+  Ts.record t.malice ~time 1.0;
+  t.malice_by_router.(router) <- t.malice_by_router.(router) + 1
+
+let on_router t ~time ~router (ev : Router.event) =
   match ev with
   | Router.Delivered_local pkt ->
       Ts.record t.delivered ~time 1.0;
       Hist.record t.latency (time -. pkt.Packet.created)
   | Router.Malicious_drop _ ->
-      Ts.record t.dropped ~time 1.0;
-      Ts.record t.malice ~time 1.0
-  | Router.Malicious_modify _ | Router.Malicious_delay _ | Router.Fabricated _ ->
-      Ts.record t.malice ~time 1.0
-  | Router.No_route _ | Router.Ttl_expired _ -> Ts.record t.dropped ~time 1.0
-  | Router.Fragmented _ -> ()
+      router_drop t ~time malicious;
+      count_malice t ~time router
+  | Router.Fabricated _ ->
+      t.fabricated <- t.fabricated + 1;
+      count_malice t ~time router
+  | Router.Malicious_modify _ | Router.Malicious_delay _ -> count_malice t ~time router
+  | Router.No_route _ -> router_drop t ~time no_route
+  | Router.Ttl_expired _ -> router_drop t ~time ttl_expired
+  | Router.Fragmented { fragments; _ } ->
+      t.fragmented <- t.fragmented + 1;
+      t.fragments_created <- t.fragments_created + fragments
 
 (* --- control plane --------------------------------------------------- *)
 
@@ -232,14 +278,22 @@ let to_json t =
       ("links", List links);
       ("routers", List routers) ]
 
+let drops t = Array.to_list (Array.mapi (fun i c -> (c, t.drops.(i))) drop_causes)
+
+let malice_by_router t =
+  List.filter
+    (fun (_, n) -> n > 0)
+    (List.init t.n (fun r -> (r, t.malice_by_router.(r))))
+
 (* Prometheus text rendering of the same collectors: histogram [le=]
-   edges come from [Hist.uppers] via the shared exporter, per-protocol
-   histograms become labelled series. *)
+   edges come from [Hist.uppers] via the shared exporter, and each
+   labelled family (per protocol, per router, per cause) is rendered
+   under one header. *)
 let prometheus t =
   let open Telemetry.Export in
   let buf = Buffer.create 4096 in
   List.iter
-    (fun (n, ts) -> prometheus_append_timeseries buf ~name:("stats_" ^ n) ts)
+    (fun (n, ts) -> prometheus_append_timeseries buf ~name:("stats_" ^ n) [ ([], ts) ])
     [ ("injected", t.injected); ("delivered", t.delivered);
       ("enqueued", t.enqueued); ("dropped", t.dropped); ("malice", t.malice);
       ("verdicts", t.verdicts); ("alarms", t.alarms); ("faults", t.faults) ];
@@ -247,25 +301,22 @@ let prometheus t =
     ~help:"origination-to-delivery latency" t.latency;
   prometheus_append_hist buf ~name:"stats_ctrl_attempts"
     ~help:"transmissions per control-plane send" t.ctrl_attempts;
-  List.iter
-    (fun (k, h) ->
-      prometheus_append_hist buf ~name:"stats_round_duration_seconds"
-        ~labels:[ ("protocol", k) ] h)
-    (sorted_hists t.round_duration);
-  List.iter
-    (fun (k, h) ->
-      prometheus_append_hist buf ~name:"stats_detection_latency_seconds"
-        ~labels:[ ("detector", k) ] h)
-    (sorted_hists t.detection_latency);
-  Buffer.add_string buf "# TYPE stats_ctrl_sends counter\n";
-  Buffer.add_string buf (Printf.sprintf "stats_ctrl_sends %d\n" t.ctrl_sends);
-  Buffer.add_string buf "# TYPE stats_ctrl_timeouts counter\n";
-  Buffer.add_string buf (Printf.sprintf "stats_ctrl_timeouts %d\n" t.ctrl_timeouts);
-  Array.iteri
-    (fun r ts ->
-      prometheus_append_timeseries buf ~name:"stats_queue_depth"
-        ~labels:[ ("router", string_of_int r) ] ts)
-    t.queue_depth;
+  let labelled key members = List.map (fun (k, x) -> ([ (key, k) ], x)) members in
+  prometheus_append_hists buf ~name:"stats_round_duration_seconds"
+    (labelled "protocol" (sorted_hists t.round_duration));
+  prometheus_append_hists buf ~name:"stats_detection_latency_seconds"
+    (labelled "detector" (sorted_hists t.detection_latency));
+  prometheus_append_counters buf ~name:"stats_ctrl_sends" [ ([], t.ctrl_sends) ];
+  prometheus_append_counters buf ~name:"stats_ctrl_timeouts"
+    [ ([], t.ctrl_timeouts) ];
+  prometheus_append_timeseries buf ~name:"stats_queue_depth"
+    (List.init t.n (fun r -> ([ ("router", string_of_int r) ], t.queue_depth.(r))));
+  prometheus_append_counters buf ~name:"stats_dropped_total"
+    ~help:"packets dropped, by cause" (labelled "cause" (drops t));
+  prometheus_append_counters buf ~name:"stats_malice_total"
+    ~help:"malicious router actions, by router"
+    (labelled "router"
+       (List.map (fun (r, n) -> (string_of_int r, n)) (malice_by_router t)));
   Buffer.contents buf
 
 (* Accessors for the live view and the exporters. *)
@@ -279,6 +330,9 @@ let ctrl_attempts_hist t = t.ctrl_attempts
 let ctrl_sends t = t.ctrl_sends
 let ctrl_timeouts t = t.ctrl_timeouts
 let queue_depth t r = t.queue_depth.(r)
+let fabricated t = t.fabricated
+let fragments_created t = t.fragments_created
+let fragmented t = t.fragmented
 
 let round_durations t = sorted_hists t.round_duration
 let detection_latencies t = sorted_hists t.detection_latency

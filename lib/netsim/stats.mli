@@ -4,7 +4,14 @@
     downsampling {!Telemetry.Timeseries} rings, latency and duration
     {!Telemetry.Hist} histograms, per-router queue-depth series and
     per-link transmit/drop counters — all bounded, all fed with O(1)
-    allocation-free records by the probe's own hooks. *)
+    allocation-free records by the probe's own hooks.
+
+    It is the probe's one set of counts.  A headline series' total
+    ({!Telemetry.Timeseries.total_count}) is exact, so injected,
+    delivered, dropped, malice, verdict, alarm and fault totals are read
+    off the series; plain counters hold only what no series does: drops
+    by cause, fabricated packets, fragments, and malice by router.
+    {!Probe.conservation} is computed from these. *)
 
 type t
 
@@ -26,7 +33,8 @@ val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
 (** A link event.  Queue depth moves on [Enqueued] and [Transmit_start]
     only: a [Drop_link_down] packet never entered the queue. *)
 
-val on_router : t -> time:float -> Router.event -> unit
+val on_router : t -> time:float -> router:int -> Router.event -> unit
+(** A router event at [router]; malicious actions count against it. *)
 
 (** {2 Control plane} *)
 
@@ -51,8 +59,28 @@ val to_json : t -> Telemetry.Export.json
 val prometheus : t -> string
 (** Prometheus text rendering of every collector ([stats_] prefix):
     series as per-bucket gauge vectors, histograms with [le=] edges
-    exactly {!Telemetry.Hist.uppers}, per-protocol histograms as
-    labelled families. *)
+    exactly {!Telemetry.Hist.uppers}, per-protocol histograms and
+    per-router queue depths as labelled families, and the
+    [stats_dropped_total{cause}] / [stats_malice_total{router}]
+    counters.  Each family has exactly one [# TYPE] header, ahead of
+    its samples. *)
+
+val drops : t -> (string * int) list
+(** Drop totals by cause, every cause in a fixed order: congestion,
+    red_early, link_down, corrupted, malicious, no_route, ttl_expired.
+    They sum to the [dropped] series' total. *)
+
+val malice_by_router : t -> (int * int) list
+(** Malicious actions per router, ascending, non-zero routers only. *)
+
+val fabricated : t -> int
+(** Packets injected by a malicious router. *)
+
+val fragments_created : t -> int
+(** Fragment pieces created. *)
+
+val fragmented : t -> int
+(** Originals replaced by their fragments. *)
 
 val injected : t -> Telemetry.Timeseries.t
 val delivered : t -> Telemetry.Timeseries.t

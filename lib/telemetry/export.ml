@@ -266,34 +266,7 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_list_opt = function List xs -> Some xs | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 
-(* --- registry exporters --- *)
-
-let json_of_sample = function
-  | Metrics.Counter_sample c -> [ ("type", String "counter"); ("value", Int c) ]
-  | Metrics.Gauge_sample g -> [ ("type", String "gauge"); ("value", Float g) ]
-  | Metrics.Histogram_sample h ->
-      [ ("type", String "histogram");
-        ("count", Int (Hist.count h));
-        ("sum", Float (Hist.sum h));
-        ("buckets",
-         List
-           (List.init (Hist.buckets h) (fun i ->
-                Assoc
-                  [ ("le", Float (Hist.bucket_upper h i));
-                    ("count", Int (Hist.bucket_count h i)) ]))) ]
-
-let json_of_registry reg =
-  List
-    (List.map
-       (fun (name, help, labels, sample) ->
-         Assoc
-           ((("name", String name)
-             :: (if help = "" then [] else [ ("help", String help) ]))
-           @ (if labels = [] then []
-              else
-                [ ("labels", Assoc (List.map (fun (k, v) -> (k, String v)) labels)) ])
-           @ json_of_sample sample))
-       (Metrics.snapshot reg))
+(* --- Prometheus text exposition --- *)
 
 let prom_escape s =
   String.concat ""
@@ -339,49 +312,40 @@ let prom_hist_lines buf ~name ~labels h =
   Buffer.add_string buf
     (Printf.sprintf "%s_count%s %d\n" name (prom_labels labels) (Hist.count h))
 
-let prometheus_append_hist buf ~name ?(help = "") ?(labels = []) h =
-  prom_header buf ~name ~help "histogram";
-  prom_hist_lines buf ~name ~labels h
+(* Each function below renders one family: a single # HELP / # TYPE
+   header, then every member's samples under its labels.  Prometheus
+   parsers reject a second TYPE line for a family.  A family with no
+   members renders nothing. *)
+let prom_family buf ~name ~help kind members lines =
+  if members <> [] then begin
+    prom_header buf ~name ~help kind;
+    List.iter lines members
+  end
 
-let prometheus_of_registry reg =
-  let buf = Buffer.create 4096 in
-  let seen_header = Hashtbl.create 16 in
-  List.iter
-    (fun (name, help, labels, sample) ->
-      let kind =
-        match sample with
-        | Metrics.Counter_sample _ -> "counter"
-        | Metrics.Gauge_sample _ -> "gauge"
-        | Metrics.Histogram_sample _ -> "histogram"
-      in
-      if not (Hashtbl.mem seen_header name) then begin
-        Hashtbl.add seen_header name ();
-        prom_header buf ~name ~help kind
-      end;
-      match sample with
-      | Metrics.Counter_sample c ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %d\n" name (prom_labels labels) c)
-      | Metrics.Gauge_sample g ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s%s %s\n" name (prom_labels labels) (prom_float g))
-      | Metrics.Histogram_sample h -> prom_hist_lines buf ~name ~labels h)
-    (Metrics.snapshot reg);
-  Buffer.contents buf
+let prometheus_append_hists buf ~name ?(help = "") members =
+  prom_family buf ~name ~help "histogram" members (fun (labels, h) ->
+      prom_hist_lines buf ~name ~labels h)
+
+let prometheus_append_hist buf ~name ?help ?(labels = []) h =
+  prometheus_append_hists buf ~name ?help [ (labels, h) ]
+
+let prometheus_append_counters buf ~name ?(help = "") members =
+  prom_family buf ~name ~help "counter" members (fun (labels, v) ->
+      Buffer.add_string buf (Printf.sprintf "%s%s %d\n" name (prom_labels labels) v))
 
 (* A time series becomes two gauge vectors labelled by the inclusive
    bucket start time: per-bucket event counts and value sums. *)
-let prometheus_append_timeseries buf ~name ?(help = "") ?(labels = []) ts =
+let prometheus_append_timeseries buf ~name ?(help = "") members =
   let emit suffix value_of =
     let metric = name ^ suffix in
-    prom_header buf ~name:metric ~help "gauge";
-    for i = 0 to Timeseries.used ts - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%s%s %s\n" metric
-           (prom_labels
-              (labels @ [ ("t", prom_float (Timeseries.bucket_start ts i)) ]))
-           (value_of i))
-    done
+    prom_family buf ~name:metric ~help "gauge" members (fun (labels, ts) ->
+        for i = 0 to Timeseries.used ts - 1 do
+          Buffer.add_string buf
+            (Printf.sprintf "%s%s %s\n" metric
+               (prom_labels
+                  (labels @ [ ("t", prom_float (Timeseries.bucket_start ts i)) ]))
+               (value_of ts i))
+        done)
   in
-  emit "_bucket_count" (fun i -> string_of_int (Timeseries.bucket_count ts i));
-  emit "_bucket_sum" (fun i -> prom_float (Timeseries.bucket_sum ts i))
+  emit "_bucket_count" (fun ts i -> string_of_int (Timeseries.bucket_count ts i));
+  emit "_bucket_sum" (fun ts i -> prom_float (Timeseries.bucket_sum ts i))

@@ -1,6 +1,6 @@
 (** Exporters: a dependency-free JSON value type with an emitter and a
-    matching parser, plus registry renderers (JSON document and
-    Prometheus text exposition format).
+    matching parser, plus Prometheus text exposition renderers for the
+    fixed-point {!Hist} / {!Timeseries} collectors and plain counters.
 
     The parser exists so tests (and downstream tooling) can read the
     exporters' own output back without an external JSON library; it
@@ -45,30 +45,31 @@ val to_float : json -> float option
 val to_list_opt : json -> json list option
 val to_string_opt : json -> string option
 
-val json_of_registry : Metrics.t -> json
-(** One entry per series: name, labels, type and value (histograms carry
-    per-bucket counts with upper edges, plus sum and count). *)
+(** {2 Prometheus text exposition}
 
-val prometheus_of_registry : Metrics.t -> string
-(** Prometheus text format: # HELP / # TYPE headers, label escaping,
-    histograms rendered exactly as {!prometheus_append_hist} renders
-    them. *)
+    Each function renders one {e family}: a single [# HELP] / [# TYPE]
+    header, then every member's samples under that member's labels
+    (label values escaped); an empty member list renders nothing.
+    Histogram [le=] edges are exactly {!Hist.uppers}. *)
 
-(** {2 Always-on collector exposition}
-
-    The fixed-point {!Hist} / {!Timeseries} collectors render to the
-    same Prometheus text format as the registry, with [le=] edges
-    exactly {!Hist.uppers}. *)
+val prometheus_append_hists :
+  Buffer.t -> name:string -> ?help:string ->
+  ((string * string) list * Hist.t) list -> unit
+(** Cumulative [_bucket{le=...}] / [_sum] / [_count] lines per member. *)
 
 val prometheus_append_hist :
   Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->
   Hist.t -> unit
-(** Append cumulative [_bucket{le=...}] / [_sum] / [_count] lines whose
-    [le=] edges are exactly [Hist.uppers]. *)
+(** The family of one histogram, under [labels] (default none). *)
+
+val prometheus_append_counters :
+  Buffer.t -> name:string -> ?help:string ->
+  ((string * string) list * int) list -> unit
+(** One counter sample per member. *)
 
 val prometheus_append_timeseries :
-  Buffer.t -> name:string -> ?help:string -> ?labels:(string * string) list ->
-  Timeseries.t -> unit
-(** Append two gauge vectors, [<name>_bucket_count{t=...}] and
-    [<name>_bucket_sum{t=...}], labelled by inclusive bucket start
-    time. *)
+  Buffer.t -> name:string -> ?help:string ->
+  ((string * string) list * Timeseries.t) list -> unit
+(** Two gauge families, [<name>_bucket_count] and [<name>_bucket_sum]:
+    one sample per member and bucket, labelled by the member's labels
+    and the bucket's inclusive start time [t]. *)

@@ -1,5 +1,5 @@
 (* Mergeable HDR-style log-bucketed histogram — the only one in the
-   library: Metrics.histogram registers one of these.
+   library.
 
    Bin 0 collects values <= 0, bin i (1 <= i < n-1) the upper-inclusive
    range (2^(i-2+min_exp), 2^(i-1+min_exp)], last bin overflow; the

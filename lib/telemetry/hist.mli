@@ -1,5 +1,5 @@
 (** Mergeable HDR-style log-bucketed histogram — the library's only
-    histogram: {!Metrics.histogram} registers and returns one.
+    histogram; {!Export.prometheus_append_hist} renders one.
 
     Bin 0 collects values [<= 0], bin [i] ([1 <= i < buckets-1]) the
     upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], and the

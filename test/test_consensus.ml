@@ -156,7 +156,12 @@ let test_fleet_response_recovers_victim () =
   let fleet = Chi_fleet.deploy ~net ~rt ~config ~response:resp () in
   (* Victim flow 0 -> 2 whose shortest path crosses the attacker 1. *)
   let victim = Flow.cbr net ~src:0 ~dst:2 ~rate_pps:80.0 ~size:500 ~start:0.0 ~stop:80.0 in
-  let meter = Meter.flow_throughput net ~node:2 ~flow:(Flow.flow_id victim) ~bucket:5.0 in
+  (* Victim bytes delivered at r2, in 5 s buckets. *)
+  let meter = Telemetry.Timeseries.create ~capacity:32 ~resolution:5.0 () in
+  Net.attach_app net ~node:2 (fun pkt ->
+      if pkt.Packet.flow = Flow.flow_id victim then
+        Telemetry.Timeseries.record meter ~time:(Sim.now (Net.sim net))
+          (float_of_int pkt.Packet.size));
   List.iter
     (fun (s, d) ->
       ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:60.0 ~size:500 ~start:0.0 ~stop:80.0))
@@ -170,9 +175,14 @@ let test_fleet_response_recovers_victim () =
   (* Victim delivery: healthy before, collapsed under attack, healthy
      again after the excision. *)
   let rate at =
-    List.fold_left
-      (fun acc (bin_end, r) -> if Float.abs (bin_end -. at) < 2.6 then r else acc)
-      0.0 (Meter.series meter)
+    let module Ts = Telemetry.Timeseries in
+    let r = ref 0.0 in
+    for i = 0 to Ts.used meter - 1 do
+      (* bucket i ends at the start of bucket i + 1 *)
+      if Float.abs (Ts.bucket_start meter (i + 1) -. at) < 2.6 then
+        r := Ts.bucket_sum meter i /. Ts.resolution meter
+    done;
+    !r
   in
   let before = rate 15.0 and during = rate 25.0 and after = rate 70.0 in
   Alcotest.(check bool)

@@ -4,7 +4,9 @@
    refcounting, fatih's graceful degradation, the adversary-builder
    combinators, and — the golden property — injected benign churn
    producing zero false accusations from chi and fatih on ring8, scored
-   by the ground-truth oracle. *)
+   by the ground-truth oracle.  A fuzzer checks that byte-edited fault
+   plans and metrics documents parse to Ok or Error, never an
+   exception. *)
 
 open Netsim
 module Schedule = Faults.Schedule
@@ -828,6 +830,78 @@ let test_config_validation () =
   rejected "unknown topology" (of_cmdline ~topology:"moebius" ()) "topology";
   rejected "unknown protocol" (of_cmdline ~protocol:"psychic" ()) "protocol"
 
+(* --- input robustness: byte-edited inputs never raise --- *)
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* A real `simulate --metrics` document, run with stdout silenced. *)
+let metrics_document () =
+  let path = Filename.temp_file "fuzz_metrics" ".json" in
+  let devnull = open_out "/dev/null" in
+  let backup = Unix.dup Unix.stdout in
+  flush stdout;
+  Unix.dup2 (Unix.descr_of_out_channel devnull) Unix.stdout;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 backup Unix.stdout;
+      Unix.close backup;
+      close_out devnull)
+    (fun () ->
+      Experiments.Simulate.run
+        (Experiments.Simulate.Config.make_exn ~protocol:"chi"
+           ~attack:(Experiments.Simulate.Drop_fraction 0.3) ~attacker:2
+           ~duration:3.0 ~seed:5 ~flows:4 ~metrics:path Experiments.Simulate.Ring));
+  let text = read_text path in
+  Sys.remove path;
+  text
+
+(* An edit is (position, kind, byte): kind 0 overwrites the byte at the
+   position, 1 inserts before it, 2 deletes it. *)
+let apply_edits text edits =
+  List.fold_left
+    (fun s (pos, kind, c) ->
+      let n = String.length s in
+      if n = 0 then String.make 1 c
+      else
+        let i = pos mod n in
+        match kind with
+        | 0 -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+        | _ -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1))
+    text edits
+
+let edits_arb =
+  QCheck.make
+    ~print:(fun es ->
+      String.concat "; "
+        (List.map (fun (p, k, c) -> Printf.sprintf "(%d,%d,%C)" p k c) es))
+    QCheck.Gen.(
+      list_size (int_range 1 4) (triple (int_bound 1_000_000) (int_bound 2) char))
+
+let test_fuzz_parsers () =
+  let plan = read_text "../examples/ring8-churn.faults" in
+  let doc = metrics_document () in
+  let graph = Topology.Generate.ring ~n:8 in
+  (* The unedited inputs parse. *)
+  Alcotest.(check bool) "plan parses" true (Result.is_ok (Schedule.of_string plan));
+  Alcotest.(check bool) "document parses" true
+    (Result.is_ok (Telemetry.Export.of_string doc));
+  let prop =
+    QCheck.Test.make ~name:"byte-edited inputs return Ok or Error" ~count:500
+      (QCheck.pair edits_arb edits_arb)
+      (fun (plan_edits, doc_edits) ->
+        (match Schedule.of_string (apply_edits plan plan_edits) with
+        | Ok s ->
+            ignore (Schedule.validate ~graph s : (unit, string) result);
+            ignore (Schedule.to_string s : string)
+        | Error _ -> ());
+        (match Telemetry.Export.of_string (apply_edits doc doc_edits) with
+        | Ok _ | Error _ -> ());
+        true)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 27 |]) prop
+
 let () =
   Alcotest.run "faults"
     [ ( "schedule",
@@ -887,4 +961,6 @@ let () =
             test_chaos_jobs_determinism ] );
       ( "config",
         [ Alcotest.test_case "simulate flag validation" `Quick
-            test_config_validation ] ) ]
+            test_config_validation;
+          Alcotest.test_case "byte-edited inputs never raise" `Quick
+            test_fuzz_parsers ] ) ]

@@ -562,8 +562,10 @@ let prop_hist_merge_associative =
       hist_state (Hist.merge (Hist.merge ha hb) hc)
       = hist_state (Hist.merge ha (Hist.merge hb hc)))
 
-(* --- Meter --- *)
+(* --- delivered-bytes series --- *)
 
+(* A victim meter: a Timeseries fed delivered bytes by an app listener.
+   Its fixed-point sums hold integer byte counts exactly. *)
 let prop_meter_totals =
   QCheck.Test.make ~name:"meter total equals delivered bytes" ~count:10
     QCheck.(pair (int_range 1 50) (int_range 100 1000))
@@ -574,9 +576,14 @@ let prop_meter_totals =
       let f =
         Flow.cbr net ~src:0 ~dst:1 ~rate_pps:(float_of_int pps) ~size ~start:0.0 ~stop:2.0
       in
-      let meter = Meter.flow_throughput net ~node:1 ~flow:(Flow.flow_id f) ~bucket:0.5 in
+      let meter = Telemetry.Timeseries.create ~capacity:8 ~resolution:0.5 () in
+      Net.attach_app net ~node:1 (fun pkt ->
+          if pkt.Packet.flow = Flow.flow_id f then
+            Telemetry.Timeseries.record meter ~time:(Sim.now (Net.sim net))
+              (float_of_int pkt.Packet.size));
       Net.run net;
-      Meter.total_bytes meter = Flow.sent f * size)
+      Telemetry.Timeseries.total_sum meter = float_of_int (Flow.sent f * size)
+      && Telemetry.Timeseries.total_count meter = Flow.sent f)
 
 (* Two ways the heap could keep dead values reachable: the slot a pop
    vacates (slot 0 when the heap empties), and the spare capacity growth

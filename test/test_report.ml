@@ -6,8 +6,9 @@
    - `mrdetect report` determinism: the mrdetect-report-v1 document
      distilled from a run's metrics export, and the stats section it
      carries, are pinned by digest and repeatable run-to-run.
-   - Prometheus exposition: the rendering of a Hist uses exactly the
-     registry histogram's le edges.
+   - Prometheus exposition: a Hist renders exactly its Hist.uppers as
+     le edges, and a `simulate --metrics x.prom` file gives each family
+     one # TYPE header, ahead of its samples.
    - Benchgate band arithmetic: pass/fail on both sides of each
      threshold, plus baseline-document spelunking and the file reader. *)
 
@@ -198,19 +199,10 @@ let test_report_html () =
 
 (* --- Prometheus exposition --- *)
 
-(* A registry histogram and a standalone Hist of the same geometry must
-   render the same le edges — the always-on collectors and the registry
-   share one exposition path. *)
+(* A Hist renders exactly its [Hist.uppers] as le edges. *)
 let test_prom_le_edges_agree () =
-  let buckets = 10 and min_exp = -3 in
-  let h = Hist.create ~buckets ~min_exp () in
-  let registry = Telemetry.Metrics.create () in
-  let mh = Telemetry.Metrics.histogram registry ~buckets ~min_exp "x" in
-  List.iter
-    (fun v ->
-      Hist.record h v;
-      Hist.record mh v)
-    [ 0.01; 0.3; 0.3; 2.0; 500.0 ];
+  let h = Hist.create ~buckets:10 ~min_exp:(-3) () in
+  List.iter (Hist.record h) [ 0.01; 0.3; 0.3; 2.0; 500.0 ];
   let edges_of text =
     (* every le="..." occurrence, in order *)
     let out = ref [] in
@@ -232,9 +224,64 @@ let test_prom_le_edges_agree () =
     Export.prometheus_append_hist buf ~name:"x" h;
     Buffer.contents buf
   in
-  let registry_prom = Export.prometheus_of_registry registry in
-  Alcotest.(check (list string))
-    "identical le edges" (edges_of registry_prom) (edges_of hist_prom)
+  let uppers =
+    Array.to_list
+      (Array.map
+         (fun u -> if u = infinity then "+Inf" else Printf.sprintf "%.12g" u)
+         (Hist.uppers h))
+  in
+  Alcotest.(check (list string)) "le edges are Hist.uppers" uppers
+    (edges_of hist_prom)
+
+(* Prometheus parsers reject a second # TYPE line for a family, and a
+   family's samples must follow its header as one group.  The ring's
+   per-router queue depths are one labelled family. *)
+let test_prom_one_type_per_family () =
+  let path = Filename.temp_file "prom_families" ".prom" in
+  ignore
+    (with_captured_stdout (fun () ->
+         Simulate.run
+           (Simulate.Config.make_exn ~protocol:"chi"
+              ~attack:(Simulate.Drop_fraction 0.3) ~attacker:2 ~duration:5.0
+              ~seed:3 ~flows:4 ~metrics:path Simulate.Ring)));
+  let lines = String.split_on_char '\n' (read_file path) in
+  Sys.remove path;
+  let types = Hashtbl.create 64 in
+  let current = ref None in
+  let samples = ref 0 in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | "#" :: "TYPE" :: family :: kind :: _ ->
+          if Hashtbl.mem types family then
+            Alcotest.failf "second # TYPE line for %s" family;
+          Hashtbl.add types family kind;
+          current := Some family
+      | "#" :: _ | [ "" ] -> ()
+      | metric :: _ -> (
+          incr samples;
+          let name =
+            match String.index_opt metric '{' with
+            | Some i -> String.sub metric 0 i
+            | None -> metric
+          in
+          let in_family family =
+            name = family
+            || Hashtbl.find_opt types family = Some "histogram"
+               && List.mem name
+                    [ family ^ "_bucket"; family ^ "_sum"; family ^ "_count" ]
+          in
+          match !current with
+          | Some family when in_family family -> ()
+          | _ -> Alcotest.failf "sample %s is not under its family's header" name)
+      | [] -> ())
+    lines;
+  Alcotest.(check bool) "some samples" true (!samples > 0);
+  List.iter
+    (fun family ->
+      Alcotest.(check bool) (family ^ " present") true (Hashtbl.mem types family))
+    [ "stats_queue_depth_bucket_count"; "stats_dropped_total";
+      "stats_malice_total"; "stats_round_duration_seconds" ]
 
 (* --- benchgate bands --- *)
 
@@ -399,7 +446,9 @@ let () =
         [ Alcotest.test_case "stats and report pinned" `Slow test_stats_pinned ] );
       ("html", [ Alcotest.test_case "self-contained page" `Quick test_report_html ]);
       ( "roundtrip",
-        [ Alcotest.test_case "prometheus le edges" `Quick test_prom_le_edges_agree ] );
+        [ Alcotest.test_case "prometheus le edges" `Quick test_prom_le_edges_agree;
+          Alcotest.test_case "prometheus one TYPE per family" `Quick
+            test_prom_one_type_per_family ] );
       ( "benchgate",
         [ Alcotest.test_case "lower-better band" `Quick test_gate_lower_better;
           Alcotest.test_case "higher-better band" `Quick test_gate_higher_better;

@@ -1,16 +1,14 @@
-(* Tests for the telemetry subsystem: metrics registry (counters,
-   gauges, log-bucketed histograms), bounded journal, JSON
-   emitter/parser round-trips, and an end-to-end golden check that
-   `mrdetect simulate --metrics` output parses back and conserves
-   packets. *)
+(* Tests for the telemetry subsystem: log-bucketed histograms, bounded
+   journal, JSON emitter/parser round-trips, Prometheus exposition, and
+   an end-to-end golden check that `mrdetect simulate --metrics` output
+   parses back and conserves packets. *)
 
 open Telemetry
 
 (* --- histograms: bucketing edge cases --- *)
 
 let test_histogram_zero_and_negative () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:8 "h" in
+  let h = Hist.create ~buckets:8 () in
   Alcotest.(check int) "zero lands in bin 0" 0 (Hist.bucket_index h 0.0);
   Alcotest.(check int) "negative lands in bin 0" 0 (Hist.bucket_index h (-3.5));
   Hist.record h 0.0;
@@ -19,8 +17,7 @@ let test_histogram_zero_and_negative () =
 
 let test_histogram_boundaries () =
   (* With min_exp = 0: bin 1 is (0, 1], bin 2 is (1, 2], bin 3 is (2, 4]. *)
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:8 "h" in
+  let h = Hist.create ~buckets:8 () in
   Alcotest.(check int) "1.0 in bin 1" 1 (Hist.bucket_index h 1.0);
   Alcotest.(check int) "just above 1 in bin 2" 2 (Hist.bucket_index h 1.0001);
   Alcotest.(check int) "2.0 in bin 2" 2 (Hist.bucket_index h 2.0);
@@ -29,8 +26,7 @@ let test_histogram_boundaries () =
   Alcotest.(check (float 1e-9)) "bin 3 upper edge" 4.0 (Hist.bucket_upper h 3)
 
 let test_histogram_overflow () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:4 "h" in
+  let h = Hist.create ~buckets:4 () in
   (* buckets = 4: bin 0 (<= 0), bin 1 (0,1], bin 2 (1,2], bin 3 overflow. *)
   Alcotest.(check int) "huge value in overflow bin" 3
     (Hist.bucket_index h 1e30);
@@ -63,46 +59,11 @@ let test_histogram_unrepresentable_sum () =
 let test_histogram_min_exp () =
   (* min_exp shifts the whole ladder: with min_exp = -14, bin 1 is
      (0, 2^-14] — sub-millisecond latencies stay distinguishable. *)
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:24 ~min_exp:(-14) "lat" in
+  let h = Hist.create ~buckets:24 ~min_exp:(-14) () in
   Alcotest.(check int) "2^-14 in bin 1" 1 (Hist.bucket_index h (Float.pow 2.0 (-14.0)));
   Alcotest.(check int) "2^-13 in bin 2" 2 (Hist.bucket_index h (Float.pow 2.0 (-13.0)));
   Alcotest.(check bool) "tiny value above zero not in bin 0" true
     (Hist.bucket_index h 1e-9 >= 1)
-
-(* --- counters: label cardinality --- *)
-
-let test_counter_label_identity () =
-  let reg = Metrics.create () in
-  let a = Metrics.counter reg "drops" ~labels:[ ("cause", "congestion") ] in
-  (* Same name + same labels (any order) resolves to the same series. *)
-  let a' = Metrics.counter reg "drops" ~labels:[ ("cause", "congestion") ] in
-  let b = Metrics.counter reg "drops" ~labels:[ ("cause", "malicious") ] in
-  Metrics.inc a;
-  Metrics.add a' 2;
-  Metrics.inc b;
-  Alcotest.(check int) "same labels share the cell" 3 (Metrics.counter_value a);
-  Alcotest.(check int) "distinct labels are distinct series" 1
-    (Metrics.counter_value b);
-  let series =
-    List.filter (fun (name, _, _, _) -> name = "drops") (Metrics.snapshot reg)
-  in
-  Alcotest.(check int) "two series in the family" 2 (List.length series)
-
-let test_counter_label_order_insensitive () =
-  let reg = Metrics.create () in
-  let a = Metrics.counter reg "x" ~labels:[ ("a", "1"); ("b", "2") ] in
-  let b = Metrics.counter reg "x" ~labels:[ ("b", "2"); ("a", "1") ] in
-  Metrics.inc a;
-  Alcotest.(check int) "label order does not split the series" 1
-    (Metrics.counter_value b)
-
-let test_type_conflict_rejected () =
-  let reg = Metrics.create () in
-  ignore (Metrics.counter reg "n");
-  Alcotest.check_raises "re-registering as a gauge fails"
-    (Invalid_argument "Metrics.gauge: n is not a gauge") (fun () ->
-      ignore (Metrics.gauge reg "n"))
 
 (* --- journal: bounded memory under sustained load --- *)
 
@@ -214,25 +175,29 @@ let check_contains text needle =
   if not (contains text needle) then
     Alcotest.failf "missing %S in:\n%s" needle text
 
+let prom_hist ~name ~labels h =
+  let buf = Buffer.create 512 in
+  Export.prometheus_append_hist buf ~name ~labels h;
+  Buffer.contents buf
+
 let test_prom_label_escaping () =
-  let reg = Metrics.create () in
+  let h = Hist.create ~buckets:4 () in
+  Hist.record h 0.5;
   (* backslash, double quote and newline — the three characters the
      exposition format requires escaping in label values. *)
-  Metrics.inc (Metrics.counter reg "esc" ~labels:[ ("path", "a\\b\"c\nd") ]);
-  let text = Export.prometheus_of_registry reg in
-  check_contains text "esc{path=\"a\\\\b\\\"c\\nd\"} 1";
+  let text = prom_hist ~name:"esc" ~labels:[ ("path", "a\\b\"c\nd") ] h in
+  check_contains text "esc_count{path=\"a\\\\b\\\"c\\nd\"} 1";
   (* No double escaping: the rendered line has exactly one backslash
      pair for the input backslash. *)
   if contains text "\\\\\\\\" then
     Alcotest.failf "label value double-escaped:\n%s" text
 
 let test_prom_histogram_le_edges () =
-  let reg = Metrics.create () in
-  let h = Metrics.histogram reg ~buckets:4 "lat" ~labels:[ ("queue", "q0") ] in
+  let h = Hist.create ~buckets:4 () in
   Hist.record h 0.5;
   Hist.record h 1.5;
   Hist.record h 1e30;
-  let text = Export.prometheus_of_registry reg in
+  let text = prom_hist ~name:"lat" ~labels:[ ("queue", "q0") ] h in
   (* Finite bucket edges render as plain numbers, the overflow bin as
      +Inf, and the counts are cumulative. *)
   check_contains text "lat_bucket{queue=\"q0\",le=\"0\"} 0";
@@ -350,24 +315,28 @@ let test_simulate_metrics_conserve () =
             (delivered + dropped + fragmented + in_flight);
           Alcotest.(check bool) "engine processed events" true
             (req_int [ "engine"; "events_processed" ] doc > 0);
-          (* The registry view agrees with the conservation block. *)
-          let metrics = Option.get (field [ "metrics" ] doc) in
-          let series = Option.get (Export.to_list_opt metrics) in
-          let str key s = Option.bind (Export.member key s) Export.to_string_opt in
-          let sum_counter name =
-            List.fold_left
-              (fun acc s ->
-                match str "name" s with
-                | Some n when n = name ->
-                    acc + Option.value ~default:0
-                            (Option.bind (Export.member "value" s) Export.to_int)
-                | _ -> acc)
-              0 series
+          (* The drops-by-cause object sums to the conservation block. *)
+          let drops =
+            match field [ "drops" ] doc with
+            | Some (Export.Assoc kvs) -> kvs
+            | _ -> Alcotest.fail "missing drops object"
           in
-          Alcotest.(check int) "dropped counter family sums to the block"
-            dropped (sum_counter "pkt_dropped_total");
-          (* One latency record per delivered packet: the stats block keeps
-             it, the registry carries no second copy. *)
+          Alcotest.(check (list string)) "every drop cause"
+            [ "congestion"; "red_early"; "link_down"; "corrupted"; "malicious";
+              "no_route"; "ttl_expired" ]
+            (List.map fst drops);
+          Alcotest.(check int) "drops by cause sum to the block" dropped
+            (List.fold_left
+               (fun acc (_, n) -> acc + Option.value ~default:0 (Export.to_int n))
+               0 drops);
+          (* The attacker is the only router with malicious actions. *)
+          (match field [ "malice" ] doc with
+          | Some (Export.Assoc [ ("2", n) ]) ->
+              Alcotest.(check bool) "attacker acted" true
+                (Option.value ~default:0 (Export.to_int n) > 0)
+          | _ -> Alcotest.fail "malice should name router 2 alone");
+          (* One latency record per delivered packet, in the stats block. *)
+          let str key s = Option.bind (Export.member key s) Export.to_string_opt in
           let stats_hists =
             Option.get (Option.bind (field [ "stats"; "hists" ] doc) Export.to_list_opt)
           in
@@ -375,24 +344,7 @@ let test_simulate_metrics_conserve () =
             List.find (fun h -> str "name" h = Some "delivery_latency") stats_hists
           in
           Alcotest.(check int) "stats latency counts every delivery" delivered
-            (req_int [ "count" ] latency);
-          Alcotest.(check (list string)) "registry has no latency histogram" []
-            (List.filter_map
-               (fun s ->
-                 match (str "name" s, str "type" s) with
-                 | Some n, Some "histogram" when contains n "latency" -> Some n
-                 | _ -> None)
-               series);
-          (* The size histogram keeps its 16-bucket, 2^4-based geometry. *)
-          let pkt_size = List.find (fun s -> str "name" s = Some "pkt_size_bytes") series in
-          let edges =
-            List.map
-              (fun b -> Export.to_string (Option.get (Export.member "le" b)))
-              (Option.get (Option.bind (Export.member "buckets" pkt_size) Export.to_list_opt))
-          in
-          Alcotest.(check (list string)) "pkt_size_bytes le edges"
-            (("0" :: List.init 14 (fun i -> string_of_int (1 lsl (i + 4)))) @ [ "1e999" ])
-            edges)
+            (req_int [ "count" ] latency))
 
 let () =
   Alcotest.run "telemetry"
@@ -403,10 +355,6 @@ let () =
          Alcotest.test_case "unrepresentable values skip the sum" `Quick
            test_histogram_unrepresentable_sum;
          Alcotest.test_case "min_exp shift" `Quick test_histogram_min_exp ]);
-      ("counters",
-       [ Alcotest.test_case "label identity" `Quick test_counter_label_identity;
-         Alcotest.test_case "label order" `Quick test_counter_label_order_insensitive;
-         Alcotest.test_case "type conflict" `Quick test_type_conflict_rejected ]);
       ("journal",
        [ Alcotest.test_case "bounded under 1M events" `Quick test_journal_bounded_1m;
          Alcotest.test_case "under capacity" `Quick test_journal_under_capacity;
