@@ -73,17 +73,22 @@ let ablations_cmd =
        ~doc:"Design-choice ablations: jitter, tau, sampling, clock skew")
     Term.(ret (const run $ jobs_arg $ json_arg))
 
-let simulate_cmd =
-  let topo =
+(* The scenario flags `simulate` and `top` share: a term yielding
+   Simulate.Config.of_cmdline with only the export settings left to give. *)
+let scenario_term =
+  let topology =
     Arg.(value & opt string "ring"
          & info [ "topology" ] ~docv:"TOPO" ~doc:"line | ring | grid | abilene")
   in
   let protocol =
-    let names =
-      Core.Detectors.register_all ();
-      String.concat " | " (Core.Detector.names ())
+    let doc =
+      "detector to deploy: "
+      ^ String.concat "; "
+          (List.map
+             (fun (d : Core.Detectors.t) -> Printf.sprintf "$(b,%s) — %s" d.name d.doc)
+             Core.Detectors.all)
     in
-    Arg.(value & opt string "fatih" & info [ "protocol" ] ~docv:"P" ~doc:names)
+    Arg.(value & opt string "fatih" & info [ "protocol" ] ~docv:"P" ~doc)
   in
   let attack =
     Arg.(value & opt string "drop-fraction"
@@ -101,6 +106,22 @@ let simulate_cmd =
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"rng seed") in
   let flows = Arg.(value & opt int 8 & info [ "flows" ] ~docv:"N" ~doc:"CBR flows") in
+  let faults =
+    Arg.(value & opt (some string) None
+         & info [ "faults" ] ~docv:"FILE"
+             ~doc:"inject the benign fault plan in FILE (link flaps, crashes, \
+                   lossy control channels, clock skew; see the Robustness \
+                   section of the README for the schedule syntax) and score \
+                   every verdict against ground truth")
+  in
+  let config topology protocol attack fraction attacker duration seed flows faults =
+    Experiments.Simulate.Config.of_cmdline ~topology ~protocol ~attack ~fraction
+      ~attacker ~duration ~seed ~flows ~faults
+  in
+  Term.(const config $ topology $ protocol $ attack $ fraction $ attacker $ duration
+        $ seed $ flows $ faults)
+
+let simulate_cmd =
   let trace =
     Arg.(value & opt int 0
          & info [ "trace" ] ~docv:"N" ~doc:"dump the last N events at the attacker")
@@ -131,21 +152,8 @@ let simulate_cmd =
                    (deterministic per seed; verdicts and round spans are \
                    always recorded)")
   in
-  let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"FILE"
-             ~doc:"inject the benign fault plan in FILE (link flaps, crashes, \
-                   lossy control channels, clock skew; see the Robustness \
-                   section of the README for the schedule syntax) and score \
-                   every verdict against ground truth")
-  in
-  let run topology protocol attack fraction attacker duration seed flows trace
-      metrics journal trace_out trace_sample faults =
-    match
-      Experiments.Simulate.Config.of_cmdline ~topology ~protocol ~attack ~fraction
-        ~attacker ~duration ~seed ~flows ~trace ~metrics ~journal ~trace_out
-        ~trace_sample ~faults
-    with
+  let run config trace metrics journal trace_out trace_sample =
+    match config ~trace ~metrics ~journal ~trace_out ~trace_sample with
     | Error msg -> `Error (false, msg)
     | Ok config -> (
         try
@@ -157,9 +165,8 @@ let simulate_cmd =
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Run a custom attack/detector scenario")
-    Term.(ret (const run $ topo $ protocol $ attack $ fraction $ attacker $ duration
-               $ seed $ flows $ trace $ metrics $ journal $ trace_out
-               $ trace_sample $ faults))
+    Term.(ret (const run $ scenario_term $ trace $ metrics $ journal $ trace_out
+               $ trace_sample))
 
 let chaos_cmd =
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"rng seed") in
@@ -282,48 +289,19 @@ let report_cmd =
     Term.(ret (const run $ file $ out $ as_json))
 
 let top_cmd =
-  let topo =
-    Arg.(value & opt string "ring"
-         & info [ "topology" ] ~docv:"TOPO" ~doc:"line | ring | grid | abilene")
-  in
-  let protocol =
-    Arg.(value & opt string "fatih" & info [ "protocol" ] ~docv:"P" ~doc:"detector")
-  in
-  let attack =
-    Arg.(value & opt string "drop-fraction"
-         & info [ "attack" ] ~docv:"A" ~doc:"none | drop-all | drop-fraction | syn | queue")
-  in
-  let fraction =
-    Arg.(value & opt float 0.2
-         & info [ "fraction" ] ~docv:"F" ~doc:"drop fraction / queue trigger")
-  in
-  let attacker =
-    Arg.(value & opt int 2 & info [ "attacker" ] ~docv:"R" ~doc:"compromised router id")
-  in
-  let duration =
-    Arg.(value & opt float 60.0 & info [ "duration" ] ~docv:"S" ~doc:"seconds simulated")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"rng seed") in
-  let flows = Arg.(value & opt int 8 & info [ "flows" ] ~docv:"N" ~doc:"CBR flows") in
-  let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"FILE" ~doc:"inject the benign fault plan in FILE")
-  in
   let refresh =
     Arg.(value & opt float 0.5
          & info [ "refresh" ] ~docv:"S" ~doc:"sim seconds between dashboard refreshes")
   in
-  let run topology protocol attack fraction attacker duration seed flows faults
-      refresh =
+  let run config refresh =
     match
-      Experiments.Simulate.Config.of_cmdline ~topology ~protocol ~attack ~fraction
-        ~attacker ~duration ~seed ~flows ~trace:0 ~metrics:None ~journal:None
-        ~trace_out:None ~trace_sample:1.0 ~faults
+      config ~trace:0 ~metrics:None ~journal:None ~trace_out:None ~trace_sample:1.0
     with
     | Error msg -> `Error (false, msg)
     | Ok config -> (
         if not (refresh > 0.0) then `Error (false, "refresh must be positive")
         else
+          let duration = config.Experiments.Simulate.Config.duration in
           let interactive = Unix.isatty Unix.stdout in
           let last = ref "" in
           let draw ~now net =
@@ -356,8 +334,7 @@ let top_cmd =
        ~doc:"Run a scenario with a live terminal dashboard (headline rates, \
              latency quantiles, per-router queue depths) fed by the always-on \
              stats collectors; on a non-TTY only the final frame is printed")
-    Term.(ret (const run $ topo $ protocol $ attack $ fraction $ attacker
-               $ duration $ seed $ flows $ faults $ refresh))
+    Term.(ret (const run $ scenario_term $ refresh))
 
 let subcommand (e : Exp.entry) =
   let run () = Exp.render (e.eval ()) in

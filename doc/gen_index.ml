@@ -26,11 +26,11 @@ The protocols answer three questions; each maps to a module family:
    the suspect queue from the neighbours' traffic information;
    {!Core.Chi_red} does the same for RED's probabilistic dropping.}}
 
-Every live protocol is also a first-class module behind the
-{!Core.Detector} registry ({!Core.Detectors} installs the built-ins:
-chi, fatih, pik2, pi2, watchers, perlman), which is how
-[mrdetect simulate --protocol NAME] resolves detectors — the scenario
-driver has no per-protocol code.
+Every live protocol also has an entry in the closed
+{!Core.Detectors} table (chi, fatih, perlman, pi2, pik2, watchers: a
+name, a one-line doc and a deploy function returning the report
+printer), which is how [mrdetect simulate --protocol NAME] resolves
+detectors — the scenario driver has no per-protocol code.
 
 The baselines the dissertation reviews are all executable:
 {!Core.Watchers} / {!Core.Watchers_live} (conservation of flow, with the

@@ -45,7 +45,6 @@ type t = {
   next : int;
   probe : Netsim.Probe.t option;
   ctrl : Ctrl.t option;
-  retry : Ctrl.retry option;
   error : Mrstats.Welford.t;
   mutable error_samples_rev : float list;
   mutable error_sample_count : int;
@@ -211,9 +210,9 @@ let run_round t ~start_time ~end_time ~learning ~degraded =
           ()
       end
 
-let deploy ~net ~rt ~router ~next ?(config = default_config)
-    ?(key = Crypto_sim.Siphash.key_of_string "chi-monitor") ?predict ?skew ?probe
-    ?ctrl ?retry () =
+let deploy ~net ~rt ~router ~next ?(config = default_config) ?predict ?skew ?probe
+    ?ctrl () =
+  let key = Crypto_sim.Siphash.key_of_string "chi-monitor" in
   let predict =
     match predict with Some p -> p | None -> Qmon.predict_of_routing rt ~router
   in
@@ -224,7 +223,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
     | None -> invalid_arg "Chi.deploy: no such link"
   in
   let t =
-    { qmon; config; qlimit; router; next; probe; ctrl; retry;
+    { qmon; config; qlimit; router; next; probe; ctrl;
       error = Mrstats.Welford.create ();
       error_samples_rev = []; error_sample_count = 0; qpred = { q = 0.0 };
       round = 0; reports_rev = [];
@@ -244,10 +243,7 @@ let deploy ~net ~rt ~router ~next ?(config = default_config)
       | None -> false
       | Some ch -> (
           let tag = (((t.router * 8191) + t.next) * 8191) + t.round in
-          match
-            Ctrl.send ch ?retry:t.retry ~now:end_time ~src:t.next ~dst:t.router
-              ~tag ()
-          with
+          match Ctrl.send ch ~now:end_time ~src:t.next ~dst:t.router ~tag () with
           | Ctrl.Delivered _ ->
               t.mute_streak <- 0;
               false

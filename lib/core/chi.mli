@@ -67,12 +67,10 @@ val deploy :
   router:int ->
   next:int ->
   ?config:config ->
-  ?key:Crypto_sim.Siphash.key ->
   ?predict:(Netsim.Packet.t -> int option) ->
   ?skew:(reporter:int -> float) ->
   ?probe:Netsim.Probe.t ->
   ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
   unit ->
   t
 (** Install the monitor on queue ⟨router → next⟩ and schedule validation
@@ -84,9 +82,10 @@ val deploy :
     {!Netsim.Probe.verdict}.
 
     With [ctrl], the downstream neighbour's per-round departure report
-    rides that lossy control-plane channel under [retry]: a timed-out
-    report {e degrades} the round — χ has no trustworthy replay, so the
-    alarm is suppressed rather than raised on partial data — and three
+    rides that lossy control-plane channel under {!Ctrl.default_retry}:
+    a timed-out report {e degrades} the round — χ has no trustworthy
+    replay, so the alarm is suppressed rather than raised on partial
+    data — and three
     consecutive refusals (a protocol-faulty mute reporter) judge the
     reporter {b fail-stop} with a non-alarming verdict.  χ never
     convicts a router for silence. *)

@@ -203,11 +203,9 @@ let run_round t ~start_time ~end_time ~learning =
   t.round <- t.round + 1;
   t.reports_rev <- report :: t.reports_rev
 
-let deploy ~net ~rt ~router ~next ~params ?(config = default_config)
-    ?(key = Crypto_sim.Siphash.key_of_string "chi-red-monitor") ?predict () =
-  let predict =
-    match predict with Some p -> p | None -> Qmon.predict_of_routing rt ~router
-  in
+let deploy ~net ~rt ~router ~next ~params ?(config = default_config) () =
+  let key = Crypto_sim.Siphash.key_of_string "chi-red-monitor" in
+  let predict = Qmon.predict_of_routing rt ~router in
   let qmon = Qmon.attach ~net ~predict ~key ~router ~next () in
   let link_bw =
     match Netsim.Net.iface net ~src:router ~dst:next with

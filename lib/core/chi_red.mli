@@ -68,13 +68,12 @@ val deploy :
   next:int ->
   params:Netsim.Red.params ->
   ?config:config ->
-  ?key:Crypto_sim.Siphash.key ->
-  ?predict:(Netsim.Packet.t -> int option) ->
   unit ->
   t
 (** Install the RED validator on queue ⟨router → next⟩; [params] are the
     public RED parameters of that queue (§6.5.2 assumes they are
-    announced like link bandwidths). *)
+    announced like link bandwidths).  The neighbours predict forwarding
+    by single shortest path from [rt]. *)
 
 val reports : t -> report list
 val alarms : t -> report list

@@ -63,9 +63,8 @@ let response t = t.response
 let monitored_segments t =
   Array.fold_left (fun acc seg -> seg :: acc) [] (Seg_index.segments t.index)
 
-let deploy ~net ~rt ?(config = default_config)
-    ?(key = Crypto_sim.Siphash.key_of_string "fatih") ?probe ?ctrl ?retry ?byz
-    () =
+let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
+  let key = Crypto_sim.Siphash.key_of_string "fatih" in
   (* Flow summaries keep no packet identities: TV could only judge their
      counters, which count the packets straddling a round boundary and
      would accuse honest routers. *)
@@ -173,7 +172,7 @@ let deploy ~net ~rt ?(config = default_config)
                   match seg with [ a; _; b ] -> (a, b) | _ -> assert false
                 in
                 let tag = Ctrl.segment_tag ~round:t.round ~salt:0 seg in
-                match Ctrl.send ch ?retry ~now ~src:a ~dst:b ~tag () with
+                match Ctrl.send ch ~now ~src:a ~dst:b ~tag () with
                 | Ctrl.Delivered { attempts; _ } -> `Ok attempts
                 | Ctrl.Timed_out { attempts; waited } ->
                     `Degraded (attempts, waited))
@@ -190,7 +189,7 @@ let deploy ~net ~rt ?(config = default_config)
                 match seg with [ a; m; _ ] -> (a, m) | _ -> assert false
               in
               let tag = Ctrl.segment_tag ~round:t.round ~salt:0x68e31da4 seg in
-              match Ctrl.send ch ?retry ~now ~src:m ~dst:a ~tag () with
+              match Ctrl.send ch ~now ~src:m ~dst:a ~tag () with
               | Ctrl.Delivered _ ->
                   st.mute_streak <- 0;
                   true

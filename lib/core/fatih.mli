@@ -53,10 +53,8 @@ val deploy :
   net:Netsim.Net.t ->
   rt:Topology.Routing.t ->
   ?config:config ->
-  ?key:Crypto_sim.Siphash.key ->
   ?probe:Netsim.Probe.t ->
   ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
   ?byz:Byz.t ->
   unit ->
   t
@@ -73,7 +71,7 @@ val deploy :
     tell those boundary packets from losses or fabrications.
 
     With [ctrl], every per-segment summary exchange rides that lossy
-    control-plane channel under [retry] (default {!Ctrl.default_retry}):
+    control-plane channel under {!Ctrl.default_retry}:
     a timed-out exchange {e degrades} the round — the summaries carry
     over and are compared next round — instead of wedging it or
     producing an accusation.  Rounds in which a segment edge visibly

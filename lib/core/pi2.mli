@@ -17,10 +17,6 @@ val detect_round :
   rt:Topology.Routing.t ->
   k:int ->
   adversary:Rounds.adversary ->
-  ?thresholds:Validation.thresholds ->
-  ?packets_per_path:int ->
-  ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
   round:int ->
   unit ->
   Topology.Graph.node list list
@@ -28,28 +24,19 @@ val detect_round :
     misreported) summaries, evaluate TV pairwise under consensus, and
     return the suspected 2-path-segments.  Every correct router ends the
     round holding exactly this set (the consensus + reliable broadcast of
-    Fig 5.1).  With [ctrl], each segment's terminal exchange rides that
-    lossy control-plane channel under [retry]: an exhausted retry budget
-    skips the segment this round — benign degradation, never an
-    accusation. *)
+    Fig 5.1).  TV is {!Validation.strict}, over the default traffic of
+    {!Rounds.observe}; the exchange is reliable (Appendix B), so every
+    segment is judged every round. *)
 
 val detect :
   rt:Topology.Routing.t ->
   k:int ->
   adversary:Rounds.adversary ->
-  ?thresholds:Validation.thresholds ->
-  ?packets_per_path:int ->
-  ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
-  ?probe:Netsim.Probe.t ->
   rounds:int ->
   unit ->
   Spec.suspicion list
 (** Run several rounds and expand the suspicions to every correct router
-    (for checking the Appendix B properties).  With [probe], each
-    round's verdict is journaled as a typed {!Netsim.Probe.verdict}
-    (these rounds are synchronous and clockless, so the round index
-    stands in for the verdict time). *)
+    (for checking the Appendix B properties). *)
 
 val state_counters : Topology.Routing.t -> k:int -> int array
 (** Per-router counter state under the conservation-of-flow summary: one

@@ -26,13 +26,10 @@ type seg_state = {
 type misreport = segment:Topology.Graph.node list -> pos:int -> Summary.t -> Summary.t
 
 type t = {
-  thresholds : Validation.thresholds;
-  min_packets : int;
   index : seg_state Seg_index.t;
   misreports : (Topology.Graph.node, misreport) Hashtbl.t;
   probe : Netsim.Probe.t option;
   ctrl : Ctrl.t option;
-  retry : Ctrl.retry option;
   byz : Byz.t option;
   mutable detections_rev : detection list;
   mutable rounds_degraded : int;
@@ -50,9 +47,14 @@ let rounds_excused t = t.rounds_excused
 
 let set_misreport t ~router f = Hashtbl.replace t.misreports router f
 
-let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
-    ?(min_packets = 20) ?(key = Crypto_sim.Siphash.key_of_string "pi2-live")
-    ?probe ?ctrl ?retry ?byz () =
+(* Round period, loss tolerance and the fewest packets a segment-round
+   must carry to be judged. *)
+let tau = 5.0
+let thresholds = Validation.lenient ()
+let min_packets = 20
+
+let deploy ~net ~rt ?probe ?ctrl ?byz () =
+  let key = Crypto_sim.Siphash.key_of_string "pi2-live" in
   (* Nothing writes to a summary it did not create (misreports and
      Byzantine claims work on copies), so every segment's first
      [prev_s12] is one shared empty summary. *)
@@ -62,8 +64,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
         { prev_s12 = empty; mute_streak = 0; failstopped = false })
   in
   let t =
-    { thresholds; min_packets; index;
-      misreports = Hashtbl.create 4; probe; ctrl; retry; byz;
+    { index; misreports = Hashtbl.create 4; probe; ctrl; byz;
       detections_rev = []; rounds_degraded = 0; rounds_excused = 0; round = 0 }
   in
   let segments = Seg_index.segments index and states = Seg_index.states index in
@@ -104,11 +105,11 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
            so conservation gaps are not evidence against either pair. *)
         (match seg with
         | [ _; _; _ ]
-          when Summary.packets sent >= t.min_packets && not st.failstopped
+          when Summary.packets sent >= min_packets && not st.failstopped
                && (Seg_index.excused index i || Seg_index.edge_down index ~net i) ->
             t.rounds_excused <- t.rounds_excused + 1
         | [ a; x; b ]
-          when Summary.packets sent >= t.min_packets && not st.failstopped ->
+          when Summary.packets sent >= min_packets && not st.failstopped ->
             (* The interior's consensus submission rides the (possibly
                faulty) control plane: a refusal degrades the round —
                only x's own story is missing, and silence is never
@@ -118,7 +119,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
               | None -> true
               | Some ch -> (
                   let tag = Ctrl.segment_tag ~round:t.round ~salt:0x2b7e1516 seg in
-                  match Ctrl.send ch ?retry ~now ~src:x ~dst:b ~tag () with
+                  match Ctrl.send ch ~now ~src:x ~dst:b ~tag () with
                   | Ctrl.Delivered _ ->
                       st.mute_streak <- 0;
                       true
@@ -149,7 +150,7 @@ let deploy ~net ~rt ?(tau = 5.0) ?(thresholds = Validation.lenient ())
               let r1 = submit ~now seg ~pos:1 ~router:x received in
               let r2 = submit ~now seg ~pos:2 ~router:b received in
               let judge ~pair ~sent ~received ~prev =
-                let v = Validation.tv ~thresholds:t.thresholds ~prev ~sent ~received () in
+                let v = Validation.tv ~thresholds ~prev ~sent ~received () in
                 if not v.Validation.ok then begin
                   let missing = List.length v.Validation.missing
                   and fabricated = List.length v.Validation.fabricated in

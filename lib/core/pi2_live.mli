@@ -32,21 +32,16 @@ type t
 val deploy :
   net:Netsim.Net.t ->
   rt:Topology.Routing.t ->
-  ?tau:float ->
-  ?thresholds:Validation.thresholds ->
-  ?min_packets:int ->
-  ?key:Crypto_sim.Siphash.key ->
   ?probe:Netsim.Probe.t ->
   ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
   ?byz:Byz.t ->
   unit ->
   t
 (** Monitor every 3-segment of the routed paths with per-position
-    summaries, validating every [tau] seconds (default 5 s, 2% loss
-    tolerance, 20-packet minimum).  Each adjacent pair is judged by
-    [Validation.tv ~prev], [prev] being the pair's upstream summary of
-    the previous round.
+    summaries, validating every 5 s (τ) with a 2% loss tolerance; a
+    segment-round carrying fewer than 20 packets is not judged.  Each
+    adjacent pair is judged by [Validation.tv ~prev], [prev] being the
+    pair's upstream summary of the previous round.
 
     With [probe], every failing pair is journaled as an alarming
     {!Netsim.Probe.verdict} suspecting exactly that pair — precision 2
@@ -54,8 +49,8 @@ val deploy :
     contains the router whose submission broke conservation.
 
     With [ctrl], the interior router's consensus submission rides that
-    lossy channel under [retry]: a timed-out submission {e degrades}
-    the round (nothing is judged on a missing story), and
+    lossy channel under {!Ctrl.default_retry}: a timed-out submission
+    {e degrades} the round (nothing is judged on a missing story), and
     {!Ctrl.mute_rounds} consecutive refusals judge the interior
     {b fail-stop} — a non-alarming verdict and no further judgment of
     the segment.

@@ -14,38 +14,27 @@ val detect_round :
   rt:Topology.Routing.t ->
   k:int ->
   adversary:Rounds.adversary ->
-  ?thresholds:Validation.thresholds ->
   ?sampling:Crypto_sim.Sampling.t ->
   ?packets_per_path:int ->
-  ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
   round:int ->
   unit ->
   Topology.Graph.node list list
 (** One synchronous round; returns the suspected segments (each of length
     <= k+2).  [sampling] restricts validation to a keyed hash-range
     subsample — the §5.2.1 overhead reduction, sound because
-    intermediate routers cannot tell which packets are sampled.  With
-    [ctrl], the end-to-end summary exchange rides that lossy channel
-    under [retry]: a benignly timed-out exchange skips the segment
-    (degradation, not accusation), while an adversarial
-    [blocks_exchange] is still suspected. *)
+    intermediate routers cannot tell which packets are sampled;
+    [packets_per_path] is passed to {!Rounds.observe}.  TV is
+    {!Validation.strict}.  The exchange is reliable unless the
+    adversary [blocks_exchange], and a blocked segment is suspected. *)
 
 val detect :
   rt:Topology.Routing.t ->
   k:int ->
   adversary:Rounds.adversary ->
-  ?thresholds:Validation.thresholds ->
-  ?packets_per_path:int ->
-  ?ctrl:Ctrl.t ->
-  ?retry:Ctrl.retry ->
-  ?probe:Netsim.Probe.t ->
   rounds:int ->
   unit ->
   Spec.suspicion list
-(** Multi-round run expanded per correct router, as in {!Pi2.detect}.
-    With [probe], each round records a verdict (and, when tracing, a
-    round span plus per-segment exchange-failure evidence). *)
+(** Multi-round run expanded per correct router, as in {!Pi2.detect}. *)
 
 val state_counters : Topology.Routing.t -> k:int -> int array
 (** Per-router counters under conservation of flow: two per monitored

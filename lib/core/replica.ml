@@ -7,7 +7,8 @@ type t = {
   observed_out : (int64, unit) Hashtbl.t;
 }
 
-let deploy ~net ~rt ~router ~next ?(key = Crypto_sim.Siphash.key_of_string "replica") () =
+let deploy ~net ~rt ~router ~next () =
+  let key = Crypto_sim.Siphash.key_of_string "replica" in
   let iface =
     match Netsim.Net.iface net ~src:router ~dst:next with
     | Some i -> i

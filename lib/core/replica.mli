@@ -33,7 +33,6 @@ val deploy :
   rt:Topology.Routing.t ->
   router:int ->
   next:int ->
-  ?key:Crypto_sim.Siphash.key ->
   unit ->
   t
 (** Shadow the queue ⟨router → next⟩.  Raises [Invalid_argument] if the

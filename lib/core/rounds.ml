@@ -31,8 +31,9 @@ let fraction_action ~seed ~fraction act faulty =
 let dropper ?(fraction = 1.0) ?(seed = 1) faulty =
   { (passive faulty) with traffic_action = fraction_action ~seed ~fraction Drop faulty }
 
-let modifier ?(fraction = 1.0) ?(seed = 1) faulty =
-  { (passive faulty) with traffic_action = fraction_action ~seed ~fraction Modify faulty }
+let modifier faulty =
+  { (passive faulty) with
+    traffic_action = fraction_action ~seed:1 ~fraction:1.0 Modify faulty }
 
 let hider adv =
   let misreport ~router ~pos ~truth =
@@ -48,8 +49,7 @@ type observation = {
 
 let modified_fp fp = Int64.logxor fp 0x4d4f444946494544L (* "MODIFIED" *)
 
-let observe ~rt ~segments ~adversary ?(policy = Summary.Content) ?(packets_per_path = 20)
-    ~round () =
+let observe ~rt ~segments ~adversary ?(packets_per_path = 20) ~round () =
   let faulty_tbl = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace faulty_tbl r ()) adversary.faulty;
   let is_faulty r = Hashtbl.mem faulty_tbl r in
@@ -59,7 +59,7 @@ let observe ~rt ~segments ~adversary ?(policy = Summary.Content) ?(packets_per_p
     (fun seg ->
       if not (Hashtbl.mem seg_tbl seg) then
         Hashtbl.add seg_tbl seg
-          (Array.init (List.length seg) (fun _ -> Summary.create policy)))
+          (Array.init (List.length seg) (fun _ -> Summary.create Summary.Content)))
     segments;
   let sizes = List.sort_uniq compare (List.map List.length segments) in
   let dropped = Hashtbl.create 8 in

@@ -36,9 +36,8 @@ val dropper :
 (** Traffic-faulty adversary: each compromised router drops the given
     fraction of transit packets (default 1.0), reports truthfully. *)
 
-val modifier : ?fraction:float -> ?seed:int -> Topology.Graph.node list -> adversary
-(** Each compromised router rewrites the given fraction of transit
-    packets. *)
+val modifier : Topology.Graph.node list -> adversary
+(** Each compromised router rewrites every transit packet. *)
 
 val hider : adversary -> adversary
 (** Lift a traffic-faulty adversary into one whose routers also misreport
@@ -60,14 +59,14 @@ val observe :
   rt:Topology.Routing.t ->
   segments:Topology.Graph.node list list ->
   adversary:adversary ->
-  ?policy:Summary.policy ->
   ?packets_per_path:int ->
   round:int ->
   unit ->
   observation
 (** Build ground truth for one round: [packets_per_path] packets (default
     20) traverse every routed path; compromised routers act on transit
-    packets; summaries are accumulated for every monitored segment. *)
+    packets; content summaries are accumulated for every monitored
+    segment. *)
 
 val adjacent_fault_bound : rt:Topology.Routing.t -> faulty:Topology.Graph.node list -> int
 (** The smallest k such that AdjacentFault(k) holds: the longest run of

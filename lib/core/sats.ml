@@ -17,7 +17,8 @@ let evading_dropper ~rate ~position =
          u < rate
        end
 
-let run ~path_len ~packets ~fraction ~drops ?(ranges_leaked = false) ?(seed = "sats") () =
+let run ~path_len ~packets ~fraction ~drops ?(ranges_leaked = false) () =
+  let seed = "sats" in
   if path_len < 3 then invalid_arg "Sats.run: path needs a transit router";
   if packets <= 0 then invalid_arg "Sats.run: need traffic";
   let fps = Array.init packets (fun i -> Crypto_sim.Fnv.hash_int64 (Int64.of_int i)) in

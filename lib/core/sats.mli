@@ -21,7 +21,6 @@ val run :
   fraction:float ->
   drops:(position:int -> fp:int64 -> bool) ->
   ?ranges_leaked:bool ->
-  ?seed:string ->
   unit ->
   verdict
 (** Simulate one measurement interval on a path: [packets] packets enter
@@ -30,7 +29,7 @@ val run :
     expected [fraction] of the traffic under its own secret key.  With
     [ranges_leaked] the adversary knows every sampling decision and its
     [drops] predicate is only consulted for unsampled packets (perfect
-    evasion).  Deterministic in [seed]. *)
+    evasion).  Deterministic: the pair keys derive from fixed labels. *)
 
 val evading_dropper : rate:float -> position:int -> (position:int -> fp:int64 -> bool)
 (** A dropper at [position] discarding roughly [rate] of the traffic

@@ -15,7 +15,8 @@ type counters = {
 let get tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key)
 let bump tbl key v = Hashtbl.replace tbl key (get tbl key + v)
 
-let collect ~rt ~drops ~lies ?(packets_per_path = 20) () =
+let collect ~rt ~drops ~lies () =
+  let packets_per_path = 20 in
   let g = Topology.Routing.graph rt in
   (* true_sent (x, y, d): packets x actually transmitted on link x->y
      toward destination d.  received_for (x, y, d): packets x received

@@ -26,11 +26,10 @@ val collect :
         | `Silent  (** honest counters but never accuses anyone *)
         | `Inflate_sent of Topology.Graph.node  (** claim full forwarding to that neighbour *)
         | `Match_upstream of Topology.Graph.node (** corroborate that upstream's claim *) ]) ->
-  ?packets_per_path:int ->
   unit ->
   counters
-(** Simulate one interval: every routed path carries [packets_per_path]
-    packets (default 20); a router discards all transit packets it would
+(** Simulate one interval: every routed path carries 20 packets; a
+    router discards all transit packets it would
     forward to a neighbour for which [drops router ~next] holds (the
     §3.1 scenario drops in one direction only); [lies] lets faulty
     routers misreport. *)

@@ -6,7 +6,6 @@ type verdict = {
 }
 
 type t = {
-  threshold : int;
   n : int;
   flow : Netflow.t;
   (* Deficit carried from previous rounds (counters are cumulative; per
@@ -16,10 +15,14 @@ type t = {
   mutable verdicts_rev : verdict list;
 }
 
-let deploy ~net ?(tau = 5.0) ?(threshold = 25) ?probe () =
+(* Per-round conservation deficit (packets) above which a router is
+   suspected. *)
+let threshold = 25
+
+let deploy ~net ?(tau = 5.0) ?probe () =
   let n = Topology.Graph.size (Netsim.Net.graph net) in
   let t =
-    { threshold; n; flow = Netflow.attach ~net (); last_deficit = Array.make n 0;
+    { n; flow = Netflow.attach ~net (); last_deficit = Array.make n 0;
       round = 0; verdicts_rev = [] }
   in
   let sim = Netsim.Net.sim net in
@@ -34,7 +37,7 @@ let deploy ~net ?(tau = 5.0) ?(threshold = 25) ?probe () =
         (List.init t.n Fun.id)
     in
     let suspected = List.filter_map
-        (fun (r, d) -> if d > t.threshold then Some r else None) deficits
+        (fun (r, d) -> if d > threshold then Some r else None) deficits
     in
     let now = Netsim.Sim.now sim in
     t.verdicts_rev <-

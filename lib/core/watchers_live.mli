@@ -21,13 +21,12 @@ type t
 val deploy :
   net:Netsim.Net.t ->
   ?tau:float ->
-  ?threshold:int ->
   ?probe:Netsim.Probe.t ->
   unit ->
   t
 (** Validate every router's conservation of flow each [tau] seconds
-    (default 5 s) with the given per-round deficit [threshold]
-    (default 25 packets).  With [probe], every round verdict is
+    (default 5 s), suspecting a router whose deficit in the round
+    exceeds 25 packets.  With [probe], every round verdict is
     journaled as a typed {!Netsim.Probe.verdict}. *)
 
 val verdicts : t -> verdict list

@@ -56,7 +56,6 @@ module Config = struct
       journal = None; trace_out = None; trace_sample = 1.0; faults = None }
 
   let validate c =
-    Core.Detectors.register_all ();
     let fraction_of = function
       | Drop_fraction f | Queue_conditioned f -> Some f
       | No_attack | Drop_all | Drop_syn -> None
@@ -72,10 +71,11 @@ module Config = struct
       Error
         (Printf.sprintf "trace sample rate must lie in [0,1] (got %g)"
            c.trace_sample)
-    else if Core.Detector.find c.protocol = None then
+    else if Core.Detectors.find c.protocol = None then
       Error
         (Printf.sprintf "unknown protocol %S (%s)" c.protocol
-           (String.concat "|" (Core.Detector.names ())))
+           (String.concat "|"
+              (List.map (fun d -> d.Core.Detectors.name) Core.Detectors.all)))
     else begin
       let n = Topology.Graph.size (graph_of c.topo) in
       if c.attacker < 0 || c.attacker >= n then
@@ -203,9 +203,9 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
     | Error msg -> invalid_arg ("Simulate.run: " ^ msg)
   in
   let detector =
-    match Core.Detector.find protocol with
+    match Core.Detectors.find protocol with
     | Some d -> d
-    | None -> assert false (* validate checked the registry *)
+    | None -> assert false (* validate checked the table *)
   in
   let g = graph_of topo in
   let n = Topology.Graph.size g in
@@ -334,15 +334,12 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
         Telemetry.Journal.iter j (Printf.printf "  %s\n")
     | None -> ()
   in
-  (* Deploy the detector through the registry: same setup profiling the
-     per-protocol branches used to do inline. *)
   let env =
-    { Core.Detector.net; rt; graph = g; probe; ctrl = fault_ctrl; retry = None;
-      byz = fault_byz; skew = fault_skew; attacker = Some attacker; duration;
-      seed }
+    { Core.Detectors.net; rt; probe; ctrl = fault_ctrl; byz = fault_byz;
+      skew = fault_skew; attacker; duration }
   in
-  let inst =
-    Telemetry.Profile.time profile "setup" (fun () -> Core.Detector.init detector env)
+  let report =
+    Telemetry.Profile.time profile "setup" (fun () -> detector.Core.Detectors.deploy env)
   in
   let drive () =
     match on_progress with
@@ -368,7 +365,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
   Telemetry.Profile.time profile "report" (fun () ->
       Printf.printf "ground truth: %d malicious drops, %d congestion drops\n"
         !malicious !congestion;
-      Core.Detector.report inst;
+      report ();
       (match (injector, probe) with
       | Some inj, Some probe ->
           Printf.printf "faults: %d injected from plan\n"

@@ -2,10 +2,9 @@
     topology, an attack and a detector, run it, and print what the
     detector concluded next to the ground truth.
 
-    Detectors are resolved by name through the {!Core.Detector}
-    registry ({!Core.Detectors.register_all} installs the built-ins:
-    chi, fatih, pik2, pi2, watchers, perlman) — the driver has no
-    per-protocol code.
+    Detectors are resolved by name in the closed {!Core.Detectors}
+    table (chi, fatih, perlman, pi2, pik2, watchers) — the driver has
+    no per-protocol code.
 
     With [metrics] and/or [journal] set in the configuration, the run
     carries a {!Netsim.Probe}: packet counters, per-router gauges,
@@ -30,7 +29,7 @@ val attack_of_string : string -> fraction:float -> (attack, string) result
 module Config : sig
   type t = {
     topo : topo;
-    protocol : string;       (** detector name in the {!Core.Detector} registry *)
+    protocol : string;       (** detector name in {!Core.Detectors.all} *)
     attack : attack;
     attacker : int;          (** compromised router id *)
     duration : float;        (** seconds simulated *)
@@ -86,7 +85,7 @@ module Config : sig
   val validate : t -> (t, string) result
   (** Reject non-positive duration, fewer than one flow, a negative
       trace length, a sample rate outside [0,1], a protocol name absent
-      from the {!Core.Detector} registry, an attacker id outside the
+      from {!Core.Detectors.all}, an attacker id outside the
       chosen topology and a drop/queue fraction outside [0,1] — before
       any simulation state is built. *)
 

@@ -6,6 +6,3 @@ let row cells =
   print_endline (String.concat " " (List.map (Printf.sprintf "%12s") cells))
 
 let kv key value = Printf.printf "  %-34s %s\n" (key ^ ":") value
-
-let fseries ?(decimals = 1) xs =
-  List.map (fun x -> Printf.sprintf "%.*f" decimals x) xs

@@ -8,6 +8,3 @@ val row : string list -> unit
 
 val kv : string -> string -> unit
 (** Print an aligned "key: value" line. *)
-
-val fseries : ?decimals:int -> float list -> string list
-(** Format floats uniformly for {!row}. *)

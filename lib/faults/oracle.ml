@@ -166,12 +166,10 @@ let json_of_outcome o =
       ("framed_honest", Int o.framed_honest);
       ("alpha_violations", Int o.alpha_violations) ]
 
-let json_report ?label o =
+let json_report o =
   let open Telemetry.Export in
   Assoc
-    ([ ("schema", String "mrdetect-robustness-v1") ]
-    @ (match label with Some l -> [ ("label", String l) ] | None -> [])
-    @ [ ("report", json_of_outcome o) ])
+    [ ("schema", String "mrdetect-robustness-v1"); ("report", json_of_outcome o) ]
 
 let merge_json outcomes =
   let open Telemetry.Export in

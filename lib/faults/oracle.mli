@@ -91,7 +91,7 @@ val of_probe :
 val verdicts_of_probe : Netsim.Probe.t -> Netsim.Probe.verdict list
 (** Every verdict the run recorded, oldest first. *)
 
-val json_report : ?label:string -> outcome -> Telemetry.Export.json
+val json_report : outcome -> Telemetry.Export.json
 (** The [mrdetect-robustness-v1] report document. *)
 
 val merge_json : outcome list -> Telemetry.Export.json

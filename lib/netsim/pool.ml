@@ -46,10 +46,10 @@ let release t p =
   t.n <- t.n + 1;
   t.released <- t.released + 1
 
-let acquire t ~now ~uid ~src ~dst ~flow ~size ?ttl proto =
+let acquire t ~now ~uid ~src ~dst ~flow ~size proto =
   if t.n = 0 then begin
     t.fresh <- t.fresh + 1;
-    let p = Packet.make_at ~now ~uid ~src ~dst ~flow ~size ?ttl proto in
+    let p = Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto in
     p
   end
   else begin
@@ -57,7 +57,7 @@ let acquire t ~now ~uid ~src ~dst ~flow ~size ?ttl proto =
     let p = t.free.(t.n) in
     t.free.(t.n) <- none;
     t.recycled <- t.recycled + 1;
-    Packet.reinit p ~now ~uid ~src ~dst ~flow ~size ?ttl proto;
+    Packet.reinit p ~now ~uid ~src ~dst ~flow ~size proto;
     p
   end
 

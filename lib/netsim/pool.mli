@@ -29,8 +29,8 @@ val create : ?poison:bool -> unit -> t
 val acquire :
   t ->
   now:float ->
-  uid:int -> src:int -> dst:int -> flow:int -> size:int -> ?ttl:int ->
-  Packet.proto -> Packet.t
+  uid:int -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto ->
+  Packet.t
 (** A packet with the given content: recycled from the freelist when one
     is available (via {!Packet.reinit}), freshly allocated otherwise. *)
 

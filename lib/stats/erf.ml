@@ -36,9 +36,7 @@ let sqrt2pi = sqrt (2.0 *. Float.pi)
 let normal_cdf ?(mu = 0.0) ?(sigma = 1.0) x =
   0.5 *. erfc (-.(x -. mu) /. (sigma *. sqrt2))
 
-let normal_pdf ?(mu = 0.0) ?(sigma = 1.0) x =
-  let z = (x -. mu) /. sigma in
-  exp (-0.5 *. z *. z) /. (sigma *. sqrt2pi)
+let normal_pdf x = exp (-0.5 *. x *. x) /. sqrt2pi
 
 (* Acklam's rational approximation for the inverse normal CDF, with one
    Halley refinement step using the forward CDF above. *)

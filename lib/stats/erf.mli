@@ -15,8 +15,8 @@ val normal_cdf : ?mu:float -> ?sigma:float -> float -> float
 (** [normal_cdf ~mu ~sigma x] is P(X <= x) for X ~ N(mu, sigma^2).
     Defaults: [mu = 0.], [sigma = 1.]. *)
 
-val normal_pdf : ?mu:float -> ?sigma:float -> float -> float
-(** Density of N(mu, sigma^2) at a point. *)
+val normal_pdf : float -> float
+(** Density of the standard normal N(0, 1) at a point. *)
 
 val normal_quantile : float -> float
 (** [normal_quantile p] is the inverse standard normal CDF (Acklam's

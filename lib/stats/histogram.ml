@@ -33,7 +33,8 @@ let bar n max_count width =
   if max_count = 0 then ""
   else String.make (n * width / max_count) '#'
 
-let render ?(width = 50) t =
+let render t =
+  let width = 50 in
   let max_count = Array.fold_left max 1 t.bins in
   let buf = Buffer.create 1024 in
   Array.iteri

@@ -26,9 +26,9 @@ val overflow : t -> int
 val bin_center : t -> int -> float
 (** Center abscissa of bin [i]. *)
 
-val render : ?width:int -> t -> string
-(** Multi-line ASCII rendering: one row per bin with a proportional bar.
-    [width] is the bar length of the fullest bin (default 50). *)
+val render : t -> string
+(** Multi-line ASCII rendering: one row per bin with a proportional bar,
+    50 characters for the fullest bin. *)
 
 val render_with_normal : ?width:int -> t -> mu:float -> sigma:float -> string
 (** Like [render] but each row also shows the count a N(mu, sigma^2) fit

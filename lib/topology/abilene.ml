@@ -61,7 +61,8 @@ let duplex_links =
     (Chicago, New_york, 8.0);
     (New_york, Washington_dc, 5.0) ]
 
-let graph ?(bw = 1.25e6) () =
+let graph () =
+  let bw = 1.25e6 in
   let g = Graph.create ~n:(Array.length pops) in
   List.iter
     (fun (a, b, ms) ->

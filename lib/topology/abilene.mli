@@ -29,9 +29,9 @@ val id : pop -> Graph.node
 val name : Graph.node -> string
 (** Human-readable PoP name ("Kan", "Sun", ... as in Fig 5.7). *)
 
-val graph : ?bw:float -> unit -> Graph.t
-(** Fresh Abilene topology.  [bw] sets every link's bandwidth
-    (default 1.25e6 B/s, i.e. 10 Mb/s — scaled down from the real
+val graph : unit -> Graph.t
+(** Fresh Abilene topology.  Every link carries 1.25e6 B/s (10 Mb/s —
+    scaled down from the real
     OC-192 backbone to keep simulations cheap; the protocols' behaviour
     depends on relative utilization, not absolute rate). *)
 

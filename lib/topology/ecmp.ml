@@ -1,21 +1,20 @@
 type t = {
   graph : Graph.t;
   dist_to : int array array; (* dist_to.(d).(v) = least cost v -> d *)
-  hash : router:int -> dst:int -> flow:int -> int;
 }
 
 (* A 64-bit avalanche mixer (splitmix64 finalizer): deterministic,
    seedless, identical on every router. *)
-let default_hash ~router ~dst ~flow =
+let hash ~router ~dst ~flow =
   let z = Int64.of_int ((router * 0x9e3779b9) lxor (dst * 0x85ebca6b) lxor flow) in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.to_int (Int64.logand (Int64.logxor z (Int64.shift_right_logical z 31)) 0x3fffffffL)
 
-let compute ?(hash = default_hash) graph =
+let compute graph =
   let n = Graph.size graph in
   let adj = Graph.adjacency graph in
-  { graph; dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d); hash }
+  { graph; dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d) }
 
 let candidates t v ~dst =
   if v = dst then []
@@ -34,7 +33,7 @@ let next_hop t v ~dst ~flow =
   match candidates t v ~dst with
   | [] -> None
   | cands ->
-      let i = t.hash ~router:v ~dst ~flow mod List.length cands in
+      let i = hash ~router:v ~dst ~flow mod List.length cands in
       Some (List.nth cands i)
 
 let path t ~src ~dst ~flow =

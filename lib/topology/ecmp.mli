@@ -11,11 +11,10 @@
 
 type t
 
-val compute : ?hash:(router:int -> dst:int -> flow:int -> int) -> Graph.t -> t
-(** Build ECMP state.  The default [hash] is a deterministic integer
-    mixer; supply your own to model a specific router vendor's scheme.
-    Every router in the network must use the same function — that is
-    what makes paths predictable (§4.1). *)
+val compute : Graph.t -> t
+(** Build ECMP state.  The hash is one deterministic integer mixer,
+    shared by every router in the network — that is what makes paths
+    predictable (§4.1). *)
 
 val candidates : t -> Graph.node -> dst:Graph.node -> Graph.node list
 (** The equal-cost next hops (ascending), empty when unreachable or

@@ -80,9 +80,10 @@ let ispish ?(seed = 7) ~n ~duplex_links ~max_degree () =
 let sprintlink_like ?(seed = 315) () =
   ispish ~seed ~n:315 ~duplex_links:972 ~max_degree:45 ()
 
-let ebone_like ?(seed = 87) () = ispish ~seed ~n:87 ~duplex_links:161 ~max_degree:11 ()
+let ebone_like () = ispish ~seed:87 ~n:87 ~duplex_links:161 ~max_degree:11 ()
 
-let waxman ?(seed = 11) ~n ?(alpha = 0.6) ?(beta = 0.35) () =
+let waxman ?(seed = 11) ~n () =
+  let alpha = 0.6 and beta = 0.35 in
   if n < 2 then invalid_arg "Generate.waxman: need at least 2 nodes";
   let st = Random.State.make [| seed; n; 0x3a |] in
   let xs = Array.init n (fun _ -> Random.State.float st 1.0) in

@@ -19,13 +19,13 @@ val ispish :
 val sprintlink_like : ?seed:int -> unit -> Graph.t
 (** 315 nodes / 972 duplex links / degree cap 45 — the Sprintlink shape. *)
 
-val ebone_like : ?seed:int -> unit -> Graph.t
+val ebone_like : unit -> Graph.t
 (** 87 nodes / 161 duplex links / degree cap 11 — the EBONE shape. *)
 
-val waxman :
-  ?seed:int -> n:int -> ?alpha:float -> ?beta:float -> unit -> Graph.t
+val waxman : ?seed:int -> n:int -> unit -> Graph.t
 (** Waxman random geometric graph: nodes on the unit square, link
-    probability alpha * exp(-d / (beta * sqrt 2)); connected by
+    probability alpha * exp(-d / (beta * sqrt 2)) with alpha = 0.6 and
+    beta = 0.35; connected by
     construction (a random spanning chain is added first).  The classic
     internet-topology alternative to preferential attachment, used for
     generator diversity in property tests. *)

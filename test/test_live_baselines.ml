@@ -141,6 +141,25 @@ let test_perlman_live_needs_diversity () =
        false
      with Invalid_argument _ -> true)
 
+(* The perlman table entry keeps one send pending at a time, however
+   long the run: deploying it for 1000 s schedules one event, not one
+   per 0.25 s period. *)
+let test_perlman_deploy_pending () =
+  let g = Topology.Generate.ring ~n:8 in
+  let net = Net.create ~seed:1 ~jitter_bound:0.0 g in
+  let rt = Rt.compute g in
+  Net.use_routing net rt;
+  let sim = Net.sim net in
+  let before = Sim.pending sim in
+  let perlman = Option.get (Detectors.find "perlman") in
+  let (_report : unit -> unit) =
+    perlman.Detectors.deploy
+      { Detectors.net; rt; probe = None; ctrl = None; byz = None; skew = None;
+        attacker = 2; duration = 1000.0 }
+  in
+  Alcotest.(check bool) "at most one more pending event" true
+    (Sim.pending sim - before <= 1)
+
 let test_pin_flow_path () =
   let net = ring_net () in
   (* Pin a flow the long way round and check the hops taken. *)
@@ -200,7 +219,8 @@ let () =
           Alcotest.test_case "survives f" `Quick test_perlman_live_survives_one_fault;
           Alcotest.test_case "overwhelmed" `Quick test_perlman_live_overwhelmed;
           Alcotest.test_case "needs diversity" `Quick test_perlman_live_needs_diversity;
-          Alcotest.test_case "pin path" `Quick test_pin_flow_path ] );
+          Alcotest.test_case "pin path" `Quick test_pin_flow_path;
+          Alcotest.test_case "one send pending" `Quick test_perlman_deploy_pending ] );
       ( "state-size",
         [ Alcotest.test_case "summary bytes" `Quick test_summary_bytes_ranking;
           Alcotest.test_case "protocol bytes" `Quick test_protocol_bytes_consistency ] ) ]

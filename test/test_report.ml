@@ -1,8 +1,8 @@
 (* Simulate goldens, report pipeline and bench regression gate.
 
    - `mrdetect simulate` goldens: stdout and journal of fixed scenarios
-     (ring8/fatih, abilene/chi, a chaos fault plan, --trace 20) pinned
-     by MD5 digests.
+     (ring8 under every detector, abilene/chi, a chaos fault plan,
+     --trace 20) pinned by MD5 digests.
    - `mrdetect report` determinism: the mrdetect-report-v1 document
      distilled from a run's metrics export, and the stats section it
      carries, are pinned by digest and repeatable run-to-run.
@@ -73,6 +73,25 @@ let test_golden_ring_fatih () =
 let test_golden_abilene_chi () =
   check_digest "abilene/chi" ~topo:Simulate.Abilene ~protocol:"chi"
     "9b6bdd95e53f33ec11f0d32be6056d78"
+
+(* The other four detectors, same settings; digests recorded before the
+   detector registry became a closed table.  pik2 is the fatih
+   deployment under its paper name, so it shares fatih's digest. *)
+let test_golden_ring_pi2 () =
+  check_digest "ring8/pi2" ~topo:Simulate.Ring ~protocol:"pi2"
+    "75af4d3efb5dcfb7ee9062164a0c47ad"
+
+let test_golden_ring_pik2 () =
+  check_digest "ring8/pik2" ~topo:Simulate.Ring ~protocol:"pik2"
+    "7d5e6c82190cb7a07b88a63c9fc89647"
+
+let test_golden_ring_watchers () =
+  check_digest "ring8/watchers" ~topo:Simulate.Ring ~protocol:"watchers"
+    "7a0b13cf3409b97d7356bd16f500e091"
+
+let test_golden_ring_perlman () =
+  check_digest "ring8/perlman" ~topo:Simulate.Ring ~protocol:"perlman"
+    "7979dc4e06d08beee8f73d51f27f68df"
 
 (* Under a gentle chaos plan (benign flaps and a crash), the oracle line
    and every journaled fault record are pinned too. *)
@@ -439,6 +458,10 @@ let () =
       ( "golden",
         [ Alcotest.test_case "ring8 fatih K-invariant" `Quick test_golden_ring_fatih;
           Alcotest.test_case "abilene chi K-invariant" `Quick test_golden_abilene_chi;
+          Alcotest.test_case "ring8 pi2 pinned" `Quick test_golden_ring_pi2;
+          Alcotest.test_case "ring8 pik2 pinned" `Quick test_golden_ring_pik2;
+          Alcotest.test_case "ring8 watchers pinned" `Quick test_golden_ring_watchers;
+          Alcotest.test_case "ring8 perlman pinned" `Quick test_golden_ring_perlman;
           Alcotest.test_case "chaos faults K-invariant" `Quick
             test_golden_chaos_faults;
           Alcotest.test_case "simulate --trace pinned" `Quick test_golden_trace ] );
