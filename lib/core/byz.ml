@@ -62,7 +62,6 @@ let routers t =
   List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) t.roles [])
 
 let role t r = Hashtbl.find_opt t.roles r
-let is_byzantine t r = Hashtbl.mem t.roles r
 let hardened t = t.hardened
 
 let mute_active t ~router ~now =

@@ -73,7 +73,6 @@ val routers : t -> int list
     protocol-faulty ground truth. *)
 
 val role : t -> int -> role option
-val is_byzantine : t -> int -> bool
 val hardened : t -> bool
 
 val mute_active : t -> router:int -> now:float -> bool

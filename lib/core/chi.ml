@@ -1,16 +1,20 @@
 type config = {
   tau : float;
-  slack : float;
   th_single : float;
   th_combined : float;
   learning_rounds : int;
-  sigma_floor : float;
   min_suspicious : int;
 }
 
 let default_config =
-  { tau = 2.0; slack = 0.3; th_single = 0.99; th_combined = 0.99; learning_rounds = 5;
-    sigma_floor = 40.0; min_suspicious = 1 }
+  { tau = 2.0; th_single = 0.99; th_combined = 0.99; learning_rounds = 5;
+    min_suspicious = 1 }
+
+(* In-flight guard before round end, seconds. *)
+let slack = 0.3
+
+(* Lower bound on the calibrated sigma, bytes. *)
+let sigma_floor = 40.0
 
 type loss = {
   fp : int64;
@@ -63,7 +67,7 @@ type t = {
 and qcell = { mutable q : float }
 
 let mu_sigma t =
-  let sigma = Float.max t.config.sigma_floor (Mrstats.Welford.stddev t.error) in
+  let sigma = Float.max sigma_floor (Mrstats.Welford.stddev t.error) in
   (Mrstats.Welford.mean t.error, sigma)
 
 let c_single t ~qpred ~size =
@@ -134,7 +138,7 @@ let evaluate t ~losses ~fabricated ~learning =
   (c_single_max, c_combined, alarm)
 
 let run_round t ~start_time ~end_time ~learning ~degraded =
-  let horizon = end_time -. t.config.slack in
+  let horizon = end_time -. slack in
   let data = Qmon.drain t.qmon ~horizon in
   let losses = process_round t data ~horizon ~learning in
   let fabricated = data.Qmon.fabricated in

@@ -12,15 +12,17 @@
     - single-loss: c_single = P(X <= qlimit − q_pred(ts) − ps), Fig 6.2;
     - combined: a Z-test over all of a round's losses.
 
-    An alarm means "these losses cannot be explained by congestion". *)
+    An alarm means "these losses cannot be explained by congestion".
+
+    Each round's replay stops 0.3 s before the round's end, so packets
+    still in flight are judged next round, and the calibrated sigma is
+    floored at 40 bytes. *)
 
 type config = {
   tau : float;              (** validation round length, seconds *)
-  slack : float;            (** in-flight guard before round end, seconds *)
   th_single : float;        (** single-loss confidence threshold *)
   th_combined : float;      (** combined-test confidence threshold *)
   learning_rounds : int;    (** calibration rounds before detection starts *)
-  sigma_floor : float;      (** lower bound on the calibrated sigma, bytes *)
   min_suspicious : int;
       (** individually-malicious losses needed in a round before the
           single-loss test alarms: 1 assumes clean links; raise it to
@@ -29,8 +31,8 @@ type config = {
 }
 
 val default_config : config
-(** tau 2 s, slack 0.3 s, thresholds 0.99 / 0.99, 5 learning rounds,
-    sigma floor 40 bytes, min_suspicious 1. *)
+(** tau 2 s, thresholds 0.99 / 0.99, 5 learning rounds,
+    min_suspicious 1. *)
 
 type loss = {
   fp : int64;

@@ -1,13 +1,16 @@
-type config = {
-  tau : float;
-  slack : float;
-  alpha : float;
-  drift_margin : float;
-  learning_rounds : int;
-}
+(* In-flight guard before round end, seconds. *)
+let slack = 0.3
 
-let default_config =
-  { tau = 2.0; slack = 0.3; alpha = 1e-4; drift_margin = 6000.0; learning_rounds = 3 }
+(* Alarm when P(RED explains the drops) < alpha. *)
+let alpha = 1e-4
+
+(* Bytes of slack for replay drift: a drop is individually certain only
+   when the replayed EWMA is at least this far below min_th and the
+   replayed queue at least this far from the limit. *)
+let drift_margin = 6000.0
+
+(* Warm-up rounds that never alarm. *)
+let learning_rounds = 3
 
 type loss = {
   fp : int64;
@@ -39,7 +42,6 @@ type report = {
 
 type t = {
   qmon : Qmon.t;
-  config : config;
   params : Netsim.Red.params;
   link_bw : float;
   (* replayed RED state, persistent across rounds *)
@@ -105,9 +107,9 @@ let process_round t (data : Qmon.round_data) ~horizon =
            malicious. *)
         let certain =
           (not forced)
-          && t.avg < t.params.Netsim.Red.min_th -. t.config.drift_margin
+          && t.avg < t.params.Netsim.Red.min_th -. drift_margin
           && float_of_int (t.occ + size)
-             <= float_of_int t.params.Netsim.Red.limit_bytes -. t.config.drift_margin
+             <= float_of_int t.params.Netsim.Red.limit_bytes -. drift_margin
         in
         losses :=
           { fp = Qmon.fp v i; size; flow; time; red_prob = p_red; avg = t.avg;
@@ -117,7 +119,7 @@ let process_round t (data : Qmon.round_data) ~horizon =
   (List.rev !losses, Array.of_list (List.rev !all_probs))
 
 let run_round t ~start_time ~end_time ~learning =
-  let horizon = end_time -. t.config.slack in
+  let horizon = end_time -. slack in
   let data = Qmon.drain t.qmon ~horizon in
   let losses, probs = process_round t data ~horizon in
   let fabricated = data.Qmon.fabricated in
@@ -173,7 +175,7 @@ let run_round t ~start_time ~end_time ~learning =
   in
   (* Per-flow stratified test with Bonferroni correction. *)
   let nflows = max 1 (Hashtbl.length t.cum_flows) in
-  let flow_alpha = t.config.alpha /. float_of_int nflows in
+  let flow_alpha = alpha /. float_of_int nflows in
   let suspect_flows =
     Hashtbl.fold
       (fun flow a acc ->
@@ -188,8 +190,8 @@ let run_round t ~start_time ~end_time ~learning =
   let alarm =
     (not learning)
     && (fabricated > 0 || any_certain
-       || (observed > 0 && tail_probability < t.config.alpha)
-       || (cumulative_excess && cumulative_tail < t.config.alpha)
+       || (observed > 0 && tail_probability < alpha)
+       || (cumulative_excess && cumulative_tail < alpha)
        || suspect_flows <> [])
   in
   let report =
@@ -203,7 +205,7 @@ let run_round t ~start_time ~end_time ~learning =
   t.round <- t.round + 1;
   t.reports_rev <- report :: t.reports_rev
 
-let deploy ~net ~rt ~router ~next ~params ?(config = default_config) () =
+let deploy ~net ~rt ~router ~next ~params ?(tau = 2.0) () =
   let key = Crypto_sim.Siphash.key_of_string "chi-red-monitor" in
   let predict = Qmon.predict_of_routing rt ~router in
   let qmon = Qmon.attach ~net ~predict ~key ~router ~next () in
@@ -213,18 +215,18 @@ let deploy ~net ~rt ~router ~next ~params ?(config = default_config) () =
     | None -> invalid_arg "Chi_red.deploy: no such link"
   in
   let t =
-    { qmon; config; params; link_bw; avg = 0.0; count = -1; occ = 0;
+    { qmon; params; link_bw; avg = 0.0; count = -1; occ = 0;
       idle_since = Some 0.0; round = 0; reports_rev = [];
       cum_observed = 0; cum_mu = 0.0; cum_var = 0.0; cum_flows = Hashtbl.create 16 }
   in
   let sim = Netsim.Net.sim net in
   let rec tick start_time () =
     let end_time = Netsim.Sim.now sim in
-    let learning = t.round < config.learning_rounds in
+    let learning = t.round < learning_rounds in
     run_round t ~start_time ~end_time ~learning;
-    Netsim.Sim.schedule sim ~delay:config.tau (tick end_time)
+    Netsim.Sim.schedule sim ~delay:tau (tick end_time)
   in
-  Netsim.Sim.schedule sim ~delay:config.tau (tick 0.0);
+  Netsim.Sim.schedule sim ~delay:tau (tick 0.0);
   t
 
 let reports t = List.rev t.reports_rev

@@ -12,22 +12,15 @@
     - otherwise, the probability that RED would produce at least the
       observed number of drops among the round's arrivals is a
       Poisson-binomial tail; when that tail is negligible the drops are
-      collectively malicious. *)
+      collectively malicious.
 
-type config = {
-  tau : float;
-  slack : float;
-  alpha : float;          (** alarm when P(RED explains the drops) < alpha *)
-  drift_margin : float;
-      (** bytes of slack for replay drift: a drop is individually certain
-          only when the replayed EWMA is at least this far below min_th
-          and the replayed queue at least this far from the limit *)
-  learning_rounds : int;  (** warm-up rounds that never alarm *)
-}
-
-val default_config : config
-(** tau 2 s, slack 0.3 s, alpha 1e-4, drift margin 6000 B, 3 warm-up
-    rounds. *)
+    The validator runs at fixed parameters: a 0.3 s in-flight guard
+    before each round's end, significance alpha = 1e-4 (alarm when
+    P(RED explains the drops) < alpha), a 6000 B drift margin (a drop
+    is individually certain only when the replayed EWMA is at least
+    this far below min_th and the replayed queue at least this far from
+    the limit) and 3 warm-up rounds that never alarm.  Only the round
+    length varies. *)
 
 type loss = {
   fp : int64;
@@ -67,10 +60,11 @@ val deploy :
   router:int ->
   next:int ->
   params:Netsim.Red.params ->
-  ?config:config ->
+  ?tau:float ->
   unit ->
   t
-(** Install the RED validator on queue ⟨router → next⟩; [params] are the
+(** Install the RED validator on queue ⟨router → next⟩, validating every
+    [tau] seconds (default 2 s); [params] are the
     public RED parameters of that queue (§6.5.2 assumes they are
     announced like link bandwidths).  The neighbours predict forwarding
     by single shortest path from [rt]. *)

@@ -108,8 +108,6 @@ val create :
     those overridden in [links].  Raises [Invalid_argument] on a
     probability outside [0,1] or a negative reorder delay. *)
 
-val faults_for : t -> src:int -> dst:int -> link_faults
-
 val set_peer_fault : t -> router:int -> peer_fault -> unit
 (** Install (or, with {!no_peer_fault}, clear) a router's
     protocol-faulty behaviour on the channel.  Raises

@@ -1,18 +1,20 @@
 type exchange = Full_sets | Reconcile
 
 type config = {
-  tau : float;
   thresholds : Validation.thresholds;
-  min_packets : int;
   policy : Summary.policy;
   exchange : exchange;
-  response : Response.config;
 }
 
 let default_config =
-  { tau = 5.0; thresholds = Validation.lenient (); min_packets = 20;
-    policy = Summary.Content; exchange = Full_sets;
-    response = Response.default_config }
+  { thresholds = Validation.lenient (); policy = Summary.Content;
+    exchange = Full_sets }
+
+(* The validation round, seconds. *)
+let tau = 5.0
+
+(* Segments with less traffic in a round are not judged. *)
+let min_packets = 20
 
 type detection = {
   time : float;
@@ -71,7 +73,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
   if config.policy = Summary.Flow then
     invalid_arg "Fatih.deploy: the Flow policy keeps no packet identities";
   let t =
-    { config; response = Response.create ~net ~config:config.response ?probe ();
+    { config; response = Response.create ~net ?probe ();
       index =
         Seg_index.create ~rt ~key ~policy:config.policy (fun () ->
             { degraded_streak = 0; mute_streak = 0; failstopped = false });
@@ -133,8 +135,8 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
         let sent = Seg_index.sent t.index i
         and received = Seg_index.received t.index i in
         let eligible =
-          now -. config.tau > t.last_policy_change +. 1e-9
-          && Summary.packets sent >= config.min_packets
+          now -. tau > t.last_policy_change +. 1e-9
+          && Summary.packets sent >= min_packets
         in
         (* A segment edge still down at judgment time is an announced
            fail-stop: the round is judged normally so the dead segment
@@ -476,7 +478,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
                polynomial evaluations instead of its fingerprint set; the
                cost is O(losses), falling back to the full set when the
                difference overwhelms the bound. *)
-            if Summary.packets sent >= config.min_packets then begin
+            if Summary.packets sent >= min_packets then begin
               let elements s =
                 Array.of_list
                   (List.map Setrecon.Reconcile.element_of_fingerprint
@@ -504,7 +506,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
           (Netsim.Probe.trace_span probe ~track:"fatih"
              ~name:(Printf.sprintf "fatih round %d" t.round)
              ~cat:"round"
-             ~start:(Float.max 0.0 (now -. config.tau))
+             ~start:(Float.max 0.0 (now -. tau))
              ~finish:now
              ~args:
                [ ("segments", Telemetry.Export.Int (Array.length states));
@@ -513,9 +515,9 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
              ())
     | None -> ());
     t.round <- t.round + 1;
-    Netsim.Sim.schedule sim ~delay:config.tau tick
+    Netsim.Sim.schedule sim ~delay:tau tick
   in
-  Netsim.Sim.schedule sim ~delay:config.tau tick;
+  Netsim.Sim.schedule sim ~delay:tau tick;
   t
 
 let fingerprints_observed t = t.fingerprints_observed

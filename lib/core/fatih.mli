@@ -18,9 +18,7 @@ type exchange =
   | Reconcile  (** Appendix A set reconciliation: O(difference) words *)
 
 type config = {
-  tau : float;                         (** validation round, 5 s *)
   thresholds : Validation.thresholds;  (** TV tolerance *)
-  min_packets : int;                   (** ignore segments with less traffic *)
   policy : Summary.policy;
       (** the conservation policy of the summaries: [Content] (default)
           catches loss/modification/fabrication; [Order] additionally
@@ -29,12 +27,12 @@ type config = {
   exchange : exchange;
       (** how segment ends compare summaries; affects
           {!words_exchanged}, not detections *)
-  response : Response.config;
 }
 
 val default_config : config
-(** tau 5 s, 2% loss tolerance, min 20 packets, Content policy,
-    full-set exchange, default OSPF timers. *)
+(** 2% loss tolerance, Content policy, full-set exchange.  The round
+    (τ = 5 s), the 20-packet floor below which a segment's round is not
+    judged and the {!Response} timers are fixed. *)
 
 type detection = {
   time : float;

@@ -161,14 +161,12 @@ type t = {
      was down: the failure is locally observable (the neighbours see the
      link-state flood), so these are excused, never "unexplainable". *)
   benign_fps : (int64, unit) Hashtbl.t;
-  mutable benign_excused : int;
   occ_samples : (int64, int) Hashtbl.t;    (* calibration *)
   mutable calibrating : bool;
 }
 
 let router t = t.router
 let next t = t.next
-let benign_excused t = t.benign_excused
 let set_predict t p = t.predict <- p
 let set_calibrating t v = t.calibrating <- v
 
@@ -193,7 +191,7 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
   let t =
     { router; next; predict; pending_s = buf (); pending_d = buf (); round_s = buf ();
       round_d = buf (); carried = buf (); fps = fpset ();
-      benign_fps = Hashtbl.create 16; benign_excused = 0;
+      benign_fps = Hashtbl.create 16;
       occ_samples = Hashtbl.create 64; calibrating = false }
   in
   let record b pkt ~time =
@@ -268,11 +266,7 @@ let drain t ~horizon =
     end
   done;
   ps.len <- !keep;
-  List.iter
-    (fun fp ->
-      Hashtbl.remove t.benign_fps fp;
-      t.benign_excused <- t.benign_excused + 1)
-    !benign;
+  List.iter (fun fp -> Hashtbl.remove t.benign_fps fp) !benign;
   if Hashtbl.length t.occ_samples > 0 then begin
     for i = 0 to rs.len - 1 do
       let fp = fp_at rs i in

@@ -87,12 +87,6 @@ val set_predict : t -> (Netsim.Packet.t -> int option) -> unit
 val set_calibrating : t -> bool -> unit
 (** Toggle collection of true-occupancy samples. *)
 
-val benign_excused : t -> int
-(** Announced arrivals excused because the monitored interface dropped
-    them with the link down — a locally observable benign failure the
-    neighbours learn from the link-state flood, so χ must not read the
-    disappearance as malice. *)
-
 type round_data = {
   arrivals : view;    (** S, up to the horizon *)
   departures : view;  (** D, complete for S (including departures past
@@ -109,6 +103,9 @@ val drain : t -> horizon:float -> round_data
     drain (the caller uses round end minus a guard interval).  A
     departure at or before the horizon whose fingerprint is not among
     the arrivals still pending counts as fabricated and is dropped.
+    Arrivals the monitored interface itself dropped with the link down
+    are excused and left out of the round: the failure is locally
+    observable, so χ must not read the disappearance as malice.
     Occupancy samples are handed out while calibrating; a drain with
     calibration off discards any left over.  The pending buffers are
     compacted in place, and arrivals are sorted only when they were

@@ -1,6 +1,7 @@
-type config = { ospf_delay : float; ospf_hold : float }
-
-let default_config = { ospf_delay = 5.0; ospf_hold = 10.0 }
+(* Zebra's OSPF timers, seconds: alert -> recomputation, and the
+   minimum spacing between recomputations. *)
+let ospf_delay = 5.0
+let ospf_hold = 10.0
 
 type event = {
   time : float;
@@ -9,7 +10,6 @@ type event = {
 
 type t = {
   net : Netsim.Net.t;
-  config : config;
   probe : Netsim.Probe.t option;
   mutable suspected : Topology.Graph.node list list;
   mutable pending : bool;           (* a recomputation is scheduled *)
@@ -18,8 +18,8 @@ type t = {
   mutable on_update : Topology.Policy.t -> unit;
 }
 
-let create ~net ?(config = default_config) ?probe () =
-  { net; config; probe; suspected = []; pending = false;
+let create ~net ?probe () =
+  { net; probe; suspected = []; pending = false;
     last_update = neg_infinity; updates_rev = []; on_update = (fun _ -> ()) }
 
 let install t =
@@ -49,7 +49,7 @@ let schedule t =
     let now = Netsim.Sim.now sim in
     (* Delay timer, pushed out by the hold-down from the last install. *)
     let at =
-      Float.max (now +. t.config.ospf_delay) (t.last_update +. t.config.ospf_hold)
+      Float.max (now +. ospf_delay) (t.last_update +. ospf_hold)
     in
     Netsim.Sim.schedule_at sim ~time:at (fun () -> install t)
   end

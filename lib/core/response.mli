@@ -8,14 +8,6 @@
     suspected segment while leaving the suspected routers usable on their
     unsuspected paths. *)
 
-type config = {
-  ospf_delay : float;  (** alert -> recomputation *)
-  ospf_hold : float;   (** minimum spacing between recomputations *)
-}
-
-val default_config : config
-(** 5 s delay, 10 s hold. *)
-
 type event = {
   time : float;
   forbidden : Topology.Graph.node list list;  (** segments excised so far *)
@@ -23,7 +15,7 @@ type event = {
 
 type t
 
-val create : net:Netsim.Net.t -> ?config:config -> ?probe:Netsim.Probe.t -> unit -> t
+val create : net:Netsim.Net.t -> ?probe:Netsim.Probe.t -> unit -> t
 (** Pass [probe] to record a "routing-update" trace instant (listing the
     excised segments' routers) at each installation. *)
 

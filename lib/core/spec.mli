@@ -15,8 +15,6 @@ type suspicion = {
   by : Topology.Graph.node;  (** the correct router holding the suspicion *)
 }
 
-val pp_suspicion : suspicion -> string
-
 val precision : suspicion list -> int
 (** Longest suspected segment (0 when no suspicions). *)
 

@@ -6,7 +6,10 @@ type t = {
 let probe_tag key uid = Crypto_sim.Siphash.hash_int64s key [ Int64.of_int uid; 0x0bL ]
 let reply_tag key uid = Crypto_sim.Siphash.hash_int64s key [ Int64.of_int uid; 0xacL ]
 
-let start ~net ~src ~dst ~flow ~key ?(interval = 0.5) ?(size = 1000) ~start ~stop () =
+(* Probe size, bytes: the victim data flows' packet size. *)
+let size = 1000
+
+let start ~net ~src ~dst ~flow ~key ?(interval = 0.5) ~start ~stop () =
   let sim = Netsim.Net.sim net in
   let t = { sent = 0; answered = 0 } in
   let expected_replies = Hashtbl.create 64 in

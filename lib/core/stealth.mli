@@ -23,13 +23,13 @@ val start :
   flow:int ->
   key:Crypto_sim.Siphash.key ->
   ?interval:float ->
-  ?size:int ->
   start:float ->
   stop:float ->
   unit ->
   t
-(** Begin probing inside flow [flow] (use the victim data flow's id and
-    packet size so probes are indistinguishable).  The responder at
+(** Begin probing inside flow [flow] every [interval] seconds (default
+    0.5 s) with 1000 B probes (use the victim data flow's id, and
+    1000 B data packets, so probes are indistinguishable).  The responder at
     [dst] recognizes probes by their keyed payload MAC and answers with
     an equally disguised reply. *)
 

@@ -6,7 +6,6 @@ type t = {
      re-run string formatting + FNV key expansion: *)
   pair_cache : (int, Siphash.key) Hashtbl.t;       (* lo * n + hi *)
   mac_cache : (int, Sha256.hmac_key) Hashtbl.t;    (* ipad/opad midstates *)
-  monitor : Siphash.key;
 }
 
 type signature = int64
@@ -19,8 +18,7 @@ let create ?(seed = "detecting-malicious-routers") ~n () =
       Array.init n (fun id ->
           Siphash.key_of_string (Printf.sprintf "%s|sign|%d" seed id));
     pair_cache = Hashtbl.create 64;
-    mac_cache = Hashtbl.create 64;
-    monitor = Siphash.key_of_string (seed ^ "|monitor") }
+    mac_cache = Hashtbl.create 64 }
 
 let size t = t.n
 
@@ -39,8 +37,6 @@ let pairwise t a b =
       let k = Siphash.key_of_string (Printf.sprintf "%s|pair|%d|%d" t.seed lo hi) in
       Hashtbl.add t.pair_cache slot k;
       k
-
-let monitoring_key t = t.monitor
 
 let signing_key t id =
   check_id t id "signing_key";

@@ -28,10 +28,6 @@ val pairwise : t -> int -> int -> Siphash.key
     out-of-range ids.  Derived keys are cached, so repeated lookups on
     the packet path cost a hash-table probe, not key expansion. *)
 
-val monitoring_key : t -> Siphash.key
-(** A network-wide key for fingerprint computation where the dissertation
-    uses a shared secret among the routers of a monitored region. *)
-
 val sign : t -> signer:int -> string -> signature
 (** Produce the signature of [signer] over a message. *)
 

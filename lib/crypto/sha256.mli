@@ -46,10 +46,6 @@ val final : ctx -> string
 (** Pad, run the last compression and return the 32-byte digest.  The
     context must not be reused afterwards. *)
 
-val final64 : ctx -> int64
-(** Like {!final} but returns only the first 8 digest bytes (big-endian)
-    without allocating the digest string. *)
-
 (** {1 HMAC} *)
 
 type hmac_key

@@ -125,10 +125,9 @@ let run_red ?(seed = 21) ?(duration = red_duration)
   let net = Net.create ~seed ~queue:(Net.Red red_params) ~jitter_bound:200e-6 g in
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
-  let config = { Core.Chi_red.default_config with Core.Chi_red.tau = 2.0 } in
   let chi =
-    Core.Chi_red.deploy ~net ~rt ~router:bottleneck_router ~next:sink ~params:red_params
-      ~config ()
+    Core.Chi_red.deploy ~net ~rt ~router:bottleneck_router ~next:sink
+      ~params:red_params ()
   in
   let truth = watch_ground_truth net in
   let victim_flows = offer_traffic ~victim_connections net in

@@ -288,13 +288,18 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
               (Core.Adversary.after attack_start b)
         | None -> ());
         (* --trace N: the attacker's last N link and router events,
-           rendered during the callback (listeners borrow packets). *)
+           rendered during the callback (listeners borrow packets).
+           Only the attacker's own interfaces build link events for
+           it. *)
         let trace_journal =
           if trace > 0 then begin
             let j = Telemetry.Journal.create ~capacity:trace () in
             let record ev = Telemetry.Journal.record j (Probe.describe ev) in
-            Net.subscribe_iface net (fun ev ->
-                if ev.Net.router = attacker then record (Probe.Link ev));
+            let on_link ev = record (Probe.Link ev) in
+            List.iter
+              (fun i ->
+                Net.subscribe_link net ~src:attacker ~dst:(Iface.next_hop i) on_link)
+              (Router.ifaces (Net.router net attacker));
             Net.subscribe_router net (fun ev ->
                 if ev.Net.router = attacker then record (Probe.Node ev));
             Some j

@@ -17,15 +17,12 @@
 
 type topo = Line | Ring | Grid | Abilene
 
-val topo_of_string : string -> (topo, string) result
-
 type attack = No_attack | Drop_all | Drop_fraction of float | Drop_syn | Queue_conditioned of float
-
-val attack_of_string : string -> fraction:float -> (attack, string) result
 
 (** The full scenario description — one record instead of a dozen
     labeled arguments, validated before anything is simulated.  Build
-    it with {!Config.make} rather than a record literal. *)
+    it with {!Config.make_exn} or {!Config.of_cmdline} rather than a
+    record literal. *)
 module Config : sig
   type t = {
     topo : topo;
@@ -47,24 +44,6 @@ module Config : sig
   (** Ring topology, fatih, 20% drop fraction at router 2, 60 s, seed 1,
       8 flows, no trace, no exports, trace sampling at 1.0, no faults. *)
 
-  val make :
-    ?protocol:string ->
-    ?attack:attack ->
-    ?attacker:int ->
-    ?duration:float ->
-    ?seed:int ->
-    ?flows:int ->
-    ?trace:int ->
-    ?metrics:string ->
-    ?journal:string ->
-    ?trace_out:string ->
-    ?trace_sample:float ->
-    ?faults:string ->
-    topo ->
-    (t, string) result
-  (** Build and {!validate} a configuration; unstated fields take the
-      {!default}s. *)
-
   val make_exn :
     ?protocol:string ->
     ?attack:attack ->
@@ -80,7 +59,8 @@ module Config : sig
     ?faults:string ->
     topo ->
     t
-  (** {!make}, raising [Invalid_argument] on rejection. *)
+  (** Build and {!validate} a configuration; unstated fields take the
+      {!default}s.  Raises [Invalid_argument] on rejection. *)
 
   val validate : t -> (t, string) result
   (** Reject non-positive duration, fewer than one flow, a negative

@@ -26,9 +26,9 @@ type outcome = {
 let latency_hist_create () = Telemetry.Hist.create ~buckets:20 ~min_exp:(-4) ()
 
 let implicated (v : Netsim.Probe.verdict) =
-  match v.Netsim.Probe.subject with
+  match v.Telemetry.Span.subject with
   | Some s -> [ s ]
-  | None -> v.Netsim.Probe.suspects
+  | None -> v.Telemetry.Span.suspects
 
 let score ~malicious ?(byzantine = []) ?(attack_start = 0.0)
     ?(faults_injected = 0) ?byz_stats verdicts =
@@ -53,18 +53,18 @@ let score ~malicious ?(byzantine = []) ?(attack_start = 0.0)
       (* A conviction-by-name of an honest router: the framing failure
          mode, counted even when the suspect list happens to also hold
          a faulty router. *)
-      (match v.Netsim.Probe.subject with
+      (match v.Telemetry.Span.subject with
       | Some s when not (is_faulty s) -> incr framed_honest
       | _ -> ());
       if hits <> [] then begin
         incr true_alarms;
-        Telemetry.Hist.record latency_hist (v.Netsim.Probe.time -. attack_start);
+        Telemetry.Hist.record latency_hist (v.Telemetry.Span.time -. attack_start);
         List.iter
           (fun r -> if not (List.mem r !detected) then detected := r :: !detected)
           hits;
         match !first_true with
-        | Some t when t <= v.Netsim.Probe.time -> ()
-        | _ -> first_true := Some v.Netsim.Probe.time
+        | Some t when t <= v.Telemetry.Span.time -> ()
+        | _ -> first_true := Some v.Telemetry.Span.time
       end
       else begin
         incr false_alarms;
@@ -120,12 +120,10 @@ let score ~malicious ?(byzantine = []) ?(attack_start = 0.0)
        exactly the event the α-accuracy bar forbids. *)
     alpha_violations = !false_alarms }
 
-let verdicts_of_probe = Netsim.Probe.verdicts
-
 let of_probe ~malicious ?byzantine ?attack_start ?byz_stats probe =
   score ~malicious ?byzantine ?attack_start ?byz_stats
     ~faults_injected:(Netsim.Probe.faults_recorded probe)
-    (verdicts_of_probe probe)
+    (Netsim.Probe.verdicts probe)
 
 (* Quantiles over every true alarm's latency (not just the first):
    bucket upper bounds from the mergeable histogram, so the numbers are

@@ -88,9 +88,6 @@ val of_probe :
     journal, so heavy link traffic cannot evict an early verdict from
     the scoring. *)
 
-val verdicts_of_probe : Netsim.Probe.t -> Netsim.Probe.verdict list
-(** Every verdict the run recorded, oldest first. *)
-
 val json_report : outcome -> Telemetry.Export.json
 (** The [mrdetect-robustness-v1] report document. *)
 

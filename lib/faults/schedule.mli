@@ -108,8 +108,5 @@ val max_concurrent_outages : t -> int
 val crash_count : t -> int
 (** Total number of [Crash] actions. *)
 
-val byzantine_routers : t -> int list
-(** Distinct routers with a protocol-faulty ([Byz_*]) role, ascending —
-    the robustness oracle's protocol-faulty ground truth. *)
-
 val byzantine_count : t -> int
+(** Distinct routers with a protocol-faulty ([Byz_*]) role. *)

@@ -101,12 +101,15 @@ let subscribe_link t ?(kinds = Iface.all_kinds) ~src ~dst f =
       Iface.set_observe i (iface_kinds t ~wide:(wide_iface_kinds t) i)
 
 let set_probe t probe =
-  let n = Topology.Graph.size t.graph in
-  Option.iter (fun p -> Probe.set_stats p (Some (Stats.create ~n ()))) probe;
+  Option.iter
+    (fun p ->
+      let n = Topology.Graph.size t.graph in
+      let ifaces = Array.fold_right (fun r acc -> Router.ifaces r @ acc) t.routers [] in
+      Probe.set_stats p (Some (Stats.create ~n ifaces)))
+    probe;
   t.probe <- probe;
   t.held <- Pktring.create ();  (* the previous probe's go to the GC *)
   refresh_observe t
-let probe t = t.probe
 let stats t = Option.bind t.probe Probe.stats
 
 (* One record per observation: the probe journals it and every listener

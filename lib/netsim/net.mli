@@ -122,8 +122,6 @@ val set_probe : t -> Probe.t option -> unit
     journal is safe to read while its probe is attached; once detached,
     its records may name packets the network has since recycled. *)
 
-val probe : t -> Probe.t option
-
 val stats : t -> Stats.t option
 (** The probe's always-on time-series collector; [None] when no probe
     is attached. *)

@@ -21,23 +21,25 @@ type t = {
   mutable tx_start : float;
 }
 
+let initial_ttl = 64
+
 (* Payloads carry pseudo-random bytes: on the wire nothing
    distinguishes one application's packet from another's, which
    stealth probing (§3.8) depends on. *)
-let make_at ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
+let make_at ~now ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { uid; src; dst; flow; size; proto; ttl;
     payload = Crypto_sim.Fnv.hash_int64 (Int64.of_int uid); created = now;
     trace = 0; q_start = -1.0; tx_start = -1.0 }
 
-let make ~sim ~src ~dst ~flow ~size ?(ttl = 64) proto =
+let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   make_at ~now:(Sim.now sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
 
 let clone t = { t with uid = t.uid }
 
 (* Pool recycling: overwrite every field of a dead packet so the reused
    record is indistinguishable from a fresh [make]. *)
-let reinit p ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
+let reinit p ~now ~uid ~src ~dst ~flow ~size proto =
   if size <= 0 then invalid_arg "Packet.reinit: size must be positive";
   p.uid <- uid;
   p.src <- src;
@@ -45,7 +47,7 @@ let reinit p ~now ~uid ~src ~dst ~flow ~size ?(ttl = 64) proto =
   p.flow <- flow;
   p.size <- size;
   p.proto <- proto;
-  p.ttl <- ttl;
+  p.ttl <- initial_ttl;
   p.payload <- Crypto_sim.Fnv.hash_int64 (Int64.of_int uid);
   p.created <- now;
   p.trace <- 0;

@@ -61,8 +61,7 @@ val make_at :
 val reinit :
   t ->
   now:float ->
-  uid:int -> src:int -> dst:int -> flow:int -> size:int -> ?ttl:int ->
-  proto -> unit
+  uid:int -> src:int -> dst:int -> flow:int -> size:int -> proto -> unit
 (** Overwrite every field of a dead packet so the record can be reused as
     if freshly {!make}d — the {!Pool} recycling step.  All identity
     fields are mutable only for this purpose: live packets must never be

@@ -5,7 +5,10 @@ type t = {
   sent_at : (int, float) Hashtbl.t;
 }
 
-let start net ~src ~dst ?(interval = 1.0) ?(size = 100) ~start ~stop () =
+(* Request size, bytes; the reply echoes it. *)
+let size = 100
+
+let start net ~src ~dst ?(interval = 1.0) ~start ~stop () =
   let sim = Net.sim net in
   let t = { flow = Sim.fresh_id sim; sent = 0; samples_rev = []; sent_at = Hashtbl.create 64 } in
   (* Responder at dst: answer Ping with Pong on the same flow. *)

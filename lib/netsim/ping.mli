@@ -11,12 +11,11 @@ val start :
   src:int ->
   dst:int ->
   ?interval:float ->
-  ?size:int ->
   start:float ->
   stop:float ->
   unit ->
   t
-(** Begin probing (default interval 1 s, size 100 B). *)
+(** Begin probing (default interval 1 s) with 100 B requests. *)
 
 val samples : t -> (float * float) list
 (** [(send_time, rtt)] pairs in send order, completed probes only. *)

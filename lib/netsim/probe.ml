@@ -1,15 +1,7 @@
 type iface_record = { time : float; router : int; next : int; kind : Iface.event }
 type router_record = { time : float; router : int; kind : Router.event }
 
-type verdict = {
-  time : float;
-  detector : string;
-  subject : int option;
-  suspects : int list;
-  confidence : float option;
-  alarm : bool;
-  detail : string;
-}
+type verdict = Telemetry.Span.verdict
 
 type fault_record = {
   time : float;
@@ -26,7 +18,6 @@ type event =
 
 type t = {
   journal : event Telemetry.Journal.t;
-  mutable first_alarm_time : float option;
   (* Verdicts are rare and load-bearing (the robustness oracle scores
      them after the run), so they are retained here in full even when
      the bounded journal has long since evicted them. *)
@@ -63,7 +54,6 @@ let router_packet = function
 
 let create ?(journal_capacity = 65536) ?tracer () =
   { journal = Telemetry.Journal.create ~capacity:journal_capacity ();
-    first_alarm_time = None;
     verdicts_rev = [];
     tracer;
     named_tracks = Hashtbl.create 16;
@@ -162,7 +152,7 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
 
 let on_iface t (r : iface_record) =
   (match t.stats with
-  | Some st -> Stats.on_iface st ~time:r.time ~router:r.router ~next:r.next r.kind
+  | Some st -> Stats.on_iface st ~time:r.time ~router:r.router r.kind
   | None -> ());
   Telemetry.Journal.record t.journal (Link r);
   match t.tracer with
@@ -217,8 +207,10 @@ let on_router t (r : router_record) =
 
 let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alarm
     ?(detail = "") ?(evidence = []) () =
-  if alarm && t.first_alarm_time = None then t.first_alarm_time <- Some time;
-  let v = { time; detector; subject; suspects; confidence; alarm; detail } in
+  let v =
+    { Telemetry.Span.time; detector; subject; suspects; confidence; alarm; detail;
+      evidence }
+  in
   t.verdicts_rev <- v :: t.verdicts_rev;
   (match t.stats with
   | Some st -> Stats.on_verdict st ~time ~detector ~alarm
@@ -226,13 +218,13 @@ let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alar
   Telemetry.Journal.record t.journal (Verdict v);
   match t.tracer with
   | None -> ()
-  | Some sp ->
-      ignore
-        (Telemetry.Span.verdict sp ~time ~detector ?subject ~suspects ?confidence
-           ~alarm ~detail ~evidence ())
+  | Some sp -> ignore (Telemetry.Span.verdict sp v)
 
-let first_alarm_time t = t.first_alarm_time
 let verdicts t = List.rev t.verdicts_rev
+
+let first_alarm_time t =
+  List.find_opt (fun (v : verdict) -> v.alarm) (verdicts t)
+  |> Option.map (fun (v : verdict) -> v.time)
 let faults_recorded t = t.faults
 
 let record_fault t ~time ~kind ?(routers = []) ?(detail = "") () =

@@ -4,7 +4,10 @@
     set of counts: packets by outcome, drops by cause, malice by router,
     latency and round histograms — with a bounded {!Telemetry.Journal}
     of typed records covering all three layers: link events, router
-    events, and detector verdicts.  Attach one to a network with
+    events, and detector verdicts.  A verdict is one
+    {!Telemetry.Span.verdict} record, built once by {!record_verdict}
+    and shared by the full-run verdict list, the journal and the
+    tracer.  Attach one to a network with
     {!Net.set_probe}, which also creates its {!Stats}: the forwarding
     plane feeds it directly, and detectors add verdicts via
     {!record_verdict}.  With no probe attached the per-event cost in the
@@ -21,10 +24,11 @@
     (pass [tracer] at creation): {!on_originate} then assigns each
     sampled packet a trace id carried in [Packet.trace], per-hop link
     events open queue/transmit spans and drop instants on the packet's
-    trace, router events become instants, and {!record_verdict} writes a
-    provenance record pinning the flight-recorder window for the
-    implicated routers.  Detectors add their own round spans and
-    evidence instants via {!trace_span} / {!trace_instant}. *)
+    trace, router events become instants, and {!record_verdict} hands
+    the same verdict record to the collector, which pins the
+    flight-recorder window for the implicated routers.  Detectors add
+    their own round spans and evidence instants via {!trace_span} /
+    {!trace_instant}. *)
 
 type iface_record = {
   time : float;
@@ -42,15 +46,9 @@ type router_record = {
 }
 (** One router observation, shared the same way. *)
 
-type verdict = {
-  time : float;
-  detector : string;          (** "chi" | "fatih" | "pi2" | "watchers" | ... *)
-  subject : int option;       (** the router under validation, if any *)
-  suspects : int list;        (** accused routers/flows (detector-specific) *)
-  confidence : float option;
-  alarm : bool;
-  detail : string;
-}
+type verdict = Telemetry.Span.verdict
+(** A detector verdict: the one record the probe keeps, journals and
+    hands to its tracer. *)
 
 type fault_record = {
   time : float;
@@ -106,11 +104,12 @@ val record_verdict :
   ?evidence:Telemetry.Span.id list ->
   unit ->
   unit
-(** Journal a detector verdict and count it in {!Stats}; the first
-    alarming verdict pins {!first_alarm_time}.  With a tracer attached
-    the verdict becomes a provenance record whose [evidence] ids (from
+(** Build the verdict record once, keep it in {!verdicts}, journal it
+    and count it in {!Stats}.  With a tracer attached the same record
+    becomes a provenance entry whose [evidence] ids (from
     {!trace_span} / {!trace_instant}) justify the accusation, and the
-    flight-recorder window for the implicated routers is pinned. *)
+    flight-recorder window for the implicated routers is pinned.  The
+    JSONL journal omits [evidence]. *)
 
 val trace_span :
   t ->
@@ -153,13 +152,14 @@ val record_fault :
     the churn shows up in [mrdetect trace explain] next to the verdicts
     it might have confused. *)
 
-val first_alarm_time : t -> float option
-
 val verdicts : t -> verdict list
 (** Every verdict recorded through {!record_verdict}, oldest first.
     Unlike the bounded journal — where heavy link traffic can evict an
     early verdict — this list is complete for the whole run; it is what
     {!Faults.Oracle} scores. *)
+
+val first_alarm_time : t -> float option
+(** The time of the first alarming entry of {!verdicts}. *)
 
 val faults_recorded : t -> int
 (** Total benign faults recorded through {!record_fault}, with or

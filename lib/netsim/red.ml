@@ -40,7 +40,6 @@ let create ?(params = default_params) ~rng () =
 let params t = t.p
 let occupancy t = t.bytes
 let avg t = t.avg
-let count_since_drop t = t.count
 let is_empty t = Pktring.is_empty t.q
 let length t = Pktring.length t.q
 

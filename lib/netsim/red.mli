@@ -37,7 +37,6 @@ val occupancy : t -> int
 val avg : t -> float
 (** Current EWMA of the queue size in bytes. *)
 
-val count_since_drop : t -> int
 val is_empty : t -> bool
 val length : t -> int
 

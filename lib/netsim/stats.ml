@@ -4,7 +4,9 @@
    hooks; everything it keeps is bounded: downsampling
    [Telemetry.Timeseries] rings for the headline rates,
    [Telemetry.Hist] histograms for latencies and durations, and flat
-   per-router / per-link arrays for the topology-shaped counters.
+   per-router arrays for the topology-shaped counters.  Per-link
+   transmit and drop totals are the interfaces' own counters, read
+   when the document is built.
 
    This is the probe's one set of counts: a headline series' total is
    exact (its bucket counts are integers), so only the facts no series
@@ -40,8 +42,7 @@ type t = {
   n : int;
   depth : int array; (* running queued-packet count per router *)
   queue_depth : Ts.t array; (* event-weighted depth samples per router *)
-  link_tx : int array; (* (router * n + next) transmit starts *)
-  link_drop : int array; (* (router * n + next) iface drops *)
+  links : Iface.t list; (* every interface, by (owner, next hop) *)
   drops : int array; (* by cause, indexed as [drop_causes] *)
   malice_by_router : int array; (* malicious actions per router *)
   mutable fabricated : int; (* packets injected by a malicious router *)
@@ -69,14 +70,14 @@ let latency_hist () = Hist.create ~buckets:24 ~min_exp:(-14) ()
 let round_hist () = Hist.create ~buckets:20 ~min_exp:(-10) ()
 let detect_hist () = Hist.create ~buckets:20 ~min_exp:(-4) ()
 
-let create ~n () =
+let create ~n ifaces =
+  let key i = (Iface.owner i, Iface.next_hop i) in
   { n;
     depth = Array.make n 0;
     queue_depth =
       Array.init n (fun _ ->
           Ts.create ~capacity:router_capacity ~resolution:router_resolution ());
-    link_tx = Array.make (n * n) 0;
-    link_drop = Array.make (n * n) 0;
+    links = List.sort (fun a b -> compare (key a) (key b)) ifaces;
     drops = Array.make (Array.length drop_causes) 0;
     malice_by_router = Array.make n 0;
     fabricated = 0;
@@ -109,37 +110,31 @@ let on_originate t (pkt : Packet.t) =
 let depth_sample t ~time router =
   Ts.record t.queue_depth.(router) ~time (float_of_int t.depth.(router))
 
-(* A drop at an interface: the headline series, its cause and its link. *)
-let link_drop t ~time ~link cause =
+(* A drop, at an interface or a router: the headline series and its
+   cause. *)
+let count_drop t ~time cause =
   Ts.record t.dropped ~time 1.0;
-  t.drops.(cause) <- t.drops.(cause) + 1;
-  t.link_drop.(link) <- t.link_drop.(link) + 1
+  t.drops.(cause) <- t.drops.(cause) + 1
 
-let on_iface t ~time ~router ~next (ev : Iface.event) =
-  let link = (router * t.n) + next in
+let on_iface t ~time ~router (ev : Iface.event) =
   match ev with
   | Iface.Enqueued _ ->
       Ts.record t.enqueued ~time 1.0;
       t.depth.(router) <- t.depth.(router) + 1;
       depth_sample t ~time router
   | Iface.Transmit_start _ ->
-      t.link_tx.(link) <- t.link_tx.(link) + 1;
       if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
       depth_sample t ~time router
   | Iface.Drop_link_down _ ->
-      link_drop t ~time ~link link_down;
+      count_drop t ~time link_down;
       (* The packet was refused at a failed link and never queued, and
          the packets already queued wait there: the depth is unchanged,
          and the sample reads the backlog this packet met. *)
       depth_sample t ~time router
-  | Iface.Drop_congestion _ -> link_drop t ~time ~link congestion
-  | Iface.Drop_red_early _ -> link_drop t ~time ~link red_early
-  | Iface.Drop_corrupted _ -> link_drop t ~time ~link corrupted
+  | Iface.Drop_congestion _ -> count_drop t ~time congestion
+  | Iface.Drop_red_early _ -> count_drop t ~time red_early
+  | Iface.Drop_corrupted _ -> count_drop t ~time corrupted
   | Iface.Delivered _ -> ()
-
-let router_drop t ~time cause =
-  Ts.record t.dropped ~time 1.0;
-  t.drops.(cause) <- t.drops.(cause) + 1
 
 let count_malice t ~time router =
   Ts.record t.malice ~time 1.0;
@@ -151,14 +146,14 @@ let on_router t ~time ~router (ev : Router.event) =
       Ts.record t.delivered ~time 1.0;
       Hist.record t.latency (time -. pkt.Packet.created)
   | Router.Malicious_drop _ ->
-      router_drop t ~time malicious;
+      count_drop t ~time malicious;
       count_malice t ~time router
   | Router.Fabricated _ ->
       t.fabricated <- t.fabricated + 1;
       count_malice t ~time router
   | Router.Malicious_modify _ | Router.Malicious_delay _ -> count_malice t ~time router
-  | Router.No_route _ -> router_drop t ~time no_route
-  | Router.Ttl_expired _ -> router_drop t ~time ttl_expired
+  | Router.No_route _ -> count_drop t ~time no_route
+  | Router.Ttl_expired _ -> count_drop t ~time ttl_expired
   | Router.Fragmented { fragments; _ } ->
       t.fragmented <- t.fragmented + 1;
       t.fragments_created <- t.fragments_created + fragments
@@ -249,19 +244,16 @@ let to_json t =
         (sorted_hists t.detection_latency)
   in
   let links =
-    let acc = ref [] in
-    for r = t.n - 1 downto 0 do
-      for nx = t.n - 1 downto 0 do
-        let i = (r * t.n) + nx in
-        if t.link_tx.(i) > 0 || t.link_drop.(i) > 0 then
-          acc :=
-            Assoc
-              [ ("src", Int r); ("dst", Int nx);
-                ("tx", Int t.link_tx.(i)); ("drops", Int t.link_drop.(i)) ]
-            :: !acc
-      done
-    done;
-    !acc
+    List.filter_map
+      (fun i ->
+        let tx = Iface.tx_packets i and drops = Iface.dropped_packets i in
+        if tx = 0 && drops = 0 then None
+        else
+          Some
+            (Assoc
+               [ ("src", Int (Iface.owner i)); ("dst", Int (Iface.next_hop i));
+                 ("tx", Int tx); ("drops", Int drops) ]))
+      t.links
   in
   let routers =
     List.init t.n (fun r ->

@@ -2,9 +2,11 @@
 
     A [Stats.t] rides inside the {!Probe}: headline event rates as
     downsampling {!Telemetry.Timeseries} rings, latency and duration
-    {!Telemetry.Hist} histograms, per-router queue-depth series and
-    per-link transmit/drop counters — all bounded, all fed with O(1)
-    allocation-free records by the probe's own hooks.
+    {!Telemetry.Hist} histograms and per-router queue-depth series —
+    all bounded, all fed with O(1) allocation-free records by the
+    probe's own hooks.  Per-link transmit/drop totals are not counted
+    here: {!to_json} reads them off the interfaces
+    ({!Iface.tx_packets} / {!Iface.dropped_packets}).
 
     It is the probe's one set of counts.  A headline series' total
     ({!Telemetry.Timeseries.total_count}) is exact, so injected,
@@ -15,8 +17,11 @@
 
 type t
 
-val create : n:int -> unit -> t
-(** A collector for an [n]-router network. *)
+val create : n:int -> Iface.t list -> t
+(** A collector for an [n]-router network with these interfaces (done
+    by [Net.set_probe]).  The interfaces count from their creation, so
+    the [links] section covers the whole run when the probe is
+    attached before traffic starts. *)
 
 val routers : t -> int
 
@@ -29,7 +34,7 @@ val set_attack_start : t -> float -> unit
 val on_originate : t -> Packet.t -> unit
 (** Count an origination at the packet's creation time. *)
 
-val on_iface : t -> time:float -> router:int -> next:int -> Iface.event -> unit
+val on_iface : t -> time:float -> router:int -> Iface.event -> unit
 (** A link event.  Queue depth moves on [Enqueued] and [Transmit_start]
     only: a [Drop_link_down] packet never entered the queue. *)
 
@@ -53,7 +58,8 @@ val on_fault : t -> time:float -> unit
 val to_json : t -> Telemetry.Export.json
 (** The "stats" section of the metrics document: headline series,
     histograms (with deterministic p50/p95/p99), ctrl channel counters,
-    per-link totals and per-router queue-depth series.  Deterministically
+    per-link totals (interfaces that transmitted or dropped, by (src,
+    dst)) and per-router queue-depth series.  Deterministically
     ordered. *)
 
 val prometheus : t -> string

@@ -43,7 +43,6 @@ let flow_id t = t.flow
 let established t = t.established
 let connect_time t = t.connect_time
 let bytes_acked t = t.snd_una
-let cwnd t = t.cwnd
 let retransmits t = t.retransmits
 let timeouts t = t.timeouts
 let syn_retries t = t.syn_retries

@@ -33,8 +33,6 @@ val connect_time : t -> float option
 (** When the SYN-ACK arrived (attack 4 delays this by seconds). *)
 
 val bytes_acked : t -> int
-val cwnd : t -> float
-(** Congestion window in bytes. *)
 
 val retransmits : t -> int
 (** Number of retransmitted segments (fast + timeout). *)

@@ -20,9 +20,6 @@ val mem : t -> int64 -> bool
 
 val bits : t -> int
 val hashes : t -> int
-val popcount : t -> int
-(** Number of set bits. *)
-
 val cardinality_estimate : t -> float
 (** Swamidass–Baldi estimate of the number of inserted distinct elements
     from the fill ratio. *)

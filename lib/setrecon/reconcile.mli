@@ -27,10 +27,6 @@ val char_evals : elements:int array -> points:int array -> int array
 (** Evaluations of the characteristic polynomial prod (z - e) at each
     sample point — the only data a party must transmit. *)
 
-val sample_points : int -> int array
-(** The first [n] agreed evaluation points (descending from the top of
-    the field). *)
-
 type result = {
   a_minus_b : int list;  (** elements held by A and not B, sorted *)
   b_minus_a : int list;  (** elements held by B and not A, sorted *)

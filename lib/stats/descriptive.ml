@@ -66,13 +66,3 @@ let kurtosis_excess xs =
     let m2 = central_moment xs 2 in
     if m2 <= 0.0 then 0.0 else (central_moment xs 4 /. (m2 *. m2)) -. 3.0
   end
-
-let of_int_list ints = Array.of_list (List.map float_of_int ints)
-
-let summary_row label xs =
-  if Array.length xs = 0 then Printf.sprintf "%-24s (empty)" label
-  else begin
-    let lo, hi = min_max xs in
-    Printf.sprintf "%-24s n=%-6d mean=%-10.3f std=%-10.3f min=%-10.3f med=%-10.3f max=%-10.3f"
-      label (Array.length xs) (mean xs) (stddev xs) lo (median xs) hi
-  end

@@ -30,10 +30,3 @@ val skewness : float array -> float
 val kurtosis_excess : float array -> float
 (** Excess kurtosis (fourth standardized moment minus 3); 0. when
     degenerate. A normal sample has excess kurtosis near 0. *)
-
-val of_int_list : int list -> float array
-(** Convenience conversion for counting statistics. *)
-
-val summary_row : string -> float array -> string
-(** [summary_row label xs] formats "label n mean std min median max" for
-    table output. *)

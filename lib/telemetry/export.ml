@@ -335,10 +335,10 @@ let prometheus_append_counters buf ~name ?(help = "") members =
 
 (* A time series becomes two gauge vectors labelled by the inclusive
    bucket start time: per-bucket event counts and value sums. *)
-let prometheus_append_timeseries buf ~name ?(help = "") members =
+let prometheus_append_timeseries buf ~name members =
   let emit suffix value_of =
     let metric = name ^ suffix in
-    prom_family buf ~name:metric ~help "gauge" members (fun (labels, ts) ->
+    prom_family buf ~name:metric ~help:"" "gauge" members (fun (labels, ts) ->
         for i = 0 to Timeseries.used ts - 1 do
           Buffer.add_string buf
             (Printf.sprintf "%s%s %s\n" metric

@@ -68,8 +68,7 @@ val prometheus_append_counters :
 (** One counter sample per member. *)
 
 val prometheus_append_timeseries :
-  Buffer.t -> name:string -> ?help:string ->
-  ((string * string) list * Timeseries.t) list -> unit
+  Buffer.t -> name:string -> ((string * string) list * Timeseries.t) list -> unit
 (** Two gauge families, [<name>_bucket_count] and [<name>_bucket_sum]:
     one sample per member and bucket, labelled by the member's labels
     and the bucket's inclusive start time [t]. *)

@@ -36,8 +36,6 @@ val create : ?buckets:int -> ?min_exp:int -> unit -> t
     the range [(0, 1]].  Raises [Invalid_argument] on fewer than 3
     buckets. *)
 
-val copy : t -> t
-
 val record : t -> float -> unit
 (** Count a value: one array increment, one int add.  No allocation.
     A value outside the fixed-point range adds nothing to {!sum}. *)

@@ -25,18 +25,12 @@ let time t name f =
       p.calls <- p.calls + 1)
     f
 
-let phases t =
-  List.rev_map (fun p -> (p.name, p.seconds, p.calls)) t.phases_rev
-
-let total_seconds t =
-  List.fold_left (fun acc p -> acc +. p.seconds) 0.0 t.phases_rev
-
 let json t =
   Export.List
-    (List.map
-       (fun (name, seconds, calls) ->
+    (List.rev_map
+       (fun p ->
          Export.Assoc
-           [ ("phase", Export.String name);
-             ("wall_seconds", Export.Float seconds);
-             ("calls", Export.Int calls) ])
-       (phases t))
+           [ ("phase", Export.String p.name);
+             ("wall_seconds", Export.Float p.seconds);
+             ("calls", Export.Int p.calls) ])
+       t.phases_rev)

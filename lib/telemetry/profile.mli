@@ -13,9 +13,6 @@ val time : t -> string -> (unit -> 'a) -> 'a
 (** Run a thunk, charging its wall-clock time to the named phase
     (accumulating across calls; exception-safe). *)
 
-val phases : t -> (string * float * int) list
-(** [(name, accumulated wall seconds, calls)] in first-use order. *)
-
-val total_seconds : t -> float
-
 val json : t -> Export.json
+(** One [{phase; wall_seconds; calls}] object per phase, in first-use
+    order. *)

@@ -3,18 +3,21 @@ type id = int
 let network_pid = 1
 let detector_pid = 2
 
+type verdict = {
+  time : float;
+  detector : string;
+  subject : int option;
+  suspects : int list;
+  confidence : float option;
+  alarm : bool;
+  detail : string;
+  evidence : id list;
+}
+
 type kind =
   | Complete of { mutable duration : float }
   | Instant
-  | Verdict of {
-      detector : string;
-      subject : int option;
-      suspects : int list;
-      confidence : float option;
-      alarm : bool;
-      detail : string;
-      evidence : id list;
-    }
+  | Verdict of verdict
 
 (* Inline-field sentinel: hop entries carry their two routers and the
    packet uid as immediate ints instead of [routers]/[args] lists, so
@@ -98,7 +101,6 @@ let create ?(capacity = 65536) ?(flight = 256) ?(sample = 1.0) ?(seed = 0) () =
   t
 
 let sample_rate t = t.sample
-let flight_window t = t.flight
 
 let new_trace t =
   t.traces_started <- t.traces_started + 1;
@@ -227,21 +229,18 @@ let pin_recent t ?(routers = []) () =
   pin_window t ~routers ~evidence:[];
   Hashtbl.length t.pinned_ids
 
-let verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alarm
-    ?(detail = "") ?(evidence = []) () =
-  let tid = thread t ~pid:detector_pid detector in
+let verdict t (v : verdict) =
+  let tid = thread t ~pid:detector_pid v.detector in
   let implicated =
-    List.sort_uniq compare
-      ((match subject with Some s -> [ s ] | None -> []) @ suspects)
+    List.sort_uniq compare (Option.to_list v.subject @ v.suspects)
   in
-  pin_window t ~routers:implicated ~evidence;
+  pin_window t ~routers:implicated ~evidence:v.evidence;
   let id = fresh_id t in
   let e =
-    { id; trace = 0; name = detector ^ " verdict"; cat = "verdict"; pid = detector_pid;
-      tid; time; routers = implicated; args = [];
+    { id; trace = 0; name = v.detector ^ " verdict"; cat = "verdict";
+      pid = detector_pid; tid; time = v.time; routers = implicated; args = [];
       hop_r1 = no_field; hop_r2 = no_field; hop_pkt = no_field;
-      kind =
-        Verdict { detector; subject; suspects; confidence; alarm; detail; evidence } }
+      kind = Verdict v }
   in
   Journal.record t.ring e;
   pin_entry t e;

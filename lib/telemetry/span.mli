@@ -6,7 +6,10 @@
     link transmission, a detector's validation round), {e instants}
     (point events: a drop, a MAC check, a summary dispatch) and
     {e verdict provenance records} (a detector's accusation together
-    with the entry ids of the evidence that justified it).
+    with the entry ids of the evidence that justified it).  The verdict
+    is the library's one verdict record, {!verdict}: the probe keeps
+    and journals the value it records here, and {!Trace_export} parses
+    it back from a trace file.
 
     Entries carry simulation-clock timestamps and belong to {e traces}:
     a trace id is minted per injected packet (subject to the collector's
@@ -39,19 +42,25 @@ val network_pid : int
 val detector_pid : int
 (** Track group for detectors and protocols: tids from {!thread}. *)
 
+type verdict = {
+  time : float;  (** seconds (sim clock) *)
+  detector : string;     (** "chi" | "fatih" | "pi2" | "watchers" | ... *)
+  subject : int option;  (** the router under validation, if any *)
+  suspects : int list;   (** accused routers/flows (detector-specific) *)
+  confidence : float option;
+  alarm : bool;
+  detail : string;
+  evidence : id list;  (** entry ids justifying the accusation *)
+}
+(** A detector's verdict: the one record the probe keeps and journals
+    ({!Netsim.Probe.verdict}), the collector records as provenance and
+    the trace reader parses back ({!Trace_export.verdict}). *)
+
 type kind =
   | Complete of { mutable duration : float }
       (** a span: [time .. time+duration] *)
   | Instant
-  | Verdict of {
-      detector : string;
-      subject : int option;
-      suspects : int list;
-      confidence : float option;
-      alarm : bool;
-      detail : string;
-      evidence : id list;  (** entry ids justifying the accusation *)
-    }
+  | Verdict of verdict
 
 (** Hop-entry fields are mutable so the collector can recycle evicted
     hop records in place on the full-rate path (see {!hop_span}); hold
@@ -68,13 +77,10 @@ type entry = {
   routers : int list;  (** routers this entry concerns (flight-recorder key) *)
   args : (string * Export.json) list;
   mutable hop_r1 : int;  (** inline router/packet fields used by {!hop_span} *)
-  mutable hop_r2 : int;  (** in place of [routers]/[args]; {!no_field} =    *)
+  mutable hop_r2 : int;  (** in place of [routers]/[args]; [min_int] =      *)
   mutable hop_pkt : int; (** absent.  Read via {!entry_routers}/{!entry_args}. *)
   kind : kind;
 }
-
-val no_field : int
-(** Sentinel marking an absent inline [hop_*] field. *)
 
 val entry_routers : entry -> int list
 (** The routers an entry concerns: [routers] or the inline hop pair. *)
@@ -94,7 +100,6 @@ val create :
     [seed].  Raises [Invalid_argument] on out-of-range arguments. *)
 
 val sample_rate : t -> float
-val flight_window : t -> int
 
 val new_trace : t -> int option
 (** Mint a trace id for a newly injected packet, or [None] if the
@@ -174,26 +179,15 @@ val instant :
   unit ->
   id
 
-val verdict :
-  t ->
-  time:float ->
-  detector:string ->
-  ?subject:int ->
-  ?suspects:int list ->
-  ?confidence:float ->
-  alarm:bool ->
-  ?detail:string ->
-  ?evidence:id list ->
-  unit ->
-  id
-(** Record a provenance record on the detector's track and trip the
-    flight recorder: the evidence entries, the newest {!flight_window}
+val verdict : t -> verdict -> id
+(** Record a verdict as a provenance entry on the detector's track and
+    trip the flight recorder: the evidence entries, the newest [flight]
     entries mentioning [subject]/[suspects], and the verdict itself are
     pinned against eviction. *)
 
 val pin_recent : t -> ?routers:int list -> unit -> int
 (** Trip the flight recorder without a verdict (assertion-failure /
-    crash dumps): pins the newest {!flight_window} entries — restricted
+    crash dumps): pins the newest [flight] entries — restricted
     to the given routers if provided — and returns how many entries are
     now pinned in total. *)
 

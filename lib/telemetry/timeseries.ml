@@ -14,9 +14,7 @@
 
 type t = {
   capacity : int;
-  res0 : float; (* finest bucket width, sim seconds *)
-  mutable level : int; (* current width = res0 * 2^level *)
-  mutable res : float;
+  mutable res : float; (* current bucket width, sim seconds *)
   counts : int array;
   sums_q : int array; (* fixed point, Hist.quantum units *)
   mutable used : int; (* buckets in use: indices [0, used) *)
@@ -26,13 +24,11 @@ let create ?(capacity = 256) ~resolution () =
   if capacity < 2 then invalid_arg "Timeseries.create: capacity < 2";
   if not (resolution > 0.0) then
     invalid_arg "Timeseries.create: resolution must be positive";
-  { capacity; res0 = resolution; level = 0; res = resolution;
+  { capacity; res = resolution;
     counts = Array.make capacity 0; sums_q = Array.make capacity 0; used = 0 }
 
 let capacity t = t.capacity
-let base_resolution t = t.res0
 let resolution t = t.res
-let level t = t.level
 let used t = t.used
 let bucket_count t i = t.counts.(i)
 let bucket_sum t i = float_of_int t.sums_q.(i) *. Hist.quantum
@@ -63,7 +59,6 @@ let coarsen t =
   Array.fill t.counts half (t.capacity - half) 0;
   Array.fill t.sums_q half (t.capacity - half) 0;
   t.used <- half;
-  t.level <- t.level + 1;
   t.res <- t.res *. 2.0
 
 let record t ~time v =

@@ -26,14 +26,9 @@ val record : t -> time:float -> float -> unit
 
 val capacity : t -> int
 
-val base_resolution : t -> float
-(** The finest (creation-time) bucket width. *)
-
 val resolution : t -> float
-(** The current bucket width: [base_resolution * 2^level]. *)
-
-val level : t -> int
-(** How many times the series has coarsened. *)
+(** The current bucket width: the creation-time [resolution] doubled
+    once per coarsening. *)
 
 val used : t -> int
 (** Number of leading buckets in use; valid indices are [0..used-1]. *)

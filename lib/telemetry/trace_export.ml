@@ -21,7 +21,7 @@ let event_json (e : Span.entry) =
   in
   let provenance =
     match e.Span.kind with
-    | Span.Verdict { detector; subject; suspects; confidence; alarm; detail; evidence }
+    | Span.Verdict { detector; subject; suspects; confidence; alarm; detail; evidence; _ }
       ->
         [ ("detector", String detector) ]
         @ (match subject with Some s -> [ ("subject", Int s) ] | None -> [])
@@ -132,22 +132,13 @@ let validate doc =
   in
   check 0 neg_infinity evs
 
-type verdict = {
-  time : float;
-  detector : string;
-  subject : int option;
-  suspects : int list;
-  confidence : float option;
-  alarm : bool;
-  detail : string;
-  evidence : int list;
-}
+type verdict = Span.verdict
 
 let verdict_of_event ev =
   match (str_field "cat" ev, Option.bind (arg "detector" ev) to_string_opt) with
   | Some "verdict", Some detector ->
       Some
-        { time = Option.value ~default:0.0 (float_field "ts" ev) /. 1e6;
+        { Span.time = Option.value ~default:0.0 (float_field "ts" ev) /. 1e6;
           detector;
           subject = Option.bind (arg "subject" ev) to_int;
           suspects =

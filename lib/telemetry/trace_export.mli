@@ -8,7 +8,8 @@
     entry id in [args.id]; verdict events additionally carry the
     provenance fields ([detector], [suspects], [alarm], [evidence] — the
     entry ids of the justifying spans/instants), which is what
-    [mrdetect trace explain] walks.
+    [mrdetect trace explain] walks; {!verdicts} parses them back into
+    the {!Span.verdict} records they were written from.
 
     Everything here is dependency-free JSON via {!Export}, and the
     emitted files parse back with {!Export.of_string} (the golden
@@ -30,19 +31,11 @@ val validate : Export.json -> (unit, string) result
     non-decreasing across the array; and every verdict's [evidence] ids
     refer to events present in the file. *)
 
-type verdict = {
-  time : float;  (** seconds *)
-  detector : string;
-  subject : int option;
-  suspects : int list;
-  confidence : float option;
-  alarm : bool;
-  detail : string;
-  evidence : int list;
-}
+type verdict = Span.verdict
 
 val verdicts : Export.json -> verdict list
-(** The provenance records of a parsed trace file, in file order. *)
+(** The provenance records of a parsed trace file, in file order: each
+    parses back to the record {!Span.verdict} exported. *)
 
 val explain : Export.json -> (string, string) result
 (** Pretty-print every verdict's evidence chain ("why was r blamed?"):

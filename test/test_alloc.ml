@@ -198,7 +198,7 @@ let idle_fatih_round_words g =
   let net = Net.create ~seed:1 g in
   Net.use_routing net rt;
   let fatih = Core.Fatih.deploy ~net ~rt () in
-  let tau = Core.Fatih.default_config.Core.Fatih.tau in
+  let tau = 5.0 (* Fatih's round *) in
   Net.run ~until:(tau +. 1.0) net;
   let m0 = Gc.minor_words () in
   Net.run ~until:((4.0 *. tau) +. 1.0) net;

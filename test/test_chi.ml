@@ -220,8 +220,7 @@ let run_chi_red ?(behavior = Router.honest) ?(duration = 40.0) () =
   let net = Net.create ~seed:11 ~queue:(Net.Red red_params) ~jitter_bound:200e-6 g in
   let rt = Rt.compute g in
   Net.use_routing net rt;
-  let config = { Chi_red.default_config with Chi_red.tau = 1.0 } in
-  let chi = Chi_red.deploy ~net ~rt ~router:3 ~next:4 ~params:red_params ~config () in
+  let chi = Chi_red.deploy ~net ~rt ~router:3 ~next:4 ~params:red_params ~tau:1.0 () in
   List.iter (fun src -> ignore (Tcp.connect net ~src ~dst:4 ())) [ 0; 1; 2 ];
   Router.set_behavior (Net.router net 3) behavior;
   Net.run ~until:duration net;
@@ -250,8 +249,7 @@ let test_chi_red_syn_attack_certain () =
   let net = Net.create ~seed:11 ~queue:(Net.Red red_params) ~jitter_bound:200e-6 g in
   let rt = Rt.compute g in
   Net.use_routing net rt;
-  let config = { Chi_red.default_config with Chi_red.tau = 1.0 } in
-  let chi = Chi_red.deploy ~net ~rt ~router:3 ~next:4 ~params:red_params ~config () in
+  let chi = Chi_red.deploy ~net ~rt ~router:3 ~next:4 ~params:red_params ~tau:1.0 () in
   ignore (Flow.cbr net ~src:0 ~dst:4 ~rate_pps:20.0 ~size:500 ~start:0.0 ~stop:40.0);
   ignore (Tcp.connect net ~src:1 ~dst:4 ~total_bytes:4000 ~start:15.0 ());
   Router.set_behavior (Net.router net 3) (Adversary.after 14.0 Adversary.drop_syn);

@@ -402,8 +402,8 @@ let test_injector_ctrl_and_skew () =
 (* --- oracle scoring --- *)
 
 let verdict ?subject ?(suspects = []) ~alarm time =
-  { Probe.time; detector = "test"; subject; suspects; confidence = None; alarm;
-    detail = "" }
+  { Telemetry.Span.time; detector = "test"; subject; suspects; confidence = None;
+    alarm; detail = ""; evidence = [] }
 
 let test_oracle_scoring () =
   let vs =
@@ -705,7 +705,7 @@ let flap_run deploy =
   Alcotest.(check bool) "the flap dropped traffic" true (cons.Probe.total_dropped > 0);
   Alcotest.(check (list string)) "no alarm" []
     (List.filter_map
-       (fun v -> if v.Probe.alarm then Some v.Probe.detail else None)
+       (fun (v : Probe.verdict) -> if v.alarm then Some v.detail else None)
        (Probe.verdicts probe));
   outcome ()
 

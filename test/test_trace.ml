@@ -81,8 +81,9 @@ let test_flight_recorder_pins_evidence () =
       ~time:1.0 ~routers:[ 2 ] ()
   in
   let v =
-    Span.verdict t ~time:2.0 ~detector:"chi" ~subject:2 ~suspects:[ 2 ]
-      ~alarm:true ~evidence:[ ev ] ()
+    Span.verdict t
+      { Span.time = 2.0; detector = "chi"; subject = Some 2; suspects = [ 2 ];
+        confidence = None; alarm = true; detail = ""; evidence = [ ev ] }
   in
   (* Flood the ring far past capacity; the pinned entries must survive. *)
   for i = 1 to 1_000 do
@@ -139,9 +140,10 @@ let populated_collector () =
       ()
   in
   let _v =
-    Span.verdict t ~time:1.0 ~detector:"chi" ~subject:2 ~suspects:[ 2 ]
-      ~confidence:0.9 ~alarm:true ~detail:"loss above threshold"
-      ~evidence:[ hop; loss ] ()
+    Span.verdict t
+      { Span.time = 1.0; detector = "chi"; subject = Some 2; suspects = [ 2 ];
+        confidence = Some 0.9; alarm = true; detail = "loss above threshold";
+        evidence = [ hop; loss ] }
   in
   t
 
@@ -167,12 +169,12 @@ let test_verdict_extraction () =
   let doc = Trace_export.document (populated_collector ()) in
   match Trace_export.verdicts doc with
   | [ v ] ->
-      Alcotest.(check string) "detector" "chi" v.Trace_export.detector;
-      Alcotest.(check (option int)) "subject" (Some 2) v.Trace_export.subject;
-      Alcotest.(check (list int)) "suspects" [ 2 ] v.Trace_export.suspects;
-      Alcotest.(check bool) "alarm" true v.Trace_export.alarm;
+      Alcotest.(check string) "detector" "chi" v.Span.detector;
+      Alcotest.(check (option int)) "subject" (Some 2) v.Span.subject;
+      Alcotest.(check (list int)) "suspects" [ 2 ] v.Span.suspects;
+      Alcotest.(check bool) "alarm" true v.Span.alarm;
       Alcotest.(check int) "two evidence entries" 2
-        (List.length v.Trace_export.evidence)
+        (List.length v.Span.evidence)
   | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
 
 let test_explain_renders_chain () =
@@ -254,7 +256,12 @@ let test_simulate_trace_golden () =
                ~attack:(Experiments.Simulate.Drop_fraction 0.4) ~attacker:2
                ~duration:25.0 ~seed:7 ~flows:6 ~trace_out:path
                Experiments.Simulate.Ring));
-      match Export.of_string (String.trim (read_file path)) with
+      let text = read_file path in
+      (* MD5 of the whole document, recorded before the probe, the span
+         collector and the trace reader shared one verdict record. *)
+      Alcotest.(check string) "trace document matches the recorded digest"
+        "7e65e606210a06883e320fdeb962cc33" (Digest.to_hex (Digest.string text));
+      match Export.of_string (String.trim text) with
       | Error e -> Alcotest.failf "trace file is not valid JSON: %s" e
       | Ok doc ->
           (match Trace_export.validate doc with
@@ -279,18 +286,20 @@ let test_simulate_trace_golden () =
               Alcotest.(check bool) "an alarm names the attacker" true
                 (List.exists
                    (fun v ->
-                     v.Trace_export.alarm
-                     && (v.Trace_export.subject = Some 2
-                        || List.mem 2 v.Trace_export.suspects))
+                     v.Span.alarm
+                     && (v.Span.subject = Some 2
+                        || List.mem 2 v.Span.suspects))
                    vs);
               Alcotest.(check bool) "a verdict carries evidence" true
-                (List.exists (fun v -> v.Trace_export.evidence <> []) vs));
+                (List.exists (fun v -> v.Span.evidence <> []) vs));
           (* validate already proved every evidence id resolves; explain
              must therefore render a non-empty report. *)
           (match Trace_export.explain doc with
           | Ok report ->
               Alcotest.(check bool) "explain renders a chain" true
-                (String.length report > 0)
+                (String.length report > 0);
+              Alcotest.(check string) "explain text matches the recorded digest"
+                "47417f285033ea75589a552fcf205f59" (Digest.to_hex (Digest.string report))
           | Error e -> Alcotest.failf "explain failed: %s" e))
 
 let () =
