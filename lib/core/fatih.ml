@@ -109,8 +109,9 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
         t.fingerprints_observed <- t.fingerprints_observed + observed;
         (* One MAC-compute instant per traced hop, however many segment
            summaries the fingerprint landed in. *)
+        let pkt = ev.Netsim.Net.pkt in
         match ev.Netsim.Net.kind with
-        | Netsim.Iface.Delivered pkt when pkt.Netsim.Packet.trace <> 0 ->
+        | Netsim.Iface.Delivered when pkt.Netsim.Packet.trace <> 0 ->
             Option.iter
               (fun probe ->
                 ignore

@@ -19,13 +19,14 @@ let attach ~net () =
   Netsim.Net.subscribe_iface net
     ~kinds:(Netsim.Iface.kinds [ `Delivered; `Transmit_start ])
     (fun ev ->
+      let pkt = ev.Netsim.Net.pkt in
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Delivered pkt ->
+      | Netsim.Iface.Delivered ->
           let v = ev.Netsim.Net.next and u = ev.Netsim.Net.router in
           let dst = pkt.Netsim.Packet.dst in
           bump t.recv (v, u, dst);
           if dst <> v then bump t.transit_in v
-      | Netsim.Iface.Transmit_start pkt ->
+      | Netsim.Iface.Transmit_start ->
           let u = ev.Netsim.Net.router and v = ev.Netsim.Net.next in
           let dst = pkt.Netsim.Packet.dst in
           bump t.sent (u, v, dst);

@@ -199,8 +199,9 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
       ~flow:pkt.Netsim.Packet.flow ~time
   in
   let on_in_link (ev : Netsim.Net.iface_event) =
+    let pkt = ev.pkt in
     match ev.kind with
-    | Netsim.Iface.Delivered pkt when pkt.Netsim.Packet.dst <> router -> (
+    | Netsim.Iface.Delivered when pkt.Netsim.Packet.dst <> router -> (
         (* An upstream neighbour watched this packet reach r; it enters
            Q iff r's (predictable) forwarding decision for it is
            [next]. *)
@@ -216,19 +217,20 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
     | _ -> ()
   in
   let on_queue (ev : Netsim.Net.iface_event) =
+    let pkt = ev.pkt in
     match ev.kind with
-    | Netsim.Iface.Transmit_start pkt ->
+    | Netsim.Iface.Transmit_start ->
         (* rd infers the dequeue instant from its own arrival time. *)
         record t.pending_d pkt ~time:ev.time
-    | Netsim.Iface.Enqueued pkt when pkt.Netsim.Packet.src = router ->
+    | Netsim.Iface.Enqueued when pkt.Netsim.Packet.src = router ->
         (* Traffic the monitored router originates also occupies Q; the
            router announces it itself and is trusted for its own
            traffic (§2.1.4 fate sharing), so these entries keep the
            replayed occupancy honest. *)
         record t.pending_s pkt ~time:ev.time
-    | Netsim.Iface.Drop_link_down pkt ->
+    | Netsim.Iface.Drop_link_down ->
         Hashtbl.replace t.benign_fps (Netsim.Packet.fingerprint key pkt) ()
-    | Netsim.Iface.Enqueued pkt when t.calibrating ->
+    | Netsim.Iface.Enqueued when t.calibrating ->
         Hashtbl.replace t.occ_samples
           (Netsim.Packet.fingerprint key pkt)
           (Netsim.Iface.occupancy iface - pkt.Netsim.Packet.size)

@@ -29,18 +29,20 @@ let deploy ~net ~rt ~router ~next () =
   Netsim.Net.subscribe_link net
     ~kinds:(Netsim.Iface.kinds [ `Enqueued; `Transmit_start ])
     ~src:router ~dst:next (fun ev ->
+      let pkt = ev.Netsim.Net.pkt in
       match ev.Netsim.Net.kind with
-      | Netsim.Iface.Enqueued pkt when pkt.Netsim.Packet.src = router ->
+      | Netsim.Iface.Enqueued when pkt.Netsim.Packet.src = router ->
           arrive pkt ~time:ev.Netsim.Net.time
-      | Netsim.Iface.Transmit_start pkt ->
+      | Netsim.Iface.Transmit_start ->
           Hashtbl.replace t.observed_out (Netsim.Packet.fingerprint key pkt) ()
       | _ -> ());
   for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
     if Netsim.Net.iface net ~src:u ~dst:router <> None then
       Netsim.Net.subscribe_link net ~kinds:(Netsim.Iface.kinds [ `Delivered ]) ~src:u
         ~dst:router (fun ev ->
+          let pkt = ev.Netsim.Net.pkt in
           match ev.Netsim.Net.kind with
-          | Netsim.Iface.Delivered pkt
+          | Netsim.Iface.Delivered
             when pkt.Netsim.Packet.dst <> router
                  && Topology.Routing.next_hop rt router ~dst:pkt.Netsim.Packet.dst
                     = Some next ->

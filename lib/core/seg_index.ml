@@ -124,7 +124,8 @@ let rec excuse excused = function
 
 let observe t (ev : Netsim.Net.iface_event) =
   match ev.Netsim.Net.kind with
-  | Netsim.Iface.Delivered pkt ->
+  | Netsim.Iface.Delivered ->
+      let pkt = ev.Netsim.Net.pkt in
       let r = route t ~src:pkt.Netsim.Packet.src ~dst:pkt.Netsim.Packet.dst in
       let i = position r ~u:ev.Netsim.Net.router ~v:ev.Netsim.Net.next in
       (* Link (u,v) opens the 3-segment ⟨u,v,p(i+2)⟩, where terminal
@@ -146,7 +147,7 @@ let observe t (ev : Netsim.Net.iface_event) =
         end;
         if closes < 0 then Sent else if opens < 0 then Received else Both
       end
-  | Netsim.Iface.Drop_link_down _ ->
+  | Netsim.Iface.Drop_link_down ->
       (* An observable link failure on a segment edge excuses the
          segment's round. *)
       let link = (ev.Netsim.Net.router * t.n) + ev.Netsim.Net.next in

@@ -180,7 +180,7 @@ let corruption_ablation () =
               ~kinds:(Netsim.Iface.kinds [ `Drop_corrupted ])
               (fun ev ->
                 match ev.Netsim.Net.kind with
-                | Netsim.Iface.Drop_corrupted _ -> incr corrupted
+                | Netsim.Iface.Drop_corrupted -> incr corrupted
                 | _ -> ());
             let config =
               { Chi.default_config with Chi.tau = 2.0; min_suspicious } in

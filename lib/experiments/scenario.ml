@@ -36,8 +36,8 @@ let watch_ground_truth net =
     ~kinds:(Iface.kinds [ `Drop_congestion; `Drop_red_early ])
     ~src:bottleneck_router ~dst:sink (fun ev ->
       match ev.Net.kind with
-      | Iface.Drop_congestion _ -> gt.congestion_drops <- gt.congestion_drops + 1
-      | Iface.Drop_red_early _ -> gt.red_drops <- gt.red_drops + 1
+      | Iface.Drop_congestion -> gt.congestion_drops <- gt.congestion_drops + 1
+      | Iface.Drop_red_early -> gt.red_drops <- gt.red_drops + 1
       | _ -> ());
   gt
 

@@ -265,7 +265,7 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
         Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
             match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
         Net.subscribe_iface net ~kinds:(Iface.kinds [ `Drop_congestion ]) (fun ev ->
-            match ev.Net.kind with Iface.Drop_congestion _ -> incr congestion | _ -> ());
+            match ev.Net.kind with Iface.Drop_congestion -> incr congestion | _ -> ());
         (* Traffic: CBR between pseudo-random distinct pairs that transit
            the attacker where possible. *)
         let rng = Random.State.make [| seed; 0xf10 |] in
@@ -294,14 +294,14 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
         let trace_journal =
           if trace > 0 then begin
             let j = Telemetry.Journal.create ~capacity:trace () in
-            let record ev = Telemetry.Journal.record j (Probe.describe ev) in
-            let on_link ev = record (Probe.Link ev) in
+            let on_link ev = Telemetry.Journal.record j (Probe.describe_iface ev) in
             List.iter
               (fun i ->
                 Net.subscribe_link net ~src:attacker ~dst:(Iface.next_hop i) on_link)
               (Router.ifaces (Net.router net attacker));
             Net.subscribe_router net (fun ev ->
-                if ev.Net.router = attacker then record (Probe.Node ev));
+                if ev.Net.router = attacker then
+                  Telemetry.Journal.record j (Probe.describe_router ev));
             Some j
           end
           else None

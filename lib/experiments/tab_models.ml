@@ -35,8 +35,8 @@ let measure ~flows =
     ~kinds:(Iface.kinds [ `Enqueued; `Drop_congestion ])
     ~src:bottleneck ~dst:sink (fun ev ->
       match ev.Net.kind with
-      | Iface.Enqueued _ -> incr sent
-      | Iface.Drop_congestion _ ->
+      | Iface.Enqueued -> incr sent
+      | Iface.Drop_congestion ->
           incr sent;
           incr dropped
       | _ -> ());

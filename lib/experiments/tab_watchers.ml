@@ -29,7 +29,7 @@ let run_one ~attack ~congested =
   Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
       match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
   Net.subscribe_iface net ~kinds:(Iface.kinds [ `Drop_congestion ]) (fun ev ->
-      match ev.Net.kind with Iface.Drop_congestion _ -> incr congestion | _ -> ());
+      match ev.Net.kind with Iface.Drop_congestion -> incr congestion | _ -> ());
   List.iter
     (fun (s, d) ->
       ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:60.0 ~size:400 ~start:0.0 ~stop:40.0))

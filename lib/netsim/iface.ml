@@ -3,17 +3,17 @@ type kind =
   | Red_queue of Red.params
 
 type event =
-  | Enqueued of Packet.t
-  | Drop_congestion of Packet.t
-  | Drop_red_early of Packet.t
-  | Drop_link_down of Packet.t
-  | Drop_corrupted of Packet.t
-  | Transmit_start of Packet.t
-  | Delivered of Packet.t
+  | Enqueued
+  | Drop_congestion
+  | Drop_red_early
+  | Drop_link_down
+  | Drop_corrupted
+  | Transmit_start
+  | Delivered
 
 (* A set of event kinds is a bit set, one bit per constructor of
-   [event]: an emit site tests its own bit, so an interface builds a
-   record only for a kind some consumer wants. *)
+   [event]: an emit site tests its own bit, so an interface reports a
+   transition only for a kind some consumer wants. *)
 type kinds = int
 
 let b_enqueued = 1
@@ -38,13 +38,13 @@ let kinds l = List.fold_left (fun acc k -> acc lor kind_bit k) 0 l
 let union = ( lor )
 
 let event_bit = function
-  | Enqueued _ -> b_enqueued
-  | Drop_congestion _ -> b_drop_congestion
-  | Drop_red_early _ -> b_drop_red_early
-  | Drop_link_down _ -> b_drop_link_down
-  | Drop_corrupted _ -> b_drop_corrupted
-  | Transmit_start _ -> b_transmit_start
-  | Delivered _ -> b_delivered
+  | Enqueued -> b_enqueued
+  | Drop_congestion -> b_drop_congestion
+  | Drop_red_early -> b_drop_red_early
+  | Drop_link_down -> b_drop_link_down
+  | Drop_corrupted -> b_drop_corrupted
+  | Transmit_start -> b_transmit_start
+  | Delivered -> b_delivered
 
 let wants k ev = k land event_bit ev <> 0
 
@@ -55,7 +55,7 @@ type t = {
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   link : Topology.Graph.link;
   queue : queue;
-  on_event : t -> event -> unit;
+  on_event : event -> Packet.t -> unit;
   deliver : prev:int -> Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
   (* The packet on the wire finishes at [tx_end] under the key
@@ -138,7 +138,7 @@ let transmit t =
      transmission-end event were pushed here. *)
   t.txend_pending <- true;
   t.tx_packets <- t.tx_packets + 1;
-  if t.observe land b_transmit_start <> 0 then t.on_event t (Transmit_start p);
+  if t.observe land b_transmit_start <> 0 then t.on_event Transmit_start p;
   let now = t.clock.f in
   let tx = float_of_int p.Packet.size /. t.link.Topology.Graph.bw in
   t.tx_end.f <- now +. tx;
@@ -165,11 +165,11 @@ let arrive t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe land b_drop_corrupted <> 0 then t.on_event t (Drop_corrupted p);
+    if t.observe land b_drop_corrupted <> 0 then t.on_event Drop_corrupted p;
     t.release p
   end
   else begin
-    if t.observe land b_delivered <> 0 then t.on_event t (Delivered p);
+    if t.observe land b_delivered <> 0 then t.on_event Delivered p;
     t.deliver ~prev:(owner t) p
   end
 
@@ -194,7 +194,7 @@ let set_up t up =
 let enqueue t p =
   if not t.up then begin
     t.dropped_packets <- t.dropped_packets + 1;
-    if t.observe land b_drop_link_down <> 0 then t.on_event t (Drop_link_down p);
+    if t.observe land b_drop_link_down <> 0 then t.on_event Drop_link_down p;
     t.release p
   end
   else begin
@@ -205,15 +205,15 @@ let enqueue t p =
   in
   match verdict with
   | `Enqueued ->
-      if t.observe land b_enqueued <> 0 then t.on_event t (Enqueued p);
+      if t.observe land b_enqueued <> 0 then t.on_event Enqueued p;
       kick t
   | `Forced_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe land b_drop_congestion <> 0 then t.on_event t (Drop_congestion p);
+      if t.observe land b_drop_congestion <> 0 then t.on_event Drop_congestion p;
       t.release p
   | `Early_drop ->
       t.dropped_packets <- t.dropped_packets + 1;
-      if t.observe land b_drop_red_early <> 0 then t.on_event t (Drop_red_early p);
+      if t.observe land b_drop_red_early <> 0 then t.on_event Drop_red_early p;
       t.release p
   end
 

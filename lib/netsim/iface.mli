@@ -32,14 +32,17 @@ type kind =
   | Red_queue of Red.params
 
 type event =
-  | Enqueued of Packet.t         (** admitted to the output buffer *)
-  | Drop_congestion of Packet.t  (** buffer full (drop-tail or RED forced) *)
-  | Drop_red_early of Packet.t   (** RED probabilistic early drop *)
-  | Drop_link_down of Packet.t   (** offered to a failed link *)
-  | Drop_corrupted of Packet.t   (** damaged in flight, discarded by the
-                                     receiving line card (4.2.1) *)
-  | Transmit_start of Packet.t   (** left the queue, serialization begins *)
-  | Delivered of Packet.t        (** arrived at the far end of the link *)
+  | Enqueued         (** admitted to the output buffer *)
+  | Drop_congestion  (** buffer full (drop-tail or RED forced) *)
+  | Drop_red_early   (** RED probabilistic early drop *)
+  | Drop_link_down   (** offered to a failed link *)
+  | Drop_corrupted   (** damaged in flight, discarded by the receiving
+                         line card (4.2.1) *)
+  | Transmit_start   (** left the queue, serialization begins *)
+  | Delivered        (** arrived at the far end of the link *)
+(** The kind of a transition.  The constructors are constant: the
+    packet travels beside the kind ([on_event]'s second argument), so
+    reporting a transition builds no block. *)
 
 type t
 
@@ -48,20 +51,22 @@ val create :
   link:Topology.Graph.link ->
   kind:kind ->
   ?release:(Packet.t -> unit) ->
-  on_event:(t -> event -> unit) ->
+  on_event:(event -> Packet.t -> unit) ->
   deliver:(prev:int -> Packet.t -> unit) ->
   unit ->
   t
-(** Build the interface for a directed link.  [deliver] is invoked at the
-    packet's arrival instant at [link.dst] with [prev = link.src]; the
-    corruption coin is drawn from the simulation stream at that instant.
-    A [Red_queue] draws its drop coins from the same stream.  [release]
-    (default: no-op) receives every packet this interface kills, after
-    its drop event — the pool-recycling hook. *)
+(** Build the interface for a directed link.  [on_event kind p] reports
+    each observed transition of packet [p] (see {!set_observe}); [p] is
+    lent for the call only, since it may die right after.  [deliver] is
+    invoked at the packet's arrival instant at [link.dst] with
+    [prev = link.src]; the corruption coin is drawn from the simulation
+    stream at that instant.  A [Red_queue] draws its drop coins from the
+    same stream.  [release] (default: no-op) receives every packet this
+    interface kills, after its drop event — the pool-recycling hook. *)
 
 type kinds
-(** A set of event kinds: what one consumer reads.  An interface builds
-    an event only when its kind is in the set it observes. *)
+(** A set of event kinds: what one consumer reads.  An interface reports
+    a transition only when its kind is in the set it observes. *)
 
 val kinds :
   [ `Enqueued
@@ -84,9 +89,8 @@ val wants : kinds -> event -> bool
 val set_observe : t -> kinds -> unit
 (** The event kinds anything consumes from this interface.  Each
     transition is reported through [on_event] only when its kind is in
-    the set ({!all_kinds}, the default, reports every transition); for
-    any other kind the interface elides event construction, so an
-    unobserved transition costs one bit test and allocates nothing.
+    the set ({!all_kinds}, the default, reports every transition); any
+    other kind costs one bit test and no call.
     {!Net} manages it from its probe and subscriber state: the union of
     what the probe and the listeners on this interface read. *)
 

@@ -2,21 +2,23 @@ type queue_spec =
   | Droptail of int
   | Red of Red.params
 
-type iface_event = Probe.iface_record = {
-  time : float;
+type iface_event = Probe.iface_view = {
+  mutable time : float;
   router : int;
   next : int;
-  kind : Iface.event;
+  mutable kind : Iface.event;
+  mutable pkt : Packet.t;
 }
 
-type router_event = Probe.router_record = {
-  time : float;
+type router_event = Probe.router_view = {
+  mutable time : float;
   router : int;
-  kind : Router.event;
+  mutable kind : Router.event;
 }
 
 type t = {
   sim : Sim.t;
+  clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   graph : Topology.Graph.t;
   mutable routers : Router.t array;
   (* Every listener is stored with the kinds it declared, fixed at
@@ -32,18 +34,18 @@ type t = {
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
   pooling : bool;
+  poison : bool;
   pool : Pool.t;
-  mutable held : Pktring.t;  (* dead under a probe, oldest first: see [hold] *)
 }
 
 let sim t = t.sim
 
-(* Observation is scoped by link and by kind.  An interface builds the
+(* Observation is scoped by link and by kind.  An interface emits the
    kinds its consumers read: every kind under a probe, plus the kinds
    of the network-wide iface listeners, plus those of the listeners on
-   its own link.  A router builds every kind under a probe, plus the
-   kinds of the router listeners.  The unobserved hot path builds no
-   events at all. *)
+   its own link.  A router emits every kind under a probe, plus the
+   kinds of the router listeners.  The unobserved hot path emits
+   nothing at all. *)
 let rec link_subscribers next = function
   | [] -> []
   | (dst, fs) :: rest -> if dst = next then fs else link_subscribers next rest
@@ -108,13 +110,13 @@ let set_probe t probe =
       Probe.set_stats p (Some (Stats.create ~n ifaces)))
     probe;
   t.probe <- probe;
-  t.held <- Pktring.create ();  (* the previous probe's go to the GC *)
   refresh_observe t
 let stats t = Option.bind t.probe Probe.stats
 
-(* One record per observation: the probe journals it and every listener
-   that declared its kind receives the same value.  Apps get delivered
-   packets the same way; the walks build no closure per call. *)
+(* One view per interface and per router, overwritten at each emission
+   and lent to the probe and to every listener that declared its kind.
+   Apps get delivered packets the same way; the walks build no closure
+   per call. *)
 let rec notify_iface (ev : iface_event) = function
   | [] -> ()
   | (kinds, f) :: rest ->
@@ -133,36 +135,38 @@ let rec notify_apps pkt = function
       f pkt;
       notify_apps pkt rest
 
-let emit_iface t (ev : iface_event) =
+(* Poison mode's borrow check: an emission into a view whose consumers
+   are still running would overwrite the record they are reading. *)
+let lend t busy =
+  if t.poison then begin
+    if !busy then invalid_arg "Net: emission into a view its listeners are still reading";
+    busy := true
+  end
+
+(* A float stored into a view boxes, so the time is stored only when it
+   moved: an uncongested hop enqueues and starts transmitting at one
+   instant. *)
+let emit_iface t busy (ev : iface_event) kind pkt =
+  lend t busy;
+  if ev.time <> t.clock.f then ev.time <- t.clock.f;
+  ev.kind <- kind;
+  ev.pkt <- pkt;
   (match t.probe with Some p -> Probe.on_iface p ev | None -> ());
   notify_iface ev t.iface_listeners;
   if Array.length t.link_listeners > 0 then
-    notify_iface ev (link_subscribers ev.next t.link_listeners.(ev.router))
+    notify_iface ev (link_subscribers ev.next t.link_listeners.(ev.router));
+  busy := false
 
-let emit_router t (ev : router_event) =
+let emit_router t busy (ev : router_event) kind =
+  lend t busy;
+  if ev.time <> t.clock.f then ev.time <- t.clock.f;
+  ev.kind <- kind;
   (match t.probe with Some p -> Probe.on_router p ev | None -> ());
-  notify_router ev t.router_listeners
+  notify_router ev t.router_listeners;
+  busy := false
 
 let emit_originate t pkt =
   match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
-
-(* Under a probe the journal may still name a dead packet, so pooling
-   defers its release until the ring has evicted every record about it.
-   A packet's records all come before its death and the journal keeps
-   its last [capacity] records, so that holds once
-   [total >= tag + capacity], [tag] being the total at its death.  A
-   dead packet's TTL is scratch (poison mode stamps it too), so the
-   packet carries its own tag there. *)
-let hold t journal p =
-  let total = Telemetry.Journal.total journal in
-  p.Packet.ttl <- total;
-  Pktring.push t.held p;
-  let evicted = total - Telemetry.Journal.capacity journal in
-  while
-    (not (Pktring.is_empty t.held)) && (Pktring.peek_exn t.held).Packet.ttl <= evicted
-  do
-    Pool.release t.pool (Pktring.pop_exn t.held)
-  done
 
 let attach_app t ~node f = t.apps.(node) := f :: !(t.apps.(node))
 
@@ -175,7 +179,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   let n = Topology.Graph.size graph in
   let sim = Sim.create ~seed () in
   let t =
-    { sim; graph;
+    { sim; clock = Sim.clock sim; graph;
       routers = [||];
       iface_listeners = [];
       router_listeners = [];
@@ -184,21 +188,19 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       pins = Hashtbl.create 16;
       probe = None;
       pooling;
-      pool = Pool.create ~poison ();
-      held = Pktring.create () }
+      poison;
+      pool = Pool.create ~poison () }
   in
-  let release p =
-    if pooling then
-      match t.probe with
-      | None -> Pool.release t.pool p
-      | Some probe -> hold t (Probe.journal probe) p
-  in
+  let release p = if pooling then Pool.release t.pool p in
+  (* What a view holds until its first emission; never lent. *)
+  let placeholder = Packet.make_at ~now:0.0 ~uid:(-1) ~src:0 ~dst:0 ~flow:0 ~size:1 Packet.Udp in
   t.routers <-
     Array.init n (fun id ->
         let local_apps = t.apps.(id) in
+        let view = { time = 0.0; router = id; kind = Router.No_route placeholder } in
+        let busy = ref false in
         Router.create ~sim ~id ~n ~jitter_bound ~release
-          ~on_event:(fun r kind ->
-            emit_router t { time = Sim.now sim; router = Router.id r; kind })
+          ~on_event:(fun _ kind -> emit_router t busy view kind)
           ~local_deliver:(fun pkt -> notify_apps pkt !local_apps)
           ());
   let queue_kind =
@@ -207,11 +209,14 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   List.iter
     (fun (l : Topology.Graph.link) ->
       let rdst = t.routers.(l.Topology.Graph.dst) in
+      let view =
+        { time = 0.0; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
+          kind = Iface.Enqueued; pkt = placeholder }
+      in
+      let busy = ref false in
       let iface =
         Iface.create ~sim ~link:l ~kind:queue_kind ~release
-          ~on_event:(fun i kind ->
-            emit_iface t
-              { time = Sim.now sim; router = Iface.owner i; next = Iface.next_hop i; kind })
+          ~on_event:(fun kind pkt -> emit_iface t busy view kind pkt)
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
           ()
       in

@@ -8,20 +8,25 @@ type queue_spec =
   | Droptail of int         (** byte limit for every output queue *)
   | Red of Red.params
 
-type iface_event = Probe.iface_record = {
-  time : float;
+type iface_event = Probe.iface_view = {
+  mutable time : float;
   router : int;            (** owner of the queue *)
   next : int;              (** neighbour the queue feeds *)
-  kind : Iface.event;
+  mutable kind : Iface.event;
+  mutable pkt : Packet.t;  (** the packet the transition is about *)
 }
-(** The probe's record: each observed event is built once, journaled by
-    the probe and handed to every listener. *)
+(** A queue/link observation.  The network keeps one per interface,
+    with [router] and [next] fixed, overwrites [time], [kind] and [pkt]
+    at each emission, and lends it to the probe and to every listener
+    in turn (see {!subscribe_iface}). *)
 
-type router_event = Probe.router_record = {
-  time : float;
+type router_event = Probe.router_view = {
+  mutable time : float;
   router : int;
-  kind : Router.event;
+  mutable kind : Router.event;
 }
+(** A router observation: one per router, overwritten and lent the
+    same way. *)
 
 type t
 
@@ -44,12 +49,14 @@ val create :
     [pooling] (default false) turns on packet recycling: dead packets
     return to a freelist ({!Pool}) and {!make_packet} reuses them, so
     steady-state traffic allocates no packet records.  Observers leave
-    it live: listeners only borrow packets (see {!subscribe_iface}), and
-    under a probe a dead packet waits until the probe's journal has
-    evicted every record that names it.  It never changes simulation
-    output.  [poison] (default false) additionally stamps released
-    packets so stale references read loudly-wrong data and double
-    releases raise — the debug mode the allocation tests use. *)
+    it live and immediate: listeners and the probe only borrow packets
+    (see {!subscribe_iface}), and the probe's journal copies what it
+    keeps, so a packet returns to the pool the moment it dies.  It
+    never changes simulation output.  [poison] (default false)
+    additionally stamps released packets so stale references read
+    loudly-wrong data and double releases raise, and makes an emission
+    into a view whose listeners are still running raise
+    [Invalid_argument] — the debug mode the allocation tests use. *)
 
 val sim : t -> Sim.t
 (** The simulation the network runs on: traffic generators, probes,
@@ -80,31 +87,36 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
     Observation is scoped by link and by kind.  A listener declares the
     event kinds it reads when it subscribes ([?kinds], default every
     kind) and receives exactly those, in emission order: the same
-    records, in the same order, as an every-kind listener's stream
-    filtered to its kinds.  An interface builds an event only when its
+    events, in the same order, as an every-kind listener's stream
+    filtered to its kinds.  An interface emits an event only when its
     kind is wanted by the probe (every kind), a network-wide iface
     listener, or a listener on its own link — the union of what its
-    consumers read; a router likewise builds the union of what the
+    consumers read; a router likewise emits the union of what the
     probe and the router listeners read.  Every other transition stays
     on the unobserved hot path, so a listener that declares only the
     kinds it reads costs nothing for the rest.
 
-    A listener {e borrows} the packet in its event: the packet may die
-    right after the callback returns and, with pooling on, be recycled
-    as another packet.  A callback must copy or render what it needs
-    (uid, size, fingerprint, {!Probe.describe}, ...) and never keep the
-    [Packet.t] or the event record. *)
+    A listener {e borrows} the event: the record is the interface's
+    (or router's) one view, overwritten by the next emission there,
+    and its packet may die right after the callback returns and, with
+    pooling on, be recycled as another packet.  A callback reads what
+    it needs during the call — copy fields, take a fingerprint, render
+    with {!Probe.describe_iface} — and keeps neither the record nor
+    the [Packet.t].  A callback must not make its own interface emit
+    again before it returns (e.g. enqueue a packet there from a
+    [Transmit_start] listener): that would overwrite the view under
+    the listeners still to run, and poison mode raises instead. *)
 
 val subscribe_iface : t -> ?kinds:Iface.kinds -> (iface_event -> unit) -> unit
 (** Observe the queue/link events of the given [kinds] (default
     {!Iface.all_kinds}) at every interface in the network: enqueue,
-    drops, transmit, deliver.  Turns on construction of those kinds at
+    drops, transmit, deliver.  Turns on emission of those kinds at
     every interface. *)
 
 val subscribe_link :
   t -> ?kinds:Iface.kinds -> src:int -> dst:int -> (iface_event -> unit) -> unit
 (** Observe the events of the given [kinds] (default every kind) on the
-    directed link [src -> dst] only; only that interface starts building
+    directed link [src -> dst] only; only that interface starts emitting
     them.  A callback subscribed to several links sees each event once.
     Raises [Invalid_argument] if the link is absent. *)
 
@@ -118,9 +130,8 @@ val set_probe : t -> Probe.t option -> unit
     every origination is counted and journaled through it.  With no
     probe attached the per-event overhead is one pointer test.
     Attaching a probe also gives it a fresh always-on {!Stats} collector
-    (see {!stats}), which the probe feeds itself.  With pooling on, the
-    journal is safe to read while its probe is attached; once detached,
-    its records may name packets the network has since recycled. *)
+    (see {!stats}), which the probe feeds itself.  The journal holds no
+    packet, so it reads the same attached or detached, pooled or not. *)
 
 val stats : t -> Stats.t option
 (** The probe's always-on time-series collector; [None] when no probe

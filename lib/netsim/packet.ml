@@ -68,15 +68,3 @@ let fingerprint key p =
   | Pong seq -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:2 3 seq 0 0
 
 let is_syn p = match p.proto with Tcp h -> h.syn | Udp | Ping _ | Pong _ -> false
-
-let describe p =
-  let proto =
-    match p.proto with
-    | Udp -> "udp"
-    | Tcp h ->
-        Printf.sprintf "tcp seq=%d ack=%d%s%s" h.seq h.ack (if h.syn then " SYN" else "")
-          (if h.fin then " FIN" else "")
-    | Ping s -> Printf.sprintf "ping %d" s
-    | Pong s -> Printf.sprintf "pong %d" s
-  in
-  Printf.sprintf "#%d %d->%d flow=%d %dB %s" p.uid p.src p.dst p.flow p.size proto

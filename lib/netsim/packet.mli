@@ -24,8 +24,7 @@ type t = {
   mutable flow : int;  (** flow identifier *)
   mutable size : int;  (** total bytes on the wire *)
   mutable proto : proto;
-  mutable ttl : int;   (** rewritten per hop; excluded from fingerprints;
-                           scratch once the packet is dead *)
+  mutable ttl : int;   (** rewritten per hop; excluded from fingerprints *)
   mutable payload : int64;  (** stand-in for payload bytes; a modification
                                 attack overwrites it *)
   mutable created : float;  (** origination time *)
@@ -78,6 +77,3 @@ val fingerprint : Crypto_sim.Siphash.key -> t -> int64
 
 val is_syn : t -> bool
 (** True for TCP SYN segments (the target of attack 4 / attack 5). *)
-
-val describe : t -> string
-(** One-line rendering for traces. *)

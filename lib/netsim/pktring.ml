@@ -37,9 +37,6 @@ let push t p =
   t.len <- t.len + 1
 
 (* pre: not empty *)
-let peek_exn t = t.buf.(t.head)
-
-(* pre: not empty *)
 let pop_exn t =
   let i = t.head in
   let p = t.buf.(i) in

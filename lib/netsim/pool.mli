@@ -6,11 +6,10 @@
     freelist instead of the minor heap.  A pool is not thread-safe; each
     network owns one.
 
-    Observers leave the pool live.  Listeners borrow the packet for the
-    length of their callback; under a probe, {!Net} hands a dead packet
-    back only once the probe's journal has evicted every record that
-    names it.  Poison mode catches an observer that keeps a packet
-    anyway. *)
+    Observers leave the pool live: listeners borrow the packet for the
+    length of their callback, and the probe's journal copies what it
+    keeps, so {!Net} hands a dead packet back the moment it dies.
+    Poison mode catches an observer that keeps a packet anyway. *)
 
 type t
 

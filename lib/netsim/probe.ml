@@ -1,5 +1,12 @@
-type iface_record = { time : float; router : int; next : int; kind : Iface.event }
-type router_record = { time : float; router : int; kind : Router.event }
+type iface_view = {
+  mutable time : float;
+  router : int;
+  next : int;
+  mutable kind : Iface.event;
+  mutable pkt : Packet.t;
+}
+
+type router_view = { mutable time : float; router : int; mutable kind : Router.event }
 
 type verdict = Telemetry.Span.verdict
 
@@ -10,14 +17,47 @@ type fault_record = {
   detail : string;
 }
 
-type event =
-  | Link of iface_record
-  | Node of router_record
-  | Verdict of verdict
-  | Fault of fault_record
+(* A journal entry is a slot of scalars, refilled in place once the
+   ring has wrapped: it names no packet and no listener's view, so the
+   journal keeps nothing of the forwarding plane alive.  Its two floats
+   sit in a float-only record, where refilling them boxes nothing. *)
+type stamp = {
+  mutable at : float;
+  mutable arg : float;  (* a Node entry's delay, or its fragment count *)
+}
+
+type layer = Link | Node | Verdict of verdict | Fault of fault_record
+
+type router_kind =
+  [ `Malicious_drop
+  | `Fragmented
+  | `Malicious_modify
+  | `Malicious_delay
+  | `Fabricated
+  | `No_route
+  | `Ttl_expired
+  | `Delivered_local ]
+
+type entry = {
+  stamp : stamp;
+  mutable layer : layer;
+  mutable link : Iface.event;  (* a Link entry's kind *)
+  mutable node : router_kind;  (* a Node entry's kind *)
+  mutable router : int;
+  mutable next : int;          (* a Link entry's neighbour *)
+  (* The packet's content, as {!describe} and the JSONL export read it. *)
+  mutable uid : int;
+  mutable src : int;
+  mutable dst : int;
+  mutable flow : int;
+  mutable size : int;
+  mutable proto : Packet.proto;
+}
 
 type t = {
-  journal : event Telemetry.Journal.t;
+  (* Slots are allocated as the ring fills (see [slot]), so creating a
+     probe allocates none of them. *)
+  journal : entry Telemetry.Journal.t;
   (* Verdicts are rare and load-bearing (the robustness oracle scores
      them after the run), so they are retained here in full even when
      the bounded journal has long since evicted them. *)
@@ -37,12 +77,6 @@ type t = {
   mutable faults : int;
 }
 
-let iface_packet = function
-  | Iface.Enqueued p | Iface.Drop_congestion p | Iface.Drop_red_early p
-  | Iface.Drop_link_down p | Iface.Drop_corrupted p | Iface.Transmit_start p
-  | Iface.Delivered p ->
-      p
-
 let router_packet = function
   | Router.Malicious_drop { pkt; _ }
   | Router.Malicious_modify { pkt; _ }
@@ -51,6 +85,54 @@ let router_packet = function
       pkt
   | Router.Fragmented { original; _ } -> original
   | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt -> pkt
+
+(* --- journal slots --- *)
+
+let blank () =
+  { stamp = { at = 0.0; arg = 0.0 }; layer = Link; link = Iface.Enqueued;
+    node = `No_route; router = -1; next = -1; uid = 0; src = 0; dst = 0; flow = 0;
+    size = 0; proto = Packet.Udp }
+
+let fill_packet e (p : Packet.t) =
+  e.uid <- p.Packet.uid;
+  e.src <- p.Packet.src;
+  e.dst <- p.Packet.dst;
+  e.flow <- p.Packet.flow;
+  e.size <- p.Packet.size;
+  e.proto <- p.Packet.proto
+
+let fill_iface e (v : iface_view) =
+  e.stamp.at <- v.time;
+  e.layer <- Link;
+  e.link <- v.kind;
+  e.router <- v.router;
+  e.next <- v.next;
+  fill_packet e v.pkt
+
+let fill_router e (v : router_view) =
+  e.stamp.at <- v.time;
+  e.layer <- Node;
+  e.router <- v.router;
+  (match v.kind with
+  | Router.Malicious_drop _ -> e.node <- `Malicious_drop
+  | Router.Fragmented { fragments; _ } ->
+      e.node <- `Fragmented;
+      e.stamp.arg <- float_of_int fragments
+  | Router.Malicious_modify _ -> e.node <- `Malicious_modify
+  | Router.Malicious_delay { delay; _ } ->
+      e.node <- `Malicious_delay;
+      e.stamp.arg <- delay
+  | Router.Fabricated _ -> e.node <- `Fabricated
+  | Router.No_route _ -> e.node <- `No_route
+  | Router.Ttl_expired _ -> e.node <- `Ttl_expired
+  | Router.Delivered_local _ -> e.node <- `Delivered_local);
+  fill_packet e (router_packet v.kind)
+
+(* The slot the next record fills: the one the ring is about to evict,
+   or a fresh one while it is still filling. *)
+let slot t =
+  if Telemetry.Journal.full t.journal then Telemetry.Journal.evictee t.journal
+  else blank ()
 
 let create ?(journal_capacity = 65536) ?tracer () =
   { journal = Telemetry.Journal.create ~capacity:journal_capacity ();
@@ -101,8 +183,8 @@ let on_originate t (pkt : Packet.t) =
    losses are exactly the anomalies the robustness oracle and
    [mrdetect trace explain] must tell apart from malice, so they never
    ride on the sampling coin — only the routine hop spans do. *)
-let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
-  let pkt = iface_packet ev in
+let trace_iface t sp (v : iface_view) =
+  let pkt = v.pkt and time = v.time and router = v.router and next = v.next in
   let trace = pkt.Packet.trace in
   let pid = Telemetry.Span.network_pid in
   let pkt_args () =
@@ -121,16 +203,14 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
          ~args:(("cause", Telemetry.Export.String cause) :: pkt_args ())
          ())
   in
-  match ev with
-  | Iface.Drop_congestion _ -> drop "congestion"
-  | Iface.Drop_red_early _ -> drop "red_early"
-  | Iface.Drop_link_down _ -> drop "link_down"
-  | Iface.Drop_corrupted _ -> drop "corrupted"
-  | (Iface.Enqueued _ | Iface.Transmit_start _ | Iface.Delivered _)
-    when trace = 0 ->
-      ()
-  | Iface.Enqueued _ -> pkt.Packet.q_start <- time
-  | Iface.Transmit_start _ ->
+  match v.kind with
+  | Iface.Drop_congestion -> drop "congestion"
+  | Iface.Drop_red_early -> drop "red_early"
+  | Iface.Drop_link_down -> drop "link_down"
+  | Iface.Drop_corrupted -> drop "corrupted"
+  | Iface.Enqueued | Iface.Transmit_start | Iface.Delivered when trace = 0 -> ()
+  | Iface.Enqueued -> pkt.Packet.q_start <- time
+  | Iface.Transmit_start ->
       let tid = net_track t sp router in
       let start = pkt.Packet.q_start in
       if start >= 0.0 then begin
@@ -140,7 +220,7 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
       end;
       pkt.Packet.tx_start <- time
-  | Iface.Delivered _ ->
+  | Iface.Delivered ->
       let tid = net_track t sp router in
       let start = pkt.Packet.tx_start in
       if start >= 0.0 then begin
@@ -150,14 +230,14 @@ let trace_iface t sp ~time ~router ~next (ev : Iface.event) =
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
       end
 
-let on_iface t (r : iface_record) =
+let on_iface t (v : iface_view) =
   (match t.stats with
-  | Some st -> Stats.on_iface st ~time:r.time ~router:r.router r.kind
+  | Some st -> Stats.on_iface st ~time:v.time ~router:v.router v.kind
   | None -> ());
-  Telemetry.Journal.record t.journal (Link r);
-  match t.tracer with
-  | Some sp -> trace_iface t sp ~time:r.time ~router:r.router ~next:r.next r.kind
-  | None -> ()
+  let e = slot t in
+  fill_iface e v;
+  Telemetry.Journal.record t.journal e;
+  match t.tracer with Some sp -> trace_iface t sp v | None -> ()
 
 let trace_router t sp ~time ~router (ev : Router.event) =
   let pkt = router_packet ev in
@@ -196,14 +276,24 @@ let trace_router t sp ~time ~router (ev : Router.event) =
          ~name ~cat ~pid ~tid ~time ~routers:[ router ] ~args ())
   end
 
-let on_router t (r : router_record) =
+let on_router t (v : router_view) =
   (match t.stats with
-  | Some st -> Stats.on_router st ~time:r.time ~router:r.router r.kind
+  | Some st -> Stats.on_router st ~time:v.time ~router:v.router v.kind
   | None -> ());
-  Telemetry.Journal.record t.journal (Node r);
+  let e = slot t in
+  fill_router e v;
+  Telemetry.Journal.record t.journal e;
   match t.tracer with
-  | Some sp -> trace_router t sp ~time:r.time ~router:r.router r.kind
+  | Some sp -> trace_router t sp ~time:v.time ~router:v.router v.kind
   | None -> ()
+
+(* A verdict or fault entry rides in the same ring, so the journal
+   keeps the order of all three layers. *)
+let record_note t ~time layer =
+  let e = slot t in
+  e.stamp.at <- time;
+  e.layer <- layer;
+  Telemetry.Journal.record t.journal e
 
 let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alarm
     ?(detail = "") ?(evidence = []) () =
@@ -215,7 +305,7 @@ let record_verdict t ~time ~detector ?subject ?(suspects = []) ?confidence ~alar
   (match t.stats with
   | Some st -> Stats.on_verdict st ~time ~detector ~alarm
   | None -> ());
-  Telemetry.Journal.record t.journal (Verdict v);
+  record_note t ~time (Verdict v);
   match t.tracer with
   | None -> ()
   | Some sp -> ignore (Telemetry.Span.verdict sp v)
@@ -230,7 +320,7 @@ let faults_recorded t = t.faults
 let record_fault t ~time ~kind ?(routers = []) ?(detail = "") () =
   t.faults <- t.faults + 1;
   (match t.stats with Some st -> Stats.on_fault st ~time | None -> ());
-  Telemetry.Journal.record t.journal (Fault { time; kind; routers; detail });
+  record_note t ~time (Fault { time; kind; routers; detail });
   match t.tracer with
   | None -> ()
   | Some sp ->
@@ -299,35 +389,49 @@ let conservation t =
         in_flight =
           total_injected - total_delivered - total_dropped - total_fragmented }
 
-(* --- formatting: one line per record, derived on demand --- *)
+(* --- formatting: one renderer over the slot --- *)
 
-let describe_iface_kind = function
-  | Iface.Enqueued _ -> "enqueue"
-  | Iface.Drop_congestion _ -> "DROP-congestion"
-  | Iface.Drop_red_early _ -> "DROP-red"
-  | Iface.Drop_link_down _ -> "DROP-link-down"
-  | Iface.Drop_corrupted _ -> "DROP-corrupted"
-  | Iface.Transmit_start _ -> "transmit"
-  | Iface.Delivered _ -> "deliver"
+let link_name = function
+  | Iface.Enqueued -> "enqueue"
+  | Iface.Drop_congestion -> "DROP-congestion"
+  | Iface.Drop_red_early -> "DROP-red"
+  | Iface.Drop_link_down -> "DROP-link-down"
+  | Iface.Drop_corrupted -> "DROP-corrupted"
+  | Iface.Transmit_start -> "transmit"
+  | Iface.Delivered -> "deliver"
 
-let describe_router_kind = function
-  | Router.Malicious_drop _ -> "MALICIOUS-drop"
-  | Router.Malicious_modify _ -> "MALICIOUS-modify"
-  | Router.Malicious_delay { delay; _ } ->
-      Printf.sprintf "MALICIOUS-delay(%.3fs)" delay
-  | Router.Fabricated _ -> "MALICIOUS-fabricate"
-  | Router.Fragmented { fragments; _ } -> Printf.sprintf "fragment(x%d)" fragments
-  | Router.No_route _ -> "no-route"
-  | Router.Ttl_expired _ -> "ttl-expired"
-  | Router.Delivered_local _ -> "local-deliver"
+let node_name e =
+  match e.node with
+  | `Malicious_drop -> "MALICIOUS-drop"
+  | `Malicious_modify -> "MALICIOUS-modify"
+  | `Malicious_delay -> Printf.sprintf "MALICIOUS-delay(%.3fs)" e.stamp.arg
+  | `Fabricated -> "MALICIOUS-fabricate"
+  | `Fragmented -> Printf.sprintf "fragment(x%d)" (int_of_float e.stamp.arg)
+  | `No_route -> "no-route"
+  | `Ttl_expired -> "ttl-expired"
+  | `Delivered_local -> "local-deliver"
 
-let describe = function
-  | Link { time; router; next; kind } ->
-      Printf.sprintf "%.4f r%d->r%d %s %s" time router next (describe_iface_kind kind)
-        (Packet.describe (iface_packet kind))
-  | Node { time; router; kind } ->
-      Printf.sprintf "%.4f r%d %s %s" time router (describe_router_kind kind)
-        (Packet.describe (router_packet kind))
+let describe_packet e =
+  let proto =
+    match e.proto with
+    | Packet.Udp -> "udp"
+    | Packet.Tcp h ->
+        Printf.sprintf "tcp seq=%d ack=%d%s%s" h.Packet.seq h.Packet.ack
+          (if h.Packet.syn then " SYN" else "")
+          (if h.Packet.fin then " FIN" else "")
+    | Packet.Ping s -> Printf.sprintf "ping %d" s
+    | Packet.Pong s -> Printf.sprintf "pong %d" s
+  in
+  Printf.sprintf "#%d %d->%d flow=%d %dB %s" e.uid e.src e.dst e.flow e.size proto
+
+let describe e =
+  match e.layer with
+  | Link ->
+      Printf.sprintf "%.4f r%d->r%d %s %s" e.stamp.at e.router e.next (link_name e.link)
+        (describe_packet e)
+  | Node ->
+      Printf.sprintf "%.4f r%d %s %s" e.stamp.at e.router (node_name e)
+        (describe_packet e)
   | Verdict { time; detector; suspects; alarm; _ } ->
       Printf.sprintf "%.4f %s %s%s" time detector
         (if alarm then "ALARM" else "verdict")
@@ -341,39 +445,39 @@ let describe = function
         | rs -> " r" ^ String.concat ",r" (List.map string_of_int rs))
         (if detail = "" then "" else " " ^ detail)
 
+let describe_iface v =
+  let e = blank () in
+  fill_iface e v;
+  describe e
+
+let describe_router v =
+  let e = blank () in
+  fill_router e v;
+  describe e
+
 (* --- JSONL export --- *)
 
-let event_time = function
-  | Link { time; _ } | Node { time; _ } | Verdict { time; _ } | Fault { time; _ }
-    ->
-      time
-
-let event_packet = function
-  | Link { kind; _ } -> Some (iface_packet kind)
-  | Node { kind; _ } -> Some (router_packet kind)
-  | Verdict _ | Fault _ -> None
-
-let json_of_packet (p : Packet.t) =
-  Telemetry.Export.Assoc
-    [ ("uid", Telemetry.Export.Int p.Packet.uid);
-      ("src", Telemetry.Export.Int p.Packet.src);
-      ("dst", Telemetry.Export.Int p.Packet.dst);
-      ("flow", Telemetry.Export.Int p.Packet.flow);
-      ("size", Telemetry.Export.Int p.Packet.size) ]
-
-let json_of_event ev =
+let json_of_entry e =
   let open Telemetry.Export in
-  let base =
-    match ev with
-    | Link { router; next; kind; _ } ->
-        [ ("event", String (describe_iface_kind kind));
+  let pkt () =
+    [ ( "pkt",
+        Assoc
+          [ ("uid", Int e.uid); ("src", Int e.src); ("dst", Int e.dst);
+            ("flow", Int e.flow); ("size", Int e.size) ] ) ]
+  in
+  let fields =
+    match e.layer with
+    | Link ->
+        [ ("event", String (link_name e.link));
           ("layer", String "link");
-          ("router", Int router);
-          ("next", Int next) ]
-    | Node { router; kind; _ } ->
-        [ ("event", String (describe_router_kind kind));
+          ("router", Int e.router);
+          ("next", Int e.next) ]
+        @ pkt ()
+    | Node ->
+        [ ("event", String (node_name e));
           ("layer", String "router");
-          ("router", Int router) ]
+          ("router", Int e.router) ]
+        @ pkt ()
     | Verdict { detector; subject; suspects; confidence; alarm; detail; _ } ->
         [ ("event", String "verdict");
           ("layer", String "detector");
@@ -391,11 +495,9 @@ let json_of_event ev =
           ("routers", List (List.map (fun r -> Int r) routers)) ]
         @ if detail = "" then [] else [ ("detail", String detail) ]
   in
-  Assoc
-    ((("time", Float (event_time ev)) :: base)
-    @ match event_packet ev with Some p -> [ ("pkt", json_of_packet p) ] | None -> [])
+  Assoc (("time", Float e.stamp.at) :: fields)
 
 let write_journal t oc =
-  Telemetry.Journal.iter t.journal (fun ev ->
-      Telemetry.Export.to_channel oc (json_of_event ev);
+  Telemetry.Journal.iter t.journal (fun e ->
+      Telemetry.Export.to_channel oc (json_of_entry e);
       output_char oc '\n')

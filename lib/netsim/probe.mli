@@ -14,11 +14,19 @@
     forwarding plane is a single pointer test.
 
     Every hook below forwards to {!Stats}, and {!conservation} is read
-    back from it.  The journal keeps the very record [Net] hands to its
-    listeners ({!iface_record} / {!router_record} are [Net.iface_event]
-    / [Net.router_event]), so an observed event is built once.
-    {!describe} renders a record as one line; exporters turn the journal
-    into JSONL with {!write_journal}.
+    back from it.  [Net] lends the probe, and then its listeners, one
+    view per interface or router ({!iface_view} / {!router_view} are
+    [Net.iface_event] / [Net.router_event]), overwritten at each
+    emission.  The journal keeps neither the view nor its packet: each
+    entry is a slot of scalars (time, router, neighbour, kind, the
+    packet's uid, addresses, flow, size and protocol header) copied
+    during the call, and once the ring has wrapped the evicted slot is
+    refilled in place.  So a journal names no packet: a dead packet
+    goes straight back to the pool, and reading the journal is safe
+    whatever the network has recycled since.  {!describe} renders an
+    entry as one line and {!write_journal} exports the journal as JSONL;
+    both read the slot, and {!describe_iface} / {!describe_router}
+    render a view through the same slot during a listener's callback.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -30,21 +38,23 @@
     their own round spans and evidence instants via {!trace_span} /
     {!trace_instant}. *)
 
-type iface_record = {
-  time : float;
+type iface_view = {
+  mutable time : float;
   router : int;            (** owner of the queue *)
   next : int;              (** neighbour the queue feeds *)
-  kind : Iface.event;
+  mutable kind : Iface.event;
+  mutable pkt : Packet.t;  (** the packet the transition is about *)
 }
-(** One queue/link observation: the record [Net] builds, journals here
-    and passes to its iface listeners. *)
+(** One queue/link observation: [Net] keeps one per interface, with
+    [router] and [next] fixed, and overwrites the rest at each
+    emission. *)
 
-type router_record = {
-  time : float;
+type router_view = {
+  mutable time : float;
   router : int;
-  kind : Router.event;
+  mutable kind : Router.event;
 }
-(** One router observation, shared the same way. *)
+(** One router observation, one per router, lent the same way. *)
 
 type verdict = Telemetry.Span.verdict
 (** A detector verdict: the one record the probe keeps, journals and
@@ -59,11 +69,11 @@ type fault_record = {
 (** A {e benign} injected fault: churn the oracle must excuse, never a
     malicious action. *)
 
-type event =
-  | Link of iface_record
-  | Node of router_record
-  | Verdict of verdict
-  | Fault of fault_record
+type entry
+(** One journal slot: a link event, a router event, a verdict or a
+    fault, in recording order.  Slots are refilled in place once the
+    ring has wrapped: render an entry ({!describe}, {!json_of_entry})
+    before the simulation runs on. *)
 
 type t
 
@@ -72,7 +82,9 @@ val create : ?journal_capacity:int -> ?tracer:Telemetry.Span.t -> unit -> t
     records).  Pass [tracer] to record causal spans alongside the
     journal. *)
 
-val journal : t -> event Telemetry.Journal.t
+val journal : t -> entry Telemetry.Journal.t
+(** Every entry, oldest first.  Slots are allocated as the ring fills,
+    so a probe that records nothing holds no slot. *)
 
 val set_stats : t -> Stats.t option -> unit
 (** Wire the always-on {!Stats} collector (done by [Net.set_probe]):
@@ -86,11 +98,11 @@ val on_originate : t -> Packet.t -> unit
     attached this also draws the sampling coin and, when sampled, stamps
     [Packet.trace] and records an "originate" instant. *)
 
-val on_iface : t -> iface_record -> unit
-val on_router : t -> router_record -> unit
-(** Forwarding-plane hooks (called by {!Net}): feed {!Stats}, journal
-    the record itself and (for traced packets) record hop spans /
-    instants. *)
+val on_iface : t -> iface_view -> unit
+val on_router : t -> router_view -> unit
+(** Forwarding-plane hooks (called by {!Net}): feed {!Stats}, copy the
+    view into a journal slot and (for traced packets) record hop spans
+    / instants.  Neither keeps the view. *)
 
 val record_verdict :
   t ->
@@ -183,15 +195,16 @@ val conservation : t -> conservation
     series' totals plus its fabricated, fragment and fragmented
     counters.  All zero for a probe never attached to a network. *)
 
-val describe : event -> string
-(** The legacy one-line trace rendering ("12.0345 r3->r4 deliver #812
-    ...") derived from the typed record. *)
+val describe : entry -> string
+(** The one-line trace rendering ("12.0345 r3->r4 deliver #812 ...") of
+    an entry. *)
 
-val iface_packet : Iface.event -> Packet.t
-val router_packet : Router.event -> Packet.t
-(** The packet a record is about (for [Fragmented], the original). *)
+val describe_iface : iface_view -> string
+val describe_router : router_view -> string
+(** {!describe} of the entry the probe would journal for a view: what a
+    listener renders during its callback. *)
 
-val json_of_event : event -> Telemetry.Export.json
+val json_of_entry : entry -> Telemetry.Export.json
 
 val write_journal : t -> out_channel -> unit
-(** Dump the retained journal as JSONL, oldest record first. *)
+(** Dump the retained journal as JSONL, oldest entry first. *)

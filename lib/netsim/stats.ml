@@ -118,23 +118,23 @@ let count_drop t ~time cause =
 
 let on_iface t ~time ~router (ev : Iface.event) =
   match ev with
-  | Iface.Enqueued _ ->
+  | Iface.Enqueued ->
       Ts.record t.enqueued ~time 1.0;
       t.depth.(router) <- t.depth.(router) + 1;
       depth_sample t ~time router
-  | Iface.Transmit_start _ ->
+  | Iface.Transmit_start ->
       if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
       depth_sample t ~time router
-  | Iface.Drop_link_down _ ->
+  | Iface.Drop_link_down ->
       count_drop t ~time link_down;
       (* The packet was refused at a failed link and never queued, and
          the packets already queued wait there: the depth is unchanged,
          and the sample reads the backlog this packet met. *)
       depth_sample t ~time router
-  | Iface.Drop_congestion _ -> count_drop t ~time congestion
-  | Iface.Drop_red_early _ -> count_drop t ~time red_early
-  | Iface.Drop_corrupted _ -> count_drop t ~time corrupted
-  | Iface.Delivered _ -> ()
+  | Iface.Drop_congestion -> count_drop t ~time congestion
+  | Iface.Drop_red_early -> count_drop t ~time red_early
+  | Iface.Drop_corrupted -> count_drop t ~time corrupted
+  | Iface.Delivered -> ()
 
 let count_malice t ~time router =
   Ts.record t.malice ~time 1.0;

@@ -48,12 +48,15 @@ let record t x =
   t.next <- (t.next + 1) mod t.capacity;
   t.total <- t.total + 1
 
-(* The value the next [record] will evict, once the ring has wrapped.
-   Callers that own their element type can mutate it in place and hand
-   it straight back to [record] — a free-list of size one, which is all
+(* Once the ring has wrapped, the value the next [record] will evict.
+   A caller that owns its element type can mutate it in place and hand
+   it straight back to [record]: a free-list of size one, which is all
    a ring buffer ever evicts per write. *)
-let recycle t =
-  if t.total >= t.capacity then Some t.ring.(t.next) else None
+let full t = t.total >= t.capacity
+
+let evictee t =
+  if not (full t) then invalid_arg "Journal.evictee: the ring has not wrapped";
+  t.ring.(t.next)
 
 let total t = t.total
 let retained t = min t.total t.capacity

@@ -30,14 +30,18 @@ val record : 'a t -> 'a -> unit
     [Invalid_argument] when called from a domain other than the
     journal's owner (the first domain that recorded). *)
 
-val recycle : 'a t -> 'a option
-(** The record the next {!record} will evict, or [None] until the ring
-    has wrapped.  A caller that owns the element type may mutate the
-    returned value in place and pass it straight back to {!record},
-    turning sustained full-rate recording into a zero-allocation loop —
-    provided no other reference to the evicted record is live (see
-    {!Span}'s pinning rules for an example of excluding retained
-    records). *)
+val full : 'a t -> bool
+(** Whether the ring has wrapped: every further {!record} evicts the
+    oldest record, {!evictee}. *)
+
+val evictee : 'a t -> 'a
+(** The record the next {!record} will evict; raises [Invalid_argument]
+    until the ring is {!full}.  A caller that owns the element type may
+    mutate the returned value in place and pass it straight back to
+    {!record}, turning sustained full-rate recording into a
+    zero-allocation loop — provided no other reference to the evicted
+    record is live (see {!Span}'s pinning rules for an example of
+    excluding retained records).  Neither call allocates. *)
 
 val total : 'a t -> int
 (** Records ever offered (including evicted ones). *)

@@ -174,25 +174,27 @@ let hop_span t ~trace ~name ~pid ~tid ~start ~finish ~router ~next ~pkt =
   let id = fresh_id t in
   let duration = Float.max 0.0 (finish -. start) in
   let recycled =
-    match Journal.recycle t.ring with
-    | Some e
-      when e.hop_pkt <> no_field && not (Hashtbl.mem t.pinned_ids e.id) -> (
-        match e.kind with
-        | Complete c ->
-            e.id <- id;
-            e.trace <- trace;
-            e.name <- name;
-            e.pid <- pid;
-            e.tid <- tid;
-            e.time <- start;
-            e.hop_r1 <- router;
-            e.hop_r2 <- next;
-            e.hop_pkt <- pkt;
-            c.duration <- duration;
-            Journal.record t.ring e;
-            true
-        | Instant | Verdict _ -> false)
-    | _ -> false
+    Journal.full t.ring
+    &&
+    let e = Journal.evictee t.ring in
+    e.hop_pkt <> no_field
+    && (not (Hashtbl.mem t.pinned_ids e.id))
+    &&
+    match e.kind with
+    | Complete c ->
+        e.id <- id;
+        e.trace <- trace;
+        e.name <- name;
+        e.pid <- pid;
+        e.tid <- tid;
+        e.time <- start;
+        e.hop_r1 <- router;
+        e.hop_r2 <- next;
+        e.hop_pkt <- pkt;
+        c.duration <- duration;
+        Journal.record t.ring e;
+        true
+    | Instant | Verdict _ -> false
   in
   if not recycled then
     Journal.record t.ring

@@ -221,11 +221,13 @@ let test_fatih_idle_round () =
    path finds the hop's segments through the route index, and a round
    end swaps placeholders back in.  Fatih's listener declares the two
    kinds it reads (deliveries and link-down drops), so no interface
-   builds an enqueue or transmit-start record for it: 13.78 words per
-   event measured, against 20.86 while every interface built every
-   kind for it, 23.40 while any listener switched the pool off, and
-   39.4 with the list-keyed lookup and per-round summaries. *)
-let fatih_ceiling = 15.3
+   reports an enqueue or transmit-start for it, and the interfaces
+   that report lend it one borrowed view each: 11.07 words per event
+   measured, against 13.78 while each event built its own record,
+   20.86 while every interface built every kind for it, 23.40 while
+   any listener switched the pool off, and 39.4 with the list-keyed
+   lookup and per-round summaries. *)
+let fatih_ceiling = 12.6
 
 let test_fatih_hop_budget () =
   let w, _, _ =
@@ -243,10 +245,11 @@ let test_fatih_hop_budget () =
 (* The same run with a Byzantine plan armed (no router given a role):
    the interior router's claim is built from the closing terminal's
    received summary, so a closing hop fills no summary beyond the one
-   it fills without a plan.  17.83 words per event measured, against
-   18.93 while the interior kept a duplicate summary filled hop for hop
-   with what [received] gets. *)
-let byz_fatih_ceiling = 18.4
+   it fills without a plan.  15.12 words per event measured, against
+   17.83 while each event built its own record and 18.93 while the
+   interior kept a duplicate summary filled hop for hop with what
+   [received] gets. *)
+let byz_fatih_ceiling = 16.6
 
 let test_byz_fatih_hop_budget () =
   let w, _, _ =
@@ -267,12 +270,13 @@ let test_byz_fatih_hop_budget () =
    the queue ⟨1, 2⟩ and router 1's in-links only, so the rest of the
    ring stays on the unobserved path and the pool keeps recycling; the
    monitor stores each report in flat buffers, and each listener
-   declares the kinds it reads, so an in-link builds only its
-   deliveries.  8.39 words per event measured; 10.75 while the watched
-   interfaces built every kind, and 28.35 when one χ listener turned on
-   events everywhere, switched the pool off and kept its reports as
-   lists of records. *)
-let chi_ceiling = 9.9
+   declares the kinds it reads, so an in-link reports only its
+   deliveries, through the interface's one borrowed view.  7.05 words
+   per event measured; 8.39 while each event built its own record,
+   10.75 while the watched interfaces built every kind, and 28.35 when
+   one χ listener turned on events everywhere, switched the pool off
+   and kept its reports as lists of records. *)
+let chi_ceiling = 8.5
 
 let test_chi_hop_budget () =
   let w, _, stats =
@@ -437,14 +441,16 @@ let test_observed_drops_released () =
     stats.Pool.released
 
 (* Observation on the ring8 reference scenario: a probe (counters,
-   journal and Stats) plus one iface listener.  Each observed event
-   builds one record, which the journal keeps and the listener reads:
-   22.62 words per event measured unpooled, against 33.51 when the
-   journal and the listener each built their own copy.  Pooled, the
-   network holds each dead packet until the journal evicts its records
-   and then recycles it: 21.31 measured. *)
-let observed_ceiling = 24.5
-let pooled_observed_ceiling = 22.8
+   journal and Stats) plus one iface listener.  Each interface lends
+   its one view to both, and the journal copies the event into a slot
+   it recycles once full: 14.33 words per event measured unpooled,
+   against 22.36 while each event built a record the journal kept, and
+   33.51 when the journal and the listener each built their own copy.
+   Pooled, a dead packet goes straight back to the pool: 12.71
+   measured, against 21.06 while the network held it until the
+   journal evicted its records. *)
+let observed_ceiling = 15.8
+let pooled_observed_ceiling = 14.2
 
 let test_observed_budget () =
   let w, _, _ =
@@ -513,11 +519,20 @@ let test_pool_live_under_listener () =
   Alcotest.(check bool) "live under network-wide listeners" true
     ((Net.pool_stats net).Pool.recycled > linked)
 
-(* Poison oracle for the probe's journal: under a probe, the pooled
-   network hands a dead packet to the pool only once the journal has
-   evicted every record that names it.  A journal of 512 records wraps
-   many times; one of 65536 wraps once over the ring8 run.  Releasing
-   straight to the pool leaves poisoned packets in both journals. *)
+let journal_jsonl probe =
+  let path = Filename.temp_file "journal" ".jsonl" in
+  Out_channel.with_open_bin path (Probe.write_journal probe);
+  let jsonl = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  jsonl
+
+let md5 s = Digest.to_hex (Digest.string s)
+let md5_lines lines = md5 (String.concat "\n" lines)
+
+(* The probe's journal copies what it keeps, so under a probe a pooled
+   network recycles each packet the moment it dies and the journal
+   still reads as the unpooled one.  A journal of 512 records wraps
+   many times; one of 65536 wraps once over the ring8 run. *)
 let journal_of_ring8 ~capacity ~pooling =
   let probe = Probe.create ~journal_capacity:capacity () in
   let net =
@@ -528,27 +543,15 @@ let journal_of_ring8 ~capacity ~pooling =
       ()
   in
   Net.run ~until:ring8_horizon net;
-  let journal = Probe.journal probe in
-  let poisoned =
-    Telemetry.Journal.fold journal ~init:0 ~f:(fun n ev ->
-        match ev with
-        | Probe.Link { kind; _ } when Pool.is_poisoned (Probe.iface_packet kind) ->
-            n + 1
-        | Probe.Node { kind; _ } when Pool.is_poisoned (Probe.router_packet kind) ->
-            n + 1
-        | _ -> n)
-  in
-  (poisoned, List.map Probe.describe (Telemetry.Journal.to_list journal),
-   Net.pool_stats net)
+  ( List.map Probe.describe (Telemetry.Journal.to_list (Probe.journal probe)),
+    journal_jsonl probe,
+    Net.pool_stats net )
 
 let test_pool_live_under_probe () =
   List.iter
     (fun capacity ->
-      let _, plain, _ = journal_of_ring8 ~capacity ~pooling:false in
-      let poisoned, pooled, stats = journal_of_ring8 ~capacity ~pooling:true in
-      Alcotest.(check int)
-        (Printf.sprintf "capacity %d: no journaled packet poisoned" capacity)
-        0 poisoned;
+      let plain, _, _ = journal_of_ring8 ~capacity ~pooling:false in
+      let pooled, _, stats = journal_of_ring8 ~capacity ~pooling:true in
       Alcotest.(check (list string))
         (Printf.sprintf "capacity %d: pooled journal reads as unpooled" capacity)
         plain pooled;
@@ -563,16 +566,27 @@ let test_pool_live_under_probe () =
    transit from 4 s, a probe and a span tracer.  Everything a user reads
    from the run (verdicts, the oracle's score, the Stats document, the
    journal export and the `trace explain` text) must not depend on
-   pooling. *)
-let pi2_chaos_outputs ~pooling =
+   pooling.  The run also reports the words it allocated per hop. *)
+type pi2_chaos = {
+  verdicts : Core.Pi2_live.detection list;
+  oracle : string;
+  stats : string;
+  jsonl : string;
+  lines : string list;
+  explain : string;
+  pool : Pool.stats;
+  words_per_hop : float;
+}
+
+let pi2_chaos_outputs ?(traced = true) ~pooling () =
   let horizon = 12.0 in
   let g = Topology.Abilene.graph () in
   let n = Topology.Graph.size g in
   let rt = Topology.Routing.compute g in
   let net = Net.create ~seed:1 ~jitter_bound:200e-6 ~pooling ~poison:pooling g in
   Net.use_routing net rt;
-  let tracer = Telemetry.Span.create ~seed:1 () in
-  let probe = Probe.create ~journal_capacity:4096 ~tracer () in
+  let tracer = if traced then Some (Telemetry.Span.create ~seed:1 ()) else None in
+  let probe = Probe.create ~journal_capacity:4096 ?tracer () in
   Net.set_probe net (Some probe);
   let rng = Random.State.make [| 1 |] in
   let pairs =
@@ -609,42 +623,125 @@ let pi2_chaos_outputs ~pooling =
   let pi2 =
     Core.Pi2_live.deploy ~net ~rt ~probe ~ctrl:(Faults.Injector.ctrl plan) ?byz ()
   in
+  let m0 = Gc.minor_words () in
   Net.run ~until:horizon net;
+  let words = Gc.minor_words () -. m0 in
+  let hops =
+    List.fold_left
+      (fun acc i -> acc + Iface.tx_packets i)
+      0
+      (List.concat_map (fun r -> Router.ifaces (Net.router net r)) (List.init n Fun.id))
+  in
   let oracle =
     Faults.Oracle.of_probe ~malicious:[ !attacker ]
       ?byzantine:(Option.map Core.Byz.routers byz)
       ?byz_stats:(Option.map Core.Byz.stats byz) ~attack_start probe
   in
-  let journal = Filename.temp_file "pi2_chaos" ".jsonl" in
-  Out_channel.with_open_bin journal (Probe.write_journal probe);
-  let jsonl = In_channel.with_open_bin journal In_channel.input_all in
-  Sys.remove journal;
+  let jsonl = journal_jsonl probe in
+  let lines = List.map Probe.describe (Telemetry.Journal.to_list (Probe.journal probe)) in
   let explain =
-    match Telemetry.Trace_export.explain (Telemetry.Trace_export.document tracer) with
-    | Ok text -> text
-    | Error e -> Alcotest.failf "trace explain: %s" e
+    match Option.map Telemetry.Trace_export.document tracer with
+    | None -> ""
+    | Some doc -> (
+        match Telemetry.Trace_export.explain doc with
+        | Ok text -> text
+        | Error e -> Alcotest.failf "trace explain: %s" e)
   in
-  ( Core.Pi2_live.detections pi2,
-    Telemetry.Export.to_string (Faults.Oracle.json_report oracle),
-    Telemetry.Export.to_string (Netsim.Stats.to_json (Option.get (Net.stats net))),
-    jsonl,
-    explain,
-    Net.pool_stats net )
+  { verdicts = Core.Pi2_live.detections pi2;
+    oracle = Telemetry.Export.to_string (Faults.Oracle.json_report oracle);
+    stats = Telemetry.Export.to_string (Netsim.Stats.to_json (Option.get (Net.stats net)));
+    jsonl;
+    lines;
+    explain;
+    pool = Net.pool_stats net;
+    words_per_hop = words /. float_of_int (max 1 hops) }
 
 let test_pi2_chaos_pooled () =
-  let verdicts, oracle, stats, jsonl, explain, _ = pi2_chaos_outputs ~pooling:false in
-  let verdicts', oracle', stats', jsonl', explain', pool =
-    pi2_chaos_outputs ~pooling:true
-  in
-  Alcotest.(check bool) "the pool recycled" true (pool.Pool.recycled > 0);
+  let plain = pi2_chaos_outputs ~pooling:false () in
+  let pooled = pi2_chaos_outputs ~pooling:true () in
+  Alcotest.(check bool) "the pool recycled" true (pooled.pool.Pool.recycled > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "verdicts raised (%d)" (List.length verdicts))
-    true (verdicts <> []);
-  Alcotest.(check bool) "verdicts identical" true (compare verdicts verdicts' = 0);
-  Alcotest.(check string) "oracle score identical" oracle oracle';
-  Alcotest.(check string) "Stats document identical" stats stats';
-  Alcotest.(check string) "journal export identical" jsonl jsonl';
-  Alcotest.(check string) "trace explain identical" explain explain'
+    (Printf.sprintf "verdicts raised (%d)" (List.length plain.verdicts))
+    true (plain.verdicts <> []);
+  Alcotest.(check bool) "verdicts identical" true
+    (compare plain.verdicts pooled.verdicts = 0);
+  Alcotest.(check string) "oracle score identical" plain.oracle pooled.oracle;
+  Alcotest.(check string) "Stats document identical" plain.stats pooled.stats;
+  Alcotest.(check string) "journal export identical" plain.jsonl pooled.jsonl;
+  Alcotest.(check string) "trace explain identical" plain.explain pooled.explain
+
+(* The same run, pooled and without the span tracer (as perfbench's
+   pi2-abilene-byz row runs), under its words-per-hop ceiling: the gate
+   on observation's cost.  The probe copies each event into a recycled
+   journal slot and the listeners borrow one view per interface, so an
+   observed hop builds no event record: 41.95 words per hop measured,
+   against 72.66 while each event built a record, a payload
+   constructor and a journal wrapper and the journal kept the packet
+   alive. *)
+let pi2_chaos_ceiling = 45.0
+
+let test_pi2_chaos_hop_budget () =
+  let w = (pi2_chaos_outputs ~traced:false ~pooling:true ()).words_per_hop in
+  Alcotest.(check bool)
+    (Printf.sprintf "pi2 chaos %.2f w/hop under %.1f ceiling" w pi2_chaos_ceiling)
+    true (w < pi2_chaos_ceiling)
+
+(* Journals that have wrapped many times, pinned byte for byte: the
+   pi2 chaos run's 4,096-record journal and the ring8 probe's
+   512-record one, as JSONL ({!Probe.write_journal}) and as
+   {!Probe.describe} lines.  The digests were recorded while the
+   journal still kept the listeners' event records and the packets
+   they named. *)
+let test_wrapped_journal_golden () =
+  let pi2 = pi2_chaos_outputs ~pooling:false () in
+  Alcotest.(check string) "pi2 chaos journal JSONL" "1284475a6a8e7f5b25a412aeeb141018"
+    (md5 pi2.jsonl);
+  Alcotest.(check string) "pi2 chaos journal lines" "b01c23b5c13f40064a83571051b36b91"
+    (md5_lines pi2.lines);
+  let lines, jsonl, _ = journal_of_ring8 ~capacity:512 ~pooling:false in
+  Alcotest.(check string) "ring8 512-record journal JSONL"
+    "a7286fd3f24aaa425e63595d81a6d9ba" (md5 jsonl);
+  Alcotest.(check string) "ring8 512-record journal lines"
+    "f64461dd08402a7e2aa8fe1e6fef890a" (md5_lines lines)
+
+(* Poison mode guards the borrowed view: a listener that makes its own
+   interface emit again before it returns — here a [Transmit_start]
+   listener enqueueing on the same interface — would overwrite the view
+   under the consumers still to run, and raises instead. *)
+let test_reentrant_emission_raises () =
+  let g = Topology.Generate.line ~n:2 in
+  let net = Net.create ~seed:1 ~jitter_bound:0.0 ~pooling:true ~poison:true g in
+  Net.use_routing net (Topology.Routing.compute g);
+  let iface = Option.get (Net.iface net ~src:0 ~dst:1) in
+  let packet () = Net.make_packet net ~src:0 ~dst:1 ~flow:1 ~size:100 Packet.Udp in
+  Net.subscribe_link net ~src:0 ~dst:1 (fun ev ->
+      match ev.Net.kind with Iface.Transmit_start -> Iface.enqueue iface (packet ()) | _ -> ());
+  Alcotest.check_raises "emission into a busy view"
+    (Invalid_argument "Net: emission into a view its listeners are still reading")
+    (fun () -> Net.originate net (packet ()))
+
+(* ... and the observed runs never trip it: the ring8 reference scenario
+   under a probe, χ, Fatih and network-wide listeners, and the pi2
+   chaos run, both pooled and poisoned. *)
+let test_observed_runs_never_reenter () =
+  let heard = ref 0 in
+  let net =
+    ring8_net ~pooling:true ~poison:true
+      ~install:(fun net g ->
+        let rt = Topology.Routing.compute g in
+        Net.use_routing net rt;
+        Net.set_probe net (Some (Probe.create ~journal_capacity:512 ()));
+        ignore (Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ());
+        ignore (Core.Fatih.deploy ~net ~rt ());
+        Net.subscribe_iface net (fun _ -> incr heard);
+        Net.subscribe_router net (fun _ -> incr heard))
+      ()
+  in
+  Net.run ~until:ring8_horizon net;
+  Alcotest.(check bool) "ring8: events heard" true (!heard > 0);
+  let pi2 = pi2_chaos_outputs ~pooling:true () in
+  Alcotest.(check bool) "pi2 chaos: the pool recycled" true
+    (pi2.pool.Pool.recycled > 0)
 
 (* Poison mode: a released packet is stamped loudly wrong, so a stale
    holder (the injected use-after-free) reads the sentinel instead of
@@ -768,6 +865,8 @@ let () =
           Alcotest.test_case "fatih hop with a byzantine plan under ceiling" `Quick
             test_byz_fatih_hop_budget;
           Alcotest.test_case "chi hop under ceiling" `Quick test_chi_hop_budget;
+          Alcotest.test_case "pi2 chaos hop under ceiling" `Quick
+            test_pi2_chaos_hop_budget;
           Alcotest.test_case "chi round allocation flat in its arrivals" `Quick
             test_chi_round_flat ] );
       ( "poison",
@@ -781,5 +880,11 @@ let () =
             test_pool_live_under_probe;
           Alcotest.test_case "pi2 byzantine chaos: pooled run identical" `Quick
             test_pi2_chaos_pooled;
+          Alcotest.test_case "wrapped journals byte-identical" `Quick
+            test_wrapped_journal_golden;
+          Alcotest.test_case "re-entrant emission into a borrowed view raises" `Quick
+            test_reentrant_emission_raises;
+          Alcotest.test_case "observed runs never re-enter a view" `Quick
+            test_observed_runs_never_reenter;
           Alcotest.test_case "freelist growth and counters" `Quick
             test_pool_grows_and_counts ] ) ]

@@ -67,8 +67,8 @@ let test_ecmp_forwarding_matches_prediction () =
   let seen = Hashtbl.create 16 in
   Net.subscribe_iface net (fun ev ->
       match ev.Net.kind with
-      | Iface.Transmit_start pkt when ev.Net.router = 1 ->
-          Hashtbl.replace seen pkt.Packet.flow ev.Net.next
+      | Iface.Transmit_start when ev.Net.router = 1 ->
+          Hashtbl.replace seen ev.Net.pkt.Packet.flow ev.Net.next
       | _ -> ());
   let flows =
     List.map
@@ -306,7 +306,7 @@ let test_corruption_drops_in_flight () =
   Net.set_link_corruption net ~src:0 ~dst:1 0.2;
   let corrupted = ref 0 and delivered = ref 0 in
   Net.subscribe_iface net (fun ev ->
-      match ev.Net.kind with Iface.Drop_corrupted _ -> incr corrupted | _ -> ());
+      match ev.Net.kind with Iface.Drop_corrupted -> incr corrupted | _ -> ());
   Net.attach_app net ~node:1 (fun _ -> incr delivered);
   let f = Flow.cbr net ~src:0 ~dst:1 ~rate_pps:100.0 ~size:400 ~start:0.0 ~stop:10.0 in
   Net.run net;
@@ -341,11 +341,12 @@ let test_order_policy_sees_delay_attack () =
   let sent = Core.Summary.create Core.Summary.Order in
   let received = Core.Summary.create Core.Summary.Order in
   Net.subscribe_iface net (fun ev ->
+      let pkt = ev.Net.pkt in
       match ev.Net.kind with
-      | Iface.Delivered pkt when ev.Net.router = 0 && ev.Net.next = 1 ->
+      | Iface.Delivered when ev.Net.router = 0 && ev.Net.next = 1 ->
           Core.Summary.observe sent ~fp:(Packet.fingerprint key pkt)
             ~size:pkt.Packet.size ~time:ev.Net.time
-      | Iface.Delivered pkt when ev.Net.router = 1 && ev.Net.next = 2 ->
+      | Iface.Delivered when ev.Net.router = 1 && ev.Net.next = 2 ->
           Core.Summary.observe received ~fp:(Packet.fingerprint key pkt)
             ~size:pkt.Packet.size ~time:ev.Net.time
       | _ -> ());

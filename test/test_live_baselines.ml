@@ -167,7 +167,7 @@ let test_pin_flow_path () =
   let hops = ref [] in
   Net.subscribe_iface net (fun ev ->
       match ev.Net.kind with
-      | Iface.Transmit_start pkt when pkt.Packet.flow = 4242 ->
+      | Iface.Transmit_start when ev.Net.pkt.Packet.flow = 4242 ->
           hops := ev.Net.router :: !hops
       | _ -> ());
   Net.originate net
