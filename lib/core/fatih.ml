@@ -96,7 +96,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
      built from [received]; only the MAC work is counted twice. *)
   let closing = if Option.is_some byz then 2 else 1 in
   Netsim.Net.subscribe_iface net
-    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
+    ~kinds:Netsim.Iface.(kinds [ Delivered; Drop_link_down ])
     (fun ev ->
       let observed =
         match Seg_index.observe t.index ev with

@@ -17,7 +17,7 @@ let attach ~net () =
       transit_in = Hashtbl.create 64; transit_out = Hashtbl.create 64 }
   in
   Netsim.Net.subscribe_iface net
-    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Transmit_start ])
+    ~kinds:Netsim.Iface.(kinds [ Delivered; Transmit_start ])
     (fun ev ->
       let pkt = ev.Netsim.Net.pkt in
       match ev.Netsim.Net.kind with
@@ -33,12 +33,8 @@ let attach ~net () =
           if pkt.Netsim.Packet.src = u then bump t.originated (u, dst)
           else bump t.transit_out u
       | _ -> ());
-  Netsim.Net.subscribe_router net
-    ~kinds:(Netsim.Router.kinds [ `Delivered_local ])
-    (fun ev ->
-      match ev.Netsim.Net.kind with
-      | Netsim.Router.Delivered_local _ -> bump t.consumed ev.Netsim.Net.router
-      | _ -> ());
+  Netsim.Net.subscribe_router net ~kinds:Netsim.Router.(kinds [ Delivered_local ])
+    (fun ev -> bump t.consumed ev.Netsim.Net.router);
   t
 
 let received t ~router ~from_ ~dst = get t.recv (router, from_, dst)

@@ -69,7 +69,7 @@ let deploy ~net ~rt ?probe ?ctrl ?byz () =
   in
   let segments = Seg_index.segments index and states = Seg_index.states index in
   Netsim.Net.subscribe_iface net
-    ~kinds:(Netsim.Iface.kinds [ `Delivered; `Drop_link_down ])
+    ~kinds:Netsim.Iface.(kinds [ Delivered; Drop_link_down ])
     (fun ev -> ignore (Seg_index.observe index ev));
   let sim = Netsim.Net.sim net in
   let report seg ~pos ~router truth =

@@ -237,11 +237,11 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
     | _ -> ()
   in
   Netsim.Net.subscribe_link net
-    ~kinds:(Netsim.Iface.kinds [ `Transmit_start; `Enqueued; `Drop_link_down ])
+    ~kinds:Netsim.Iface.(kinds [ Transmit_start; Enqueued; Drop_link_down ])
     ~src:router ~dst:next on_queue;
   for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
     if Netsim.Net.iface net ~src:u ~dst:router <> None then
-      Netsim.Net.subscribe_link net ~kinds:(Netsim.Iface.kinds [ `Delivered ]) ~src:u
+      Netsim.Net.subscribe_link net ~kinds:Netsim.Iface.(kinds [ Delivered ]) ~src:u
         ~dst:router on_in_link
   done;
   t

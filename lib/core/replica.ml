@@ -27,7 +27,7 @@ let deploy ~net ~rt ~router ~next () =
   in
   (* The replica hears r's in-links and the monitored link only. *)
   Netsim.Net.subscribe_link net
-    ~kinds:(Netsim.Iface.kinds [ `Enqueued; `Transmit_start ])
+    ~kinds:Netsim.Iface.(kinds [ Enqueued; Transmit_start ])
     ~src:router ~dst:next (fun ev ->
       let pkt = ev.Netsim.Net.pkt in
       match ev.Netsim.Net.kind with
@@ -38,7 +38,7 @@ let deploy ~net ~rt ~router ~next () =
       | _ -> ());
   for u = 0 to Topology.Graph.size (Netsim.Net.graph net) - 1 do
     if Netsim.Net.iface net ~src:u ~dst:router <> None then
-      Netsim.Net.subscribe_link net ~kinds:(Netsim.Iface.kinds [ `Delivered ]) ~src:u
+      Netsim.Net.subscribe_link net ~kinds:Netsim.Iface.(kinds [ Delivered ]) ~src:u
         ~dst:router (fun ev ->
           let pkt = ev.Netsim.Net.pkt in
           match ev.Netsim.Net.kind with

@@ -177,11 +177,8 @@ let corruption_ablation () =
             Netsim.Net.set_link_corruption net ~src:0 ~dst:3 ber;
             let corrupted = ref 0 in
             Netsim.Net.subscribe_iface net
-              ~kinds:(Netsim.Iface.kinds [ `Drop_corrupted ])
-              (fun ev ->
-                match ev.Netsim.Net.kind with
-                | Netsim.Iface.Drop_corrupted -> incr corrupted
-                | _ -> ());
+              ~kinds:Netsim.Iface.(kinds [ Drop_corrupted ])
+              (fun _ -> incr corrupted);
             let config =
               { Chi.default_config with Chi.tau = 2.0; min_suspicious } in
             let chi = Chi.deploy ~net ~rt ~router:3 ~next:4 ~config () in

@@ -17,8 +17,8 @@ let trial ~seed ~attacker =
   let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 3 } in
   let fleet = Core.Chi_fleet.deploy ~net ~rt ~config () in
   let malicious = ref 0 in
-  Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
+  Net.subscribe_router net ~kinds:Router.(kinds [ Malicious_drop ]) (fun _ ->
+      incr malicious);
   (* Flows chosen so the attacker actually carries transit (preferential
      topologies concentrate transit on hubs), plus random background. *)
   let n = Topology.Graph.size g in

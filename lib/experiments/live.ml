@@ -83,7 +83,8 @@ let render ~now ~duration st =
       Array.init (Ts.used ts) (fun i ->
           let c = Ts.bucket_count ts i in
           if c = 0 then 0
-          else int_of_float (Float.round (Ts.bucket_sum ts i /. float_of_int c)))
+          else
+            int_of_float (Float.round (float_of_int (Ts.bucket_sum ts i) /. float_of_int c)))
     in
     line "  r%-2d %s" r (spark means)
   done;

@@ -28,12 +28,10 @@ type ground_truth = {
 
 let watch_ground_truth net =
   let gt = { malicious_drops = 0; congestion_drops = 0; red_drops = 0 } in
-  Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
-      match ev.Net.kind with
-      | Router.Malicious_drop _ -> gt.malicious_drops <- gt.malicious_drops + 1
-      | _ -> ());
+  Net.subscribe_router net ~kinds:Router.(kinds [ Malicious_drop ]) (fun _ ->
+      gt.malicious_drops <- gt.malicious_drops + 1);
   Net.subscribe_link net
-    ~kinds:(Iface.kinds [ `Drop_congestion; `Drop_red_early ])
+    ~kinds:Iface.(kinds [ Drop_congestion; Drop_red_early ])
     ~src:bottleneck_router ~dst:sink (fun ev ->
       match ev.Net.kind with
       | Iface.Drop_congestion -> gt.congestion_drops <- gt.congestion_drops + 1
@@ -85,7 +83,7 @@ let victim_meter net ~duration ~tau flow =
   let sim = Net.sim net in
   Net.attach_app net ~node:sink (fun pkt ->
       if pkt.Packet.flow = flow then
-        Ts.record ts ~time:(Sim.now sim) (float_of_int pkt.Packet.size));
+        Ts.record ts ~time:(Sim.now sim) pkt.Packet.size);
   ts
 
 let run_droptail ?(seed = 21) ?(duration = default_duration)
@@ -159,7 +157,7 @@ let droptail_section ~title (run : droptail_run) =
           for i = 0 to Ts.used ts - 1 do
             (* Bucket i ends at the start of bucket i + 1. *)
             if Float.abs (Ts.bucket_start ts (i + 1) -. at) < 0.5 then
-              acc := !acc +. (Ts.bucket_sum ts i /. Ts.resolution ts)
+              acc := !acc +. (float_of_int (Ts.bucket_sum ts i) /. Ts.resolution ts)
           done;
           !acc)
         0.0 run.victim_meters

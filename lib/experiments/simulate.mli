@@ -21,8 +21,8 @@ type attack = No_attack | Drop_all | Drop_fraction of float | Drop_syn | Queue_c
 
 (** The full scenario description — one record instead of a dozen
     labeled arguments, validated before anything is simulated.  Build
-    it with {!Config.make_exn} or {!Config.of_cmdline} rather than a
-    record literal. *)
+    it from {!Config.default} ([{ Config.default with protocol = "chi" }])
+    or with {!Config.of_cmdline}; {!run} validates it either way. *)
 module Config : sig
   type t = {
     topo : topo;
@@ -44,30 +44,12 @@ module Config : sig
   (** Ring topology, fatih, 20% drop fraction at router 2, 60 s, seed 1,
       8 flows, no trace, no exports, trace sampling at 1.0, no faults. *)
 
-  val make_exn :
-    ?protocol:string ->
-    ?attack:attack ->
-    ?attacker:int ->
-    ?duration:float ->
-    ?seed:int ->
-    ?flows:int ->
-    ?trace:int ->
-    ?metrics:string ->
-    ?journal:string ->
-    ?trace_out:string ->
-    ?trace_sample:float ->
-    ?faults:string ->
-    topo ->
-    t
-  (** Build and {!validate} a configuration; unstated fields take the
-      {!default}s.  Raises [Invalid_argument] on rejection. *)
-
   val validate : t -> (t, string) result
-  (** Reject non-positive duration, fewer than one flow, a negative
-      trace length, a sample rate outside [0,1], a protocol name absent
-      from {!Core.Detectors.all}, an attacker id outside the
-      chosen topology and a drop/queue fraction outside [0,1] — before
-      any simulation state is built. *)
+  (** Reject a non-positive duration or one above a million seconds,
+      fewer than one flow, a negative trace length, a sample rate
+      outside [0,1], a protocol name absent from {!Core.Detectors.all},
+      an attacker id outside the chosen topology and a drop/queue
+      fraction outside [0,1] — before any simulation state is built. *)
 
   val of_cmdline :
     topology:string ->

@@ -32,7 +32,7 @@ let measure ~flows =
   let conns = List.init flows (fun src -> Tcp.connect net ~src ~dst:sink ()) in
   let sent = ref 0 and dropped = ref 0 in
   Net.subscribe_link net
-    ~kinds:(Iface.kinds [ `Enqueued; `Drop_congestion ])
+    ~kinds:Iface.(kinds [ Enqueued; Drop_congestion ])
     ~src:bottleneck ~dst:sink (fun ev ->
       match ev.Net.kind with
       | Iface.Enqueued -> incr sent

@@ -26,10 +26,10 @@ let run_one ~attack ~congested =
   (* χ watches the queue the attacker (router 1) feeds toward 2. *)
   let chi = Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ~config:chi_config () in
   let malicious = ref 0 and congestion = ref 0 in
-  Net.subscribe_router net ~kinds:(Router.kinds [ `Malicious_drop ]) (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
-  Net.subscribe_iface net ~kinds:(Iface.kinds [ `Drop_congestion ]) (fun ev ->
-      match ev.Net.kind with Iface.Drop_congestion -> incr congestion | _ -> ());
+  Net.subscribe_router net ~kinds:Router.(kinds [ Malicious_drop ]) (fun _ ->
+      incr malicious);
+  Net.subscribe_iface net ~kinds:Iface.(kinds [ Drop_congestion ]) (fun _ ->
+      incr congestion);
   List.iter
     (fun (s, d) ->
       ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:60.0 ~size:400 ~start:0.0 ~stop:40.0))

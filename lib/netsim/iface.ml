@@ -25,18 +25,6 @@ let b_transmit_start = 32
 let b_delivered = 64
 let all_kinds = 127
 
-let kind_bit = function
-  | `Enqueued -> b_enqueued
-  | `Drop_congestion -> b_drop_congestion
-  | `Drop_red_early -> b_drop_red_early
-  | `Drop_link_down -> b_drop_link_down
-  | `Drop_corrupted -> b_drop_corrupted
-  | `Transmit_start -> b_transmit_start
-  | `Delivered -> b_delivered
-
-let kinds l = List.fold_left (fun acc k -> acc lor kind_bit k) 0 l
-let union = ( lor )
-
 let event_bit = function
   | Enqueued -> b_enqueued
   | Drop_congestion -> b_drop_congestion
@@ -46,6 +34,8 @@ let event_bit = function
   | Transmit_start -> b_transmit_start
   | Delivered -> b_delivered
 
+let kinds l = List.fold_left (fun acc ev -> acc lor event_bit ev) 0 l
+let union = ( lor )
 let wants k ev = k land event_bit ev <> 0
 
 type queue = Fifo of Queue_fifo.t | Red_q of Red.t

@@ -68,16 +68,8 @@ type kinds
 (** A set of event kinds: what one consumer reads.  An interface reports
     a transition only when its kind is in the set it observes. *)
 
-val kinds :
-  [ `Enqueued
-  | `Drop_congestion
-  | `Drop_red_early
-  | `Drop_link_down
-  | `Drop_corrupted
-  | `Transmit_start
-  | `Delivered ] list ->
-  kinds
-(** The set of the listed kinds, named after the {!event} constructors. *)
+val kinds : event list -> kinds
+(** The set of the listed kinds: [kinds [ Delivered; Drop_link_down ]]. *)
 
 val all_kinds : kinds
 

@@ -2,19 +2,17 @@ type queue_spec =
   | Droptail of int
   | Red of Red.params
 
-type iface_event = Probe.iface_view = {
+type 'kind view = 'kind Probe.view = {
   mutable time : float;
   router : int;
-  next : int;
-  mutable kind : Iface.event;
+  mutable next : int;
+  mutable kind : 'kind;
   mutable pkt : Packet.t;
+  mutable arg : float;
 }
 
-type router_event = Probe.router_view = {
-  mutable time : float;
-  router : int;
-  mutable kind : Router.event;
-}
+type iface_event = Iface.event view
+type router_event = Router.event view
 
 type t = {
   sim : Sim.t;
@@ -114,20 +112,14 @@ let set_probe t probe =
 let stats t = Option.bind t.probe Probe.stats
 
 (* One view per interface and per router, overwritten at each emission
-   and lent to the probe and to every listener that declared its kind.
-   Apps get delivered packets the same way; the walks build no closure
-   per call. *)
-let rec notify_iface (ev : iface_event) = function
+   and lent to the probe and to every listener that declared its kind
+   ([wants] is the layer's kind test).  Apps get delivered packets the
+   same way; the walks build no closure per call. *)
+let rec notify wants (ev : _ view) = function
   | [] -> ()
   | (kinds, f) :: rest ->
-      if Iface.wants kinds ev.kind then f ev;
-      notify_iface ev rest
-
-let rec notify_router (ev : router_event) = function
-  | [] -> ()
-  | (kinds, f) :: rest ->
-      if Router.wants kinds ev.kind then f ev;
-      notify_router ev rest
+      if wants kinds ev.kind then f ev;
+      notify wants ev rest
 
 let rec notify_apps pkt = function
   | [] -> ()
@@ -143,27 +135,28 @@ let lend t busy =
     busy := true
   end
 
-(* A float stored into a view boxes, so the time is stored only when it
-   moved: an uncongested hop enqueues and starts transmitting at one
-   instant. *)
-let emit_iface t busy (ev : iface_event) kind pkt =
+(* The one emit path of both layers: fill the view, then lend it to the
+   probe ([hear] is its hook for the layer), the network-wide
+   listeners and the listeners on this link ([scoped]).  A float stored
+   into a view boxes, so the time is stored only when it moved: an
+   uncongested hop enqueues and starts transmitting at one instant.
+   [arg] is a boxed float already (a constant, or the router's), so
+   storing it boxes nothing. *)
+let emit t busy (ev : _ view) hear wants listeners scoped kind next pkt arg =
   lend t busy;
   if ev.time <> t.clock.f then ev.time <- t.clock.f;
   ev.kind <- kind;
+  ev.next <- next;
   ev.pkt <- pkt;
-  (match t.probe with Some p -> Probe.on_iface p ev | None -> ());
-  notify_iface ev t.iface_listeners;
-  if Array.length t.link_listeners > 0 then
-    notify_iface ev (link_subscribers ev.next t.link_listeners.(ev.router));
+  ev.arg <- arg;
+  (match t.probe with Some p -> hear p ev | None -> ());
+  notify wants ev listeners;
+  notify wants ev scoped;
   busy := false
 
-let emit_router t busy (ev : router_event) kind =
-  lend t busy;
-  if ev.time <> t.clock.f then ev.time <- t.clock.f;
-  ev.kind <- kind;
-  (match t.probe with Some p -> Probe.on_router p ev | None -> ());
-  notify_router ev t.router_listeners;
-  busy := false
+let scoped_listeners t (ev : iface_event) =
+  if Array.length t.link_listeners = 0 then []
+  else link_subscribers ev.next t.link_listeners.(ev.router)
 
 let emit_originate t pkt =
   match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
@@ -197,10 +190,15 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   t.routers <-
     Array.init n (fun id ->
         let local_apps = t.apps.(id) in
-        let view = { time = 0.0; router = id; kind = Router.No_route placeholder } in
+        let view =
+          { time = 0.0; router = id; next = -1; kind = Router.No_route; pkt = placeholder;
+            arg = 0.0 }
+        in
         let busy = ref false in
         Router.create ~sim ~id ~n ~jitter_bound ~release
-          ~on_event:(fun _ kind -> emit_router t busy view kind)
+          ~on_event:(fun kind ~next pkt arg ->
+            emit t busy view Probe.on_router Router.wants t.router_listeners [] kind next
+              pkt arg)
           ~local_deliver:(fun pkt -> notify_apps pkt !local_apps)
           ());
   let queue_kind =
@@ -211,12 +209,14 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       let rdst = t.routers.(l.Topology.Graph.dst) in
       let view =
         { time = 0.0; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
-          kind = Iface.Enqueued; pkt = placeholder }
+          kind = Iface.Enqueued; pkt = placeholder; arg = 0.0 }
       in
       let busy = ref false in
       let iface =
         Iface.create ~sim ~link:l ~kind:queue_kind ~release
-          ~on_event:(fun kind pkt -> emit_iface t busy view kind pkt)
+          ~on_event:(fun kind pkt ->
+            emit t busy view Probe.on_iface Iface.wants t.iface_listeners
+              (scoped_listeners t view) kind view.next pkt 0.0)
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
           ()
       in

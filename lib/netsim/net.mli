@@ -8,25 +8,32 @@ type queue_spec =
   | Droptail of int         (** byte limit for every output queue *)
   | Red of Red.params
 
-type iface_event = Probe.iface_view = {
+type 'kind view = 'kind Probe.view = {
   mutable time : float;
-  router : int;            (** owner of the queue *)
-  next : int;              (** neighbour the queue feeds *)
-  mutable kind : Iface.event;
-  mutable pkt : Packet.t;  (** the packet the transition is about *)
+  router : int;            (** the router, or the owner of the queue *)
+  mutable next : int;      (** the neighbour; [-1] when the event names none *)
+  mutable kind : 'kind;    (** a constant constructor *)
+  mutable pkt : Packet.t;  (** the packet the event is about *)
+  mutable arg : float;     (** the event's one scalar, [0.] when it has none *)
 }
-(** A queue/link observation.  The network keeps one per interface,
-    with [router] and [next] fixed, overwrites [time], [kind] and [pkt]
-    at each emission, and lends it to the probe and to every listener
-    in turn (see {!subscribe_iface}). *)
+(** One observation, of either layer: both have one shape, a constant
+    kind beside the packet.  The network keeps one view per interface
+    and one per router, overwrites the mutable fields at each emission
+    (one emit path for both layers), and lends it to the probe and to
+    every listener in turn (see {!subscribe_iface}).
 
-type router_event = Probe.router_view = {
-  mutable time : float;
-  router : int;
-  mutable kind : Router.event;
-}
-(** A router observation: one per router, overwritten and lent the
-    same way. *)
+    An interface's view has [router] and [next] fixed to its link's
+    ends, and [arg] is always [0.].  A router's view carries what
+    {!Router.create} reports: the output neighbour of a malicious drop,
+    modify, delay, fabrication or fragmentation ([-1] for the other
+    kinds), and as [arg] a [Fragmented] event's fragment count or a
+    [Malicious_delay]'s delay in seconds. *)
+
+type iface_event = Iface.event view
+(** A queue/link observation. *)
+
+type router_event = Router.event view
+(** A router observation. *)
 
 type t
 

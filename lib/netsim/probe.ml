@@ -1,12 +1,14 @@
-type iface_view = {
+type 'kind view = {
   mutable time : float;
   router : int;
-  next : int;
-  mutable kind : Iface.event;
+  mutable next : int;
+  mutable kind : 'kind;
   mutable pkt : Packet.t;
+  mutable arg : float;
 }
 
-type router_view = { mutable time : float; router : int; mutable kind : Router.event }
+type iface_view = Iface.event view
+type router_view = Router.event view
 
 type verdict = Telemetry.Span.verdict
 
@@ -28,23 +30,13 @@ type stamp = {
 
 type layer = Link | Node | Verdict of verdict | Fault of fault_record
 
-type router_kind =
-  [ `Malicious_drop
-  | `Fragmented
-  | `Malicious_modify
-  | `Malicious_delay
-  | `Fabricated
-  | `No_route
-  | `Ttl_expired
-  | `Delivered_local ]
-
 type entry = {
   stamp : stamp;
   mutable layer : layer;
   mutable link : Iface.event;  (* a Link entry's kind *)
-  mutable node : router_kind;  (* a Node entry's kind *)
+  mutable node : Router.event;  (* a Node entry's kind *)
   mutable router : int;
-  mutable next : int;          (* a Link entry's neighbour *)
+  mutable next : int;
   (* The packet's content, as {!describe} and the JSONL export read it. *)
   mutable uid : int;
   mutable src : int;
@@ -77,20 +69,11 @@ type t = {
   mutable faults : int;
 }
 
-let router_packet = function
-  | Router.Malicious_drop { pkt; _ }
-  | Router.Malicious_modify { pkt; _ }
-  | Router.Malicious_delay { pkt; _ }
-  | Router.Fabricated { pkt; _ } ->
-      pkt
-  | Router.Fragmented { original; _ } -> original
-  | Router.No_route pkt | Router.Ttl_expired pkt | Router.Delivered_local pkt -> pkt
-
 (* --- journal slots --- *)
 
 let blank () =
   { stamp = { at = 0.0; arg = 0.0 }; layer = Link; link = Iface.Enqueued;
-    node = `No_route; router = -1; next = -1; uid = 0; src = 0; dst = 0; flow = 0;
+    node = Router.No_route; router = -1; next = -1; uid = 0; src = 0; dst = 0; flow = 0;
     size = 0; proto = Packet.Udp }
 
 let fill_packet e (p : Packet.t) =
@@ -101,32 +84,21 @@ let fill_packet e (p : Packet.t) =
   e.size <- p.Packet.size;
   e.proto <- p.Packet.proto
 
-let fill_iface e (v : iface_view) =
+let fill e layer (v : _ view) =
   e.stamp.at <- v.time;
-  e.layer <- Link;
-  e.link <- v.kind;
+  e.stamp.arg <- v.arg;
+  e.layer <- layer;
   e.router <- v.router;
   e.next <- v.next;
   fill_packet e v.pkt
 
+let fill_iface e (v : iface_view) =
+  fill e Link v;
+  e.link <- v.kind
+
 let fill_router e (v : router_view) =
-  e.stamp.at <- v.time;
-  e.layer <- Node;
-  e.router <- v.router;
-  (match v.kind with
-  | Router.Malicious_drop _ -> e.node <- `Malicious_drop
-  | Router.Fragmented { fragments; _ } ->
-      e.node <- `Fragmented;
-      e.stamp.arg <- float_of_int fragments
-  | Router.Malicious_modify _ -> e.node <- `Malicious_modify
-  | Router.Malicious_delay { delay; _ } ->
-      e.node <- `Malicious_delay;
-      e.stamp.arg <- delay
-  | Router.Fabricated _ -> e.node <- `Fabricated
-  | Router.No_route _ -> e.node <- `No_route
-  | Router.Ttl_expired _ -> e.node <- `Ttl_expired
-  | Router.Delivered_local _ -> e.node <- `Delivered_local);
-  fill_packet e (router_packet v.kind)
+  fill e Node v;
+  e.node <- v.kind
 
 (* The slot the next record fills: the one the ring is about to evict,
    or a fresh one while it is still filling. *)
@@ -230,28 +202,31 @@ let trace_iface t sp (v : iface_view) =
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
       end
 
+let journal_view t fill v =
+  let e = slot t in
+  fill e v;
+  Telemetry.Journal.record t.journal e
+
 let on_iface t (v : iface_view) =
   (match t.stats with
   | Some st -> Stats.on_iface st ~time:v.time ~router:v.router v.kind
   | None -> ());
-  let e = slot t in
-  fill_iface e v;
-  Telemetry.Journal.record t.journal e;
+  journal_view t fill_iface v;
   match t.tracer with Some sp -> trace_iface t sp v | None -> ()
 
-let trace_router t sp ~time ~router (ev : Router.event) =
-  let pkt = router_packet ev in
+let trace_router t sp (v : router_view) =
+  let pkt = v.pkt and time = v.time and router = v.router in
   let trace = pkt.Packet.trace in
   let name, cat =
-    match ev with
-    | Router.Malicious_drop _ -> ("malicious drop", "malice")
-    | Router.Malicious_modify _ -> ("malicious modify", "malice")
-    | Router.Malicious_delay _ -> ("malicious delay", "malice")
-    | Router.Fabricated _ -> ("fabricate", "malice")
-    | Router.Fragmented _ -> ("fragment", "hop")
-    | Router.No_route _ -> ("drop no_route", "drop")
-    | Router.Ttl_expired _ -> ("drop ttl_expired", "drop")
-    | Router.Delivered_local _ -> ("deliver", "packet")
+    match v.kind with
+    | Router.Malicious_drop -> ("malicious drop", "malice")
+    | Router.Malicious_modify -> ("malicious modify", "malice")
+    | Router.Malicious_delay -> ("malicious delay", "malice")
+    | Router.Fabricated -> ("fabricate", "malice")
+    | Router.Fragmented -> ("fragment", "hop")
+    | Router.No_route -> ("drop no_route", "drop")
+    | Router.Ttl_expired -> ("drop ttl_expired", "drop")
+    | Router.Delivered_local -> ("deliver", "packet")
   in
   (* Anomalies (malice and drops) are always recorded; routine
      hop/delivery events only for sampled packets. *)
@@ -261,13 +236,11 @@ let trace_router t sp ~time ~router (ev : Router.event) =
     let args =
       ("pkt", Telemetry.Export.Int pkt.Packet.uid)
       ::
-      (match ev with
-      | Router.Delivered_local _ ->
+      (match v.kind with
+      | Router.Delivered_local ->
           [ ("latency", Telemetry.Export.Float (time -. pkt.Packet.created)) ]
-      | Router.Malicious_delay { delay; _ } ->
-          [ ("delay", Telemetry.Export.Float delay) ]
-      | Router.Fragmented { fragments; _ } ->
-          [ ("fragments", Telemetry.Export.Int fragments) ]
+      | Router.Malicious_delay -> [ ("delay", Telemetry.Export.Float v.arg) ]
+      | Router.Fragmented -> [ ("fragments", Telemetry.Export.Int (int_of_float v.arg)) ]
       | _ -> [])
     in
     ignore
@@ -278,14 +251,10 @@ let trace_router t sp ~time ~router (ev : Router.event) =
 
 let on_router t (v : router_view) =
   (match t.stats with
-  | Some st -> Stats.on_router st ~time:v.time ~router:v.router v.kind
+  | Some st -> Stats.on_router st ~time:v.time ~router:v.router v.kind v.pkt v.arg
   | None -> ());
-  let e = slot t in
-  fill_router e v;
-  Telemetry.Journal.record t.journal e;
-  match t.tracer with
-  | Some sp -> trace_router t sp ~time:v.time ~router:v.router v.kind
-  | None -> ()
+  journal_view t fill_router v;
+  match t.tracer with Some sp -> trace_router t sp v | None -> ()
 
 (* A verdict or fault entry rides in the same ring, so the journal
    keeps the order of all three layers. *)
@@ -402,14 +371,14 @@ let link_name = function
 
 let node_name e =
   match e.node with
-  | `Malicious_drop -> "MALICIOUS-drop"
-  | `Malicious_modify -> "MALICIOUS-modify"
-  | `Malicious_delay -> Printf.sprintf "MALICIOUS-delay(%.3fs)" e.stamp.arg
-  | `Fabricated -> "MALICIOUS-fabricate"
-  | `Fragmented -> Printf.sprintf "fragment(x%d)" (int_of_float e.stamp.arg)
-  | `No_route -> "no-route"
-  | `Ttl_expired -> "ttl-expired"
-  | `Delivered_local -> "local-deliver"
+  | Router.Malicious_drop -> "MALICIOUS-drop"
+  | Router.Malicious_modify -> "MALICIOUS-modify"
+  | Router.Malicious_delay -> Printf.sprintf "MALICIOUS-delay(%.3fs)" e.stamp.arg
+  | Router.Fabricated -> "MALICIOUS-fabricate"
+  | Router.Fragmented -> Printf.sprintf "fragment(x%d)" (int_of_float e.stamp.arg)
+  | Router.No_route -> "no-route"
+  | Router.Ttl_expired -> "ttl-expired"
+  | Router.Delivered_local -> "local-deliver"
 
 let describe_packet e =
   let proto =

@@ -15,13 +15,15 @@
 
     Every hook below forwards to {!Stats}, and {!conservation} is read
     back from it.  [Net] lends the probe, and then its listeners, one
-    view per interface or router ({!iface_view} / {!router_view} are
+    {!view} per interface or router ({!iface_view} / {!router_view} are
     [Net.iface_event] / [Net.router_event]), overwritten at each
-    emission.  The journal keeps neither the view nor its packet: each
-    entry is a slot of scalars (time, router, neighbour, kind, the
-    packet's uid, addresses, flow, size and protocol header) copied
-    during the call, and once the ring has wrapped the evicted slot is
-    refilled in place.  So a journal names no packet: a dead packet
+    emission: both layers have the one shape, a constant kind beside
+    the packet, the neighbour and a scalar.  The journal keeps neither
+    the view nor its packet: each entry is a slot of scalars (time,
+    scalar, router, neighbour, kind, the packet's uid, addresses, flow,
+    size and protocol header) filled from the view during the call, the
+    same way for both layers, and once the ring has wrapped the evicted
+    slot is refilled in place.  So a journal names no packet: a dead packet
     goes straight back to the pool, and reading the journal is safe
     whatever the network has recycled since.  {!describe} renders an
     entry as one line and {!write_journal} exports the journal as JSONL;
@@ -38,23 +40,23 @@
     their own round spans and evidence instants via {!trace_span} /
     {!trace_instant}. *)
 
-type iface_view = {
+type 'kind view = {
   mutable time : float;
-  router : int;            (** owner of the queue *)
-  next : int;              (** neighbour the queue feeds *)
-  mutable kind : Iface.event;
-  mutable pkt : Packet.t;  (** the packet the transition is about *)
+  router : int;            (** the router, or the owner of the queue *)
+  mutable next : int;      (** the neighbour; [-1] when the event names none *)
+  mutable kind : 'kind;
+  mutable pkt : Packet.t;  (** the packet the event is about *)
+  mutable arg : float;     (** the event's one scalar, [0.] when it has none *)
 }
-(** One queue/link observation: [Net] keeps one per interface, with
-    [router] and [next] fixed, and overwrites the rest at each
-    emission. *)
+(** One observation, of either layer: [Net] keeps one per interface
+    ([router] and [next] fixed) and one per router, and overwrites the
+    mutable fields at each emission.  A router event's [next] and [arg]
+    are {!Router.create}'s: the output neighbour, and a [Fragmented]
+    event's fragment count or a [Malicious_delay]'s delay.  An
+    interface event's [arg] is always [0.]. *)
 
-type router_view = {
-  mutable time : float;
-  router : int;
-  mutable kind : Router.event;
-}
-(** One router observation, one per router, lent the same way. *)
+type iface_view = Iface.event view
+type router_view = Router.event view
 
 type verdict = Telemetry.Span.verdict
 (** A detector verdict: the one record the probe keeps, journals and

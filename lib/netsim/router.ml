@@ -18,14 +18,14 @@ type behavior = context -> Packet.t -> action
 let honest _ _ = Forward
 
 type event =
-  | Malicious_drop of { next : int; pkt : Packet.t }
-  | Fragmented of { next : int; original : Packet.t; fragments : int }
-  | Malicious_modify of { next : int; pkt : Packet.t; old_payload : int64 }
-  | Malicious_delay of { next : int; pkt : Packet.t; delay : float }
-  | Fabricated of { next : int; pkt : Packet.t }
-  | No_route of Packet.t
-  | Ttl_expired of Packet.t
-  | Delivered_local of Packet.t
+  | Malicious_drop
+  | Fragmented
+  | Malicious_modify
+  | Malicious_delay
+  | Fabricated
+  | No_route
+  | Ttl_expired
+  | Delivered_local
 
 (* A set of event kinds is a bit set, one bit per constructor of
    [event], as in {!Iface}. *)
@@ -41,29 +41,18 @@ let b_ttl_expired = 64
 let b_delivered_local = 128
 let all_kinds = 255
 
-let kind_bit = function
-  | `Malicious_drop -> b_malicious_drop
-  | `Fragmented -> b_fragmented
-  | `Malicious_modify -> b_malicious_modify
-  | `Malicious_delay -> b_malicious_delay
-  | `Fabricated -> b_fabricated
-  | `No_route -> b_no_route
-  | `Ttl_expired -> b_ttl_expired
-  | `Delivered_local -> b_delivered_local
-
-let kinds l = List.fold_left (fun acc k -> acc lor kind_bit k) 0 l
-let union = ( lor )
-
 let event_bit = function
-  | Malicious_drop _ -> b_malicious_drop
-  | Fragmented _ -> b_fragmented
-  | Malicious_modify _ -> b_malicious_modify
-  | Malicious_delay _ -> b_malicious_delay
-  | Fabricated _ -> b_fabricated
-  | No_route _ -> b_no_route
-  | Ttl_expired _ -> b_ttl_expired
-  | Delivered_local _ -> b_delivered_local
+  | Malicious_drop -> b_malicious_drop
+  | Fragmented -> b_fragmented
+  | Malicious_modify -> b_malicious_modify
+  | Malicious_delay -> b_malicious_delay
+  | Fabricated -> b_fabricated
+  | No_route -> b_no_route
+  | Ttl_expired -> b_ttl_expired
+  | Delivered_local -> b_delivered_local
 
+let kinds l = List.fold_left (fun acc ev -> acc lor event_bit ev) 0 l
+let union = ( lor )
 let wants k ev = k land event_bit ev <> 0
 
 type t = {
@@ -76,7 +65,7 @@ type t = {
   rng : Random.State.t;
   jitter_bound : float;
   enqueue_at : Sim.fbox;  (* scratch: when the jittered packet enqueues *)
-  on_event : t -> event -> unit;
+  on_event : event -> next:int -> Packet.t -> float -> unit;
   local_deliver : Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
   (* Output interfaces by neighbour id: [by_next] is the per-hop lookup
@@ -163,7 +152,7 @@ let enqueue_after_jitter t iface pkt =
 let fragment t ~next iface pkt mtu =
   let pieces = (pkt.Packet.size + mtu - 1) / mtu in
   if t.observe land b_fragmented <> 0 then
-    t.on_event t (Fragmented { next; original = pkt; fragments = pieces });
+    t.on_event Fragmented ~next pkt (float_of_int pieces);
   let remaining = ref pkt.Packet.size in
   for _ = 1 to pieces do
     let size = min mtu !remaining in
@@ -188,7 +177,7 @@ let fragment_if_needed t ~next iface pkt =
 let forward_one t ~prev ~next pkt =
   match iface_to t next with
   | None ->
-      if t.observe land b_no_route <> 0 then t.on_event t (No_route pkt);
+      if t.observe land b_no_route <> 0 then t.on_event No_route ~next:(-1) pkt 0.0;
       t.release pkt
   | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
@@ -207,17 +196,17 @@ let forward_one t ~prev ~next pkt =
         match t.behavior ctx pkt with
         | Forward -> fragment_if_needed t ~next iface pkt
         | Drop ->
-            if t.observe land b_malicious_drop <> 0 then t.on_event t (Malicious_drop { next; pkt });
+            if t.observe land b_malicious_drop <> 0 then
+              t.on_event Malicious_drop ~next pkt 0.0;
             t.release pkt
         | Modify payload ->
-            let old_payload = pkt.Packet.payload in
             pkt.Packet.payload <- payload;
             if t.observe land b_malicious_modify <> 0 then
-              t.on_event t (Malicious_modify { next; pkt; old_payload });
+              t.on_event Malicious_modify ~next pkt 0.0;
             fragment_if_needed t ~next iface pkt
         | Delay d ->
             if t.observe land b_malicious_delay <> 0 then
-              t.on_event t (Malicious_delay { next; pkt; delay = d });
+              t.on_event Malicious_delay ~next pkt d;
             Sim.schedule t.sim ~delay:d (fun () ->
                 fragment_if_needed t ~next iface pkt)
       end
@@ -233,13 +222,14 @@ let multicast t ~prev pkt (branches, local) =
        end
   in
   if expired then begin
-    if t.observe land b_ttl_expired <> 0 then t.on_event t (Ttl_expired pkt);
+    if t.observe land b_ttl_expired <> 0 then t.on_event Ttl_expired ~next:(-1) pkt 0.0;
     t.release pkt
   end
   else begin
     if local then begin
       t.delivered_packets <- t.delivered_packets + 1;
-      if t.observe land b_delivered_local <> 0 then t.on_event t (Delivered_local pkt);
+      if t.observe land b_delivered_local <> 0 then
+      t.on_event Delivered_local ~next:(-1) pkt 0.0;
       t.local_deliver pkt
     end;
     List.iter (fun next -> forward_one t ~prev ~next (Packet.clone pkt)) branches;
@@ -249,7 +239,8 @@ let multicast t ~prev pkt (branches, local) =
 let unicast t ~prev pkt =
   if pkt.Packet.dst = t.id then begin
     t.delivered_packets <- t.delivered_packets + 1;
-    if t.observe land b_delivered_local <> 0 then t.on_event t (Delivered_local pkt);
+    if t.observe land b_delivered_local <> 0 then
+      t.on_event Delivered_local ~next:(-1) pkt 0.0;
     t.local_deliver pkt;
     t.release pkt
   end
@@ -263,13 +254,13 @@ let unicast t ~prev pkt =
          end
     in
     if expired then begin
-      if t.observe land b_ttl_expired <> 0 then t.on_event t (Ttl_expired pkt);
+      if t.observe land b_ttl_expired <> 0 then t.on_event Ttl_expired ~next:(-1) pkt 0.0;
       t.release pkt
     end
     else begin
       let next = t.forwarding ~prev pkt in
       if next < 0 then begin
-        if t.observe land b_no_route <> 0 then t.on_event t (No_route pkt);
+        if t.observe land b_no_route <> 0 then t.on_event No_route ~next:(-1) pkt 0.0;
         t.release pkt
       end
       else forward_one t ~prev ~next pkt
@@ -288,7 +279,7 @@ let fabricate t ~next pkt =
   match iface_to t next with
   | None -> invalid_arg "Router.fabricate: no interface to that neighbour"
   | Some iface ->
-      if t.observe land b_fabricated <> 0 then t.on_event t (Fabricated { next; pkt });
+      if t.observe land b_fabricated <> 0 then t.on_event Fabricated ~next pkt 0.0;
       Iface.enqueue iface pkt
 
 let delivered_packets t = t.delivered_packets

@@ -28,14 +28,18 @@ val honest : behavior
 (** Always [Forward]. *)
 
 type event =
-  | Malicious_drop of { next : int; pkt : Packet.t }
-  | Fragmented of { next : int; original : Packet.t; fragments : int }
-  | Malicious_modify of { next : int; pkt : Packet.t; old_payload : int64 }
-  | Malicious_delay of { next : int; pkt : Packet.t; delay : float }
-  | Fabricated of { next : int; pkt : Packet.t }
-  | No_route of Packet.t
-  | Ttl_expired of Packet.t
-  | Delivered_local of Packet.t
+  | Malicious_drop    (** discarded by the behavior hook *)
+  | Fragmented        (** split at the MTU; the packet is the original *)
+  | Malicious_modify  (** payload overwritten, then forwarded *)
+  | Malicious_delay   (** held by the behavior hook, then forwarded *)
+  | Fabricated        (** made up by the router and enqueued *)
+  | No_route          (** no next hop, or no interface toward it *)
+  | Ttl_expired
+  | Delivered_local   (** handed to this router's applications *)
+(** The kind of a router event.  The constructors are constant, as
+    {!Iface.event}'s: the packet, the output neighbour and the one
+    scalar travel beside the kind ([on_event]'s other arguments), so
+    reporting an event builds no block. *)
 
 type t
 
@@ -45,13 +49,20 @@ val create :
   n:int ->
   jitter_bound:float ->
   ?release:(Packet.t -> unit) ->
-  on_event:(t -> event -> unit) ->
+  on_event:(event -> next:int -> Packet.t -> float -> unit) ->
   local_deliver:(Packet.t -> unit) ->
   unit ->
   t
 (** Router [id] of a network of [n] routers: neighbour ids lie in
     [0 .. n-1], and the per-hop interface lookup is a read of an
     [n]-slot array.
+
+    [on_event kind ~next p arg] reports each observed event (see
+    {!set_observe}) about packet [p], lent for the call only.  [next]
+    is the output neighbour of a [Malicious_drop], [Fragmented],
+    [Malicious_modify], [Malicious_delay] or [Fabricated] event and
+    [-1] for the other kinds; [arg] is a [Fragmented] event's fragment
+    count, a [Malicious_delay]'s delay in seconds, and [0.] otherwise.
 
     Every forwarded packet waits a processing delay drawn uniformly below
     [jitter_bound] from the simulation stream ({!Sim.rng}; the source
@@ -82,20 +93,11 @@ val set_forwarding_id : t -> (prev:int -> Packet.t -> int) -> unit
     path allocates no option. *)
 
 type kinds
-(** A set of event kinds, as {!Iface.kinds}: a router builds an event
+(** A set of event kinds, as {!Iface.kinds}: a router reports an event
     only when its kind is in the set it observes. *)
 
-val kinds :
-  [ `Malicious_drop
-  | `Fragmented
-  | `Malicious_modify
-  | `Malicious_delay
-  | `Fabricated
-  | `No_route
-  | `Ttl_expired
-  | `Delivered_local ] list ->
-  kinds
-(** The set of the listed kinds, named after the {!event} constructors. *)
+val kinds : event list -> kinds
+(** The set of the listed kinds: [kinds [ Malicious_drop; No_route ]]. *)
 
 val all_kinds : kinds
 
@@ -106,10 +108,9 @@ val wants : kinds -> event -> bool
 
 val set_observe : t -> kinds -> unit
 (** The event kinds anything consumes from this router ({!all_kinds} by
-    default).  Any other kind's event construction is elided on the hot
-    path.  Terminal packets (local delivery, TTL expiry, no-route,
-    malicious drop) go to the [release] hook either way, after their
-    event.  Fixed before the run; {!Net} manages it (the union of what
+    default).  Any other kind costs one bit test and no call.  Terminal
+    packets (local delivery, TTL expiry, no-route, malicious drop) go
+    to the [release] hook either way, after their event.  Fixed before the run; {!Net} manages it (the union of what
     the probe and the router listeners read). *)
 
 val set_behavior : t -> behavior -> unit

@@ -105,21 +105,21 @@ let set_attack_start t time = t.attack_start <- time
 (* --- data plane ----------------------------------------------------- *)
 
 let on_originate t (pkt : Packet.t) =
-  Ts.record t.injected ~time:pkt.Packet.created 1.0
+  Ts.record t.injected ~time:pkt.Packet.created 1
 
 let depth_sample t ~time router =
-  Ts.record t.queue_depth.(router) ~time (float_of_int t.depth.(router))
+  Ts.record t.queue_depth.(router) ~time t.depth.(router)
 
 (* A drop, at an interface or a router: the headline series and its
    cause. *)
 let count_drop t ~time cause =
-  Ts.record t.dropped ~time 1.0;
+  Ts.record t.dropped ~time 1;
   t.drops.(cause) <- t.drops.(cause) + 1
 
 let on_iface t ~time ~router (ev : Iface.event) =
   match ev with
   | Iface.Enqueued ->
-      Ts.record t.enqueued ~time 1.0;
+      Ts.record t.enqueued ~time 1;
       t.depth.(router) <- t.depth.(router) + 1;
       depth_sample t ~time router
   | Iface.Transmit_start ->
@@ -137,26 +137,26 @@ let on_iface t ~time ~router (ev : Iface.event) =
   | Iface.Delivered -> ()
 
 let count_malice t ~time router =
-  Ts.record t.malice ~time 1.0;
+  Ts.record t.malice ~time 1;
   t.malice_by_router.(router) <- t.malice_by_router.(router) + 1
 
-let on_router t ~time ~router (ev : Router.event) =
+let on_router t ~time ~router (ev : Router.event) (pkt : Packet.t) arg =
   match ev with
-  | Router.Delivered_local pkt ->
-      Ts.record t.delivered ~time 1.0;
+  | Router.Delivered_local ->
+      Ts.record t.delivered ~time 1;
       Hist.record t.latency (time -. pkt.Packet.created)
-  | Router.Malicious_drop _ ->
+  | Router.Malicious_drop ->
       count_drop t ~time malicious;
       count_malice t ~time router
-  | Router.Fabricated _ ->
+  | Router.Fabricated ->
       t.fabricated <- t.fabricated + 1;
       count_malice t ~time router
-  | Router.Malicious_modify _ | Router.Malicious_delay _ -> count_malice t ~time router
-  | Router.No_route _ -> count_drop t ~time no_route
-  | Router.Ttl_expired _ -> count_drop t ~time ttl_expired
-  | Router.Fragmented { fragments; _ } ->
+  | Router.Malicious_modify | Router.Malicious_delay -> count_malice t ~time router
+  | Router.No_route -> count_drop t ~time no_route
+  | Router.Ttl_expired -> count_drop t ~time ttl_expired
+  | Router.Fragmented ->
       t.fragmented <- t.fragmented + 1;
-      t.fragments_created <- t.fragments_created + fragments
+      t.fragments_created <- t.fragments_created + int_of_float arg
 
 (* --- control plane --------------------------------------------------- *)
 
@@ -169,9 +169,9 @@ let find_hist tbl fresh key =
       h
 
 let on_verdict t ~time ~detector ~alarm =
-  Ts.record t.verdicts ~time 1.0;
+  Ts.record t.verdicts ~time 1;
   if alarm then begin
-    Ts.record t.alarms ~time 1.0;
+    Ts.record t.alarms ~time 1;
     if t.attack_start >= 0.0 && time >= t.attack_start then
       Hist.record
         (find_hist t.detection_latency detect_hist detector)
@@ -196,7 +196,7 @@ let on_ctrl_send t ~attempts ~ok =
   if not ok then t.ctrl_timeouts <- t.ctrl_timeouts + 1;
   Hist.record t.ctrl_attempts (float_of_int attempts)
 
-let on_fault t ~time = Ts.record t.faults ~time 1.0
+let on_fault t ~time = Ts.record t.faults ~time 1
 
 (* --- JSON view ------------------------------------------------------- *)
 
@@ -207,7 +207,8 @@ let series_json name ts =
     [ ("name", String name);
       ("resolution", Float (Ts.resolution ts));
       ("counts", List (List.init nb (fun i -> Int (Ts.bucket_count ts i))));
-      ("sums", List (List.init nb (fun i -> Float (Ts.bucket_sum ts i)))) ]
+      ("sums",
+       List (List.init nb (fun i -> Float (float_of_int (Ts.bucket_sum ts i))))) ]
 
 let hist_json name h =
   let open Telemetry.Export in

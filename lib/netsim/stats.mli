@@ -8,12 +8,14 @@
     here: {!to_json} reads them off the interfaces
     ({!Iface.tx_packets} / {!Iface.dropped_packets}).
 
-    It is the probe's one set of counts.  A headline series' total
-    ({!Telemetry.Timeseries.total_count}) is exact, so injected,
-    delivered, dropped, malice, verdict, alarm and fault totals are read
-    off the series; plain counters hold only what no series does: drops
-    by cause, fabricated packets, fragments, and malice by router.
-    {!Probe.conservation} is computed from these. *)
+    Series samples are integers (1 per event, a queue depth), so no
+    sample boxes a float; {!to_json} and {!prometheus} render the sums
+    as floats.  It is the probe's one set of counts.  A headline
+    series' total ({!Telemetry.Timeseries.total_count}) is exact, so
+    injected, delivered, dropped, malice, verdict, alarm and fault
+    totals are read off the series; plain counters hold only what no
+    series does: drops by cause, fabricated packets, fragments, and
+    malice by router.  {!Probe.conservation} is computed from these. *)
 
 type t
 
@@ -38,8 +40,10 @@ val on_iface : t -> time:float -> router:int -> Iface.event -> unit
 (** A link event.  Queue depth moves on [Enqueued] and [Transmit_start]
     only: a [Drop_link_down] packet never entered the queue. *)
 
-val on_router : t -> time:float -> router:int -> Router.event -> unit
-(** A router event at [router]; malicious actions count against it. *)
+val on_router : t -> time:float -> router:int -> Router.event -> Packet.t -> float -> unit
+(** A router event at [router] about a packet, with its scalar as
+    {!Router.create} reports it (a [Fragmented] event's fragment count);
+    malicious actions count against [router]. *)
 
 (** {2 Control plane} *)
 

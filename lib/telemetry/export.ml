@@ -348,4 +348,5 @@ let prometheus_append_timeseries buf ~name members =
         done)
   in
   emit "_bucket_count" (fun ts i -> string_of_int (Timeseries.bucket_count ts i));
-  emit "_bucket_sum" (fun ts i -> prom_float (Timeseries.bucket_sum ts i))
+  emit "_bucket_sum" (fun ts i ->
+      prom_float (float_of_int (Timeseries.bucket_sum ts i)))

@@ -25,12 +25,6 @@ val quantum : float
 (** Fixed-point resolution of the value sum: [2^-26] (~15 ns when the
     recorded unit is seconds).  Sums are exact multiples of this. *)
 
-val quantize : float -> int
-(** Round a value to the nearest multiple of {!quantum}, as an integer
-    count of quanta — the representation {!sum} accumulates in.  [0]
-    for a value the fixed point cannot hold: magnitude [>= 2^36], an
-    infinity or NaN. *)
-
 val create : ?buckets:int -> ?min_exp:int -> unit -> t
 (** [buckets] defaults to 32 (minimum 3); [min_exp] to 0, making bin 1
     the range [(0, 1]].  Raises [Invalid_argument] on fewer than 3

@@ -7,16 +7,16 @@
    the horizon grows.  Coarsening is aligned at t = 0 and always by
    powers of two.
 
-   Like Hist, the per-bucket value sums are fixed point (Hist.quantum
-   units): integer addition makes a coarsening pass exact.  [record] is O(1)
-   amortized (a coarsening pass is O(capacity) but halves the used
+   Samples are integers (one per event, a queue depth, a packet size),
+   so the per-bucket sums are plain ints and a coarsening pass is
+   exact integer addition.  [record] is O(1) amortized (a coarsening pass is O(capacity) but halves the used
    range) and allocation-free after [create]. *)
 
 type t = {
   capacity : int;
   mutable res : float; (* current bucket width, sim seconds *)
   counts : int array;
-  sums_q : int array; (* fixed point, Hist.quantum units *)
+  sums : int array;
   mutable used : int; (* buckets in use: indices [0, used) *)
 }
 
@@ -25,13 +25,13 @@ let create ?(capacity = 256) ~resolution () =
   if not (resolution > 0.0) then
     invalid_arg "Timeseries.create: resolution must be positive";
   { capacity; res = resolution;
-    counts = Array.make capacity 0; sums_q = Array.make capacity 0; used = 0 }
+    counts = Array.make capacity 0; sums = Array.make capacity 0; used = 0 }
 
 let capacity t = t.capacity
 let resolution t = t.res
 let used t = t.used
 let bucket_count t i = t.counts.(i)
-let bucket_sum t i = float_of_int t.sums_q.(i) *. Hist.quantum
+let bucket_sum t i = t.sums.(i)
 let bucket_start t i = float_of_int i *. t.res
 
 let total_count t =
@@ -44,9 +44,9 @@ let total_count t =
 let total_sum t =
   let s = ref 0 in
   for i = 0 to t.used - 1 do
-    s := !s + t.sums_q.(i)
+    s := !s + t.sums.(i)
   done;
-  float_of_int !s *. Hist.quantum
+  !s
 
 (* Fold adjacent pairs: bucket i <- buckets 2i + 2i+1, double res. *)
 let coarsen t =
@@ -54,10 +54,10 @@ let coarsen t =
   for i = 0 to half - 1 do
     let a = 2 * i and b = (2 * i) + 1 in
     t.counts.(i) <- (t.counts.(a) + if b < t.used then t.counts.(b) else 0);
-    t.sums_q.(i) <- (t.sums_q.(a) + if b < t.used then t.sums_q.(b) else 0)
+    t.sums.(i) <- (t.sums.(a) + if b < t.used then t.sums.(b) else 0)
   done;
   Array.fill t.counts half (t.capacity - half) 0;
-  Array.fill t.sums_q half (t.capacity - half) 0;
+  Array.fill t.sums half (t.capacity - half) 0;
   t.used <- half;
   t.res <- t.res *. 2.0
 
@@ -72,6 +72,6 @@ let record t ~time v =
   done;
   let i = !idx in
   t.counts.(i) <- t.counts.(i) + 1;
-  t.sums_q.(i) <- t.sums_q.(i) + Hist.quantize v;
+  t.sums.(i) <- t.sums.(i) + v;
   if i >= t.used then t.used <- i + 1
 

@@ -5,8 +5,8 @@
     series coarsens — adjacent buckets fold pairwise, the resolution
     doubles — so memory stays bounded at [capacity] buckets while the
     horizon grows without limit.  Coarsening is aligned at [t = 0] and
-    by powers of two only, and per-bucket value sums are fixed point
-    ({!Hist.quantum} units), so coarsening is exact integer addition.
+    by powers of two only.  Samples are integers, so per-bucket value
+    sums are plain ints and coarsening is exact integer addition.
 
     {!record} is O(1) amortized and allocation-free after {!create}. *)
 
@@ -18,11 +18,12 @@ val create : ?capacity:int -> resolution:float -> unit -> t
     before its first coarsening.  Raises [Invalid_argument] on a
     capacity below 2 or a non-positive resolution. *)
 
-val record : t -> time:float -> float -> unit
+val record : t -> time:float -> int -> unit
 (** Add a sample with value [v] at sim time [time] (negative times clamp
-    to bucket 0).  For counter-style series record [1.0] per event; for
-    gauge-style series record the observed value — per-bucket count and
-    sum support both rate and mean readouts. *)
+    to bucket 0).  For counter-style series record [1] per event; for
+    gauge-style series record the observed value (a queue depth, a
+    packet size) — per-bucket count and sum support both rate and mean
+    readouts, which a reader converts to float when it renders them. *)
 
 val capacity : t -> int
 
@@ -34,12 +35,12 @@ val used : t -> int
 (** Number of leading buckets in use; valid indices are [0..used-1]. *)
 
 val bucket_count : t -> int -> int
-val bucket_sum : t -> int -> float
+val bucket_sum : t -> int -> int
 
 val bucket_start : t -> int -> float
 (** Inclusive sim-time lower edge of bucket [i]. *)
 
 val total_count : t -> int
-val total_sum : t -> float
+val total_sum : t -> int
 
 

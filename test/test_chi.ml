@@ -271,7 +271,7 @@ let replica_run ~jitter_bound ~attack ~rate_pps () =
   let replica = Replica.deploy ~net ~rt ~router:3 ~next:4 () in
   let malicious = ref 0 in
   Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
+      match ev.Net.kind with Router.Malicious_drop -> incr malicious | _ -> ());
   ignore (Flow.cbr net ~src:0 ~dst:4 ~rate_pps ~size:1000 ~start:0.0 ~stop:10.0);
   ignore (Flow.cbr net ~src:1 ~dst:4 ~rate_pps ~size:1000 ~start:0.003 ~stop:10.0);
   if attack then

@@ -615,8 +615,8 @@ let test_delay_fraction_reorders () =
   let arrivals = ref [] in
   Net.subscribe_router net (fun ev ->
       match ev.Net.kind with
-      | Router.Delivered_local pkt when ev.Net.router = 2 ->
-          arrivals := pkt.Packet.uid :: !arrivals
+      | Router.Delivered_local when ev.Net.router = 2 ->
+          arrivals := ev.Net.pkt.Packet.uid :: !arrivals
       | _ -> ());
   Router.set_behavior (Net.router net 1)
     (Core.Adversary.delay_fraction ~seed:4 ~delay:0.05 0.3);
@@ -822,6 +822,7 @@ let test_config_validation () =
   in
   rejected "negative duration" (of_cmdline ~duration:(-5.0) ()) "duration";
   rejected "zero duration" (of_cmdline ~duration:0.0 ()) "duration";
+  rejected "endless duration" (of_cmdline ~duration:1e300 ()) "duration";
   rejected "sample above 1" (of_cmdline ~trace_sample:1.5 ()) "sample";
   rejected "negative sample" (of_cmdline ~trace_sample:(-0.1) ()) "sample";
   rejected "no flows" (of_cmdline ~flows:0 ()) "flow";
@@ -849,9 +850,9 @@ let metrics_document () =
       close_out devnull)
     (fun () ->
       Experiments.Simulate.run
-        (Experiments.Simulate.Config.make_exn ~protocol:"chi"
-           ~attack:(Experiments.Simulate.Drop_fraction 0.3) ~attacker:2
-           ~duration:3.0 ~seed:5 ~flows:4 ~metrics:path Experiments.Simulate.Ring));
+        { Experiments.Simulate.Config.default with
+          protocol = "chi"; attack = Drop_fraction 0.3; duration = 3.0; seed = 5;
+          flows = 4; metrics = Some path });
   let text = read_text path in
   Sys.remove path;
   text

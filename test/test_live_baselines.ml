@@ -32,7 +32,7 @@ let test_netflow_deficit_counts_drops () =
   let flow = Netflow.attach ~net () in
   let malicious = ref 0 in
   Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
+      match ev.Net.kind with Router.Malicious_drop -> incr malicious | _ -> ());
   Router.set_behavior (Net.router net 1) (Adversary.drop_fraction ~seed:3 0.3);
   ignore (Flow.cbr net ~src:0 ~dst:3 ~rate_pps:50.0 ~size:400 ~start:0.0 ~stop:2.0);
   Net.run net;

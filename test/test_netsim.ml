@@ -286,7 +286,11 @@ let test_net_malicious_drop_counted () =
   let net = line_net 3 in
   let malicious = ref 0 and delivered = ref 0 in
   Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
+      match ev.Net.kind with
+      | Router.Malicious_drop ->
+          (* The view names the neighbour the packet was bound for. *)
+          if ev.Net.next = 2 && ev.Net.pkt.Packet.dst = 2 then incr malicious
+      | _ -> ());
   Net.attach_app net ~node:2 (fun _ -> incr delivered);
   (* Router 1 drops every 5th transit packet. *)
   let count = ref 0 in
@@ -317,23 +321,29 @@ let test_net_modification () =
 
 let test_net_ttl_expiry () =
   let net = line_net 5 in
-  let expired = ref 0 in
+  let expired = ref [] in
   Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Ttl_expired _ -> incr expired | _ -> ());
+      match ev.Net.kind with
+      | Router.Ttl_expired -> expired := (ev.Net.router, ev.Net.pkt.Packet.uid) :: !expired
+      | _ -> ());
   let pkt =
     Packet.make ~sim:(Net.sim net) ~src:0 ~dst:4 ~flow:1 ~size:100 ~ttl:2 Packet.Udp
   in
   Net.originate net pkt;
   Net.run net;
-  Alcotest.(check int) "expired en route" 1 !expired
+  Alcotest.(check (list (pair int int))) "expired en route at r2" [ (2, pkt.Packet.uid) ]
+    !expired
 
 let test_net_fabrication () =
   let net = line_net 3 in
   let delivered = ref 0 and fabricated = ref 0 in
   Net.attach_app net ~node:2 (fun _ -> incr delivered);
-  Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Fabricated _ -> incr fabricated | _ -> ());
   let bogus = Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:9 ~size:100 Packet.Udp in
+  Net.subscribe_router net (fun ev ->
+      match ev.Net.kind with
+      | Router.Fabricated ->
+          if ev.Net.pkt == bogus && ev.Net.next = 2 then incr fabricated
+      | _ -> ());
   Router.fabricate (Net.router net 1) ~next:2 bogus;
   Net.run net;
   Alcotest.(check int) "fabricated" 1 !fabricated;
@@ -491,25 +501,30 @@ let test_link_listener_scope () =
    congestion (forced and, under RED, early drops), a failure and
    restore, and corruption; router 2 drops packets maliciously. *)
 let iface_kind_sets =
-  [ []; [ `Enqueued ]; [ `Drop_congestion ]; [ `Drop_red_early ]; [ `Drop_link_down ];
-    [ `Drop_corrupted ]; [ `Transmit_start ]; [ `Delivered ];
-    [ `Delivered; `Drop_link_down ]; [ `Transmit_start; `Enqueued; `Drop_link_down ];
-    [ `Enqueued; `Drop_congestion ]; [ `Drop_congestion; `Drop_red_early ] ]
+  Iface.
+    [ []; [ Enqueued ]; [ Drop_congestion ]; [ Drop_red_early ]; [ Drop_link_down ];
+      [ Drop_corrupted ]; [ Transmit_start ]; [ Delivered ];
+      [ Delivered; Drop_link_down ]; [ Transmit_start; Enqueued; Drop_link_down ];
+      [ Enqueued; Drop_congestion ]; [ Drop_congestion; Drop_red_early ] ]
 
 let router_kind_sets =
-  [ []; [ `Malicious_drop ]; [ `Delivered_local ]; [ `Malicious_drop; `Delivered_local ] ]
+  Router.[ []; [ Malicious_drop ]; [ Delivered_local ]; [ Malicious_drop; Delivered_local ] ]
 
 (* What a listener heard, snapshotted during its callback: the view is
    borrowed, so a test keeps the fields it compares and the line the
-   probe's renderer gives for the view at that moment. *)
-type heard = Link of int * int * Iface.event | Node of Router.event
+   probe's renderer gives for the view at that moment.  The line names
+   the packet ([ev.pkt]); a router event's snapshot adds its neighbour
+   and scalar, which the line does not show for every kind. *)
+type heard = Link of int * int * Iface.event | Node of int * Router.event
 
 let heard_link (ev : Net.iface_event) =
   ( Link (ev.router, ev.next, ev.kind),
     Printf.sprintf "%.9f %s" ev.time (Probe.describe_iface ev) )
 
 let heard_node (ev : Net.router_event) =
-  (Node ev.kind, Printf.sprintf "%.9f %s" ev.time (Probe.describe_router ev))
+  ( Node (ev.router, ev.kind),
+    Printf.sprintf "%.9f %s next=%d arg=%g" ev.time (Probe.describe_router ev) ev.next
+      ev.arg )
 
 (* The ring8 run, with [listen] subscribing [hear]; returns every
    snapshot, in the order heard.  Unpooled, so a router event's packet
@@ -542,7 +557,7 @@ let kinds_ring8 ~red ~probed listen =
 let test_listener_hears_its_kinds () =
   let on_link = function Link (1, 2, _) -> true | _ -> false in
   let iface_wants k = function Link (_, _, kind) -> Iface.wants k kind | _ -> false in
-  let router_wants k = function Node kind -> Router.wants k kind | _ -> false in
+  let router_wants k = function Node (_, kind) -> Router.wants k kind | _ -> false in
   let lines = List.map snd in
   List.iter
     (fun red ->
@@ -554,7 +569,7 @@ let test_listener_hears_its_kinds () =
       let expect p = List.filter_map (fun (ev, line) -> if p ev then Some line else None) all in
       List.iter
         (fun k ->
-          if k <> [] && (red || k <> [ `Drop_red_early ]) then
+          if k <> [] && (red || k <> [ Iface.Drop_red_early ]) then
             Alcotest.(check bool) "link 1->2 shows the kinds" true
               (expect (fun ev -> on_link ev && iface_wants (Iface.kinds k) ev) <> []))
         iface_kind_sets;
@@ -633,7 +648,7 @@ let test_stats_depth_behind_failed_link () =
   let module Ts = Telemetry.Timeseries in
   let last = Ts.used ts - 1 in
   Alcotest.(check (float 1e-9)) "depth series reads the backlog" (float_of_int backlog)
-    (Ts.bucket_sum ts last /. float_of_int (Ts.bucket_count ts last))
+    (float_of_int (Ts.bucket_sum ts last) /. float_of_int (Ts.bucket_count ts last))
 
 (* --- TCP --- *)
 
@@ -936,10 +951,10 @@ let run_scenario ~duration () =
   Net.subscribe_router net (fun ev ->
       let tag =
         match ev.Net.kind with
-        | Router.Malicious_drop { pkt; _ } -> Printf.sprintf "mdrop:%d" pkt.Packet.uid
-        | Router.Delivered_local pkt -> Printf.sprintf "local:%d" pkt.Packet.uid
-        | Router.Ttl_expired pkt -> Printf.sprintf "ttl:%d" pkt.Packet.uid
-        | Router.No_route pkt -> Printf.sprintf "noroute:%d" pkt.Packet.uid
+        | Router.Malicious_drop -> Printf.sprintf "mdrop:%d" ev.Net.pkt.Packet.uid
+        | Router.Delivered_local -> Printf.sprintf "local:%d" ev.Net.pkt.Packet.uid
+        | Router.Ttl_expired -> Printf.sprintf "ttl:%d" ev.Net.pkt.Packet.uid
+        | Router.No_route -> Printf.sprintf "noroute:%d" ev.Net.pkt.Packet.uid
         | _ -> "other"
       in
       Buffer.add_string buf

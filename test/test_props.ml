@@ -442,7 +442,7 @@ let chi_trial ~seed ~mode =
   let chi = Core.Chi.deploy ~net ~rt ~router:3 ~next:4 ~config:chi_config () in
   let malicious = ref 0 in
   Net.subscribe_router net (fun ev ->
-      match ev.Net.kind with Router.Malicious_drop _ -> incr malicious | _ -> ());
+      match ev.Net.kind with Router.Malicious_drop -> incr malicious | _ -> ());
   List.iter (fun src -> ignore (Tcp.connect net ~src ~dst:4 ())) [ 0; 1; 2 ];
   (match mode with
   | 0 -> ()
@@ -580,9 +580,9 @@ let prop_meter_totals =
       Net.attach_app net ~node:1 (fun pkt ->
           if pkt.Packet.flow = Flow.flow_id f then
             Telemetry.Timeseries.record meter ~time:(Sim.now (Net.sim net))
-              (float_of_int pkt.Packet.size));
+              pkt.Packet.size);
       Net.run net;
-      Telemetry.Timeseries.total_sum meter = float_of_int (Flow.sent f * size)
+      Telemetry.Timeseries.total_sum meter = Flow.sent f * size
       && Telemetry.Timeseries.total_count meter = Flow.sent f)
 
 (* Two ways the heap could keep dead values reachable: the slot a pop

@@ -50,8 +50,9 @@ let simulate_digest ~topo ~protocol ?faults () =
   let out =
     with_captured_stdout (fun () ->
         Simulate.run
-          (Simulate.Config.make_exn ~protocol ~duration:12.0 ~seed:7 ~flows:6 ~journal
-             ?faults topo))
+          { Simulate.Config.default with
+            topo; protocol; duration = 12.0; seed = 7; flows = 6; journal = Some journal;
+            faults })
   in
   let j = read_file journal in
   Sys.remove journal;
@@ -119,8 +120,7 @@ let test_golden_trace () =
   let out =
     with_captured_stdout (fun () ->
         Simulate.run
-          (Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0 ~seed:7 ~flows:6
-             ~trace:20 Simulate.Ring))
+          { Simulate.Config.default with duration = 12.0; seed = 7; flows = 6; trace = 20 })
   in
   Alcotest.(check string) "--trace 20 stdout matches the recorded digest"
     "87b610cc1d3fdafd7fea5a8e0bc79bd9"
@@ -145,8 +145,8 @@ let golden_outputs () =
   ignore
     (with_captured_stdout (fun () ->
          Simulate.run
-           (Simulate.Config.make_exn ~protocol:"fatih" ~duration:12.0 ~seed:7
-              ~flows:6 ~metrics Simulate.Ring)));
+           { Simulate.Config.default with
+             duration = 12.0; seed = 7; flows = 6; metrics = Some metrics }));
   let doc =
     match Export.of_string (read_file metrics) with
     | Ok doc -> doc
@@ -191,8 +191,8 @@ let test_report_html () =
   ignore
     (with_captured_stdout (fun () ->
          Simulate.run
-           (Simulate.Config.make_exn ~protocol:"fatih" ~duration:5.0 ~seed:3
-              ~flows:4 ~metrics Simulate.Ring)));
+           { Simulate.Config.default with
+             duration = 5.0; seed = 3; flows = 4; metrics = Some metrics }));
   let doc =
     match Export.of_string (read_file metrics) with
     | Ok doc -> doc
@@ -260,9 +260,9 @@ let test_prom_one_type_per_family () =
   ignore
     (with_captured_stdout (fun () ->
          Simulate.run
-           (Simulate.Config.make_exn ~protocol:"chi"
-              ~attack:(Simulate.Drop_fraction 0.3) ~attacker:2 ~duration:5.0
-              ~seed:3 ~flows:4 ~metrics:path Simulate.Ring)));
+           { Simulate.Config.default with
+             protocol = "chi"; attack = Drop_fraction 0.3; duration = 5.0; seed = 3;
+             flows = 4; metrics = Some path }));
   let lines = String.split_on_char '\n' (read_file path) in
   Sys.remove path;
   let types = Hashtbl.create 64 in

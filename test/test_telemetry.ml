@@ -290,10 +290,9 @@ let test_simulate_metrics_conserve () =
           close_out devnull)
         (fun () ->
           Experiments.Simulate.run
-            (Experiments.Simulate.Config.make_exn ~protocol:"chi"
-               ~attack:(Experiments.Simulate.Drop_fraction 0.3) ~attacker:2
-               ~duration:12.0 ~seed:7 ~flows:6 ~metrics:path
-               Experiments.Simulate.Ring));
+            { Experiments.Simulate.Config.default with
+              protocol = "chi"; attack = Drop_fraction 0.3; duration = 12.0; seed = 7;
+              flows = 6; metrics = Some path });
       let contents =
         let ic = open_in path in
         Fun.protect

@@ -252,10 +252,9 @@ let test_simulate_trace_golden () =
           close_out devnull)
         (fun () ->
           Experiments.Simulate.run
-            (Experiments.Simulate.Config.make_exn ~protocol:"fatih"
-               ~attack:(Experiments.Simulate.Drop_fraction 0.4) ~attacker:2
-               ~duration:25.0 ~seed:7 ~flows:6 ~trace_out:path
-               Experiments.Simulate.Ring));
+            { Experiments.Simulate.Config.default with
+              attack = Drop_fraction 0.4; duration = 25.0; seed = 7; flows = 6;
+              trace_out = Some path });
       let text = read_file path in
       (* MD5 of the whole document, recorded before the probe, the span
          collector and the trace reader shared one verdict record. *)
