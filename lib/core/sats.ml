@@ -21,7 +21,7 @@ let run ~path_len ~packets ~fraction ~drops ?(ranges_leaked = false) () =
   let seed = "sats" in
   if path_len < 3 then invalid_arg "Sats.run: path needs a transit router";
   if packets <= 0 then invalid_arg "Sats.run: need traffic";
-  let fps = Array.init packets (fun i -> Crypto_sim.Fnv.hash_int64 (Int64.of_int i)) in
+  let fps = Array.init packets (fun i -> Crypto_sim.Fnv.hash_int i) in
   let samplers =
     (* One secret range per ordered pair (i, j), i < j. *)
     Array.init path_len (fun i ->

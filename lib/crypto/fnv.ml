@@ -19,6 +19,15 @@ let hash_int64 x =
   done;
   !acc
 
+(* The bytes of [Int64.of_int x]: [asr] sign-extends as [of_int]
+   does, and the argument stays an unboxed int. *)
+let hash_int x =
+  let acc = ref offset_basis in
+  for i = 0 to 7 do
+    acc := step !acc ((x asr (8 * i)) land 0xff)
+  done;
+  !acc
+
 let combine acc x =
   let acc = ref acc in
   for i = 0 to 7 do

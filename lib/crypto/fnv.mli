@@ -11,6 +11,10 @@ val hash_string : string -> int64
 val hash_int64 : int64 -> int64
 (** FNV-1a over the 8 little-endian bytes of an int64. *)
 
+val hash_int : int -> int64
+(** [hash_int x] is [hash_int64 (Int64.of_int x)], without boxing the
+    argument. *)
+
 val combine : int64 -> int64 -> int64
 (** [combine acc x] folds [x] into a running FNV state [acc]; start from
     {!offset_basis}. *)

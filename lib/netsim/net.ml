@@ -293,10 +293,13 @@ let originate t pkt =
   Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
 (* Traffic sources mint packets here so recycling is transparent: a
-   freelisted record when the pool is live, a fresh one otherwise. *)
+   freelisted record when the pool is live, a fresh one otherwise.  A
+   recycled mint allocates 5 words: the box of its creation time (read
+   off the clock, boxed once to cross into [Pool]) and its int64
+   payload. *)
 let make_packet t ~src ~dst ~flow ~size proto =
   let uid = Sim.fresh_id t.sim in
-  let now = Sim.now t.sim in
+  let now = t.clock.f in
   if t.pooling then Pool.acquire t.pool ~now ~uid ~src ~dst ~flow ~size proto
   else Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
 

@@ -29,7 +29,7 @@ let initial_ttl = 64
 let make_at ~now ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { uid; src; dst; flow; size; proto; ttl;
-    payload = Crypto_sim.Fnv.hash_int64 (Int64.of_int uid); created = now;
+    payload = Crypto_sim.Fnv.hash_int uid; created = now;
     trace = 0; q_start = -1.0; tx_start = -1.0 }
 
 let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
@@ -48,7 +48,7 @@ let reinit p ~now ~uid ~src ~dst ~flow ~size proto =
   p.size <- size;
   p.proto <- proto;
   p.ttl <- initial_ttl;
-  p.payload <- Crypto_sim.Fnv.hash_int64 (Int64.of_int uid);
+  p.payload <- Crypto_sim.Fnv.hash_int uid;
   p.created <- now;
   p.trace <- 0;
   p.q_start <- -1.0;

@@ -60,8 +60,8 @@ type t = {
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   id : int;
   (* Per-packet processing jitter, uniform in [0, jitter_bound), drawn
-     from the simulation stream in place: a [unit -> float] closure
-     would box every draw. *)
+     from the simulation stream into [enqueue_at]: a [unit -> float]
+     closure, or [Random.State.float] itself, would box every draw. *)
   rng : Random.State.t;
   jitter_bound : float;
   enqueue_at : Sim.fbox;  (* scratch: when the jittered packet enqueues *)
@@ -136,15 +136,20 @@ let () =
   tag_enqueue :=
     Sim.new_tag (fun _ a b _ -> Iface.enqueue (Obj.obj a) (Obj.obj b))
 
+(* The jitter, uniform in [0, jitter_bound), is drawn into
+   [enqueue_at] and turned into the enqueue time in place: no float
+   crosses a call, so a jittered hop allocates nothing. *)
 let enqueue_after_jitter t iface pkt =
-  let j =
-    if t.jitter_bound <= 0.0 then 0.0 else Random.State.float t.rng t.jitter_bound
-  in
-  if j <= 0.0 then Iface.enqueue iface pkt
+  let at = t.enqueue_at in
+  if t.jitter_bound <= 0.0 then at.f <- 0.0
   else begin
-    t.enqueue_at.f <- t.clock.f +. j;
-    Sim.schedule_ev t.sim ~at:t.enqueue_at ~tag:!tag_enqueue ~i:0 (Obj.repr iface)
-      (Obj.repr pkt)
+    at.f <- t.jitter_bound;
+    Sim.float_into t.rng at
+  end;
+  if at.f <= 0.0 then Iface.enqueue iface pkt
+  else begin
+    at.f <- t.clock.f +. at.f;
+    Sim.schedule_ev t.sim ~at ~tag:!tag_enqueue ~i:0 (Obj.repr iface) (Obj.repr pkt)
   end
 
 (* §7.4.4: splitting produces fresh packets whose fingerprints no
@@ -182,7 +187,9 @@ let forward_one t ~prev ~next pkt =
   | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
-         forwarding plane its state, and building it costs boxes. *)
+         forwarding plane its state, and building it costs boxes (the
+         record, its time, the [prev] option): the one per-packet
+         allocation a router still makes. *)
       if t.behavior == honest then fragment_if_needed t ~next iface pkt
       else begin
         let ctx =

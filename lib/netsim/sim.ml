@@ -14,7 +14,7 @@ type t = {
   rng : Random.State.t;
   mutable processed : int;
   mutable next_id : int;
-  mutable run_cpu : float;
+  run_cpu : fbox;        (* flat, so {!run} allocates nothing *)
 }
 
 (* Tag-handler registry: event kinds the engine schedules without boxing
@@ -44,11 +44,22 @@ let create ?(seed = 1) () =
   { clock = { f = 0.0 }; done_key = min_int; scratch = { f = 0.0 };
     events = Ev.create (); cursor = Ev.cursor ();
     rng = Random.State.make [| seed; 0x51a7 |];
-    processed = 0; next_id = 0; run_cpu = 0.0 }
+    processed = 0; next_id = 0; run_cpu = { f = 0.0 } }
 
 let now t = t.clock.f
 let clock t = t.clock
 let rng t = t.rng
+
+(* [Random.State.float]'s draw, bit for bit: the top 53 bits of a
+   64-bit draw, redrawn while zero, times 2^-53, times the bound.  The
+   library's [rawfloat] is recursive, so it is never inlined and boxes
+   every result; [bits64] is inlined and returns unboxed. *)
+let float_into rng (b : fbox) =
+  let n = ref 0L in
+  while !n = 0L do
+    n := Int64.shift_right_logical (Random.State.bits64 rng) 11
+  done;
+  b.f <- Int64.to_float !n *. 0x1.p-53 *. b.f
 
 (* --- scheduling ----------------------------------------------------- *)
 
@@ -124,7 +135,7 @@ let run ?until t =
   while Ev.pop t.events ~until:limit ~strict:false c do
     exec t c
   done;
-  t.run_cpu <- t.run_cpu +. (Sys.time () -. cpu0);
+  t.run_cpu.f <- t.run_cpu.f +. (Sys.time () -. cpu0);
   (* Everything at or before [until] has run: move the clock and the
      watermark there. *)
   match until with
@@ -135,7 +146,7 @@ let run ?until t =
 
 let events_processed t = t.processed
 let pending t = Ev.length t.events
-let cpu_time_in_run t = t.run_cpu
+let cpu_time_in_run t = t.run_cpu.f
 
 let fresh_id t =
   let id = t.next_id in

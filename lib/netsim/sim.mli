@@ -27,6 +27,11 @@ val rng : t -> Random.State.t
 (** The simulation's random state: the single source of randomness for
     forwarding jitter, link corruption, RED and Poisson traffic. *)
 
+val float_into : Random.State.t -> fbox -> unit
+(** [float_into rng b] sets [b.f] to [Random.State.float rng b.f], bit
+    for bit and drawing the same state, without allocating: the
+    standard library's draw boxes its result. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** Run a thunk [delay] seconds from now.  Raises [Invalid_argument]
     for a negative or non-finite delay. *)
@@ -62,10 +67,12 @@ val fresh_id : t -> int
     ({!Prioq.Event}), instead of boxing a closure per event.  A tag
     names a handler registered once at module-initialization time; the
     handler owns the typing discipline for the payload slots of its
-    tag.  Times travel in an {!fbox}, so scheduling allocates nothing.
-    The closure API above remains for cold-path and control-plane work
-    (tag 0).  Every entry point raises [Invalid_argument] for a time in
-    the past or a non-finite one, before drawing a key. *)
+    tag.  Times travel in an {!fbox} and the heap's pop passes none as
+    a float, so scheduling and dispatching a tagged event allocate
+    nothing, and neither does {!run} without [until].  The closure API
+    above remains for cold-path and control-plane work (tag 0).  Every
+    entry point raises [Invalid_argument] for a time in the past or a
+    non-finite one, before drawing a key. *)
 
 val new_tag : (t -> Obj.t -> Obj.t -> int -> unit) -> int
 (** Register an event handler and return its tag.  Must be called at

@@ -2,7 +2,9 @@
    array design extended with an event descriptor per element, so the
    engine schedules (tag, payload, payload, int) tuples without boxing a
    closure or a variant per event, and pops into a caller-owned cursor
-   without building an option or a tuple.
+   without building an option or a tuple.  No time crosses a call as a
+   float (that would box it: nothing here is inlined), so a push and a
+   pop each allocate nothing beyond amortized growth.
 
    The heap proper is four parallel SCALAR arrays — unboxed float
    times, int tie-break keys, a packed int descriptor (low 8 bits event
@@ -149,10 +151,13 @@ let push t ~time ~tag ~iarg pa pb =
   t.scratch.f <- time;
   push_keyed t ~at:t.scratch ~key:(reserve t) ~tag ~iarg pa pb
 
-(* Sift the element (p, k, m, h) down from the root of the first
-   [t.size] slots, writing it into its final slot. *)
-let sift_down t p k m h =
+(* Sift the element (prio.(n), k, m, h) down from the root of the
+   first [t.size] slots, writing it into its final slot.  The time is
+   read here, from slot [n], rather than passed in: a float argument
+   would be boxed on every pop. *)
+let sift_down t n k m h =
   let prio = t.prio and key = t.key and meta = t.meta and hnd = t.hnd in
+  let p = Array.unsafe_get prio n in
   let size = t.size in
   let i = ref 0 in
   let continue = ref true in
@@ -190,9 +195,8 @@ let remove_root t =
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    let p = t.prio.(n) and k = t.key.(n) and m = t.meta.(n) in
-    let h = t.hnd.(n) in
-    sift_down t p k m h
+    let k = t.key.(n) and m = t.meta.(n) and h = t.hnd.(n) in
+    sift_down t n k m h
   end
 
 let pop t ~until ~strict (c : cursor) =

@@ -5,10 +5,10 @@
     8-bit event tag, a small non-negative int operand and two uniform
     payload slots — so scheduling allocates nothing (beyond amortized
     growth) and popping fills a caller-owned {!cursor} instead of
-    building options or tuples.  Internally the heap sifts four scalar
-    parallel arrays (time, key, packed descriptor, payload handle);
-    payloads sit still in a handle-indexed side table, so reordering
-    the heap never runs the GC write barrier.
+    building options or tuples, allocating nothing.  Internally the
+    heap sifts four scalar parallel arrays (time, key, packed
+    descriptor, payload handle); payloads sit still in a handle-indexed
+    side table, so reordering the heap never runs the GC write barrier.
 
     Payload slots are [Obj.t]: the scheduler's tag handlers own the
     typing discipline (each tag fixes the concrete types of both slots),

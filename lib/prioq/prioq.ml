@@ -74,10 +74,12 @@ let push t ~priority value =
   t.next_seq <- sq + 1;
   push_key t sq ~priority value
 
-(* Sift the element (p, sq, v) down from the root of the first [t.size]
-   slots, writing it into its final slot. *)
-let sift_down t p sq v =
+(* Sift the element (prio.(n), sq, v) down from the root of the first
+   [t.size] slots, writing it into its final slot.  The priority is
+   read here, from slot [n]: a float argument would be boxed per pop. *)
+let sift_down t n sq v =
   let prio = t.prio and seq = t.seq and vals = t.vals in
+  let p = Array.unsafe_get prio n in
   let size = t.size in
   let i = ref 0 in
   let continue = ref true in
@@ -115,8 +117,8 @@ let pop_root t =
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
-    let p = t.prio.(n) and sq = t.seq.(n) and v = t.vals.(n) in
-    sift_down t p sq v
+    let sq = t.seq.(n) and v = t.vals.(n) in
+    sift_down t n sq v
   end;
   (* The vacated slot (the old last slot, or the root itself when the
      heap just emptied) must stop referencing the popped value. *)

@@ -22,6 +22,14 @@ let test_fnv_int64_consistent () =
   Alcotest.(check int64) "bytes agree" (Fnv.hash_string (Bytes.to_string bytes))
     (Fnv.hash_int64 x)
 
+(* [hash_int] hashes the bytes of [Int64.of_int], sign extension
+   included. *)
+let test_fnv_int_edges () =
+  List.iter
+    (fun i ->
+      Alcotest.(check int64) (string_of_int i) (Fnv.hash_int64 (Int64.of_int i)) (Fnv.hash_int i))
+    [ 0; 1; -1; 255; 256; max_int; min_int; -0x5eed ]
+
 let test_fnv_combine_chains () =
   let a = Fnv.combine Fnv.offset_basis 1L in
   let b = Fnv.combine a 2L in
@@ -186,6 +194,12 @@ let prop_siphash_no_trivial_collision =
   QCheck.Test.make ~name:"distinct strings rarely collide" ~count:300
     QCheck.(pair string string)
     (fun (a, b) -> a = b || Siphash.hash reference_key a <> Siphash.hash reference_key b)
+
+let prop_fnv_hash_int =
+  QCheck.Test.make ~name:"Fnv.hash_int i = hash_int64 (Int64.of_int i)" ~count:1000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(oneof [ int; neg_int; small_signed_int; oneofl [ 0; max_int; min_int ] ]))
+    (fun i -> Fnv.hash_int i = Fnv.hash_int64 (Int64.of_int i))
 
 (* Differential properties: the word entry points agree with the byte
    entry point, which the reference vectors pin. *)
@@ -379,6 +393,7 @@ let () =
     [ ( "fnv",
         [ Alcotest.test_case "known vectors" `Quick test_fnv_known;
           Alcotest.test_case "int64 consistent" `Quick test_fnv_int64_consistent;
+          Alcotest.test_case "int edges" `Quick test_fnv_int_edges;
           Alcotest.test_case "combine chains" `Quick test_fnv_combine_chains ] );
       ( "siphash",
         [ Alcotest.test_case "reference vectors" `Quick test_siphash_vectors;
@@ -407,7 +422,7 @@ let () =
           Alcotest.test_case "digest64" `Quick test_digest64 ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_siphash_deterministic; prop_siphash_no_trivial_collision;
+          [ prop_fnv_hash_int; prop_siphash_deterministic; prop_siphash_no_trivial_collision;
             prop_int64s_match_bytes; prop_fingerprint_tuple; prop_sign_roundtrip;
             prop_sha256_deterministic; prop_sha256_matches_reference; prop_hmac_matches_reference;
             prop_hmac_key_sensitive ] ) ]

@@ -108,6 +108,30 @@ let test_sim_fresh_ids () =
   let c = Sim.fresh_id sim in
   Alcotest.(check (list int)) "sequential" [ 0; 1; 2 ] [ a; b; c ]
 
+(* [Sim.float_into] is the jitter draw: it must be [Random.State.float]
+   bit for bit and leave the state where the library's draw leaves it,
+   or every jittered run would change.  10^5 draws from each of three
+   seeds, over bounds from the jitter's scale to large ones. *)
+let test_sim_float_into () =
+  let bounds = [| 200e-6; 100e-6; 1.0; 3.5; 1e9; 0x1.p-1000 |] in
+  List.iter
+    (fun seed ->
+      let ours = Random.State.make [| seed; 0x51a7 |] in
+      let theirs = Random.State.copy ours in
+      let b = { Sim.f = 0.0 } in
+      for i = 0 to 99_999 do
+        let bound = bounds.(i mod Array.length bounds) in
+        b.Sim.f <- bound;
+        Sim.float_into ours b;
+        let want = Random.State.float theirs bound in
+        if Int64.bits_of_float b.Sim.f <> Int64.bits_of_float want then
+          Alcotest.failf "seed %d draw %d: %h against %h" seed i b.Sim.f want
+      done;
+      Alcotest.(check int64)
+        (Printf.sprintf "seed %d: the states agree after the draws" seed)
+        (Random.State.bits64 theirs) (Random.State.bits64 ours))
+    [ 1; 2; 3 ]
+
 (* --- queues --- *)
 
 let mk_pkt sim ?(size = 1000) () =
@@ -996,7 +1020,9 @@ let () =
           Alcotest.test_case "nested" `Quick test_sim_nested_scheduling;
           Alcotest.test_case "rejects past" `Quick test_sim_rejects_past;
           Alcotest.test_case "rejects non-finite" `Quick test_sim_rejects_non_finite;
-          Alcotest.test_case "fresh ids" `Quick test_sim_fresh_ids ] );
+          Alcotest.test_case "fresh ids" `Quick test_sim_fresh_ids;
+          Alcotest.test_case "float_into draws as Random.State.float" `Quick
+            test_sim_float_into ] );
       ( "queues",
         [ Alcotest.test_case "fifo capacity" `Quick test_fifo_capacity;
           Alcotest.test_case "fifo order" `Quick test_fifo_order;
