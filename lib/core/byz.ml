@@ -81,20 +81,20 @@ let fabricated_fp t ~claimant ~victim ~round ~i =
     [ Int64.of_int claimant; Int64.of_int victim; Int64.of_int round;
       Int64.of_int i ]
 
-(* Which real fingerprints a liar prunes: a deterministic keyed choice
-   so equivocation and under-reporting replay identically. *)
-let prune_choice t ~claimant ~peer ~round fps =
-  match fps with
-  | [] -> None
-  | _ ->
-      let n = List.length fps in
-      let h =
-        Crypto_sim.Siphash.hash_int64s t.key
-          [ 0x7072756eL; Int64.of_int claimant; Int64.of_int peer;
-            Int64.of_int round ]
-      in
-      Some (List.nth fps (Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
-                                          (Int64.of_int n))))
+(* Which real fingerprint a liar prunes: a deterministic keyed position
+   in [Summary.fingerprints] order, so equivocation and under-reporting
+   replay identically. *)
+let prune_choice t ~claimant ~peer ~round s =
+  let n = Summary.cardinal s in
+  if n = 0 then None
+  else
+    let h =
+      Crypto_sim.Siphash.hash_int64s t.key
+        [ 0x7072756eL; Int64.of_int claimant; Int64.of_int peer;
+          Int64.of_int round ]
+    in
+    Some (Summary.nth s (Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
+                                         (Int64.of_int n))))
 
 let interior = function [ _; m; _ ] -> Some m | _ -> None
 
@@ -105,7 +105,7 @@ let summary_claim t ~claimant ~peer ~segment ~round truth =
       (* Prune one peer-keyed fingerprint: different peers receive
          different summaries for the same round, so their digests
          disagree and the cross-check catches it. *)
-      match prune_choice t ~claimant ~peer ~round (Summary.fingerprints truth) with
+      match prune_choice t ~claimant ~peer ~round truth with
       | None -> (truth, [])
       | Some fp ->
           let c = Summary.copy truth in
@@ -136,10 +136,7 @@ let summary_claim t ~claimant ~peer ~segment ~round truth =
           let c = Summary.copy truth in
           let rec prune k =
             if k > 0 then
-              match
-                prune_choice t ~claimant ~peer:(peer + k) ~round
-                  (Summary.fingerprints c)
-              with
+              match prune_choice t ~claimant ~peer:(peer + k) ~round c with
               | None -> ()
               | Some fp ->
                   Summary.remove c fp;

@@ -58,7 +58,8 @@ type t = {
   mutable cum_var : float;
   (* Per-flow cumulative evidence: a targeted attacker concentrates the
      excess on the victim flows, where it stands out of RED's noise long
-     before it shows in the aggregate. *)
+     before it shows in the aggregate.  Unseeded: suspects are listed in
+     its iteration order. *)
   cum_flows : (int, flow_acc) Hashtbl.t;
 }
 
@@ -217,7 +218,7 @@ let deploy ~net ~rt ~router ~next ~params ?(tau = 2.0) () =
   let t =
     { qmon; params; link_bw; avg = 0.0; count = -1; occ = 0;
       idle_since = Some 0.0; round = 0; reports_rev = [];
-      cum_observed = 0; cum_mu = 0.0; cum_var = 0.0; cum_flows = Hashtbl.create 16 }
+      cum_observed = 0; cum_mu = 0.0; cum_var = 0.0; cum_flows = Hashtbl.create ~random:false 16 }
   in
   let sim = Netsim.Net.sim net in
   let rec tick start_time () =

@@ -12,10 +12,9 @@ type detection = {
    is also what b truthfully reports having received, as its
    [received].  The three consensus submissions are a's view of s01 and
    x's and b's views of s12; misreporting routers substitute their own.
-   Π2 also judges the pair (x, b) against last round's s12, which only
-   it keeps. *)
+   Π2 also judges the pair (x, b) against last round's s12, the
+   collector's [prev_received]. *)
 type seg_state = {
-  mutable prev_s12 : Summary.t;
   (* Graceful degradation under a faulty control plane: consecutive
      rounds in which the interior's consensus submission never arrived,
      and whether the segment has been written off as fail-stop. *)
@@ -55,13 +54,9 @@ let min_packets = 20
 
 let deploy ~net ~rt ?probe ?ctrl ?byz () =
   let key = Crypto_sim.Siphash.key_of_string "pi2-live" in
-  (* Nothing writes to a summary it did not create (misreports and
-     Byzantine claims work on copies), so every segment's first
-     [prev_s12] is one shared empty summary. *)
-  let empty = Summary.create Summary.Content in
   let index =
     Seg_index.create ~rt ~key ~policy:Summary.Content (fun () ->
-        { prev_s12 = empty; mute_streak = 0; failstopped = false })
+        { mute_streak = 0; failstopped = false })
   in
   let t =
     { index; misreports = Hashtbl.create 4; probe; ctrl; byz;
@@ -174,10 +169,10 @@ let deploy ~net ~rt ?probe ?ctrl ?byz () =
               in
               judge ~pair:(a, x) ~sent:r0 ~received:r1
                 ~prev:(Seg_index.prev_sent index i);
-              judge ~pair:(x, b) ~sent:r1 ~received:r2 ~prev:st.prev_s12
+              judge ~pair:(x, b) ~sent:r1 ~received:r2
+                ~prev:(Seg_index.prev_received index i)
             end
         | _ -> ());
-        st.prev_s12 <- received;
         Seg_index.rotate index i)
       states;
     t.round <- t.round + 1;

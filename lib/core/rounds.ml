@@ -53,8 +53,10 @@ let observe ~rt ~segments ~adversary ?(packets_per_path = 20) ~round () =
   let faulty_tbl = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace faulty_tbl r ()) adversary.faulty;
   let is_faulty r = Hashtbl.mem faulty_tbl r in
-  (* Index the monitored segments by their chains for window matching. *)
-  let seg_tbl = Hashtbl.create (List.length segments * 2) in
+  (* Index the monitored segments by their chains for window matching.
+     This table and [dropped] are unseeded: the result lists them in
+     iteration order, which must not depend on OCAMLRUNPARAM=R. *)
+  let seg_tbl = Hashtbl.create ~random:false (List.length segments * 2) in
   List.iter
     (fun seg ->
       if not (Hashtbl.mem seg_tbl seg) then
@@ -62,7 +64,7 @@ let observe ~rt ~segments ~adversary ?(packets_per_path = 20) ~round () =
           (Array.init (List.length seg) (fun _ -> Summary.create Summary.Content)))
     segments;
   let sizes = List.sort_uniq compare (List.map List.length segments) in
-  let dropped = Hashtbl.create 8 in
+  let dropped = Hashtbl.create ~random:false 8 in
   let bump r =
     Hashtbl.replace dropped r (1 + Option.value ~default:0 (Hashtbl.find_opt dropped r))
   in

@@ -9,19 +9,22 @@ type 'st t = {
   segments : Topology.Graph.node list array;
   states : 'st array;
   (* The traffic collected per segment, by segment number: flat arrays,
-     so a segment's collector state costs four words. *)
+     so a segment's collector state costs five words. *)
   sent : Summary.t array;
   received : Summary.t array;
   prev_sent : Summary.t array;
+  prev_received : Summary.t array;
   excused : bool array;
   key : Crypto_sim.Siphash.key;
   policy : Summary.policy;
   (* Every summary slot starts as [empty], one shared placeholder that is
      never written: [observe] swaps in a fresh summary on a slot's first
-     observation, and [rotate] and [reroute] put the placeholder back
-     instead of allocating.  Sharing is safe because nothing else
-     modifies a summary in place — [Byz.claim] works on copies — so an
-     idle segment costs no summary at all. *)
+     observation, and [reroute] puts the placeholder back.  Sharing is
+     safe because nothing else modifies a summary in place — [Byz.claim]
+     works on copies — so an idle segment costs no summary at all.  Any
+     other summary sits in exactly one slot; [rotate] moves it from
+     [sent]/[received] to [prev_sent]/[prev_received], and once retired
+     from there clears it into the segment's next round. *)
   empty : Summary.t;
   (* Segment -> its number; consulted only when a route is filled. *)
   number : (Topology.Graph.node list, int) Hashtbl.t;
@@ -39,7 +42,7 @@ let create ~rt ~key ~policy make =
   (* Filled in family order (the family is duplicate-free), this table's
      iteration order numbers the segments: the order the deployments
      have always judged them in. *)
-  let number = Hashtbl.create 256 in
+  let number = Hashtbl.create ~random:false 256 in
   List.iter
     (fun seg -> Hashtbl.add number seg (-1))
     (Topology.Segments.pik2_family rt ~k:1);
@@ -69,7 +72,8 @@ let create ~rt ~key ~policy make =
   let count = Array.length segments in
   { n; segments; states = Array.map (fun _ -> make ()) segments;
     sent = Array.make count empty; received = Array.make count empty;
-    prev_sent = Array.make count empty; excused = Array.make count false;
+    prev_sent = Array.make count empty; prev_received = Array.make count empty;
+    excused = Array.make count false;
     key; policy; empty; number; links;
     routes = Array.make (n * n) None;
     predict = (fun ~src ~dst -> Topology.Routing.path rt ~src ~dst) }
@@ -79,6 +83,7 @@ let segments t = t.segments
 let sent t i = t.sent.(i)
 let received t i = t.received.(i)
 let prev_sent t i = t.prev_sent.(i)
+let prev_received t i = t.prev_received.(i)
 let excused t i = t.excused.(i)
 
 let fill t ~src ~dst =
@@ -157,10 +162,16 @@ let observe t (ev : Netsim.Net.iface_event) =
       Neither
   | _ -> Neither
 
+let recycle t s =
+  if s != t.empty then Summary.clear s;
+  s
+
 let rotate t i =
+  let sent = recycle t t.prev_sent.(i) and received = recycle t t.prev_received.(i) in
   t.prev_sent.(i) <- t.sent.(i);
-  t.sent.(i) <- t.empty;
-  t.received.(i) <- t.empty;
+  t.prev_received.(i) <- t.received.(i);
+  t.sent.(i) <- sent;
+  t.received.(i) <- received;
   t.excused.(i) <- false
 
 let edge_down t ~net i =
@@ -176,4 +187,5 @@ let reroute t pol =
   clear t.sent;
   clear t.received;
   clear t.prev_sent;
+  clear t.prev_received;
   Array.fill t.excused 0 (Array.length t.excused) false

@@ -12,10 +12,21 @@
     summaries.  Link-down drops on a segment edge mark the segment's
     round excused.
 
-    Every summary starts as one shared, never-written empty placeholder
-    and is created on its first observation, so an idle segment costs no
-    summary.  The protocols keep only their own judgment state (the
-    ['st] of each segment). *)
+    The collector owns every summary's lifetime.  Each slot starts as one
+    shared, never-written empty placeholder and gets a summary of its
+    own on its first observation, so an idle segment costs no summary.
+    {!rotate} keeps the round that just ended as {!prev_sent} and
+    {!prev_received} and retires the round before it: those two
+    summaries are cleared in place ({!Summary.clear}) and collect the
+    segment's next round, so a busy segment stops allocating summaries
+    once its four have grown.
+
+    {b Lifetime.}  A summary read through {!sent}, {!received},
+    {!prev_sent} or {!prev_received} is not modified by anything but
+    {!observe} filling the current round, until the {!rotate} that
+    retires it (the second one after its round ends) or a {!reroute}:
+    a caller may hold one that long, and no longer.  The protocols keep
+    only their own judgment state (the ['st] of each segment). *)
 
 type 'st t
 
@@ -31,7 +42,8 @@ val create :
     fingerprinted under [key]; summaries follow [policy].  Segments are
     numbered in the iteration order of a list-keyed hash table filled in
     family order: the order in which the deployments have always judged
-    them, which fixes their verdict order. *)
+    them, which fixes their verdict order.  The table is unseeded, so the
+    numbering does not depend on [OCAMLRUNPARAM=R]. *)
 
 val states : 'st t -> 'st array
 (** Per-segment protocol state, by segment number. *)
@@ -50,6 +62,9 @@ val prev_sent : 'st t -> int -> Summary.t
 (** Last round's {!sent}: a packet it announced that arrives this round
     crossed the round boundary. *)
 
+val prev_received : 'st t -> int -> Summary.t
+(** Last round's {!received} (Π2 judges the pair (x, b) against it). *)
+
 val excused : 'st t -> int -> bool
 (** Whether an edge of segment [i] dropped packets with its link down
     this round. *)
@@ -66,8 +81,9 @@ val observe : 'st t -> Netsim.Net.iface_event -> entered
     kind is ignored. *)
 
 val rotate : 'st t -> int -> unit
-(** End segment [i]'s round: [sent] becomes [prev_sent], and [sent],
-    [received] and the excuse are cleared. *)
+(** End segment [i]'s round: [sent] and [received] become [prev_sent]
+    and [prev_received], the summaries those held are cleared in place
+    to collect the next round, and the excuse is cleared. *)
 
 val edge_down : 'st t -> net:Netsim.Net.t -> int -> bool
 (** Whether an edge of segment [i] is down now. *)
@@ -75,5 +91,6 @@ val edge_down : 'st t -> net:Netsim.Net.t -> int -> bool
 val reroute : 'st t -> Topology.Policy.t -> unit
 (** Predict paths from the policy from now on: every route is forgotten
     and recomputed on its next use (§5.3.1), and all collected traffic,
-    [prev_sent] included, is cleared — it was attributed under the old
-    tables. *)
+    [prev_sent] and [prev_received] included, is dropped — it was
+    attributed under the old tables.  Summaries read before the reroute
+    are left as they were. *)

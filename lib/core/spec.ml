@@ -27,7 +27,8 @@ let accurate ~faulty ~a suspicions =
 let fault_cluster g ~faulty r =
   if not (faulty r) then []
   else begin
-    let seen = Hashtbl.create 8 in
+    (* Unseeded: the cluster is listed in iteration order. *)
+    let seen = Hashtbl.create ~random:false 8 in
     let rec visit v =
       if not (Hashtbl.mem seen v) then begin
         Hashtbl.replace seen v ();

@@ -11,7 +11,25 @@
     - {e order}: the fingerprints as an ordered list — additionally
       detects reordering;
     - {e timeliness}: fingerprints with timestamps — additionally detects
-      delaying. *)
+      delaying.
+
+    {b Layout.}  The fingerprint set is a chained hash table laid out
+    flat: each distinct fingerprint takes 8 bytes of one [Bytes.t], one
+    slot of an [int array] for its [Hashtbl.hash] and one for its chain
+    link, beside an array of bucket heads ([Timeliness] adds one unboxed
+    float per fingerprint, [Order] and richer 8 bytes per packet).  No
+    fingerprint is boxed while it is stored, looked up or compared, so a
+    summary filled below a capacity it has already reached allocates
+    nothing per {!observe}.
+
+    {b Order.}  {!fingerprints}, {!nth} and {!diff} follow the order the
+    stdlib [Hashtbl] (unseeded, 64 initial buckets) would give the same
+    history of {!observe}s and {!remove}s: buckets double when the
+    distinct count exceeds twice their number, a new fingerprint goes at
+    the head of its chain, a resize splits each chain keeping its order,
+    and the list is built by folding the buckets in ascending order and
+    consing.  Byzantine claims ({!Byz}) prune by position in this order,
+    so it fixes their choices.  It does not depend on [OCAMLRUNPARAM=R]. *)
 
 type policy = Flow | Content | Order | Timeliness
 
@@ -30,8 +48,25 @@ val mem : t -> int64 -> bool
 (** Fingerprint membership ([false] under the [Flow] policy, which keeps
     no identities). *)
 
+val clear : t -> unit
+(** Empty the summary in place, keeping its arrays: afterwards it reads
+    and orders exactly as a fresh {!create} of its policy. *)
+
+val cardinal : t -> int
+(** Distinct fingerprints held ([0] under [Flow]). *)
+
 val fingerprints : t -> int64 list
-(** Distinct fingerprints, unordered.  Empty under [Flow]. *)
+(** Distinct fingerprints, in the order above.  Empty under [Flow]. *)
+
+val nth : t -> int -> int64
+(** [nth t i] is [List.nth (fingerprints t) i], found by one traversal
+    without building the list.  Raises [Invalid_argument] unless
+    [0 <= i < cardinal t]. *)
+
+val diff : ?exclude:t -> t -> t -> int64 list
+(** [diff ?exclude a b] is the fingerprints of [a] held neither by [b]
+    nor by [exclude], in [fingerprints a] order.  One pass over [a] that
+    boxes only the fingerprints it returns. *)
 
 val sequence : t -> int64 array
 (** Fingerprints in forwarding order.  Available under [Order] and
@@ -46,7 +81,9 @@ val state_words : t -> int
     compared across protocols in §7.2. *)
 
 val copy : t -> t
-(** Independent snapshot (misreporting adversaries mutate copies). *)
+(** Independent snapshot (misreporting adversaries mutate copies),
+    sized to its contents rather than to the original's capacity; it
+    keeps the original's bucket count, and so its order. *)
 
 val remove : t -> int64 -> unit
 (** Delete a fingerprint (used to forge under-reports in tests).

@@ -61,17 +61,10 @@ let tv ?(thresholds = strict) ?prev ~sent ~received () =
         reordered = 0;
         max_delay_seen = 0.0 }
   | Summary.Content | Summary.Order | Summary.Timeliness ->
-      let missing =
-        List.filter (fun fp -> not (Summary.mem received fp)) (Summary.fingerprints sent)
-      in
+      let missing = Summary.diff sent received in
       (* A packet the previous round's sent summary announced was in
          flight across the round boundary, not fabricated. *)
-      let announced fp = match prev with Some p -> Summary.mem p fp | None -> false in
-      let fabricated =
-        List.filter
-          (fun fp -> not (Summary.mem sent fp || announced fp))
-          (Summary.fingerprints received)
-      in
+      let fabricated = Summary.diff ?exclude:prev received sent in
       let reordered =
         if Summary.policy sent = Summary.Content then 0
         else begin

@@ -90,7 +90,7 @@ let create ~sim ~id ~n ~jitter_bound ?(release = no_release) ~on_event ~local_de
     () =
   { sim; clock = Sim.clock sim; id; rng = Sim.rng sim; jitter_bound; enqueue_at = { Sim.f = 0.0 };
     on_event; local_deliver; release;
-    out = Hashtbl.create 4; by_next = Array.make n None; observe = all_kinds;
+    out = Hashtbl.create ~random:false 4; by_next = Array.make n None; observe = all_kinds;
     forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
     mcast = Hashtbl.create 2;
     delivered_packets = 0 }
@@ -109,6 +109,7 @@ let add_iface t iface =
 let iface_to t next =
   if next >= 0 && next < Array.length t.by_next then t.by_next.(next) else None
 
+(* [out] is unseeded, so this order does not depend on OCAMLRUNPARAM=R. *)
 let ifaces t = Hashtbl.fold (fun _ i acc -> i :: acc) t.out []
 
 let set_forwarding_id t f = t.forwarding <- f

@@ -4,9 +4,11 @@ type link = { src : node; dst : node; cost : int; bw : float; delay : float }
 
 type t = { n : int; adj : (node, link) Hashtbl.t array }
 
+(* Unseeded tables: [links] lists in their iteration order, which must
+   not depend on OCAMLRUNPARAM=R. *)
 let create ~n =
   if n < 0 then invalid_arg "Graph.create: negative size";
-  { n; adj = Array.init n (fun _ -> Hashtbl.create 4) }
+  { n; adj = Array.init n (fun _ -> Hashtbl.create ~random:false 4) }
 
 let size t = t.n
 

@@ -9,9 +9,10 @@ let windows xs x =
 
 (* Segments are interned into a hash table keyed by the chain itself to
    count each distinct segment once even though it occurs on many routed
-   paths. *)
+   paths.  The table is unseeded: the family comes out in its iteration
+   order, which must not depend on OCAMLRUNPARAM=R. *)
 let distinct segs =
-  let tbl = Hashtbl.create 4096 in
+  let tbl = Hashtbl.create ~random:false 4096 in
   List.iter (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s ()) segs;
   tbl
 
@@ -44,7 +45,7 @@ let pik2_family rt ~k =
   if k < 1 then invalid_arg "Segments.pik2_family: k must be >= 1";
   let n = Graph.size (Routing.graph rt) in
   let path = Array.make n 0 in
-  let distinct = Hashtbl.create 4096 in
+  let distinct = Hashtbl.create ~random:false 4096 in
   let seen = Seen.create (16 * n) in
   (* Whether a chain is the window path.(i) .. path.(stop - 1). *)
   let rec same i stop = function

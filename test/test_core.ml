@@ -62,6 +62,84 @@ let test_summary_state_words_ranking () =
   and time = mk Summary.Timeliness in
   Alcotest.(check bool) "flow cheapest" true (flow < content && content < time)
 
+(* What a reader of a summary sees. *)
+let contents s = (Summary.packets s, Summary.bytes s, Summary.fingerprints s)
+
+(* The collector recycles the summaries it retires, so its lifetime rule
+   is what makes holding one safe: a summary read through [sent],
+   [received], [prev_sent] or [prev_received] is left alone until the
+   [rotate] that retires it.  Ring8 CBR traffic, rounds of 1 s: at each
+   round end the summaries read at the previous one must be unchanged,
+   [rotate] must turn this round's into [prev_*], and the next round
+   must collect into summaries no other slot holds. *)
+let test_seg_index_lifetime () =
+  let g = Gen.ring ~n:8 in
+  let rt = Rt.compute g in
+  let net = Netsim.Net.create ~seed:1 ~pooling:true g in
+  Netsim.Net.use_routing net rt;
+  List.iter
+    (fun (src, dst) ->
+      ignore
+        (Netsim.Flow.cbr net ~src ~dst ~rate_pps:150.0 ~size:500 ~start:0.0 ~stop:8.0))
+    [ (0, 4); (4, 0); (1, 5); (2, 6); (7, 3) ];
+  let index =
+    Seg_index.create ~rt ~key:(Crypto_sim.Siphash.key_of_string "lifetime")
+      ~policy:Summary.Content (fun () -> ())
+  in
+  Netsim.Net.subscribe_iface net
+    ~kinds:Netsim.Iface.(kinds [ Delivered; Drop_link_down ])
+    (fun ev -> ignore (Seg_index.observe index ev));
+  let count = Array.length (Seg_index.segments index) in
+  (* Per segment: [sent] and [received] as read at the last round end,
+     with what they held then. *)
+  let held = Array.make count None in
+  let unchanged i when_ =
+    Option.iter
+      (fun ((s, s_seen), (r, r_seen)) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "segment %d %s: last round's summaries unchanged" i when_)
+          true
+          (contents s = s_seen && contents r = r_seen))
+      held.(i)
+  in
+  let recycled = ref 0 and judged = ref 0 in
+  let sim = Netsim.Net.sim net in
+  let rec tick () =
+    for i = 0 to count - 1 do
+      unchanged i "a round later";
+      let sent = Seg_index.sent index i and received = Seg_index.received index i in
+      let prev_sent = Seg_index.prev_sent index i
+      and prev_received = Seg_index.prev_received index i in
+      Option.iter
+        (fun ((s, _), (r, _)) ->
+          Alcotest.(check bool) (Printf.sprintf "segment %d: read back as prev_*" i) true
+            (s == prev_sent && r == prev_received))
+        held.(i);
+      if Summary.packets sent > 0 then incr judged;
+      held.(i) <- Some ((sent, contents sent), (received, contents received));
+      let retired = [ (prev_sent, Summary.packets prev_sent > 0);
+                      (prev_received, Summary.packets prev_received > 0) ] in
+      Seg_index.rotate index i;
+      unchanged i "after rotate";
+      Alcotest.(check bool) (Printf.sprintf "segment %d: rotated" i) true
+        (Seg_index.prev_sent index i == sent && Seg_index.prev_received index i == received);
+      List.iter2
+        (fun s (old, had_traffic) ->
+          Alcotest.(check int) (Printf.sprintf "segment %d: next round starts empty" i) 0
+            (Summary.packets s);
+          if s == old && had_traffic then incr recycled)
+        [ Seg_index.sent index i; Seg_index.received index i ]
+        retired
+    done;
+    Netsim.Sim.schedule sim ~delay:1.0 tick
+  in
+  Netsim.Sim.schedule sim ~delay:1.0 tick;
+  Netsim.Net.run ~until:9.5 net;
+  Alcotest.(check bool) (Printf.sprintf "rounds judged (%d)" !judged) true (!judged > 20);
+  Alcotest.(check bool)
+    (Printf.sprintf "retired summaries recycled (%d)" !recycled)
+    true (!recycled > 20)
+
 (* --- Validation --- *)
 
 let summary_of fps =
@@ -299,7 +377,9 @@ let () =
           Alcotest.test_case "content" `Quick test_summary_content;
           Alcotest.test_case "order/time" `Quick test_summary_order_and_time;
           Alcotest.test_case "remove/copy" `Quick test_summary_remove_copy;
-          Alcotest.test_case "state ranking" `Quick test_summary_state_words_ranking ] );
+          Alcotest.test_case "state ranking" `Quick test_summary_state_words_ranking;
+          Alcotest.test_case "segment summaries live until retired" `Quick
+            test_seg_index_lifetime ] );
       ( "validation",
         [ Alcotest.test_case "equal ok" `Quick test_tv_equal_ok;
           Alcotest.test_case "loss" `Quick test_tv_detects_loss;

@@ -258,6 +258,182 @@ let prop_tv_prev_matches_live_reference =
       (v.Core.Validation.ok, v.conserved, v.missing, v.fabricated)
       = ref_live_tv ~thresholds ~prev ~sent ~received)
 
+(* --- Summary against the stdlib table it replaced --- *)
+
+(* [Core.Summary] as it was while it kept its fingerprints in the stdlib
+   [Hashtbl] (unseeded, as the flat table is); [clear] resets the tables
+   to their 64 initial buckets, as a fresh summary has.  The flat table
+   must read exactly as this one, [fingerprints]' order included: Byz
+   prunes by position in it. *)
+module Old_summary = struct
+  module S = Core.Summary
+
+  type t = {
+    policy : S.policy;
+    mutable packets : int;
+    mutable bytes : int;
+    fps : (int64, unit) Hashtbl.t;
+    mutable seq_rev : int64 list;
+    times : (int64, float) Hashtbl.t;
+  }
+
+  let create policy =
+    { policy; packets = 0; bytes = 0; fps = Hashtbl.create ~random:false 64;
+      seq_rev = [];
+      times = Hashtbl.create ~random:false (if policy = S.Timeliness then 64 else 1) }
+
+  let keeps_identity t = t.policy <> S.Flow
+  let keeps_order t = match t.policy with S.Order | S.Timeliness -> true | _ -> false
+
+  let observe t ~fp ~size ~time =
+    t.packets <- t.packets + 1;
+    t.bytes <- t.bytes + size;
+    if keeps_identity t then Hashtbl.replace t.fps fp ();
+    if keeps_order t then t.seq_rev <- fp :: t.seq_rev;
+    if t.policy = S.Timeliness then Hashtbl.replace t.times fp time
+
+  let mem t fp = keeps_identity t && Hashtbl.mem t.fps fp
+  let fingerprints t = Hashtbl.fold (fun fp () acc -> fp :: acc) t.fps []
+
+  let sequence t =
+    if not (keeps_order t) then invalid_arg "sequence";
+    Array.of_list (List.rev t.seq_rev)
+
+  let time_of t fp =
+    if t.policy = S.Timeliness then Hashtbl.find_opt t.times fp else None
+
+  let state_words t =
+    match t.policy with
+    | S.Flow -> 2
+    | S.Content -> 2 + Hashtbl.length t.fps
+    | S.Order -> 2 + List.length t.seq_rev
+    | S.Timeliness -> 2 + (2 * List.length t.seq_rev)
+
+  let copy t =
+    { t with fps = Hashtbl.copy t.fps; times = Hashtbl.copy t.times }
+
+  let remove t fp =
+    if keeps_identity t && Hashtbl.mem t.fps fp then begin
+      Hashtbl.remove t.fps fp;
+      t.packets <- t.packets - 1;
+      if keeps_order t then
+        t.seq_rev <- List.filter (fun f -> not (Int64.equal f fp)) t.seq_rev;
+      Hashtbl.remove t.times fp
+    end
+
+  let clear t =
+    t.packets <- 0;
+    t.bytes <- 0;
+    Hashtbl.reset t.fps;
+    t.seq_rev <- [];
+    Hashtbl.reset t.times
+end
+
+type summary_op =
+  | Observe of int * int64 * int * float
+  | Remove of int * int64
+  | Copy of int * int
+  | Clear of int
+
+(* Four slots.  Each case first fills slot 0 with 600-900 fingerprints,
+   so it crosses the 128, 256 and 512 resize points, then mixes in
+   1,500 random operations over a 1,200-key space (slot 0 favoured) and
+   random wide keys. *)
+let summary_case =
+  let open QCheck.Gen in
+  let wide = map (fun i -> Int64.mul (Int64.of_int i) 0x9e3779b97f4a7c15L) (0 -- 1199) in
+  let key = frequency [ (8, wide); (1, map Int64.of_int (-50 -- 50)); (1, ui64) ] in
+  let slot = frequency [ (6, return 0); (1, return 1); (1, return 2); (1, return 3) ] in
+  let time = float_bound_inclusive 100.0 in
+  let op =
+    frequency
+      [ (90, map (fun (((i, fp), size), tm) -> Observe (i, fp, size, tm))
+               (pair (pair (pair slot key) (1 -- 1500)) time));
+        (6, map (fun (i, fp) -> Remove (i, fp)) (pair slot key));
+        (3, map (fun (i, j) -> Copy (i, j)) (pair slot (0 -- 3)));
+        (1, map (fun i -> Clear i) slot) ]
+  in
+  let fill =
+    int_range 600 900 >>= fun n ->
+    list_repeat n (map (fun (fp, tm) -> Observe (0, fp, 500, tm)) (pair wide time))
+  in
+  QCheck.make
+    (triple
+       (oneofl Core.Summary.[ Flow; Content; Order; Timeliness ])
+       fill
+       (list_size (0 -- 1500) op))
+
+let summaries_agree probes (old : Old_summary.t) (s : Core.Summary.t) =
+  let module S = Core.Summary in
+  let sequence f x = try Some (f x) with Invalid_argument _ -> None in
+  Old_summary.fingerprints old = S.fingerprints s
+  && old.Old_summary.packets = S.packets s
+  && old.Old_summary.bytes = S.bytes s
+  && Old_summary.state_words old = S.state_words s
+  && sequence Old_summary.sequence old = sequence S.sequence s
+  && List.for_all
+       (fun fp ->
+         Old_summary.mem old fp = S.mem s fp
+         && Old_summary.time_of old fp = S.time_of s fp)
+       probes
+
+(* [nth] and [diff] against the list operations they replace, over
+   every pair of slots (and a third as [diff]'s [exclude]). *)
+let derived_agree (old : Old_summary.t array) flat =
+  let module S = Core.Summary in
+  let fps = Array.map Old_summary.fingerprints old in
+  List.for_all
+    (fun i ->
+      List.for_all (fun k -> S.nth flat.(i) k = List.nth fps.(i) k)
+        (List.filter (fun k -> k < List.length fps.(i)) [ 0; 1; 63; 200; 511 ])
+      && List.for_all
+           (fun j ->
+             let k = (j + 1) mod 4 in
+             S.diff flat.(i) flat.(j)
+             = List.filter (fun fp -> not (Old_summary.mem old.(j) fp)) fps.(i)
+             && S.diff ~exclude:flat.(k) flat.(i) flat.(j)
+                = List.filter
+                    (fun fp -> not (Old_summary.mem old.(j) fp || Old_summary.mem old.(k) fp))
+                    fps.(i))
+           [ 0; 1; 2; 3 ])
+    [ 0; 1; 2; 3 ]
+
+let prop_summary_matches_stdlib_model =
+  QCheck.Test.make ~name:"flat summary = stdlib Hashtbl summary, order included" ~count:60
+    summary_case
+    (fun (policy, fill, ops) ->
+      let old = Array.init 4 (fun _ -> Old_summary.create policy) in
+      let flat = Array.init 4 (fun _ -> Core.Summary.create policy) in
+      let probes = ref [ 0L; -1L; Int64.max_int ] in
+      let all () =
+        Array.for_all2 (summaries_agree !probes) old flat && derived_agree old flat
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Observe (i, fp, size, time) ->
+              probes := fp :: !probes;
+              Old_summary.observe old.(i) ~fp ~size ~time;
+              Core.Summary.observe flat.(i) ~fp ~size ~time;
+              Old_summary.mem old.(i) fp = Core.Summary.mem flat.(i) fp
+              && old.(i).Old_summary.packets = Core.Summary.packets flat.(i)
+          | Remove (i, fp) ->
+              Old_summary.remove old.(i) fp;
+              Core.Summary.remove flat.(i) fp;
+              Old_summary.mem old.(i) fp = Core.Summary.mem flat.(i) fp
+              && old.(i).Old_summary.packets = Core.Summary.packets flat.(i)
+          | Copy (i, j) ->
+              old.(j) <- Old_summary.copy old.(i);
+              flat.(j) <- Core.Summary.copy flat.(i);
+              all ()
+          | Clear i ->
+              let before = all () in
+              Old_summary.clear old.(i);
+              Core.Summary.clear flat.(i);
+              before && all ())
+        (fill @ ops)
+      && all ())
+
 (* --- Qmon's queue replay --- *)
 
 (* The arrival/departure walk Chi and Chi_red each carried before Qmon
@@ -626,6 +802,7 @@ let () =
         List.map to_alco
           [ prop_tv_reflexive; prop_tv_missing_fabricated_swap;
             prop_tv_prev_matches_live_reference ] );
+      ("summary", List.map to_alco [ prop_summary_matches_stdlib_model ]);
       ("qmon", List.map to_alco [ prop_qmon_replay_matches_reference ]);
       ("reconcile", List.map to_alco [ prop_reconcile_fingerprints ]);
       ("ecmp", List.map to_alco [ prop_ecmp_paths_shortest ]);

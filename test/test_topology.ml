@@ -680,7 +680,7 @@ let prop_routing_matches_reference =
 (* The list-windows enumeration that the next-hop walk in
    [Segments.pik2_family] replaced, kept as the oracle: every x-window,
    3 <= x <= k+2, of every routed path, first occurrences kept through a
-   list-keyed table. *)
+   list-keyed table, unseeded as [Segments]' own. *)
 let ref_pik2_family rt ~k =
   let windows xs x =
     let arr = Array.of_list xs in
@@ -688,7 +688,7 @@ let ref_pik2_family rt ~k =
     if n < x then [] else List.init (n - x + 1) (fun i -> Array.to_list (Array.sub arr i x))
   in
   let distinct segs =
-    let tbl = Hashtbl.create 4096 in
+    let tbl = Hashtbl.create ~random:false 4096 in
     List.iter (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s ()) segs;
     tbl
   in
