@@ -204,6 +204,3 @@ let parts =
 
 let eval ?(jobs = 1) () =
   { Exp.id = "ablations"; sections = Pool.map ~jobs (fun part -> part ()) parts }
-
-let render = Exp.render
-let run () = render (eval ())

@@ -25,6 +25,3 @@ let eval () =
               (Printf.sprintf "  qlimit = %.0f B, packet = %d B, X ~ N(%.0f, %.0f^2)\n"
                  qlimit ps mu sigma);
             Exp.table ~header:[ "qpred (B)"; "headroom"; "c_single" ] rows ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

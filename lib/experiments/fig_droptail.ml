@@ -43,6 +43,3 @@ let attack4 () =
 let eval () =
   { Exp.id = "droptail";
     sections = [ no_attack (); attack1 (); attack2 (); attack3 (); attack4 () ] }
-
-let render = Exp.render
-let run () = render (eval ())

@@ -132,6 +132,3 @@ let eval () =
       [ Exp.section
           "Figure 5.7: Fatih in progress (Abilene, Kansas City compromised)" items ]
   }
-
-let render = Exp.render
-let run () = render (eval ())

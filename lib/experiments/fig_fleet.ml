@@ -97,6 +97,3 @@ let eval () =
                 Printf.sprintf
                   "%d/%d transit-carrying attackers localized exactly; %d leaf routers had no         transit to attack (a compromised access router can only hurt its own hosts,         which no routing remedy helps — 2.1.4)"
                   !correct (!total - !leaves) !leaves ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

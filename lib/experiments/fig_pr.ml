@@ -51,6 +51,3 @@ let eval () =
           ~protocol:`Pik2 ~topology:`Sprintlink ~rt:sprintlink;
         figure ~title:"Figure 5.4 (EBONE): Protocol Pik+2" ~protocol:`Pik2
           ~topology:`Ebone ~rt:ebone ] }
-
-let render = Exp.render
-let run () = render (eval ())

@@ -21,8 +21,3 @@ val sweep :
 val eval : unit -> Exp.result
 (** Four sections (Π2/Πk+2 × Sprintlink/EBONE), each one table with
     columns [k], [max |Pr|], [avg |Pr|], [med |Pr|]. *)
-
-val render : Exp.result -> unit
-
-val run : unit -> unit
-(** [render (eval ())]: print both figures for both topologies. *)

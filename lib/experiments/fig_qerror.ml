@@ -52,6 +52,3 @@ let eval () =
                 Printf.sprintf "%.3f" (Mrstats.Descriptive.kurtosis_excess samples) );
             Exp.Raw (Mrstats.Histogram.render_with_normal ~width:40 h ~mu ~sigma) ] ]
   }
-
-let render = Exp.render
-let run () = render (eval ())

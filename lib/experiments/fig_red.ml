@@ -52,6 +52,3 @@ let eval () =
           ~title:"Figure 6.15: attack 4 - drop 5% of the selected flows when avg > 45000 B"
           ~fraction:0.05 ~avg:45000.0 ();
         syn_attack () ] }
-
-let render = Exp.render
-let run () = render (eval ())

@@ -1,9 +1,8 @@
 (** The single source of truth for the experiment suite.
 
-    [bin/mrdetect.ml] (subcommands, [all], [quick]), [bench/main.ml]
-    (the reproduction pass and the serial-vs-parallel benchmark) and
-    [doc/gen_index.ml] (the odoc experiment index) all consume this
-    list instead of keeping their own copies. *)
+    [bin/mrdetect.ml] (subcommands, [all], [quick]) and
+    [doc/gen_index.ml] (the odoc experiment index) consume this list
+    instead of keeping their own copies. *)
 
 val all : Exp.entry list
 (** Every experiment, in the dissertation's presentation order. *)

@@ -65,6 +65,3 @@ let properties () =
 let eval () =
   { Exp.id = "baselines";
     sections = [ herzberg_tradeoff (); probing_rounds (); properties () ] }
-
-let render = Exp.render
-let run () = render (eval ())

@@ -44,6 +44,3 @@ let eval () =
                 "bloom is constant-size but only estimates the loss count (2.4.1); \
                  reconciliation recovers the exact missing fingerprints in O(losses) words, \
                  which is what makes content validation affordable at line rate" ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

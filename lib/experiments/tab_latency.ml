@@ -93,6 +93,3 @@ let eval () =
                  (the FP(pre) column counts its pre-attack false alarms on clean rounds); \
                  Fatih needs the per-segment loss to clear its 2% budget within a 5 s round"
               ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

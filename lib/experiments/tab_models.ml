@@ -98,6 +98,3 @@ let eval () =
                 "both models disagree with measurement by large factors that vary with n — \
                  usable for provisioning, not for attributing individual drops (the paper's \
                  motivation for measurement-based validation)" ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

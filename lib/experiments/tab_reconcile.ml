@@ -49,6 +49,3 @@ let eval () =
               ( "takeaway",
                 "reconciliation transmits O(difference) elements and recovers the exact \
                  fingerprints; Bloom filters only estimate the count" ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

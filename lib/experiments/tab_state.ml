@@ -72,6 +72,3 @@ let eval () =
         counters_section ~label:"EBONE-like (87/161)"
           (Topology.Generate.ebone_like ());
         policy_bytes () ] }
-
-let render = Exp.render
-let run () = render (eval ())

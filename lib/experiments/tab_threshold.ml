@@ -65,6 +65,3 @@ let eval () =
                 "attacked rounds without malicious drops (attack armed but queue below its trigger) \
                  count as attack rounds; the threshold sweep shows the FP/FN tradeoff, chi separates \
                  congestion from malice per loss" ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

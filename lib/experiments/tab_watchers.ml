@@ -66,6 +66,3 @@ let eval () =
               ( "reading",
                 "WATCHERS' flow threshold accuses an honest router under congestion and stays \
                  blind to the trickle; chi's queue replay separates both cases" ) ] ] }
-
-let render = Exp.render
-let run () = render (eval ())

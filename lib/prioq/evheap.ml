@@ -1,10 +1,10 @@
-(* Flat event heap for the simulator's inner loop: the PR-3 parallel
-   array design extended with an event descriptor per element, so the
-   engine schedules (tag, payload, payload, int) tuples without boxing a
-   closure or a variant per event, and pops into a caller-owned cursor
-   without building an option or a tuple.  No time crosses a call as a
-   float (that would box it: nothing here is inlined), so a push and a
-   pop each allocate nothing beyond amortized growth.
+(* Flat binary min-heap of event descriptors, for the simulator's inner
+   loop and for shortest-path searches: each element carries a
+   (tag, payload, payload, int) tuple, so callers schedule without
+   boxing a closure or a variant per event, and pop into a caller-owned
+   cursor without building an option or a tuple.  No time crosses a
+   call as a float (that would box it: nothing here is inlined), so a
+   push and a pop each allocate nothing beyond amortized growth.
 
    The heap proper is four parallel SCALAR arrays — unboxed float
    times, int tie-break keys, a packed int descriptor (low 8 bits event
@@ -21,9 +21,9 @@
    Slot cells hold [Obj.t] on purpose: the simulator's tag handlers
    know the concrete types behind each tag, and a monomorphic table
    keeps every payload access boxing-free.  Cells vacated by a pop are
-   scrubbed so finished events never pin packets or closures live (the
-   Prioq stale-reference contract).  Free handles form a freelist
-   threaded through their own first cell as an immediate int. *)
+   scrubbed so finished events never pin packets or closures live.
+   Free handles form a freelist threaded through their own first cell
+   as an immediate int. *)
 
 (* A flat float box: an all-float record is stored unboxed, so reading
    or writing [f] never allocates (a mutable float field in a mixed
@@ -65,8 +65,6 @@ let create () =
     free = -1; fresh = 0; size = 0; next_seq = 0; scratch = { f = 0.0 } }
 
 let length t = t.size
-let is_empty t = t.size = 0
-let capacity t = Array.length t.prio
 
 (* Every live element owns exactly one handle and every released handle
    is on the freelist, so when the freelist is empty [fresh = size] and
@@ -218,9 +216,3 @@ let pop t ~until ~strict (c : cursor) =
       true
     end
   end
-
-let clear t =
-  for i = 0 to t.size - 1 do
-    release t t.hnd.(i)
-  done;
-  t.size <- 0

@@ -1,12 +1,14 @@
-(** Flat event heap: the {!Prioq} parallel-array min-heap specialized
-    for the simulator's inner loop.
+(** Flat binary min-heap of event descriptors: the simulator's event
+    queue, and the priority queue of the shortest-path searches (a
+    search puts the node in the operand and the cost in the time).
 
     Each element is a full event descriptor — time, tie-break key, an
     8-bit event tag, a small non-negative int operand and two uniform
     payload slots — so scheduling allocates nothing (beyond amortized
     growth) and popping fills a caller-owned {!cursor} instead of
-    building options or tuples, allocating nothing.  Internally the
-    heap sifts four scalar parallel arrays (time, key, packed
+    building options or tuples, allocating nothing.  Ties at equal time
+    pop in key order, which is insertion order for {!push}.  Internally
+    the heap sifts four scalar parallel arrays (time, key, packed
     descriptor, payload handle); payloads sit still in a handle-indexed
     side table, so reordering the heap never runs the GC write barrier.
 
@@ -14,8 +16,9 @@
     typing discipline (each tag fixes the concrete types of both slots),
     which is what lets one monomorphic heap carry every event kind
     without per-event boxing.  Use {!nil} for unused slots.  Slots
-    vacated by pops and {!clear} are scrubbed, so finished events never
-    keep their payloads reachable.
+    vacated by pops are scrubbed, so the heap never keeps a finished
+    event's payloads reachable; the cursor does until the caller
+    overwrites them.
 
     Not thread-safe. *)
 
@@ -46,10 +49,6 @@ val cursor : unit -> cursor
 
 val create : unit -> t
 val length : t -> int
-val is_empty : t -> bool
-
-val capacity : t -> int
-(** Backing-array capacity; {!clear} keeps it. *)
 
 val reserve : t -> int
 (** Claim the next insertion sequence number without inserting: the key
@@ -73,6 +72,3 @@ val pop : t -> until:float -> strict:bool -> cursor -> bool
     window ([< until] when [strict], [<= until] otherwise); returns
     [false] (cursor untouched) when the heap is empty or the minimum is
     beyond the window.  Allocates nothing. *)
-
-val clear : t -> unit
-(** Empty the heap, keeping capacity; payload slots are scrubbed. *)

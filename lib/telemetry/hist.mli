@@ -1,5 +1,6 @@
-(** Mergeable HDR-style log-bucketed histogram — the library's only
-    histogram; {!Export.prometheus_append_hist} renders one.
+(** Mergeable HDR-style log-bucketed histogram for telemetry
+    ({!Export.prometheus_append_hist} renders one).  The fixed-bin
+    [Mrstats.Histogram] that draws Fig 6.3 is the other histogram.
 
     Bin 0 collects values [<= 0], bin [i] ([1 <= i < buckets-1]) the
     upper-inclusive range [(2^(i-2+min_exp), 2^(i-1+min_exp)]], and the

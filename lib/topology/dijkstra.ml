@@ -1,37 +1,35 @@
+module Ev = Prioq.Event
+
 let unreachable = max_int
 
-(* Single-source Dijkstra over one orientation of a snapshot: [next.(u)]
-   are the nodes one hop from [u], [cost.(u).(i)] the cost of that hop. *)
-let run ~next ~cost ~src =
-  let n = Array.length next in
-  if src < 0 || src >= n then invalid_arg "Dijkstra.distances: bad source";
-  let dist = Array.make n unreachable in
-  let settled = Array.make n false in
-  let heap = Prioq.create () in
-  dist.(src) <- 0;
-  Prioq.push heap ~priority:0.0 src;
-  let rec drain () =
-    match Prioq.pop heap with
-    | None -> ()
-    | Some (_, u) ->
-        if not settled.(u) then begin
-          settled.(u) <- true;
-          let nu = next.(u) and cu = cost.(u) in
-          for i = 0 to Array.length nu - 1 do
-            let v = nu.(i) in
-            let cand = dist.(u) + cu.(i) in
+(* One backward search per destination, all on one event heap: the node
+   rides in the operand and its cost in the time, so a push and a pop
+   allocate nothing.  A node is pushed again only with a strictly lower
+   cost, so an entry whose time is not the node's distance is stale. *)
+let distances_to_all (a : Graph.adjacency) =
+  let n = Array.length a.pred in
+  let heap = Ev.create () and c = Ev.cursor () and at = { Ev.f = 0.0 } in
+  let push v cost =
+    at.f <- float_of_int cost;
+    Ev.push_keyed heap ~at ~key:(Ev.reserve heap) ~tag:0 ~iarg:v Ev.nil Ev.nil
+  in
+  Array.init n (fun dst ->
+      let dist = Array.make n unreachable in
+      dist.(dst) <- 0;
+      push dst 0;
+      while Ev.pop heap ~until:infinity ~strict:false c do
+        let u = c.iarg in
+        let du = dist.(u) in
+        if int_of_float c.time.f = du then begin
+          let pu = a.pred.(u) and cu = a.pred_cost.(u) in
+          for i = 0 to Array.length pu - 1 do
+            let v = pu.(i) in
+            let cand = du + cu.(i) in
             if cand < dist.(v) then begin
               dist.(v) <- cand;
-              Prioq.push heap ~priority:(float_of_int cand) v
+              push v cand
             end
           done
-        end;
-        drain ()
-  in
-  drain ();
-  dist
-
-let distances (a : Graph.adjacency) ~src = run ~next:a.succ ~cost:a.succ_cost ~src
-
-let distances_to (a : Graph.adjacency) ~dst =
-  run ~next:a.pred ~cost:a.pred_cost ~src:dst
+        end
+      done;
+      dist)

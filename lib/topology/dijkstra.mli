@@ -10,10 +10,7 @@
 val unreachable : int
 (** Distance value for unreachable nodes ([max_int]). *)
 
-val distances : Graph.adjacency -> src:Graph.node -> int array
-(** Least cost from [src] to every node, relaxing the successor rows of
-    the snapshot.  Raises [Invalid_argument] on an out-of-range node. *)
-
-val distances_to : Graph.adjacency -> dst:Graph.node -> int array
-(** Least cost from every node to [dst], relaxing the predecessor rows;
-    this is the orientation hop-by-hop forwarding needs. *)
+val distances_to_all : Graph.adjacency -> int array array
+(** [(distances_to_all a).(dst).(v)] is the least cost from [v] to
+    [dst], found by relaxing the predecessor rows: the orientation
+    hop-by-hop forwarding needs.  The n searches share one heap. *)

@@ -11,10 +11,7 @@ let hash ~router ~dst ~flow =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.to_int (Int64.logand (Int64.logxor z (Int64.shift_right_logical z 31)) 0x3fffffffL)
 
-let compute graph =
-  let n = Graph.size graph in
-  let adj = Graph.adjacency graph in
-  { graph; dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d) }
+let compute graph = { graph; dist_to = Dijkstra.distances_to_all (Graph.adjacency graph) }
 
 let candidates t v ~dst =
   if v = dst then []

@@ -1,4 +1,5 @@
 module Keys = Hashtbl.Make (Int)
+module Ev = Prioq.Event
 
 type t = {
   n : int;
@@ -10,6 +11,11 @@ type t = {
      to dst whose first hop is the link u -> v (so v continues with
      previous hop u). *)
   dist_cache : int array option array;
+  (* Every destination's search drains the one heap, popping into
+     [cursor]; [at] carries a pushed cost as the event time. *)
+  heap : Ev.t;
+  cursor : Ev.cursor;
+  at : Ev.fbox;
 }
 
 let validate_segment g seg =
@@ -42,47 +48,51 @@ let compute g ~forbidden =
       | _ ->
           List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
     forbidden;
-  { n; adj = Graph.adjacency work; banned; dist_cache = Array.make n None }
+  { n; adj = Graph.adjacency work; banned; dist_cache = Array.make n None;
+    heap = Ev.create (); cursor = Ev.cursor (); at = { Ev.f = 0.0 } }
 
 let infinity_cost = max_int
 
 let is_banned t u v w = Keys.mem t.banned (key t.n u v w)
 
-(* Backward Dijkstra over (prev, cur) states toward [dst]. *)
+(* Backward Dijkstra over (prev, cur) states toward [dst]: the state
+   u * n + v rides in the heap's operand and its cost in the time.  A
+   state is pushed again only with a strictly lower cost, so an entry
+   whose time is not the state's distance is stale. *)
 let state_distances t dst =
   match t.dist_cache.(dst) with
   | Some d -> d
   | None ->
-      let n = t.n in
+      let n = t.n and pred = t.adj.Graph.pred and pred_cost = t.adj.Graph.pred_cost in
       let dist = Array.make (n * n) infinity_cost in
-      let heap = Prioq.create () in
       let relax state cand =
         if cand < dist.(state) then begin
           dist.(state) <- cand;
-          Prioq.push heap ~priority:(float_of_int cand) state
+          t.at.f <- float_of_int cand;
+          Ev.push_keyed t.heap ~at:t.at ~key:(Ev.reserve t.heap) ~tag:0 ~iarg:state Ev.nil
+            Ev.nil
         end
       in
       (* Entry states: the last link into dst. *)
-      Array.iteri
-        (fun i u -> relax ((u * n) + dst) t.adj.Graph.pred_cost.(dst).(i))
-        t.adj.Graph.pred.(dst);
-      let rec drain () =
-        match Prioq.pop heap with
-        | None -> ()
-        | Some (prio, state) ->
-            if int_of_float prio = dist.(state) then begin
-              let v = state / n and w = state mod n in
-              (* Prepend each link u -> v for which the transition
-                 u -> v -> w is allowed. *)
-              Array.iteri
-                (fun i u ->
-                  if not (is_banned t u v w) then
-                    relax ((u * n) + v) (t.adj.Graph.pred_cost.(v).(i) + dist.(state)))
-                t.adj.Graph.pred.(v)
-            end;
-            drain ()
-      in
-      drain ();
+      let pd = pred.(dst) in
+      for i = 0 to Array.length pd - 1 do
+        relax ((pd.(i) * n) + dst) pred_cost.(dst).(i)
+      done;
+      let c = t.cursor in
+      while Ev.pop t.heap ~until:infinity ~strict:false c do
+        let state = c.iarg in
+        let d = dist.(state) in
+        if int_of_float c.time.f = d then begin
+          let v = state / n and w = state mod n in
+          (* Prepend each link u -> v for which the transition
+             u -> v -> w is allowed. *)
+          let pv = pred.(v) and cv = pred_cost.(v) in
+          for i = 0 to Array.length pv - 1 do
+            let u = pv.(i) in
+            if not (is_banned t u v w) then relax ((u * n) + v) (cv.(i) + d)
+          done
+        end
+      done;
       t.dist_cache.(dst) <- Some dist;
       dist
 

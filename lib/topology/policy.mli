@@ -19,9 +19,11 @@
     policy-respecting cost to the destination that starts with it.  The
     build is a backward Dijkstra over links that relaxes only the
     predecessors of each popped link: O(E·deg) relaxations (each a heap
-    push) and n² words per destination.  Once a destination's table
-    exists, {!next_hop_id} scans the router's successor row and
-    allocates nothing. *)
+    push) and n² words per destination.  Every destination's search
+    drains the one event heap ([Prioq.Event]) its [t] keeps, so a [t]
+    is not thread-safe.  Once a destination's table exists,
+    {!next_hop_id} scans the router's successor row and allocates
+    nothing. *)
 
 type t
 

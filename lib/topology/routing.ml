@@ -23,7 +23,7 @@ let first_optimal succ cost dist v =
 let compute graph =
   let n = Graph.size graph in
   let adj = Graph.adjacency graph in
-  let dist_to = Array.init n (fun d -> Dijkstra.distances_to adj ~dst:d) in
+  let dist_to = Dijkstra.distances_to_all adj in
   let nh =
     Array.init n (fun dst ->
         let dist = dist_to.(dst) in

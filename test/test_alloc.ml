@@ -197,6 +197,52 @@ let test_policy_forwarding_budget () =
        policy_ceiling)
     true (pooled < policy_ceiling)
 
+(* Shortest paths run on the event heap: a search pushes a node or a
+   (prev, cur) state as the operand with its cost in a flat box and pops
+   into a cursor, so no push or pop allocates.  Minor words of link-state
+   routing over the Sprintlink shape (every destination's backward
+   search, then the next-hop rows), and of one cold policy search (the
+   first query toward a destination, around a forbidden 3-segment of a
+   routed path).  776,601 and 2,198 measured: the 315 searches take
+   2,228 of the routing words (the heap's arrays; the distance rows go to
+   the major heap), the adjacency snapshot 80,103 and the next-hop rows'
+   closures the rest.  2,144,627 and 40,413 while each pop built an
+   option, a tuple and a boxed float and each push boxed its cost. *)
+let minor_words f =
+  let m0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. m0
+
+let routing_ceiling = 890_000.
+let policy_search_ceiling = 2_500.
+
+let test_routing_words () =
+  let g = Topology.Generate.sprintlink_like () in
+  let words = minor_words (fun () -> Topology.Routing.compute g) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sprintlink routing %.0f words under %.0f" words routing_ceiling)
+    true (words < routing_ceiling)
+
+let test_policy_search_words () =
+  let g = Topology.Generate.sprintlink_like () in
+  let n = Topology.Graph.size g in
+  let rt = Topology.Routing.compute g in
+  let src = 0 and dst = n - 1 in
+  let seg =
+    match Topology.Routing.path rt ~src ~dst with
+    | Some (a :: b :: c :: _) -> [ a; b; c ]
+    | _ -> Alcotest.fail "no routed path of three routers"
+  in
+  let pol = Topology.Policy.compute g ~forbidden:[ seg ] in
+  let hop = ref (-1) in
+  let words =
+    minor_words (fun () -> hop := Topology.Policy.next_hop_id pol ~prev:(-1) ~cur:src ~dst)
+  in
+  Alcotest.(check bool) "the search finds a next hop" true (!hop >= 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "cold policy search %.0f words under %.0f" words policy_search_ceiling)
+    true (words < policy_search_ceiling)
+
 (* The per-hop keyed fingerprint: the SipHash state stays unboxed, so a
    warm call allocates only its boxed int64 result (3 words).  A kernel
    that boxes its state pays 3 words per SipRound assignment, ~951 per
@@ -996,6 +1042,9 @@ let () =
             test_policy_next_hop_no_alloc;
           Alcotest.test_case "policy forwarding under ceiling" `Quick
             test_policy_forwarding_budget;
+          Alcotest.test_case "sprintlink routing under ceiling" `Quick test_routing_words;
+          Alcotest.test_case "cold policy search under ceiling" `Quick
+            test_policy_search_words;
           Alcotest.test_case "packet fingerprint allocates only its result" `Quick
             test_fingerprint_no_alloc;
           Alcotest.test_case "warm summary observe allocates nothing" `Quick

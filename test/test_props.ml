@@ -7,53 +7,55 @@ module G = Topology.Graph
 
 let to_alco = QCheck_alcotest.to_alcotest
 
-(* --- Prioq --- *)
+(* --- Prioq.Event --- *)
+
+module Ev = Prioq.Event
+
+(* Push each time with its index as the operand, as the shortest-path
+   searches push a node with its cost. *)
+let ev_heap times =
+  let q = Ev.create () in
+  List.iteri (fun i p -> Ev.push q ~time:p ~tag:0 ~iarg:i Ev.nil Ev.nil) times;
+  q
+
+(* Drain into a cursor: the (time, operand) pairs in pop order. *)
+let ev_drain q =
+  let c = Ev.cursor () in
+  let rec drain acc =
+    if Ev.pop q ~until:infinity ~strict:false c then
+      drain ((c.Ev.time.Ev.f, c.Ev.iarg) :: acc)
+    else List.rev acc
+  in
+  drain []
 
 let prop_prioq_sorted =
   QCheck.Test.make ~name:"pop order is non-decreasing" ~count:200
     QCheck.(list (float_range 0.0 1000.0))
     (fun priorities ->
-      let q = Prioq.create () in
-      List.iteri (fun i p -> Prioq.push q ~priority:p i) priorities;
-      let rec drain last =
-        match Prioq.pop q with
-        | None -> true
-        | Some (p, _) -> p >= last && drain p
+      let rec sorted last = function
+        | [] -> true
+        | (p, _) :: rest -> p >= last && sorted p rest
       in
-      drain neg_infinity)
+      sorted neg_infinity (ev_drain (ev_heap priorities)))
 
 let prop_prioq_fifo_ties =
   QCheck.Test.make ~name:"equal priorities pop in insertion order" ~count:100
     QCheck.(int_range 1 50)
     (fun n ->
-      let q = Prioq.create () in
-      for i = 0 to n - 1 do
-        Prioq.push q ~priority:1.0 i
-      done;
-      let rec drain expect =
-        match Prioq.pop q with
-        | None -> expect = n
-        | Some (_, v) -> v = expect && drain (expect + 1)
-      in
-      drain 0)
+      List.map snd (ev_drain (ev_heap (List.init n (fun _ -> 1.0)))) = List.init n Fun.id)
 
 let prop_prioq_matches_sorted_reference =
-  (* The drained (priority, value) sequence must equal a stable sort of
-     the input by priority — full order, not just local monotonicity. *)
+  (* The drained (time, operand) sequence must equal a stable sort of
+     the input by time — full order, not just local monotonicity. *)
   QCheck.Test.make ~name:"pop sequence = stable sort of input" ~count:200
     QCheck.(list (float_range 0.0 100.0))
     (fun priorities ->
-      let q = Prioq.create () in
-      List.iteri (fun i p -> Prioq.push q ~priority:p i) priorities;
-      let rec drain acc =
-        match Prioq.pop q with None -> List.rev acc | Some pv -> drain (pv :: acc)
-      in
       let expected =
         List.stable_sort
           (fun (p1, _) (p2, _) -> Float.compare p1 p2)
           (List.mapi (fun i p -> (p, i)) priorities)
       in
-      drain [] = expected)
+      ev_drain (ev_heap priorities) = expected)
 
 let prop_prioq_fifo_ties_interleaved =
   (* FIFO stability must survive interleaving with other priorities, not
@@ -61,12 +63,7 @@ let prop_prioq_fifo_ties_interleaved =
   QCheck.Test.make ~name:"ties stay FIFO when interleaved" ~count:200
     QCheck.(list (int_bound 3))
     (fun buckets ->
-      let q = Prioq.create () in
-      List.iteri (fun i b -> Prioq.push q ~priority:(float_of_int b) i) buckets;
-      let rec drain acc =
-        match Prioq.pop q with None -> List.rev acc | Some pv -> drain (pv :: acc)
-      in
-      let drained = drain [] in
+      let drained = ev_drain (ev_heap (List.map float_of_int buckets)) in
       List.for_all
         (fun bucket ->
           let ids =
@@ -81,13 +78,12 @@ let prop_prioq_length =
   QCheck.Test.make ~name:"length tracks pushes and pops" ~count:100
     QCheck.(list (float_range 0.0 10.0))
     (fun ps ->
-      let q = Prioq.create () in
-      List.iteri (fun i p -> Prioq.push q ~priority:p i) ps;
+      let q = ev_heap ps in
       let n = List.length ps in
-      Prioq.length q = n
+      Ev.length q = n
       && begin
-           ignore (Prioq.pop q);
-           Prioq.length q = max 0 (n - 1)
+           ignore (Ev.pop q ~until:infinity ~strict:false (Ev.cursor ()));
+           Ev.length q = max 0 (n - 1)
          end)
 
 (* --- Keyring MACs --- *)
@@ -761,29 +757,33 @@ let prop_meter_totals =
       Telemetry.Timeseries.total_sum meter = Flow.sent f * size
       && Telemetry.Timeseries.total_count meter = Flow.sent f)
 
-(* Two ways the heap could keep dead values reachable: the slot a pop
-   vacates (slot 0 when the heap empties), and the spare capacity growth
-   fills with the value being pushed.  Watch collectability directly
-   with a finaliser. *)
+(* Two ways a live heap could keep dead payloads reachable: the
+   side-table cells a pop vacates, and the cells carried over when the
+   heap grows.  The cursor holds the last popped payloads until the
+   caller clears them, as [Sim.dispatch] does.  Watch collectability
+   directly with a finaliser. *)
 let test_prioq_no_stale_refs () =
   let collect_after_drain n =
-    let q = Prioq.create () in
+    let q = Ev.create () and c = Ev.cursor () in
     let collected = ref 0 in
     for i = 0 to n - 1 do
       let v = ref i in
       Gc.finalise (fun _ -> incr collected) v;
-      Prioq.push q ~priority:(float_of_int i) v
+      Ev.push q ~time:(float_of_int i) ~tag:0 ~iarg:0 (Obj.repr v) (Obj.repr v)
     done;
-    while Prioq.pop q <> None do
-      ()
+    while Ev.pop q ~until:infinity ~strict:false c do
+      c.Ev.pa <- Ev.nil;
+      c.Ev.pb <- Ev.nil
     done;
     Gc.full_major ();
     Gc.full_major ();
+    (* The heap and the cursor outlive the collection. *)
+    ignore (Sys.opaque_identity (q, c));
     !collected
   in
   (* Enough pushes to grow capacity several times. *)
-  Alcotest.(check int) "grown heap: popped values collected" 100
-    (collect_after_drain 100);
+  Alcotest.(check int) "grown heap: popped values collected" 300
+    (collect_after_drain 300);
   Alcotest.(check int) "small heap: popped-to-empty values collected" 3
     (collect_after_drain 3)
 

@@ -52,16 +52,17 @@ let test_graph_copy_independent () =
 
 (* --- Dijkstra / Routing --- *)
 
+(* Row [dst] of [distances_to_all]: every node's least cost to [dst]. *)
+let distances_to g ~dst = (Dijkstra.distances_to_all (Graph.adjacency g)).(dst)
+
 let test_dijkstra_line () =
   let g = Generate.line ~n:5 in
-  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
-  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4 |] d
+  Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4 |] (distances_to g ~dst:0)
 
 let test_dijkstra_unreachable () =
   let g = Graph.create ~n:3 in
   Graph.add_duplex g 0 1;
-  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
-  Alcotest.(check int) "isolated" Dijkstra.unreachable d.(2)
+  Alcotest.(check int) "isolated" Dijkstra.unreachable (distances_to g ~dst:0).(2)
 
 let test_dijkstra_respects_costs () =
   (* 0-1-2 with costs 1+1 vs direct 0-2 with cost 5. *)
@@ -69,8 +70,17 @@ let test_dijkstra_respects_costs () =
   Graph.add_duplex g ~cost:1 0 1;
   Graph.add_duplex g ~cost:1 1 2;
   Graph.add_duplex g ~cost:5 0 2;
-  let d = Dijkstra.distances (Graph.adjacency g) ~src:0 in
-  Alcotest.(check int) "via middle" 2 d.(2)
+  Alcotest.(check int) "via middle" 2 (distances_to g ~dst:0).(2)
+
+let test_dijkstra_one_way () =
+  (* One-way links 0 -> 1 -> 2: a row holds the costs to its node, not
+     from it. *)
+  let g = Graph.create ~n:3 in
+  Graph.add_link g ~cost:2 0 1;
+  Graph.add_link g ~cost:3 1 2;
+  let u = Dijkstra.unreachable in
+  Alcotest.(check (array int)) "to 2" [| 5; 3; 0 |] (distances_to g ~dst:2);
+  Alcotest.(check (array int)) "to 0" [| 0; u; u |] (distances_to g ~dst:0)
 
 let test_routing_path () =
   let g = Generate.line ~n:4 in
@@ -501,6 +511,14 @@ module Ref_policy = struct
     let hash = Hashtbl.hash
   end)
 
+  (* The oracle's own queue, (cost, insertion, state) in a set, so it
+     shares no code with the heap [Policy] runs on. *)
+  module Pending = Set.Make (struct
+    type t = int * int * int
+
+    let compare = compare
+  end)
+
   type t = { work : Graph.t; banned : unit Tset.t; dist_cache : int array option array }
 
   let rec triples = function
@@ -523,19 +541,24 @@ module Ref_policy = struct
     | None ->
         let n = Graph.size t.work in
         let dist = Array.make (n * n) max_int in
-        let heap = Prioq.create () in
+        let queue = ref Pending.empty and inserted = ref 0 in
+        let push cost state =
+          queue := Pending.add (cost, !inserted, state) !queue;
+          incr inserted
+        in
         List.iter
           (fun (l : Graph.link) ->
             if l.Graph.dst = dst then begin
               dist.((l.Graph.src * n) + dst) <- 0;
-              Prioq.push heap ~priority:0.0 ((l.Graph.src * n) + dst)
+              push 0 ((l.Graph.src * n) + dst)
             end)
           (Graph.links t.work);
         let rec drain () =
-          match Prioq.pop heap with
+          match Pending.min_elt_opt !queue with
           | None -> ()
-          | Some (prio, state) ->
-              if int_of_float prio = dist.(state) then begin
+          | Some ((cost, _, state) as top) ->
+              queue := Pending.remove top !queue;
+              if cost = dist.(state) then begin
                 let v = state / n and w = state mod n in
                 List.iter
                   (fun (l : Graph.link) ->
@@ -546,7 +569,7 @@ module Ref_policy = struct
                         let pstate = (u * n) + v in
                         if cand < dist.(pstate) then begin
                           dist.(pstate) <- cand;
-                          Prioq.push heap ~priority:(float_of_int cand) pstate
+                          push cand pstate
                         end
                       end
                     end)
@@ -731,6 +754,7 @@ let () =
         [ Alcotest.test_case "dijkstra line" `Quick test_dijkstra_line;
           Alcotest.test_case "dijkstra unreachable" `Quick test_dijkstra_unreachable;
           Alcotest.test_case "dijkstra costs" `Quick test_dijkstra_respects_costs;
+          Alcotest.test_case "dijkstra one-way links" `Quick test_dijkstra_one_way;
           Alcotest.test_case "path" `Quick test_routing_path;
           Alcotest.test_case "tie break" `Quick test_routing_deterministic_tiebreak;
           Alcotest.test_case "loop free" `Quick test_routing_loop_free_everywhere;
