@@ -10,8 +10,7 @@
      behind Chapter 7 and Appendix A (fingerprints, traffic validation,
      set reconciliation, routing, SHA-256/HMAC, Dolev-Strong);
    - BENCH_alloc.json — words allocated per simulation event on the
-     ring8 reference scenario, pooling off and on, against the seed's
-     numbers.
+     ring8 reference scenario, against the seed's numbers.
 
    main.exe records both; --smoke runs every measurement with tiny
    quotas and writes no file; --check [--check-handicap F] [--baseline
@@ -39,9 +38,9 @@ let recorded_seed_events_per_second = 3984214.25394
 
 (* The ring8 reference scenario: six crossing CBR flows and one TCP
    connection for [horizon] seconds. *)
-let ring8_reference ~horizon ~pooling =
+let ring8_reference ~horizon =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling g in
+  let net = Netsim.Net.create ~seed:1 ~jitter_bound:100e-6 g in
   Netsim.Net.use_routing net (Topology.Routing.compute g);
   List.iter
     (fun (s, d) ->
@@ -56,10 +55,9 @@ let ring8_reference ~horizon ~pooling =
    Words per event are a deterministic count, so one run measures them;
    events/s is context.  [quick_stat] counters settle at collection
    boundaries, so the minor allocation pointer is read exactly. *)
-let alloc_row ~smoke mode =
-  let pooling = mode = "pooled" in
+let alloc_row ~smoke =
   let horizon = if smoke then 0.5 else 30.0 in
-  let net = ring8_reference ~horizon ~pooling in
+  let net = ring8_reference ~horizon in
   (* Settle setup garbage so the delta measures the event loop. *)
   Gc.full_major ();
   let s0 = Gc.quick_stat () and mw0 = Gc.minor_words () in
@@ -74,12 +72,10 @@ let alloc_row ~smoke mode =
   let pool = Netsim.Net.pool_stats net in
   let eps = float_of_int events /. wall in
   Printf.printf "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s\n"
-    mode (per minor) (per promoted) eps;
+    "ring8" (per minor) (per promoted) eps;
   ( per minor,
     J.Assoc
-      [ ("mode", String mode);
-        ("pooling", Bool pooling);
-        ("events", Int events);
+      [ ("events", Int events);
         ("wall_seconds", Float wall);
         ("events_per_second", Float eps);
         ("minor_words_per_event", Float (per minor));
@@ -103,7 +99,6 @@ let alloc_row ~smoke mode =
                 Int (s1.Gc.major_collections - s0.Gc.major_collections) ) ] ) ] )
 
 let alloc_file = "BENCH_alloc.json"
-let alloc_modes = [ "unpooled"; "pooled" ]
 
 (* --- kernels (BENCH_hotpath.json) ------------------------------------- *)
 
@@ -268,13 +263,13 @@ let record ~smoke =
       @ stamp @ fields)
   in
   print_endline "Allocation (ring8 reference scenario, words per event)";
-  let modes = List.map (fun m -> snd (alloc_row ~smoke m)) alloc_modes in
+  let _, run = alloc_row ~smoke in
   Printf.printf
     "  %-9s %8.2f minor w/ev  %7.4f promoted w/ev  %9.0f events/s  (recorded at seed)\n"
     "seed" recorded_seed_minor_words_per_event
     recorded_seed_promoted_words_per_event recorded_seed_events_per_second;
   let alloc =
-    artifact "mrdetect-bench-alloc-v2"
+    artifact "mrdetect-bench-alloc-v3"
       "Gc counter deltas over one run of the 30 s ring8 reference scenario \
        (6 crossing CBR flows + 1 TCP connection) after a full major \
        collection; words per event divide by Sim events processed; \
@@ -286,7 +281,7 @@ let record ~smoke =
               ( "promoted_words_per_event",
                 Float recorded_seed_promoted_words_per_event );
               ("events_per_second", Float recorded_seed_events_per_second) ] );
-        ("modes", List modes) ]
+        ("run", run) ]
   in
   print_endline "\nKernels (ns/op, median of the readings)";
   let schedule = if smoke then smoke_run else recording in
@@ -323,7 +318,7 @@ let record ~smoke =
 
 (* One band rule per kind of measurement.  Words per event are a
    deterministic count: a tight band, with one word of slack for the
-   near-zero pooled baseline.  A kernel may be 1 + spread times slower
+   near-zero baseline.  A kernel may be 1 + spread times slower
    than its recorded median (roughly the slowest reading the recording
    saw), but no less than 1.5x and no more than 1.7x, so a 2x slowdown
    of any kernel fails. *)
@@ -350,8 +345,7 @@ let check_recorded (file, doc) =
   | None -> fail_baseline "%s has no commit stamp" file
 
 (* The gated rows of a pair of artifacts as (band, baseline): the
-   allocation rows in [alloc_modes] order, the kernel rows in table
-   order. *)
+   allocation row, then the kernel rows in table order. *)
 let gated_rows docs =
   let row file ~field ~key ~value =
     match G.find_by (List.assoc file docs) ~field ~key ~value with
@@ -363,12 +357,12 @@ let gated_rows docs =
     | Some v -> v
     | None -> fail_baseline "%s row lacks %s" file field
   in
-  ( List.map
-      (fun mode ->
-        let r = row alloc_file ~field:"modes" ~key:"mode" ~value:mode in
-        ( words_band (Printf.sprintf "alloc.%s.minor_words_per_event" mode),
-          num alloc_file r "minor_words_per_event" ))
-      alloc_modes,
+  let run =
+    match J.member "run" (List.assoc alloc_file docs) with
+    | Some r -> r
+    | None -> fail_baseline "%s has no run" alloc_file
+  in
+  ( (words_band "alloc.minor_words_per_event", num alloc_file run "minor_words_per_event"),
     List.map
       (fun (name, _) ->
         let r = row hotpath_file ~field:"kernels" ~key:"name" ~value:name in
@@ -427,11 +421,9 @@ let check ~handicap ~baseline_dir =
   let judge (band, baseline) measured =
     G.judge band ~baseline ~measured:(measured *. handicap)
   in
-  let alloc_rows, kernel_rows = gated_rows docs in
+  let alloc_gate, kernel_rows = gated_rows docs in
   let verdicts =
-    List.map2 judge alloc_rows
-      (List.map (fun mode -> fst (alloc_row ~smoke:false mode)) alloc_modes)
-    @ judge_kernels judge kernel_rows
+    judge alloc_gate (fst (alloc_row ~smoke:false)) :: judge_kernels judge kernel_rows
   in
   List.iter (fun v -> print_endline (G.render v)) verdicts;
   let ok = G.all_ok verdicts in
@@ -474,9 +466,9 @@ let () =
             | _ -> failwith (file ^ " does not round-trip"))
           (record ~smoke:true)
       in
-      let alloc_rows, kernel_rows = gated_rows docs in
+      let _, kernel_rows = gated_rows docs in
       Printf.printf "\nsmoke: %d gated rows read back, no file written\n"
-        (List.length alloc_rows + List.length kernel_rows)
+        (1 + List.length kernel_rows)
   | false, false, None, None ->
       List.iter
         (fun (file, doc) ->

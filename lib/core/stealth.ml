@@ -10,6 +10,8 @@ let reply_tag key uid = Crypto_sim.Siphash.hash_int64s key [ Int64.of_int uid; 0
 let size = 1000
 
 let start ~net ~src ~dst ~flow ~key ?(interval = 0.5) ~start ~stop () =
+  if not (interval > 0.0 && Float.is_finite interval) then
+    invalid_arg "Stealth.start: interval must be positive and finite";
   let sim = Netsim.Net.sim net in
   let t = { sent = 0; answered = 0 } in
   let expected_replies = Hashtbl.create 64 in

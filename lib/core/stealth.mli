@@ -31,7 +31,8 @@ val start :
     0.5 s) with 1000 B probes (use the victim data flow's id, and
     1000 B data packets, so probes are indistinguishable).  The responder at
     [dst] recognizes probes by their keyed payload MAC and answers with
-    an equally disguised reply. *)
+    an equally disguised reply.  Raises [Invalid_argument] unless
+    [interval] is positive and finite. *)
 
 val sent : t -> int
 val answered : t -> int

@@ -10,8 +10,8 @@
    metric kind (contention deflates throughput and inflates latency), so
    bands are asymmetric by design: a metric only fails in its
    regression direction, and each band carries both a multiplicative
-   limit and an absolute slack so near-zero baselines (pooled
-   words-per-event) don't turn measurement dust into failures. *)
+   limit and an absolute slack so near-zero baselines (words per
+   event) don't turn measurement dust into failures. *)
 
 type direction = Higher_better | Lower_better
 

@@ -72,9 +72,7 @@ type t = {
 let tag_txend = ref 0
 let tag_arrive = ref 0
 
-let no_release (_ : Packet.t) = ()
-
-let create ~sim ~link ~kind ?(release = no_release) ~on_event ~deliver () =
+let create ~sim ~link ~kind ~release ~on_event ~deliver =
   let queue =
     match kind with
     | Droptail limit_bytes -> Fifo (Queue_fifo.create ~limit_bytes ())

@@ -50,10 +50,9 @@ val create :
   sim:Sim.t ->
   link:Topology.Graph.link ->
   kind:kind ->
-  ?release:(Packet.t -> unit) ->
+  release:(Packet.t -> unit) ->
   on_event:(event -> Packet.t -> unit) ->
   deliver:(prev:int -> Packet.t -> unit) ->
-  unit ->
   t
 (** Build the interface for a directed link.  [on_event kind p] reports
     each observed transition of packet [p] (see {!set_observe}); [p] is
@@ -61,8 +60,8 @@ val create :
     invoked at the packet's arrival instant at [link.dst] with
     [prev = link.src]; the corruption coin is drawn from the simulation
     stream at that instant.  A [Red_queue] draws its drop coins from the
-    same stream.  [release] (default: no-op) receives every packet this
-    interface kills, after its drop event — the pool-recycling hook. *)
+    same stream.  [release] receives every packet this interface kills,
+    after its drop event — the pool-recycling hook. *)
 
 type kinds
 (** A set of event kinds: what one consumer reads.  An interface reports

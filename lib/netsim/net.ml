@@ -31,7 +31,6 @@ type t = {
   apps : (Packet.t -> unit) list ref array;
   pins : (int * int, int) Hashtbl.t; (* (flow, router) -> next hop *)
   mutable probe : Probe.t option;
-  pooling : bool;
   poison : bool;
   pool : Pool.t;
 }
@@ -158,17 +157,15 @@ let scoped_listeners t (ev : iface_event) =
   if Array.length t.link_listeners = 0 then []
   else link_subscribers ev.next t.link_listeners.(ev.router)
 
-let emit_originate t pkt =
-  match t.probe with Some p -> Probe.on_originate p pkt | None -> ()
-
 let attach_app t ~node f = t.apps.(node) := f :: !(t.apps.(node))
 
 let fresh_flow_id t = Sim.fresh_id t.sim
 
 let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
-    ?(pooling = false) ?(poison = false) graph =
+    ?(pooling = true) ?(poison = false) graph =
   if not (Float.is_finite jitter_bound) then
     invalid_arg "Net.create: jitter_bound must be finite";
+  if not pooling then invalid_arg "Net.create: packets are always pooled";
   let n = Topology.Graph.size graph in
   let sim = Sim.create ~seed () in
   let t =
@@ -180,11 +177,10 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       apps = Array.init n (fun _ -> ref []);
       pins = Hashtbl.create 16;
       probe = None;
-      pooling;
       poison;
       pool = Pool.create ~poison () }
   in
-  let release p = if pooling then Pool.release t.pool p in
+  let release p = Pool.release t.pool p in
   (* What a view holds until its first emission; never lent. *)
   let placeholder = Packet.make_at ~now:0.0 ~uid:(-1) ~src:0 ~dst:0 ~flow:0 ~size:1 Packet.Udp in
   t.routers <-
@@ -199,8 +195,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
           ~on_event:(fun kind ~next pkt arg ->
             emit t busy view Probe.on_router Router.wants t.router_listeners [] kind next
               pkt arg)
-          ~local_deliver:(fun pkt -> notify_apps pkt !local_apps)
-          ());
+          ~local_deliver:(fun pkt -> notify_apps pkt !local_apps));
   let queue_kind =
     match queue with Droptail b -> Iface.Droptail b | Red p -> Iface.Red_queue p
   in
@@ -218,7 +213,6 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
             emit t busy view Probe.on_iface Iface.wants t.iface_listeners
               (scoped_listeners t view) kind view.next pkt 0.0)
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
-          ()
       in
       Router.add_iface t.routers.(l.Topology.Graph.src) iface)
     (Topology.Graph.links graph);
@@ -289,19 +283,16 @@ let set_link_corruption t ~src ~dst p =
 let restore_link t ~src ~dst = set_link t ~src ~dst true
 
 let originate t pkt =
-  emit_originate t pkt;
+  (match t.probe with Some p -> Probe.on_originate p pkt | None -> ());
   Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
-(* Traffic sources mint packets here so recycling is transparent: a
-   freelisted record when the pool is live, a fresh one otherwise.  A
+(* Traffic sources mint packets here so recycling is transparent.  A
    recycled mint allocates 5 words: the box of its creation time (read
    off the clock, boxed once to cross into [Pool]) and its int64
    payload. *)
 let make_packet t ~src ~dst ~flow ~size proto =
   let uid = Sim.fresh_id t.sim in
-  let now = t.clock.f in
-  if t.pooling then Pool.acquire t.pool ~now ~uid ~src ~dst ~flow ~size proto
-  else Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
+  Pool.acquire t.pool ~now:t.clock.f ~uid ~src ~dst ~flow ~size proto
 
 let pool_stats t = Pool.stats t.pool
 let run ?until t = Sim.run ?until t.sim

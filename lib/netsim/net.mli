@@ -53,14 +53,15 @@ val create :
     [Invalid_argument].  Every router, interface and traffic source runs
     on one event heap ({!sim}) and draws from its one random stream.
 
-    [pooling] (default false) turns on packet recycling: dead packets
-    return to a freelist ({!Pool}) and {!make_packet} reuses them, so
-    steady-state traffic allocates no packet records.  Observers leave
-    it live and immediate: listeners and the probe only borrow packets
-    (see {!subscribe_iface}), and the probe's journal copies what it
-    keeps, so a packet returns to the pool the moment it dies.  It
-    never changes simulation output.  [poison] (default false)
-    additionally stamps released packets so stale references read
+    Packets are recycled: a packet returns to the network's freelist
+    ({!Pool}) the moment it dies (delivered, dropped, expired) and
+    {!make_packet} reuses it, so steady-state traffic allocates no
+    packet records.  Observers leave recycling live: listeners, apps
+    and the probe only borrow packets (see {!subscribe_iface} and
+    {!attach_app}), and the probe's journal copies what it keeps.
+    [pooling] selects nothing: only [true] (the default) is accepted,
+    and [~pooling:false] raises [Invalid_argument].  [poison] (default
+    false) stamps released packets so stale references read
     loudly-wrong data and double releases raise, and makes an emission
     into a view whose listeners are still running raise
     [Invalid_argument] — the debug mode the allocation tests use. *)
@@ -105,8 +106,8 @@ val use_ecmp : t -> Topology.Ecmp.t -> unit
 
     A listener {e borrows} the event: the record is the interface's
     (or router's) one view, overwritten by the next emission there,
-    and its packet may die right after the callback returns and, with
-    pooling on, be recycled as another packet.  A callback reads what
+    and its packet may die right after the callback returns and be
+    recycled as another packet.  A callback reads what
     it needs during the call — copy fields, take a fingerprint, render
     with {!Probe.describe_iface} — and keeps neither the record nor
     the [Packet.t].  A callback must not make its own interface emit
@@ -138,7 +139,7 @@ val set_probe : t -> Probe.t option -> unit
     probe attached the per-event overhead is one pointer test.
     Attaching a probe also gives it a fresh always-on {!Stats} collector
     (see {!stats}), which the probe feeds itself.  The journal holds no
-    packet, so it reads the same attached or detached, pooled or not. *)
+    packet, so recycling never changes what it reads. *)
 
 val stats : t -> Stats.t option
 (** The probe's always-on time-series collector; [None] when no probe
@@ -146,7 +147,11 @@ val stats : t -> Stats.t option
 
 val attach_app : t -> node:int -> (Packet.t -> unit) -> unit
 (** Register a local-delivery handler at a node; every handler attached
-    to the node sees every packet delivered there. *)
+    to the node sees every packet delivered there.  A handler {e
+    borrows} the packet, as a listener does: the router recycles it
+    once the node's handlers return, so a handler copies what it needs
+    during the call and keeps no [Packet.t].  It may {!originate} a
+    reply before it returns. *)
 
 val add_multicast_route :
   t -> router:int -> group:int -> next_hops:int list -> local:bool -> unit
@@ -176,14 +181,15 @@ val set_link_corruption : t -> src:int -> dst:int -> float -> unit
 
 val originate : t -> Packet.t -> unit
 (** Hand a locally-generated packet to its source router for
-    forwarding. *)
+    forwarding.  The network takes it: a packet that dies is recycled,
+    so the caller keeps no reference to it. *)
 
 val make_packet :
   t -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto -> Packet.t
-(** Mint a data packet originated at [src]: a recycled record when
-    pooling is live, a fresh one otherwise — identical content either
+(** Mint a data packet originated at [src]: a recycled record when the
+    freelist has one, a fresh one otherwise — identical content either
     way (uid from {!Sim.fresh_id}, creation time now).  Traffic
-    generators and the TCP and Ping endpoints must mint through this so
+    generators and the TCP and Ping endpoints mint through this so
     recycling is transparent to them. *)
 
 val pool_stats : t -> Pool.stats

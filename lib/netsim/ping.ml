@@ -9,6 +9,8 @@ type t = {
 let size = 100
 
 let start net ~src ~dst ?(interval = 1.0) ~start ~stop () =
+  if not (interval > 0.0 && Float.is_finite interval) then
+    invalid_arg "Ping.start: interval must be positive and finite";
   let sim = Net.sim net in
   let t = { flow = Sim.fresh_id sim; sent = 0; samples_rev = []; sent_at = Hashtbl.create 64 } in
   (* Responder at dst: answer Ping with Pong on the same flow. *)

@@ -15,7 +15,8 @@ val start :
   stop:float ->
   unit ->
   t
-(** Begin probing (default interval 1 s) with 100 B requests. *)
+(** Begin probing (default interval 1 s) with 100 B requests.  Raises
+    [Invalid_argument] unless [interval] is positive and finite. *)
 
 val samples : t -> (float * float) list
 (** [(send_time, rtt)] pairs in send order, completed probes only. *)

@@ -49,8 +49,7 @@ let release t p =
 let acquire t ~now ~uid ~src ~dst ~flow ~size proto =
   if t.n = 0 then begin
     t.fresh <- t.fresh + 1;
-    let p = Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto in
-    p
+    Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
   end
   else begin
     t.n <- t.n - 1;

@@ -84,10 +84,7 @@ type t = {
   mutable delivered_packets : int;
 }
 
-let no_release (_ : Packet.t) = ()
-
-let create ~sim ~id ~n ~jitter_bound ?(release = no_release) ~on_event ~local_deliver
-    () =
+let create ~sim ~id ~n ~jitter_bound ~release ~on_event ~local_deliver =
   { sim; clock = Sim.clock sim; id; rng = Sim.rng sim; jitter_bound; enqueue_at = { Sim.f = 0.0 };
     on_event; local_deliver; release;
     out = Hashtbl.create ~random:false 4; by_next = Array.make n None; observe = all_kinds;

@@ -48,10 +48,9 @@ val create :
   id:int ->
   n:int ->
   jitter_bound:float ->
-  ?release:(Packet.t -> unit) ->
+  release:(Packet.t -> unit) ->
   on_event:(event -> next:int -> Packet.t -> float -> unit) ->
   local_deliver:(Packet.t -> unit) ->
-  unit ->
   t
 (** Router [id] of a network of [n] routers: neighbour ids lie in
     [0 .. n-1], and the per-hop interface lookup is a read of an
@@ -69,9 +68,10 @@ val create :
     of the queue-prediction error Protocol χ calibrates, §6.2.1); a
     bound [<= 0] draws nothing and enqueues at once.  The draw happens
     in place, so a hop boxes no float.  Fragments the router mints take
-    their uids from the simulation-global counter.  [release] (default:
-    no-op) receives every packet that dies at this router, after its
-    event — the pool-recycling hook. *)
+    their uids from the simulation-global counter.  [release]
+    receives every packet that dies at this router, after its event
+    and, for a local delivery, after [local_deliver] returns — the
+    pool-recycling hook. *)
 
 val id : t -> int
 

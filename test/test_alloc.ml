@@ -4,16 +4,19 @@
    ring8 reference scenario recorded 62.97 minor words per event at the
    seed; the flat event heap, ring queues, packet pooling, box-free
    scheduling and popping, the in-place jitter draw and tagged traffic
-   sources hold it at 3.18 unpooled and 1.56 pooled.  Each ceiling
-   below sits at most 15% above its measured count, which is less than
-   one float box (two words) per event: a reintroduced per-event box
-   fails the suite ([Gc.minor_words] deltas are a deterministic count
-   of allocation, not a timing).
+   sources hold it at 1.56.  Each ceiling below sits at most 15% above
+   its measured count, which is less than one float box (two words)
+   per event: a reintroduced per-event box fails the suite
+   ([Gc.minor_words] deltas are a deterministic count of allocation,
+   not a timing).
 
-   The suite also proves the pool actually recycles on the reference
-   scenario, that pooled and unpooled runs execute the identical event
-   set, and that poison mode catches an injected use-after-free and a
-   double release at the pool boundary. *)
+   Every network recycles its packets, so the suite also proves the
+   pool actually recycles on the reference scenario, that poison mode
+   catches an injected use-after-free and a double release at the pool
+   boundary, and that pooled, poisoned runs of the detectors, the
+   probe and the library's apps read exactly what they read before
+   pooling was unconditional: their digests were recorded from runs
+   that never recycled a packet. *)
 
 open Netsim
 
@@ -22,9 +25,9 @@ open Netsim
 let ring8_horizon = 5.0
 
 let ring8_net ?(install = fun net g -> Net.use_routing net (Topology.Routing.compute g))
-    ?poison ~pooling () =
+    ?poison () =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling ?poison g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ?poison g in
   install net g;
   List.iter
     (fun (s, d) ->
@@ -39,8 +42,8 @@ let ring8_net ?(install = fun net g -> Net.use_routing net (Topology.Routing.com
    the first simulated second is warm-up (pools filling, rings and
    journals growing), the remaining four are the steady state the
    budget applies to. *)
-let ring8_run ?install ~pooling () =
-  let net = ring8_net ?install ~pooling () in
+let ring8_run ?install () =
+  let net = ring8_net ?install () in
   Net.run ~until:1.0 net;
   Gc.full_major ();
   let m0 = Gc.minor_words () in
@@ -51,32 +54,28 @@ let ring8_run ?install ~pooling () =
   let words_per_event = (m1 -. m0) /. float_of_int (max 1 events) in
   (words_per_event, Net.events_processed net, Net.pool_stats net)
 
-(* 3.18 and 1.56 words per event measured; 6.52 and 4.90 while each pop
-   boxed its sifted time, each jitter draw its result and each CBR tick
-   its clock reading and gap. *)
+(* 1.56 words per event measured; 4.90 while each pop boxed its sifted
+   time, each jitter draw its result and each CBR tick its clock
+   reading and gap, and 3.18 (under a 3.6 ceiling) when a network could
+   run without a pool. *)
 let seed_words_per_event = 62.97
-let unpooled_ceiling = 3.6
-let pooled_ceiling = 1.75
+let ring8_ceiling = 1.75
+
+(* The events the reference scenario executes, as recorded from a run
+   that recycled no packet: pooling must be invisible to the
+   simulation itself. *)
+let ring8_events = 150_240
 
 let test_steady_state_budget () =
-  let unpooled, events_unpooled, _ = ring8_run ~pooling:false () in
-  let pooled, events_pooled, stats = ring8_run ~pooling:true () in
-  (* Identical scenario, identical event set: pooling must be invisible
-     to the simulation itself. *)
-  Alcotest.(check int)
-    "pooled run executes the identical event count" events_unpooled
-    events_pooled;
+  let w, events, stats = ring8_run () in
+  Alcotest.(check int) "the event count recorded without a pool" ring8_events events;
   Alcotest.(check bool)
-    (Printf.sprintf "unpooled %.2f w/ev under %.1f ceiling" unpooled unpooled_ceiling)
-    true (unpooled < unpooled_ceiling);
+    (Printf.sprintf "%.2f w/ev under %.2f ceiling" w ring8_ceiling)
+    true (w < ring8_ceiling);
   Alcotest.(check bool)
-    (Printf.sprintf "pooled %.2f w/ev under %.2f ceiling" pooled pooled_ceiling)
-    true (pooled < pooled_ceiling);
-  Alcotest.(check bool)
-    (Printf.sprintf "pooled %.2f w/ev at least halves the seed's %.2f" pooled
-       seed_words_per_event)
+    (Printf.sprintf "%.2f w/ev at least halves the seed's %.2f" w seed_words_per_event)
     true
-    (pooled < seed_words_per_event /. 2.0);
+    (w < seed_words_per_event /. 2.0);
   (* The budget must be met by recycling, not by a quiet pool. *)
   Alcotest.(check bool)
     (Printf.sprintf "pool recycled %d of %d acquisitions" stats.Pool.recycled
@@ -86,7 +85,7 @@ let test_steady_state_budget () =
 
 (* The bare forwarding plane at ISP scale, as perfbench's fwd-sprint315
    row runs it: the Sprintlink shape, 256 CBR pairs of 80 pps x 500 B
-   drawn from the row's input seed, 200 us jitter, pooling on.  A hop
+   drawn from the row's input seed, 200 us jitter.  A hop
    costs two heap events and no float box (the transmission end is
    lazy, times travel in flat boxes, a pop passes no float, the jitter
    is drawn in place, the interface lookup is an array read); what is
@@ -100,7 +99,7 @@ let test_steady_state_budget () =
 let sprintlink_words_per_hop () =
   let g = Topology.Generate.sprintlink_like () in
   let n = Topology.Graph.size g in
-  let net = Net.create ~seed:1 ~jitter_bound:200e-6 ~pooling:true g in
+  let net = Net.create ~seed:1 ~jitter_bound:200e-6 g in
   Net.use_routing net (Topology.Routing.compute g);
   let rng = Random.State.make [| 1; 0xbe4c |] in
   let seen = Hashtbl.create 256 in
@@ -186,16 +185,15 @@ let test_policy_next_hop_no_alloc () =
   Alcotest.(check bool) "the calls found next hops" true (!hops > 9_000)
 
 let test_policy_forwarding_budget () =
-  let pooled, _, _ =
-    ring8_run ~pooling:true
+  let w, _, _ =
+    ring8_run
       ~install:(fun net g ->
         Net.use_policy net (Topology.Policy.compute g ~forbidden:[ [ 0; 1; 2 ]; [ 5; 4 ] ]))
       ()
   in
   Alcotest.(check bool)
-    (Printf.sprintf "policy-forwarded pooled %.2f w/ev under %.2f ceiling" pooled
-       policy_ceiling)
-    true (pooled < policy_ceiling)
+    (Printf.sprintf "policy-forwarded %.2f w/ev under %.2f ceiling" w policy_ceiling)
+    true (w < policy_ceiling)
 
 (* Shortest paths run on the event heap: a search pushes a node or a
    (prev, cur) state as the operand with its cost in a flat box and pops
@@ -345,7 +343,7 @@ let fatih_ceiling = 4.0
 
 let test_fatih_hop_budget () =
   let w, _, _ =
-    ring8_run ~pooling:true
+    ring8_run
       ~install:(fun net g ->
         let rt = Topology.Routing.compute g in
         Net.use_routing net rt;
@@ -371,7 +369,7 @@ let byz_fatih_ceiling = 11.0
 
 let test_byz_fatih_hop_budget () =
   let w, _, _ =
-    ring8_run ~pooling:true
+    ring8_run
       ~install:(fun net g ->
         let rt = Topology.Routing.compute g in
         Net.use_routing net rt;
@@ -384,7 +382,7 @@ let test_byz_fatih_hop_budget () =
        byz_fatih_ceiling)
     true (w < byz_fatih_ceiling)
 
-(* χ on the ring8 reference scenario, pooled: the monitor listens to
+(* χ on the ring8 reference scenario: the monitor listens to
    the queue ⟨1, 2⟩ and router 1's in-links only, so the rest of the
    ring stays on the unobserved path and the pool keeps recycling; the
    monitor stores each report in flat buffers, and each listener
@@ -399,7 +397,7 @@ let chi_ceiling = 4.2
 
 let test_chi_hop_budget () =
   let w, _, stats =
-    ring8_run ~pooling:true
+    ring8_run
       ~install:(fun net g ->
         let rt = Topology.Routing.compute g in
         Net.use_routing net rt;
@@ -424,7 +422,7 @@ let chi_round_words ~rate_pps =
   let g = Topology.Graph.create ~n:3 in
   Topology.Graph.add_duplex g 0 1;
   Topology.Graph.add_duplex g 1 2;
-  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling:true g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 g in
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
   let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 2 } in
@@ -459,14 +457,14 @@ let test_chi_round_flat () =
 
 (* The bare χ scenario of test_chi (Fig 6.4: three TCP sources feed
    router 3's queue toward 4, which drops a fifth of its transit after
-   10 s), pooled or not. *)
-let chi_fig64_reports ~pooling =
+   10 s), poisoned. *)
+let chi_fig64_reports () =
   let g = Topology.Graph.create ~n:5 in
   Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 0 3;
   Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 1 3;
   Topology.Graph.add_duplex g ~bw:12.5e6 ~delay:0.001 2 3;
   Topology.Graph.add_duplex g ~bw:1.25e6 ~delay:0.005 3 4;
-  let net = Net.create ~seed:11 ~jitter_bound:200e-6 ~pooling ~poison:pooling g in
+  let net = Net.create ~seed:11 ~jitter_bound:200e-6 ~poison:true g in
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
   let config = { Core.Chi.default_config with Core.Chi.tau = 1.0; learning_rounds = 4 } in
@@ -477,9 +475,9 @@ let chi_fig64_reports ~pooling =
   Net.run ~until:40.0 net;
   (Core.Chi.reports chi, Core.Chi.error_samples chi, Net.pool_stats net)
 
-let fatih_ring8_detections ~pooling =
+let fatih_ring8_detections () =
   let g = Topology.Generate.ring ~n:8 in
-  let net = Net.create ~seed:3 ~jitter_bound:100e-6 ~pooling ~poison:pooling g in
+  let net = Net.create ~seed:3 ~jitter_bound:100e-6 ~poison:true g in
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
   let fatih = Core.Fatih.deploy ~net ~rt () in
@@ -492,35 +490,46 @@ let fatih_ring8_detections ~pooling =
   Net.run ~until:20.0 net;
   (Core.Fatih.detections fatih, Net.pool_stats net)
 
-(* Poison oracle for borrowed packets: with pooling and poison on, a
-   listener that kept a packet past its callback would read the poison
-   stamp (uid -0xDEAD, size 0) and report something else. *)
-let test_poison_oracle_listeners () =
-  let plain, plain_err, _ = chi_fig64_reports ~pooling:false in
-  let pooled, pooled_err, stats = chi_fig64_reports ~pooling:true in
-  Alcotest.(check bool) "chi: the pool recycled" true (stats.Pool.recycled > 0);
-  Alcotest.(check bool) "chi: alarms raised" true
-    (List.exists (fun r -> r.Core.Chi.alarm) plain);
-  Alcotest.(check bool) "chi: pooled reports identical" true (compare plain pooled = 0);
-  Alcotest.(check bool) "chi: pooled error samples identical" true
-    (compare plain_err pooled_err = 0);
-  let plain, _ = fatih_ring8_detections ~pooling:false in
-  let pooled, stats = fatih_ring8_detections ~pooling:true in
-  Alcotest.(check bool) "fatih: the pool recycled" true (stats.Pool.recycled > 0);
-  Alcotest.(check bool) "fatih: detections raised" true (plain <> []);
-  Alcotest.(check bool) "fatih: pooled detections identical" true (compare plain pooled = 0)
+let md5 s = Digest.to_hex (Digest.string s)
+let md5_lines lines = md5 (String.concat "\n" lines)
 
-(* Every death returns its packet, observed or not: on a pooled,
-   poisoned ring8 with χ on ⟨1, 2⟩ (so that queue and router 1's
-   in-links build events), a router listener (so every router does),
-   congestion, in-flight corruption, a link outage and an attacker,
-   the pool takes back exactly the packets delivered or dropped.  An
-   observed drop that skipped its release would leave the count short;
-   one released twice would trip the poison check. *)
+(* A digest of plain data (records, lists, ints, floats bit for bit):
+   two values have the same one exactly when they are structurally
+   equal. *)
+let value_md5 v = md5 (Marshal.to_string v [ Marshal.No_sharing ])
+
+(* Poison oracle for borrowed packets: in poison mode, a listener that
+   kept a packet past its callback would read the poison stamp (uid
+   -0xDEAD, size 0) and report something else than the run that
+   recycled no packet, whose results the digests pin. *)
+let test_poison_oracle_listeners () =
+  let reports, errors, stats = chi_fig64_reports () in
+  Alcotest.(check bool) "chi: the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check int) "chi: reports" 40 (List.length reports);
+  Alcotest.(check int) "chi: alarms" 30
+    (List.length (List.filter (fun r -> r.Core.Chi.alarm) reports));
+  Alcotest.(check string) "chi: reports digest" "58fc3199069af2a6259162e701e173da"
+    (value_md5 reports);
+  Alcotest.(check int) "chi: error samples" 4644 (List.length errors);
+  Alcotest.(check string) "chi: error samples digest" "e9fa25657d838d82c6df436ba3b3d8f9"
+    (value_md5 errors);
+  let detections, stats = fatih_ring8_detections () in
+  Alcotest.(check bool) "fatih: the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check int) "fatih: detections" 2 (List.length detections);
+  Alcotest.(check string) "fatih: detections digest" "fbeeca861d6eb5ad307078489e0f5281"
+    (value_md5 detections)
+
+(* Every death returns its packet, observed or not: on a poisoned
+   ring8 with χ on ⟨1, 2⟩ (so that queue and router 1's in-links build
+   events), a router listener (so every router does), congestion,
+   in-flight corruption, a link outage and an attacker, the pool takes
+   back exactly the packets delivered or dropped.  An observed drop
+   that skipped its release would leave the count short; one released
+   twice would trip the poison check. *)
 let test_observed_drops_released () =
   let g = Topology.Generate.ring ~n:8 in
   let n = Topology.Graph.size g in
-  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~pooling:true ~poison:true g in
+  let net = Net.create ~seed:1 ~jitter_bound:100e-6 ~poison:true g in
   let rt = Topology.Routing.compute g in
   Net.use_routing net rt;
   ignore (Core.Chi.deploy ~net ~rt ~router:1 ~next:2 ());
@@ -561,36 +570,20 @@ let test_observed_drops_released () =
 
 (* Observation on the ring8 reference scenario: a probe (counters,
    journal and Stats) plus one iface listener.  Each interface and
-   router lends its one view to both, and the journal copies the event
-   into a slot it recycles once full: 9.21 words per event measured
-   unpooled, against 12.55 while pops, jitter draws and CBR ticks
-   boxed their floats, 14.33 while each router event built its
-   constructor block and each queue-depth sample boxed a float, 22.36
-   while each event built a record the journal kept, and 33.51 when
-   the journal and the listener each built their own copy.  Pooled, a
-   dead packet goes straight back to the pool: 7.59 measured, against
-   10.93 with those float boxes, 12.71 with the router blocks and depth boxes and 21.06 while the
-   network held it until the journal evicted its records. *)
-let observed_ceiling = 10.5
-let pooled_observed_ceiling = 8.7
+   router lends its one view to both, the journal copies the event
+   into a slot it recycles once full, and a dead packet goes straight
+   back to the pool: 7.59 words per event measured, against 10.93
+   while pops, jitter draws and CBR ticks boxed their floats, 12.71
+   while each router event built its constructor block and each
+   queue-depth sample boxed a float, and 21.06 while the network held
+   each packet until the journal evicted its records.  Without a pool
+   the same run measured 9.21 (under a 10.5 ceiling), and 33.51 when
+   the journal and the listener each built their own copy. *)
+let observed_ceiling = 8.7
 
 let test_observed_budget () =
-  let w, _, _ =
-    ring8_run ~pooling:false
-      ~install:(fun net g ->
-        Net.set_probe net (Some (Probe.create ()));
-        Net.subscribe_iface net ignore;
-        Net.use_routing net (Topology.Routing.compute g))
-      ()
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "probe + listener ring8 %.2f w/ev under %.1f ceiling" w
-       observed_ceiling)
-    true (w < observed_ceiling)
-
-let test_pooled_observed_budget () =
   let w, _, stats =
-    ring8_run ~pooling:true
+    ring8_run
       ~install:(fun net g ->
         Net.set_probe net (Some (Probe.create ()));
         Net.subscribe_iface net ignore;
@@ -599,19 +592,19 @@ let test_pooled_observed_budget () =
   in
   Alcotest.(check bool) "the pool recycled" true (stats.Pool.recycled > 0);
   Alcotest.(check bool)
-    (Printf.sprintf "pooled probe + listener ring8 %.2f w/ev under %.1f ceiling" w
-       pooled_observed_ceiling)
-    true (w < pooled_observed_ceiling)
+    (Printf.sprintf "probe + listener ring8 %.2f w/ev under %.1f ceiling" w
+       observed_ceiling)
+    true (w < observed_ceiling)
 
 (* A listener costs only the kinds it reads: a network-wide listener
    for in-flight corruption, on a ring without any, leaves every
-   interface on the unobserved path and the pooled run inside the
-   unobserved budget.  1.56 words per event measured, as with no
-   listener; 15.46 when every interface built every kind for it. *)
+   interface on the unobserved path and the run inside the unobserved
+   budget.  1.56 words per event measured, as with no listener; 15.46
+   when every interface built every kind for it. *)
 let test_unread_kinds_free () =
   let heard = ref 0 in
   let w, _, _ =
-    ring8_run ~pooling:true
+    ring8_run
       ~install:(fun net g ->
         Net.subscribe_iface net ~kinds:Iface.(kinds [ Drop_corrupted ]) (fun _ ->
             incr heard);
@@ -620,15 +613,15 @@ let test_unread_kinds_free () =
   in
   Alcotest.(check int) "no corruption, nothing heard" 0 !heard;
   Alcotest.(check bool)
-    (Printf.sprintf "pooled ring8 under an unread-kind listener %.2f w/ev under %.2f ceiling"
-       w pooled_ceiling)
-    true (w < pooled_ceiling)
+    (Printf.sprintf "ring8 under an unread-kind listener %.2f w/ev under %.2f ceiling" w
+       ring8_ceiling)
+    true (w < ring8_ceiling)
 
 (* A router event builds no block: the kind is a constant and the
    packet, neighbour and scalar ride on the router's one view.  On the
-   pooled ring8 reference scenario a router listener that reads every
-   kind adds, per event it hears, at most the one float box the view's
-   time takes when the clock moved — against that box plus the event's
+   ring8 reference scenario a router listener that reads every kind
+   adds, per event it hears, at most the one float box the view's time
+   takes when the clock moved — against that box plus the event's
    constructor block while router events carried their packet inline. *)
 let float_box_words = float_of_int (1 + (8 / (Sys.word_size / 8)))
 
@@ -636,7 +629,7 @@ let test_router_event_builds_nothing () =
   let run listen =
     let heard = ref 0 in
     let net =
-      ring8_net ~pooling:true
+      ring8_net
         ~install:(fun net g ->
           Net.use_routing net (Topology.Routing.compute g);
           if listen then Net.subscribe_router net (fun _ -> incr heard))
@@ -661,7 +654,7 @@ let test_router_event_builds_nothing () =
    live, whatever their scope. *)
 let test_pool_live_under_listener () =
   let g = Topology.Generate.ring ~n:4 in
-  let net = Net.create ~seed:1 ~pooling:true g in
+  let net = Net.create ~seed:1 g in
   Net.use_routing net (Topology.Routing.compute g);
   ignore (Flow.cbr net ~src:0 ~dst:2 ~rate_pps:200.0 ~size:500 ~start:0.0 ~stop:2.0);
   Net.subscribe_link net ~src:0 ~dst:1 ignore;
@@ -681,17 +674,16 @@ let journal_jsonl probe =
   Sys.remove path;
   jsonl
 
-let md5 s = Digest.to_hex (Digest.string s)
-let md5_lines lines = md5 (String.concat "\n" lines)
-
-(* The probe's journal copies what it keeps, so under a probe a pooled
-   network recycles each packet the moment it dies and the journal
-   still reads as the unpooled one.  A journal of 512 records wraps
-   many times; one of 65536 wraps once over the ring8 run. *)
-let journal_of_ring8 ~capacity ~pooling =
+(* The probe's journal copies what it keeps, so under a probe a
+   poisoned network recycles each packet the moment it dies and the
+   journal still reads as the one recorded without a pool, as
+   {!Probe.describe} lines and as JSONL ({!Probe.write_journal}).  A
+   journal of 512 records wraps many times; one of 65536 wraps once
+   over the ring8 run. *)
+let journal_of_ring8 ~capacity =
   let probe = Probe.create ~journal_capacity:capacity () in
   let net =
-    ring8_net ~pooling ~poison:pooling
+    ring8_net ~poison:true
       ~install:(fun net g ->
         Net.set_probe net (Some probe);
         Net.use_routing net (Topology.Routing.compute g))
@@ -704,25 +696,26 @@ let journal_of_ring8 ~capacity ~pooling =
 
 let test_pool_live_under_probe () =
   List.iter
-    (fun capacity ->
-      let plain, _, _ = journal_of_ring8 ~capacity ~pooling:false in
-      let pooled, _, stats = journal_of_ring8 ~capacity ~pooling:true in
-      Alcotest.(check (list string))
-        (Printf.sprintf "capacity %d: pooled journal reads as unpooled" capacity)
-        plain pooled;
+    (fun (capacity, lines_md5, jsonl_md5) ->
+      let lines, jsonl, stats = journal_of_ring8 ~capacity in
+      Alcotest.(check string) (Printf.sprintf "capacity %d: journal lines" capacity)
+        lines_md5 (md5_lines lines);
+      Alcotest.(check string) (Printf.sprintf "capacity %d: journal JSONL" capacity)
+        jsonl_md5 (md5 jsonl);
       Alcotest.(check bool)
         (Printf.sprintf "capacity %d: the pool recycled (%d)" capacity
            stats.Pool.recycled)
         true (stats.Pool.recycled > 0))
-    [ 512; 65536 ]
+    [ (512, "f64461dd08402a7e2aa8fe1e6fef890a", "a7286fd3f24aaa425e63595d81a6d9ba");
+      (65536, "041b82c013c6c22e8404727891736541", "2f0c5ae1468ba68d073c3fc1d56e7859") ]
 
 (* The perfbench pi2-abilene-byz scenario, shortened: π/2 on Abilene
    under a Byzantine-budget chaos plan, a router dropping a fifth of its
-   transit from 4 s, a probe and a span tracer.  Everything a user reads
-   from the run (verdicts, the oracle's score, the Stats document, the
-   journal export and the `trace explain` text) must not depend on
-   pooling.  The run also reports the words it allocated and promoted
-   per hop. *)
+   transit from 4 s, a probe and a span tracer, poisoned.  Everything a
+   user reads from the run (verdicts, the oracle's score, the Stats
+   document, the journal export and the `trace explain` text) must read
+   as it did without a pool.  The run also reports the words it
+   allocated and promoted per hop. *)
 type pi2_chaos = {
   verdicts : Core.Pi2_live.detection list;
   oracle : string;
@@ -735,12 +728,12 @@ type pi2_chaos = {
   promoted_per_hop : float;
 }
 
-let pi2_chaos_outputs ?(traced = true) ~pooling () =
+let pi2_chaos_outputs ?(traced = true) () =
   let horizon = 12.0 in
   let g = Topology.Abilene.graph () in
   let n = Topology.Graph.size g in
   let rt = Topology.Routing.compute g in
-  let net = Net.create ~seed:1 ~jitter_bound:200e-6 ~pooling ~poison:pooling g in
+  let net = Net.create ~seed:1 ~jitter_bound:200e-6 ~poison:true g in
   Net.use_routing net rt;
   let tracer = if traced then Some (Telemetry.Span.create ~seed:1 ()) else None in
   let probe = Probe.create ~journal_capacity:4096 ?tracer () in
@@ -819,21 +812,23 @@ let pi2_chaos_outputs ?(traced = true) ~pooling () =
     words_per_hop = words /. float_of_int (max 1 hops);
     promoted_per_hop = (p1 -. p0) /. float_of_int (max 1 hops) }
 
-let test_pi2_chaos_pooled () =
-  let plain = pi2_chaos_outputs ~pooling:false () in
-  let pooled = pi2_chaos_outputs ~pooling:true () in
-  Alcotest.(check bool) "the pool recycled" true (pooled.pool.Pool.recycled > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "verdicts raised (%d)" (List.length plain.verdicts))
-    true (plain.verdicts <> []);
-  Alcotest.(check bool) "verdicts identical" true
-    (compare plain.verdicts pooled.verdicts = 0);
-  Alcotest.(check string) "oracle score identical" plain.oracle pooled.oracle;
-  Alcotest.(check string) "Stats document identical" plain.stats pooled.stats;
-  Alcotest.(check string) "journal export identical" plain.jsonl pooled.jsonl;
-  Alcotest.(check string) "trace explain identical" plain.explain pooled.explain
+(* The traced run, shared by the tests that read its outputs. *)
+let pi2_chaos_traced = lazy (pi2_chaos_outputs ())
 
-(* The same run, pooled and without the span tracer (as perfbench's
+let test_pi2_chaos_pooled () =
+  let run = Lazy.force pi2_chaos_traced in
+  Alcotest.(check bool) "the pool recycled" true (run.pool.Pool.recycled > 0);
+  Alcotest.(check int) "verdicts raised" 8 (List.length run.verdicts);
+  Alcotest.(check string) "verdicts digest" "cb950cd36127a62fd9a3072ba1d962c0"
+    (value_md5 run.verdicts);
+  Alcotest.(check string) "oracle score digest" "e802ffb52e25fc34c37a55c386093641"
+    (md5 run.oracle);
+  Alcotest.(check string) "Stats document digest" "464abad8891f83ea683a664c58583b20"
+    (md5 run.stats);
+  Alcotest.(check string) "trace explain digest" "8d9eca0d5d1d818e07dfbbe02d74cb99"
+    (md5 run.explain)
+
+(* The same run without the span tracer (as perfbench's
    pi2-abilene-byz row runs), under its words-per-hop ceiling: the gate
    on observation's cost.  The probe copies each event into a recycled
    journal slot and the listeners borrow one view per interface, so an
@@ -856,7 +851,7 @@ let pi2_chaos_ceiling = 21.1
 let pi2_chaos_promoted_ceiling = 2.35
 
 let test_pi2_chaos_hop_budget () =
-  let run = pi2_chaos_outputs ~traced:false ~pooling:true () in
+  let run = pi2_chaos_outputs ~traced:false () in
   let w = run.words_per_hop in
   Alcotest.(check bool)
     (Printf.sprintf "pi2 chaos %.2f w/hop under %.1f ceiling" w pi2_chaos_ceiling)
@@ -867,23 +862,18 @@ let test_pi2_chaos_hop_budget () =
        pi2_chaos_promoted_ceiling)
     true (p < pi2_chaos_promoted_ceiling)
 
-(* Journals that have wrapped many times, pinned byte for byte: the
-   pi2 chaos run's 4,096-record journal and the ring8 probe's
-   512-record one, as JSONL ({!Probe.write_journal}) and as
+(* A journal that has wrapped many times, pinned byte for byte: the
+   pi2 chaos run's 4,096-record journal, as JSONL and as
    {!Probe.describe} lines.  The digests were recorded while the
    journal still kept the listeners' event records and the packets
-   they named. *)
+   they named; the ring8 probe's 512-record journal is pinned with the
+   65,536-record one above. *)
 let test_wrapped_journal_golden () =
-  let pi2 = pi2_chaos_outputs ~pooling:false () in
+  let pi2 = Lazy.force pi2_chaos_traced in
   Alcotest.(check string) "pi2 chaos journal JSONL" "1284475a6a8e7f5b25a412aeeb141018"
     (md5 pi2.jsonl);
   Alcotest.(check string) "pi2 chaos journal lines" "b01c23b5c13f40064a83571051b36b91"
-    (md5_lines pi2.lines);
-  let lines, jsonl, _ = journal_of_ring8 ~capacity:512 ~pooling:false in
-  Alcotest.(check string) "ring8 512-record journal JSONL"
-    "a7286fd3f24aaa425e63595d81a6d9ba" (md5 jsonl);
-  Alcotest.(check string) "ring8 512-record journal lines"
-    "f64461dd08402a7e2aa8fe1e6fef890a" (md5_lines lines)
+    (md5_lines pi2.lines)
 
 (* Poison mode guards the borrowed view: a listener that makes its own
    interface emit again before it returns — here a [Transmit_start]
@@ -891,7 +881,7 @@ let test_wrapped_journal_golden () =
    under the consumers still to run, and raises instead. *)
 let test_reentrant_emission_raises () =
   let g = Topology.Generate.line ~n:2 in
-  let net = Net.create ~seed:1 ~jitter_bound:0.0 ~pooling:true ~poison:true g in
+  let net = Net.create ~seed:1 ~jitter_bound:0.0 ~poison:true g in
   Net.use_routing net (Topology.Routing.compute g);
   let iface = Option.get (Net.iface net ~src:0 ~dst:1) in
   let packet () = Net.make_packet net ~src:0 ~dst:1 ~flow:1 ~size:100 Packet.Udp in
@@ -903,11 +893,11 @@ let test_reentrant_emission_raises () =
 
 (* ... and the observed runs never trip it: the ring8 reference scenario
    under a probe, χ, Fatih and network-wide listeners, and the pi2
-   chaos run, both pooled and poisoned. *)
+   chaos run, both poisoned. *)
 let test_observed_runs_never_reenter () =
   let heard = ref 0 in
   let net =
-    ring8_net ~pooling:true ~poison:true
+    ring8_net ~poison:true
       ~install:(fun net g ->
         let rt = Topology.Routing.compute g in
         Net.use_routing net rt;
@@ -920,9 +910,71 @@ let test_observed_runs_never_reenter () =
   in
   Net.run ~until:ring8_horizon net;
   Alcotest.(check bool) "ring8: events heard" true (!heard > 0);
-  let pi2 = pi2_chaos_outputs ~pooling:true () in
+  let pi2 = Lazy.force pi2_chaos_traced in
   Alcotest.(check bool) "pi2 chaos: the pool recycled" true
     (pi2.pool.Pool.recycled > 0)
+
+(* Apps borrow the delivered packet as listeners do: the router
+   releases it when the node's handlers return.  The library's six
+   handlers (a TCP transfer, a ping, a delivered counter and a victim
+   meter on one CBR flow, stealth probes inside another, and Perlman's
+   two-path delivery) share a poisoned ring8 with a router dropping a
+   quarter of its transit; each reads what it read in a run that
+   recycled no packet.  A handler that kept a packet would read the
+   poison stamp, or a later packet minted into the same record. *)
+let apps_summary () =
+  let g = Topology.Generate.ring ~n:8 in
+  let net = Net.create ~seed:5 ~jitter_bound:100e-6 ~poison:true g in
+  Net.use_routing net (Topology.Routing.compute g);
+  let horizon = 6.0 in
+  let tcp = Tcp.connect net ~src:0 ~dst:4 ~total_bytes:400_000 () in
+  let cbr = Flow.cbr net ~src:1 ~dst:4 ~rate_pps:300.0 ~size:1000 ~start:0.0 ~stop:horizon in
+  let counted = Flow.delivered_counter net ~node:4 ~flow:(Flow.flow_id cbr) in
+  (* The victim meter sits at Scenario's sink, router 4. *)
+  let meter =
+    Experiments.Scenario.victim_meter net ~duration:horizon ~tau:1.0 (Flow.flow_id cbr)
+  in
+  let ping = Ping.start net ~src:2 ~dst:6 ~interval:0.05 ~start:0.1 ~stop:horizon () in
+  let data = Flow.cbr net ~src:5 ~dst:0 ~rate_pps:100.0 ~size:1000 ~start:0.0 ~stop:horizon in
+  let stealth =
+    Core.Stealth.start ~net ~src:5 ~dst:0 ~flow:(Flow.flow_id data)
+      ~key:(Crypto_sim.Siphash.key_of_string "apps") ~interval:0.1 ~start:0.2 ~stop:horizon ()
+  in
+  let perlman = Core.Perlman_live.create ~net ~src:5 ~dst:1 ~f:1 in
+  for i = 1 to 40 do
+    Sim.schedule_at (Net.sim net) ~time:(0.1 *. float_of_int i) (fun () ->
+        Core.Perlman_live.send perlman ~size:600)
+  done;
+  Router.set_behavior (Net.router net 7)
+    (Core.Adversary.after 1.0 (Core.Adversary.drop_fraction ~seed:9 0.25));
+  Net.run ~until:(horizon +. 2.0) net;
+  let rtts =
+    String.concat ";"
+      (List.map (fun (s, r) -> Printf.sprintf "%h,%h" s r) (Ping.samples ping))
+  in
+  let buckets =
+    String.concat ","
+      (List.init (Telemetry.Timeseries.used meter) (fun i ->
+           string_of_int (Telemetry.Timeseries.bucket_sum meter i)))
+  in
+  ( Printf.sprintf
+      "tcp %d acked %d retx %d timeouts; counter %d; meter %s; ping %d sent %d lost rtt %s; \
+       stealth %d/%d; perlman %d/%d/%d"
+      (Tcp.bytes_acked tcp) (Tcp.retransmits tcp) (Tcp.timeouts tcp) (counted ()) buckets
+      (Ping.sent ping) (Ping.lost ping) (md5 rtts) (Core.Stealth.answered stealth)
+      (Core.Stealth.sent stealth) (Core.Perlman_live.sent perlman)
+      (Core.Perlman_live.delivered perlman)
+      (Core.Perlman_live.copies_received perlman),
+    Net.pool_stats net )
+
+let test_apps_borrow_delivered () =
+  let summary, stats = apps_summary () in
+  Alcotest.(check bool) "the pool recycled" true (stats.Pool.recycled > 0);
+  Alcotest.(check string) "every app reads as without a pool"
+    "tcp 400000 acked 175 retx 0 timeouts; counter 1783; meter \
+     281000,300000,300000,300000,300000,300000,2000; ping 119 sent 28 lost rtt \
+     214de173976bad40b0ce6f8054e89aa4; stealth 36/59; perlman 40/40/71"
+    summary
 
 (* Poison mode: a released packet is stamped loudly wrong, so a stale
    holder (the injected use-after-free) reads the sentinel instead of
@@ -1030,10 +1082,8 @@ let () =
             test_router_event_builds_nothing;
           Alcotest.test_case "pooling live under a listener" `Quick
             test_pool_live_under_listener;
-          Alcotest.test_case "probe and listener under ceiling" `Quick
-            test_observed_budget;
           Alcotest.test_case "pooled probe and listener under ceiling" `Quick
-            test_pooled_observed_budget;
+            test_observed_budget;
           Alcotest.test_case "span recycling after ring wrap" `Quick
             test_span_recycling;
           Alcotest.test_case "tagged events schedule and dispatch for nothing" `Quick
@@ -1076,5 +1126,7 @@ let () =
             test_reentrant_emission_raises;
           Alcotest.test_case "observed runs never re-enter a view" `Quick
             test_observed_runs_never_reenter;
+          Alcotest.test_case "apps borrow delivered packets" `Quick
+            test_apps_borrow_delivered;
           Alcotest.test_case "freelist growth and counters" `Quick
             test_pool_grows_and_counts ] ) ]

@@ -75,7 +75,7 @@ let contents s = (Summary.packets s, Summary.bytes s, Summary.fingerprints s)
 let test_seg_index_lifetime () =
   let g = Gen.ring ~n:8 in
   let rt = Rt.compute g in
-  let net = Netsim.Net.create ~seed:1 ~pooling:true g in
+  let net = Netsim.Net.create ~seed:1 g in
   Netsim.Net.use_routing net rt;
   List.iter
     (fun (src, dst) ->

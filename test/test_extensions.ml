@@ -137,12 +137,11 @@ let test_fragmentation_mechanics () =
   Net.use_routing net (Rt.compute g);
   Router.set_mtu (Net.router net 1) (Some 500);
   let delivered = ref [] in
-  Net.attach_app net ~node:2 (fun pkt -> delivered := pkt :: !delivered);
+  Net.attach_app net ~node:2 (fun pkt -> delivered := pkt.Packet.size :: !delivered);
   Net.originate net (Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:7 ~size:1400 Packet.Udp);
   Net.run net;
   Alcotest.(check int) "three fragments" 3 (List.length !delivered);
-  Alcotest.(check int) "bytes conserved" 1400
-    (List.fold_left (fun acc p -> acc + p.Packet.size) 0 !delivered)
+  Alcotest.(check int) "bytes conserved" 1400 (List.fold_left ( + ) 0 !delivered)
 
 let test_fragmentation_breaks_validation () =
   (* The §7.4.4 caveat, executable: a fragmenting router makes honest
@@ -197,6 +196,21 @@ let test_stealth_sees_flow_attack () =
     (rate > 0.3 && rate < 0.9);
   Alcotest.(check bool) "unavailable" false (Stealth.available p ~threshold:0.05)
 
+(* A zero interval would reschedule at one instant forever, and a
+   negative one would raise only after the first probe went out. *)
+let test_stealth_rejects_interval () =
+  let net = stealth_net () in
+  let key = Crypto_sim.Siphash.key_of_string "tunnel" in
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises (Printf.sprintf "interval %g" interval)
+        (Invalid_argument "Stealth.start: interval must be positive and finite") (fun () ->
+          ignore
+            (Stealth.start ~net ~src:0 ~dst:3 ~flow:99 ~key ~interval ~start:0.0 ~stop:1.0 ())))
+    [ 0.0; -0.5; Float.nan; Float.infinity ];
+  Net.run net;
+  Alcotest.(check int) "nothing scheduled" 0 (Net.events_processed net)
+
 let test_naive_probing_evaded () =
   (* Contrast: recognizable Ping probes are spared by a discriminating
      attacker while the data dies — naive active probing reports a
@@ -248,7 +262,9 @@ let test_multicast_delivery () =
   let key = Crypto_sim.Siphash.key_of_string "mc" in
   let got = Array.make 5 [] in
   List.iter
-    (fun leaf -> Net.attach_app net ~node:leaf (fun pkt -> got.(leaf) <- pkt :: got.(leaf)))
+    (fun leaf ->
+      Net.attach_app net ~node:leaf (fun pkt ->
+          got.(leaf) <- Packet.fingerprint key pkt :: got.(leaf)))
     [ 2; 3; 4 ];
   let pkt = Packet.make ~sim:(Net.sim net) ~src:0 ~dst:group ~flow:1 ~size:300 Packet.Udp in
   let fp = Packet.fingerprint key pkt in
@@ -257,10 +273,8 @@ let test_multicast_delivery () =
   List.iter
     (fun leaf ->
       match got.(leaf) with
-      | [ p ] ->
-          Alcotest.(check int64)
-            (Printf.sprintf "leaf %d same fingerprint" leaf)
-            fp (Packet.fingerprint key p)
+      | [ leaf_fp ] ->
+          Alcotest.(check int64) (Printf.sprintf "leaf %d same fingerprint" leaf) fp leaf_fp
       | l -> Alcotest.failf "leaf %d got %d copies" leaf (List.length l))
     [ 2; 3; 4 ]
 
@@ -389,4 +403,5 @@ let () =
       ( "stealth",
         [ Alcotest.test_case "clean path" `Quick test_stealth_clean_path;
           Alcotest.test_case "flow attack seen" `Quick test_stealth_sees_flow_attack;
+          Alcotest.test_case "bad interval rejected" `Quick test_stealth_rejects_interval;
           Alcotest.test_case "naive probing evaded" `Quick test_naive_probing_evaded ] ) ]

@@ -241,13 +241,12 @@ let test_iface_timing () =
   G.add_link g ~bw:1.25e6 ~delay:0.010 0 1;
   let delivered = ref None in
   let iface =
-    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000)
+    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~release:ignore
       ~on_event:(fun ev _ ->
         match ev with
         | Iface.Delivered -> delivered := Some (Sim.now sim)
         | _ -> ())
       ~deliver:(fun ~prev:_ _ -> ())
-      ()
   in
   Iface.enqueue iface (mk_pkt sim ());
   Sim.run sim;
@@ -263,11 +262,10 @@ let test_iface_serialization () =
   G.add_link g ~bw:1.25e6 ~delay:0.010 0 1;
   let times = ref [] in
   let iface =
-    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000)
+    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~release:ignore
       ~on_event:(fun ev _ ->
         match ev with Iface.Delivered -> times := Sim.now sim :: !times | _ -> ())
       ~deliver:(fun ~prev:_ _ -> ())
-      ()
   in
   Iface.enqueue iface (mk_pkt sim ());
   Iface.enqueue iface (mk_pkt sim ());
@@ -280,14 +278,15 @@ let test_iface_serialization () =
 
 let test_net_end_to_end () =
   let net = line_net 4 in
+  (* An app borrows the delivered packet: it keeps the TTL, not the
+     packet, which dies when the handler returns. *)
   let got = ref [] in
-  Net.attach_app net ~node:3 (fun pkt -> got := pkt :: !got);
+  Net.attach_app net ~node:3 (fun pkt -> got := pkt.Packet.ttl :: !got);
   let pkt = Packet.make ~sim:(Net.sim net) ~src:0 ~dst:3 ~flow:1 ~size:500 Packet.Udp in
   Net.originate net pkt;
   Net.run net;
   Alcotest.(check int) "delivered" 1 (List.length !got);
-  Alcotest.(check int) "ttl decremented twice (transit hops)" 62
-    (List.hd !got).Packet.ttl
+  Alcotest.(check int) "ttl decremented twice (transit hops)" 62 (List.hd !got)
 
 let test_net_congestion_drops () =
   (* Offer 2x the bottleneck rate; the queue must overflow and drops must
@@ -332,7 +331,7 @@ let test_net_malicious_drop_counted () =
 let test_net_modification () =
   let net = line_net 3 in
   let got = ref [] in
-  Net.attach_app net ~node:2 (fun pkt -> got := pkt :: !got);
+  Net.attach_app net ~node:2 (fun pkt -> got := pkt.Packet.payload :: !got);
   Router.set_behavior (Net.router net 1) (fun ctx _ ->
       match ctx.Router.prev with
       | Some _ -> Router.Modify 0x6861636bL
@@ -340,7 +339,7 @@ let test_net_modification () =
   Net.originate net (Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp);
   Net.run net;
   match !got with
-  | [ pkt ] -> Alcotest.(check int64) "payload overwritten" 0x6861636bL pkt.Packet.payload
+  | [ payload ] -> Alcotest.(check int64) "payload overwritten" 0x6861636bL payload
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_net_ttl_expiry () =
@@ -353,10 +352,11 @@ let test_net_ttl_expiry () =
   let pkt =
     Packet.make ~sim:(Net.sim net) ~src:0 ~dst:4 ~flow:1 ~size:100 ~ttl:2 Packet.Udp
   in
+  (* The packet dies at r2 and returns to the pool: read its uid first. *)
+  let uid = pkt.Packet.uid in
   Net.originate net pkt;
   Net.run net;
-  Alcotest.(check (list (pair int int))) "expired en route at r2" [ (2, pkt.Packet.uid) ]
-    !expired
+  Alcotest.(check (list (pair int int))) "expired en route at r2" [ (2, uid) ] !expired
 
 let test_net_fabrication () =
   let net = line_net 3 in
@@ -433,6 +433,19 @@ let test_ping_loss () =
   Net.run net;
   Alcotest.(check int) "all lost" (Ping.sent p) (Ping.lost p)
 
+(* A zero interval would reschedule at one instant forever, and a
+   negative one would raise only after the first probe went out. *)
+let test_ping_rejects_interval () =
+  let net = line_net 3 in
+  List.iter
+    (fun interval ->
+      Alcotest.check_raises (Printf.sprintf "interval %g" interval)
+        (Invalid_argument "Ping.start: interval must be positive and finite") (fun () ->
+          ignore (Ping.start net ~src:0 ~dst:2 ~interval ~start:0.0 ~stop:1.0 ())))
+    [ 0.0; -0.5; Float.nan; Float.infinity ];
+  Net.run net;
+  Alcotest.(check int) "nothing scheduled" 0 (Net.events_processed net)
+
 (* --- Probe --- *)
 
 let contains s sub =
@@ -457,7 +470,7 @@ let test_probe_marks_malice () =
    views named have long been recycled when the journal is read. *)
 let test_probe_journal_reads_as_heard () =
   let g = Gen.line ~n:3 in
-  let net = Net.create ~jitter_bound:0.0 ~pooling:true ~poison:true g in
+  let net = Net.create ~jitter_bound:0.0 ~poison:true g in
   Net.use_routing net (Rt.compute g);
   let probe = Probe.create () in
   Net.set_probe net (Some probe);
@@ -551,8 +564,8 @@ let heard_node (ev : Net.router_event) =
       ev.arg )
 
 (* The ring8 run, with [listen] subscribing [hear]; returns every
-   snapshot, in the order heard.  Unpooled, so a router event's packet
-   stays valid after the run. *)
+   snapshot, in the order heard.  A snapshot is rendered during its
+   callback: the view and its packet are only lent. *)
 let kinds_ring8 ~red ~probed listen =
   let g = Gen.ring ~n:8 in
   let queue =
@@ -1055,7 +1068,8 @@ let () =
         [ Alcotest.test_case "cbr count" `Quick test_cbr_count;
           Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
           Alcotest.test_case "ping rtt" `Quick test_ping_rtt;
-          Alcotest.test_case "ping loss" `Quick test_ping_loss ] );
+          Alcotest.test_case "ping loss" `Quick test_ping_loss;
+          Alcotest.test_case "ping rejects a bad interval" `Quick test_ping_rejects_interval ] );
       ( "probe",
         [ Alcotest.test_case "journal marks malice" `Quick test_probe_marks_malice;
           Alcotest.test_case "journal reads as the listeners heard" `Quick
