@@ -1,11 +1,11 @@
 open Netsim
 
+(* [prev] is [-1] for a packet the router originated itself. *)
 let transit_only behavior : Router.behavior =
- fun ctx pkt ->
-  match ctx.Router.prev with Some _ -> behavior ctx pkt | None -> Router.Forward
+ fun ctx pkt -> if ctx.Router.prev >= 0 then behavior ctx pkt else Router.Forward
 
 let after t behavior : Router.behavior =
- fun ctx pkt -> if ctx.Router.now >= t then behavior ctx pkt else Router.Forward
+ fun ctx pkt -> if ctx.Router.clock.Sim.f >= t then behavior ctx pkt else Router.Forward
 
 let on_flows flows behavior : Router.behavior =
  fun ctx pkt ->
@@ -13,11 +13,12 @@ let on_flows flows behavior : Router.behavior =
 
 let drop_all = transit_only (fun _ _ -> Router.Drop)
 
-(* A behaviour builds its coin key once; the coin itself runs per packet. *)
+(* A behaviour builds its coin key once; the coin itself runs per packet
+   and allocates only the hash's int64 result. *)
 let coin_key seed = Crypto_sim.Siphash.key_of_ints (Int64.of_int seed) 0xadfeL
 
 let coin key ~fraction pkt =
-  let h = Crypto_sim.Siphash.hash_int64s key [ Int64.of_int pkt.Packet.uid ] in
+  let h = Crypto_sim.Siphash.hash_int key pkt.Packet.uid in
   let u = Int64.to_float (Int64.shift_right_logical h 11) /. 9.007199254740992e15 in
   u < fraction
 
@@ -34,15 +35,15 @@ let drop_when_queue_above frac =
 
 let drop_when_red_avg_above bytes =
   transit_only (fun ctx _ ->
-      match ctx.Router.red_avg with
-      | Some avg when avg > bytes -> Router.Drop
+      match ctx.Router.red with
+      | Some red when Red.avg red > bytes -> Router.Drop
       | Some _ | None -> Router.Forward)
 
 let drop_fraction_when_red_avg_above ?(seed = 1) ~fraction ~avg () =
   let key = coin_key seed in
   transit_only (fun ctx pkt ->
-      match ctx.Router.red_avg with
-      | Some a when a > avg && coin key ~fraction pkt -> Router.Drop
+      match ctx.Router.red with
+      | Some red when Red.avg red > avg && coin key ~fraction pkt -> Router.Drop
       | Some _ | None -> Router.Forward)
 
 let drop_syn =

@@ -40,15 +40,31 @@ type report = {
   learning : bool;
 }
 
+(* Only genuinely stochastic arrivals enter the statistic, those whose
+   replayed drop probability is below this: where the replay says p = 1
+   (EWMA beyond max_th or physical overflow) a drop carries no
+   information, and a replay/reality mismatch there would otherwise
+   bias the expectation. *)
+let stochastic_below = 0.999
+
+(* A round's stochastic arrivals, their flows and replayed drop
+   probabilities in arrival order: flat buffers (a [float array] stores
+   its floats unboxed) reused from round to round. *)
+type arrivals = { mutable flows : int array; mutable probs : float array; mutable n : int }
+
 type t = {
   qmon : Qmon.t;
   params : Netsim.Red.params;
   link_bw : float;
-  (* replayed RED state, persistent across rounds *)
-  mutable avg : float;
+  (* Replayed RED state, persistent across rounds: the EWMA in RED's own
+     float-only record, updated in place, and the drop counter, the
+     replayed occupancy and whether the replayed queue is idle (since
+     [red.idle_since]). *)
+  red : Netsim.Red.state;
   mutable count : int;
   mutable occ : int;
-  mutable idle_since : float option;
+  mutable idle : bool;
+  arrivals : arrivals;
   mutable round : int;
   mutable reports_rev : report list;
   (* Cumulative evidence since the end of learning: catches attacks whose
@@ -63,42 +79,63 @@ type t = {
   cum_flows : (int, flow_acc) Hashtbl.t;
 }
 
-and flow_acc = { mutable f_obs : int; mutable f_mu : float; mutable f_var : float }
+(* A flow's losses, and the sums of its arrivals' drop probabilities in
+   a float-only record, so adding an arrival boxes nothing. *)
+and flow_acc = { mutable f_obs : int; f : flow_sums }
+
+and flow_sums = { mutable mu : float; mutable var : float }
+
+let grow_arrivals a =
+  let cap = max 64 (2 * a.n) in
+  let flows = Array.make cap 0 and probs = Array.make cap 0.0 in
+  Array.blit a.flows 0 flows 0 a.n;
+  Array.blit a.probs 0 probs 0 a.n;
+  a.flows <- flows;
+  a.probs <- probs
 
 (* The per-event rule over Qmon's replay: RED's EWMA and drop count
    follow the replayed queue, and each arrival gets its drop
-   probability. *)
+   probability, kept in [t.arrivals] when it is stochastic. *)
 let process_round t (data : Qmon.round_data) ~horizon =
   let losses = ref [] in
-  let all_probs = ref [] in (* (flow, p) per arrival *)
+  let red = t.red and clock = Qmon.replay_clock t.qmon in
+  t.arrivals.n <- 0;
   Qmon.replay t.qmon data ~horizon
     ~depart:(fun v i ->
       t.occ <- max 0 (t.occ - Qmon.size v i);
-      if t.occ = 0 then t.idle_since <- Some (Qmon.time v i))
+      if t.occ = 0 then begin
+        t.idle <- true;
+        red.idle_since <- clock.f
+      end)
     ~arrive:(fun v i ~admitted ->
-      let size = Qmon.size v i and flow = Qmon.flow v i and time = Qmon.time v i in
+      let size = Qmon.size v i and flow = Qmon.flow v i in
       (* Replay RED's deterministic side (§6.5.2). *)
-      (match t.idle_since with
-      | Some since when t.occ = 0 ->
-          t.avg <-
-            Netsim.Red.decay_avg t.params ~avg:t.avg ~idle:(time -. since)
-              ~link_bw:t.link_bw;
-          t.idle_since <- None
-      | _ -> ());
-      t.avg <- Netsim.Red.update_avg t.params ~avg:t.avg ~occupancy:t.occ;
+      if t.idle && t.occ = 0 then begin
+        Netsim.Red.decay_avg t.params red ~now:clock ~link_bw:t.link_bw;
+        t.idle <- false
+      end;
+      Netsim.Red.update_avg t.params red ~occupancy:t.occ;
       let forced = t.occ + size > t.params.Netsim.Red.limit_bytes in
-      let pb0 = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:0 in
+      Netsim.Red.early_drop_probability t.params red ~count:0;
+      let pb0 = red.drop_p in
       let p_red =
         if pb0 <= 0.0 then if forced then 1.0 else 0.0
         else if pb0 >= 1.0 then 1.0
         else begin
           t.count <- t.count + 1;
-          let p = Netsim.Red.early_drop_probability t.params ~avg:t.avg ~count:t.count in
-          if forced then 1.0 else p
+          Netsim.Red.early_drop_probability t.params red ~count:t.count;
+          if forced then 1.0 else red.drop_p
         end
       in
       if pb0 <= 0.0 then t.count <- -1;
-      all_probs := (flow, p_red) :: !all_probs;
+      (* Stored here: passed to a function, [p_red] would be boxed. *)
+      let a = t.arrivals in
+      if p_red < stochastic_below then begin
+        if a.n = Array.length a.flows then grow_arrivals a;
+        a.flows.(a.n) <- flow;
+        a.probs.(a.n) <- p_red;
+        a.n <- a.n + 1
+      end;
       if admitted then t.occ <- t.occ + size
       else begin
         t.count <- 0;
@@ -108,56 +145,57 @@ let process_round t (data : Qmon.round_data) ~horizon =
            malicious. *)
         let certain =
           (not forced)
-          && t.avg < t.params.Netsim.Red.min_th -. drift_margin
+          && red.avg < t.params.Netsim.Red.min_th -. drift_margin
           && float_of_int (t.occ + size)
              <= float_of_int t.params.Netsim.Red.limit_bytes -. drift_margin
         in
         losses :=
-          { fp = Qmon.fp v i; size; flow; time; red_prob = p_red; avg = t.avg;
-            certain }
+          { fp = Qmon.fp v i; size; flow; time = clock.f; red_prob = p_red;
+            avg = red.avg; certain }
           :: !losses
       end);
-  (List.rev !losses, Array.of_list (List.rev !all_probs))
+  List.rev !losses
 
 let run_round t ~start_time ~end_time ~learning =
   let horizon = end_time -. slack in
   let data = Qmon.drain t.qmon ~horizon in
-  let losses, probs = process_round t data ~horizon in
+  let losses = process_round t data ~horizon in
   let fabricated = data.Qmon.fabricated in
-  (* Only genuinely stochastic arrivals enter the statistic: where the
-     replay says p = 1 (EWMA beyond max_th or physical overflow) a drop
-     carries no information, and a replay/reality mismatch there would
-     otherwise bias the expectation. *)
-  let stochastic =
-    List.filter (fun (_, p) -> p < 0.999) (Array.to_list probs)
-  in
-  let stochastic_losses = List.filter (fun l -> l.red_prob < 0.999) losses in
+  let a = t.arrivals in
+  let mu = ref 0.0 and var = ref 0.0 in
+  for i = 0 to a.n - 1 do
+    let p = a.probs.(i) in
+    mu := !mu +. p;
+    var := !var +. (p *. (1.0 -. p))
+  done;
+  let expected_red_drops = !mu and var = !var in
+  let stochastic_losses = List.filter (fun l -> l.red_prob < stochastic_below) losses in
   let observed = List.length stochastic_losses in
-  let expected_red_drops = List.fold_left (fun acc (_, p) -> acc +. p) 0.0 stochastic in
-  let probs = Array.of_list (List.map snd stochastic) in
+  (* The tail is 1 without a loss: only a round with one copies the
+     probabilities out. *)
   let tail_probability =
-    Mrstats.Ztest.poisson_binomial_upper_tail ~probs ~observed
+    if observed <= 0 then 1.0
+    else
+      Mrstats.Ztest.poisson_binomial_upper_tail ~probs:(Array.sub a.probs 0 a.n) ~observed
   in
   let any_certain = List.exists (fun l -> l.certain) losses in
   if not learning then begin
     t.cum_observed <- t.cum_observed + observed;
     t.cum_mu <- t.cum_mu +. expected_red_drops;
-    t.cum_var <-
-      t.cum_var +. Array.fold_left (fun acc p -> acc +. (p *. (1.0 -. p))) 0.0 probs;
+    t.cum_var <- t.cum_var +. var;
     let acc_of flow =
-      match Hashtbl.find_opt t.cum_flows flow with
-      | Some a -> a
-      | None ->
-          let a = { f_obs = 0; f_mu = 0.0; f_var = 0.0 } in
+      match Hashtbl.find t.cum_flows flow with
+      | a -> a
+      | exception Not_found ->
+          let a = { f_obs = 0; f = { mu = 0.0; var = 0.0 } } in
           Hashtbl.add t.cum_flows flow a;
           a
     in
-    List.iter
-      (fun (flow, p) ->
-        let a = acc_of flow in
-        a.f_mu <- a.f_mu +. p;
-        a.f_var <- a.f_var +. (p *. (1.0 -. p)))
-      stochastic;
+    for i = 0 to a.n - 1 do
+      let acc = acc_of a.flows.(i) and p = a.probs.(i) in
+      acc.f.mu <- acc.f.mu +. p;
+      acc.f.var <- acc.f.var +. (p *. (1.0 -. p))
+    done;
     List.iter (fun l -> let a = acc_of l.flow in a.f_obs <- a.f_obs + 1)
       stochastic_losses
   end;
@@ -180,9 +218,9 @@ let run_round t ~start_time ~end_time ~learning =
   let suspect_flows =
     Hashtbl.fold
       (fun flow a acc ->
-        let excess = float_of_int a.f_obs -. a.f_mu in
-        if excess > (0.05 *. a.f_mu) +. 5.0 && a.f_var > 1e-9 then begin
-          let z = (float_of_int a.f_obs -. 0.5 -. a.f_mu) /. sqrt a.f_var in
+        let excess = float_of_int a.f_obs -. a.f.mu in
+        if excess > (0.05 *. a.f.mu) +. 5.0 && a.f.var > 1e-9 then begin
+          let z = (float_of_int a.f_obs -. 0.5 -. a.f.mu) /. sqrt a.f.var in
           if 1.0 -. Mrstats.Erf.normal_cdf z < flow_alpha then flow :: acc else acc
         end
         else acc)
@@ -216,8 +254,10 @@ let deploy ~net ~rt ~router ~next ~params ?(tau = 2.0) () =
     | None -> invalid_arg "Chi_red.deploy: no such link"
   in
   let t =
-    { qmon; params; link_bw; avg = 0.0; count = -1; occ = 0;
-      idle_since = Some 0.0; round = 0; reports_rev = [];
+    { qmon; params; link_bw; red = { avg = 0.0; idle_since = 0.0; drop_p = 0.0 };
+      count = -1; occ = 0; idle = true;
+      arrivals = { flows = [||]; probs = [||]; n = 0 };
+      round = 0; reports_rev = [];
       cum_observed = 0; cum_mu = 0.0; cum_var = 0.0; cum_flows = Hashtbl.create ~random:false 16 }
   in
   let sim = Netsim.Net.sim net in

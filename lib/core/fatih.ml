@@ -116,7 +116,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
               (fun probe ->
                 ignore
                   (Netsim.Probe.trace_instant probe ~track:"fatih"
-                     ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.time
+                     ~name:"fingerprint" ~cat:"mac" ~time:ev.Netsim.Net.clock.Netsim.Sim.f
                      ~routers:[ ev.Netsim.Net.router; ev.Netsim.Net.next ]
                      ~args:
                        [ ("pkt", Telemetry.Export.Int pkt.Netsim.Packet.uid);

@@ -33,13 +33,15 @@ let grow b =
   b.times <- extend b.times 0.0;
   b.occs <- extend b.occs no_sample
 
-let push b ~fp ~size ~flow ~time =
+(* The time comes in a flat box (the network's clock) and is stored
+   straight into the float array: a float argument would box. *)
+let push b ~fp ~size ~flow ~(at : Netsim.Sim.fbox) =
   if b.len = Array.length b.sizes then grow b;
   let i = b.len in
   Bytes.set_int64_ne b.fps (8 * i) fp;
   b.sizes.(i) <- size;
   b.flows.(i) <- flow;
-  b.times.(i) <- time;
+  b.times.(i) <- at.f;
   b.occs.(i) <- no_sample;
   b.len <- i + 1
 
@@ -163,10 +165,13 @@ type t = {
   benign_fps : (int64, unit) Hashtbl.t;
   occ_samples : (int64, int) Hashtbl.t;    (* calibration *)
   mutable calibrating : bool;
+  skewed : Netsim.Sim.fbox;  (* scratch: a skewed reporter's timestamp *)
+  replayed : Netsim.Sim.fbox;  (* the time of the entry being replayed *)
 }
 
 let router t = t.router
 let next t = t.next
+let replay_clock t = t.replayed
 let set_predict t p = t.predict <- p
 let set_calibrating t v = t.calibrating <- v
 
@@ -192,11 +197,12 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
     { router; next; predict; pending_s = buf (); pending_d = buf (); round_s = buf ();
       round_d = buf (); carried = buf (); fps = fpset ();
       benign_fps = Hashtbl.create 16;
-      occ_samples = Hashtbl.create 64; calibrating = false }
+      occ_samples = Hashtbl.create 64; calibrating = false;
+      skewed = { f = 0.0 }; replayed = { f = 0.0 } }
   in
-  let record b pkt ~time =
+  let record b pkt ~at =
     push b ~fp:(Netsim.Packet.fingerprint key pkt) ~size:pkt.Netsim.Packet.size
-      ~flow:pkt.Netsim.Packet.flow ~time
+      ~flow:pkt.Netsim.Packet.flow ~at
   in
   let on_in_link (ev : Netsim.Net.iface_event) =
     let pkt = ev.pkt in
@@ -207,12 +213,14 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
            [next]. *)
         match t.predict pkt with
         | Some n when n = next ->
-            let time =
+            let at =
               match skew with
-              | None -> ev.time
-              | Some skew -> ev.time +. skew ~reporter:ev.router
+              | None -> ev.clock
+              | Some skew ->
+                  t.skewed.f <- ev.clock.f +. skew ~reporter:ev.router;
+                  t.skewed
             in
-            record t.pending_s pkt ~time
+            record t.pending_s pkt ~at
         | Some _ | None -> ())
     | _ -> ()
   in
@@ -221,13 +229,13 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
     match ev.kind with
     | Netsim.Iface.Transmit_start ->
         (* rd infers the dequeue instant from its own arrival time. *)
-        record t.pending_d pkt ~time:ev.time
+        record t.pending_d pkt ~at:ev.clock
     | Netsim.Iface.Enqueued when pkt.Netsim.Packet.src = router ->
         (* Traffic the monitored router originates also occupies Q; the
            router announces it itself and is trusted for its own
            traffic (§2.1.4 fate sharing), so these entries keep the
            replayed occupancy honest. *)
-        record t.pending_s pkt ~time:ev.time
+        record t.pending_s pkt ~at:ev.clock
     | Netsim.Iface.Drop_link_down ->
         Hashtbl.replace t.benign_fps (Netsim.Packet.fingerprint key pkt) ()
     | Netsim.Iface.Enqueued when t.calibrating ->
@@ -345,14 +353,17 @@ let replay t data ~horizon ~arrive ~depart =
       if from_carried then c.times.(!j) else if !k < nk then d.times.(!k) else infinity
     in
     if !i < na && Float.compare a.times.(!i) dep_time <= 0 then begin
+      t.replayed.f <- a.times.(!i);
       arrive av !i ~admitted:(mem t.fps a.fps (8 * !i));
       incr i
     end
     else if from_carried then begin
+      t.replayed.f <- dep_time;
       depart cv !j;
       incr j
     end
     else begin
+      t.replayed.f <- dep_time;
       depart dv !k;
       incr k
     end
@@ -365,7 +376,7 @@ let replay t data ~horizon ~arrive ~depart =
 let round_of_entries ~arrivals ~departures =
   let of_entries es =
     let b = buf () in
-    List.iter (fun e -> push b ~fp:e.fp ~size:e.size ~flow:e.flow ~time:e.time) es;
+    List.iter (fun e -> push b ~fp:e.fp ~size:e.size ~flow:e.flow ~at:{ f = e.time }) es;
     { b; n = b.len }
   in
   { arrivals = of_entries arrivals; departures = of_entries departures; fabricated = 0 }

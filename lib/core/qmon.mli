@@ -131,6 +131,13 @@ val replay :
     the one the round was {!drain}ed with.  The walk allocates nothing
     per entry. *)
 
+val replay_clock : t -> Netsim.Sim.fbox
+(** The replay's clock: during a {!replay} callback, [(replay_clock
+    t).f] is the time of the entry the callback receives ({!time} of
+    that view and index).  A rule that needs every entry's time reads
+    it here, where {!time}'s float result is boxed per call.  Read-only;
+    valid during the callback. *)
+
 val round_of_entries : arrivals:entry list -> departures:entry list -> round_data
 (** A round built from entry lists, each in (time, fingerprint) order,
     in fresh storage: for driving {!replay} on constructed data. *)

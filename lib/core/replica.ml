@@ -20,9 +20,10 @@ let deploy ~net ~rt ~router ~next () =
       arrivals_rev = [];
       observed_out = Hashtbl.create 256 }
   in
-  let arrive pkt ~time =
+  let arrive pkt ~(clock : Netsim.Sim.fbox) =
     t.arrivals_rev <-
-      { fp = Netsim.Packet.fingerprint key pkt; size = pkt.Netsim.Packet.size; time }
+      { fp = Netsim.Packet.fingerprint key pkt; size = pkt.Netsim.Packet.size;
+        time = clock.f }
       :: t.arrivals_rev
   in
   (* The replica hears r's in-links and the monitored link only. *)
@@ -32,7 +33,7 @@ let deploy ~net ~rt ~router ~next () =
       let pkt = ev.Netsim.Net.pkt in
       match ev.Netsim.Net.kind with
       | Netsim.Iface.Enqueued when pkt.Netsim.Packet.src = router ->
-          arrive pkt ~time:ev.Netsim.Net.time
+          arrive pkt ~clock:ev.Netsim.Net.clock
       | Netsim.Iface.Transmit_start ->
           Hashtbl.replace t.observed_out (Netsim.Packet.fingerprint key pkt) ()
       | _ -> ());
@@ -46,7 +47,7 @@ let deploy ~net ~rt ~router ~next () =
             when pkt.Netsim.Packet.dst <> router
                  && Topology.Routing.next_hop rt router ~dst:pkt.Netsim.Packet.dst
                     = Some next ->
-              arrive pkt ~time:ev.Netsim.Net.time
+              arrive pkt ~clock:ev.Netsim.Net.clock
           | _ -> ())
   done;
   t

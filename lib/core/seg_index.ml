@@ -127,6 +127,13 @@ let rec excuse excused = function
       excused.(i) <- true;
       excuse excused rest
 
+(* Only a Timeliness summary keeps the time; the others get a constant,
+   which allocates nothing, where the clock's float would be boxed on
+   its way into [Summary] (modules are compiled [-opaque]). *)
+let add t s ~fp ~size (clock : Netsim.Sim.fbox) =
+  if t.policy = Summary.Timeliness then Summary.observe s ~fp ~size ~time:clock.f
+  else Summary.observe s ~fp ~size ~time:0.0
+
 let observe t (ev : Netsim.Net.iface_event) =
   match ev.Netsim.Net.kind with
   | Netsim.Iface.Delivered ->
@@ -140,15 +147,15 @@ let observe t (ev : Netsim.Net.iface_event) =
       if opens < 0 && closes < 0 then Neither
       else begin
         let fp = Netsim.Packet.fingerprint t.key pkt in
-        let size = pkt.Netsim.Packet.size and time = ev.Netsim.Net.time in
+        let size = pkt.Netsim.Packet.size and clock = ev.Netsim.Net.clock in
         if opens >= 0 then begin
           if t.sent.(opens) == t.empty then t.sent.(opens) <- Summary.create t.policy;
-          Summary.observe t.sent.(opens) ~fp ~size ~time
+          add t t.sent.(opens) ~fp ~size clock
         end;
         if closes >= 0 then begin
           if t.received.(closes) == t.empty then
             t.received.(closes) <- Summary.create t.policy;
-          Summary.observe t.received.(closes) ~fp ~size ~time
+          add t t.received.(closes) ~fp ~size clock
         end;
         if closes < 0 then Sent else if opens < 0 then Received else Both
       end

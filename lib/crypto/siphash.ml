@@ -84,6 +84,7 @@ let kernel key nf a b c d e w t0 t1 t2 t3 words s =
 
 let hash key s = kernel key 0 0 0 0 0 0 0L 0 0 0 0 [] s
 let hash_int64s key words = kernel key 0 0 0 0 0 0 0L 0 0 0 0 words ""
+let hash_int key x = kernel key 1 x 0 0 0 0 0L 0 0 0 0 [] ""
 
 let hash_fields key a b c d e w ~tail t0 t1 t2 t3 =
   if tail < 0 || tail > 4 then invalid_arg "Siphash.hash_fields: tail outside [0,4]";

@@ -9,8 +9,8 @@
     {b Allocation.}  The hash functions allocate nothing but their boxed
     [int64] result (3 words): neither the state nor any message word
     is boxed.  The [@alloc] test suite pins this for
-    {!hash_int64s} on a prebuilt list and for packet fingerprints
-    ({!hash_fields}). *)
+    {!hash_int64s} on a prebuilt list, for packet fingerprints
+    ({!hash_fields}) and for the adversary's coin ({!hash_int}). *)
 
 type key = { k0 : int64; k1 : int64 }
 (** A 128-bit key as two 64-bit halves. *)
@@ -28,6 +28,12 @@ val hash : key -> string -> int64
 val hash_int64s : key -> int64 list -> int64
 (** SipHash-2-4 of the little-endian concatenation of the given words;
     used to fingerprint packet identity tuples without building strings. *)
+
+val hash_int : key -> int -> int64
+(** [hash_int key x] is [hash_int64s key [Int64.of_int x]], bit for bit
+    ([x] sign-extended), without the list or the [int64] box: one word
+    hashed for the cost of its result alone — the adversary's
+    per-packet coin. *)
 
 val hash_fields :
   key -> int -> int -> int -> int -> int -> int64 -> tail:int -> int -> int -> int -> int ->

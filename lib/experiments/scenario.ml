@@ -83,7 +83,7 @@ let victim_meter net ~duration ~tau flow =
   let sim = Net.sim net in
   Net.attach_app net ~node:sink (fun pkt ->
       if pkt.Packet.flow = flow then
-        Ts.record ts ~time:(Sim.now sim) pkt.Packet.size);
+        Ts.record ts ~at:(Sim.clock sim) pkt.Packet.size);
   ts
 
 let run_droptail ?(seed = 21) ?(duration = default_duration)

@@ -45,6 +45,7 @@ type t = {
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   link : Topology.Graph.link;
   queue : queue;
+  red : Red.t option;  (* the RED queue, built once: read per attacker packet *)
   on_event : event -> Packet.t -> unit;
   deliver : prev:int -> Packet.t -> unit;
   release : Packet.t -> unit;  (* return a dead packet to its pool *)
@@ -78,7 +79,8 @@ let create ~sim ~link ~kind ~release ~on_event ~deliver =
     | Droptail limit_bytes -> Fifo (Queue_fifo.create ~limit_bytes ())
     | Red_queue params -> Red_q (Red.create ~params ~rng:(Sim.rng sim) ())
   in
-  { sim; clock = Sim.clock sim; link; queue; on_event; deliver; release;
+  let red = match queue with Red_q q -> Some q | Fifo _ -> None in
+  { sim; clock = Sim.clock sim; link; queue; red; on_event; deliver; release;
     tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
     arrive_at = { Sim.f = 0.0 }; observe = all_kinds; up = true;
     corruption = 0.0; tx_packets = 0; dropped_packets = 0 }
@@ -96,7 +98,7 @@ let queue_limit t =
   | Fifo q -> Queue_fifo.limit q
   | Red_q q -> (Red.params q).Red.limit_bytes
 
-let red_state t = match t.queue with Red_q q -> Some q | Fifo _ -> None
+let red_state t = t.red
 
 let backlog t =
   match t.queue with Fifo q -> Queue_fifo.length q | Red_q q -> Red.length q
@@ -110,7 +112,7 @@ let queue_empty t =
 let dequeue_exn t =
   match t.queue with
   | Fifo q -> Queue_fifo.dequeue_exn q
-  | Red_q q -> Red.dequeue_exn q ~now:(Sim.now t.sim)
+  | Red_q q -> Red.dequeue_exn q ~clock:t.clock
 
 let push_txend t =
   t.txend_pending <- true;
@@ -189,7 +191,7 @@ let enqueue t p =
   let verdict =
     match t.queue with
     | Fifo q -> if Queue_fifo.try_enqueue q p then `Enqueued else `Forced_drop
-    | Red_q q -> Red.enqueue q ~now:(Sim.now t.sim) ~link_bw:t.link.Topology.Graph.bw p
+    | Red_q q -> Red.enqueue q ~clock:t.clock ~link_bw:t.link.Topology.Graph.bw p
   in
   match verdict with
   | `Enqueued ->

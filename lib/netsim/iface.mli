@@ -100,7 +100,8 @@ val queue_limit : t -> int
 (** Byte limit of the buffer. *)
 
 val red_state : t -> Red.t option
-(** The RED queue when [kind] is [Red_queue]. *)
+(** The RED queue when [kind] is [Red_queue]: one option built with the
+    interface, so reading it allocates nothing. *)
 
 val enqueue : t -> Packet.t -> unit
 (** Submit a packet for transmission (the router's forwarding step). *)

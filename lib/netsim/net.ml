@@ -3,7 +3,7 @@ type queue_spec =
   | Red of Red.params
 
 type 'kind view = 'kind Probe.view = {
-  mutable time : float;
+  clock : Sim.fbox;
   router : int;
   mutable next : int;
   mutable kind : 'kind;
@@ -136,14 +136,12 @@ let lend t busy =
 
 (* The one emit path of both layers: fill the view, then lend it to the
    probe ([hear] is its hook for the layer), the network-wide
-   listeners and the listeners on this link ([scoped]).  A float stored
-   into a view boxes, so the time is stored only when it moved: an
-   uncongested hop enqueues and starts transmitting at one instant.
-   [arg] is a boxed float already (a constant, or the router's), so
-   storing it boxes nothing. *)
+   listeners and the listeners on this link ([scoped]).  The view's
+   time is the clock it holds, so nothing is stored for it; [arg] is
+   a boxed float already (a constant, or the router's), so storing it
+   boxes nothing. *)
 let emit t busy (ev : _ view) hear wants listeners scoped kind next pkt arg =
   lend t busy;
-  if ev.time <> t.clock.f then ev.time <- t.clock.f;
   ev.kind <- kind;
   ev.next <- next;
   ev.pkt <- pkt;
@@ -182,12 +180,14 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   in
   let release p = Pool.release t.pool p in
   (* What a view holds until its first emission; never lent. *)
-  let placeholder = Packet.make_at ~now:0.0 ~uid:(-1) ~src:0 ~dst:0 ~flow:0 ~size:1 Packet.Udp in
+  let placeholder =
+    Packet.make_at ~clock:t.clock ~uid:(-1) ~src:0 ~dst:0 ~flow:0 ~size:1 Packet.Udp
+  in
   t.routers <-
     Array.init n (fun id ->
         let local_apps = t.apps.(id) in
         let view =
-          { time = 0.0; router = id; next = -1; kind = Router.No_route; pkt = placeholder;
+          { clock = t.clock; router = id; next = -1; kind = Router.No_route; pkt = placeholder;
             arg = 0.0 }
         in
         let busy = ref false in
@@ -203,7 +203,7 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
     (fun (l : Topology.Graph.link) ->
       let rdst = t.routers.(l.Topology.Graph.dst) in
       let view =
-        { time = 0.0; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
+        { clock = t.clock; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
           kind = Iface.Enqueued; pkt = placeholder; arg = 0.0 }
       in
       let busy = ref false in
@@ -286,13 +286,13 @@ let originate t pkt =
   (match t.probe with Some p -> Probe.on_originate p pkt | None -> ());
   Router.receive_prev t.routers.(pkt.Packet.src) ~prev:(-1) pkt
 
-(* Traffic sources mint packets here so recycling is transparent.  A
-   recycled mint allocates 5 words: the box of its creation time (read
-   off the clock, boxed once to cross into [Pool]) and its int64
-   payload. *)
+(* Traffic sources mint packets here so recycling is transparent.  The
+   clock goes to [Pool] as the box it is, and a recycled packet copies
+   it into its own [created] box: a recycled mint allocates only its
+   int64 payload (3 words). *)
 let make_packet t ~src ~dst ~flow ~size proto =
   let uid = Sim.fresh_id t.sim in
-  Pool.acquire t.pool ~now:t.clock.f ~uid ~src ~dst ~flow ~size proto
+  Pool.acquire t.pool ~clock:t.clock ~uid ~src ~dst ~flow ~size proto
 
 let pool_stats t = Pool.stats t.pool
 let run ?until t = Sim.run ?until t.sim

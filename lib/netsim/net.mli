@@ -9,7 +9,7 @@ type queue_spec =
   | Red of Red.params
 
 type 'kind view = 'kind Probe.view = {
-  mutable time : float;
+  clock : Sim.fbox;        (** the network's clock ({!Sim.clock}): the time is [clock.f] *)
   router : int;            (** the router, or the owner of the queue *)
   mutable next : int;      (** the neighbour; [-1] when the event names none *)
   mutable kind : 'kind;    (** a constant constructor *)
@@ -21,6 +21,13 @@ type 'kind view = 'kind Probe.view = {
     and one per router, overwrites the mutable fields at each emission
     (one emit path for both layers), and lends it to the probe and to
     every listener in turn (see {!subscribe_iface}).
+
+    An event happens at the current simulation time, so a view stores
+    no time: every view holds the network's one clock box, and a
+    listener reads the event's time as [ev.clock.f] during its callback.
+    A consumer in another module takes the box, not the float: the dev
+    profile compiles every module [-opaque], so no call between modules
+    is inlined and a float passed to one is boxed per call.
 
     An interface's view has [router] and [next] fixed to its link's
     ends, and [arg] is always [0.].  A router's view carries what
@@ -188,9 +195,11 @@ val make_packet :
   t -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto -> Packet.t
 (** Mint a data packet originated at [src]: a recycled record when the
     freelist has one, a fresh one otherwise — identical content either
-    way (uid from {!Sim.fresh_id}, creation time now).  Traffic
-    generators and the TCP and Ping endpoints mint through this so
-    recycling is transparent to them. *)
+    way (uid from {!Sim.fresh_id}, creation time now, copied into the
+    packet's own [created] box).  A recycled mint allocates only the
+    packet's [int64] payload (3 words).  Traffic generators and the TCP
+    and Ping endpoints mint through this so recycling is transparent
+    to them. *)
 
 val pool_stats : t -> Pool.stats
 (** The freelist's counters. *)

@@ -15,31 +15,38 @@ type t = {
   mutable proto : proto;
   mutable ttl : int;
   mutable payload : int64;
-  mutable created : float;
+  created : Sim.fbox;
   mutable trace : int;
-  mutable q_start : float;
-  mutable tx_start : float;
+  spans : spans;
 }
+
+and spans = { mutable q_start : float; mutable tx_start : float }
 
 let initial_ttl = 64
 
 (* Payloads carry pseudo-random bytes: on the wire nothing
    distinguishes one application's packet from another's, which
    stealth probing (§3.8) depends on. *)
-let make_at ~now ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
+let make_at ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
   { uid; src; dst; flow; size; proto; ttl;
-    payload = Crypto_sim.Fnv.hash_int uid; created = now;
-    trace = 0; q_start = -1.0; tx_start = -1.0 }
+    payload = Crypto_sim.Fnv.hash_int uid; created = { f = clock.f };
+    trace = 0; spans = { q_start = -1.0; tx_start = -1.0 } }
 
 let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
-  make_at ~now:(Sim.now sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
+  make_at ~clock:(Sim.clock sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
 
-let clone t = { t with uid = t.uid }
+(* Both boxes are copied: a branch that shared its original's [spans]
+   would close the other branch's queue and transmit windows. *)
+let clone t =
+  { t with created = { f = t.created.f };
+    spans = { q_start = t.spans.q_start; tx_start = t.spans.tx_start } }
 
 (* Pool recycling: overwrite every field of a dead packet so the reused
-   record is indistinguishable from a fresh [make]. *)
-let reinit p ~now ~uid ~src ~dst ~flow ~size proto =
+   record is indistinguishable from a fresh [make].  The times are
+   stored into the packet's float-only records, so only the int64
+   payload allocates. *)
+let reinit p ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size proto =
   if size <= 0 then invalid_arg "Packet.reinit: size must be positive";
   p.uid <- uid;
   p.src <- src;
@@ -49,10 +56,10 @@ let reinit p ~now ~uid ~src ~dst ~flow ~size proto =
   p.proto <- proto;
   p.ttl <- initial_ttl;
   p.payload <- Crypto_sim.Fnv.hash_int uid;
-  p.created <- now;
+  p.created.f <- clock.f;
   p.trace <- 0;
-  p.q_start <- -1.0;
-  p.tx_start <- -1.0
+  p.spans.q_start <- -1.0;
+  p.spans.tx_start <- -1.0
 
 (* The fingerprinted words: uid, src, dst, flow, size, payload, then a
    protocol tag (Udp 0, Tcp 1, Ping 2, Pong 3) and its fields; Tcp's

@@ -27,20 +27,28 @@ type t = {
   mutable ttl : int;   (** rewritten per hop; excluded from fingerprints *)
   mutable payload : int64;  (** stand-in for payload bytes; a modification
                                 attack overwrites it *)
-  mutable created : float;  (** origination time *)
+  created : Sim.fbox;
+      (** origination time, [created.f]: the packet's own flat box,
+          refilled when the pool recycles the record, so a time series
+          reads it in place ({!Telemetry.Timeseries.record}) *)
   mutable trace : int; (** telemetry trace id (0 = unsampled); pure
                            observability metadata, excluded from
                            fingerprints like the TTL *)
-  mutable q_start : float;
-      (** probe scratch: enqueue instant of the pending queue span on
-          the packet's current edge; [-1] = none.  A packet sits in at
-          most one queue at a time, so the field replaces a
-          (uid, router, next)-keyed table on the tracing fast path.
-          Observability metadata, excluded from fingerprints. *)
-  mutable tx_start : float;
-      (** probe scratch: transmit-start instant of the pending transit
-          span; [-1] = none. *)
+  spans : spans;  (** the probe's pending span windows *)
 }
+
+and spans = {
+  mutable q_start : float;
+      (** enqueue instant of the pending queue span on the packet's
+          current edge; [-1] = none.  A packet sits in at most one queue
+          at a time, so the field replaces a (uid, router, next)-keyed
+          table on the tracing fast path. *)
+  mutable tx_start : float;
+      (** transmit-start instant of the pending transit span; [-1] =
+          none. *)
+}
+(** Probe scratch, observability metadata excluded from fingerprints.
+    A float-only record, so storing a time into it boxes nothing. *)
 
 val make :
   sim:Sim.t ->
@@ -51,25 +59,30 @@ val make :
     non-positive size. *)
 
 val make_at :
-  now:float ->
+  clock:Sim.fbox ->
   uid:int -> src:int -> dst:int -> flow:int -> size:int -> ?ttl:int ->
   proto -> t
-(** {!make} with the origination time and uid given explicitly — the
-    variant the packet {!Pool} uses, with no dependency on a [Sim.t]. *)
+(** {!make} with the origination time ([clock.f], copied into the
+    packet's own box) and uid given explicitly — the variant the packet
+    {!Pool} uses, with no dependency on a [Sim.t]. *)
 
 val reinit :
   t ->
-  now:float ->
+  clock:Sim.fbox ->
   uid:int -> src:int -> dst:int -> flow:int -> size:int -> proto -> unit
 (** Overwrite every field of a dead packet so the record can be reused as
-    if freshly {!make}d — the {!Pool} recycling step.  All identity
-    fields are mutable only for this purpose: live packets must never be
-    reinitialized.  Raises [Invalid_argument] for a non-positive size. *)
+    if freshly {!make}d — the {!Pool} recycling step.  [clock.f] is
+    copied into [created] and the span windows are reset in place, so
+    the only allocation is the new [int64] payload (3 words).  All
+    identity fields are mutable only for this purpose: live packets
+    must never be reinitialized.  Raises [Invalid_argument] for a
+    non-positive size. *)
 
 val clone : t -> t
 (** An independent copy carrying the same identity (uid, payload, header)
     — multicast duplication (§7.4.3): the copies are the same packet to
-    any fingerprint, but mutate (TTL) independently per branch. *)
+    any fingerprint, but mutate (TTL, span windows) independently per
+    branch: [created] and [spans] are copied, not shared. *)
 
 val fingerprint : Crypto_sim.Siphash.key -> t -> int64
 (** Keyed fingerprint of the packet's invariant content (uid, addresses,

@@ -1,7 +1,7 @@
 (* Packet freelist: dead packets come back through the entity [release]
    hooks and are recycled by the flow layer instead of being
    re-allocated, so a steady-state run touches the minor heap only for
-   boxes the engine cannot avoid (Int64 payload refresh).
+   the recycled packet's new Int64 payload (3 words).
 
    Debug poison mode stamps released packets with a sentinel uid and a
    zero size; any later read of a recycled packet through a stale
@@ -46,17 +46,17 @@ let release t p =
   t.n <- t.n + 1;
   t.released <- t.released + 1
 
-let acquire t ~now ~uid ~src ~dst ~flow ~size proto =
+let acquire t ~clock ~uid ~src ~dst ~flow ~size proto =
   if t.n = 0 then begin
     t.fresh <- t.fresh + 1;
-    Packet.make_at ~now ~uid ~src ~dst ~flow ~size proto
+    Packet.make_at ~clock ~uid ~src ~dst ~flow ~size proto
   end
   else begin
     t.n <- t.n - 1;
     let p = t.free.(t.n) in
     t.free.(t.n) <- none;
     t.recycled <- t.recycled + 1;
-    Packet.reinit p ~now ~uid ~src ~dst ~flow ~size proto;
+    Packet.reinit p ~clock ~uid ~src ~dst ~flow ~size proto;
     p
   end
 

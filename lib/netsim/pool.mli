@@ -27,11 +27,14 @@ val create : ?poison:bool -> unit -> t
 
 val acquire :
   t ->
-  now:float ->
+  clock:Sim.fbox ->
   uid:int -> src:int -> dst:int -> flow:int -> size:int -> Packet.proto ->
   Packet.t
-(** A packet with the given content: recycled from the freelist when one
-    is available (via {!Packet.reinit}), freshly allocated otherwise. *)
+(** A packet with the given content, created at [clock.f]: recycled from
+    the freelist when one is available (via {!Packet.reinit}, which
+    allocates only the payload's 3 words), freshly allocated otherwise.
+    The time is read from the box: a float argument would be boxed at
+    every mint. *)
 
 val release : t -> Packet.t -> unit
 (** Return a dead packet to the freelist.  The caller must hold the only

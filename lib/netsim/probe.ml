@@ -1,5 +1,5 @@
 type 'kind view = {
-  mutable time : float;
+  clock : Sim.fbox;
   router : int;
   mutable next : int;
   mutable kind : 'kind;
@@ -55,10 +55,10 @@ type t = {
      the bounded journal has long since evicted them. *)
   mutable verdicts_rev : verdict list;
   (* Span bridge (optional).  A traced packet's pending per-hop span
-     windows live on the packet itself ([Packet.q_start] /
-     [Packet.tx_start]): a packet occupies at most one (router, next)
-     edge at a time, and multicast clones and fragments are fresh
-     records, so branches never share a window. *)
+     windows live on the packet itself ([Packet.spans]): a packet
+     occupies at most one (router, next) edge at a time, and multicast
+     clones and fragments have spans of their own, so branches never
+     share a window. *)
   tracer : Telemetry.Span.t option;
   named_tracks : (int, unit) Hashtbl.t;
   (* Always-on stats collector (wired by [Net.set_probe]), fed by every
@@ -85,7 +85,7 @@ let fill_packet e (p : Packet.t) =
   e.proto <- p.Packet.proto
 
 let fill e layer (v : _ view) =
-  e.stamp.at <- v.time;
+  e.stamp.at <- v.clock.f;
   e.stamp.arg <- v.arg;
   e.layer <- layer;
   e.router <- v.router;
@@ -139,7 +139,7 @@ let on_originate t (pkt : Packet.t) =
           let tid = net_track t sp pkt.Packet.src in
           ignore
             (Telemetry.Span.instant sp ~trace ~name:"originate" ~cat:"packet"
-               ~pid:Telemetry.Span.network_pid ~tid ~time:pkt.Packet.created
+               ~pid:Telemetry.Span.network_pid ~tid ~time:pkt.Packet.created.f
                ~routers:[ pkt.Packet.src ]
                ~args:
                  [ ("pkt", Telemetry.Export.Int pkt.Packet.uid);
@@ -156,8 +156,8 @@ let on_originate t (pkt : Packet.t) =
    [mrdetect trace explain] must tell apart from malice, so they never
    ride on the sampling coin — only the routine hop spans do. *)
 let trace_iface t sp (v : iface_view) =
-  let pkt = v.pkt and time = v.time and router = v.router and next = v.next in
-  let trace = pkt.Packet.trace in
+  let pkt = v.pkt and time = v.clock.f and router = v.router and next = v.next in
+  let trace = pkt.Packet.trace and spans = pkt.Packet.spans in
   let pid = Telemetry.Span.network_pid in
   let pkt_args () =
     [ ("pkt", Telemetry.Export.Int pkt.Packet.uid);
@@ -165,8 +165,8 @@ let trace_iface t sp (v : iface_view) =
   in
   let drop cause =
     let tid = net_track t sp router in
-    pkt.Packet.q_start <- -1.0;
-    pkt.Packet.tx_start <- -1.0;
+    spans.q_start <- -1.0;
+    spans.tx_start <- -1.0;
     ignore
       (Telemetry.Span.instant sp
          ?trace:(if trace <> 0 then Some trace else None)
@@ -181,22 +181,22 @@ let trace_iface t sp (v : iface_view) =
   | Iface.Drop_link_down -> drop "link_down"
   | Iface.Drop_corrupted -> drop "corrupted"
   | Iface.Enqueued | Iface.Transmit_start | Iface.Delivered when trace = 0 -> ()
-  | Iface.Enqueued -> pkt.Packet.q_start <- time
+  | Iface.Enqueued -> spans.q_start <- time
   | Iface.Transmit_start ->
       let tid = net_track t sp router in
-      let start = pkt.Packet.q_start in
+      let start = spans.q_start in
       if start >= 0.0 then begin
-        pkt.Packet.q_start <- -1.0;
+        spans.q_start <- -1.0;
         ignore
           (Telemetry.Span.hop_span sp ~trace ~name:"queue" ~pid ~tid ~start
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
       end;
-      pkt.Packet.tx_start <- time
+      spans.tx_start <- time
   | Iface.Delivered ->
       let tid = net_track t sp router in
-      let start = pkt.Packet.tx_start in
+      let start = spans.tx_start in
       if start >= 0.0 then begin
-        pkt.Packet.tx_start <- -1.0;
+        spans.tx_start <- -1.0;
         ignore
           (Telemetry.Span.hop_span sp ~trace ~name:"transmit" ~pid ~tid ~start
              ~finish:time ~router ~next ~pkt:pkt.Packet.uid)
@@ -209,13 +209,13 @@ let journal_view t fill v =
 
 let on_iface t (v : iface_view) =
   (match t.stats with
-  | Some st -> Stats.on_iface st ~time:v.time ~router:v.router v.kind
+  | Some st -> Stats.on_iface st ~clock:v.clock ~router:v.router v.kind
   | None -> ());
   journal_view t fill_iface v;
   match t.tracer with Some sp -> trace_iface t sp v | None -> ()
 
 let trace_router t sp (v : router_view) =
-  let pkt = v.pkt and time = v.time and router = v.router in
+  let pkt = v.pkt and time = v.clock.f and router = v.router in
   let trace = pkt.Packet.trace in
   let name, cat =
     match v.kind with
@@ -238,7 +238,7 @@ let trace_router t sp (v : router_view) =
       ::
       (match v.kind with
       | Router.Delivered_local ->
-          [ ("latency", Telemetry.Export.Float (time -. pkt.Packet.created)) ]
+          [ ("latency", Telemetry.Export.Float (time -. pkt.Packet.created.f)) ]
       | Router.Malicious_delay -> [ ("delay", Telemetry.Export.Float v.arg) ]
       | Router.Fragmented -> [ ("fragments", Telemetry.Export.Int (int_of_float v.arg)) ]
       | _ -> [])
@@ -251,7 +251,7 @@ let trace_router t sp (v : router_view) =
 
 let on_router t (v : router_view) =
   (match t.stats with
-  | Some st -> Stats.on_router st ~time:v.time ~router:v.router v.kind v.pkt v.arg
+  | Some st -> Stats.on_router st ~clock:v.clock ~router:v.router v.kind v.pkt v.arg
   | None -> ());
   journal_view t fill_router v;
   match t.tracer with Some sp -> trace_router t sp v | None -> ()

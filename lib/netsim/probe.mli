@@ -41,7 +41,7 @@
     {!trace_instant}. *)
 
 type 'kind view = {
-  mutable time : float;
+  clock : Sim.fbox;        (** the network's clock: the event's time is [clock.f] *)
   router : int;            (** the router, or the owner of the queue *)
   mutable next : int;      (** the neighbour; [-1] when the event names none *)
   mutable kind : 'kind;
@@ -50,7 +50,12 @@ type 'kind view = {
 }
 (** One observation, of either layer: [Net] keeps one per interface
     ([router] and [next] fixed) and one per router, and overwrites the
-    mutable fields at each emission.  A router event's [next] and [arg]
+    mutable fields at each emission.  Every event happens now, so the
+    view holds no time of its own: [clock] is the simulation's clock
+    ({!Sim.clock}), shared by every view of the network, and a consumer
+    reads [v.clock.f] during its callback — or hands the box on, to
+    {!Telemetry.Timeseries.record} say, instead of a float, which the
+    call would box.  A router event's [next] and [arg]
     are {!Router.create}'s: the output neighbour, and a [Fragmented]
     event's fragment count or a [Malicious_delay]'s delay.  An
     interface event's [arg] is always [0.]. *)

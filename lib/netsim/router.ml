@@ -1,10 +1,10 @@
 type context = {
-  now : float;
-  prev : int option;
-  next_hop : int;
-  queue_occupancy : int;
-  queue_limit : int;
-  red_avg : float option;
+  clock : Sim.fbox;
+  mutable prev : int;
+  mutable next_hop : int;
+  mutable queue_occupancy : int;
+  mutable queue_limit : int;
+  mutable red : Red.t option;
 }
 
 type action =
@@ -74,10 +74,13 @@ type t = {
   by_next : Iface.t option array;  (* one slot per router id *)
   mutable observe : kinds;  (* the kinds some consumer reads *)
   (* prev is the previous-hop router id, -1 for locally originated: the
-     int encoding keeps the per-hop path free of option boxes.  The
-     [behavior] surface keeps the option view. *)
+     int encoding keeps the per-hop path free of option boxes. *)
   mutable forwarding : prev:int -> Packet.t -> int;
   mutable behavior : behavior;
+  (* What the behavior sees, refilled for each packet it judges: the
+     behavior borrows it for the call, so a compromised router builds
+     no record per packet. *)
+  context : context;
   mutable mtu : int option;
   mcast : (int, int list * bool) Hashtbl.t; (* group -> (branches, local) *)
   (* Always-on count of local deliveries: a plain integer bump. *)
@@ -88,7 +91,11 @@ let create ~sim ~id ~n ~jitter_bound ~release ~on_event ~local_deliver =
   { sim; clock = Sim.clock sim; id; rng = Sim.rng sim; jitter_bound; enqueue_at = { Sim.f = 0.0 };
     on_event; local_deliver; release;
     out = Hashtbl.create ~random:false 4; by_next = Array.make n None; observe = all_kinds;
-    forwarding = (fun ~prev:_ _ -> -1); behavior = honest; mtu = None;
+    forwarding = (fun ~prev:_ _ -> -1); behavior = honest;
+    context =
+      { clock = Sim.clock sim; prev = -1; next_hop = -1; queue_occupancy = 0;
+        queue_limit = 0; red = None };
+    mtu = None;
     mcast = Hashtbl.create 2;
     delivered_packets = 0 }
 
@@ -185,19 +192,17 @@ let forward_one t ~prev ~next pkt =
   | Some iface ->
       (* Honest routers — the overwhelmingly common case — skip the
          behavior context entirely: it exists to show a compromised
-         forwarding plane its state, and building it costs boxes (the
-         record, its time, the [prev] option): the one per-packet
-         allocation a router still makes. *)
+         forwarding plane its state.  The router's one context is
+         refilled in place (its time is the clock it holds), so judging
+         a packet allocates nothing. *)
       if t.behavior == honest then fragment_if_needed t ~next iface pkt
       else begin
-        let ctx =
-          { now = Sim.now t.sim;
-            prev = (if prev < 0 then None else Some prev);
-            next_hop = next;
-            queue_occupancy = Iface.occupancy iface;
-            queue_limit = Iface.queue_limit iface;
-            red_avg = Option.map Red.avg (Iface.red_state iface) }
-        in
+        let ctx = t.context in
+        ctx.prev <- prev;
+        ctx.next_hop <- next;
+        ctx.queue_occupancy <- Iface.occupancy iface;
+        ctx.queue_limit <- Iface.queue_limit iface;
+        ctx.red <- Iface.red_state iface;
         match t.behavior ctx pkt with
         | Forward -> fragment_if_needed t ~next iface pkt
         | Drop ->

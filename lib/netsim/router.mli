@@ -8,13 +8,22 @@
     what happens to the packet.  Correct routers use {!honest}. *)
 
 type context = {
-  now : float;
-  prev : int option;        (** previous-hop router; [None] if originated here *)
-  next_hop : int;
-  queue_occupancy : int;    (** bytes in the output queue toward [next_hop] *)
-  queue_limit : int;
-  red_avg : float option;   (** RED EWMA when the queue is RED *)
+  clock : Sim.fbox;         (** the simulation's clock: now is [clock.f] *)
+  mutable prev : int;       (** previous-hop router; [-1] if originated here *)
+  mutable next_hop : int;
+  mutable queue_occupancy : int;  (** bytes in the output queue toward [next_hop] *)
+  mutable queue_limit : int;
+  mutable red : Red.t option;
+      (** the output queue's RED state when it is RED: {!Red.avg} reads
+          its EWMA *)
 }
+(** What a behavior sees of the packet's situation.  [prev] uses the
+    encoding of {!set_forwarding_id}: a router id, or [-1] for a packet
+    the router originated.  Each router keeps one context and refills
+    it for every packet its behavior judges, so a behavior {e borrows}
+    the context for the call, as a listener borrows its view: it reads
+    what it needs and keeps neither the record nor its clock's value
+    (the fields change under it at the next packet). *)
 
 type action =
   | Forward                 (** behave correctly *)

@@ -104,56 +104,58 @@ let set_attack_start t time = t.attack_start <- time
 
 (* --- data plane ----------------------------------------------------- *)
 
-let on_originate t (pkt : Packet.t) =
-  Ts.record t.injected ~time:pkt.Packet.created 1
+(* Times travel as flat boxes, the clock or a packet's creation time,
+   down to [Ts.record], which reads them: a float passed between
+   modules would be boxed per sample. *)
+let on_originate t (pkt : Packet.t) = Ts.record t.injected ~at:pkt.Packet.created 1
 
-let depth_sample t ~time router =
-  Ts.record t.queue_depth.(router) ~time t.depth.(router)
+let depth_sample t ~clock router =
+  Ts.record t.queue_depth.(router) ~at:clock t.depth.(router)
 
 (* A drop, at an interface or a router: the headline series and its
    cause. *)
-let count_drop t ~time cause =
-  Ts.record t.dropped ~time 1;
+let count_drop t ~clock cause =
+  Ts.record t.dropped ~at:clock 1;
   t.drops.(cause) <- t.drops.(cause) + 1
 
-let on_iface t ~time ~router (ev : Iface.event) =
+let on_iface t ~clock ~router (ev : Iface.event) =
   match ev with
   | Iface.Enqueued ->
-      Ts.record t.enqueued ~time 1;
+      Ts.record t.enqueued ~at:clock 1;
       t.depth.(router) <- t.depth.(router) + 1;
-      depth_sample t ~time router
+      depth_sample t ~clock router
   | Iface.Transmit_start ->
       if t.depth.(router) > 0 then t.depth.(router) <- t.depth.(router) - 1;
-      depth_sample t ~time router
+      depth_sample t ~clock router
   | Iface.Drop_link_down ->
-      count_drop t ~time link_down;
+      count_drop t ~clock link_down;
       (* The packet was refused at a failed link and never queued, and
          the packets already queued wait there: the depth is unchanged,
          and the sample reads the backlog this packet met. *)
-      depth_sample t ~time router
-  | Iface.Drop_congestion -> count_drop t ~time congestion
-  | Iface.Drop_red_early -> count_drop t ~time red_early
-  | Iface.Drop_corrupted -> count_drop t ~time corrupted
+      depth_sample t ~clock router
+  | Iface.Drop_congestion -> count_drop t ~clock congestion
+  | Iface.Drop_red_early -> count_drop t ~clock red_early
+  | Iface.Drop_corrupted -> count_drop t ~clock corrupted
   | Iface.Delivered -> ()
 
-let count_malice t ~time router =
-  Ts.record t.malice ~time 1;
+let count_malice t ~clock router =
+  Ts.record t.malice ~at:clock 1;
   t.malice_by_router.(router) <- t.malice_by_router.(router) + 1
 
-let on_router t ~time ~router (ev : Router.event) (pkt : Packet.t) arg =
+let on_router t ~(clock : Sim.fbox) ~router (ev : Router.event) (pkt : Packet.t) arg =
   match ev with
   | Router.Delivered_local ->
-      Ts.record t.delivered ~time 1;
-      Hist.record t.latency (time -. pkt.Packet.created)
+      Ts.record t.delivered ~at:clock 1;
+      Hist.record t.latency (clock.f -. pkt.Packet.created.f)
   | Router.Malicious_drop ->
-      count_drop t ~time malicious;
-      count_malice t ~time router
+      count_drop t ~clock malicious;
+      count_malice t ~clock router
   | Router.Fabricated ->
       t.fabricated <- t.fabricated + 1;
-      count_malice t ~time router
-  | Router.Malicious_modify | Router.Malicious_delay -> count_malice t ~time router
-  | Router.No_route -> count_drop t ~time no_route
-  | Router.Ttl_expired -> count_drop t ~time ttl_expired
+      count_malice t ~clock router
+  | Router.Malicious_modify | Router.Malicious_delay -> count_malice t ~clock router
+  | Router.No_route -> count_drop t ~clock no_route
+  | Router.Ttl_expired -> count_drop t ~clock ttl_expired
   | Router.Fragmented ->
       t.fragmented <- t.fragmented + 1;
       t.fragments_created <- t.fragments_created + int_of_float arg
@@ -169,9 +171,10 @@ let find_hist tbl fresh key =
       h
 
 let on_verdict t ~time ~detector ~alarm =
-  Ts.record t.verdicts ~time 1;
+  let at = { Sim.f = time } in
+  Ts.record t.verdicts ~at 1;
   if alarm then begin
-    Ts.record t.alarms ~time 1;
+    Ts.record t.alarms ~at 1;
     if t.attack_start >= 0.0 && time >= t.attack_start then
       Hist.record
         (find_hist t.detection_latency detect_hist detector)
@@ -196,7 +199,7 @@ let on_ctrl_send t ~attempts ~ok =
   if not ok then t.ctrl_timeouts <- t.ctrl_timeouts + 1;
   Hist.record t.ctrl_attempts (float_of_int attempts)
 
-let on_fault t ~time = Ts.record t.faults ~time 1
+let on_fault t ~time = Ts.record t.faults ~at:{ Sim.f = time } 1
 
 (* --- JSON view ------------------------------------------------------- *)
 

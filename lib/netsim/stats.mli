@@ -33,17 +33,24 @@ val set_attack_start : t -> float -> unit
 
 (** {2 Data plane} *)
 
+(** The data-plane hooks take their time as a flat box — the packet's
+    [created], or the view's [clock] — and read it inside: passed as a
+    float between modules it would be boxed at every event, so a hook
+    allocates nothing but a delivery's latency sample. *)
+
 val on_originate : t -> Packet.t -> unit
 (** Count an origination at the packet's creation time. *)
 
-val on_iface : t -> time:float -> router:int -> Iface.event -> unit
-(** A link event.  Queue depth moves on [Enqueued] and [Transmit_start]
-    only: a [Drop_link_down] packet never entered the queue. *)
+val on_iface : t -> clock:Sim.fbox -> router:int -> Iface.event -> unit
+(** A link event at [clock.f].  Queue depth moves on [Enqueued] and
+    [Transmit_start] only: a [Drop_link_down] packet never entered the
+    queue. *)
 
-val on_router : t -> time:float -> router:int -> Router.event -> Packet.t -> float -> unit
-(** A router event at [router] about a packet, with its scalar as
-    {!Router.create} reports it (a [Fragmented] event's fragment count);
-    malicious actions count against [router]. *)
+val on_router :
+  t -> clock:Sim.fbox -> router:int -> Router.event -> Packet.t -> float -> unit
+(** A router event at [clock.f] at [router] about a packet, with its
+    scalar as {!Router.create} reports it (a [Fragmented] event's
+    fragment count); malicious actions count against [router]. *)
 
 (** {2 Control plane} *)
 

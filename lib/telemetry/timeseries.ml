@@ -61,7 +61,11 @@ let coarsen t =
   t.used <- half;
   t.res <- t.res *. 2.0
 
-let record t ~time v =
+(* The time arrives in a flat box and is read here: the dev profile
+   compiles with [-opaque], so a float argument would be boxed at every
+   call. *)
+let record t ~(at : Prioq.Event.fbox) v =
+  let time = at.f in
   let idx = int_of_float (time /. t.res) in
   let idx = if idx < 0 then 0 else idx in
   let idx = ref idx in

@@ -18,12 +18,16 @@ val create : ?capacity:int -> resolution:float -> unit -> t
     before its first coarsening.  Raises [Invalid_argument] on a
     capacity below 2 or a non-positive resolution. *)
 
-val record : t -> time:float -> int -> unit
-(** Add a sample with value [v] at sim time [time] (negative times clamp
-    to bucket 0).  For counter-style series record [1] per event; for
-    gauge-style series record the observed value (a queue depth, a
-    packet size) — per-bucket count and sum support both rate and mean
-    readouts, which a reader converts to float when it renders them. *)
+val record : t -> at:Prioq.Event.fbox -> int -> unit
+(** Add a sample with value [v] at sim time [at.f] (negative times clamp
+    to bucket 0).  The time comes in a flat box (the simulator's clock,
+    [Netsim.Sim.clock], or a packet's creation time) and is read inside:
+    no float crosses the call, so recording allocates nothing; a caller
+    holding a plain float wraps it ([{ f = time }]).  For counter-style
+    series record [1] per event; for gauge-style series record the
+    observed value (a queue depth, a packet size) — per-bucket count and
+    sum support both rate and mean readouts, which a reader converts to
+    float when it renders them. *)
 
 val capacity : t -> int
 

@@ -160,7 +160,7 @@ let test_fleet_response_recovers_victim () =
   let meter = Telemetry.Timeseries.create ~capacity:32 ~resolution:5.0 () in
   Net.attach_app net ~node:2 (fun pkt ->
       if pkt.Packet.flow = Flow.flow_id victim then
-        Telemetry.Timeseries.record meter ~time:(Sim.now (Net.sim net)) pkt.Packet.size);
+        Telemetry.Timeseries.record meter ~at:(Sim.clock (Net.sim net)) pkt.Packet.size);
   List.iter
     (fun (s, d) ->
       ignore (Flow.cbr net ~src:s ~dst:d ~rate_pps:60.0 ~size:500 ~start:0.0 ~stop:80.0))

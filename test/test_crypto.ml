@@ -214,6 +214,15 @@ let prop_int64s_match_bytes =
     (fun words ->
       Siphash.hash_int64s reference_key words = Siphash.hash reference_key (le_concat words))
 
+(* The adversary's coin hashes one int: bit-identical to the list form,
+   sign extension included. *)
+let prop_hash_int_matches_int64s =
+  QCheck.Test.make ~name:"hash_int x = hash_int64s [Int64.of_int x]" ~count:1000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(oneof [ int; neg_int; small_signed_int; oneofl [ 0; -1; max_int; min_int ] ]))
+    (fun x ->
+      Siphash.hash_int reference_key x = Siphash.hash_int64s reference_key [ Int64.of_int x ])
+
 (* The packet fingerprint wire format, written out word by word: uid,
    src, dst, flow, size, payload, then the protocol tag and its fields
    (Tcp's flags word is syn * 2 + fin).  Fingerprint values order Byz
@@ -236,7 +245,8 @@ let prop_fingerprint_tuple =
         | 5 -> (Netsim.Packet.Ping seq, [ 2L; Int64.of_int seq ])
         | _ -> (Netsim.Packet.Pong seq, [ 3L; Int64.of_int seq ])
       in
-      let p = Netsim.Packet.make_at ~now:0.0 ~uid ~src ~dst ~flow ~size:1 proto in
+      let clock = { Netsim.Sim.f = 0.0 } in
+      let p = Netsim.Packet.make_at ~clock ~uid ~src ~dst ~flow ~size:1 proto in
       p.Netsim.Packet.size <- size;
       p.Netsim.Packet.payload <- payload;
       let tuple =
@@ -423,6 +433,7 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_fnv_hash_int; prop_siphash_deterministic; prop_siphash_no_trivial_collision;
-            prop_int64s_match_bytes; prop_fingerprint_tuple; prop_sign_roundtrip;
+            prop_int64s_match_bytes; prop_hash_int_matches_int64s; prop_fingerprint_tuple;
+            prop_sign_roundtrip;
             prop_sha256_deterministic; prop_sha256_matches_reference; prop_hmac_matches_reference;
             prop_hmac_key_sensitive ] ) ]

@@ -219,9 +219,8 @@ let test_naive_probing_evaded () =
   let data = Flow.cbr net ~src:0 ~dst:3 ~rate_pps:50.0 ~size:1000 ~start:0.0 ~stop:10.0 in
   let delivered = Flow.delivered_counter net ~node:3 ~flow:(Flow.flow_id data) in
   Router.set_behavior (Net.router net 1) (fun ctx pkt ->
-      match (ctx.Router.prev, pkt.Packet.proto) with
-      | Some _, Packet.Udp -> Router.Drop
-      | _ -> Router.Forward);
+      if ctx.Router.prev >= 0 && pkt.Packet.proto = Packet.Udp then Router.Drop
+      else Router.Forward);
   let ping = Ping.start net ~src:0 ~dst:3 ~interval:0.1 ~start:0.0 ~stop:10.0 () in
   Net.run net;
   Alcotest.(check int) "pings unharmed" 0 (Ping.lost ping);
@@ -311,6 +310,46 @@ let test_multicast_branch_pruning_attack () =
   Alcotest.(check int) "leaf 3 starved" 0 got.(3);
   Alcotest.(check int) "leaf 4 fine" 10 got.(4)
 
+(* Each branch of a traced multicast is its own packet on its own edge:
+   the hub's three clones each get one queue span and one transmit span,
+   the latter from the hub's transmit start to the leaf's delivery.  A
+   clone sharing its original's span windows would have the first
+   branch's delivery close the window of the others, losing their
+   transmit spans. *)
+let test_multicast_span_windows () =
+  let net, group = multicast_net () in
+  let tracer = Telemetry.Span.create ~seed:1 () in
+  Net.set_probe net (Some (Probe.create ~tracer ()));
+  Net.originate net
+    (Packet.make ~sim:(Net.sim net) ~src:0 ~dst:group ~flow:1 ~size:300 Packet.Udp);
+  Net.run net;
+  let spans name leaf =
+    List.filter_map
+      (fun (e : Telemetry.Span.entry) ->
+        match e.Telemetry.Span.kind with
+        | Telemetry.Span.Complete { duration }
+          when e.Telemetry.Span.name = name && Telemetry.Span.entry_routers e = [ 1; leaf ] ->
+            Some (e.Telemetry.Span.time, duration)
+        | _ -> None)
+      (Telemetry.Span.entries tracer)
+  in
+  let transmits =
+    List.map
+      (fun leaf ->
+        Alcotest.(check int) (Printf.sprintf "branch to %d: one queue span" leaf) 1
+          (List.length (spans "queue" leaf));
+        match spans "transmit" leaf with
+        | [ (start, duration) ] ->
+            Alcotest.(check bool)
+              (Printf.sprintf "branch to %d: transmit span has a length" leaf)
+              true (duration > 0.0);
+            (start, duration)
+        | l -> Alcotest.failf "branch to %d: %d transmit spans" leaf (List.length l))
+      [ 2; 3; 4 ]
+  in
+  Alcotest.(check bool) "identical links, identical transmit windows" true
+    (List.for_all (fun w -> w = List.hd transmits) transmits)
+
 (* --- Corruption (§4.2.1) --- *)
 
 let test_corruption_drops_in_flight () =
@@ -359,10 +398,10 @@ let test_order_policy_sees_delay_attack () =
       match ev.Net.kind with
       | Iface.Delivered when ev.Net.router = 0 && ev.Net.next = 1 ->
           Core.Summary.observe sent ~fp:(Packet.fingerprint key pkt)
-            ~size:pkt.Packet.size ~time:ev.Net.time
+            ~size:pkt.Packet.size ~time:ev.Net.clock.Sim.f
       | Iface.Delivered when ev.Net.router = 1 && ev.Net.next = 2 ->
           Core.Summary.observe received ~fp:(Packet.fingerprint key pkt)
-            ~size:pkt.Packet.size ~time:ev.Net.time
+            ~size:pkt.Packet.size ~time:ev.Net.clock.Sim.f
       | _ -> ());
   Router.set_behavior (Net.router net 1)
     (Adversary.delay_fraction ~seed:3 ~delay:0.5 0.3);
@@ -392,7 +431,9 @@ let () =
       ( "multicast",
         [ Alcotest.test_case "delivery" `Quick test_multicast_delivery;
           Alcotest.test_case "naive CoF breaks" `Quick test_multicast_breaks_naive_cof;
-          Alcotest.test_case "branch pruning" `Quick test_multicast_branch_pruning_attack ]
+          Alcotest.test_case "branch pruning" `Quick test_multicast_branch_pruning_attack;
+          Alcotest.test_case "multicast clones keep separate span windows" `Quick
+            test_multicast_span_windows ]
       );
       ( "corruption",
         [ Alcotest.test_case "in-flight drops" `Quick test_corruption_drops_in_flight;

@@ -561,9 +561,9 @@ let test_oracle_merge_edges () =
 
 (* --- adversary combinators (and their use by the fault runs) --- *)
 
-let mk_ctx ?(now = 0.0) ?(prev = Some 0) () =
-  { Router.now; prev; next_hop = 1; queue_occupancy = 0; queue_limit = 64_000;
-    red_avg = None }
+let mk_ctx ?(now = 0.0) ?(prev = 0) () =
+  { Router.clock = { Sim.f = now }; prev; next_hop = 1; queue_occupancy = 0;
+    queue_limit = 64_000; red = None }
 
 let mk_pkt ~sim ~flow = Packet.make ~sim ~src:0 ~dst:2 ~flow ~size:100 Packet.Udp
 
@@ -578,9 +578,9 @@ let test_adversary_composition () =
     (b late victim = Router.Drop);
   Alcotest.(check bool) "other flows forwarded after" true
     (b late other = Router.Forward);
-  (* Terminal traffic (prev = None) is always honest, §2.1.4. *)
+  (* Terminal traffic (prev = -1) is always honest, §2.1.4. *)
   Alcotest.(check bool) "own traffic never attacked" true
-    (b (mk_ctx ~now:6.0 ~prev:None ()) victim = Router.Forward)
+    (b (mk_ctx ~now:6.0 ~prev:(-1) ()) victim = Router.Forward)
 
 let test_delay_fraction_decisions () =
   let sim = Sim.create ~seed:1 () in

@@ -164,10 +164,10 @@ let test_red_below_min_never_drops () =
   let q = Red.create ~rng () in
   (* Light load: enqueue/dequeue alternating keeps avg near one packet. *)
   for i = 0 to 200 do
-    (match Red.enqueue q ~now:(float_of_int i) ~link_bw:1.25e6 (mk_pkt sim ()) with
+    (match Red.enqueue q ~clock:{ Sim.f = float_of_int i } ~link_bw:1.25e6 (mk_pkt sim ()) with
     | `Enqueued -> ()
     | `Early_drop | `Forced_drop -> Alcotest.fail "drop below min_th");
-    ignore (Red.dequeue q ~now:(float_of_int i +. 0.5))
+    ignore (Red.dequeue q ~clock:{ Sim.f = float_of_int i +. 0.5 })
   done
 
 let test_red_drops_between_thresholds () =
@@ -179,20 +179,20 @@ let test_red_drops_between_thresholds () =
      converges to the plateau and early drops fire at ~5% while the
      physical limit is never reached. *)
   let early = ref 0 and forced = ref 0 and admitted = ref 0 in
-  let now = ref 0.0 in
+  let now = { Sim.f = 0.0 } in
   for _ = 0 to 44 do
-    now := !now +. 0.0001;
-    ignore (Red.enqueue q ~now:!now ~link_bw:1.25e6 (mk_pkt sim ()))
+    now.f <- now.f +. 0.0001;
+    ignore (Red.enqueue q ~clock:now ~link_bw:1.25e6 (mk_pkt sim ()))
   done;
   for _ = 0 to 3999 do
-    now := !now +. 0.0008;
-    (match Red.enqueue q ~now:!now ~link_bw:1.25e6 (mk_pkt sim ()) with
+    now.f <- now.f +. 0.0008;
+    (match Red.enqueue q ~clock:now ~link_bw:1.25e6 (mk_pkt sim ()) with
     | `Enqueued ->
         incr admitted;
-        ignore (Red.dequeue q ~now:!now)
+        ignore (Red.dequeue q ~clock:now)
     | `Early_drop -> incr early
     | `Forced_drop -> incr forced);
-    if Red.occupancy q > 46000 then ignore (Red.dequeue q ~now:!now)
+    if Red.occupancy q > 46000 then ignore (Red.dequeue q ~clock:now)
   done;
   Alcotest.(check bool)
     (Printf.sprintf "early drops happened (%d)" !early)
@@ -201,35 +201,40 @@ let test_red_drops_between_thresholds () =
   Alcotest.(check bool) "plateau EWMA" true
     (Red.avg q > 30000.0 && Red.avg q < 60000.0)
 
+(* The replay steps over a state holding [avg]. *)
+let red_state avg = { Red.avg; idle_since = 0.0; drop_p = 0.0 }
+
+let drop_p p ~avg ~count =
+  let st = red_state avg in
+  Red.early_drop_probability p st ~count;
+  st.Red.drop_p
+
 let test_red_pure_functions () =
   let p = Red.default_params in
-  Alcotest.(check (float 1e-9)) "below min" 0.0
-    (Red.early_drop_probability p ~avg:10000.0 ~count:0);
-  Alcotest.(check (float 1e-9)) "above max" 1.0
-    (Red.early_drop_probability p ~avg:60001.0 ~count:0);
-  let mid = Red.early_drop_probability p ~avg:45000.0 ~count:0 in
+  Alcotest.(check (float 1e-9)) "below min" 0.0 (drop_p p ~avg:10000.0 ~count:0);
+  Alcotest.(check (float 1e-9)) "above max" 1.0 (drop_p p ~avg:60001.0 ~count:0);
+  let mid = drop_p p ~avg:45000.0 ~count:0 in
   Alcotest.(check (float 1e-9)) "midpoint = max_p/2" 0.05 mid;
   (* Uniformization grows with count. *)
-  Alcotest.(check bool) "count grows p" true
-    (Red.early_drop_probability p ~avg:45000.0 ~count:10 > mid);
+  Alcotest.(check bool) "count grows p" true (drop_p p ~avg:45000.0 ~count:10 > mid);
   (* avg decays during idle and rises with occupancy. *)
-  let a1 = Red.decay_avg p ~avg:30000.0 ~idle:0.1 ~link_bw:1.25e6 in
-  Alcotest.(check bool) "decays" true (a1 < 30000.0);
-  Alcotest.(check bool) "rises" true (Red.update_avg p ~avg:1000.0 ~occupancy:30000 > 1000.0)
+  let st = red_state 30000.0 in
+  Red.decay_avg p st ~now:{ Sim.f = 0.1 } ~link_bw:1.25e6;
+  Alcotest.(check bool) "decays" true (st.Red.avg < 30000.0);
+  let st = red_state 1000.0 in
+  Red.update_avg p st ~occupancy:30000;
+  Alcotest.(check bool) "rises" true (st.Red.avg > 1000.0)
 
 let test_red_gentle_ramp () =
   let p = { Red.default_params with Red.gentle = true } in
   (* At max_th the base probability is max_p; halfway to 2*max_th it is
      halfway to 1; beyond 2*max_th it is certain. *)
-  Alcotest.(check (float 1e-9)) "at max_th" 0.1
-    (Red.early_drop_probability p ~avg:60000.0 ~count:0);
-  Alcotest.(check (float 1e-9)) "midway" 0.55
-    (Red.early_drop_probability p ~avg:90000.0 ~count:0);
-  Alcotest.(check (float 1e-9)) "beyond" 1.0
-    (Red.early_drop_probability p ~avg:120000.0 ~count:0);
+  Alcotest.(check (float 1e-9)) "at max_th" 0.1 (drop_p p ~avg:60000.0 ~count:0);
+  Alcotest.(check (float 1e-9)) "midway" 0.55 (drop_p p ~avg:90000.0 ~count:0);
+  Alcotest.(check (float 1e-9)) "beyond" 1.0 (drop_p p ~avg:120000.0 ~count:0);
   (* Non-gentle jumps to 1 at max_th. *)
   Alcotest.(check (float 1e-9)) "abrupt" 1.0
-    (Red.early_drop_probability Red.default_params ~avg:60000.0 ~count:0)
+    (drop_p Red.default_params ~avg:60000.0 ~count:0)
 
 (* --- iface timing --- *)
 
@@ -318,11 +323,11 @@ let test_net_malicious_drop_counted () =
   (* Router 1 drops every 5th transit packet. *)
   let count = ref 0 in
   Router.set_behavior (Net.router net 1) (fun ctx _ ->
-      match ctx.Router.prev with
-      | Some _ ->
-          incr count;
-          if !count mod 5 = 0 then Router.Drop else Router.Forward
-      | None -> Router.Forward);
+      if ctx.Router.prev >= 0 then begin
+        incr count;
+        if !count mod 5 = 0 then Router.Drop else Router.Forward
+      end
+      else Router.Forward);
   let f = Flow.cbr net ~src:0 ~dst:2 ~rate_pps:100.0 ~size:1000 ~start:0.0 ~stop:1.0 in
   Net.run net;
   Alcotest.(check bool) "some malicious drops" true (!malicious > 10);
@@ -333,9 +338,7 @@ let test_net_modification () =
   let got = ref [] in
   Net.attach_app net ~node:2 (fun pkt -> got := pkt.Packet.payload :: !got);
   Router.set_behavior (Net.router net 1) (fun ctx _ ->
-      match ctx.Router.prev with
-      | Some _ -> Router.Modify 0x6861636bL
-      | None -> Router.Forward);
+      if ctx.Router.prev >= 0 then Router.Modify 0x6861636bL else Router.Forward);
   Net.originate net (Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp);
   Net.run net;
   match !got with
@@ -426,8 +429,8 @@ let test_ping_rtt () =
 let test_ping_loss () =
   let net = line_net 3 in
   Router.set_behavior (Net.router net 1) (fun ctx pkt ->
-      match (ctx.Router.prev, pkt.Packet.proto) with
-      | Some _, Packet.Ping _ -> Router.Drop
+      match pkt.Packet.proto with
+      | Packet.Ping _ when ctx.Router.prev >= 0 -> Router.Drop
       | _ -> Router.Forward);
   let p = Ping.start net ~src:0 ~dst:2 ~interval:0.5 ~start:0.0 ~stop:2.0 () in
   Net.run net;
@@ -505,7 +508,7 @@ let test_link_listener_scope () =
         | _ -> "drop"
       in
       heard :=
-        Printf.sprintf "%.9f %d>%d %s" ev.Net.time ev.Net.router ev.Net.next tag :: !heard
+        Printf.sprintf "%.9f %d>%d %s" ev.Net.clock.Sim.f ev.Net.router ev.Net.next tag :: !heard
     in
     if scoped then begin
       Net.subscribe_link net ~src:1 ~dst:2 record;
@@ -556,11 +559,11 @@ type heard = Link of int * int * Iface.event | Node of int * Router.event
 
 let heard_link (ev : Net.iface_event) =
   ( Link (ev.router, ev.next, ev.kind),
-    Printf.sprintf "%.9f %s" ev.time (Probe.describe_iface ev) )
+    Printf.sprintf "%.9f %s" ev.clock.f (Probe.describe_iface ev) )
 
 let heard_node (ev : Net.router_event) =
   ( Node (ev.router, ev.kind),
-    Printf.sprintf "%.9f %s next=%d arg=%g" ev.time (Probe.describe_router ev) ev.next
+    Printf.sprintf "%.9f %s next=%d arg=%g" ev.clock.f (Probe.describe_router ev) ev.next
       ev.arg )
 
 (* The ring8 run, with [listen] subscribing [hear]; returns every
@@ -733,11 +736,11 @@ let test_tcp_syn_drop_delays_connection () =
   let net = line_net 3 in
   let dropped_first = ref false in
   Router.set_behavior (Net.router net 1) (fun ctx pkt ->
-      match ctx.Router.prev with
-      | Some _ when Packet.is_syn pkt && not !dropped_first ->
-          dropped_first := true;
-          Router.Drop
-      | _ -> Router.Forward);
+      if ctx.Router.prev >= 0 && Packet.is_syn pkt && not !dropped_first then begin
+        dropped_first := true;
+        Router.Drop
+      end
+      else Router.Forward);
   let conn = Tcp.connect net ~src:0 ~dst:2 ~total_bytes:10_000 () in
   Net.run ~until:30.0 net;
   (match Tcp.connect_time conn with
@@ -754,8 +757,8 @@ let test_tcp_selective_drops_collapse_goodput () =
     let count = ref 0 in
     if attack then
       Router.set_behavior (Net.router net 1) (fun ctx pkt ->
-          match (ctx.Router.prev, pkt.Packet.proto) with
-          | Some _, Packet.Tcp h when h.Packet.seq >= 0 ->
+          match pkt.Packet.proto with
+          | Packet.Tcp h when ctx.Router.prev >= 0 && h.Packet.seq >= 0 ->
               incr count;
               if !count mod 5 = 0 then Router.Drop else Router.Forward
           | _ -> Router.Forward);
@@ -849,9 +852,7 @@ let test_tcp_rto_backoff_under_blackhole () =
   let net = line_net 3 in
   let started = ref false in
   Router.set_behavior (Net.router net 1) (fun ctx _ ->
-      match ctx.Router.prev with
-      | Some _ when !started -> Router.Drop
-      | _ -> Router.Forward);
+      if ctx.Router.prev >= 0 && !started then Router.Drop else Router.Forward);
   let conn = Tcp.connect net ~src:0 ~dst:2 ~total_bytes:5_000_000 () in
   Sim.schedule (Net.sim net) ~delay:0.5 (fun () -> started := true);
   Net.run ~until:120.0 net;
@@ -984,7 +985,7 @@ let run_scenario ~duration () =
         | Iface.Delivered -> Printf.sprintf "dlv:%d:%Ld" p.Packet.uid p.Packet.payload
       in
       Buffer.add_string buf
-        (Printf.sprintf "%.9f i %d>%d %s\n" ev.Net.time ev.Net.router ev.Net.next tag));
+        (Printf.sprintf "%.9f i %d>%d %s\n" ev.Net.clock.Sim.f ev.Net.router ev.Net.next tag));
   Net.subscribe_router net (fun ev ->
       let tag =
         match ev.Net.kind with
@@ -995,7 +996,7 @@ let run_scenario ~duration () =
         | _ -> "other"
       in
       Buffer.add_string buf
-        (Printf.sprintf "%.9f r %d %s\n" ev.Net.time ev.Net.router tag));
+        (Printf.sprintf "%.9f r %d %s\n" ev.Net.clock.Sim.f ev.Net.router tag));
   Router.set_behavior (Net.router net 2) (Core.Adversary.drop_fraction ~seed:7 0.3);
   Net.set_link_corruption net ~src:5 ~dst:6 0.05;
   let flows =

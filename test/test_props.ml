@@ -149,11 +149,11 @@ let prop_red_physical_limit =
       let sim = Sim.create () in
       let rng = Random.State.make [| seed |] in
       let q = Red.create ~rng () in
-      let now = ref 0.0 in
+      let now = { Sim.f = 0.0 } in
       List.iter
         (fun size ->
-          now := !now +. 0.0005;
-          ignore (Red.enqueue q ~now:!now ~link_bw:1.25e6
+          now.f <- now.f +. 0.0005;
+          ignore (Red.enqueue q ~clock:now ~link_bw:1.25e6
                     (Packet.make ~sim ~src:0 ~dst:1 ~flow:0 ~size Packet.Udp)))
         sizes;
       Red.occupancy q <= Red.default_params.Red.limit_bytes && Red.avg q >= 0.0)
@@ -751,7 +751,7 @@ let prop_meter_totals =
       let meter = Telemetry.Timeseries.create ~capacity:8 ~resolution:0.5 () in
       Net.attach_app net ~node:1 (fun pkt ->
           if pkt.Packet.flow = Flow.flow_id f then
-            Telemetry.Timeseries.record meter ~time:(Sim.now (Net.sim net))
+            Telemetry.Timeseries.record meter ~at:(Sim.clock (Net.sim net))
               pkt.Packet.size);
       Net.run net;
       Telemetry.Timeseries.total_sum meter = Flow.sent f * size
