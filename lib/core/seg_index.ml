@@ -1,4 +1,4 @@
-module Links = Hashtbl.Make (Int)
+module Keys = Hashtbl.Make (Int)
 
 type route = { hops : int array; opens : int array; closes : int array }
 
@@ -26,14 +26,16 @@ type 'st t = {
      [sent]/[received] to [prev_sent]/[prev_received], and once retired
      from there clears it into the segment's next round. *)
   empty : Summary.t;
-  (* Segment -> its number; consulted only when a route is filled. *)
-  number : (Topology.Graph.node list, int) Hashtbl.t;
+  (* Segment ⟨a, m, b⟩, keyed (a * n + m) * n + b -> its number;
+     consulted only when a route is filled. *)
+  number : int Keys.t;
   (* Directed link u -> v, keyed u * n + v -> numbers of the segments
      having it as an edge. *)
-  links : int list Links.t;
-  (* routes.(src * n + dst), [None] until first used in this routing
-     generation. *)
-  routes : route option array;
+  links : int list Keys.t;
+  (* routes.(src).(dst): a source's row is [||] until the source's first
+     packet in this routing generation, and a route [None] until first
+     used. *)
+  routes : route option array array;
   mutable predict : src:int -> dst:int -> Topology.Graph.node list option;
 }
 
@@ -42,28 +44,25 @@ let create ~rt ~key ~policy make =
   (* Filled in family order (the family is duplicate-free), this table's
      iteration order numbers the segments: the order the deployments
      have always judged them in. *)
-  let number = Hashtbl.create ~random:false 256 in
-  List.iter
-    (fun seg -> Hashtbl.add number seg (-1))
-    (Topology.Segments.pik2_family rt ~k:1);
-  let segments = Array.make (Hashtbl.length number) [] in
+  let family = Hashtbl.create ~random:false 256 in
+  List.iter (fun seg -> Hashtbl.add family seg ()) (Topology.Segments.pik2_family rt ~k:1);
+  let segments = Array.make (Hashtbl.length family) [] in
   let next = ref 0 in
   Hashtbl.iter
-    (fun seg _ ->
+    (fun seg () ->
       segments.(!next) <- seg;
       incr next)
-    number;
-  (* [replace] rebinds in place, so the iteration order is unchanged. *)
-  Array.iteri (fun i seg -> Hashtbl.replace number seg i) segments;
-  let links = Links.create 256 in
+    family;
+  let number = Keys.create (Array.length segments) and links = Keys.create 256 in
   let add_link a b i =
     let link = (a * n) + b in
-    Links.replace links link (i :: Option.value (Links.find_opt links link) ~default:[])
+    Keys.replace links link (i :: Option.value (Keys.find_opt links link) ~default:[])
   in
   Array.iteri
     (fun i seg ->
       match seg with
       | [ a; m; b ] ->
+          Keys.replace number ((((a * n) + m) * n) + b) i;
           add_link a m i;
           add_link m b i
       | _ -> ())
@@ -75,7 +74,7 @@ let create ~rt ~key ~policy make =
     prev_sent = Array.make count empty; prev_received = Array.make count empty;
     excused = Array.make count false;
     key; policy; empty; number; links;
-    routes = Array.make (n * n) None;
+    routes = Array.make n [||];
     predict = (fun ~src ~dst -> Topology.Routing.path rt ~src ~dst) }
 
 let states t = t.states
@@ -91,8 +90,9 @@ let fill t ~src ~dst =
     match t.predict ~src ~dst with Some p -> Array.of_list p | None -> [||]
   in
   let len = Array.length hops in
-  let number a b c =
-    Option.value (Hashtbl.find_opt t.number [ a; b; c ]) ~default:(-1)
+  let n = t.n in
+  let number a m b =
+    match Keys.find_opt t.number ((((a * n) + m) * n) + b) with Some i -> i | None -> -1
   in
   let links = max 0 (len - 1) in
   { hops;
@@ -104,11 +104,13 @@ let fill t ~src ~dst =
           if i >= 1 then number hops.(i - 1) hops.(i) hops.(i + 1) else -1) }
 
 let route t ~src ~dst =
-  match t.routes.((src * t.n) + dst) with
+  if Array.length t.routes.(src) = 0 then t.routes.(src) <- Array.make t.n None;
+  let row = t.routes.(src) in
+  match row.(dst) with
   | Some r -> r
   | None ->
       let r = fill t ~src ~dst in
-      t.routes.((src * t.n) + dst) <- Some r;
+      row.(dst) <- Some r;
       r
 
 (* Top level, so the per-hop scan builds no closure. *)
@@ -163,7 +165,7 @@ let observe t (ev : Netsim.Net.iface_event) =
       (* An observable link failure on a segment edge excuses the
          segment's round. *)
       let link = (ev.Netsim.Net.router * t.n) + ev.Netsim.Net.next in
-      (match Links.find_opt t.links link with
+      (match Keys.find_opt t.links link with
       | Some segs -> excuse t.excused segs
       | None -> ());
       Neither
@@ -189,7 +191,7 @@ let edge_down t ~net i =
 
 let reroute t pol =
   t.predict <- (fun ~src ~dst -> Topology.Policy.path pol ~src ~dst);
-  Array.fill t.routes 0 (Array.length t.routes) None;
+  Array.fill t.routes 0 (Array.length t.routes) [||];
   let clear a = Array.fill a 0 (Array.length a) t.empty in
   clear t.sent;
   clear t.received;

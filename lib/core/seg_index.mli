@@ -9,8 +9,10 @@
     destination) per routing generation into integer positions, so the
     per-hop path does no list building and no list-keyed lookup; it
     fingerprints the packet once and adds it to those segments'
-    summaries.  Link-down drops on a segment edge mark the segment's
-    round excused.
+    summaries.  Resolved routes are kept in one row per source, made on
+    the source's first packet (no n² table), and a route's segments are
+    found by an integer key, not a router list.  Link-down drops on a
+    segment edge mark the segment's round excused.
 
     The collector owns every summary's lifetime.  Each slot starts as one
     shared, never-written empty placeholder and gets a summary of its

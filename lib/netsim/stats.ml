@@ -146,7 +146,7 @@ let on_router t ~(clock : Sim.fbox) ~router (ev : Router.event) (pkt : Packet.t)
   match ev with
   | Router.Delivered_local ->
       Ts.record t.delivered ~at:clock 1;
-      Hist.record t.latency (clock.f -. pkt.Packet.created.f)
+      Hist.record_since t.latency ~now:clock ~since:pkt.Packet.created
   | Router.Malicious_drop ->
       count_drop t ~clock malicious;
       count_malice t ~clock router

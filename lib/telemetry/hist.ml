@@ -37,7 +37,7 @@ let bucket_count t i = t.counts.(i)
 (* 2^36 units are 2^62 quanta, the first count an OCaml int cannot
    hold; int_of_float past it (or of an infinity or NaN) is unspecified
    and wraps the sum.  The comparison is false for NaN. *)
-let quantize v =
+let[@inline] quantize v =
   if Float.abs v < 0x1p36 then int_of_float (Float.round (v *. 0x1p26)) else 0
 
 let sum t = float_of_int t.sum_q *. quantum
@@ -45,7 +45,7 @@ let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
 
 (* ceil log2, not floor: buckets are upper-inclusive (2^(e-1), 2^e] so
    they agree with the le= edges the Prometheus exporter emits. *)
-let bucket_index t v =
+let[@inline] bucket_index t v =
   if v <= 0.0 then 0
   else begin
     let n = Array.length t.counts in
@@ -59,11 +59,17 @@ let bucket_index t v =
     end
   end
 
-let record t v =
+let[@inline] record t v =
   let i = bucket_index t v in
   t.counts.(i) <- t.counts.(i) + 1;
   t.count <- t.count + 1;
   t.sum_q <- t.sum_q + quantize v
+
+(* [record] is inlined here, with [bucket_index] and [quantize], so the
+   difference stays unboxed: a float passed to a function is boxed
+   (modules are compiled [-opaque] and there is no flambda). *)
+let record_since t ~(now : Prioq.Event.fbox) ~(since : Prioq.Event.fbox) =
+  record t (now.f -. since.f)
 
 let bucket_upper t i =
   let n = Array.length t.counts in

@@ -35,6 +35,11 @@ val record : t -> float -> unit
 (** Count a value: one array increment, one int add.  No allocation.
     A value outside the fixed-point range adds nothing to {!sum}. *)
 
+val record_since : t -> now:Prioq.Event.fbox -> since:Prioq.Event.fbox -> unit
+(** [record t (now.f -. since.f)], reading both times in their boxes:
+    a float handed to {!record} from another module is boxed (2 words),
+    this call allocates nothing. *)
+
 val merge_into : into:t -> t -> unit
 (** Fold [src] into [into] (exact integer addition).  Raises
     [Invalid_argument] when bucket shapes differ. *)

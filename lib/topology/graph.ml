@@ -44,18 +44,19 @@ type adjacency = {
   pred_cost : int array array;
 }
 
+let by_dst (a : link) (b : link) = Int.compare a.dst b.dst
+
 let adjacency t =
-  let succ =
+  let rows =
     Array.map
       (fun h ->
-        let a = Array.of_seq (Hashtbl.to_seq_keys h) in
-        Array.sort compare a;
+        let a = Array.of_list (Hashtbl.fold (fun _ l acc -> l :: acc) h []) in
+        Array.stable_sort by_dst a;
         a)
       t.adj
   in
-  let succ_cost =
-    Array.mapi (fun v s -> Array.map (fun w -> (Hashtbl.find t.adj.(v) w).cost) s) succ
-  in
+  let succ = Array.map (Array.map (fun l -> l.dst)) rows in
+  let succ_cost = Array.map (Array.map (fun l -> l.cost)) rows in
   let indeg = Array.make t.n 0 in
   Array.iter (Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1)) succ;
   let pred = Array.map (fun d -> Array.make d 0) indeg in

@@ -5,11 +5,18 @@ type t = {
   n : int;
   (* Snapshot of the topology with length-2 segments removed. *)
   adj : Graph.adjacency;
+  (* Directed links numbered from the successor rows: u -> succ.(u).(i)
+     is link off.(u) + i, from link_src to link_dst.  pred_link.(v).(i)
+     numbers the link pred.(v).(i) -> v. *)
+  off : int array;
+  link_src : int array;
+  link_dst : int array;
+  pred_link : int array array;
   (* Banned transitions u -> v -> w, keyed by (u * n + v) * n + w. *)
   banned : unit Keys.t;
-  (* dist_cache.(dst) lazily holds, at u * n + v, the least cost from u
-     to dst whose first hop is the link u -> v (so v continues with
-     previous hop u). *)
+  (* dist_cache.(dst) lazily holds, at link u -> v, the least cost from
+     u to dst whose first hop is that link (so v continues with previous
+     hop u). *)
   dist_cache : int array option array;
   (* Every destination's search drains the one heap, popping into
      [cursor]; [at] carries a pushed cost as the event time. *)
@@ -48,23 +55,46 @@ let compute g ~forbidden =
       | _ ->
           List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
     forbidden;
-  { n; adj = Graph.adjacency work; banned; dist_cache = Array.make n None;
+  let adj = Graph.adjacency work in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Array.length adj.Graph.succ.(u)
+  done;
+  let link_src = Array.make off.(n) 0 and link_dst = Array.make off.(n) 0 in
+  let pred_link = Array.map (fun p -> Array.make (Array.length p) 0) adj.Graph.pred in
+  (* Pred rows are ascending and sources are visited in ascending order,
+     so slot fill.(w) of pred_link.(w) numbers the link from
+     pred.(w).(fill.(w)). *)
+  let fill = Array.make n 0 in
+  Array.iteri
+    (fun u s ->
+      Array.iteri
+        (fun i w ->
+          let l = off.(u) + i in
+          link_src.(l) <- u;
+          link_dst.(l) <- w;
+          pred_link.(w).(fill.(w)) <- l;
+          fill.(w) <- fill.(w) + 1)
+        s)
+    adj.Graph.succ;
+  { n; adj; off; link_src; link_dst; pred_link; banned; dist_cache = Array.make n None;
     heap = Ev.create (); cursor = Ev.cursor (); at = { Ev.f = 0.0 } }
 
 let infinity_cost = max_int
 
 let is_banned t u v w = Keys.mem t.banned (key t.n u v w)
 
-(* Backward Dijkstra over (prev, cur) states toward [dst]: the state
-   u * n + v rides in the heap's operand and its cost in the time.  A
-   state is pushed again only with a strictly lower cost, so an entry
-   whose time is not the state's distance is stale. *)
+(* Backward Dijkstra over (prev, cur) states toward [dst]: the state,
+   the id of link prev -> cur, rides in the heap's operand and its cost
+   in the time.  A state is pushed again only with a strictly lower
+   cost, so an entry whose time is not the state's distance is stale. *)
 let state_distances t dst =
   match t.dist_cache.(dst) with
   | Some d -> d
   | None ->
-      let n = t.n and pred = t.adj.Graph.pred and pred_cost = t.adj.Graph.pred_cost in
-      let dist = Array.make (n * n) infinity_cost in
+      let pred = t.adj.Graph.pred and pred_cost = t.adj.Graph.pred_cost in
+      let pred_link = t.pred_link in
+      let dist = Array.make (Array.length t.link_src) infinity_cost in
       let relax state cand =
         if cand < dist.(state) then begin
           dist.(state) <- cand;
@@ -74,22 +104,21 @@ let state_distances t dst =
         end
       in
       (* Entry states: the last link into dst. *)
-      let pd = pred.(dst) in
-      for i = 0 to Array.length pd - 1 do
-        relax ((pd.(i) * n) + dst) pred_cost.(dst).(i)
+      let ld = pred_link.(dst) and cd = pred_cost.(dst) in
+      for i = 0 to Array.length ld - 1 do
+        relax ld.(i) cd.(i)
       done;
       let c = t.cursor in
       while Ev.pop t.heap ~until:infinity ~strict:false c do
         let state = c.iarg in
         let d = dist.(state) in
         if int_of_float c.time.f = d then begin
-          let v = state / n and w = state mod n in
+          let v = t.link_src.(state) and w = t.link_dst.(state) in
           (* Prepend each link u -> v for which the transition
              u -> v -> w is allowed. *)
-          let pv = pred.(v) and cv = pred_cost.(v) in
+          let pv = pred.(v) and cv = pred_cost.(v) and lv = pred_link.(v) in
           for i = 0 to Array.length pv - 1 do
-            let u = pv.(i) in
-            if not (is_banned t u v w) then relax ((u * n) + v) (cv.(i) + d)
+            if not (is_banned t pv.(i) v w) then relax lv.(i) (cv.(i) + d)
           done
         end
       done;
@@ -103,12 +132,12 @@ let next_hop_id t ~prev ~cur ~dst =
   if cur = dst then -1
   else begin
     let dist = state_distances t dst in
-    let succ = t.adj.Graph.succ.(cur) in
+    let succ = t.adj.Graph.succ.(cur) and first = t.off.(cur) in
     (* The first minimum in ascending neighbour order. *)
     let best = ref (-1) and best_cost = ref infinity_cost in
     for i = 0 to Array.length succ - 1 do
       let w = succ.(i) in
-      let c = dist.((cur * n) + w) in
+      let c = dist.(first + i) in
       if c < !best_cost && not (prev >= 0 && is_banned t prev cur w) then begin
         best := w;
         best_cost := c

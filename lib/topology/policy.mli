@@ -14,15 +14,16 @@
     source-address policy routing.
 
     Cost: {!compute} takes one flat adjacency snapshot
-    ({!Graph.adjacency}) and does no routing work.  The first query
-    toward a destination builds its table: for every link, the least
+    ({!Graph.adjacency}), numbers its directed links from the successor
+    rows, and does no routing work.  The first query toward a
+    destination builds its table: for every link, the least
     policy-respecting cost to the destination that starts with it.  The
     build is a backward Dijkstra over links that relaxes only the
     predecessors of each popped link: O(E·deg) relaxations (each a heap
-    push) and n² words per destination.  Every destination's search
-    drains the one event heap ([Prioq.Event]) its [t] keeps, so a [t]
-    is not thread-safe.  Once a destination's table exists,
-    {!next_hop_id} scans the router's successor row and allocates
+    push) and one word per directed link per destination.  Every
+    destination's search drains the one event heap ([Prioq.Event]) its
+    [t] keeps, so a [t] is not thread-safe.  Once a destination's table
+    exists, {!next_hop_id} scans the router's successor row and allocates
     nothing. *)
 
 type t

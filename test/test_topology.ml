@@ -608,6 +608,46 @@ module Ref_policy = struct
     end
 end
 
+(* The same differential at ISP shape: Sprintlink's skewed degrees
+   (3 to 45 links per router) give CSR rows of very different lengths.
+   One 3-segment of a routed path is forbidden; toward a handful of
+   destinations, every policy-forwarded path from every source is
+   checked against the oracle hop by hop. *)
+let test_policy_sprintlink_matches_reference () =
+  let g = Generate.sprintlink_like () in
+  let n = Graph.size g in
+  let rt = Routing.compute g in
+  let a, b, c =
+    match Routing.path rt ~src:0 ~dst:(n - 1) with
+    | Some (a :: b :: c :: _) -> (a, b, c)
+    | _ -> Alcotest.fail "no routed path of three routers"
+  in
+  let forbidden = [ [ a; b; c ] ] in
+  let pol = Policy.compute g ~forbidden and oracle = Ref_policy.compute g ~forbidden in
+  let checked = ref 0 and through_cut = ref 0 in
+  List.iter
+    (fun dst ->
+      for src = 0 to n - 1 do
+        let rec walk prev cur steps =
+          let want =
+            Ref_policy.next_hop oracle ~prev:(if prev < 0 then None else Some prev) ~cur ~dst
+          in
+          let got = Policy.next_hop_id pol ~prev ~cur ~dst in
+          if got <> Option.value want ~default:(-1) then
+            Alcotest.failf "toward %d at (%d, %d): policy %d, reference %s" dst prev cur got
+              (match want with Some w -> string_of_int w | None -> "none");
+          incr checked;
+          if prev = a && cur = b then incr through_cut;
+          if got >= 0 && steps < n then walk cur got (steps + 1)
+        in
+        walk (-1) src 0
+      done)
+    [ n - 1; c; 1; n / 2 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "%d hops checked, %d at the cut" !checked !through_cut)
+    true
+    (!checked > 4 * n && !through_cut > 0)
+
 (* Reference link-state next hops toward [dst]: Bellman-Ford distances
    over the link list, then the lowest-id neighbour on a shortest path. *)
 let ref_next_hops g ~dst =
@@ -781,7 +821,9 @@ let () =
           Alcotest.test_case "bad prev" `Quick test_policy_rejects_bad_prev;
           Alcotest.test_case "forbidden transitions sorted" `Quick
             test_policy_forbidden_transitions_sorted;
-          Alcotest.test_case "loop free" `Quick test_policy_paths_loop_free ] );
+          Alcotest.test_case "loop free" `Quick test_policy_paths_loop_free;
+          Alcotest.test_case "sprintlink = reference" `Quick
+            test_policy_sprintlink_matches_reference ] );
       ( "generate",
         [ Alcotest.test_case "line ring grid" `Quick test_generate_line_ring_grid;
           Alcotest.test_case "sprintlink shape" `Slow test_generate_sprintlink_shape;
