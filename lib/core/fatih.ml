@@ -133,6 +133,9 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
     Array.iteri
       (fun i st ->
         let seg = segments.(i) in
+        let a_end, m_int, b_end =
+          match seg with [ a; m; b ] -> (a, m, b) | _ -> assert false
+        in
         let sent = Seg_index.sent t.index i
         and received = Seg_index.received t.index i in
         let eligible =
@@ -171,11 +174,8 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
             match ctrl with
             | None -> `Ok 1
             | Some ch -> (
-                let a, b =
-                  match seg with [ a; _; b ] -> (a, b) | _ -> assert false
-                in
                 let tag = Ctrl.segment_tag ~round:t.round ~salt:0 seg in
-                match Ctrl.send ch ~now ~src:a ~dst:b ~tag () with
+                match Ctrl.send ch ~now ~src:a_end ~dst:b_end ~tag () with
                 | Ctrl.Delivered { attempts; _ } -> `Ok attempts
                 | Ctrl.Timed_out { attempts; waited } ->
                     `Degraded (attempts, waited))
@@ -188,11 +188,8 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
         let m_reachable =
           match (byz, ctrl, exchange) with
           | Some bz, Some ch, `Ok _ when Byz.hardened bz -> (
-              let a, m =
-                match seg with [ a; m; _ ] -> (a, m) | _ -> assert false
-              in
               let tag = Ctrl.segment_tag ~round:t.round ~salt:0x68e31da4 seg in
-              match Ctrl.send ch ~now ~src:m ~dst:a ~tag () with
+              match Ctrl.send ch ~now ~src:m_int ~dst:a_end ~tag () with
               | Ctrl.Delivered _ ->
                   st.mute_streak <- 0;
                   true
@@ -225,10 +222,7 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
            (match probe with
            | Some probe ->
                Netsim.Probe.record_verdict probe ~time:now ~detector:"fatih"
-                 ?subject:
-                   (if mute then
-                      match seg with [ _; m; _ ] -> Some m | _ -> None
-                    else None)
+                 ?subject:(if mute then Some m_int else None)
                  ~suspects:seg ~alarm:false
                  ~detail:
                    (Printf.sprintf
@@ -270,9 +264,6 @@ let deploy ~net ~rt ?(config = default_config) ?probe ?ctrl ?byz () =
                       ("received",
                        Telemetry.Export.Int (Summary.packets received)) ]
                   ()
-          in
-          let a_end, m_int, b_end =
-            match seg with [ a; m; b ] -> (a, m, b) | _ -> assert false
           in
           (* With a Byzantine plan armed, validation runs on what the
              terminals *claim* — their summaries plus any asserted

@@ -41,18 +41,9 @@ type 'st t = {
 
 let create ~rt ~key ~policy make =
   let n = Topology.Graph.size (Topology.Routing.graph rt) in
-  (* Filled in family order (the family is duplicate-free), this table's
-     iteration order numbers the segments: the order the deployments
-     have always judged them in. *)
-  let family = Hashtbl.create ~random:false 256 in
-  List.iter (fun seg -> Hashtbl.add family seg ()) (Topology.Segments.pik2_family rt ~k:1);
-  let segments = Array.make (Hashtbl.length family) [] in
-  let next = ref 0 in
-  Hashtbl.iter
-    (fun seg () ->
-      segments.(!next) <- seg;
-      incr next)
-    family;
+  (* Segment i is the family's i-th: the order the deployments judge
+     them in. *)
+  let segments = Array.of_list (Topology.Segments.pik2_family rt ~k:1) in
   let number = Keys.create (Array.length segments) and links = Keys.create 256 in
   let add_link a b i =
     let link = (a * n) + b in

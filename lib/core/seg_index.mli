@@ -41,11 +41,9 @@ val create :
 (** Index every 3-segment of [rt]'s routed paths
     ({!Topology.Segments.pik2_family} with [k = 1]), giving each a
     state built by the function and empty traffic.  Packets are
-    fingerprinted under [key]; summaries follow [policy].  Segments are
-    numbered in the iteration order of a list-keyed hash table filled in
-    family order: the order in which the deployments have always judged
-    them, which fixes their verdict order.  The table is unseeded, so the
-    numbering does not depend on [OCAMLRUNPARAM=R]. *)
+    fingerprinted under [key]; summaries follow [policy].  Segment [i]
+    is the family's [i]-th: the order in which the deployments judge
+    them, which fixes the order of verdicts raised at one instant. *)
 
 val states : 'st t -> 'st array
 (** Per-segment protocol state, by segment number. *)

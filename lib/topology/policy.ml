@@ -3,7 +3,7 @@ module Ev = Prioq.Event
 
 type t = {
   n : int;
-  (* Snapshot of the topology with length-2 segments removed. *)
+  (* Snapshot of the topology. *)
   adj : Graph.adjacency;
   (* Directed links numbered from the successor rows: u -> succ.(u).(i)
      is link off.(u) + i, from link_src to link_dst.  pred_link.(v).(i)
@@ -12,6 +12,9 @@ type t = {
   link_src : int array;
   link_dst : int array;
   pred_link : int array array;
+  (* The links of forbidden length-2 segments, by link id: no search
+     enters one, so no path takes one. *)
+  cut : bool array;
   (* Banned transitions u -> v -> w, keyed by (u * n + v) * n + w. *)
   banned : unit Keys.t;
   (* dist_cache.(dst) lazily holds, at link u -> v, the least cost from
@@ -43,19 +46,18 @@ let rec triples = function
 
 let key n u v w = (((u * n) + v) * n) + w
 
+(* The id of link a -> b, or -1 when there is none. *)
+let link_id adj off a b =
+  let succ = adj.Graph.succ.(a) in
+  let rec find i =
+    if i = Array.length succ then -1 else if succ.(i) = b then off.(a) + i else find (i + 1)
+  in
+  find 0
+
 let compute g ~forbidden =
   List.iter (validate_segment g) forbidden;
   let n = Graph.size g in
-  let work = Graph.copy g in
-  let banned = Keys.create 16 in
-  List.iter
-    (fun seg ->
-      match seg with
-      | [ a; b ] -> Graph.remove_link work a b
-      | _ ->
-          List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
-    forbidden;
-  let adj = Graph.adjacency work in
+  let adj = Graph.adjacency g in
   let off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     off.(u + 1) <- off.(u) + Array.length adj.Graph.succ.(u)
@@ -77,8 +79,17 @@ let compute g ~forbidden =
           fill.(w) <- fill.(w) + 1)
         s)
     adj.Graph.succ;
-  { n; adj; off; link_src; link_dst; pred_link; banned; dist_cache = Array.make n None;
-    heap = Ev.create (); cursor = Ev.cursor (); at = { Ev.f = 0.0 } }
+  let cut = Array.make off.(n) false and banned = Keys.create 16 in
+  List.iter
+    (fun seg ->
+      match seg with
+      | [ a; b ] -> cut.(link_id adj off a b) <- true
+      | _ ->
+          List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
+    forbidden;
+  { n; adj; off; link_src; link_dst; pred_link; cut; banned;
+    dist_cache = Array.make n None; heap = Ev.create (); cursor = Ev.cursor ();
+    at = { Ev.f = 0.0 } }
 
 let infinity_cost = max_int
 
@@ -96,7 +107,7 @@ let state_distances t dst =
       let pred_link = t.pred_link in
       let dist = Array.make (Array.length t.link_src) infinity_cost in
       let relax state cand =
-        if cand < dist.(state) then begin
+        if cand < dist.(state) && not t.cut.(state) then begin
           dist.(state) <- cand;
           t.at.f <- float_of_int cand;
           Ev.push_keyed t.heap ~at:t.at ~key:(Ev.reserve t.heap) ~tag:0 ~iarg:state Ev.nil
@@ -177,7 +188,10 @@ let forbidden_transitions t =
 let is_forbidden_path t chain =
   let rec bad_link = function
     | a :: (b :: _ as rest) ->
-        a < 0 || a >= t.n || (not (Array.mem b t.adj.Graph.succ.(a))) || bad_link rest
+        a < 0 || a >= t.n
+        || (let l = link_id t.adj t.off a b in
+            l < 0 || t.cut.(l))
+        || bad_link rest
     | [ _ ] | [] -> false
   in
   bad_link chain

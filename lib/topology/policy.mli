@@ -31,7 +31,8 @@ type t
 val compute : Graph.t -> forbidden:Graph.node list list -> t
 (** Build policy routing state for a topology with a set of forbidden
     path-segments.  Segments must have length >= 2 and consist of
-    adjacent routers of the graph; length-2 segments remove the link.
+    adjacent routers of the graph; length-2 segments cut the link (no
+    path takes it; the graph itself is left as it is).
     Raises [Invalid_argument] on malformed segments. *)
 
 val next_hop_id : t -> prev:Graph.node -> cur:Graph.node -> dst:Graph.node -> Graph.node

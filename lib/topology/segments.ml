@@ -7,46 +7,20 @@ let windows xs x =
   if n < x then []
   else List.init (n - x + 1) (fun i -> Array.to_list (Array.sub arr i x))
 
-(* Segments are interned into a hash table keyed by the chain itself to
-   count each distinct segment once even though it occurs on many routed
-   paths.  The table is unseeded: the family comes out in its iteration
-   order, which must not depend on OCAMLRUNPARAM=R. *)
-let distinct segs =
-  let tbl = Hashtbl.create ~random:false 4096 in
-  List.iter (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s ()) segs;
-  tbl
-
-let pi2_raw_segments rt ~k =
-  if k < 1 then invalid_arg "Segments.pi2_family: k must be >= 1";
-  let x = k + 2 in
-  List.concat_map
-    (fun p ->
-      let len = List.length p in
-      if len >= x then windows p x
-      else if len >= 3 then [ p ] (* whole short path: both ends terminal *)
-      else [])
-    (Routing.all_routed_paths rt)
-
-let keys tbl = Hashtbl.fold (fun s () acc -> s :: acc) tbl []
-
-let pi2_family rt ~k = keys (distinct (pi2_raw_segments rt ~k))
-
 module Seen = Hashtbl.Make (Int)
 
-(* Every x-window, 3 <= x <= k+2, of every routed path — src-major, then
-   dst, then width, then offset: the order [windows] would list them in.
-   Each path is walked hop by hop into one reusable buffer, and a window
-   is deduplicated on an integer hash of (x, its routers) with the
-   colliding windows compared in place, so only a window's first
-   occurrence builds its list.  Inserting those first occurrences into
-   the same [distinct] table, in the same order, leaves that table — and
-   so the returned list — exactly as listing every window would. *)
-let pik2_family rt ~k =
-  if k < 1 then invalid_arg "Segments.pik2_family: k must be >= 1";
+(* The one enumeration behind both families: every routed path, src-major
+   then dst, is walked hop by hop into one reusable buffer, and [widths]
+   gives the range of window widths to keep of a path of that many
+   routers (a segment has at least 3); each is taken offset by offset.  A window is deduplicated on an integer
+   hash of (width, its routers) with the colliding windows compared in
+   place, so only a window's first occurrence builds its list, and the
+   family comes out in first-occurrence order. *)
+let walk rt ~widths =
   let n = Graph.size (Routing.graph rt) in
   let path = Array.make n 0 in
-  let distinct = Hashtbl.create ~random:false 4096 in
   let seen = Seen.create (16 * n) in
+  let family = ref [] in
   (* Whether a chain is the window path.(i) .. path.(stop - 1). *)
   let rec same i stop = function
     | [] -> i = stop
@@ -65,13 +39,14 @@ let pik2_family rt ~k =
         while !len > 0 && path.(!len - 1) <> dst do
           let w = Routing.next_hop_id rt path.(!len - 1) ~dst in
           if w < 0 then len := 0
-          else if !len = n then failwith "Segments.pik2_family: routing loop"
+          else if !len = n then failwith "Segments: routing loop"
           else begin
             path.(!len) <- w;
             incr len
           end
         done;
-        for x = 3 to k + 2 do
+        let lo, hi = widths !len in
+        for x = max 3 lo to hi do
           for i = 0 to !len - x do
             let h = ref x in
             for j = i to i + x - 1 do
@@ -81,14 +56,24 @@ let pik2_family rt ~k =
             if not (known i (i + x) bucket) then begin
               let seg = Array.to_list (Array.sub path i x) in
               Seen.replace seen !h (seg :: bucket);
-              Hashtbl.add distinct seg ()
+              family := seg :: !family
             end
           done
         done
       end
     done
   done;
-  keys distinct
+  List.rev !family
+
+let pi2_family rt ~k =
+  if k < 1 then invalid_arg "Segments.pi2_family: k must be >= 1";
+  (* A path shorter than k+2 routers is monitored whole: both ends
+     terminal. *)
+  walk rt ~widths:(fun len -> (min len (k + 2), min len (k + 2)))
+
+let pik2_family rt ~k =
+  if k < 1 then invalid_arg "Segments.pik2_family: k must be >= 1";
+  walk rt ~widths:(fun _ -> (3, k + 2))
 
 let group_by_router ~n ~members family =
   let pr = Array.make n [] in

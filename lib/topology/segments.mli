@@ -10,7 +10,14 @@
       3 <= x <= k+2, of which it is an end.
 
     These functions compute the distinct segment families and the |Pr|
-    statistics of Figures 5.2 and 5.4. *)
+    statistics of Figures 5.2 and 5.4.
+
+    {b Order.}  Both families come from one walk of the next-hop tables
+    and list each segment at its first occurrence: routed paths
+    src-major, then dst (as {!Routing.all_routed_paths} lists them),
+    and within a path by width ascending, then offset ascending.  The
+    live deployments number their segments in this order, which orders
+    the verdicts they raise at one instant. *)
 
 type segment = Graph.node list
 (** A path-segment as its router chain (length >= 2). *)
@@ -20,18 +27,14 @@ val windows : 'a list -> int -> 'a list list
 
 val pi2_family : Routing.t -> k:int -> segment list
 (** The distinct segments monitored under Protocol Π2 with
-    AdjacentFault(k), over all routed paths.  Raises [Invalid_argument]
-    if [k < 1]. *)
+    AdjacentFault(k), over all routed paths: each path's (k+2)-windows,
+    or the whole path when it has 3 to k+1 routers.  Raises
+    [Invalid_argument] if [k < 1]. *)
 
 val pik2_family : Routing.t -> k:int -> segment list
 (** The distinct segments monitored under Protocol Πk+2 (all x-segments,
     3 <= x <= k+2, of routed paths).  Raises [Invalid_argument] if
-    [k < 1].
-
-    The list, order included, is the one obtained by taking {!windows}
-    of every path of {!Routing.all_routed_paths} (widths ascending) and
-    keeping first occurrences in a hash table; the implementation walks
-    the next-hop tables instead and builds a segment's list only once. *)
+    [k < 1]. *)
 
 val pi2_pr : Routing.t -> k:int -> segment list array
 (** [pi2_pr rt ~k].(r) is Pr for router r under Π2: the distinct

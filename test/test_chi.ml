@@ -549,7 +549,9 @@ let test_fatih_detects_modification () =
    8192 buckets nor reroute at this size; here 14,882 segments are
    monitored and the response engine reroutes at 10 s.  The expected
    values were recorded from the list-keyed per-hop lookup and
-   per-round summary allocation that the segment index replaced. *)
+   per-round summary allocation that the segment index replaced, and
+   held when segments came to be numbered in family order (the three
+   5 s detections were already listed in that order). *)
 let test_fatih_sprintlink_golden () =
   let g = Topology.Generate.sprintlink_like () in
   let n = G.size g in

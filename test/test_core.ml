@@ -140,6 +140,22 @@ let test_seg_index_lifetime () =
     (Printf.sprintf "retired summaries recycled (%d)" !recycled)
     true (!recycled > 20)
 
+(* Segment i is the k = 1 family's i-th, on a ring and on a grid: the
+   numbering orders each round's judgment, and so the verdicts. *)
+let test_seg_index_numbering () =
+  List.iter
+    (fun (name, g) ->
+      let rt = Rt.compute g in
+      let index =
+        Seg_index.create ~rt ~key:(Crypto_sim.Siphash.key_of_string "numbering")
+          ~policy:Summary.Content (fun () -> ())
+      in
+      Alcotest.(check (array (list int)))
+        name
+        (Array.of_list (Topology.Segments.pik2_family rt ~k:1))
+        (Seg_index.segments index))
+    [ ("ring8", Gen.ring ~n:8); ("grid4x4", Gen.grid ~rows:4 ~cols:4) ]
+
 (* --- Validation --- *)
 
 let summary_of fps =
@@ -379,7 +395,9 @@ let () =
           Alcotest.test_case "remove/copy" `Quick test_summary_remove_copy;
           Alcotest.test_case "state ranking" `Quick test_summary_state_words_ranking;
           Alcotest.test_case "segment summaries live until retired" `Quick
-            test_seg_index_lifetime ] );
+            test_seg_index_lifetime;
+          Alcotest.test_case "segments numbered in family order" `Quick
+            test_seg_index_numbering ] );
       ( "validation",
         [ Alcotest.test_case "equal ok" `Quick test_tv_equal_ok;
           Alcotest.test_case "loss" `Quick test_tv_detects_loss;

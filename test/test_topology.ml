@@ -218,6 +218,8 @@ let test_policy_no_forbidden_matches_routing () =
 let test_policy_link_removal () =
   let g = Generate.ring ~n:5 in
   let pol = Policy.compute g ~forbidden:[ [ 0; 1 ] ] in
+  Alcotest.(check bool) "the cut link is forbidden" true (Policy.is_forbidden_path pol [ 4; 0; 1 ]);
+  Alcotest.(check bool) "its reverse is not" false (Policy.is_forbidden_path pol [ 2; 1; 0 ]);
   match Policy.path pol ~src:0 ~dst:1 with
   | Some p ->
       Alcotest.check seg "goes the long way" [ 0; 4; 3; 2; 1 ] p
@@ -740,45 +742,49 @@ let prop_routing_matches_reference =
           Array.for_all Fun.id (Array.mapi (fun v w -> Routing.next_hop_id rt v ~dst = w) want))
         (List.init (Graph.size g) Fun.id))
 
-(* The list-windows enumeration that the next-hop walk in
-   [Segments.pik2_family] replaced, kept as the oracle: every x-window,
-   3 <= x <= k+2, of every routed path, first occurrences kept through a
-   list-keyed table, unseeded as [Segments]' own. *)
-let ref_pik2_family rt ~k =
-  let windows xs x =
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    if n < x then [] else List.init (n - x + 1) (fun i -> Array.to_list (Array.sub arr i x))
-  in
-  let distinct segs =
-    let tbl = Hashtbl.create ~random:false 4096 in
-    List.iter (fun s -> if not (Hashtbl.mem tbl s) then Hashtbl.add tbl s ()) segs;
-    tbl
-  in
-  let raw =
-    List.concat_map
-      (fun p -> List.concat_map (fun x -> windows p x) (List.init k (fun i -> i + 3)))
-      (Routing.all_routed_paths rt)
-  in
-  Hashtbl.fold (fun s () acc -> s :: acc) (distinct raw) []
+(* The list-windows oracle for both families: the windows each family
+   keeps of every routed path, in [Routing.all_routed_paths] order
+   (src-major, then dst), widths ascending, offsets ascending, first
+   occurrences kept.  The next-hop walk in [Segments] must list exactly
+   these, order included: the deployments number their segments in it. *)
+let ref_family rt ~widths =
+  let seen = Hashtbl.create 4096 in
+  List.concat_map
+    (fun p ->
+      List.concat_map (Segments.windows p) (widths (List.length p))
+      |> List.filter (fun s ->
+             (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true)))
+    (Routing.all_routed_paths rt)
 
-(* Exact list equality, order included: the deployments number their
-   segments in this order. *)
-let prop_pik2_family_matches_reference =
-  QCheck.Test.make ~name:"pik2_family = list-windows reference" ~count:40 route_case
+let ref_pi2_family rt ~k =
+  ref_family rt ~widths:(fun len -> if len < 3 then [] else [ min len (k + 2) ])
+
+let ref_pik2_family rt ~k = ref_family rt ~widths:(fun _ -> List.init k (fun i -> i + 3))
+
+let families_match rt k =
+  Segments.pi2_family rt ~k = ref_pi2_family rt ~k
+  && Segments.pik2_family rt ~k = ref_pik2_family rt ~k
+
+let prop_families_match_reference =
+  QCheck.Test.make ~name:"families = list-windows reference" ~count:40 route_case
     (fun case ->
       let g, _ = case_graph case in
       let rt = Routing.compute g in
-      List.for_all (fun k -> Segments.pik2_family rt ~k = ref_pik2_family rt ~k) [ 1; 2; 3 ])
+      List.for_all (families_match rt) [ 1; 2; 3 ])
 
-let test_pik2_family_grid8x8 () =
+let test_families_grid8x8 () =
   let rt = Routing.compute (Generate.grid ~rows:8 ~cols:8) in
   List.iter
     (fun k ->
       Alcotest.(check (list (list int)))
-        (Printf.sprintf "k = %d" k) (ref_pik2_family rt ~k) (Segments.pik2_family rt ~k))
+        (Printf.sprintf "pi2 k = %d" k) (ref_pi2_family rt ~k) (Segments.pi2_family rt ~k);
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "pik2 k = %d" k) (ref_pik2_family rt ~k) (Segments.pik2_family rt ~k))
     [ 1; 2; 3 ];
-  Alcotest.check_raises "k = 0"
+  Alcotest.check_raises "pi2 k = 0"
+    (Invalid_argument "Segments.pi2_family: k must be >= 1")
+    (fun () -> ignore (Segments.pi2_family rt ~k:0));
+  Alcotest.check_raises "pik2 k = 0"
     (Invalid_argument "Segments.pik2_family: k must be >= 1")
     (fun () -> ignore (Segments.pik2_family rt ~k:0))
 
@@ -808,8 +814,7 @@ let () =
           Alcotest.test_case "pi2 pr membership" `Quick test_pi2_pr_membership;
           Alcotest.test_case "pik2 ends only" `Quick test_pik2_pr_ends_only;
           Alcotest.test_case "pr stats" `Quick test_pr_stats;
-          Alcotest.test_case "pik2 family grid8x8 = reference" `Quick
-            test_pik2_family_grid8x8;
+          Alcotest.test_case "families grid8x8 = reference" `Quick test_families_grid8x8;
           Alcotest.test_case "pik2 < pi2 state" `Slow test_pik2_smaller_than_pi2 ] );
       ( "policy",
         [ Alcotest.test_case "matches routing" `Quick test_policy_no_forbidden_matches_routing;
@@ -847,4 +852,4 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_routing_paths_consistent; prop_segments_are_subpaths;
             prop_policy_avoids_forbidden; prop_policy_matches_reference;
-            prop_routing_matches_reference; prop_pik2_family_matches_reference ] ) ]
+            prop_routing_matches_reference; prop_families_match_reference ] ) ]
