@@ -14,12 +14,15 @@ let on_flows flows behavior : Router.behavior =
 let drop_all = transit_only (fun _ _ -> Router.Drop)
 
 (* A behaviour builds its coin key once; the coin itself runs per packet
-   and allocates only the hash's int64 result. *)
+   and allocates nothing: the hash's top 53 bits come back as an int,
+   which converts to the same float as the int64 they were cut from. *)
 let coin_key seed = Crypto_sim.Siphash.key_of_ints (Int64.of_int seed) 0xadfeL
 
 let coin key ~fraction pkt =
-  let h = Crypto_sim.Siphash.hash_int key pkt.Packet.uid in
-  let u = Int64.to_float (Int64.shift_right_logical h 11) /. 9.007199254740992e15 in
+  let u =
+    float_of_int (Crypto_sim.Siphash.hash_int_bits key pkt.Packet.uid)
+    /. 9.007199254740992e15
+  in
   u < fraction
 
 let drop_fraction ?(seed = 1) fraction =
@@ -49,12 +52,13 @@ let drop_fraction_when_red_avg_above ?(seed = 1) ~fraction ~avg () =
 let drop_syn =
   transit_only (fun _ pkt -> if Packet.is_syn pkt then Router.Drop else Router.Forward)
 
+(* One action for every modified packet: the router XORs its mask into
+   the payload in place. *)
+let modify = Router.Modify 0x6d616c6963656421L
+
 let modify_fraction ?(seed = 1) fraction =
   let key = coin_key seed in
-  transit_only (fun _ pkt ->
-      if coin key ~fraction pkt then
-        Router.Modify (Int64.logxor pkt.Packet.payload 0x6d616c6963656421L)
-      else Router.Forward)
+  transit_only (fun _ pkt -> if coin key ~fraction pkt then modify else Router.Forward)
 
 let delay_fraction ?(seed = 1) ~delay fraction =
   let key = coin_key seed in

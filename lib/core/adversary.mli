@@ -39,7 +39,8 @@ val drop_syn : Netsim.Router.behavior
     the smallest-footprint denial of service. *)
 
 val modify_fraction : ?seed:int -> float -> Netsim.Router.behavior
-(** Overwrite the payload of the given fraction of transit packets. *)
+(** Alter the payload of the given fraction of transit packets (a fixed
+    XOR mask, {!Netsim.Router.Modify}). *)
 
 val delay_fraction : ?seed:int -> delay:float -> float -> Netsim.Router.behavior
 (** Hold the given fraction of transit packets for [delay] seconds

@@ -35,7 +35,7 @@ let create ~net ~src ~dst ~f =
       if List.mem pkt.Netsim.Packet.flow t.flows then begin
         t.copies <- t.copies + 1;
         (* The message id rides in the payload, identical across copies. *)
-        Hashtbl.replace t.delivered_ids (Int64.to_int pkt.Netsim.Packet.payload) ()
+        Hashtbl.replace t.delivered_ids (Int64.to_int (Netsim.Packet.payload pkt)) ()
       end);
   t
 
@@ -50,7 +50,7 @@ let send t ~size =
       let pkt =
         Netsim.Packet.make ~sim ~src:t.src ~dst:t.dst ~flow ~size Netsim.Packet.Udp
       in
-      pkt.Netsim.Packet.payload <- Int64.of_int msg;
+      Netsim.Packet.set_payload pkt (Int64.of_int msg);
       Netsim.Net.originate t.net pkt)
     t.flows
 

@@ -33,17 +33,24 @@ let grow b =
   b.times <- extend b.times 0.0;
   b.occs <- extend b.occs no_sample
 
-(* The time comes in a flat box (the network's clock) and is stored
-   straight into the float array: a float argument would box. *)
-let push b ~fp ~size ~flow ~(at : Netsim.Sim.fbox) =
+(* The next slot, filled with all but its fingerprint.  The time comes
+   in a flat box (the network's clock) and is stored straight into the
+   float array: a float argument would box. *)
+let claim b ~size ~flow ~(at : Netsim.Sim.fbox) =
   if b.len = Array.length b.sizes then grow b;
   let i = b.len in
-  Bytes.set_int64_ne b.fps (8 * i) fp;
   b.sizes.(i) <- size;
   b.flows.(i) <- flow;
   b.times.(i) <- at.f;
   b.occs.(i) <- no_sample;
-  b.len <- i + 1
+  b.len <- i + 1;
+  i
+
+(* The packet is fingerprinted straight into its slot of [fps]: an
+   int64 result would box. *)
+let push b ~key pkt ~at =
+  let i = claim b ~size:pkt.Netsim.Packet.size ~flow:pkt.Netsim.Packet.flow ~at in
+  Netsim.Packet.fingerprint_into key pkt b.fps (8 * i)
 
 (* Store entry [i] of [src] in slot [j] of [dst]. *)
 let set_slot dst j src i =
@@ -200,10 +207,6 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
       occ_samples = Hashtbl.create 64; calibrating = false;
       skewed = { f = 0.0 }; replayed = { f = 0.0 } }
   in
-  let record b pkt ~at =
-    push b ~fp:(Netsim.Packet.fingerprint key pkt) ~size:pkt.Netsim.Packet.size
-      ~flow:pkt.Netsim.Packet.flow ~at
-  in
   let on_in_link (ev : Netsim.Net.iface_event) =
     let pkt = ev.pkt in
     match ev.kind with
@@ -220,7 +223,7 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
                   t.skewed.f <- ev.clock.f +. skew ~reporter:ev.router;
                   t.skewed
             in
-            record t.pending_s pkt ~at
+            push t.pending_s ~key pkt ~at
         | Some _ | None -> ())
     | _ -> ()
   in
@@ -229,13 +232,13 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
     match ev.kind with
     | Netsim.Iface.Transmit_start ->
         (* rd infers the dequeue instant from its own arrival time. *)
-        record t.pending_d pkt ~at:ev.clock
+        push t.pending_d ~key pkt ~at:ev.clock
     | Netsim.Iface.Enqueued when pkt.Netsim.Packet.src = router ->
         (* Traffic the monitored router originates also occupies Q; the
            router announces it itself and is trusted for its own
            traffic (§2.1.4 fate sharing), so these entries keep the
            replayed occupancy honest. *)
-        record t.pending_s pkt ~at:ev.clock
+        push t.pending_s ~key pkt ~at:ev.clock
     | Netsim.Iface.Drop_link_down ->
         Hashtbl.replace t.benign_fps (Netsim.Packet.fingerprint key pkt) ()
     | Netsim.Iface.Enqueued when t.calibrating ->
@@ -376,7 +379,11 @@ let replay t data ~horizon ~arrive ~depart =
 let round_of_entries ~arrivals ~departures =
   let of_entries es =
     let b = buf () in
-    List.iter (fun e -> push b ~fp:e.fp ~size:e.size ~flow:e.flow ~at:{ f = e.time }) es;
+    List.iter
+      (fun e ->
+        let i = claim b ~size:e.size ~flow:e.flow ~at:{ f = e.time } in
+        Bytes.set_int64_ne b.fps (8 * i) e.fp)
+      es;
     { b; n = b.len }
   in
   { arrivals = of_entries arrivals; departures = of_entries departures; fabricated = 0 }

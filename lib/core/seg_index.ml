@@ -16,6 +16,7 @@ type 'st t = {
   prev_received : Summary.t array;
   excused : bool array;
   key : Crypto_sim.Siphash.key;
+  fp : Bytes.t;  (* the hop's fingerprint, hashed once for both summaries *)
   policy : Summary.policy;
   (* Every summary slot starts as [empty], one shared placeholder that is
      never written: [observe] swaps in a fresh summary on a slot's first
@@ -64,7 +65,7 @@ let create ~rt ~key ~policy make =
     sent = Array.make count empty; received = Array.make count empty;
     prev_sent = Array.make count empty; prev_received = Array.make count empty;
     excused = Array.make count false;
-    key; policy; empty; number; links;
+    key; fp = Bytes.create 8; policy; empty; number; links;
     routes = Array.make n [||];
     predict = (fun ~src ~dst -> Topology.Routing.path rt ~src ~dst) }
 
@@ -120,13 +121,6 @@ let rec excuse excused = function
       excused.(i) <- true;
       excuse excused rest
 
-(* Only a Timeliness summary keeps the time; the others get a constant,
-   which allocates nothing, where the clock's float would be boxed on
-   its way into [Summary] (modules are compiled [-opaque]). *)
-let add t s ~fp ~size (clock : Netsim.Sim.fbox) =
-  if t.policy = Summary.Timeliness then Summary.observe s ~fp ~size ~time:clock.f
-  else Summary.observe s ~fp ~size ~time:0.0
-
 let observe t (ev : Netsim.Net.iface_event) =
   match ev.Netsim.Net.kind with
   | Netsim.Iface.Delivered ->
@@ -139,16 +133,16 @@ let observe t (ev : Netsim.Net.iface_event) =
       let opens = opens r i and closes = closes r i in
       if opens < 0 && closes < 0 then Neither
       else begin
-        let fp = Netsim.Packet.fingerprint t.key pkt in
+        Netsim.Packet.fingerprint_into t.key pkt t.fp 0;
         let size = pkt.Netsim.Packet.size and clock = ev.Netsim.Net.clock in
         if opens >= 0 then begin
           if t.sent.(opens) == t.empty then t.sent.(opens) <- Summary.create t.policy;
-          add t t.sent.(opens) ~fp ~size clock
+          Summary.observe_at t.sent.(opens) t.fp 0 ~size ~clock
         end;
         if closes >= 0 then begin
           if t.received.(closes) == t.empty then
             t.received.(closes) <- Summary.create t.policy;
-          add t t.received.(closes) ~fp ~size clock
+          Summary.observe_at t.received.(closes) t.fp 0 ~size ~clock
         end;
         if closes < 0 then Sent else if opens < 0 then Received else Both
       end

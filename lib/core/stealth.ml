@@ -20,25 +20,25 @@ let start ~net ~src ~dst ~flow ~key ?(interval = 0.5) ~start ~stop () =
      reply. *)
   Netsim.Net.attach_app net ~node:dst (fun pkt ->
       if pkt.Netsim.Packet.flow = flow
-         && Int64.equal pkt.Netsim.Packet.payload (probe_tag key pkt.Netsim.Packet.uid)
+         && Int64.equal (Netsim.Packet.payload pkt) (probe_tag key pkt.Netsim.Packet.uid)
       then begin
         let reply =
           Netsim.Packet.make ~sim ~src:dst ~dst:src ~flow ~size Netsim.Packet.Udp
         in
-        reply.Netsim.Packet.payload <- reply_tag key pkt.Netsim.Packet.uid;
+        Netsim.Packet.set_payload reply (reply_tag key pkt.Netsim.Packet.uid);
         Netsim.Net.originate net reply
       end);
   (* Prober side: match replies by their MACs. *)
   Netsim.Net.attach_app net ~node:src (fun pkt ->
-      if pkt.Netsim.Packet.flow = flow && Hashtbl.mem expected_replies pkt.Netsim.Packet.payload
-      then begin
-        Hashtbl.remove expected_replies pkt.Netsim.Packet.payload;
+      let payload = Netsim.Packet.payload pkt in
+      if pkt.Netsim.Packet.flow = flow && Hashtbl.mem expected_replies payload then begin
+        Hashtbl.remove expected_replies payload;
         t.answered <- t.answered + 1
       end);
   let rec tick () =
     if Netsim.Sim.now sim <= stop then begin
       let probe = Netsim.Packet.make ~sim ~src ~dst ~flow ~size Netsim.Packet.Udp in
-      probe.Netsim.Packet.payload <- probe_tag key probe.Netsim.Packet.uid;
+      Netsim.Packet.set_payload probe (probe_tag key probe.Netsim.Packet.uid);
       Hashtbl.replace expected_replies (reply_tag key probe.Netsim.Packet.uid) ();
       t.sent <- t.sent + 1;
       Netsim.Net.originate net probe;

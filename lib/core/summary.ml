@@ -56,13 +56,33 @@ let clear t =
 
 let key t s = Bytes.get_int64_ne t.keys (8 * s)
 
+(* [Hashtbl.hash] of an int64, bit for bit, with the argument unboxed:
+   the stdlib hashes the custom block's [lo lxor hi] word with
+   MurmurHash3's [mix_uint32] from seed 0, then [FINAL_MIX], keeping 30
+   bits.  Inlined where it is used, so a fingerprint read from bytes is
+   never boxed on its way in. *)
+let m32 = 0xFFFF_FFFF
+let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land m32
+
+let[@inline] hash_fp (x : int64) =
+  let d = (Int64.to_int x lxor Int64.to_int (Int64.shift_right_logical x 32)) land m32 in
+  let d = (d * 0xcc9e2d51) land m32 in
+  let d = (rotl32 d 15 * 0x1b873593) land m32 in
+  let h = rotl32 d 13 in
+  let h = ((h * 5) + 0xe6546b64) land m32 in
+  let h = h lxor (h lsr 16) in
+  let h = (h * 0x85ebca6b) land m32 in
+  let h = h lxor (h lsr 13) in
+  let h = (h * 0xc2b2ae35) land m32 in
+  (h lxor (h lsr 16)) land 0x3FFF_FFFF
+
 (* The slot holding [fp] in the chain from [s], or [-1]. *)
 let rec find_boxed t s h (fp : int64) =
   if s < 0 || (t.hashes.(s) = h && key t s = fp) then s
   else find_boxed t t.next.(s) h fp
 
-(* The same for the fingerprint at byte [off] of [src]: it is compared
-   in place, never boxed. *)
+(* The slot holding the fingerprint at byte [off] of [src] in the chain
+   from [s], or [-1]: it is compared in place, never boxed. *)
 let rec find_at t s h src off =
   if s < 0 || (t.hashes.(s) = h && key t s = Bytes.get_int64_ne src off) then s
   else find_at t t.next.(s) h src off
@@ -121,11 +141,12 @@ let resize t =
     split t b half s (-1) (-1)
   done
 
-let add t h fp =
+(* Store the fingerprint at byte [off] of [src] in a new slot. *)
+let add t h src off =
   if t.used = Array.length t.hashes then grow_slots t;
   let s = t.used in
   t.used <- s + 1;
-  Bytes.set_int64_ne t.keys (8 * s) fp;
+  Bytes.set_int64_ne t.keys (8 * s) (Bytes.get_int64_ne src off);
   t.hashes.(s) <- h;
   let b = bucket t h in
   t.next.(s) <- t.heads.(b);
@@ -134,25 +155,43 @@ let add t h fp =
   if t.size > 2 * t.buckets then resize t;
   s
 
-let push_seq t fp =
+let push_seq t src off =
   if 8 * t.seq_len = Bytes.length t.seq then begin
     let seq = Bytes.create (max 128 (2 * Bytes.length t.seq)) in
     Bytes.blit t.seq 0 seq 0 (8 * t.seq_len);
     t.seq <- seq
   end;
-  Bytes.set_int64_ne t.seq (8 * t.seq_len) fp;
+  Bytes.blit src off t.seq (8 * t.seq_len) 8;
   t.seq_len <- t.seq_len + 1
 
-let observe t ~fp ~size ~time =
+(* The one insertion path: count the packet and file the fingerprint at
+   byte [off] of [src], hashed and compared where it lies.  The slot it
+   landed in, or [-1] under [Flow]. *)
+let insert t src off ~size =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + size;
   if keeps_identity t then begin
-    let h = Hashtbl.hash fp in
-    let s = find_boxed t t.heads.(bucket t h) h fp in
-    let s = if s >= 0 then s else add t h fp in
-    if keeps_order t then push_seq t fp;
-    if t.policy = Timeliness then Float.Array.set t.times s time
+    let h = hash_fp (Bytes.get_int64_ne src off) in
+    let s = find_at t t.heads.(bucket t h) h src off in
+    let s = if s >= 0 then s else add t h src off in
+    if keeps_order t then push_seq t src off;
+    s
   end
+  else -1
+
+let observe_at t src off ~size ~(clock : Netsim.Sim.fbox) =
+  let s = insert t src off ~size in
+  if t.policy = Timeliness then Float.Array.set t.times s clock.f
+
+(* The fingerprint is staged in the first free key slot, which [add]
+   claims if it is new. *)
+let observe t ~fp ~size ~time =
+  if keeps_identity t then begin
+    if t.used = Array.length t.hashes then grow_slots t;
+    Bytes.set_int64_ne t.keys (8 * t.used) fp
+  end;
+  let s = insert t t.keys (8 * t.used) ~size in
+  if t.policy = Timeliness then Float.Array.set t.times s time
 
 let packets t = t.packets
 let bytes t = t.bytes
@@ -161,7 +200,7 @@ let cardinal t = t.size
 let slot_of t fp =
   if t.size = 0 then -1
   else
-    let h = Hashtbl.hash fp in
+    let h = hash_fp fp in
     find_boxed t t.heads.(bucket t h) h fp
 
 let mem t fp = slot_of t fp >= 0
@@ -246,31 +285,28 @@ let copy t =
   c
 
 let remove t fp =
-  if t.size > 0 then begin
-    let h = Hashtbl.hash fp in
-    let b = bucket t h in
-    let s = find_boxed t t.heads.(b) h fp in
-    if s >= 0 then begin
-      (if t.heads.(b) = s then t.heads.(b) <- t.next.(s)
-       else begin
-         let p = ref t.heads.(b) in
-         while t.next.(!p) <> s do
-           p := t.next.(!p)
-         done;
-         t.next.(!p) <- t.next.(s)
-       end);
-      t.size <- t.size - 1;
-      t.packets <- t.packets - 1;
-      if keeps_order t then begin
-        let kept = ref 0 in
-        for i = 0 to t.seq_len - 1 do
-          let f = Bytes.get_int64_ne t.seq (8 * i) in
-          if f <> fp then begin
-            Bytes.set_int64_ne t.seq (8 * !kept) f;
-            incr kept
-          end
-        done;
-        t.seq_len <- !kept
-      end
+  let s = slot_of t fp in
+  if s >= 0 then begin
+    let b = bucket t t.hashes.(s) in
+    (if t.heads.(b) = s then t.heads.(b) <- t.next.(s)
+     else begin
+       let p = ref t.heads.(b) in
+       while t.next.(!p) <> s do
+         p := t.next.(!p)
+       done;
+       t.next.(!p) <- t.next.(s)
+     end);
+    t.size <- t.size - 1;
+    t.packets <- t.packets - 1;
+    if keeps_order t then begin
+      let kept = ref 0 in
+      for i = 0 to t.seq_len - 1 do
+        let f = Bytes.get_int64_ne t.seq (8 * i) in
+        if f <> fp then begin
+          Bytes.set_int64_ne t.seq (8 * !kept) f;
+          incr kept
+        end
+      done;
+      t.seq_len <- !kept
     end
   end

@@ -15,12 +15,12 @@
 
     {b Layout.}  The fingerprint set is a chained hash table laid out
     flat: each distinct fingerprint takes 8 bytes of one [Bytes.t], one
-    slot of an [int array] for its [Hashtbl.hash] and one for its chain
+    slot of an [int array] for its {!hash_fp} and one for its chain
     link, beside an array of bucket heads ([Timeliness] adds one unboxed
     float per fingerprint, [Order] and richer 8 bytes per packet).  No
     fingerprint is boxed while it is stored, looked up or compared, so a
     summary filled below a capacity it has already reached allocates
-    nothing per {!observe}.
+    nothing per {!observe_at} or {!observe}.
 
     {b Order.}  {!fingerprints}, {!nth} and {!diff} follow the order the
     stdlib [Hashtbl] (unseeded, 64 initial buckets) would give the same
@@ -38,8 +38,21 @@ type t
 val create : policy -> t
 val policy : t -> policy
 
+val observe_at : t -> Bytes.t -> int -> size:int -> clock:Netsim.Sim.fbox -> unit
+(** [observe_at t src off ~size ~clock] records one forwarded packet
+    whose fingerprint is the 8 bytes at [off] of [src] (native-endian,
+    as {!Netsim.Packet.fingerprint_into} writes it), at time [clock.f]
+    (kept under [Timeliness] only).  The fingerprint is hashed and
+    compared where it lies and the time read from its box, so below a
+    capacity the summary has reached this allocates nothing: the
+    collector's per-hop path ({!Seg_index.observe}). *)
+
 val observe : t -> fp:int64 -> size:int -> time:float -> unit
-(** Record one forwarded packet. *)
+(** {!observe_at} for a fingerprint and a time in hand. *)
+
+val hash_fp : int64 -> int
+(** The bucket hash: [Hashtbl.hash] of the fingerprint, bit for bit,
+    computed without boxing it. *)
 
 val packets : t -> int
 val bytes : t -> int

@@ -20,13 +20,17 @@ let hash_int64 x =
   !acc
 
 (* The bytes of [Int64.of_int x]: [asr] sign-extends as [of_int]
-   does, and the argument stays an unboxed int. *)
-let hash_int x =
+   does, and the argument stays an unboxed int.  Inlined into both
+   entry points, so [hash_int_into] never boxes the state. *)
+let[@inline] fold_int x =
   let acc = ref offset_basis in
   for i = 0 to 7 do
     acc := step !acc ((x asr (8 * i)) land 0xff)
   done;
   !acc
+
+let hash_int x = fold_int x
+let hash_int_into x b off = Bytes.set_int64_le b off (fold_int x)
 
 let combine acc x =
   let acc = ref acc in

@@ -13,7 +13,12 @@ val hash_int64 : int64 -> int64
 
 val hash_int : int -> int64
 (** [hash_int x] is [hash_int64 (Int64.of_int x)], without boxing the
-    argument. *)
+    argument: only the result is allocated (3 words). *)
+
+val hash_int_into : int -> Bytes.t -> int -> unit
+(** [hash_int_into x b off] writes [hash_int x] little-endian into bytes
+    [[off, off + 8)] of [b], allocating nothing: a packet's payload
+    ({!Netsim.Packet}). *)
 
 val combine : int64 -> int64 -> int64
 (** [combine acc x] folds [x] into a running FNV state [acc]; start from

@@ -11,16 +11,20 @@ let[@inline] rotl x b = Int64.logor (Int64.shift_left x b) (Int64.shift_right_lo
 
 (* The one SipHash-2-4 kernel.  It hashes the little-endian byte string
    [fields ^ words ^ s], where [fields] is the first [nf] of the ten
-   inline words [a b c d e w t0 t1 t2 t3] (ints sign-extended); each
-   public function fills one source and leaves the others empty.
+   inline words [a b c d e w t0 t1 t2 t3] (ints sign-extended; [w] is
+   read in place, little-endian, from bytes [woff, woff + 8) of [wb]);
+   each public function fills one source and leaves the others empty.
 
    Without flambda, ocamlopt keeps an int64 unboxed only in a local ref
    that never crosses a function boundary, so the state [v0..v3] and the
    message word [m] live here and every SipRound is written out in this
    function: a helper taking or returning the state would box a fresh
-   Int64 on every assignment.  Blocks [0, n) are the message words,
-   block [n] the length block, block [n + 1] finalization. *)
-let kernel key nf a b c d e w t0 t1 t2 t3 words s =
+   Int64 on every assignment.  The result would be boxed on its way out
+   too, so the kernel is inlined into its two instances below, which
+   each turn it into what their callers read.  Blocks [0, n) are the
+   message words, block [n] the length block, block [n + 1]
+   finalization. *)
+let[@inline] kernel key nf a b c d e wb woff t0 t1 t2 t3 words s =
   let v0 = ref (Int64.logxor key.k0 0x736f6d6570736575L) in
   let v1 = ref (Int64.logxor key.k1 0x646f72616e646f6dL) in
   let v2 = ref (Int64.logxor key.k0 0x6c7967656e657261L) in
@@ -46,7 +50,7 @@ let kernel key nf a b c d e w t0 t1 t2 t3 words s =
          | 2 -> Int64.of_int c
          | 3 -> Int64.of_int d
          | 4 -> Int64.of_int e
-         | 5 -> w
+         | 5 -> Bytes.get_int64_le wb woff
          | 6 -> Int64.of_int t0
          | 7 -> Int64.of_int t1
          | 8 -> Int64.of_int t2
@@ -82,10 +86,25 @@ let kernel key nf a b c d e w t0 t1 t2 t3 words s =
   done;
   Int64.logxor (Int64.logxor !v0 !v1) (Int64.logxor !v2 !v3)
 
-let hash key s = kernel key 0 0 0 0 0 0 0L 0 0 0 0 [] s
-let hash_int64s key words = kernel key 0 0 0 0 0 0 0L 0 0 0 0 words ""
-let hash_int key x = kernel key 1 x 0 0 0 0 0L 0 0 0 0 [] ""
+(* With [out] empty the hash comes back boxed (3 words); otherwise it is
+   written into [out] and the result is a constant, so the hash is
+   never boxed. *)
+let digest key nf a b c d e wb woff t0 t1 t2 t3 words s out off =
+  let h = kernel key nf a b c d e wb woff t0 t1 t2 t3 words s in
+  if Bytes.length out = 0 then h
+  else begin
+    Bytes.set_int64_ne out off h;
+    0L
+  end
 
-let hash_fields key a b c d e w ~tail t0 t1 t2 t3 =
+let hash key s = digest key 0 0 0 0 0 0 Bytes.empty 0 0 0 0 0 [] s Bytes.empty 0
+let hash_int64s key words = digest key 0 0 0 0 0 0 Bytes.empty 0 0 0 0 0 words "" Bytes.empty 0
+let hash_int key x = digest key 1 x 0 0 0 0 Bytes.empty 0 0 0 0 0 [] "" Bytes.empty 0
+
+let hash_int_bits key x =
+  Int64.to_int
+    (Int64.shift_right_logical (kernel key 1 x 0 0 0 0 Bytes.empty 0 0 0 0 0 [] "") 11)
+
+let hash_fields key a b c d e wb woff ~tail t0 t1 t2 t3 out off =
   if tail < 0 || tail > 4 then invalid_arg "Siphash.hash_fields: tail outside [0,4]";
-  kernel key (6 + tail) a b c d e w t0 t1 t2 t3 [] ""
+  digest key (6 + tail) a b c d e wb woff t0 t1 t2 t3 [] "" out off

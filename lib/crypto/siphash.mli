@@ -6,11 +6,13 @@
     protocols need — a fast keyed PRF whose outputs an adversary without
     the key can neither predict nor collide.
 
-    {b Allocation.}  The hash functions allocate nothing but their boxed
-    [int64] result (3 words): neither the state nor any message word
-    is boxed.  The [@alloc] test suite pins this for
+    {b Allocation.}  Neither the state nor any message word is ever
+    boxed.  The [int64]-returning functions allocate only their result
+    (3 words); {!hash_int_bits} and {!hash_fields} with an output
+    buffer allocate nothing.  The [@alloc] test suite pins this for
     {!hash_int64s} on a prebuilt list, for packet fingerprints
-    ({!hash_fields}) and for the adversary's coin ({!hash_int}). *)
+    ({!hash_fields}, both ways) and for the adversary's coin
+    ({!hash_int_bits}). *)
 
 type key = { k0 : int64; k1 : int64 }
 (** A 128-bit key as two 64-bit halves. *)
@@ -31,17 +33,26 @@ val hash_int64s : key -> int64 list -> int64
 
 val hash_int : key -> int -> int64
 (** [hash_int key x] is [hash_int64s key [Int64.of_int x]], bit for bit
-    ([x] sign-extended), without the list or the [int64] box: one word
-    hashed for the cost of its result alone — the adversary's
-    per-packet coin. *)
+    ([x] sign-extended), without the list or a boxed argument. *)
+
+val hash_int_bits : key -> int -> int
+(** [hash_int_bits key x] is
+    [Int64.to_int (Int64.shift_right_logical (hash_int key x) 11)], the
+    hash's top 53 bits, computed without boxing the hash: the
+    adversary's per-packet coin. *)
 
 val hash_fields :
-  key -> int -> int -> int -> int -> int -> int64 -> tail:int -> int -> int -> int -> int ->
-  int64
-(** [hash_fields key a b c d e w ~tail t0 t1 t2 t3] is {!hash_int64s} of
-    the words [a; b; c; d; e; w] followed by the first [tail] of
-    [t0; t1; t2; t3], each int sign-extended as by [Int64.of_int].  This
-    is the shape of a packet's identity tuple
-    ({!Netsim.Packet.fingerprint}); taking the words as arguments builds
-    no list and boxes no word.  Raises [Invalid_argument] unless
-    [0 <= tail <= 4]. *)
+  key -> int -> int -> int -> int -> int -> Bytes.t -> int -> tail:int -> int -> int -> int ->
+  int -> Bytes.t -> int -> int64
+(** [hash_fields key a b c d e wb woff ~tail t0 t1 t2 t3 out off] is
+    {!hash_int64s} of the words [a; b; c; d; e; w] followed by the first
+    [tail] of [t0; t1; t2; t3], each int sign-extended as by
+    [Int64.of_int], where [w] is read in place from bytes
+    [[woff, woff + 8)] of [wb], little-endian.  This is the shape of a
+    packet's identity tuple ({!Netsim.Packet.fingerprint}).
+
+    With [out] empty ([Bytes.empty]) the hash is the result, boxed.
+    Otherwise it is written native-endian into bytes [[off, off + 8)] of
+    [out] (read it back with [Bytes.get_int64_ne]) and the result is
+    [0L], a constant: nothing is allocated.  Raises [Invalid_argument]
+    unless [0 <= tail <= 4]. *)

@@ -288,8 +288,8 @@ let originate t pkt =
 
 (* Traffic sources mint packets here so recycling is transparent.  The
    clock goes to [Pool] as the box it is, and a recycled packet copies
-   it into its own [created] box: a recycled mint allocates only its
-   int64 payload (3 words). *)
+   it into its own [created] box and hashes its payload into its own
+   bytes: a recycled mint allocates nothing. *)
 let make_packet t ~src ~dst ~flow ~size proto =
   let uid = Sim.fresh_id t.sim in
   Pool.acquire t.pool ~clock:t.clock ~uid ~src ~dst ~flow ~size proto

@@ -196,8 +196,8 @@ val make_packet :
 (** Mint a data packet originated at [src]: a recycled record when the
     freelist has one, a fresh one otherwise — identical content either
     way (uid from {!Sim.fresh_id}, creation time now, copied into the
-    packet's own [created] box).  A recycled mint allocates only the
-    packet's [int64] payload (3 words).  Traffic generators and the TCP
+    packet's own [created] box, and the payload hashed into the
+    packet's own bytes).  A recycled mint allocates nothing.  Traffic generators and the TCP
     and Ping endpoints mint through this so recycling is transparent
     to them. *)
 

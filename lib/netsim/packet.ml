@@ -14,7 +14,7 @@ type t = {
   mutable size : int;
   mutable proto : proto;
   mutable ttl : int;
-  mutable payload : int64;
+  body : Bytes.t;
   created : Sim.fbox;
   mutable trace : int;
   spans : spans;
@@ -29,23 +29,25 @@ let initial_ttl = 64
    stealth probing (§3.8) depends on. *)
 let make_at ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   if size <= 0 then invalid_arg "Packet.make: size must be positive";
-  { uid; src; dst; flow; size; proto; ttl;
-    payload = Crypto_sim.Fnv.hash_int uid; created = { f = clock.f };
+  let body = Bytes.create 8 in
+  Crypto_sim.Fnv.hash_int_into uid body 0;
+  { uid; src; dst; flow; size; proto; ttl; body; created = { f = clock.f };
     trace = 0; spans = { q_start = -1.0; tx_start = -1.0 } }
 
 let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   make_at ~clock:(Sim.clock sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
 
-(* Both boxes are copied: a branch that shared its original's [spans]
-   would close the other branch's queue and transmit windows. *)
+(* Every box is copied: a branch that shared its original's [spans]
+   would close the other branch's queue and transmit windows, and one
+   that shared its [body] would carry the other branch's modification. *)
 let clone t =
-  { t with created = { f = t.created.f };
+  { t with body = Bytes.copy t.body; created = { f = t.created.f };
     spans = { q_start = t.spans.q_start; tx_start = t.spans.tx_start } }
 
 (* Pool recycling: overwrite every field of a dead packet so the reused
-   record is indistinguishable from a fresh [make].  The times are
-   stored into the packet's float-only records, so only the int64
-   payload allocates. *)
+   record is indistinguishable from a fresh [make].  The payload is
+   hashed into the packet's own bytes and the times are stored into its
+   float-only records, so nothing allocates. *)
 let reinit p ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size proto =
   if size <= 0 then invalid_arg "Packet.reinit: size must be positive";
   p.uid <- uid;
@@ -55,23 +57,37 @@ let reinit p ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size proto =
   p.size <- size;
   p.proto <- proto;
   p.ttl <- initial_ttl;
-  p.payload <- Crypto_sim.Fnv.hash_int uid;
+  Crypto_sim.Fnv.hash_int_into uid p.body 0;
   p.created.f <- clock.f;
   p.trace <- 0;
   p.spans.q_start <- -1.0;
   p.spans.tx_start <- -1.0
 
+let payload p = Bytes.get_int64_le p.body 0
+let set_payload p w = Bytes.set_int64_le p.body 0 w
+let xor_payload p mask =
+  Bytes.set_int64_le p.body 0 (Int64.logxor (Bytes.get_int64_le p.body 0) mask)
+
 (* The fingerprinted words: uid, src, dst, flow, size, payload, then a
    protocol tag (Udp 0, Tcp 1, Ping 2, Pong 3) and its fields; Tcp's
-   last word is syn * 2 + fin.  test_crypto pins this wire format. *)
-let fingerprint key p =
+   last word is syn * 2 + fin.  test_crypto pins this wire format.  The
+   payload is hashed where it lies; with [out] empty the fingerprint is
+   returned, otherwise written at [off] of [out]. *)
+let digest key p out off =
   let h = Crypto_sim.Siphash.hash_fields in
   match p.proto with
-  | Udp -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:1 0 0 0 0
+  | Udp -> h key p.uid p.src p.dst p.flow p.size p.body 0 ~tail:1 0 0 0 0 out off
   | Tcp { seq; ack; syn; fin } ->
-      h key p.uid p.src p.dst p.flow p.size p.payload ~tail:4 1 seq ack
+      h key p.uid p.src p.dst p.flow p.size p.body 0 ~tail:4 1 seq ack
         ((if syn then 2 else 0) lor if fin then 1 else 0)
-  | Ping seq -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:2 2 seq 0 0
-  | Pong seq -> h key p.uid p.src p.dst p.flow p.size p.payload ~tail:2 3 seq 0 0
+        out off
+  | Ping seq -> h key p.uid p.src p.dst p.flow p.size p.body 0 ~tail:2 2 seq 0 0 out off
+  | Pong seq -> h key p.uid p.src p.dst p.flow p.size p.body 0 ~tail:2 3 seq 0 0 out off
+
+let fingerprint key p = digest key p Bytes.empty 0
+
+let fingerprint_into key p out off =
+  if off < 0 || off > Bytes.length out - 8 then invalid_arg "Packet.fingerprint_into";
+  ignore (digest key p out off : int64)
 
 let is_syn p = match p.proto with Tcp h -> h.syn | Udp | Ping _ | Pong _ -> false

@@ -25,8 +25,13 @@ type t = {
   mutable size : int;  (** total bytes on the wire *)
   mutable proto : proto;
   mutable ttl : int;   (** rewritten per hop; excluded from fingerprints *)
-  mutable payload : int64;  (** stand-in for payload bytes; a modification
-                                attack overwrites it *)
+  body : Bytes.t;
+      (** the payload: 8 bytes standing in for the packet's data, read
+          and written through {!payload}, {!set_payload} and
+          {!xor_payload} (little-endian).  They belong to the record:
+          the pool refills them in place when it recycles the packet,
+          a {!clone} gets its own copy, and a fingerprint reads them
+          where they lie, so no payload is ever boxed on the hop path *)
   created : Sim.fbox;
       (** origination time, [created.f]: the packet's own flat box,
           refilled when the pool recycles the record, so a time series
@@ -54,7 +59,7 @@ val make :
   sim:Sim.t ->
   src:int -> dst:int -> flow:int -> size:int -> ?ttl:int -> proto -> t
 (** Allocate a packet with a fresh uid ({!Sim.fresh_id}) and a
-    pseudo-random payload (so applications' packets are
+    pseudo-random payload ([Fnv.hash_int uid]) (so applications' packets are
     indistinguishable on the wire).  Raises [Invalid_argument] for a
     non-positive size. *)
 
@@ -72,8 +77,8 @@ val reinit :
   uid:int -> src:int -> dst:int -> flow:int -> size:int -> proto -> unit
 (** Overwrite every field of a dead packet so the record can be reused as
     if freshly {!make}d — the {!Pool} recycling step.  [clock.f] is
-    copied into [created] and the span windows are reset in place, so
-    the only allocation is the new [int64] payload (3 words).  All
+    copied into [created], the payload is hashed into [body] and the
+    span windows are reset in place, so nothing is allocated.  All
     identity fields are mutable only for this purpose: live packets
     must never be reinitialized.  Raises [Invalid_argument] for a
     non-positive size. *)
@@ -81,12 +86,32 @@ val reinit :
 val clone : t -> t
 (** An independent copy carrying the same identity (uid, payload, header)
     — multicast duplication (§7.4.3): the copies are the same packet to
-    any fingerprint, but mutate (TTL, span windows) independently per
-    branch: [created] and [spans] are copied, not shared. *)
+    any fingerprint, but mutate (TTL, payload, span windows)
+    independently per branch: [body], [created] and [spans] are copied,
+    not shared. *)
+
+val payload : t -> int64
+(** The payload as one word (boxed: for cold readers). *)
+
+val set_payload : t -> int64 -> unit
+(** Overwrite the payload. *)
+
+val xor_payload : t -> int64 -> unit
+(** [xor_payload p mask] flips the payload's bits under [mask] in place,
+    allocating nothing: a modification attack ({!Router.Modify}). *)
 
 val fingerprint : Crypto_sim.Siphash.key -> t -> int64
 (** Keyed fingerprint of the packet's invariant content (uid, addresses,
-    flow, size, protocol header, payload — not the TTL). *)
+    flow, size, protocol header, payload — not the TTL).  Allocates only
+    its boxed result (3 words). *)
+
+val fingerprint_into : Crypto_sim.Siphash.key -> t -> Bytes.t -> int -> unit
+(** [fingerprint_into key p buf off] writes [fingerprint key p]
+    native-endian into bytes [[off, off + 8)] of [buf] (read it back
+    with [Bytes.get_int64_ne]), allocating nothing: the hop path's
+    form.  The buffer is the caller's, so concurrent simulations share
+    no scratch.  Raises [Invalid_argument] if the 8 bytes are not within
+    [buf]. *)
 
 val is_syn : t -> bool
 (** True for TCP SYN segments (the target of attack 4 / attack 5). *)

@@ -1,7 +1,7 @@
 (* Packet freelist: dead packets come back through the entity [release]
    hooks and are recycled by the flow layer instead of being
-   re-allocated, so a steady-state run touches the minor heap only for
-   the recycled packet's new Int64 payload (3 words).
+   re-allocated, so a steady-state mint allocates nothing: the recycled
+   packet's payload is rehashed into its own bytes.
 
    Debug poison mode stamps released packets with a sentinel uid and a
    zero size; any later read of a recycled packet through a stale

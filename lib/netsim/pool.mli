@@ -32,7 +32,7 @@ val acquire :
   Packet.t
 (** A packet with the given content, created at [clock.f]: recycled from
     the freelist when one is available (via {!Packet.reinit}, which
-    allocates only the payload's 3 words), freshly allocated otherwise.
+    allocates nothing), freshly allocated otherwise.
     The time is read from the box: a float argument would be boxed at
     every mint. *)
 

@@ -209,8 +209,8 @@ let forward_one t ~prev ~next pkt =
             if t.observe land b_malicious_drop <> 0 then
               t.on_event Malicious_drop ~next pkt 0.0;
             t.release pkt
-        | Modify payload ->
-            pkt.Packet.payload <- payload;
+        | Modify mask ->
+            Packet.xor_payload pkt mask;
             if t.observe land b_malicious_modify <> 0 then
               t.on_event Malicious_modify ~next pkt 0.0;
             fragment_if_needed t ~next iface pkt

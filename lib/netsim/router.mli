@@ -28,7 +28,10 @@ type context = {
 type action =
   | Forward                 (** behave correctly *)
   | Drop                    (** maliciously discard (silent) *)
-  | Modify of int64         (** overwrite the payload, then forward *)
+  | Modify of int64
+      (** XOR the mask into the payload ({!Packet.xor_payload}), then
+          forward: a behavior can return one constant [Modify], so a
+          modified packet allocates nothing *)
   | Delay of float          (** hold for the given time, then forward *)
 
 type behavior = context -> Packet.t -> action
@@ -39,7 +42,7 @@ val honest : behavior
 type event =
   | Malicious_drop    (** discarded by the behavior hook *)
   | Fragmented        (** split at the MTU; the packet is the original *)
-  | Malicious_modify  (** payload overwritten, then forwarded *)
+  | Malicious_modify  (** payload altered, then forwarded *)
   | Malicious_delay   (** held by the behavior hook, then forwarded *)
   | Fabricated        (** made up by the router and enqueued *)
   | No_route          (** no next hop, or no interface toward it *)

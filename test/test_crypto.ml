@@ -77,7 +77,9 @@ let test_siphash_int64s_deterministic () =
   Alcotest.(check bool) "order matters" true (h1 <> h3);
   Alcotest.check_raises "tail outside [0,4]"
     (Invalid_argument "Siphash.hash_fields: tail outside [0,4]") (fun () ->
-      ignore (Siphash.hash_fields reference_key 1 2 3 4 5 6L ~tail:5 7 8 9 10))
+      ignore
+        (Siphash.hash_fields reference_key 1 2 3 4 5 (Bytes.make 8 '\006') 0 ~tail:5 7 8 9 10
+           Bytes.empty 0))
 
 let test_key_of_string_stable () =
   let k1 = Siphash.key_of_string "router-7" in
@@ -248,13 +250,61 @@ let prop_fingerprint_tuple =
       let clock = { Netsim.Sim.f = 0.0 } in
       let p = Netsim.Packet.make_at ~clock ~uid ~src ~dst ~flow ~size:1 proto in
       p.Netsim.Packet.size <- size;
-      p.Netsim.Packet.payload <- payload;
+      Netsim.Packet.set_payload p payload;
       let tuple =
         [ Int64.of_int uid; Int64.of_int src; Int64.of_int dst; Int64.of_int flow;
           Int64.of_int size; payload ]
         @ proto_words
       in
       Netsim.Packet.fingerprint reference_key p = Siphash.hash_int64s reference_key tuple)
+
+(* The hop path's in-place fingerprint is the fingerprint, for every
+   protocol, before and after a modification attack flips payload bits
+   ([Router.Modify] XORs its mask in with [Packet.xor_payload]), at any
+   offset of the caller's buffer. *)
+let prop_fingerprint_into =
+  QCheck.Test.make ~name:"Packet.fingerprint_into = Packet.fingerprint, before and after a Modify"
+    ~count:1000
+    QCheck.(triple (quad int int int int) (quad int int64 (int_bound 6) (pair int int))
+              (pair int64 (int_bound 16)))
+    (fun ((uid, src, dst, flow), (size, payload, kind, (seq, ack)), (mask, off)) ->
+      let proto =
+        match kind with
+        | 0 -> Netsim.Packet.Udp
+        | 5 -> Netsim.Packet.Ping seq
+        | 6 -> Netsim.Packet.Pong seq
+        | k -> Netsim.Packet.Tcp { seq; ack; syn = k > 2; fin = k mod 2 = 0 }
+      in
+      let p = Netsim.Packet.make_at ~clock:{ Netsim.Sim.f = 0.0 } ~uid ~src ~dst ~flow ~size:1 proto in
+      p.Netsim.Packet.size <- size;
+      Netsim.Packet.set_payload p payload;
+      let buf = Bytes.create 24 in
+      let agree () =
+        Netsim.Packet.fingerprint_into reference_key p buf off;
+        Bytes.get_int64_ne buf off = Netsim.Packet.fingerprint reference_key p
+      in
+      let before = agree () in
+      Netsim.Packet.xor_payload p mask;
+      before && agree () && Netsim.Packet.payload p = Int64.logxor payload mask)
+
+(* The adversary's coin was [u = (hash_int >>> 11) / 2^53] on the int64
+   hash; it now gets those 53 bits as an int.  Its draws decide every
+   attack's victims, so they must not move by one bit. *)
+let prop_coin_matches_int64_formula =
+  QCheck.Test.make ~name:"adversary coin = its int64 formula" ~count:1000
+    QCheck.(triple small_nat int (float_bound_inclusive 1.0))
+    (fun (seed, uid, fraction) ->
+      let key = Siphash.key_of_ints (Int64.of_int seed) 0xadfeL in
+      let bits = Int64.shift_right_logical (Siphash.hash_int key uid) 11 in
+      let drop = Int64.to_float bits /. 9.007199254740992e15 < fraction in
+      let clock = { Netsim.Sim.f = 0.0 } in
+      let ctx =
+        { Netsim.Router.clock; prev = 0; next_hop = 1; queue_occupancy = 0;
+          queue_limit = 64_000; red = None }
+      in
+      let pkt = Netsim.Packet.make_at ~clock ~uid ~src:0 ~dst:1 ~flow:0 ~size:1 Netsim.Packet.Udp in
+      Siphash.hash_int_bits key uid = Int64.to_int bits
+      && (Core.Adversary.drop_fraction ~seed fraction ctx pkt = Netsim.Router.Drop) = drop)
 
 let prop_sign_roundtrip =
   QCheck.Test.make ~name:"sign/verify roundtrip" ~count:200
@@ -434,6 +484,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_fnv_hash_int; prop_siphash_deterministic; prop_siphash_no_trivial_collision;
             prop_int64s_match_bytes; prop_hash_int_matches_int64s; prop_fingerprint_tuple;
-            prop_sign_roundtrip;
+            prop_fingerprint_into; prop_coin_matches_int64_formula; prop_sign_roundtrip;
             prop_sha256_deterministic; prop_sha256_matches_reference; prop_hmac_matches_reference;
             prop_hmac_key_sensitive ] ) ]

@@ -125,7 +125,7 @@ let test_fingerprint_ttl_invariant () =
   let before = Packet.fingerprint key pkt in
   pkt.Packet.ttl <- pkt.Packet.ttl - 3;
   Alcotest.(check int64) "hop-invariant" before (Packet.fingerprint key pkt);
-  pkt.Packet.payload <- 42L;
+  Packet.set_payload pkt 42L;
   Alcotest.(check bool) "payload-sensitive" true
     (not (Int64.equal before (Packet.fingerprint key pkt)))
 

@@ -333,17 +333,54 @@ let test_net_malicious_drop_counted () =
   Alcotest.(check bool) "some malicious drops" true (!malicious > 10);
   Alcotest.(check int) "conservation" (Flow.sent f) (!delivered + !malicious)
 
+(* [Modify] carries a mask the router XORs into the payload in place. *)
 let test_net_modification () =
   let net = line_net 3 in
   let got = ref [] in
-  Net.attach_app net ~node:2 (fun pkt -> got := pkt.Packet.payload :: !got);
+  Net.attach_app net ~node:2 (fun pkt -> got := Packet.payload pkt :: !got);
   Router.set_behavior (Net.router net 1) (fun ctx _ ->
       if ctx.Router.prev >= 0 then Router.Modify 0x6861636bL else Router.Forward);
-  Net.originate net (Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp);
+  let pkt = Packet.make ~sim:(Net.sim net) ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp in
+  let original = Packet.payload pkt in
+  Net.originate net pkt;
   Net.run net;
   match !got with
-  | [ payload ] -> Alcotest.(check int64) "payload overwritten" 0x6861636bL payload
+  | [ payload ] ->
+      Alcotest.(check int64) "payload overwritten" (Int64.logxor original 0x6861636bL) payload
   | _ -> Alcotest.fail "expected one delivery"
+
+(* --- Packets --- *)
+
+(* A clone owns its payload bytes: a modification on one multicast
+   branch never reaches another. *)
+let test_clone_payload_independent () =
+  let clock = { Sim.f = 0.0 } in
+  let p = Packet.make_at ~clock ~uid:9 ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp in
+  let original = Packet.payload p in
+  let c = Packet.clone p in
+  Alcotest.(check int64) "same payload" original (Packet.payload c);
+  Packet.xor_payload c 0xffL;
+  Alcotest.(check int64) "original untouched" original (Packet.payload p);
+  Alcotest.(check int64) "clone modified" (Int64.logxor original 0xffL) (Packet.payload c);
+  Packet.set_payload p 7L;
+  Alcotest.(check int64) "clone untouched" (Int64.logxor original 0xffL) (Packet.payload c)
+
+(* A recycled packet's payload is rehashed into its own bytes: whatever
+   a modification left there, the reused record reads as a fresh [make]
+   of the same uid, to a fingerprint too. *)
+let test_recycled_payload_fresh () =
+  let clock = { Sim.f = 0.0 } in
+  let pool = Pool.create () in
+  let p = Pool.acquire pool ~clock ~uid:5 ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp in
+  Packet.xor_payload p 0x6861636bL;
+  Pool.release pool p;
+  let r = Pool.acquire pool ~clock ~uid:77 ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp in
+  Alcotest.(check bool) "the record is reused" true (r == p);
+  let fresh = Packet.make_at ~clock ~uid:77 ~src:0 ~dst:2 ~flow:1 ~size:100 Packet.Udp in
+  Alcotest.(check int64) "payload" (Packet.payload fresh) (Packet.payload r);
+  Alcotest.(check int64) "Fnv.hash_int uid" (Crypto_sim.Fnv.hash_int 77) (Packet.payload r);
+  let key = Crypto_sim.Siphash.key_of_string "recycle" in
+  Alcotest.(check int64) "fingerprint" (Packet.fingerprint key fresh) (Packet.fingerprint key r)
 
 let test_net_ttl_expiry () =
   let net = line_net 5 in
@@ -982,7 +1019,7 @@ let run_scenario ~duration () =
         | Iface.Drop_link_down -> Printf.sprintf "ddown:%d" p.Packet.uid
         | Iface.Drop_corrupted -> Printf.sprintf "dcorr:%d" p.Packet.uid
         | Iface.Transmit_start -> Printf.sprintf "tx:%d" p.Packet.uid
-        | Iface.Delivered -> Printf.sprintf "dlv:%d:%Ld" p.Packet.uid p.Packet.payload
+        | Iface.Delivered -> Printf.sprintf "dlv:%d:%Ld" p.Packet.uid (Packet.payload p)
       in
       Buffer.add_string buf
         (Printf.sprintf "%.9f i %d>%d %s\n" ev.Net.clock.Sim.f ev.Net.router ev.Net.next tag));
@@ -1071,6 +1108,10 @@ let () =
           Alcotest.test_case "ping rtt" `Quick test_ping_rtt;
           Alcotest.test_case "ping loss" `Quick test_ping_loss;
           Alcotest.test_case "ping rejects a bad interval" `Quick test_ping_rejects_interval ] );
+      ( "packet",
+        [ Alcotest.test_case "clone payload independent" `Quick test_clone_payload_independent;
+          Alcotest.test_case "recycled payload = fresh payload" `Quick
+            test_recycled_payload_fresh ] );
       ( "probe",
         [ Alcotest.test_case "journal marks malice" `Quick test_probe_marks_malice;
           Alcotest.test_case "journal reads as the listeners heard" `Quick

@@ -394,6 +394,18 @@ let derived_agree (old : Old_summary.t array) flat =
            [ 0; 1; 2; 3 ])
     [ 0; 1; 2; 3 ]
 
+(* The summary buckets fingerprints by its own copy of [Hashtbl.hash],
+   which takes the fingerprint unboxed; bucket order decides Byz's
+   pruning, so the copy must agree bit for bit. *)
+let prop_summary_hash_matches_stdlib =
+  QCheck.Test.make ~name:"Summary.hash_fp = Hashtbl.hash" ~count:10_000
+    (QCheck.make ~print:Int64.to_string
+       QCheck.Gen.(
+         oneof
+           [ ui64; map Int64.of_int int;
+             oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 1L; 0xFFFF_FFFFL ] ]))
+    (fun fp -> Core.Summary.hash_fp fp = Hashtbl.hash fp)
+
 let prop_summary_matches_stdlib_model =
   QCheck.Test.make ~name:"flat summary = stdlib Hashtbl summary, order included" ~count:60
     summary_case
@@ -401,6 +413,7 @@ let prop_summary_matches_stdlib_model =
       let old = Array.init 4 (fun _ -> Old_summary.create policy) in
       let flat = Array.init 4 (fun _ -> Core.Summary.create policy) in
       let probes = ref [ 0L; -1L; Int64.max_int ] in
+      let buf = Bytes.create 16 in
       let all () =
         Array.for_all2 (summaries_agree !probes) old flat && derived_agree old flat
       in
@@ -410,7 +423,13 @@ let prop_summary_matches_stdlib_model =
           | Observe (i, fp, size, time) ->
               probes := fp :: !probes;
               Old_summary.observe old.(i) ~fp ~size ~time;
-              Core.Summary.observe flat.(i) ~fp ~size ~time;
+              (* Odd fingerprints take the in-place path the collector
+                 uses. *)
+              if Int64.logand fp 1L = 0L then Core.Summary.observe flat.(i) ~fp ~size ~time
+              else begin
+                Bytes.set_int64_ne buf 8 fp;
+                Core.Summary.observe_at flat.(i) buf 8 ~size ~clock:{ Netsim.Sim.f = time }
+              end;
               Old_summary.mem old.(i) fp = Core.Summary.mem flat.(i) fp
               && old.(i).Old_summary.packets = Core.Summary.packets flat.(i)
           | Remove (i, fp) ->
@@ -802,7 +821,8 @@ let () =
         List.map to_alco
           [ prop_tv_reflexive; prop_tv_missing_fabricated_swap;
             prop_tv_prev_matches_live_reference ] );
-      ("summary", List.map to_alco [ prop_summary_matches_stdlib_model ]);
+      ( "summary",
+        List.map to_alco [ prop_summary_matches_stdlib_model; prop_summary_hash_matches_stdlib ] );
       ("qmon", List.map to_alco [ prop_qmon_replay_matches_reference ]);
       ("reconcile", List.map to_alco [ prop_reconcile_fingerprints ]);
       ("ecmp", List.map to_alco [ prop_ecmp_paths_shortest ]);
