@@ -69,7 +69,7 @@ val deploy :
   router:int ->
   next:int ->
   ?config:config ->
-  ?predict:(Netsim.Packet.t -> int option) ->
+  ?predict:(Netsim.Packet.t -> int) ->
   ?skew:(reporter:int -> float) ->
   ?probe:Netsim.Probe.t ->
   ?ctrl:Ctrl.t ->
@@ -102,7 +102,7 @@ val rounds_degraded : t -> int
 (** Rounds whose departure report exhausted its [ctrl] retry budget
     (alarm suppressed, never an accusation). *)
 
-val set_predict : t -> (Netsim.Packet.t -> int option) -> unit
+val set_predict : t -> (Netsim.Packet.t -> int) -> unit
 (** Swap the monitor's forwarding prediction (call after a routing
     change; see {!Chi_fleet} with a response engine). *)
 

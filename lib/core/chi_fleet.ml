@@ -27,9 +27,9 @@ let deploy ~net ~rt ?(config = Chi.default_config) ?response () =
           List.iter
             (fun ((router, _), chi) ->
               Chi.set_predict chi (fun pkt ->
-                  if pkt.Netsim.Packet.dst = router then None
+                  if pkt.Netsim.Packet.dst = router then -1
                   else
-                    Topology.Policy.next_hop pol ~prev:None ~cur:router
+                    Topology.Policy.next_hop_id pol ~prev:(-1) ~cur:router
                       ~dst:pkt.Netsim.Packet.dst))
             monitors);
       (* Poll each monitor at its round cadence and feed fresh alarms to

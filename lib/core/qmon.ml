@@ -159,7 +159,7 @@ let occupancy v i =
 type t = {
   router : int;
   next : int;
-  mutable predict : Netsim.Packet.t -> int option;
+  mutable predict : Netsim.Packet.t -> int;
   pending_s : buf;  (* announced arrivals, in report order *)
   pending_d : buf;  (* departures, in time order *)
   round_s : buf;    (* the last drain's arrivals *)
@@ -183,14 +183,18 @@ let set_predict t p = t.predict <- p
 let set_calibrating t v = t.calibrating <- v
 
 let predict_of_routing rt ~router pkt =
-  if pkt.Netsim.Packet.dst = router then None
-  else Topology.Routing.next_hop rt router ~dst:pkt.Netsim.Packet.dst
+  if pkt.Netsim.Packet.dst = router then -1
+  else Topology.Routing.next_hop_id rt router ~dst:pkt.Netsim.Packet.dst
 
 let predict_of_ecmp ecmp ~router pkt =
-  if pkt.Netsim.Packet.dst = router then None
+  if pkt.Netsim.Packet.dst = router then -1
   else
-    Topology.Ecmp.next_hop ecmp router ~dst:pkt.Netsim.Packet.dst
-      ~flow:pkt.Netsim.Packet.flow
+    match
+      Topology.Ecmp.next_hop ecmp router ~dst:pkt.Netsim.Packet.dst
+        ~flow:pkt.Netsim.Packet.flow
+    with
+    | Some w -> w
+    | None -> -1
 
 (* The monitor listens to Q's own link ⟨r, rd⟩ and to r's in-links,
    nothing else: the rest of the network stays unobserved. *)
@@ -210,21 +214,20 @@ let attach ~net ~predict ~key ?skew ~router ~next () =
   let on_in_link (ev : Netsim.Net.iface_event) =
     let pkt = ev.pkt in
     match ev.kind with
-    | Netsim.Iface.Delivered when pkt.Netsim.Packet.dst <> router -> (
+    | Netsim.Iface.Delivered when pkt.Netsim.Packet.dst <> router ->
         (* An upstream neighbour watched this packet reach r; it enters
            Q iff r's (predictable) forwarding decision for it is
            [next]. *)
-        match t.predict pkt with
-        | Some n when n = next ->
-            let at =
-              match skew with
-              | None -> ev.clock
-              | Some skew ->
-                  t.skewed.f <- ev.clock.f +. skew ~reporter:ev.router;
-                  t.skewed
-            in
-            push t.pending_s ~key pkt ~at
-        | Some _ | None -> ())
+        if t.predict pkt = next then begin
+          let at =
+            match skew with
+            | None -> ev.clock
+            | Some skew ->
+                t.skewed.f <- ev.clock.f +. skew ~reporter:ev.router;
+                t.skewed
+          in
+          push t.pending_s ~key pkt ~at
+        end
     | _ -> ()
   in
   let on_queue (ev : Netsim.Net.iface_event) =

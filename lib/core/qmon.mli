@@ -50,7 +50,7 @@ type t
 
 val attach :
   net:Netsim.Net.t ->
-  predict:(Netsim.Packet.t -> int option) ->
+  predict:(Netsim.Packet.t -> int) ->
   key:Crypto_sim.Siphash.key ->
   ?skew:(reporter:int -> float) ->
   router:int ->
@@ -59,8 +59,10 @@ val attach :
   t
 (** Monitor the queue of [router]'s interface toward [next].  [predict]
     is the neighbours' model of [router]'s forwarding decision for a
-    packet (plain link-state: {!predict_of_routing}; under equal-cost
-    multipath: {!predict_of_ecmp} — §7.4.1).  [skew] models imperfect
+    packet: the next hop, or [-1] for none (plain link-state:
+    {!predict_of_routing}; under equal-cost multipath: {!predict_of_ecmp}
+    — §7.4.1).  It is asked once per packet delivered to [router] on an
+    in-link, so it should allocate nothing.  [skew] models imperfect
     clock synchronization (§7.3): each upstream reporter's timestamps
     are offset by [skew ~reporter] seconds (default none) — small skews
     are absorbed by χ's calibrated error, large ones break it (see the
@@ -70,17 +72,18 @@ val attach :
     link does not exist. *)
 
 val predict_of_routing :
-  Topology.Routing.t -> router:int -> Netsim.Packet.t -> int option
-(** Single-shortest-path prediction. *)
+  Topology.Routing.t -> router:int -> Netsim.Packet.t -> int
+(** Single-shortest-path prediction, a table lookup
+    ({!Topology.Routing.next_hop_id}) that allocates nothing. *)
 
 val predict_of_ecmp :
-  Topology.Ecmp.t -> router:int -> Netsim.Packet.t -> int option
+  Topology.Ecmp.t -> router:int -> Netsim.Packet.t -> int
 (** Flow-hash multipath prediction. *)
 
 val router : t -> int
 val next : t -> int
 
-val set_predict : t -> (Netsim.Packet.t -> int option) -> unit
+val set_predict : t -> (Netsim.Packet.t -> int) -> unit
 (** Swap the forwarding prediction (after a routing change the
     neighbours re-derive it from the new tables). *)
 

@@ -117,9 +117,12 @@ let observe ~rt ~segments ~adversary ?(packets_per_path = 20) ~round () =
                 | None -> ()
                 | Some summaries ->
                     for t = 0 to x - 1 do
+                      (* The closing terminal records what it received
+                         from the segment, as [Seg_index] does live. *)
+                      let from = if t = x - 1 && t > 0 then o + t - 1 else o + t in
                       List.iter
                         (fun fp -> Summary.observe summaries.(t) ~fp ~size ~time)
-                        forwarded.(o + t)
+                        forwarded.(from)
                     done
               done)
           sizes

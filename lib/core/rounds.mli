@@ -44,12 +44,16 @@ val hider : adversary -> adversary
     to conceal their drops: a compromised router at position [pos] claims
     to have forwarded exactly what its upstream neighbour sent
     ([truth.(pos - 1)]), pushing the visible discrepancy onto the
-    boundary with the first correct downstream router. *)
+    boundary with the first correct downstream router.  At a segment's
+    closing position this is a no-op: the closing terminal's truth is
+    already what it received, [truth.(last - 1)]. *)
 
 type observation = {
   round : int;
   (* Per monitored segment, the true per-position summaries: entry i is
-     what the i-th router of the segment forwarded along it. *)
+     what the i-th router of the segment forwarded along it, except the
+     last entry, which is what the closing terminal received from the
+     segment (what the router before it forwarded). *)
   truth : (Topology.Graph.node list * Summary.t array) list;
   dropped_by : (Topology.Graph.node * int) list;
       (** packets each router dropped or modified this round *)

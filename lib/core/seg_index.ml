@@ -1,4 +1,44 @@
-module Keys = Hashtbl.Make (Int)
+(* An open-addressed int -> int table over non-negative keys, kept at
+   most half full: keys.(j) = -1 marks a free slot. *)
+type table = { mutable keys : int array; mutable vals : int array; mutable size : int }
+
+let table count =
+  let cap = ref 16 in
+  while !cap < 2 * count do
+    cap := 2 * !cap
+  done;
+  { keys = Array.make !cap (-1); vals = Array.make !cap 0; size = 0 }
+
+(* The slot holding [k], or the free slot where it belongs. *)
+let slot keys k =
+  let mask = Array.length keys - 1 in
+  let m = k * 0x2545F4914F6CDD1D in
+  let j = ref ((m lxor (m lsr 32)) land mask) in
+  while keys.(!j) >= 0 && keys.(!j) <> k do
+    j := (!j + 1) land mask
+  done;
+  !j
+
+let find tbl k =
+  let j = slot tbl.keys k in
+  if tbl.keys.(j) = k then tbl.vals.(j) else -1
+
+let rec set tbl k v =
+  let j = slot tbl.keys k in
+  if tbl.keys.(j) = k then tbl.vals.(j) <- v
+  else if 2 * (tbl.size + 1) > Array.length tbl.keys then begin
+    let keys = tbl.keys and vals = tbl.vals in
+    tbl.keys <- Array.make (2 * Array.length keys) (-1);
+    tbl.vals <- Array.make (2 * Array.length keys) 0;
+    tbl.size <- 0;
+    Array.iteri (fun j k -> if k >= 0 then set tbl k vals.(j)) keys;
+    set tbl k v
+  end
+  else begin
+    tbl.keys.(j) <- k;
+    tbl.vals.(j) <- v;
+    tbl.size <- tbl.size + 1
+  end
 
 type route = { hops : int array; opens : int array; closes : int array }
 
@@ -29,10 +69,13 @@ type 'st t = {
   empty : Summary.t;
   (* Segment ⟨a, m, b⟩, keyed (a * n + m) * n + b -> its number;
      consulted only when a route is filled. *)
-  number : int Keys.t;
-  (* Directed link u -> v, keyed u * n + v -> numbers of the segments
-     having it as an edge. *)
-  links : int list Keys.t;
+  number : table;
+  (* The segments having directed link u -> v as an edge, as a chain of
+     edge entries: 2 i for segment i's first edge, 2 i + 1 for its
+     second.  [links] maps u * n + v to the link's first entry and
+     chain.(e) is the entry after e, -1 at the end. *)
+  links : table;
+  chain : int array;
   (* routes.(src).(dst): a source's row is [||] until the source's first
      packet in this routing generation, and a route [None] until first
      used. *)
@@ -45,27 +88,29 @@ let create ~rt ~key ~policy make =
   (* Segment i is the family's i-th: the order the deployments judge
      them in. *)
   let segments = Array.of_list (Topology.Segments.pik2_family rt ~k:1) in
-  let number = Keys.create (Array.length segments) and links = Keys.create 256 in
-  let add_link a b i =
-    let link = (a * n) + b in
-    Keys.replace links link (i :: Option.value (Keys.find_opt links link) ~default:[])
+  let count = Array.length segments in
+  let number = table count in
+  let links = table (Topology.Graph.link_count (Topology.Routing.graph rt)) in
+  let chain = Array.make (2 * count) (-1) in
+  let add_edge u v e =
+    chain.(e) <- find links ((u * n) + v);
+    set links ((u * n) + v) e
   in
   Array.iteri
     (fun i seg ->
       match seg with
       | [ a; m; b ] ->
-          Keys.replace number ((((a * n) + m) * n) + b) i;
-          add_link a m i;
-          add_link m b i
+          set number ((((a * n) + m) * n) + b) i;
+          add_edge a m (2 * i);
+          add_edge m b ((2 * i) + 1)
       | _ -> ())
     segments;
   let empty = Summary.create policy in
-  let count = Array.length segments in
   { n; segments; states = Array.map (fun _ -> make ()) segments;
     sent = Array.make count empty; received = Array.make count empty;
     prev_sent = Array.make count empty; prev_received = Array.make count empty;
     excused = Array.make count false;
-    key; fp = Bytes.create 8; policy; empty; number; links;
+    key; fp = Bytes.create 8; policy; empty; number; links; chain;
     routes = Array.make n [||];
     predict = (fun ~src ~dst -> Topology.Routing.path rt ~src ~dst) }
 
@@ -83,9 +128,7 @@ let fill t ~src ~dst =
   in
   let len = Array.length hops in
   let n = t.n in
-  let number a m b =
-    match Keys.find_opt t.number ((((a * n) + m) * n) + b) with Some i -> i | None -> -1
-  in
+  let number a m b = find t.number ((((a * n) + m) * n) + b) in
   let links = max 0 (len - 1) in
   { hops;
     opens =
@@ -115,11 +158,11 @@ let position r ~u ~v = scan r.hops u v 0
 let opens r i = if i < 0 then -1 else r.opens.(i)
 let closes r i = if i < 0 then -1 else r.closes.(i)
 
-let rec excuse excused = function
-  | [] -> ()
-  | i :: rest ->
-      excused.(i) <- true;
-      excuse excused rest
+let rec excuse t e =
+  if e >= 0 then begin
+    t.excused.(e / 2) <- true;
+    excuse t t.chain.(e)
+  end
 
 let observe t (ev : Netsim.Net.iface_event) =
   match ev.Netsim.Net.kind with
@@ -149,10 +192,7 @@ let observe t (ev : Netsim.Net.iface_event) =
   | Netsim.Iface.Drop_link_down ->
       (* An observable link failure on a segment edge excuses the
          segment's round. *)
-      let link = (ev.Netsim.Net.router * t.n) + ev.Netsim.Net.next in
-      (match Keys.find_opt t.links link with
-      | Some segs -> excuse t.excused segs
-      | None -> ());
+      excuse t (find t.links ((ev.Netsim.Net.router * t.n) + ev.Netsim.Net.next));
       Neither
   | _ -> Neither
 

@@ -12,7 +12,10 @@
     summaries.  Resolved routes are kept in one row per source, made on
     the source's first packet (no n² table), and a route's segments are
     found by an integer key, not a router list.  Link-down drops on a
-    segment edge mark the segment's round excused.
+    segment edge mark the segment's round excused.  Both lookups are
+    flat: open-addressed int tables from ⟨a, x, b⟩ to the segment's
+    number and from a link to a chain of the segments it is an edge of,
+    built once at {!create}.
 
     The collector owns every summary's lifetime.  Each slot starts as one
     shared, never-written empty placeholder and gets a summary of its

@@ -1,6 +1,5 @@
 (** Flat binary min-heap of event descriptors: the simulator's event
-    queue, and the priority queue of the shortest-path searches (a
-    search puts the node in the operand and the cost in the time).
+    queue.
 
     Each element is a full event descriptor — time, tie-break key, an
     8-bit event tag, a small non-negative int operand and two uniform

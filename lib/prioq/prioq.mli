@@ -1,5 +1,6 @@
-(** The library's one priority queue: the simulator's event heap, which
-    also runs shortest-path searches ([Topology.Dijkstra],
-    [Topology.Policy]).  See {!Evheap}. *)
+(** The simulator's event heap, and the simulator's only: the
+    shortest-path searches ([Topology.Dijkstra], [Topology.Policy]) run
+    on a heap of int pairs of their own ([Topology.Minheap]), with no
+    event time, key, tag or payload to carry.  See {!Evheap}. *)
 
 module Event : module type of Evheap

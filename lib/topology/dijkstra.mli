@@ -13,4 +13,4 @@ val unreachable : int
 val distances_to_all : Graph.adjacency -> int array array
 (** [(distances_to_all a).(dst).(v)] is the least cost from [v] to
     [dst], found by relaxing the predecessor rows: the orientation
-    hop-by-hop forwarding needs.  The n searches share one heap. *)
+    hop-by-hop forwarding needs.  The n searches share one {!Minheap}. *)

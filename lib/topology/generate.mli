@@ -12,7 +12,8 @@ val ispish :
   ?seed:int -> n:int -> duplex_links:int -> max_degree:int -> unit -> Graph.t
 (** A connected graph with [n] nodes and exactly [duplex_links] duplex
     links (2x directed links), grown by preferential attachment with a
-    degree cap.  Deterministic for a given [seed].  Raises
+    degree cap.  Deterministic for a given [seed].  Tracks adjacency in
+    an n×n byte matrix while it grows (n² bytes).  Raises
     [Invalid_argument] if the parameters are infeasible
     ([duplex_links < n - 1] or [duplex_links > n * max_degree / 2]). *)
 

@@ -1,5 +1,4 @@
 module Keys = Hashtbl.Make (Int)
-module Ev = Prioq.Event
 
 type t = {
   n : int;
@@ -15,17 +14,17 @@ type t = {
   (* The links of forbidden length-2 segments, by link id: no search
      enters one, so no path takes one. *)
   cut : bool array;
-  (* Banned transitions u -> v -> w, keyed by (u * n + v) * n + w. *)
+  (* Banned transitions u -> v -> w, keyed by (u * n + v) * n + w, and
+     whether any has its middle at v: the searches test the flag first,
+     so a router with no banned transition costs no table lookup. *)
   banned : unit Keys.t;
+  via : bool array;
   (* dist_cache.(dst) lazily holds, at link u -> v, the least cost from
      u to dst whose first hop is that link (so v continues with previous
      hop u). *)
   dist_cache : int array option array;
-  (* Every destination's search drains the one heap, popping into
-     [cursor]; [at] carries a pushed cost as the event time. *)
-  heap : Ev.t;
-  cursor : Ev.cursor;
-  at : Ev.fbox;
+  (* Every destination's search drains the one heap of (cost, link). *)
+  heap : Minheap.t;
 }
 
 let validate_segment g seg =
@@ -80,25 +79,29 @@ let compute g ~forbidden =
         s)
     adj.Graph.succ;
   let cut = Array.make off.(n) false and banned = Keys.create 16 in
+  let via = Array.make n false in
   List.iter
     (fun seg ->
       match seg with
       | [ a; b ] -> cut.(link_id adj off a b) <- true
       | _ ->
-          List.iter (fun (u, v, w) -> Keys.replace banned (key n u v w) ()) (triples seg))
+          List.iter
+            (fun (u, v, w) ->
+              Keys.replace banned (key n u v w) ();
+              via.(v) <- true)
+            (triples seg))
     forbidden;
-  { n; adj; off; link_src; link_dst; pred_link; cut; banned;
-    dist_cache = Array.make n None; heap = Ev.create (); cursor = Ev.cursor ();
-    at = { Ev.f = 0.0 } }
+  { n; adj; off; link_src; link_dst; pred_link; cut; banned; via;
+    dist_cache = Array.make n None; heap = Minheap.create n }
 
 let infinity_cost = max_int
 
-let is_banned t u v w = Keys.mem t.banned (key t.n u v w)
+let is_banned t u v w = t.via.(v) && Keys.mem t.banned (key t.n u v w)
 
-(* Backward Dijkstra over (prev, cur) states toward [dst]: the state,
-   the id of link prev -> cur, rides in the heap's operand and its cost
-   in the time.  A state is pushed again only with a strictly lower
-   cost, so an entry whose time is not the state's distance is stale. *)
+(* Backward Dijkstra over (prev, cur) states toward [dst]: a state is
+   the id of link prev -> cur.  A state is pushed again only with a
+   strictly lower cost, so an entry whose cost is not the state's
+   distance is stale. *)
 let state_distances t dst =
   match t.dist_cache.(dst) with
   | Some d -> d
@@ -109,9 +112,7 @@ let state_distances t dst =
       let relax state cand =
         if cand < dist.(state) && not t.cut.(state) then begin
           dist.(state) <- cand;
-          t.at.f <- float_of_int cand;
-          Ev.push_keyed t.heap ~at:t.at ~key:(Ev.reserve t.heap) ~tag:0 ~iarg:state Ev.nil
-            Ev.nil
+          Minheap.push t.heap cand state
         end
       in
       (* Entry states: the last link into dst. *)
@@ -119,11 +120,11 @@ let state_distances t dst =
       for i = 0 to Array.length ld - 1 do
         relax ld.(i) cd.(i)
       done;
-      let c = t.cursor in
-      while Ev.pop t.heap ~until:infinity ~strict:false c do
-        let state = c.iarg in
-        let d = dist.(state) in
-        if int_of_float c.time.f = d then begin
+      let heap = t.heap in
+      while not (Minheap.is_empty heap) do
+        let d = Minheap.top_cost heap and state = Minheap.top_value heap in
+        Minheap.pop heap;
+        if d = dist.(state) then begin
           let v = t.link_src.(state) and w = t.link_dst.(state) in
           (* Prepend each link u -> v for which the transition
              u -> v -> w is allowed. *)

@@ -20,9 +20,11 @@
     policy-respecting cost to the destination that starts with it.  The
     build is a backward Dijkstra over links that relaxes only the
     predecessors of each popped link: O(E·deg) relaxations (each a heap
-    push) and one word per directed link per destination.  Every
-    destination's search drains the one event heap ([Prioq.Event]) its
-    [t] keeps, so a [t] is not thread-safe.  Once a destination's table
+    push) and one word per directed link per destination.  A relaxation
+    looks a transition up in the banned table only when some banned
+    transition passes through its middle router.  Every destination's
+    search drains the one {!Minheap} of (cost, link) its [t] keeps, so a
+    [t] is not thread-safe.  Once a destination's table
     exists, {!next_hop_id} scans the router's successor row and allocates
     nothing. *)
 

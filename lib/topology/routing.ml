@@ -9,27 +9,29 @@ type t = {
 }
 
 (* Neighbors are in ascending order, so the first optimal one is the
-   deterministic choice shared by all routers. *)
-let first_optimal succ cost dist v =
-  let rec scan i =
-    if i = Array.length succ then -1
-    else
-      let w = succ.(i) in
-      if dist.(w) <> Dijkstra.unreachable && cost.(i) + dist.(w) = dist.(v) then w
-      else scan (i + 1)
-  in
-  scan 0
+   deterministic choice shared by all routers.  Top level, so the scan
+   builds no closure per (destination, router) pair. *)
+let rec first_optimal succ cost dist dv i =
+  if i = Array.length succ then -1
+  else
+    let w = succ.(i) in
+    if dist.(w) <> Dijkstra.unreachable && cost.(i) + dist.(w) = dv then w
+    else first_optimal succ cost dist dv (i + 1)
 
 let compute graph =
   let n = Graph.size graph in
   let adj = Graph.adjacency graph in
   let dist_to = Dijkstra.distances_to_all adj in
   let nh =
-    Array.init n (fun dst ->
-        let dist = dist_to.(dst) in
-        Array.init n (fun v ->
-            if v = dst || dist.(v) = Dijkstra.unreachable then -1
-            else first_optimal adj.Graph.succ.(v) adj.Graph.succ_cost.(v) dist v))
+    Array.mapi
+      (fun dst dist ->
+        let row = Array.make n (-1) in
+        for v = 0 to n - 1 do
+          if v <> dst && dist.(v) <> Dijkstra.unreachable then
+            row.(v) <- first_optimal adj.Graph.succ.(v) adj.Graph.succ_cost.(v) dist dist.(v) 0
+        done;
+        row)
+      dist_to
   in
   { graph; dist_to; nh }
 

@@ -7,29 +7,102 @@ let windows xs x =
   if n < x then []
   else List.init (n - x + 1) (fun i -> Array.to_list (Array.sub arr i x))
 
-module Seen = Hashtbl.Make (Int)
+(* The distinct windows found so far, back to back in [store] in
+   first-occurrence order, each as its routers and then its width.
+   [slots] is an open-addressed table of pairs: slots.(2 j) is the place
+   of slot j's window, the index of its width in the store (-1 for a
+   free slot), and slots.(2 j + 1) its hash.  It is probed linearly from
+   a window's hash and kept at most half full; a probe whose hash
+   matches compares the window in place, so a lookup reads one pair and
+   one stored window. *)
+type table = {
+  mutable store : int array;
+  mutable used : int;
+  mutable count : int;
+  mutable slots : int array;
+}
+
+let fresh_slots cap = Array.init (2 * cap) (fun j -> if j land 1 = 0 then -1 else 0)
+
+(* The low bits pick the slot, so fold the high bits of the product
+   into them. *)
+let slot_of h mask =
+  let m = h * 0x2545F4914F6CDD1D in
+  (m lxor (m lsr 32)) land mask
+
+let rec same (store : int array) at (path : int array) i x j =
+  j = x || (store.(at + j) = path.(i + j) && same store at path i x (j + 1))
+
+(* The slot holding window path.(i) .. path.(i + x - 1), whose hash is
+   [h], or the free slot where it belongs. *)
+let rec probe slots store path i x h j mask =
+  let place = slots.(2 * j) in
+  if place < 0
+     || (slots.((2 * j) + 1) = h && store.(place) = x && same store (place - x) path i x 0)
+  then j
+  else probe slots store path i x h ((j + 1) land mask) mask
+
+let rehash t =
+  let old = t.slots in
+  let cap = Array.length old in
+  let slots = fresh_slots cap and mask = cap - 1 in
+  for k = 0 to (cap / 2) - 1 do
+    if old.(2 * k) >= 0 then begin
+      let j = ref (slot_of old.((2 * k) + 1) mask) in
+      while slots.(2 * !j) >= 0 do
+        j := (!j + 1) land mask
+      done;
+      slots.(2 * !j) <- old.(2 * k);
+      slots.((2 * !j) + 1) <- old.((2 * k) + 1)
+    end
+  done;
+  t.slots <- slots
+
+(* Add window path.(i) .. path.(i + x - 1) unless the store has it. *)
+let add t path i x =
+  let h = ref x in
+  for j = i to i + x - 1 do
+    h := (!h * 1_000_003) + path.(j)
+  done;
+  let h = !h in
+  let mask = (Array.length t.slots / 2) - 1 in
+  let j = probe t.slots t.store path i x h (slot_of h mask) mask in
+  if t.slots.(2 * j) < 0 then begin
+    let at = t.used in
+    if at + x + 1 > Array.length t.store then begin
+      let store = Array.make (2 * (at + x + 1)) 0 in
+      Array.blit t.store 0 store 0 at;
+      t.store <- store
+    end;
+    Array.blit path i t.store at x;
+    t.store.(at + x) <- x;
+    t.used <- at + x + 1;
+    t.slots.(2 * j) <- at + x;
+    t.slots.((2 * j) + 1) <- h;
+    t.count <- t.count + 1;
+    if 4 * t.count > Array.length t.slots then rehash t
+  end
 
 (* The one enumeration behind both families: every routed path, src-major
-   then dst, is walked hop by hop into one reusable buffer, and [widths]
-   gives the range of window widths to keep of a path of that many
-   routers (a segment has at least 3); each is taken offset by offset.  A window is deduplicated on an integer
-   hash of (width, its routers) with the colliding windows compared in
-   place, so only a window's first occurrence builds its list, and the
-   family comes out in first-occurrence order. *)
-let walk rt ~widths =
-  let n = Graph.size (Routing.graph rt) in
+   then dst, is walked hop by hop into one reusable buffer, and its
+   windows of widths [lo] to [hi] are kept, each clipped to the path's
+   length (a segment has at least 3 routers); each is taken offset by offset
+   into the table, and the family's lists are built only at the end,
+   from the store's last window back.  The table starts with 1.5 slots
+   for each 3-window the degrees allow (a router of degree d is the
+   middle of at most d (d - 1) of them in a duplex graph; Sprintlink's
+   17,976 bound its 14,882, EBONE's 1,452 its 1,192), so the k = 1
+   family seldom doubles it. *)
+let walk rt ~lo ~hi =
+  let g = Routing.graph rt in
+  let n = Graph.size g in
   let path = Array.make n 0 in
-  let seen = Seen.create (16 * n) in
-  let family = ref [] in
-  (* Whether a chain is the window path.(i) .. path.(stop - 1). *)
-  let rec same i stop = function
-    | [] -> i = stop
-    | r :: rest -> i < stop && r = path.(i) && same (i + 1) stop rest
-  in
-  let rec known i stop = function
-    | [] -> false
-    | seg :: rest -> same i stop seg || known i stop rest
-  in
+  let bound = Array.fold_left (fun acc d -> acc + (d * (d - 1))) 0 (Graph.degrees g) in
+  let cap = ref 16 in
+  while !cap < bound + (bound / 2) do
+    cap := 2 * !cap
+  done;
+  let t = { store = Array.make (2 * !cap) 0; used = 0; count = 0; slots = fresh_slots !cap } in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then begin
@@ -45,35 +118,35 @@ let walk rt ~widths =
             incr len
           end
         done;
-        let lo, hi = widths !len in
-        for x = max 3 lo to hi do
+        for x = max 3 (min lo !len) to min hi !len do
           for i = 0 to !len - x do
-            let h = ref x in
-            for j = i to i + x - 1 do
-              h := (!h * 1_000_003) + path.(j)
-            done;
-            let bucket = try Seen.find seen !h with Not_found -> [] in
-            if not (known i (i + x) bucket) then begin
-              let seg = Array.to_list (Array.sub path i x) in
-              Seen.replace seen !h (seg :: bucket);
-              family := seg :: !family
-            end
+            add t path i x
           done
         done
       end
     done
   done;
-  List.rev !family
+  let family = ref [] and at = ref t.used in
+  while !at > 0 do
+    let x = t.store.(!at - 1) in
+    let seg = ref [] in
+    for j = !at - 2 downto !at - 1 - x do
+      seg := t.store.(j) :: !seg
+    done;
+    family := !seg :: !family;
+    at := !at - 1 - x
+  done;
+  !family
 
 let pi2_family rt ~k =
   if k < 1 then invalid_arg "Segments.pi2_family: k must be >= 1";
   (* A path shorter than k+2 routers is monitored whole: both ends
      terminal. *)
-  walk rt ~widths:(fun len -> (min len (k + 2), min len (k + 2)))
+  walk rt ~lo:(k + 2) ~hi:(k + 2)
 
 let pik2_family rt ~k =
   if k < 1 then invalid_arg "Segments.pik2_family: k must be >= 1";
-  walk rt ~widths:(fun _ -> (3, k + 2))
+  walk rt ~lo:3 ~hi:(k + 2)
 
 let group_by_router ~n ~members family =
   let pr = Array.make n [] in

@@ -17,7 +17,15 @@
     src-major, then dst (as {!Routing.all_routed_paths} lists them),
     and within a path by width ascending, then offset ascending.  The
     live deployments number their segments in this order, which orders
-    the verdicts they raise at one instant. *)
+    the verdicts they raise at one instant.
+
+    {b Deduplication.}  The walk stores each distinct window once, back
+    to back in one int array, and finds it again through an
+    open-addressed table of (place, hash) int pairs, comparing a window
+    whose hash matches in place; no list is built until the family is
+    returned.  The table is sized from the 3-windows the degrees allow
+    and doubles as it fills; the k = 1 families of the Sprintlink and
+    EBONE shapes are found without a doubling. *)
 
 type segment = Graph.node list
 (** A path-segment as its router chain (length >= 2). *)

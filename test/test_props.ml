@@ -514,7 +514,7 @@ let prop_qmon_replay_matches_reference =
       let g = Topology.Generate.line ~n:2 in
       let net = Net.create ~jitter_bound:0.0 g in
       let qmon =
-        Core.Qmon.attach ~net ~predict:(fun _ -> None)
+        Core.Qmon.attach ~net ~predict:(fun _ -> -1)
           ~key:(Crypto_sim.Siphash.key_of_string "replay") ~router:0 ~next:1 ()
       in
       let carry = ref [] in

@@ -137,6 +137,22 @@ let test_pik2_detects_dropper () =
       Alcotest.(check bool) "contains dropper" true (List.mem 2 s))
     segs
 
+(* A segment's closing terminal reports what it received from the
+   segment, not what it forwarded on.  Reading the latter put router 5's
+   own drops between ⟨a, m, 5⟩'s terminals, so the abstract round raised
+   the three segments that close at the dropper, which the live Fatih
+   collector ([Seg_index]) never raises. *)
+let test_pik2_closing_terminal_reads_received () =
+  let rt = Rt.compute (Gen.waxman ~seed:30 ~n:7 ()) in
+  let segs = Pik2.detect_round ~rt ~k:1 ~adversary:(Rounds.dropper [ 5 ]) ~round:1 () in
+  Alcotest.(check bool) "the dropper is caught" true (List.exists (List.mem 5) segs);
+  List.iter
+    (fun seg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "<%s> not raised" (String.concat "," (List.map string_of_int seg)))
+        false (List.mem seg segs))
+    [ [ 0; 3; 5 ]; [ 2; 1; 5 ]; [ 6; 3; 5 ] ]
+
 let test_pik2_blocked_exchange_is_suspected () =
   let rt = Rt.compute (Gen.line ~n:5) in
   let adversary =
@@ -146,9 +162,9 @@ let test_pik2_blocked_exchange_is_suspected () =
   Alcotest.(check bool) "timeout detected" true (List.exists (List.mem 2) segs)
 
 let test_pik2_faulty_end_cannot_hide_globally () =
-  (* k = 2, faulty pair {2,3}: segment ⟨1,2,3⟩ has faulty end 3 which
-     echoes to hide, but ⟨1,2,3,4⟩ has correct ends 1,4 and exposes the
-     drops. *)
+  (* k = 2, faulty pair {2,3}, both dropping and hiding: whatever the
+     faulty ends of ⟨2,3,4⟩ or ⟨1,2,3⟩ report, ⟨1,2,3,4⟩ has correct
+     ends 1,4 and exposes the drops. *)
   let g = Gen.line ~n:6 in
   let rt = Rt.compute g in
   let adversary = Rounds.hider (Rounds.dropper [ 2; 3 ]) in
@@ -372,6 +388,8 @@ let () =
       ( "pik2",
         [ Alcotest.test_case "clean" `Quick test_pik2_clean_no_suspicion;
           Alcotest.test_case "dropper" `Quick test_pik2_detects_dropper;
+          Alcotest.test_case "closing terminal reads received" `Quick
+            test_pik2_closing_terminal_reads_received;
           Alcotest.test_case "blocked exchange" `Quick test_pik2_blocked_exchange_is_suspected;
           Alcotest.test_case "faulty end" `Quick test_pik2_faulty_end_cannot_hide_globally;
           Alcotest.test_case "sampling" `Quick test_pik2_sampling_still_detects_full_drop;

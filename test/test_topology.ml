@@ -328,6 +328,30 @@ let test_generate_sprintlink_shape () =
 
 let test_generate_ebone_shape () = check_ispish (Generate.ebone_like ()) ~n:87 ~links:161 ~cap:11
 
+(* The Sprintlink shape and its link-state tables, pinned: the links in
+   [Graph.links] order with every attribute, and every router's next
+   hop toward every destination.  Fatih's and the forwarding plane's
+   ISP-scale rows, and Figures 5.2/5.4, are built on these. *)
+let test_sprintlink_pinned () =
+  let g = Generate.sprintlink_like () in
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (l : Graph.link) ->
+      Printf.bprintf b "%d %d %d %h %h;" l.Graph.src l.Graph.dst l.Graph.cost l.Graph.bw
+        l.Graph.delay)
+    (Graph.links g);
+  Alcotest.(check string) "links md5" "6b5a4dcad33fc317a88dd5f789a2c5cc"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  let rt = Routing.compute g in
+  Buffer.clear b;
+  for dst = 0 to Graph.size g - 1 do
+    for v = 0 to Graph.size g - 1 do
+      Printf.bprintf b "%d," (Routing.next_hop_id rt v ~dst)
+    done
+  done;
+  Alcotest.(check string) "next-hop table md5" "1b80377327b0b54833b8705235755b60"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_generate_deterministic () =
   let a = Generate.ispish ~seed:5 ~n:30 ~duplex_links:60 ~max_degree:10 () in
   let b = Generate.ispish ~seed:5 ~n:30 ~duplex_links:60 ~max_degree:10 () in
@@ -742,6 +766,98 @@ let prop_routing_matches_reference =
           Array.for_all Fun.id (Array.mapi (fun v w -> Routing.next_hop_id rt v ~dst = w) want))
         (List.init (Graph.size g) Fun.id))
 
+(* The searches against a reference that shares no code with them, on
+   costs that decide (1..50 per directed link) and on graphs with some
+   directed links removed, so that some routers cannot reach others:
+   Sprintlink's unit costs and full connectivity exercise neither. *)
+let search_case =
+  QCheck.make
+    ~print:(fun (grid, seed) -> Printf.sprintf "%s seed %d" (if grid then "grid" else "waxman") seed)
+    QCheck.Gen.(pair bool (int_bound 1_000_000))
+
+let search_graph (grid, seed) =
+  let rng = Random.State.make [| seed; 50 |] in
+  let g =
+    if grid then
+      Generate.grid ~rows:(1 + Random.State.int rng 4) ~cols:(2 + Random.State.int rng 4)
+    else Generate.waxman ~seed ~n:(2 + Random.State.int rng 14) ()
+  in
+  List.iter
+    (fun (l : Graph.link) ->
+      if Random.State.int rng 6 = 0 then Graph.remove_link g l.Graph.src l.Graph.dst
+      else
+        Graph.add_link g ~cost:(1 + Random.State.int rng 50) ~bw:l.Graph.bw
+          ~delay:l.Graph.delay l.Graph.src l.Graph.dst)
+    (List.sort compare (Graph.links g));
+  (g, rng)
+
+(* Floyd–Warshall: fw.(v).(d) is the least cost from v to d, [max_int]
+   when d is unreachable. *)
+let floyd_warshall g =
+  let n = Graph.size g in
+  let fw = Array.make_matrix n n max_int in
+  for v = 0 to n - 1 do
+    fw.(v).(v) <- 0
+  done;
+  List.iter (fun (l : Graph.link) -> fw.(l.Graph.src).(l.Graph.dst) <- l.Graph.cost) (Graph.links g);
+  for m = 0 to n - 1 do
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        if fw.(a).(m) <> max_int && fw.(m).(b) <> max_int && fw.(a).(m) + fw.(m).(b) < fw.(a).(b)
+        then fw.(a).(b) <- fw.(a).(m) + fw.(m).(b)
+      done
+    done
+  done;
+  fw
+
+let prop_searches_match_floyd_warshall =
+  QCheck.Test.make ~name:"dijkstra and routing next hops = floyd-warshall" ~count:200
+    search_case (fun case ->
+      let g, _ = search_graph case in
+      let n = Graph.size g in
+      let fw = floyd_warshall g in
+      let dist = Dijkstra.distances_to_all (Graph.adjacency g) in
+      let rt = Routing.compute g in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        for v = 0 to n - 1 do
+          (* The first neighbour, ascending, on a least-cost path. *)
+          let want =
+            if v = dst || fw.(v).(dst) = max_int then -1
+            else
+              List.find
+                (fun w ->
+                  fw.(w).(dst) <> max_int
+                  && (Graph.link_exn g v w).Graph.cost + fw.(w).(dst) = fw.(v).(dst))
+                (Graph.out_neighbors g v)
+          in
+          if dist.(dst).(v) <> fw.(v).(dst) || Routing.next_hop_id rt v ~dst <> want then
+            ok := false
+        done
+      done;
+      !ok)
+
+let prop_policy_matches_reference_on_costs =
+  QCheck.Test.make ~name:"policy next hop = reference, costs 1..50 and cut links" ~count:200
+    search_case (fun case ->
+      let g, rng = search_graph case in
+      let forbidden = random_segments g rng in
+      let pol = Policy.compute g ~forbidden and oracle = Ref_policy.compute g ~forbidden in
+      let n = Graph.size g in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        for cur = 0 to n - 1 do
+          for prev = -1 to n - 1 do
+            let want =
+              Ref_policy.next_hop oracle ~prev:(if prev < 0 then None else Some prev) ~cur ~dst
+            in
+            if Policy.next_hop_id pol ~prev ~cur ~dst <> Option.value want ~default:(-1) then
+              ok := false
+          done
+        done
+      done;
+      !ok)
+
 (* The list-windows oracle for both families: the windows each family
    keeps of every routed path, in [Routing.all_routed_paths] order
    (src-major, then dst), widths ascending, offsets ascending, first
@@ -765,12 +881,29 @@ let families_match rt k =
   Segments.pi2_family rt ~k = ref_pi2_family rt ~k
   && Segments.pik2_family rt ~k = ref_pik2_family rt ~k
 
+(* Graphs of 2 to 12 routers, half the time with costs 1..3 and some
+   directed links removed: the walk's window table starts at its
+   smallest size there and doubles as the wider windows of k = 2..4
+   fill it. *)
 let prop_families_match_reference =
-  QCheck.Test.make ~name:"families = list-windows reference" ~count:40 route_case
-    (fun case ->
-      let g, _ = case_graph case in
+  QCheck.Test.make ~name:"families = list-windows reference" ~count:100 route_case
+    (fun (grid, seed) ->
+      let rng = Random.State.make [| seed; 12 |] in
+      let g =
+        if grid then
+          Generate.grid ~rows:(1 + Random.State.int rng 3) ~cols:(2 + Random.State.int rng 3)
+        else Generate.waxman ~seed ~n:(2 + Random.State.int rng 11) ()
+      in
+      if Random.State.bool rng then
+        List.iter
+          (fun (l : Graph.link) ->
+            if Random.State.int rng 8 = 0 then Graph.remove_link g l.Graph.src l.Graph.dst
+            else
+              Graph.add_link g ~cost:(1 + Random.State.int rng 3) ~bw:l.Graph.bw
+                ~delay:l.Graph.delay l.Graph.src l.Graph.dst)
+          (List.sort compare (Graph.links g));
       let rt = Routing.compute g in
-      List.for_all (families_match rt) [ 1; 2; 3 ])
+      List.for_all (families_match rt) [ 1; 2; 3; 4 ])
 
 let test_families_grid8x8 () =
   let rt = Routing.compute (Generate.grid ~rows:8 ~cols:8) in
@@ -833,6 +966,8 @@ let () =
         [ Alcotest.test_case "line ring grid" `Quick test_generate_line_ring_grid;
           Alcotest.test_case "sprintlink shape" `Slow test_generate_sprintlink_shape;
           Alcotest.test_case "ebone shape" `Quick test_generate_ebone_shape;
+          Alcotest.test_case "sprintlink links and next hops pinned" `Quick
+            test_sprintlink_pinned;
           Alcotest.test_case "deterministic" `Quick test_generate_deterministic;
           Alcotest.test_case "waxman" `Quick test_generate_waxman;
           Alcotest.test_case "infeasible" `Quick test_generate_infeasible ] );
@@ -852,4 +987,5 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_routing_paths_consistent; prop_segments_are_subpaths;
             prop_policy_avoids_forbidden; prop_policy_matches_reference;
-            prop_routing_matches_reference; prop_families_match_reference ] ) ]
+            prop_routing_matches_reference; prop_families_match_reference;
+            prop_searches_match_floyd_warshall; prop_policy_matches_reference_on_costs ] ) ]
