@@ -189,12 +189,8 @@ let predict_of_routing rt ~router pkt =
 let predict_of_ecmp ecmp ~router pkt =
   if pkt.Netsim.Packet.dst = router then -1
   else
-    match
-      Topology.Ecmp.next_hop ecmp router ~dst:pkt.Netsim.Packet.dst
-        ~flow:pkt.Netsim.Packet.flow
-    with
-    | Some w -> w
-    | None -> -1
+    Topology.Ecmp.next_hop_id ecmp router ~dst:pkt.Netsim.Packet.dst
+      ~flow:pkt.Netsim.Packet.flow
 
 (* The monitor listens to Q's own link ⟨r, rd⟩ and to r's in-links,
    nothing else: the rest of the network stays unobserved. *)

@@ -244,11 +244,7 @@ let use_policy t pol =
 
 let use_ecmp t ecmp =
   use_lookup t (fun ~prev:_ ~cur pkt ->
-      match
-        Topology.Ecmp.next_hop ecmp cur ~dst:pkt.Packet.dst ~flow:pkt.Packet.flow
-      with
-      | Some next -> next
-      | None -> -1)
+      Topology.Ecmp.next_hop_id ecmp cur ~dst:pkt.Packet.dst ~flow:pkt.Packet.flow)
 
 let add_multicast_route t ~router ~group ~next_hops ~local =
   Router.add_multicast_route t.routers.(router) ~group ~next_hops ~local

@@ -1,6 +1,7 @@
 (** The simulator's event heap, and the simulator's only: the
     shortest-path searches ([Topology.Dijkstra], [Topology.Policy]) run
-    on a heap of int pairs of their own ([Topology.Minheap]), with no
-    event time, key, tag or payload to carry.  See {!Evheap}. *)
+    on a monotone radix heap of int pairs of their own
+    ([Topology.Radixheap]), with no event time, key, tag or payload to
+    carry.  See {!Evheap}. *)
 
 module Event : module type of Evheap

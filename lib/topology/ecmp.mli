@@ -12,16 +12,25 @@
 type t
 
 val compute : Graph.t -> t
-(** Build ECMP state.  The hash is one deterministic integer mixer,
-    shared by every router in the network — that is what makes paths
-    predictable (§4.1). *)
+(** Build ECMP state: one {!Dijkstra.iter} search per destination,
+    whose distances give every (destination, router)'s ascending
+    candidate list, stored once in one flat row of ids with an offset
+    per row.  The hash is one
+    deterministic integer mixer, shared by every router in the network
+    — that is what makes paths predictable (§4.1). *)
 
 val candidates : t -> Graph.node -> dst:Graph.node -> Graph.node list
 (** The equal-cost next hops (ascending), empty when unreachable or
-    already at the destination. *)
+    already at the destination.  Raises [Invalid_argument] on a node
+    out of range, as do the functions below. *)
+
+val next_hop_id : t -> Graph.node -> dst:Graph.node -> flow:int -> Graph.node
+(** The hash-selected next hop for a flow, or [-1] when there is none:
+    a read of the stored row that allocates nothing, the per-packet
+    path of ECMP forwarding and of {!Core.Qmon}'s predictions. *)
 
 val next_hop : t -> Graph.node -> dst:Graph.node -> flow:int -> Graph.node option
-(** The hash-selected next hop for a flow. *)
+(** {!next_hop_id} as an option. *)
 
 val path : t -> src:Graph.node -> dst:Graph.node -> flow:int -> Graph.node list option
 (** The full hop-by-hop path the flow's packets follow. *)

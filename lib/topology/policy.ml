@@ -24,7 +24,7 @@ type t = {
      hop u). *)
   dist_cache : int array option array;
   (* Every destination's search drains the one heap of (cost, link). *)
-  heap : Minheap.t;
+  heap : Radixheap.t;
 }
 
 let validate_segment g seg =
@@ -92,7 +92,7 @@ let compute g ~forbidden =
             (triples seg))
     forbidden;
   { n; adj; off; link_src; link_dst; pred_link; cut; banned; via;
-    dist_cache = Array.make n None; heap = Minheap.create n }
+    dist_cache = Array.make n None; heap = Radixheap.create n }
 
 let infinity_cost = max_int
 
@@ -112,7 +112,7 @@ let state_distances t dst =
       let relax state cand =
         if cand < dist.(state) && not t.cut.(state) then begin
           dist.(state) <- cand;
-          Minheap.push t.heap cand state
+          Radixheap.push t.heap cand state
         end
       in
       (* Entry states: the last link into dst. *)
@@ -121,18 +121,22 @@ let state_distances t dst =
         relax ld.(i) cd.(i)
       done;
       let heap = t.heap in
-      while not (Minheap.is_empty heap) do
-        let d = Minheap.top_cost heap and state = Minheap.top_value heap in
-        Minheap.pop heap;
-        if d = dist.(state) then begin
-          let v = t.link_src.(state) and w = t.link_dst.(state) in
-          (* Prepend each link u -> v for which the transition
-             u -> v -> w is allowed. *)
-          let pv = pred.(v) and cv = pred_cost.(v) and lv = pred_link.(v) in
-          for i = 0 to Array.length pv - 1 do
-            if not (is_banned t pv.(i) v w) then relax lv.(i) (cv.(i) + d)
-          done
-        end
+      let len = ref (Radixheap.next_level heap) in
+      while !len > 0 do
+        let d = Radixheap.last heap and level = Radixheap.level heap in
+        for j = 0 to !len - 1 do
+          let state = level.((2 * j) + 1) in
+          if d = dist.(state) then begin
+            let v = t.link_src.(state) and w = t.link_dst.(state) in
+            (* Prepend each link u -> v for which the transition
+               u -> v -> w is allowed. *)
+            let pv = pred.(v) and cv = pred_cost.(v) and lv = pred_link.(v) in
+            for i = 0 to Array.length pv - 1 do
+              if not (is_banned t pv.(i) v w) then relax lv.(i) (cv.(i) + d)
+            done
+          end
+        done;
+        len := Radixheap.next_level heap
       done;
       t.dist_cache.(dst) <- Some dist;
       dist

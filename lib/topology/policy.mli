@@ -23,7 +23,7 @@
     push) and one word per directed link per destination.  A relaxation
     looks a transition up in the banned table only when some banned
     transition passes through its middle router.  Every destination's
-    search drains the one {!Minheap} of (cost, link) its [t] keeps, so a
+    search drains the one {!Radixheap} of (cost, link) its [t] keeps, so a
     [t] is not thread-safe.  Once a destination's table
     exists, {!next_hop_id} scans the router's successor row and allocates
     nothing. *)

@@ -1,39 +1,22 @@
 type t = {
   graph : Graph.t;
-  (* dist_to.(d).(v) = least cost from v to d. *)
-  dist_to : int array array;
+  (* The snapshot the tables were computed from: path costs are summed
+     over its rows. *)
+  adj : Graph.adjacency;
   (* nh.(d).(v) = next hop from v towards d, -1 when none; precomputed
      so the per-packet forwarding lookup is two array reads with no
      list walk and no option allocation. *)
   nh : int array array;
 }
 
-(* Neighbors are in ascending order, so the first optimal one is the
-   deterministic choice shared by all routers.  Top level, so the scan
-   builds no closure per (destination, router) pair. *)
-let rec first_optimal succ cost dist dv i =
-  if i = Array.length succ then -1
-  else
-    let w = succ.(i) in
-    if dist.(w) <> Dijkstra.unreachable && cost.(i) + dist.(w) = dv then w
-    else first_optimal succ cost dist dv (i + 1)
-
+(* Each router's next hop comes out of the search itself: the
+   lowest-id successor on a least-cost path, the deterministic choice
+   shared by all routers. *)
 let compute graph =
-  let n = Graph.size graph in
   let adj = Graph.adjacency graph in
-  let dist_to = Dijkstra.distances_to_all adj in
-  let nh =
-    Array.mapi
-      (fun dst dist ->
-        let row = Array.make n (-1) in
-        for v = 0 to n - 1 do
-          if v <> dst && dist.(v) <> Dijkstra.unreachable then
-            row.(v) <- first_optimal adj.Graph.succ.(v) adj.Graph.succ_cost.(v) dist dist.(v) 0
-        done;
-        row)
-      dist_to
-  in
-  { graph; dist_to; nh }
+  let nh = Array.make (Graph.size graph) [||] in
+  Dijkstra.iter adj (fun dst ~dist:_ ~next -> nh.(dst) <- next);
+  { graph; adj; nh }
 
 let graph t = t.graph
 
@@ -49,9 +32,27 @@ let next_hop t v ~dst =
   let w = next_hop_id t v ~dst in
   if w < 0 then None else Some w
 
+(* The routed path is a least-cost path, so its cost is the least. *)
 let cost t src dst =
-  let d = t.dist_to.(dst).(src) in
-  if d = Dijkstra.unreachable then None else Some d
+  if src = dst then Some 0
+  else begin
+    let rec sum v acc =
+      if v = dst then Some acc
+      else begin
+        let w = next_hop_id t v ~dst in
+        if w < 0 then None
+        else begin
+          let succ = t.adj.Graph.succ.(v) in
+          let i = ref 0 in
+          while succ.(!i) <> w do
+            incr i
+          done;
+          sum w (acc + t.adj.Graph.succ_cost.(v).(!i))
+        end
+      end
+    in
+    sum src 0
+  end
 
 let path t ~src ~dst =
   if src = dst then Some [ src ]

@@ -8,8 +8,10 @@
 type t
 
 val compute : Graph.t -> t
-(** Build the all-destinations routing state for a topology.  O(n) runs
-    of Dijkstra. *)
+(** Build the all-destinations routing state for a topology: one
+    {!Dijkstra.iter} search per destination, which settles each
+    router's next hop as it settles the router.  Only the next-hop
+    table is kept. *)
 
 val graph : t -> Graph.t
 (** The topology the tables were computed from. *)
@@ -24,7 +26,9 @@ val next_hop_id : t -> Graph.node -> dst:Graph.node -> Graph.node
     per-packet path. *)
 
 val cost : t -> Graph.node -> Graph.node -> int option
-(** Least path cost between two routers. *)
+(** Least path cost between two routers: the cost of the routed path,
+    summed hop by hop over the links as they were when the tables were
+    computed. *)
 
 val path : t -> src:Graph.node -> dst:Graph.node -> Graph.node list option
 (** The hop-by-hop forwarding chain [src; ...; dst] ([Some [src]] when

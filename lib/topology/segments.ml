@@ -83,16 +83,35 @@ let add t path i x =
     if 4 * t.count > Array.length t.slots then rehash t
   end
 
-(* The one enumeration behind both families: every routed path, src-major
-   then dst, is walked hop by hop into one reusable buffer, and its
-   windows of widths [lo] to [hi] are kept, each clipped to the path's
-   length (a segment has at least 3 routers); each is taken offset by offset
-   into the table, and the family's lists are built only at the end,
-   from the store's last window back.  The table starts with 1.5 slots
-   for each 3-window the degrees allow (a router of degree d is the
-   middle of at most d (d - 1) of them in a duplex graph; Sprintlink's
-   17,976 bound its 14,882, EBONE's 1,452 its 1,192), so the k = 1
-   family seldom doubles it. *)
+(* [Stdlib.min] and [max] compare polymorphically, through a C call. *)
+let imin (a : int) b = if a < b then a else b
+let imax (a : int) b = if a > b then a else b
+
+(* The one enumeration behind both families.  Routed paths are taken
+   src-major, then dst, into one reusable buffer; a path's windows of
+   widths [lo] to [hi], each clipped to the path's length (a segment has
+   at least 3 routers), go into the table width by width and offset by
+   offset, and the family's lists are built only at the end, from the
+   store's last window back.
+
+   Under next-hop routing the rest of a path from router x toward d is
+   fixed by the state (x, d), and so is every window of width [lo] or
+   more that starts at x.  So a walk marks each state it passes and
+   stops at the first state already marked (marks are closed under the
+   next hop: every later state is marked too), once it has read the
+   hi - 1 routers from there that windows from its fresh states still
+   need.  The windows from a marked state on were all taken, in
+   first-occurrence order, by the walk that marked it, so the family
+   and its order are those of the full walk.  A window narrower than
+   [lo] is a whole path shorter than [lo] (Pi2's, for k >= 2): it
+   depends on the source, so it is kept even from a marked source,
+   whose read-ahead reaches d on a path that short.  Where no such
+   window exists (lo = 3), a walk from a marked source reads nothing.
+
+   The table starts with 1.5 slots for each 3-window the degrees allow
+   (a router of degree d is the middle of at most d (d - 1) of them in
+   a duplex graph; Sprintlink's 17,976 bound its 14,882, EBONE's 1,452
+   its 1,192), so the k = 1 family seldom doubles it. *)
 let walk rt ~lo ~hi =
   let g = Routing.graph rt in
   let n = Graph.size g in
@@ -103,26 +122,40 @@ let walk rt ~lo ~hi =
     cap := 2 * !cap
   done;
   let t = { store = Array.make (2 * !cap) 0; used = 0; count = 0; slots = fresh_slots !cap } in
+  let walked = Bytes.make (n * n) '\000' in
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if src <> dst then begin
-        (* A routed path visits each router at most once. *)
-        path.(0) <- src;
-        let len = ref 1 in
-        while !len > 0 && path.(!len - 1) <> dst do
-          let w = Routing.next_hop_id rt path.(!len - 1) ~dst in
-          if w < 0 then len := 0
-          else if !len = n then failwith "Segments: routing loop"
-          else begin
-            path.(!len) <- w;
-            incr len
-          end
+        (* The fresh states first.  A routed path visits each router at
+           most once, and a next hop of -1 (only ever at [src]) means
+           [dst] is unreachable. *)
+        let fresh = ref 0 and x = ref src in
+        while !x >= 0 && !x <> dst && Bytes.get walked ((!x * n) + dst) = '\000' do
+          Bytes.set walked ((!x * n) + dst) '\001';
+          path.(!fresh) <- !x;
+          incr fresh;
+          x := Routing.next_hop_id rt !x ~dst
         done;
-        for x = max 3 (min lo !len) to min hi !len do
-          for i = 0 to !len - x do
-            add t path i x
+        if !x >= 0 then begin
+          (* Then [dst] or the first marked state, and the routers after
+             it that windows from the fresh states reach: hi - 1 in all,
+             or none from a marked source when lo = 3. *)
+          let fresh = !fresh in
+          let need = if fresh = 0 && lo <= 3 then 0 else fresh + hi - 1 in
+          let len = ref fresh and y = ref !x in
+          while !len < need && !y >= 0 do
+            path.(!len) <- !y;
+            incr len;
+            y := if !y = dst || !len = need then -1 else Routing.next_hop_id rt !y ~dst
+          done;
+          let len = !len in
+          let whole = len > 0 && path.(len - 1) = dst in
+          for x = imax 3 (imin lo len) to imin hi len do
+            for i = 0 to if x < lo && whole then 0 else imin (len - x) (fresh - 1) do
+              add t path i x
+            done
           done
-        done
+        end
       end
     done
   done;

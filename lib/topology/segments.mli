@@ -19,6 +19,14 @@
     live deployments number their segments in this order, which orders
     the verdicts they raise at one instant.
 
+    {b The walk.}  Under next-hop routing, a path's windows from router
+    x toward d are fixed by (x, d).  The walk marks each (router,
+    destination) state it passes and stops a path at the first state
+    already marked, after the few routers the path's earlier windows
+    still need: n (n - 1) states in all, rather than every hop of every
+    routed path.  Only Π2's whole paths shorter than k + 2 depend on
+    their source; they are kept from any state.
+
     {b Deduplication.}  The walk stores each distinct window once, back
     to back in one int array, and finds it again through an
     open-addressed table of (place, hash) int pairs, comparing a window

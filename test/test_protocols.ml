@@ -370,6 +370,114 @@ let prop_no_false_positives =
       Pi2.detect_round ~rt ~k:1 ~adversary:(Rounds.passive []) ~round:0 () = []
       && Pik2.detect_round ~rt ~k:1 ~adversary:(Rounds.passive []) ~round:0 () = [])
 
+(* --- Bounded-exhaustive Appendix B check --- *)
+
+(* Every labelled connected duplex graph on n routers with unit costs:
+   each subset of the n (n - 1) / 2 router pairs, kept when connected
+   (4 graphs on 3 routers, 38 on 4). *)
+let connected_graphs n =
+  let pairs =
+    List.concat_map (fun a -> List.init (n - a - 1) (fun i -> (a, a + i + 1))) (List.init n Fun.id)
+  in
+  List.filter_map
+    (fun mask ->
+      let g = Topology.Graph.create ~n in
+      List.iteri
+        (fun i (a, b) -> if mask land (1 lsl i) <> 0 then Topology.Graph.add_duplex g a b)
+        pairs;
+      if Topology.Graph.is_connected g then Some g else None)
+    (List.init (1 lsl List.length pairs) Fun.id)
+
+let describe g =
+  String.concat " "
+    (List.filter_map
+       (fun (l : Topology.Graph.link) ->
+         if l.Topology.Graph.src < l.Topology.Graph.dst then
+           Some (Printf.sprintf "%d-%d" l.Topology.Graph.src l.Topology.Graph.dst)
+         else None)
+       (List.sort compare (Topology.Graph.links g)))
+
+(* The small scope covered completely, after the bounded model checking
+   of Sosnovich et al.: every connected unit-cost graph on 3 and 4
+   routers, every faulty set of 1 or 2 routers, k in {1, 2} wherever
+   AdjacentFault(k) holds, four adversaries and both protocols over 2
+   rounds: 5,240 cases.  Each must be a-accurate (a = 2 for Pi2, k + 2
+   for Pik2) and complete for every faulty router that carries transit.
+   Each graph's routing is also checked against Floyd-Warshall, and its
+   families at k = 1..4 against the list-windows reference. *)
+let test_exhaustive_small_scope () =
+  let cases = ref 0 in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun g ->
+          let rt = Rt.compute g in
+          let fw = Refs.floyd_warshall g in
+          for d = 0 to n - 1 do
+            for v = 0 to n - 1 do
+              if Rt.cost rt v d <> Some fw.(v).(d) then
+                Alcotest.failf "[%s]: cost %d -> %d differs from Floyd-Warshall" (describe g) v d
+            done
+          done;
+          List.iter
+            (fun k ->
+              if not (Refs.families_match rt k) then
+                Alcotest.failf "[%s]: families at k = %d differ from the reference" (describe g) k)
+            [ 1; 2; 3; 4 ];
+          let transit r =
+            List.exists
+              (fun p ->
+                match p with
+                | _ :: rest -> List.mem r (List.filteri (fun i _ -> i < List.length rest - 1) rest)
+                | [] -> false)
+              (Rt.all_routed_paths rt)
+          in
+          let sets =
+            List.init n (fun a -> [ a ])
+            @ List.concat_map (fun a -> List.init (n - a - 1) (fun i -> [ a; a + i + 1 ]))
+                (List.init n Fun.id)
+          in
+          List.iter
+            (fun faulty ->
+              let is_faulty r = List.mem r faulty in
+              let bound = Rounds.adjacent_fault_bound ~rt ~faulty in
+              let correct_routers = Rounds.correct_routers g ~faulty in
+              let traffic_faulty = List.filter transit faulty in
+              List.iter
+                (fun k ->
+                  if bound <= k then
+                    List.iter
+                      (fun (aname, adversary) ->
+                        List.iter
+                          (fun (pname, a, detect) ->
+                            incr cases;
+                            let suspicions = detect ~rt ~k ~adversary ~rounds:2 () in
+                            let fail what msg =
+                              Alcotest.failf "%s, [%s], faulty [%s], k = %d, %s: %s: %s" pname
+                                (describe g)
+                                (String.concat "," (List.map string_of_int faulty))
+                                k aname what msg
+                            in
+                            (match Spec.accurate ~faulty:is_faulty ~a suspicions with
+                            | Ok () -> ()
+                            | Error msg -> fail "not accurate" msg);
+                            match
+                              Spec.complete ~graph:g ~faulty:is_faulty ~traffic_faulty
+                                ~correct_routers suspicions
+                            with
+                            | Ok () -> ()
+                            | Error msg -> fail "not complete" msg)
+                          [ ("pi2", 2, Pi2.detect); ("pik2", k + 2, Pik2.detect) ])
+                      [ ("dropper", Rounds.dropper faulty);
+                        ("modifier", Rounds.modifier faulty);
+                        ("hider . dropper", Rounds.hider (Rounds.dropper faulty));
+                        ("hider . modifier", Rounds.hider (Rounds.modifier faulty)) ])
+                [ 1; 2 ])
+            sets)
+        (connected_graphs n))
+    [ 3; 4 ];
+  Alcotest.(check int) "cases" 5_240 !cases
+
 let () =
   Alcotest.run "protocols"
     [ ( "rounds",
@@ -398,4 +506,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_pi2_accuracy; prop_pi2_completeness; prop_pik2_accuracy;
             prop_pik2_completeness; prop_pik2_adjacent_pair;
-            prop_pi2_protocol_faulty_only; prop_no_false_positives ] ) ]
+            prop_pi2_protocol_faulty_only; prop_no_false_positives ] );
+      ( "small-scope",
+        [ Alcotest.test_case "every graph on 3-4 routers, every 1-2 faulty" `Quick
+            test_exhaustive_small_scope ] ) ]

@@ -52,8 +52,11 @@ let test_graph_copy_independent () =
 
 (* --- Dijkstra / Routing --- *)
 
-(* Row [dst] of [distances_to_all]: every node's least cost to [dst]. *)
-let distances_to g ~dst = (Dijkstra.distances_to_all (Graph.adjacency g)).(dst)
+(* Row [dst] of the distances: every node's least cost to [dst]. *)
+let distances_to g ~dst =
+  let row = ref [||] in
+  Dijkstra.iter (Graph.adjacency g) (fun d ~dist ~next:_ -> if d = dst then row := Array.copy dist);
+  !row
 
 let test_dijkstra_line () =
   let g = Generate.line ~n:5 in
@@ -350,6 +353,26 @@ let test_sprintlink_pinned () =
     done
   done;
   Alcotest.(check string) "next-hop table md5" "1b80377327b0b54833b8705235755b60"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The Sprintlink families, pinned beside its next hops: the segments
+   of [pik2_family ~k:1] (Fatih's and Pi2_live's numbering), [~k:2] and
+   [pi2_family ~k:2], in order.  The walk stops at states it has
+   already walked, so a family that lost or reordered a window would
+   move this digest. *)
+let test_sprintlink_families_pinned () =
+  let rt = Routing.compute (Generate.sprintlink_like ()) in
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun seg ->
+          List.iter (fun r -> Printf.bprintf b "%d," r) seg;
+          Buffer.add_char b ';')
+        family;
+      Buffer.add_char b '|')
+    [ Segments.pik2_family rt ~k:1; Segments.pik2_family rt ~k:2; Segments.pi2_family rt ~k:2 ];
+  Alcotest.(check string) "families md5" "000284e54d44904f07850aa2b572b2f3"
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 let test_generate_deterministic () =
@@ -775,7 +798,7 @@ let search_case =
     ~print:(fun (grid, seed) -> Printf.sprintf "%s seed %d" (if grid then "grid" else "waxman") seed)
     QCheck.Gen.(pair bool (int_bound 1_000_000))
 
-let search_graph (grid, seed) =
+let search_graph ?(max_cost = 50) (grid, seed) =
   let rng = Random.State.make [| seed; 50 |] in
   let g =
     if grid then
@@ -786,53 +809,75 @@ let search_graph (grid, seed) =
     (fun (l : Graph.link) ->
       if Random.State.int rng 6 = 0 then Graph.remove_link g l.Graph.src l.Graph.dst
       else
-        Graph.add_link g ~cost:(1 + Random.State.int rng 50) ~bw:l.Graph.bw
+        Graph.add_link g ~cost:(1 + Random.State.int rng max_cost) ~bw:l.Graph.bw
           ~delay:l.Graph.delay l.Graph.src l.Graph.dst)
     (List.sort compare (Graph.links g));
   (g, rng)
 
-(* Floyd–Warshall: fw.(v).(d) is the least cost from v to d, [max_int]
-   when d is unreachable. *)
-let floyd_warshall g =
-  let n = Graph.size g in
-  let fw = Array.make_matrix n n max_int in
-  for v = 0 to n - 1 do
-    fw.(v).(v) <- 0
-  done;
-  List.iter (fun (l : Graph.link) -> fw.(l.Graph.src).(l.Graph.dst) <- l.Graph.cost) (Graph.links g);
-  for m = 0 to n - 1 do
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if fw.(a).(m) <> max_int && fw.(m).(b) <> max_int && fw.(a).(m) + fw.(m).(b) < fw.(a).(b)
-        then fw.(a).(b) <- fw.(a).(m) + fw.(m).(b)
-      done
-    done
-  done;
-  fw
-
+(* Each case is drawn three times: with unit costs (every search level
+   is one radix-heap bucket, promoted whole), with costs 1..50, and with
+   costs up to 10^4 (keys that spread over many buckets).  The routed
+   path's summed cost must be the least cost too. *)
 let prop_searches_match_floyd_warshall =
   QCheck.Test.make ~name:"dijkstra and routing next hops = floyd-warshall" ~count:200
     search_case (fun case ->
+      List.for_all
+        (fun max_cost ->
+          let g, _ = search_graph ~max_cost case in
+          let n = Graph.size g in
+          let fw = Refs.floyd_warshall g in
+          let dist = Array.make n [||] in
+          Dijkstra.iter (Graph.adjacency g) (fun d ~dist:row ~next:_ -> dist.(d) <- Array.copy row);
+          let rt = Routing.compute g in
+          let ok = ref true in
+          for dst = 0 to n - 1 do
+            for v = 0 to n - 1 do
+              (* The first neighbour, ascending, on a least-cost path. *)
+              let want =
+                if v = dst || fw.(v).(dst) = max_int then -1
+                else
+                  List.find
+                    (fun w ->
+                      fw.(w).(dst) <> max_int
+                      && (Graph.link_exn g v w).Graph.cost + fw.(w).(dst) = fw.(v).(dst))
+                    (Graph.out_neighbors g v)
+              in
+              let cost = if fw.(v).(dst) = max_int then None else Some fw.(v).(dst) in
+              if dist.(dst).(v) <> fw.(v).(dst)
+                 || Routing.next_hop_id rt v ~dst <> want
+                 || Routing.cost rt v dst <> cost
+              then ok := false
+            done
+          done;
+          !ok)
+        [ 1; 50; 10_000 ])
+
+(* ECMP's stored rows against the candidates read off Floyd–Warshall's
+   distances: every successor on a least-cost path, ascending; a flow's
+   next hop is one of them, and -1 exactly when there is none. *)
+let prop_ecmp_rows_match_distances =
+  QCheck.Test.make ~name:"ecmp rows = candidates from distances" ~count:200 search_case
+    (fun case ->
       let g, _ = search_graph case in
       let n = Graph.size g in
-      let fw = floyd_warshall g in
-      let dist = Dijkstra.distances_to_all (Graph.adjacency g) in
-      let rt = Routing.compute g in
+      let fw = Refs.floyd_warshall g in
+      let e = Ecmp.compute g in
       let ok = ref true in
       for dst = 0 to n - 1 do
         for v = 0 to n - 1 do
-          (* The first neighbour, ascending, on a least-cost path. *)
           let want =
-            if v = dst || fw.(v).(dst) = max_int then -1
+            if v = dst || fw.(v).(dst) = max_int then []
             else
-              List.find
+              List.filter
                 (fun w ->
                   fw.(w).(dst) <> max_int
                   && (Graph.link_exn g v w).Graph.cost + fw.(w).(dst) = fw.(v).(dst))
                 (Graph.out_neighbors g v)
           in
-          if dist.(dst).(v) <> fw.(v).(dst) || Routing.next_hop_id rt v ~dst <> want then
-            ok := false
+          let hop = Ecmp.next_hop_id e v ~dst ~flow:((v * 31) + dst) in
+          if Ecmp.candidates e v ~dst <> want
+             || (if want = [] then hop <> -1 else not (List.mem hop want))
+          then ok := false
         done
       done;
       !ok)
@@ -858,29 +903,6 @@ let prop_policy_matches_reference_on_costs =
       done;
       !ok)
 
-(* The list-windows oracle for both families: the windows each family
-   keeps of every routed path, in [Routing.all_routed_paths] order
-   (src-major, then dst), widths ascending, offsets ascending, first
-   occurrences kept.  The next-hop walk in [Segments] must list exactly
-   these, order included: the deployments number their segments in it. *)
-let ref_family rt ~widths =
-  let seen = Hashtbl.create 4096 in
-  List.concat_map
-    (fun p ->
-      List.concat_map (Segments.windows p) (widths (List.length p))
-      |> List.filter (fun s ->
-             (not (Hashtbl.mem seen s)) && (Hashtbl.add seen s (); true)))
-    (Routing.all_routed_paths rt)
-
-let ref_pi2_family rt ~k =
-  ref_family rt ~widths:(fun len -> if len < 3 then [] else [ min len (k + 2) ])
-
-let ref_pik2_family rt ~k = ref_family rt ~widths:(fun _ -> List.init k (fun i -> i + 3))
-
-let families_match rt k =
-  Segments.pi2_family rt ~k = ref_pi2_family rt ~k
-  && Segments.pik2_family rt ~k = ref_pik2_family rt ~k
-
 (* Graphs of 2 to 12 routers, half the time with costs 1..3 and some
    directed links removed: the walk's window table starts at its
    smallest size there and doubles as the wider windows of k = 2..4
@@ -902,17 +924,27 @@ let prop_families_match_reference =
               Graph.add_link g ~cost:(1 + Random.State.int rng 3) ~bw:l.Graph.bw
                 ~delay:l.Graph.delay l.Graph.src l.Graph.dst)
           (List.sort compare (Graph.links g));
-      let rt = Routing.compute g in
-      List.for_all (families_match rt) [ 1; 2; 3; 4 ])
+      (* A random tree beside it: nearly every path is shorter than
+         k + 2, so Pi2's whole-path windows at k = 2..4 are taken from
+         sources the walk has already marked. *)
+      let tree = Graph.create ~n:(2 + Random.State.int rng 11) in
+      for v = 1 to Graph.size tree - 1 do
+        Graph.add_duplex tree v (Random.State.int rng v)
+      done;
+      List.for_all
+        (fun g ->
+          let rt = Routing.compute g in
+          List.for_all (Refs.families_match rt) [ 1; 2; 3; 4 ])
+        [ g; tree ])
 
 let test_families_grid8x8 () =
   let rt = Routing.compute (Generate.grid ~rows:8 ~cols:8) in
   List.iter
     (fun k ->
       Alcotest.(check (list (list int)))
-        (Printf.sprintf "pi2 k = %d" k) (ref_pi2_family rt ~k) (Segments.pi2_family rt ~k);
+        (Printf.sprintf "pi2 k = %d" k) (Refs.ref_pi2_family rt ~k) (Segments.pi2_family rt ~k);
       Alcotest.(check (list (list int)))
-        (Printf.sprintf "pik2 k = %d" k) (ref_pik2_family rt ~k) (Segments.pik2_family rt ~k))
+        (Printf.sprintf "pik2 k = %d" k) (Refs.ref_pik2_family rt ~k) (Segments.pik2_family rt ~k))
     [ 1; 2; 3 ];
   Alcotest.check_raises "pi2 k = 0"
     (Invalid_argument "Segments.pi2_family: k must be >= 1")
@@ -968,6 +1000,8 @@ let () =
           Alcotest.test_case "ebone shape" `Quick test_generate_ebone_shape;
           Alcotest.test_case "sprintlink links and next hops pinned" `Quick
             test_sprintlink_pinned;
+          Alcotest.test_case "sprintlink families pinned" `Quick
+            test_sprintlink_families_pinned;
           Alcotest.test_case "deterministic" `Quick test_generate_deterministic;
           Alcotest.test_case "waxman" `Quick test_generate_waxman;
           Alcotest.test_case "infeasible" `Quick test_generate_infeasible ] );
@@ -988,4 +1022,5 @@ let () =
           [ prop_routing_paths_consistent; prop_segments_are_subpaths;
             prop_policy_avoids_forbidden; prop_policy_matches_reference;
             prop_routing_matches_reference; prop_families_match_reference;
-            prop_searches_match_floyd_warshall; prop_policy_matches_reference_on_costs ] ) ]
+            prop_searches_match_floyd_warshall; prop_policy_matches_reference_on_costs;
+            prop_ecmp_rows_match_distances ] ) ]
