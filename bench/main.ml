@@ -8,7 +8,7 @@
 
    - BENCH_hotpath.json — ns/op of the per-packet and per-round kernels
      behind Chapter 7 and Appendix A (fingerprints, traffic validation,
-     set reconciliation, routing, SHA-256/HMAC, Dolev-Strong);
+     set reconciliation, routing, Dolev-Strong);
    - BENCH_alloc.json — words allocated per simulation event on the
      ring8 reference scenario, against the seed's numbers.
 
@@ -110,7 +110,6 @@ let packet_bytes n = String.init n (fun i -> Char.chr ((i * 7) land 0xff))
 let kernels () =
   let small = packet_bytes 40 and msg = packet_bytes 1500 in
   let sip_key = Crypto_sim.Siphash.key_of_string "bench" in
-  let hk = Crypto_sim.Sha256.hmac_key ~key:"k" in
   let keyring = Crypto_sim.Keyring.create ~n:5 () in
   let summary n =
     let s = Core.Summary.create Core.Summary.Content in
@@ -156,14 +155,6 @@ let kernels () =
       fun () -> ignore (Topology.Segments.pik2_family rt ~k:1) );
     ( "policy-tables-1-exclusion",
       fun () -> ignore (Topology.Policy.compute g ~forbidden:[ seg ]) );
-    ("sha256-1500B", fun () -> ignore (Crypto_sim.Sha256.digest msg));
-    (* The per-packet HMAC path: midstates precomputed once per key, as
-       Keyring caches them; the keyexp row expands the key every call. *)
-    ("hmac-sha256-1500B", fun () -> ignore (Crypto_sim.Sha256.hmac_with hk msg));
-    ( "hmac-sha256-keyexp-1500B",
-      fun () -> ignore (Crypto_sim.Sha256.hmac ~key:"k" msg) );
-    ( "keyring-mac64-1500B",
-      fun () -> ignore (Crypto_sim.Keyring.mac64 keyring 0 1 msg) );
     ( "dolev-strong-5-parties",
       fun () ->
         ignore
@@ -362,14 +353,25 @@ let gated_rows docs =
     | Some r -> r
     | None -> fail_baseline "%s has no run" alloc_file
   in
+  let table = List.map fst (kernels ()) in
+  (* A baseline row that no kernel measures is stale: a gate that
+     skipped it would pass a baseline recorded from another table. *)
+  List.iter
+    (fun r ->
+      match Option.bind (J.member "name" r) J.to_string_opt with
+      | Some name when List.mem name table -> ()
+      | Some name -> fail_baseline "%s has kernel %S, which the table lacks" hotpath_file name
+      | None -> fail_baseline "%s has a kernel row with no name" hotpath_file)
+    (Option.value ~default:[]
+       (Option.bind (J.member "kernels" (List.assoc hotpath_file docs)) J.to_list_opt));
   ( (words_band "alloc.minor_words_per_event", num alloc_file run "minor_words_per_event"),
     List.map
-      (fun (name, _) ->
+      (fun name ->
         let r = row hotpath_file ~field:"kernels" ~key:"name" ~value:name in
         ( kernel_band (Printf.sprintf "hotpath.%s.ns_per_op" name)
             ~spread:(num hotpath_file r "spread"),
           num hotpath_file r "ns_per_op" ))
-      (kernels ()) )
+      table )
 
 (* A kernel is judged on the best of its readings: a regression slows
    every reading, a slow phase of the host or a process running beside

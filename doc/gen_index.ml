@@ -54,8 +54,8 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {- [Setrecon] — Appendix A set reconciliation ({!Setrecon.Reconcile})
    over {!Setrecon.Gfp}/{!Setrecon.Poly}, plus {!Setrecon.Bloom}.}
 {- [Crypto_sim] — {!Crypto_sim.Siphash} fingerprints,
-   {!Crypto_sim.Sha256}, {!Crypto_sim.Keyring} (simulated key
-   distribution), {!Crypto_sim.Sampling} (secret hash ranges).}
+   {!Crypto_sim.Keyring} (simulated signing keys),
+   {!Crypto_sim.Sampling} (secret hash ranges).}
 {- [Mrstats] — {!Mrstats.Erf}, {!Mrstats.Ztest}, {!Mrstats.Welford},
    {!Mrstats.Histogram}, {!Mrstats.Variate}.}
 {- [Telemetry] — {!Telemetry.Journal} (bounded typed event

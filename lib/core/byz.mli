@@ -90,7 +90,7 @@ val stall_margin : t -> router:int -> float option
 type extra = {
   fp : int64;
   origin : int;   (** the router the claimant says sourced the packet *)
-  tag : Crypto_sim.Keyring.signature;  (** origin's MAC over [fp] *)
+  tag : Crypto_sim.Keyring.signature;  (** origin's SipHash signature over [fp] *)
 }
 
 val summary_claim :

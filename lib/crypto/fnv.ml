@@ -31,11 +31,3 @@ let[@inline] fold_int x =
 
 let hash_int x = fold_int x
 let hash_int_into x b off = Bytes.set_int64_le b off (fold_int x)
-
-let combine acc x =
-  let acc = ref acc in
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xffL) in
-    acc := step !acc byte
-  done;
-  !acc

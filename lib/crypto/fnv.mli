@@ -19,10 +19,3 @@ val hash_int_into : int -> Bytes.t -> int -> unit
 (** [hash_int_into x b off] writes [hash_int x] little-endian into bytes
     [[off, off + 8)] of [b], allocating nothing: a packet's payload
     ({!Netsim.Packet}). *)
-
-val combine : int64 -> int64 -> int64
-(** [combine acc x] folds [x] into a running FNV state [acc]; start from
-    {!offset_basis}. *)
-
-val offset_basis : int64
-(** The standard FNV-1a 64-bit offset basis. *)

@@ -4,7 +4,7 @@ type t = { key : Siphash.key; fraction : float; threshold : int64 }
    a keyed re-hash of the fingerprint.  A threshold at or above 2^63 does
    not fit [Int64.of_float]; its two's-complement bit pattern is the
    value minus 2^64. *)
-let make key fraction =
+let create ~key ~fraction =
   let fraction = Float.max 0.0 (Float.min 1.0 fraction) in
   let threshold =
     let x = fraction *. 1.8446744073709552e19 in
@@ -14,9 +14,6 @@ let make key fraction =
   in
   { key; fraction; threshold }
 
-let create ~key ~fraction = make key fraction
-let all = make (Siphash.key_of_ints 0L 0L) 1.0
-
 let selects t fp =
   if t.fraction >= 1.0 then true
   else begin
@@ -24,5 +21,3 @@ let selects t fp =
     (* Unsigned comparison of h against the threshold. *)
     Int64.unsigned_compare h t.threshold < 0
   end
-
-let fraction t = t.fraction

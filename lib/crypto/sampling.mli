@@ -12,12 +12,6 @@ val create : key:Siphash.key -> fraction:float -> t
 (** Sampler selecting approximately [fraction] of packets
     (clamped to [0, 1]). *)
 
-val all : t
-(** Sampler that selects every packet (fraction 1). *)
-
 val selects : t -> int64 -> bool
 (** [selects t fp] decides membership of a packet fingerprint in the
     sampled range; deterministic in (key, fraction, fp). *)
-
-val fraction : t -> float
-(** The configured sampling fraction. *)

@@ -86,28 +86,6 @@ let prop_prioq_length =
            Ev.length q = max 0 (n - 1)
          end)
 
-(* --- Keyring MACs --- *)
-
-let prop_keyring_mac_roundtrip =
-  (* mac is order-independent in the router pair, verifies, rejects
-     tampering, and mac64 is the big-endian 8-byte prefix of mac. *)
-  QCheck.Test.make ~name:"keyring mac/mac64/verify_mac" ~count:100
-    QCheck.(triple (int_bound 5) (int_bound 5) string)
-    (fun (a, b, msg) ->
-      let ring = Crypto_sim.Keyring.create ~n:6 () in
-      let tag = Crypto_sim.Keyring.mac ring a b msg in
-      let prefix = ref 0L in
-      for i = 0 to 7 do
-        prefix :=
-          Int64.logor (Int64.shift_left !prefix 8) (Int64.of_int (Char.code tag.[i]))
-      done;
-      String.length tag = 32
-      && tag = Crypto_sim.Keyring.mac ring b a msg
-      && Crypto_sim.Keyring.verify_mac ring a b msg tag
-      && Crypto_sim.Keyring.mac64 ring a b msg = !prefix
-      && (not (Crypto_sim.Keyring.verify_mac ring a b (msg ^ "!") tag))
-      && (a = b || not (Crypto_sim.Keyring.verify_mac ring a ((b + 1) mod 6) msg tag)))
-
 (* --- Sim --- *)
 
 let prop_sim_time_monotone =
@@ -814,7 +792,6 @@ let () =
             prop_prioq_matches_sorted_reference; prop_prioq_fifo_ties_interleaved ]
         @ [ Alcotest.test_case "no stale refs after grow+pop" `Quick
               test_prioq_no_stale_refs ] );
-      ("keyring-mac", List.map to_alco [ prop_keyring_mac_roundtrip ]);
       ("sim", List.map to_alco [ prop_sim_time_monotone ]);
       ("queues", List.map to_alco [ prop_fifo_occupancy_invariant; prop_red_physical_limit ]);
       ( "tv",
