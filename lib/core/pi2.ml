@@ -1,5 +1,4 @@
 let family rt ~k = Topology.Segments.pi2_family rt ~k
-let pr rt ~k = Topology.Segments.pi2_pr rt ~k
 
 let pairwise_suspicions ~adversary (seg, truth) =
   let nodes = Array.of_list seg in
@@ -30,4 +29,4 @@ let detect ~rt ~k ~adversary ~rounds () =
         (detect_round ~rt ~k ~adversary ~round ()))
     (List.init rounds Fun.id)
 
-let state_counters rt ~k = Array.map List.length (pr rt ~k)
+let state_counters rt ~k = Topology.Segments.pi2_pr_counts rt ~k

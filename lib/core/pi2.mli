@@ -10,9 +10,6 @@ val family : Topology.Routing.t -> k:int -> Topology.Graph.node list list
 (** The segments monitored network-wide (delegates to
     {!Topology.Segments.pi2_family}). *)
 
-val pr : Topology.Routing.t -> k:int -> Topology.Graph.node list list array
-(** Per-router Pr (the Fig 5.2 quantity). *)
-
 val detect_round :
   rt:Topology.Routing.t ->
   k:int ->

@@ -1,5 +1,4 @@
 let family rt ~k = Topology.Segments.pik2_family rt ~k
-let pr rt ~k = Topology.Segments.pik2_pr rt ~k
 
 let filter_summary sampling s =
   match sampling with
@@ -50,4 +49,4 @@ let detect ~rt ~k ~adversary ~rounds () =
         (detect_round ~rt ~k ~adversary ~round ()))
     (List.init rounds Fun.id)
 
-let state_counters rt ~k = Array.map (fun segs -> 2 * List.length segs) (pr rt ~k)
+let state_counters rt ~k = Array.map (( * ) 2) (Topology.Segments.pik2_pr_counts rt ~k)

@@ -8,7 +8,6 @@
     precision k+2 (Appendix B.3). *)
 
 val family : Topology.Routing.t -> k:int -> Topology.Graph.node list list
-val pr : Topology.Routing.t -> k:int -> Topology.Graph.node list list array
 
 val detect_round :
   rt:Topology.Routing.t ->

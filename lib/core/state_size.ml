@@ -11,19 +11,18 @@ let summary_bytes ~policy ~packets_per_round =
   in
   word * words
 
-let per_router_bytes pr ~per_segment ~policy ~pps_per_segment ~tau =
+let per_router_bytes counts ~per_segment ~policy ~pps_per_segment ~tau =
   let packets = int_of_float (pps_per_segment *. tau) in
   Array.map
-    (fun segs ->
-      per_segment * List.length segs * summary_bytes ~policy ~packets_per_round:packets)
-    pr
+    (fun n -> per_segment * n * summary_bytes ~policy ~packets_per_round:packets)
+    counts
 
 let pi2_router_bytes ~rt ~k ~policy ~pps_per_segment ~tau =
-  per_router_bytes (Topology.Segments.pi2_pr rt ~k) ~per_segment:1 ~policy
+  per_router_bytes (Topology.Segments.pi2_pr_counts rt ~k) ~per_segment:1 ~policy
     ~pps_per_segment ~tau
 
 let pik2_router_bytes ~rt ~k ~policy ~pps_per_segment ~tau =
-  per_router_bytes (Topology.Segments.pik2_pr rt ~k) ~per_segment:2 ~policy
+  per_router_bytes (Topology.Segments.pik2_pr_counts rt ~k) ~per_segment:2 ~policy
     ~pps_per_segment ~tau
 
 let watchers_router_bytes g =

@@ -14,12 +14,12 @@ let name_of = function `Sprintlink -> "Sprintlink-like (315/972)" | `Ebone -> "E
 let sweep_rt ~protocol ~rt ~ks () =
   List.map
     (fun k ->
-      let pr =
+      let counts =
         match protocol with
-        | `Pi2 -> Core.Pi2.pr rt ~k
-        | `Pik2 -> Core.Pik2.pr rt ~k
+        | `Pi2 -> Topology.Segments.pi2_pr_counts rt ~k
+        | `Pik2 -> Topology.Segments.pik2_pr_counts rt ~k
       in
-      let max_pr, mean_pr, median_pr = Topology.Segments.pr_stats pr in
+      let max_pr, mean_pr, median_pr = Topology.Segments.pr_stats counts in
       { k; max_pr; mean_pr; median_pr })
     ks
 

@@ -143,22 +143,3 @@ let roots ?rng f =
     in
     Some (List.sort compare (split (monic f) []))
   end
-
-let to_string a =
-  if is_zero a then "0"
-  else begin
-    let terms = ref [] in
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          let s =
-            match i with
-            | 0 -> string_of_int c
-            | 1 -> if c = 1 then "x" else Printf.sprintf "%dx" c
-            | _ -> if c = 1 then Printf.sprintf "x^%d" i else Printf.sprintf "%dx^%d" c i
-          in
-          terms := s :: !terms
-        end)
-      a;
-    String.concat " + " !terms
-  end

@@ -51,6 +51,3 @@ val roots : ?rng:Random.State.t -> t -> int list option
     Returns [None] when the polynomial does not split into
     [degree t] distinct roots — the signal that a reconciliation bound was
     wrong.  Deterministic for a given [rng] seed. *)
-
-val to_string : t -> string
-(** Debug rendering such as "x^2 + 3x + 1". *)

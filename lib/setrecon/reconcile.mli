@@ -10,6 +10,15 @@
     two one-sided differences; factoring them yields the missing
     fingerprints.
 
+    {b Method.}  The rational function is found by rational
+    reconstruction (Cauchy interpolation): Newton interpolation of the
+    shifted ratio F - z^|d| (d = |A| - |B|) through the m sample points,
+    then the extended Euclidean algorithm against prod (z - z_i),
+    stopped at the first remainder below the numerator bound.  Both
+    steps take O(m²) field operations for a bound of m, and no matrix
+    is built; 8 further points check the candidate before its roots
+    are found.
+
     Element universe: elements must lie in [0, {!universe_size});
     evaluation points are drawn from the reserved range above it, so the
     characteristic polynomials never vanish at a sample point. *)

@@ -91,8 +91,8 @@ let imax (a : int) b = if a > b then a else b
    src-major, then dst, into one reusable buffer; a path's windows of
    widths [lo] to [hi], each clipped to the path's length (a segment has
    at least 3 routers), go into the table width by width and offset by
-   offset, and the family's lists are built only at the end, from the
-   store's last window back.
+   offset, and the table is returned: [family] builds the lists and
+   [pr_counts] counts per router.
 
    Under next-hop routing the rest of a path from router x toward d is
    fixed by the state (x, d), and so is every window of width [lo] or
@@ -159,6 +159,10 @@ let walk rt ~lo ~hi =
       end
     done
   done;
+  t
+
+(* The family's lists, built from the store's last window back. *)
+let family t =
   let family = ref [] and at = ref t.used in
   while !at > 0 do
     let x = t.store.(!at - 1) in
@@ -171,40 +175,44 @@ let walk rt ~lo ~hi =
   done;
   !family
 
-let pi2_family rt ~k =
-  if k < 1 then invalid_arg "Segments.pi2_family: k must be >= 1";
+let pi2_walk name rt ~k =
+  if k < 1 then invalid_arg (Printf.sprintf "Segments.%s: k must be >= 1" name);
   (* A path shorter than k+2 routers is monitored whole: both ends
      terminal. *)
   walk rt ~lo:(k + 2) ~hi:(k + 2)
 
-let pik2_family rt ~k =
-  if k < 1 then invalid_arg "Segments.pik2_family: k must be >= 1";
+let pik2_walk name rt ~k =
+  if k < 1 then invalid_arg (Printf.sprintf "Segments.%s: k must be >= 1" name);
   walk rt ~lo:3 ~hi:(k + 2)
 
-let group_by_router ~n ~members family =
-  let pr = Array.make n [] in
-  List.iter
-    (fun seg -> List.iter (fun r -> pr.(r) <- seg :: pr.(r)) (members seg))
-    family;
-  pr
+let pi2_family rt ~k = family (pi2_walk "pi2_family" rt ~k)
+let pik2_family rt ~k = family (pik2_walk "pik2_family" rt ~k)
 
-let pi2_pr rt ~k =
-  let n = Graph.size (Routing.graph rt) in
-  group_by_router ~n ~members:Fun.id (pi2_family rt ~k)
+(* Per-router |Pr| read off the store: a window counts for each of its
+   routers, or for its two ends only. *)
+let pr_counts rt t ~ends =
+  let counts = Array.make (Graph.size (Routing.graph rt)) 0 in
+  let bump j = counts.(t.store.(j)) <- counts.(t.store.(j)) + 1 in
+  let at = ref t.used in
+  while !at > 0 do
+    let first = !at - 1 - t.store.(!at - 1) and last = !at - 2 in
+    if ends then begin
+      bump first;
+      bump last
+    end
+    else
+      for j = first to last do
+        bump j
+      done;
+    at := first
+  done;
+  counts
 
-let ends seg =
-  match seg with
-  | [] | [ _ ] -> []
-  | first :: rest ->
-      let last = List.nth rest (List.length rest - 1) in
-      if first = last then [ first ] else [ first; last ]
+let pi2_pr_counts rt ~k = pr_counts rt (pi2_walk "pi2_pr_counts" rt ~k) ~ends:false
+let pik2_pr_counts rt ~k = pr_counts rt (pik2_walk "pik2_pr_counts" rt ~k) ~ends:true
 
-let pik2_pr rt ~k =
-  let n = Graph.size (Routing.graph rt) in
-  group_by_router ~n ~members:ends (pik2_family rt ~k)
-
-let pr_stats pr =
-  let counts = Array.map (fun segs -> float_of_int (List.length segs)) pr in
+let pr_stats counts =
+  let counts = Array.map float_of_int counts in
   if Array.length counts = 0 then (0.0, 0.0, 0.0)
   else begin
     let _, max_v = Mrstats.Descriptive.min_max counts in

@@ -10,7 +10,8 @@
       3 <= x <= k+2, of which it is an end.
 
     These functions compute the distinct segment families and the |Pr|
-    statistics of Figures 5.2 and 5.4.
+    counts and statistics of Figures 5.2 and 5.4; the counts come from
+    the same walk as the families, with no segment lists.
 
     {b Order.}  Both families come from one walk of the next-hop tables
     and list each segment at its first occurrence: routed paths
@@ -52,14 +53,16 @@ val pik2_family : Routing.t -> k:int -> segment list
     3 <= x <= k+2, of routed paths).  Raises [Invalid_argument] if
     [k < 1]. *)
 
-val pi2_pr : Routing.t -> k:int -> segment list array
-(** [pi2_pr rt ~k].(r) is Pr for router r under Π2: the distinct
-    monitored segments containing r. *)
+val pi2_pr_counts : Routing.t -> k:int -> int array
+(** [pi2_pr_counts rt ~k].(r) is |Pr| for router r under Π2: the number
+    of distinct monitored segments containing r.  Raises
+    [Invalid_argument] if [k < 1]. *)
 
-val pik2_pr : Routing.t -> k:int -> segment list array
-(** Pr for router r under Πk+2: the distinct monitored segments having r
-    as one of their two ends. *)
+val pik2_pr_counts : Routing.t -> k:int -> int array
+(** |Pr| for router r under Πk+2: the number of distinct monitored
+    segments having r as one of their two ends.  Raises
+    [Invalid_argument] if [k < 1]. *)
 
-val pr_stats : segment list array -> float * float * float
+val pr_stats : int array -> float * float * float
 (** (max, mean, median) of per-router |Pr| — the three series plotted in
     Figures 5.2 and 5.4. *)

@@ -1,6 +1,6 @@
-(* References the searches and the segment walk are checked against,
-   shared by the topology and protocol suites.  They share no code with
-   what they check. *)
+(* References the searches, the segment walk and set reconciliation are
+   checked against, shared by the topology, protocol and setrecon
+   suites.  They share no code with what they check. *)
 
 open Topology
 
@@ -42,7 +42,138 @@ let ref_pi2_family rt ~k =
 
 let ref_pik2_family rt ~k = ref_family rt ~widths:(fun _ -> List.init k (fun i -> i + 3))
 
-
 let families_match rt k =
   Segments.pi2_family rt ~k = ref_pi2_family rt ~k
   && Segments.pik2_family rt ~k = ref_pik2_family rt ~k
+
+(* Per-router |Pr| from a reference family: Pi2 counts every member of
+   a segment, Pik2 its two ends. *)
+let ref_pr_counts rt family ~members =
+  let counts = Array.make (Graph.size (Routing.graph rt)) 0 in
+  List.iter (List.iter (fun r -> counts.(r) <- counts.(r) + 1)) (List.map members family);
+  counts
+
+let ends seg = [ List.hd seg; List.nth seg (List.length seg - 1) ]
+
+let counts_match rt k =
+  Segments.pi2_pr_counts rt ~k = ref_pr_counts rt (ref_pi2_family rt ~k) ~members:Fun.id
+  && Segments.pik2_pr_counts rt ~k = ref_pr_counts rt (ref_pik2_family rt ~k) ~members:ends
+
+(* The Gaussian reconciliation oracle (Appendix A as an m x m linear
+   system).  [solve] finds some x with m x = rhs over GF(p) by
+   Gauss-Jordan elimination, free variables 0; None if inconsistent.
+   Neither argument is mutated. *)
+let solve m rhs =
+  let open Setrecon in
+  let rows = Array.length m in
+  let cols = if rows = 0 then 0 else Array.length m.(0) in
+  let a = Array.map Array.copy m and b = Array.copy rhs in
+  let pivot_col = Array.make rows (-1) in
+  let row = ref 0 in
+  for col = 0 to cols - 1 do
+    let pr = ref !row in
+    while !pr < rows && a.(!pr).(col) = 0 do
+      incr pr
+    done;
+    if !pr < rows then begin
+      let r0 = !row and pr = !pr in
+      let t = a.(pr) in
+      a.(pr) <- a.(r0);
+      a.(r0) <- t;
+      let t = b.(pr) in
+      b.(pr) <- b.(r0);
+      b.(r0) <- t;
+      let inv = Gfp.inv a.(r0).(col) in
+      for c = col to cols - 1 do
+        a.(r0).(c) <- Gfp.mul a.(r0).(c) inv
+      done;
+      b.(r0) <- Gfp.mul b.(r0) inv;
+      for r = 0 to rows - 1 do
+        let f = a.(r).(col) in
+        if r <> r0 && f <> 0 then begin
+          for c = col to cols - 1 do
+            a.(r).(c) <- Gfp.sub a.(r).(c) (Gfp.mul f a.(r0).(c))
+          done;
+          b.(r) <- Gfp.sub b.(r) (Gfp.mul f b.(r0))
+        end
+      done;
+      pivot_col.(r0) <- col;
+      incr row
+    end
+  done;
+  if Array.exists (( <> ) 0) (Array.sub b !row (rows - !row)) then None
+  else begin
+    let x = Array.make cols 0 in
+    for r = 0 to !row - 1 do
+      x.(pivot_col.(r)) <- b.(r)
+    done;
+    Some x
+  end
+
+(* One attempt at a bound: monic P (degree m1) and Q (degree m2),
+   m1 - m2 = |A| - |B| and m1 + m2 the bound rounded up to its parity,
+   from P(z) = F(z) Q(z) at m1 + m2 sample points; reduced by their gcd,
+   then checked at 8 more points.  The result record is [Reconcile]'s.
+   The sets' elements must be distinct. *)
+let reconcile_with_bound ~bound ~a ~b =
+  let open Setrecon in
+  let d = Array.length a - Array.length b in
+  let bound = max bound (abs d) in
+  let total = if (bound - d) mod 2 <> 0 then bound + 1 else bound in
+  let m1 = (total + d) / 2 and m2 = (total - d) / 2 in
+  let npoints = total + 8 in
+  let points = Array.init npoints (fun i -> Gfp.p - 1 - i) in
+  let chi elements z = Array.fold_left (fun acc e -> Gfp.mul acc (Gfp.sub z e)) 1 elements in
+  let fa = Array.map (chi a) points and fb = Array.map (chi b) points in
+  (* Unknowns p_0..p_(m1-1), q_0..q_(m2-1); per point
+     sum p_j z^j - f sum q_j z^j = f z^m2 - z^m1. *)
+  let row i =
+    let z = points.(i) and f = Gfp.div fa.(i) fb.(i) in
+    Array.init (m1 + m2) (fun j ->
+        if j < m1 then Gfp.pow z j else Gfp.neg (Gfp.mul f (Gfp.pow z (j - m1))))
+  in
+  let rhs i =
+    let z = points.(i) in
+    Gfp.sub (Gfp.mul (Gfp.div fa.(i) fb.(i)) (Gfp.pow z m2)) (Gfp.pow z m1)
+  in
+  match solve (Array.init total row) (Array.init total rhs) with
+  | None -> None
+  | Some x ->
+      let monic lo n = Poly.of_coeffs (Array.to_list (Array.sub x lo n) @ [ 1 ]) in
+      let p = monic 0 m1 and q = monic m1 m2 in
+      let g = Poly.gcd p q in
+      let p = fst (Poly.divmod p g) and q = fst (Poly.divmod q g) in
+      let holds i =
+        Gfp.mul (Poly.eval p points.(i)) fb.(i) = Gfp.mul (Poly.eval q points.(i)) fa.(i)
+      in
+      (* A candidate is accepted when P's roots are distinct elements of
+         A and not B, Q's of B and not A, and their counts differ by d.
+         Holding both sets, the oracle reads the roots off them: P is
+         the product of (z - x) over A\B's zeros of P exactly when it
+         has deg P of them. *)
+      let zeros poly xs ys =
+        Array.to_list xs
+        |> List.filter (fun x -> (not (Array.mem x ys)) && Poly.eval poly x = 0)
+        |> List.sort compare
+      in
+      let rp = zeros p a b and rq = zeros q b a in
+      if
+        List.for_all holds (List.init 8 (( + ) total))
+        && List.length rp = Poly.degree p
+        && List.length rq = Poly.degree q
+        && List.length rp - List.length rq = d
+      then
+        Some
+          { Reconcile.a_minus_b = rp; b_minus_a = rq; evals_used = npoints; attempts = 1 }
+      else None
+
+(* [Reconcile.diff]'s doubling from 8, on the reference attempt. *)
+let reconcile_diff ?(max_bound = 1024) ~a ~b () =
+  let rec loop bound attempts =
+    if bound > max_bound then None
+    else
+      match reconcile_with_bound ~bound ~a ~b with
+      | Some r -> Some { r with Setrecon.Reconcile.attempts }
+      | None -> loop (bound * 2) (attempts + 1)
+  in
+  loop 8 1

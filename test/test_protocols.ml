@@ -88,6 +88,18 @@ let test_pi2_hider_still_caught () =
     (fun s -> Alcotest.(check bool) "accurate" true (List.mem 2 s))
     segs
 
+let test_pi2_hider_shifts_blame () =
+  (* The smallest case that tells a hider from an honest dropper: on the
+     line 0-1-2 the dropper 1 is the middle router of both 3-segments.
+     Reporting its own summary, it fails the pair with its upstream
+     neighbour; echoing that neighbour's, the pair downstream. *)
+  let rt = Rt.compute (Gen.line ~n:3) in
+  let suspected adversary = Pi2.detect_round ~rt ~k:1 ~adversary ~round:0 () in
+  Alcotest.(check (list (list int))) "dropper" [ [ 0; 1 ]; [ 2; 1 ] ]
+    (suspected (Rounds.dropper [ 1 ]));
+  Alcotest.(check (list (list int))) "hider" [ [ 1; 0 ]; [ 1; 2 ] ]
+    (suspected (Rounds.hider (Rounds.dropper [ 1 ])))
+
 let test_pi2_adjacent_pair_k2 () =
   let rt = Rt.compute (Gen.line ~n:6) in
   let adversary = Rounds.hider (Rounds.dropper [ 2; 3 ]) in
@@ -547,6 +559,7 @@ let () =
           Alcotest.test_case "dropper precision 2" `Quick test_pi2_detects_dropper_with_precision_2;
           Alcotest.test_case "modifier" `Quick test_pi2_detects_modifier;
           Alcotest.test_case "hider" `Quick test_pi2_hider_still_caught;
+          Alcotest.test_case "hider shifts blame" `Quick test_pi2_hider_shifts_blame;
           Alcotest.test_case "adjacent pair" `Quick test_pi2_adjacent_pair_k2;
           Alcotest.test_case "spec properties" `Quick test_pi2_full_detect_properties;
           Alcotest.test_case "state counters" `Quick test_pi2_state_counters ] );

@@ -121,18 +121,18 @@ let test_poly_roots_large_set () =
   | None -> Alcotest.fail "expected roots"
   | Some rs -> Alcotest.(check (list int)) "all recovered" roots rs
 
-(* --- Linalg --- *)
+(* --- The reference's linear solver --- *)
 
 let test_linalg_identity () =
   let m = [| [| 1; 0 |]; [| 0; 1 |] |] in
-  match Linalg.solve m [| 5; 7 |] with
+  match Refs.solve m [| 5; 7 |] with
   | Some x -> Alcotest.(check (array int)) "solution" [| 5; 7 |] x
   | None -> Alcotest.fail "solvable"
 
 let test_linalg_solves () =
   (* 2x + y = 12, x + y = 7  =>  x = 5, y = 2 *)
   let m = [| [| 2; 1 |]; [| 1; 1 |] |] in
-  match Linalg.solve m [| 12; 7 |] with
+  match Refs.solve m [| 12; 7 |] with
   | Some x ->
       Alcotest.(check int) "x" 5 x.(0);
       Alcotest.(check int) "y" 2 x.(1)
@@ -140,21 +140,21 @@ let test_linalg_solves () =
 
 let test_linalg_inconsistent () =
   let m = [| [| 1; 1 |]; [| 1; 1 |] |] in
-  match Linalg.solve m [| 1; 2 |] with
+  match Refs.solve m [| 1; 2 |] with
   | None -> ()
   | Some _ -> Alcotest.fail "inconsistent system must be rejected"
 
 let test_linalg_underdetermined () =
   (* One equation, two unknowns: free var set to 0. *)
   let m = [| [| 1; 1 |] |] in
-  match Linalg.solve m [| 9 |] with
+  match Refs.solve m [| 9 |] with
   | Some x -> Alcotest.(check int) "x + y" 9 (Gfp.add x.(0) x.(1))
   | None -> Alcotest.fail "solvable"
 
 let test_linalg_does_not_mutate () =
   let m = [| [| 2; 1 |]; [| 1; 1 |] |] in
   let rhs = [| 12; 7 |] in
-  ignore (Linalg.solve m rhs);
+  ignore (Refs.solve m rhs);
   Alcotest.(check (array int)) "matrix untouched" [| 2; 1 |] m.(0);
   Alcotest.(check (array int)) "rhs untouched" [| 12; 7 |] rhs
 
@@ -268,6 +268,44 @@ let prop_reconcile_random =
           r.Reconcile.a_minus_b = S.elements (S.diff sa sb)
           && r.Reconcile.b_minus_a = S.elements (S.diff sb sa))
 
+(* The rational reconstruction against the Gaussian reference in Refs:
+   the same result, or None, at every bound, and the same doubling.
+   Bounds 1..80 against differences of 0..80 elements give under-bound,
+   tight and loose attempts; half the cases lean the bound toward the
+   difference so that tight ones occur often.  Half the one-sided
+   differences are drawn from 0..12: root finding of degree 40 takes
+   ~9 ms, and every success factors twice. *)
+let reconcile_case =
+  QCheck.make
+    ~print:(fun (na, nb, ns, bound, seed) ->
+      Printf.sprintf "|A\\B| = %d, |B\\A| = %d, shared %d, bound %d, seed %d" na nb ns bound seed)
+    QCheck.Gen.(
+      let size = oneof [ int_range 0 40; int_range 0 12 ] in
+      let* na = size in
+      let* nb = size in
+      let* ns = int_range 0 20 in
+      let* bound =
+        oneof [ int_range 1 80; map (fun s -> max 1 (min 80 (na + nb + s))) (int_range (-2) 2) ]
+      in
+      let* seed = int_bound 1_000_000 in
+      return (na, nb, ns, bound, seed))
+
+let prop_reconcile_matches_reference =
+  QCheck.Test.make ~name:"diff_with_bound and diff = Gaussian reference" ~count:200
+    reconcile_case (fun (na, nb, ns, bound, seed) ->
+      let st = Random.State.make [| seed |] in
+      let elements = Hashtbl.create 128 in
+      let rec fresh () =
+        let e = Random.State.int st 1_000_000 in
+        if Hashtbl.mem elements e then fresh () else (Hashtbl.add elements e (); e)
+      in
+      let shared = Array.init ns (fun _ -> fresh ()) in
+      let a = Array.append shared (Array.init na (fun _ -> fresh ())) in
+      let b = Array.append (Array.init nb (fun _ -> fresh ())) shared in
+      Reconcile.diff_with_bound ~rng:(rng ()) ~bound ~a ~b ()
+      = Refs.reconcile_with_bound ~bound ~a ~b
+      && Reconcile.diff ~rng:(rng ()) ~a ~b () = Refs.reconcile_diff ~a ~b ())
+
 (* --- Bloom --- *)
 
 let test_bloom_membership () =
@@ -368,7 +406,8 @@ let () =
           Alcotest.test_case "universe guard" `Quick test_reconcile_universe_guard;
           Alcotest.test_case "fingerprint mapping" `Quick test_element_of_fingerprint_range;
           Alcotest.test_case "char evals" `Quick test_char_evals;
-          QCheck_alcotest.to_alcotest prop_reconcile_random ] );
+          QCheck_alcotest.to_alcotest prop_reconcile_random;
+          QCheck_alcotest.to_alcotest prop_reconcile_matches_reference ] );
       ( "bloom",
         [ Alcotest.test_case "membership" `Quick test_bloom_membership;
           Alcotest.test_case "false positives" `Quick test_bloom_false_positive_rate;

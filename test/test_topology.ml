@@ -160,29 +160,26 @@ let test_pik2_family_line () =
 
 let test_pi2_pr_membership () =
   let rt = Routing.compute (Generate.line ~n:5) in
-  let pr = Segments.pi2_pr rt ~k:1 in
-  (* Router 2 is inside 0-1-2,1-2-3,2-3-4 and their reverses: 6 segments. *)
-  Alcotest.(check int) "middle router" 6 (List.length pr.(2));
-  (* Router 0 only belongs to 0-1-2 / 2-1-0. *)
-  Alcotest.(check int) "edge router" 2 (List.length pr.(0))
+  let counts = Segments.pi2_pr_counts rt ~k:1 in
+  (* Router 2 is inside 0-1-2,1-2-3,2-3-4 and their reverses: 6 segments;
+     routers 1 and 3 inside four each; routers 0 and 4 only inside
+     0-1-2 / 2-1-0 and 2-3-4 / 4-3-2. *)
+  Alcotest.(check (array int)) "per router" [| 2; 4; 6; 4; 2 |] counts
 
 let test_pik2_pr_ends_only () =
   let rt = Routing.compute (Generate.line ~n:5) in
-  let pr = Segments.pik2_pr rt ~k:1 in
-  (* k = 1: only 3-segments; router 2 is an end of 2-3-4, 4-3-2, 2-1-0, 0-1-2. *)
-  Alcotest.(check int) "router 2 ends" 4 (List.length pr.(2));
-  List.iter
-    (fun s ->
-      match s with
-      | first :: rest ->
-          let last = List.nth rest (List.length rest - 1) in
-          if first <> 2 && last <> 2 then Alcotest.fail "segment without r as end"
-      | [] -> Alcotest.fail "empty segment")
-    pr.(2)
+  let counts = Segments.pik2_pr_counts rt ~k:1 in
+  (* k = 1: only 3-segments.  Router 2 is an end of 2-3-4, 4-3-2, 2-1-0
+     and 0-1-2; routers 1 and 3 of 1-2-3 and 3-2-1; router 0 of 0-1-2
+     and 2-1-0, router 4 of 2-3-4 and 4-3-2.  A middle router is not
+     counted: two ends per segment. *)
+  Alcotest.(check (array int)) "per router" [| 2; 2; 4; 2; 2 |] counts;
+  Alcotest.(check int) "two ends per segment" (2 * List.length (Segments.pik2_family rt ~k:1))
+    (Array.fold_left ( + ) 0 counts)
 
 let test_pr_stats () =
   let rt = Routing.compute (Generate.line ~n:5) in
-  let mx, mean, med = Segments.pr_stats (Segments.pi2_pr rt ~k:1) in
+  let mx, mean, med = Segments.pr_stats (Segments.pi2_pr_counts rt ~k:1) in
   Alcotest.(check (float 1e-9)) "max" 6.0 mx;
   Alcotest.(check bool) "mean <= max" true (mean <= mx);
   Alcotest.(check bool) "median <= max" true (med <= mx)
@@ -192,8 +189,8 @@ let test_pik2_smaller_than_pi2 () =
      Πk+2 is far below Π2 on ISP-like graphs. *)
   let g = Generate.ebone_like () in
   let rt = Routing.compute g in
-  let _, mean_pi2, _ = Segments.pr_stats (Segments.pi2_pr rt ~k:2) in
-  let _, mean_pik2, _ = Segments.pr_stats (Segments.pik2_pr rt ~k:2) in
+  let _, mean_pi2, _ = Segments.pr_stats (Segments.pi2_pr_counts rt ~k:2) in
+  let _, mean_pik2, _ = Segments.pr_stats (Segments.pik2_pr_counts rt ~k:2) in
   Alcotest.(check bool)
     (Printf.sprintf "pi2 %.1f > pik2 %.1f" mean_pi2 mean_pik2)
     true (mean_pi2 > mean_pik2)
@@ -906,7 +903,8 @@ let prop_policy_matches_reference_on_costs =
 (* Graphs of 2 to 12 routers, half the time with costs 1..3 and some
    directed links removed: the walk's window table starts at its
    smallest size there and doubles as the wider windows of k = 2..4
-   fill it. *)
+   fill it.  The per-router |Pr| counts must equal those taken from the
+   reference families too. *)
 let prop_families_match_reference =
   QCheck.Test.make ~name:"families = list-windows reference" ~count:100 route_case
     (fun (grid, seed) ->
@@ -934,7 +932,7 @@ let prop_families_match_reference =
       List.for_all
         (fun g ->
           let rt = Routing.compute g in
-          List.for_all (Refs.families_match rt) [ 1; 2; 3; 4 ])
+          List.for_all (fun k -> Refs.families_match rt k && Refs.counts_match rt k) [ 1; 2; 3; 4 ])
         [ g; tree ])
 
 let test_families_grid8x8 () =
