@@ -34,7 +34,7 @@ let grow b =
   b.occs <- extend b.occs no_sample
 
 (* The next slot, filled with all but its fingerprint.  The time comes
-   in a flat box (the network's clock) and is stored straight into the
+   in a flat box (the view's clock) and is stored straight into the
    float array: a float argument would box. *)
 let claim b ~size ~flow ~(at : Netsim.Sim.fbox) =
   if b.len = Array.length b.sizes then grow b;
@@ -71,23 +71,28 @@ let compare_at b i j =
   let c = Float.compare b.times.(i) b.times.(j) in
   if c <> 0 then c else Int64.compare (fp_at b i) (fp_at b j)
 
-(* Reports arrive in event order, which is (time, fp) order unless a
-   clock skew shifted some reporter's timestamps or two entries share
-   an instant; only then does a round pay for a sort. *)
+(* Reports arrive in event order.  That is not (time, fp) order: an
+   arrival is reported after the receiving router's processing jitter,
+   stamped with the time the neighbour saw, so reports from different
+   in-links interleave out of order by up to the jitter bound; a clock
+   skew shifts some reporter's timestamps; two entries can share an
+   instant.  An insertion sort in place, with slot [len] holding the
+   entry being placed, is stable, allocates nothing once the buffer has
+   grown, and costs O(n + inversions) on such nearly sorted reports. *)
 let sort_by_time_fp b =
-  let ordered = ref true in
   for i = 1 to b.len - 1 do
-    if compare_at b (i - 1) i > 0 then ordered := false
-  done;
-  if not !ordered then begin
-    let perm = Array.init b.len Fun.id in
-    Array.stable_sort (compare_at b) perm;
-    let copy = buf () in
-    for i = 0 to b.len - 1 do
-      append copy b i
-    done;
-    Array.iteri (fun j i -> set_slot b j copy i) perm
-  end
+    if compare_at b (i - 1) i > 0 then begin
+      if b.len = Array.length b.sizes then grow b;
+      let spare = b.len in
+      set_slot b spare b i;
+      let j = ref i in
+      while !j > 0 && compare_at b (!j - 1) spare > 0 do
+        set_slot b !j b (!j - 1);
+        decr j
+      done;
+      set_slot b !j b spare
+    end
+  done
 
 (* Open-addressed fingerprint set with linear probing.  A slot holds a
    member iff its mark equals [gen], so clearing is one increment and

@@ -281,20 +281,24 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
               (Core.Adversary.after attack_start b)
         | None -> ());
         (* --trace N: the attacker's last N link and router events,
-           rendered during the callback (listeners borrow packets).
-           Only the attacker's own interfaces build link events for
-           it. *)
+           rendered during the callback (listeners borrow packets),
+           with their times: a delivery is stamped with its arrival,
+           up to the jitter bound before it is heard, so the dump
+           sorts.  Only the attacker's own interfaces build link
+           events for it. *)
         let trace_journal =
           if trace > 0 then begin
             let j = Telemetry.Journal.create ~capacity:trace () in
-            let on_link ev = Telemetry.Journal.record j (Probe.describe_iface ev) in
+            let on_link (ev : Net.iface_event) =
+              Telemetry.Journal.record j (ev.clock.f, Probe.describe_iface ev)
+            in
             List.iter
               (fun i ->
                 Net.subscribe_link net ~src:attacker ~dst:(Iface.next_hop i) on_link)
               (Router.ifaces (Net.router net attacker));
             Net.subscribe_router net (fun ev ->
                 if ev.Net.router = attacker then
-                  Telemetry.Journal.record j (Probe.describe_router ev));
+                  Telemetry.Journal.record j (ev.clock.f, Probe.describe_router ev));
             Some j
           end
           else None
@@ -329,7 +333,11 @@ let run ?on_progress ?(progress_interval = 0.5) (config : Config.t) =
     match trace_journal with
     | Some j ->
         Printf.printf "last %d events at router %d:\n" trace attacker;
-        Telemetry.Journal.iter j (Printf.printf "  %s\n")
+        List.iter
+          (fun (_, line) -> Printf.printf "  %s\n" line)
+          (List.stable_sort
+             (fun (a, _) (b, _) -> Float.compare a b)
+             (Telemetry.Journal.to_list j))
     | None -> ()
   in
   let env =

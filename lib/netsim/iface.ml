@@ -57,7 +57,11 @@ type t = {
   tx_end : Sim.fbox;
   mutable tx_key : int;
   mutable txend_pending : bool;
-  arrive_at : Sim.fbox;  (* scratch: the arrival time being scheduled *)
+  (* The processing jitter of the router at [link.dst], uniform in
+     [0, jitter_bound): drawn at transmit-start and folded into the
+     arrival event's time. *)
+  jitter_bound : float;
+  arrive_at : Sim.fbox;  (* scratch: the arrival event's time being scheduled *)
   mutable observe : kinds;  (* the kinds some consumer reads *)
   mutable up : bool;
   mutable corruption : float;
@@ -73,7 +77,7 @@ type t = {
 let tag_txend = ref 0
 let tag_arrive = ref 0
 
-let create ~sim ~link ~kind ~release ~on_event ~deliver =
+let create ~sim ~link ~kind ~jitter_bound ~release ~on_event ~deliver =
   let queue =
     match kind with
     | Droptail limit_bytes -> Fifo (Queue_fifo.create ~limit_bytes ())
@@ -82,7 +86,7 @@ let create ~sim ~link ~kind ~release ~on_event ~deliver =
   let red = match queue with Red_q q -> Some q | Fifo _ -> None in
   { sim; clock = Sim.clock sim; link; queue; red; on_event; deliver; release;
     tx_end = { Sim.f = Float.neg_infinity }; tx_key = 0; txend_pending = false;
-    arrive_at = { Sim.f = 0.0 }; observe = all_kinds; up = true;
+    jitter_bound; arrive_at = { Sim.f = 0.0 }; observe = all_kinds; up = true;
     corruption = 0.0; tx_packets = 0; dropped_packets = 0 }
 
 let owner t = t.link.Topology.Graph.src
@@ -120,7 +124,12 @@ let push_txend t =
     (Obj.repr t) Sim.nil
 
 (* Serialize the head packet; at transmission end + propagation delay
-   the packet reaches the neighbour. *)
+   the packet reaches the neighbour, at [arrive].  The neighbour's
+   processing jitter j is drawn here and the arrival event fires at
+   [arrive + j], where the neighbour forwards and enqueues the packet
+   at once: one heap event per hop.  [arrive] rides in the packet for
+   the arrival-side events' stamp.  A packet for the neighbour itself
+   is delivered there unjittered. *)
 let transmit t =
   let p = dequeue_exn t in
   (* Busy while [on_event] runs.  The key is reserved after it, so every
@@ -138,7 +147,11 @@ let transmit t =
      must lie in the future. *)
   if (not (queue_empty t)) || t.tx_end.f <= now then push_txend t
   else t.txend_pending <- false;
-  t.arrive_at.f <- now +. (tx +. t.link.Topology.Graph.delay);
+  let arrive = now +. (tx +. t.link.Topology.Graph.delay) in
+  p.Packet.spans.arrive <- arrive;
+  if p.Packet.dst = next_hop t then t.arrive_at.f <- 0.0
+  else Sim.jitter_into (Sim.rng t.sim) ~bound:t.jitter_bound t.arrive_at;
+  t.arrive_at.f <- arrive +. t.arrive_at.f;
   Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive ~i:0 (Obj.repr t) (Obj.repr p)
 
 (* Start the next transmission if the wire is free.  While a packet is
@@ -149,8 +162,8 @@ let kick t =
     if not (Sim.fired t.sim ~at:t.tx_end ~key:t.tx_key) then push_txend t
     else if t.up then transmit t
 
-(* Arrival: the corruption coin comes from the simulation stream at the
-   arrival instant. *)
+(* Arrival, once the neighbour's jitter has passed: the corruption coin
+   comes from the simulation stream at this instant. *)
 let arrive t p =
   if t.corruption > 0.0 && Random.State.float (Sim.rng t.sim) 1.0 < t.corruption
   then begin

@@ -16,8 +16,9 @@
     waits behind the one on the wire — at transmit-start when the queue
     is still non-empty, or at {!enqueue} while the interface is busy —
     because only then does it have work to do (start the head of the
-    queue).  An uncongested hop therefore costs two heap events (the
-    router's post-jitter enqueue and the arrival), not three.
+    queue).  An uncongested hop therefore costs one heap event, the
+    arrival, which also carries the receiving router's processing
+    jitter (see {!create}).
 
     The interface is {e busy} while a pushed transmission-end event is
     pending or the virtual one has not fired ({!Sim.fired}: [t0 + tx] is
@@ -50,18 +51,31 @@ val create :
   sim:Sim.t ->
   link:Topology.Graph.link ->
   kind:kind ->
+  jitter_bound:float ->
   release:(Packet.t -> unit) ->
   on_event:(event -> Packet.t -> unit) ->
   deliver:(prev:int -> Packet.t -> unit) ->
   t
 (** Build the interface for a directed link.  [on_event kind p] reports
     each observed transition of packet [p] (see {!set_observe}); [p] is
-    lent for the call only, since it may die right after.  [deliver] is
-    invoked at the packet's arrival instant at [link.dst] with
-    [prev = link.src]; the corruption coin is drawn from the simulation
-    stream at that instant.  A [Red_queue] draws its drop coins from the
-    same stream.  [release] receives every packet this interface kills,
-    after its drop event — the pool-recycling hook. *)
+    lent for the call only, since it may die right after.
+
+    A packet whose transmission starts at [t0] arrives at [link.dst] at
+    [arrive = t0 + size/bw + delay], which the interface stores in the
+    packet ([spans.arrive]).  The receiving router's processing jitter
+    j, uniform below [jitter_bound] ({!Sim.jitter_into}), is drawn from
+    the simulation stream at transmit-start, and the arrival event
+    fires at [arrive + j]: there the corruption coin is drawn from the
+    same stream, and [deliver] is invoked with [prev = link.src], so
+    the router forwards the packet and enqueues it at once.  A packet
+    addressed to [link.dst] itself draws no jitter and arrives at
+    [arrive].  [Delivered] and [Drop_corrupted] are reported at the
+    arrival event; a consumer stamps them with [spans.arrive], up to
+    [jitter_bound] before the clock ({!Net.subscribe_iface}).
+
+    A [Red_queue] draws its drop coins from the simulation stream.
+    [release] receives every packet this interface kills, after its
+    drop event — the pool-recycling hook. *)
 
 type kinds
 (** A set of event kinds: what one consumer reads.  An interface reports

@@ -33,9 +33,11 @@ type t = {
   mutable probe : Probe.t option;
   poison : bool;
   pool : Pool.t;
+  jitter_bound : float;
 }
 
 let sim t = t.sim
+let jitter_bound t = t.jitter_bound
 
 (* Observation is scoped by link and by kind.  An interface emits the
    kinds its consumers read: every kind under a probe, plus the kinds
@@ -176,7 +178,8 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
       pins = Hashtbl.create 16;
       probe = None;
       poison;
-      pool = Pool.create ~poison () }
+      pool = Pool.create ~poison ();
+      jitter_bound }
   in
   let release p = Pool.release t.pool p in
   (* What a view holds until its first emission; never lent. *)
@@ -202,16 +205,29 @@ let create ?(seed = 1) ?(queue = Droptail 64000) ?(jitter_bound = 300e-6)
   List.iter
     (fun (l : Topology.Graph.link) ->
       let rdst = t.routers.(l.Topology.Graph.dst) in
-      let view =
-        { clock = t.clock; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
+      let view clock =
+        { clock; router = l.Topology.Graph.src; next = l.Topology.Graph.dst;
           kind = Iface.Enqueued; pkt = placeholder; arg = 0.0 }
       in
+      (* The arrival-side kinds are stamped with the packet's arrival
+         time, which its neighbour saw: the arrival event fires after
+         the receiving router's jitter ({!Iface.create}).  They borrow
+         a second view, whose clock is a box set to that time. *)
+      let at_clock = view t.clock and at_arrival = view { Sim.f = 0.0 } in
       let busy = ref false in
       let iface =
-        Iface.create ~sim ~link:l ~kind:queue_kind ~release
+        Iface.create ~sim ~link:l ~kind:queue_kind ~jitter_bound ~release
           ~on_event:(fun kind pkt ->
-            emit t busy view Probe.on_iface Iface.wants t.iface_listeners
-              (scoped_listeners t view) kind view.next pkt 0.0)
+            let v =
+              match kind with
+              | Iface.Delivered | Iface.Drop_corrupted ->
+                  at_arrival.clock.f <- pkt.Packet.spans.Packet.arrive;
+                  at_arrival
+              | Iface.Enqueued | Iface.Drop_congestion | Iface.Drop_red_early
+              | Iface.Drop_link_down | Iface.Transmit_start -> at_clock
+            in
+            emit t busy v Probe.on_iface Iface.wants t.iface_listeners
+              (scoped_listeners t v) kind v.next pkt 0.0)
           ~deliver:(fun ~prev pkt -> Router.receive_prev rdst ~prev pkt)
       in
       Router.add_iface t.routers.(l.Topology.Graph.src) iface)

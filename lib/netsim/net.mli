@@ -9,7 +9,7 @@ type queue_spec =
   | Red of Red.params
 
 type 'kind view = 'kind Probe.view = {
-  clock : Sim.fbox;        (** the network's clock ({!Sim.clock}): the time is [clock.f] *)
+  clock : Sim.fbox;        (** the event's time is [clock.f] (see below) *)
   router : int;            (** the router, or the owner of the queue *)
   mutable next : int;      (** the neighbour; [-1] when the event names none *)
   mutable kind : 'kind;    (** a constant constructor *)
@@ -17,14 +17,25 @@ type 'kind view = 'kind Probe.view = {
   mutable arg : float;     (** the event's one scalar, [0.] when it has none *)
 }
 (** One observation, of either layer: both have one shape, a constant
-    kind beside the packet.  The network keeps one view per interface
-    and one per router, overwrites the mutable fields at each emission
+    kind beside the packet.  The network keeps two views per interface
+    (see below) and one per router, overwrites the mutable fields at
+    each emission
     (one emit path for both layers), and lends it to the probe and to
     every listener in turn (see {!subscribe_iface}).
 
-    An event happens at the current simulation time, so a view stores
-    no time: every view holds the network's one clock box, and a
+    A view stores no time of its own: it holds a clock box, and a
     listener reads the event's time as [ev.clock.f] during its callback.
+    Every event happens at the current simulation time, the network's
+    one clock box, except an interface's arrival-side kinds
+    ([Delivered], [Drop_corrupted]): they are stamped with the time the
+    packet reached the far end, which its upstream neighbour sees.
+    That is up to [jitter_bound] before the clock, because the arrival
+    event fires after the receiving router's processing jitter
+    ({!Iface.create}); an interface lends them a second view, whose
+    clock is a box set to that time.  A consumer that orders events
+    by time sorts them: emission order is not time order across these
+    kinds.
+
     A consumer in another module takes the box, not the float: the dev
     profile compiles every module [-opaque], so no call between modules
     is inlined and a float passed to one is boxed per call.
@@ -72,6 +83,9 @@ val create :
     loudly-wrong data and double releases raise, and makes an emission
     into a view whose listeners are still running raise
     [Invalid_argument] — the debug mode the allocation tests use. *)
+
+val jitter_bound : t -> float
+(** The routers' processing-jitter bound given to {!create}. *)
 
 val sim : t -> Sim.t
 (** The simulation the network runs on: traffic generators, probes,

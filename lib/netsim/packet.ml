@@ -20,7 +20,7 @@ type t = {
   spans : spans;
 }
 
-and spans = { mutable q_start : float; mutable tx_start : float }
+and spans = { mutable q_start : float; mutable tx_start : float; mutable arrive : float }
 
 let initial_ttl = 64
 
@@ -32,7 +32,7 @@ let make_at ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size ?(ttl = initial_ttl) 
   let body = Bytes.create 8 in
   Crypto_sim.Fnv.hash_int_into uid body 0;
   { uid; src; dst; flow; size; proto; ttl; body; created = { f = clock.f };
-    trace = 0; spans = { q_start = -1.0; tx_start = -1.0 } }
+    trace = 0; spans = { q_start = -1.0; tx_start = -1.0; arrive = -1.0 } }
 
 let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
   make_at ~clock:(Sim.clock sim) ~uid:(Sim.fresh_id sim) ~src ~dst ~flow ~size ~ttl proto
@@ -42,7 +42,8 @@ let make ~sim ~src ~dst ~flow ~size ?(ttl = initial_ttl) proto =
    that shared its [body] would carry the other branch's modification. *)
 let clone t =
   { t with body = Bytes.copy t.body; created = { f = t.created.f };
-    spans = { q_start = t.spans.q_start; tx_start = t.spans.tx_start } }
+    spans =
+      { q_start = t.spans.q_start; tx_start = t.spans.tx_start; arrive = t.spans.arrive } }
 
 (* Pool recycling: overwrite every field of a dead packet so the reused
    record is indistinguishable from a fresh [make].  The payload is
@@ -61,7 +62,8 @@ let reinit p ~(clock : Sim.fbox) ~uid ~src ~dst ~flow ~size proto =
   p.created.f <- clock.f;
   p.trace <- 0;
   p.spans.q_start <- -1.0;
-  p.spans.tx_start <- -1.0
+  p.spans.tx_start <- -1.0;
+  p.spans.arrive <- -1.0
 
 let payload p = Bytes.get_int64_le p.body 0
 let set_payload p w = Bytes.set_int64_le p.body 0 w

@@ -39,7 +39,7 @@ type t = {
   mutable trace : int; (** telemetry trace id (0 = unsampled); pure
                            observability metadata, excluded from
                            fingerprints like the TTL *)
-  spans : spans;  (** the probe's pending span windows *)
+  spans : spans;  (** the probe's pending span windows and the visit's arrival *)
 }
 
 and spans = {
@@ -51,9 +51,19 @@ and spans = {
   mutable tx_start : float;
       (** transmit-start instant of the pending transit span; [-1] =
           none. *)
+  mutable arrive : float;
+      (** when the packet reached the router it is visiting, if that
+          visit's processing jitter is already spent, [-1] otherwise.
+          The event that hands such a packet to its router fires at
+          [arrive + j] (an arrival from a link, or a CBR/Poisson tick
+          with its [created] time as [arrive]), so the router enqueues
+          it at once; any other packet it forwards waits a post-jitter
+          event ({!Router.create}).  An interface's [Delivered] and
+          [Drop_corrupted] events are stamped with it. *)
 }
-(** Probe scratch, observability metadata excluded from fingerprints.
-    A float-only record, so storing a time into it boxes nothing. *)
+(** Per-hop timing scratch, excluded from fingerprints: the probe's
+    span windows and the current visit's arrival time.  A float-only
+    record, so storing a time into it boxes nothing. *)
 
 val make :
   sim:Sim.t ->

@@ -41,18 +41,21 @@
     {!trace_instant}. *)
 
 type 'kind view = {
-  clock : Sim.fbox;        (** the network's clock: the event's time is [clock.f] *)
+  clock : Sim.fbox;        (** the event's time is [clock.f] (see below) *)
   router : int;            (** the router, or the owner of the queue *)
   mutable next : int;      (** the neighbour; [-1] when the event names none *)
   mutable kind : 'kind;
   mutable pkt : Packet.t;  (** the packet the event is about *)
   mutable arg : float;     (** the event's one scalar, [0.] when it has none *)
 }
-(** One observation, of either layer: [Net] keeps one per interface
+(** One observation, of either layer: [Net] keeps two per interface
     ([router] and [next] fixed) and one per router, and overwrites the
-    mutable fields at each emission.  Every event happens now, so the
-    view holds no time of its own: [clock] is the simulation's clock
-    ({!Sim.clock}), shared by every view of the network, and a consumer
+    mutable fields at each emission.  The view holds no time of its
+    own: [clock] is the simulation's clock ({!Sim.clock}), shared by
+    every view of the network, except in an interface's view for its
+    arrival-side kinds ([Delivered], [Drop_corrupted]), whose [clock]
+    is a box set to the packet's arrival time, up to the jitter bound
+    before the simulation's ([Net.view]).  A consumer
     reads [v.clock.f] during its callback — or hands the box on, to
     {!Telemetry.Timeseries.record} say, instead of a float, which the
     call would box.  A router event's [next] and [arg]

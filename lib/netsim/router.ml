@@ -60,8 +60,10 @@ type t = {
   clock : Sim.fbox;  (* the simulation's clock, read without boxing *)
   id : int;
   (* Per-packet processing jitter, uniform in [0, jitter_bound), drawn
-     from the simulation stream into [enqueue_at]: a [unit -> float]
-     closure, or [Random.State.float] itself, would box every draw. *)
+     from the simulation stream into [enqueue_at] for a packet whose
+     visit has not spent it ({!enqueue_after_jitter}): a
+     [unit -> float] closure, or [Random.State.float] itself, would box
+     every draw. *)
   rng : Random.State.t;
   jitter_bound : float;
   enqueue_at : Sim.fbox;  (* scratch: when the jittered packet enqueues *)
@@ -133,24 +135,25 @@ let set_mtu t m =
   | _ -> ());
   t.mtu <- m
 
-(* Post-jitter enqueue as a tagged event: the common forwarding step
-   schedules nothing but (iface, packet) into the flat heap. *)
+(* Post-jitter enqueue as a tagged event, for a packet whose visit has
+   not spent its jitter: it schedules nothing but (iface, packet) into
+   the flat heap. *)
 let tag_enqueue = ref 0
 
 let () =
   tag_enqueue :=
     Sim.new_tag (fun _ a b _ -> Iface.enqueue (Obj.obj a) (Obj.obj b))
 
-(* The jitter, uniform in [0, jitter_bound), is drawn into
-   [enqueue_at] and turned into the enqueue time in place: no float
+(* One jitter per router visit.  A packet whose visit's jitter is
+   spent (it arrived from a link, or from a CBR/Poisson tick, at
+   [arrive + j]: [spans.arrive] is set) enqueues at once.  Any other
+   packet draws its jitter, uniform in [0, jitter_bound), into
+   [enqueue_at], turned into the enqueue time in place: no float
    crosses a call, so a jittered hop allocates nothing. *)
 let enqueue_after_jitter t iface pkt =
   let at = t.enqueue_at in
-  if t.jitter_bound <= 0.0 then at.f <- 0.0
-  else begin
-    at.f <- t.jitter_bound;
-    Sim.float_into t.rng at
-  end;
+  if pkt.Packet.spans.Packet.arrive >= 0.0 then at.f <- 0.0
+  else Sim.jitter_into t.rng ~bound:t.jitter_bound at;
   if at.f <= 0.0 then Iface.enqueue iface pkt
   else begin
     at.f <- t.clock.f +. at.f;
@@ -175,6 +178,8 @@ let fragment t ~next iface pkt mtu =
     (* Fragments stay on the original packet's trace: causally the
        same injection, even though their uids are fresh. *)
     frag.Packet.trace <- pkt.Packet.trace;
+    (* They are the original's visit, with its jitter. *)
+    frag.Packet.spans.Packet.arrive <- pkt.Packet.spans.Packet.arrive;
     enqueue_after_jitter t iface frag
   done;
   t.release pkt

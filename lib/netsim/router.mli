@@ -75,11 +75,17 @@ val create :
     [-1] for the other kinds; [arg] is a [Fragmented] event's fragment
     count, a [Malicious_delay]'s delay in seconds, and [0.] otherwise.
 
-    Every forwarded packet waits a processing delay drawn uniformly below
-    [jitter_bound] from the simulation stream ({!Sim.rng}; the source
-    of the queue-prediction error Protocol χ calibrates, §6.2.1); a
-    bound [<= 0] draws nothing and enqueues at once.  The draw happens
-    in place, so a hop boxes no float.  Fragments the router mints take
+    Every visit of a forwarded packet waits one processing delay drawn
+    uniformly below [jitter_bound] from the simulation stream
+    ({!Sim.rng}; the source of the queue-prediction error Protocol χ
+    calibrates, §6.2.1); a bound [<= 0] draws nothing.  A packet that
+    comes with the delay already spent — one that arrived from a link,
+    or from a CBR/Poisson tick, at [arrive + j] ({!Iface.create},
+    {!Packet.spans}) — is enqueued at once, and so are its fragments
+    and, after the hold, a packet a [Delay] behavior held.  Any other
+    packet (one a TCP or ping endpoint or an app originates) draws its
+    delay when it is forwarded and is enqueued by a post-jitter event.
+    The draw happens in place, so a hop boxes no float.  Fragments the router mints take
     their uids from the simulation-global counter.  [release]
     receives every packet that dies at this router, after its event
     and, for a local delivery, after [local_deliver] returns — the

@@ -61,6 +61,13 @@ let float_into rng (b : fbox) =
   done;
   b.f <- Int64.to_float !n *. 0x1.p-53 *. b.f
 
+let jitter_into rng ~bound (b : fbox) =
+  if bound > 0.0 then begin
+    b.f <- bound;
+    float_into rng b
+  end
+  else b.f <- 0.0
+
 (* --- scheduling ----------------------------------------------------- *)
 
 let reserve_key t = Ev.reserve t.events

@@ -32,6 +32,12 @@ val float_into : Random.State.t -> fbox -> unit
     for bit and drawing the same state, without allocating: the
     standard library's draw boxes its result. *)
 
+val jitter_into : Random.State.t -> bound:float -> fbox -> unit
+(** [jitter_into rng ~bound b] sets [b.f] to a processing jitter,
+    uniform in [[0, bound)] ({!float_into}), or to [0.] without drawing
+    when [bound <= 0].  Pass a bound that is already stored (a record
+    field), so that no float is boxed for the call. *)
+
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** Run a thunk [delay] seconds from now.  Raises [Invalid_argument]
     for a negative or non-finite delay. *)

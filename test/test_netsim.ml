@@ -246,7 +246,8 @@ let test_iface_timing () =
   G.add_link g ~bw:1.25e6 ~delay:0.010 0 1;
   let delivered = ref None in
   let iface =
-    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~release:ignore
+    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~jitter_bound:0.0
+      ~release:ignore
       ~on_event:(fun ev _ ->
         match ev with
         | Iface.Delivered -> delivered := Some (Sim.now sim)
@@ -267,7 +268,8 @@ let test_iface_serialization () =
   G.add_link g ~bw:1.25e6 ~delay:0.010 0 1;
   let times = ref [] in
   let iface =
-    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~release:ignore
+    Iface.create ~sim ~link:(G.link_exn g 0 1) ~kind:(Iface.Droptail 64000) ~jitter_bound:0.0
+      ~release:ignore
       ~on_event:(fun ev _ ->
         match ev with Iface.Delivered -> times := Sim.now sim :: !times | _ -> ())
       ~deliver:(fun ~prev:_ _ -> ())
@@ -445,6 +447,32 @@ let test_poisson_rate () =
   let rate = float_of_int (Flow.sent f) /. 10.0 in
   Alcotest.(check bool) (Printf.sprintf "rate %.1f near 200" rate) true
     (Float.abs (rate -. 200.0) < 20.0)
+
+(* A Poisson source whose mean gap (50 us) is well below the jitter
+   bound (200 us): a tick's nominal time plus its jitter often falls
+   before the instant the previous tick fired, and the tick then fires
+   at that instant rather than in the past.  Every packet still reaches
+   its source's queue within [created, created + jitter_bound), and
+   the ties show the clamp ran. *)
+let test_poisson_gaps_under_jitter () =
+  let jitter_bound = 200e-6 in
+  let g = G.create ~n:2 in
+  G.add_link g ~bw:1e9 ~delay:0.001 0 1;
+  let net = Net.create ~jitter_bound ~queue:(Net.Droptail 10_000_000) g in
+  Net.use_routing net (Rt.compute g);
+  let checked = ref 0 and ties = ref 0 and last = ref (-1.0) in
+  Net.subscribe_link net ~kinds:Iface.(kinds [ Enqueued ]) ~src:0 ~dst:1 (fun ev ->
+      let created = ev.Net.pkt.Packet.created.Sim.f and t = ev.Net.clock.Sim.f in
+      if not (created <= t && t < created +. jitter_bound) then
+        Alcotest.failf "enqueued at %.9f, created at %.9f" t created;
+      if t = !last then incr ties;
+      last := t;
+      incr checked);
+  let f = Flow.poisson net ~src:0 ~dst:1 ~rate_pps:20_000.0 ~size:100 ~start:0.0 ~stop:0.5 in
+  Net.run net;
+  Alcotest.(check bool) (Printf.sprintf "%d packets" (Flow.sent f)) true (Flow.sent f > 5_000);
+  Alcotest.(check int) "every packet enqueued in its window" (Flow.sent f) !checked;
+  Alcotest.(check bool) (Printf.sprintf "clamped ticks (%d)" !ties) true (!ties > 100)
 
 let test_ping_rtt () =
   (* Line 0-1-2, 10 ms links, negligible tx time: RTT = 4 links * 10 ms +
@@ -966,10 +994,12 @@ let test_lazy_txend_tie_order () =
   Alcotest.(check bool) "journal retained every record" true (String.length got > 100_000);
   Alcotest.(check string) "recorded digest" "227f4df2c227dbc7837384bf34682841" (hex got)
 
-(* Uncongested, jittered: a hop is the post-jitter enqueue plus the
-   arrival; the transmission end never reaches the heap (it used to, for
-   ticks + 3 hops). *)
-let test_two_events_per_hop () =
+(* Uncongested, jittered: a hop is its arrival event alone, which
+   fires after the receiving router's jitter, and a source's tick
+   carries the source router's; the transmission end never reaches the
+   heap (it used to, for ticks + 3 hops), and neither does a post-jitter
+   enqueue (it used to, for ticks + 2 hops). *)
+let test_one_event_per_hop () =
   let net = line_net ~jitter_bound:100e-6 4 in
   let flows =
     [ Flow.cbr net ~src:0 ~dst:3 ~rate_pps:50.0 ~size:500 ~start:0.0 ~stop:1.0;
@@ -983,8 +1013,60 @@ let test_two_events_per_hop () =
     List.iter (fun i -> hops := !hops + Iface.tx_packets i) (Router.ifaces (Net.router net r))
   done;
   Alcotest.(check int) "hops" (3 * List.fold_left (fun acc f -> acc + Flow.sent f) 0 flows) !hops;
-  Alcotest.(check int) "events = ticks + 2 hops" (ticks + (2 * !hops))
-    (Net.events_processed net)
+  Alcotest.(check int) "events = ticks + hops" (ticks + !hops) (Net.events_processed net)
+
+(* The information model of the jitter fold: a neighbour sees a packet
+   reach a router at its arrival, and the router enqueues it one
+   processing jitter later.  On a jittered line carrying CBR both ways
+   and a TCP transfer, every Delivered is stamped exactly at its
+   Transmit_start + size/bw + delay, no later than the clock and at
+   most the jitter bound before it; the packet's Enqueued at that
+   router lies in [Delivered, Delivered + jitter_bound), and a
+   source's Enqueued in [created, created + jitter_bound). *)
+let test_delivered_keeps_arrival () =
+  let jitter_bound = 100e-6 in
+  let net = line_net ~jitter_bound 4 in
+  let sim = Net.sim net and g = Net.graph net in
+  let sent = Hashtbl.create 1024 and arrived = Hashtbl.create 1024 in
+  let delivered = ref 0 and transit = ref 0 and sourced = ref 0 in
+  let within what from t =
+    if not (from <= t && t < from +. jitter_bound) then
+      Alcotest.failf "%s at %.9f, not within the jitter bound after %.9f" what t from
+  in
+  Net.subscribe_iface net (fun ev ->
+      let p = ev.Net.pkt and t = ev.Net.clock.Sim.f in
+      let at = (p.Packet.uid, ev.Net.router) in
+      match ev.Net.kind with
+      | Iface.Transmit_start -> Hashtbl.replace sent at t
+      | Iface.Delivered ->
+          let l = G.link_exn g ev.Net.router ev.Net.next in
+          let arrive =
+            Hashtbl.find sent at +. (float_of_int p.Packet.size /. l.G.bw +. l.G.delay)
+          in
+          if t <> arrive then Alcotest.failf "Delivered at %.9f, arrival %.9f" t arrive;
+          let now = Sim.now sim in
+          if not (t <= now && now -. t <= jitter_bound) then
+            Alcotest.failf "Delivered stamped %.9f at %.9f" t now;
+          Hashtbl.replace arrived (p.Packet.uid, ev.Net.next) t;
+          incr delivered
+      | Iface.Enqueued -> (
+          match Hashtbl.find_opt arrived at with
+          | Some d ->
+              within "Enqueued" d t;
+              incr transit
+          | None ->
+              within "source Enqueued" p.Packet.created.Sim.f t;
+              incr sourced)
+      | _ -> ());
+  ignore (Flow.cbr net ~src:0 ~dst:3 ~rate_pps:200.0 ~size:500 ~start:0.0 ~stop:1.0);
+  ignore (Flow.cbr net ~src:3 ~dst:1 ~rate_pps:150.0 ~size:300 ~start:0.003 ~stop:1.0);
+  ignore (Tcp.connect net ~src:0 ~dst:3 ~total_bytes:200_000 ());
+  Net.run ~until:5.0 net;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d deliveries, %d transit and %d source enqueues" !delivered !transit
+       !sourced)
+    true
+    (!delivered > 1_000 && !transit > 500 && !sourced > 300)
 
 let test_net_determinism () =
   (* Identical seeds produce identical traces. *)
@@ -1094,17 +1176,21 @@ let () =
           Alcotest.test_case "policy forwarding" `Quick test_net_policy_forwarding;
           Alcotest.test_case "link failure" `Quick test_link_failure;
           Alcotest.test_case "failure resume" `Quick test_link_failure_buffered_resume;
-          Alcotest.test_case "determinism" `Quick test_net_determinism ] );
+          Alcotest.test_case "determinism" `Quick test_net_determinism;
+          Alcotest.test_case "delivered keeps the arrival time" `Quick
+            test_delivered_keeps_arrival ] );
       ( "engine",
         [ Alcotest.test_case "consecutive runs identical" `Quick
             test_consecutive_runs_identical ] );
       ( "lazy txend",
         [ Alcotest.test_case "tie order golden" `Quick test_lazy_txend_tie_order;
-          Alcotest.test_case "two events per uncongested hop" `Quick
-            test_two_events_per_hop ] );
+          Alcotest.test_case "one event per uncongested hop" `Quick
+            test_one_event_per_hop ] );
       ( "flows",
         [ Alcotest.test_case "cbr count" `Quick test_cbr_count;
           Alcotest.test_case "poisson rate" `Quick test_poisson_rate;
+          Alcotest.test_case "poisson gaps under the jitter bound" `Quick
+            test_poisson_gaps_under_jitter;
           Alcotest.test_case "ping rtt" `Quick test_ping_rtt;
           Alcotest.test_case "ping loss" `Quick test_ping_loss;
           Alcotest.test_case "ping rejects a bad interval" `Quick test_ping_rejects_interval ] );

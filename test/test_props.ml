@@ -638,12 +638,15 @@ let chi_trial ~seed ~mode =
    1,000 runs.
 
    Measured on seeds 0..1000 (21,021 judged rounds): 2.9% of rounds
-   have one significant loss, 0.12% have two or more and alarm, so 25
-   runs raise one alarm and none raises more.  Each such loss is
-   congestive: processing jitter let later arrivals take the last room
-   first, so the replay predicts the queue two packets short of full
-   (seed 14 at 16.61 s: q_pred 62,000 of 64,000 bytes, confidence
-   0.9998 against a calibrated σ of 294 bytes). *)
+   have one significant loss, 0.11% have two or more and alarm, so 21
+   runs raise one alarm, one (seed 694) raises two, and none raises
+   more.  Each such loss is congestive: processing jitter let later
+   arrivals take the last room first, so the replay predicts the queue
+   two packets short of full (seed 73 at 5.77 s: q_pred 62,000 of
+   64,000 bytes, confidence 0.9999 against a calibrated σ of 280
+   bytes).  The seeds were swept again when each hop's jitter came to
+   be drawn at transmit-start, which moved the random draw order
+   (before: 25 seeds, one alarm each, at 2.9% and 0.12%). *)
 let chi_false_alarm_bound =
   let r =
     int_of_float (chi_horizon /. chi_config.Core.Chi.tau) - chi_config.Core.Chi.learning_rounds
@@ -682,8 +685,8 @@ let test_chi_false_alarm_seeds () =
         (Printf.sprintf "seed %d: %d alarms within the bound" seed alarms)
         true
         (alarms <= chi_false_alarm_bound))
-    [ 14; 21; 124; 127; 254; 291; 295; 301; 309; 324; 392; 414; 482; 491; 497; 501;
-      570; 599; 633; 748; 799; 818; 875; 883; 885 ]
+    [ 73; 98; 105; 125; 184; 218; 268; 297; 309; 317; 327; 346; 419; 436; 444; 694;
+      728; 731; 758; 780; 899; 916 ]
 
 (* --- Telemetry merge laws --- *)
 

@@ -261,9 +261,11 @@ let test_simulate_trace_golden () =
          re-pinned when segments came to be numbered in family order:
          a verdict's flight window (the newest entries naming its
          routers) then took a different summary dispatch of the same
-         instant. *)
+         instant; and re-pinned when each hop's processing jitter came
+         to be drawn at transmit-start, which moved the random draw
+         order. *)
       Alcotest.(check string) "trace document matches the recorded digest"
-        "7dff5baf4b2b32b112fb8a926fe94911" (Digest.to_hex (Digest.string text));
+        "e930923fca85810da8b9b77339f33b61" (Digest.to_hex (Digest.string text));
       match Export.of_string (String.trim text) with
       | Error e -> Alcotest.failf "trace file is not valid JSON: %s" e
       | Ok doc ->
@@ -302,9 +304,10 @@ let test_simulate_trace_golden () =
               Alcotest.(check bool) "explain renders a chain" true
                 (String.length report > 0);
               (* Re-pinned with the document: the evidence entries'
-                 ids moved down by one. *)
+                 ids moved down by one, and again with the jitter
+                 fold. *)
               Alcotest.(check string) "explain text matches the recorded digest"
-                "358aa5bb61b00ee55d8208a9744a382f" (Digest.to_hex (Digest.string report))
+                "accfb007525374a7b9b1e5b6e95e3e5d" (Digest.to_hex (Digest.string report))
           | Error e -> Alcotest.failf "explain failed: %s" e))
 
 let () =
