@@ -106,6 +106,44 @@ let hotpath_file = "BENCH_hotpath.json"
 
 let packet_bytes n = String.init n (fun i -> Char.chr ((i * 7) land 0xff))
 
+(* A hold on the simulator's event queue in the forwarding plane's
+   shape: 256 sources on one 12.5 ms period jittered by up to 100 us,
+   three packet hops in flight per source, 1 to 2.5 ms apart, and a 5 s
+   timer.  One operation takes the earliest event and pushes its
+   successor, so the population stays at 1,025 events; the ticks
+   cluster, so buckets keep spawning finer rungs.  The jitter is an LCG
+   in the kernel, so no float is boxed per operation. *)
+let event_queue_hold () =
+  let module E = Prioq.Event in
+  let q = E.create () and c = E.cursor () and at = { E.f = 0.0 } in
+  let lcg = ref 1 in
+  let push ~tag ~iarg =
+    E.push_keyed q ~at ~key:(E.reserve q) ~tag ~iarg E.nil E.nil
+  in
+  for i = 0 to 255 do
+    at.f <- 0.0;
+    push ~tag:0 ~iarg:i;
+    for hop = 1 to 3 do
+      at.f <- float_of_int hop *. 1e-3;
+      push ~tag:1 ~iarg:i
+    done
+  done;
+  at.f <- 5.0;
+  push ~tag:2 ~iarg:0;
+  fun () ->
+    let h = E.take q ~until:infinity ~strict:false c in
+    E.free q h;
+    lcg := ((!lcg * 1103515245) + 12345) land 0x3fff_ffff;
+    let jitter = float_of_int (!lcg land 1023) *. 1e-7 in
+    let gap =
+      match c.E.tag with
+      | 0 -> 0.0125 +. jitter
+      | 1 -> 1e-3 +. (float_of_int (c.E.iarg land 3) *. 5e-4) +. jitter
+      | _ -> 5.0
+    in
+    at.f <- c.E.time.E.f +. gap;
+    push ~tag:c.E.tag ~iarg:c.E.iarg
+
 (* The one kernel table, recorded and gated alike. *)
 let kernels () =
   let small = packet_bytes 40 and msg = packet_bytes 1500 in
@@ -155,6 +193,7 @@ let kernels () =
       fun () -> ignore (Topology.Segments.pik2_family rt ~k:1) );
     ( "policy-tables-1-exclusion",
       fun () -> ignore (Topology.Policy.compute g ~forbidden:[ seg ]) );
+    ("event-queue-hold", event_queue_hold ());
     ( "dolev-strong-5-parties",
       fun () ->
         ignore

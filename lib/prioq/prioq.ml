@@ -1,2 +1,2 @@
-(* The library's one heap, reached as [Prioq.Event]. *)
+(* The library's one event queue, reached as [Prioq.Event]. *)
 module Event = Evheap

@@ -177,3 +177,138 @@ let reconcile_diff ?(max_bound = 1024) ~a ~b () =
       | None -> loop (bound * 2) (attempts + 1)
   in
   loop 8 1
+
+(* The event queue's oracle: the flat binary min-heap [Prioq.Event] was
+   before it became a ladder queue.  Four parallel scalar arrays (time,
+   key, packed descriptor, payload handle) sift; payloads sit still in a
+   handle-indexed side table, two cells per handle, with free handles
+   threaded through their first cell.  Pops come out in (time, key)
+   order. *)
+module Binheap = struct
+  type t = {
+    mutable prio : float array;
+    mutable key : int array;
+    mutable meta : int array;
+    mutable hnd : int array;
+    mutable slots : Obj.t array;
+    mutable free : int;
+    mutable fresh : int;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  (* A popped event: time, key, tag, operand and both payloads. *)
+  type event = { time : float; key : int; tag : int; iarg : int; pa : Obj.t; pb : Obj.t }
+
+  let nil : Obj.t = Obj.repr 0
+
+  let create () =
+    { prio = [||]; key = [||]; meta = [||]; hnd = [||]; slots = [||]; free = -1;
+      fresh = 0; size = 0; next_seq = 0 }
+
+  let length t = t.size
+
+  let reserve t =
+    let sq = t.next_seq in
+    t.next_seq <- sq + 1;
+    sq
+
+  let acquire t =
+    let h = t.free in
+    if h >= 0 then begin
+      t.free <- (Obj.obj t.slots.(2 * h) : int);
+      h
+    end
+    else begin
+      let h = t.fresh in
+      t.fresh <- h + 1;
+      h
+    end
+
+  let release t h =
+    t.slots.(2 * h) <- Obj.repr t.free;
+    t.slots.((2 * h) + 1) <- nil;
+    t.free <- h
+
+  let grow t =
+    let cap = Array.length t.prio in
+    if t.size = cap then begin
+      let ncap = max 64 (2 * cap) in
+      let extend a fill n =
+        let b = Array.make ncap fill in
+        Array.blit a 0 b 0 n;
+        b
+      in
+      t.prio <- extend t.prio 0.0 t.size;
+      t.key <- extend t.key 0 t.size;
+      t.meta <- extend t.meta 0 t.size;
+      t.hnd <- extend t.hnd 0 t.size;
+      let slots = Array.make (2 * ncap) nil in
+      Array.blit t.slots 0 slots 0 (2 * t.fresh);
+      t.slots <- slots
+    end
+
+  let earlier t i p k = p < t.prio.(i) || (p = t.prio.(i) && k < t.key.(i))
+
+  let set t i p k m h =
+    t.prio.(i) <- p;
+    t.key.(i) <- k;
+    t.meta.(i) <- m;
+    t.hnd.(i) <- h
+
+  let move t ~src ~dst = set t dst t.prio.(src) t.key.(src) t.meta.(src) t.hnd.(src)
+
+  let push_keyed t ~time ~key ~tag ~iarg pa pb =
+    grow t;
+    let h = acquire t in
+    t.slots.(2 * h) <- pa;
+    t.slots.((2 * h) + 1) <- pb;
+    let i = ref t.size in
+    t.size <- t.size + 1;
+    while !i > 0 && earlier t ((!i - 1) / 2) time key do
+      move t ~src:((!i - 1) / 2) ~dst:!i;
+      i := (!i - 1) / 2
+    done;
+    set t !i time key (tag lor (iarg lsl 8)) h
+
+  let push t ~time ~tag ~iarg pa pb = push_keyed t ~time ~key:(reserve t) ~tag ~iarg pa pb
+
+  (* Move the last element to the root and sift it down. *)
+  let remove_root t =
+    let n = t.size - 1 in
+    t.size <- n;
+    if n > 0 then begin
+      let p = t.prio.(n) and k = t.key.(n) and m = t.meta.(n) and h = t.hnd.(n) in
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let c = if l + 1 < n && earlier t l t.prio.(l + 1) t.key.(l + 1) then l + 1 else l in
+          if t.prio.(c) < p || (t.prio.(c) = p && t.key.(c) < k) then begin
+            move t ~src:c ~dst:!i;
+            i := c
+          end
+          else continue := false
+        end
+      done;
+      set t !i p k m h
+    end
+
+  let pop t ~until ~strict =
+    if t.size = 0 then None
+    else begin
+      let p = t.prio.(0) in
+      if (if strict then p >= until else p > until) then None
+      else begin
+        let h = t.hnd.(0) and m = t.meta.(0) in
+        let ev =
+          { time = p; key = t.key.(0); tag = m land 0xff; iarg = m lsr 8;
+            pa = t.slots.(2 * h); pb = t.slots.((2 * h) + 1) }
+        in
+        release t h;
+        remove_root t;
+        Some ev
+      end
+    end
+end
