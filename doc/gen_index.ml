@@ -44,7 +44,7 @@ variant and the framing attack), {!Core.Sats}, {!Core.Stealth}, and
 {ul
 {- [Netsim] — discrete-event packet simulator: {!Netsim.Net},
    {!Netsim.Tcp}, {!Netsim.Red}, {!Netsim.Router} (with adversarial
-   forwarding hooks), {!Netsim.Stats}, driven by one single-heap
+   forwarding hooks), {!Netsim.Stats}, driven by one single-queue
    {!Netsim.Sim} event loop with one random stream, so a run is
    byte-identical for a given seed.}
 {- [Topology] — {!Topology.Routing} (deterministic link state),

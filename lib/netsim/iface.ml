@@ -127,7 +127,7 @@ let push_txend t =
    the packet reaches the neighbour, at [arrive].  The neighbour's
    processing jitter j is drawn here and the arrival event fires at
    [arrive + j], where the neighbour forwards and enqueues the packet
-   at once: one heap event per hop.  [arrive] rides in the packet for
+   at once: one queue event per hop.  [arrive] rides in the packet for
    the arrival-side events' stamp.  A packet for the neighbour itself
    is delivered there unjittered. *)
 let transmit t =
@@ -155,7 +155,7 @@ let transmit t =
   Sim.schedule_ev t.sim ~at:t.arrive_at ~tag:!tag_arrive ~i:0 (Obj.repr t) (Obj.repr p)
 
 (* Start the next transmission if the wire is free.  While a packet is
-   on it, a waiting packet needs the transmission-end event in the heap
+   on it, a waiting packet needs the transmission-end event in the queue
    to start it. *)
 let kick t =
   if (not t.txend_pending) && not (queue_empty t) then

@@ -16,7 +16,7 @@
     waits behind the one on the wire — at transmit-start when the queue
     is still non-empty, or at {!enqueue} while the interface is busy —
     because only then does it have work to do (start the head of the
-    queue).  An uncongested hop therefore costs one heap event, the
+    queue).  An uncongested hop therefore costs one queue event, the
     arrival, which also carries the receiving router's processing
     jitter (see {!create}).
 
@@ -24,7 +24,7 @@
     pending or the virtual one has not fired ({!Sim.fired}: [t0 + tx] is
     still ahead, or it is now and its key sorts after the events run so
     far at this instant).  Same-time ties therefore resolve exactly as
-    if the event had been in the heap all along: events, observations
+    if the event had been in the queue all along: events, observations
     and random draws happen in the same order, and only
     {!Sim.events_processed} counts fewer events. *)
 

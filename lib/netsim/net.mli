@@ -69,7 +69,7 @@ val create :
     upper bound, drawn uniformly (default 300 microseconds; pass 0. for a
     perfectly deterministic forwarding plane); a non-finite bound raises
     [Invalid_argument].  Every router, interface and traffic source runs
-    on one event heap ({!sim}) and draws from its one random stream.
+    on one event queue ({!sim}) and draws from its one random stream.
 
     Packets are recycled: a packet returns to the network's freelist
     ({!Pool}) the moment it dies (delivered, dropped, expired) and
