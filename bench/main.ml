@@ -144,6 +144,51 @@ let event_queue_hold () =
     at.f <- c.E.time.E.f +. gap;
     push ~tag:c.E.tag ~iarg:c.E.iarg
 
+(* The probe's per-event work once its journal has wrapped: the
+   always-on stats and one journal record, for an interface event that
+   cycles enqueue, transmit and deliver as a hop does, 1 us apart.  The
+   journal holds 4,096 records, as perfbench's probes do. *)
+let probe_iface_event () =
+  let module P = Netsim.Probe in
+  let probe = P.create ~journal_capacity:4096 () in
+  P.set_stats probe (Some (Netsim.Stats.create ~n:2 []));
+  let clock = { Netsim.Sim.f = 0.0 } in
+  let pkt =
+    Netsim.Packet.make_at ~clock ~uid:1 ~src:0 ~dst:1 ~flow:3 ~size:1000 Netsim.Packet.Udp
+  in
+  let v = { P.clock; router = 0; next = 1; kind = Netsim.Iface.Enqueued; pkt; arg = 0.0 } in
+  let kinds = Netsim.Iface.[| Enqueued; Transmit_start; Delivered |] in
+  let i = ref 0 in
+  let op () =
+    v.kind <- kinds.(!i);
+    i := if !i = 2 then 0 else !i + 1;
+    clock.f <- clock.f +. 1e-6;
+    P.on_iface probe v
+  in
+  for _ = 1 to 8192 do
+    op ()
+  done;
+  op
+
+(* The collector's insert: a Content summary filled with 4,096
+   distinct fingerprints read in place from a buffer, then cleared for
+   the next round, as [Seg_index] recycles its summaries. *)
+let summary_observe_content () =
+  let n = 4096 in
+  let fps = Bytes.create (8 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_ne fps (8 * i) (Int64.mul (Int64.of_int (i + 1)) 0x9e3779b97f4a7c15L)
+  done;
+  let s = Core.Summary.create Core.Summary.Content and clock = { Netsim.Sim.f = 0.0 } in
+  let i = ref 0 in
+  fun () ->
+    Core.Summary.observe_at s fps (8 * !i) ~size:1000 ~clock;
+    incr i;
+    if !i = n then begin
+      i := 0;
+      Core.Summary.clear s
+    end
+
 (* The one kernel table, recorded and gated alike. *)
 let kernels () =
   let small = packet_bytes 40 and msg = packet_bytes 1500 in
@@ -194,6 +239,8 @@ let kernels () =
     ( "policy-tables-1-exclusion",
       fun () -> ignore (Topology.Policy.compute g ~forbidden:[ seg ]) );
     ("event-queue-hold", event_queue_hold ());
+    ("probe-iface-event", probe_iface_event ());
+    ("summary-observe-content", summary_observe_content ());
     ( "dolev-strong-5-parties",
       fun () ->
         ignore

@@ -183,11 +183,10 @@ let claim t ?probe ~time ~claimant ~peer ~segment ~round truth =
       ignore (screen t ?probe ~time ~claimant ~summary:c ~extras ());
       c
 
+(* A sum of per-fingerprint terms, so it needs no order. *)
 let digest s =
-  List.fold_left
-    (fun acc fp -> Int64.logxor acc (Int64.mul fp 0x9e3779b97f4a7c15L))
-    (Int64.of_int (Summary.packets s))
-    (Summary.fingerprints s)
+  Summary.fold s ~init:(Int64.of_int (Summary.packets s)) ~f:(fun acc fp ->
+      Int64.logxor acc (Int64.mul fp 0x9e3779b97f4a7c15L))
 
 let note_dispute t = t.disputes <- t.disputes + 1
 let note_equivocation t = t.equivocations <- t.equivocations + 1

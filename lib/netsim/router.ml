@@ -177,7 +177,7 @@ let fragment t ~next iface pkt mtu =
     in
     (* Fragments stay on the original packet's trace: causally the
        same injection, even though their uids are fresh. *)
-    frag.Packet.trace <- pkt.Packet.trace;
+    Packet.set_trace frag pkt.Packet.trace;
     (* They are the original's visit, with its jitter. *)
     frag.Packet.spans.Packet.arrive <- pkt.Packet.spans.Packet.arrive;
     enqueue_after_jitter t iface frag
@@ -232,7 +232,7 @@ let multicast t ~prev pkt (branches, local) =
   let expired =
     prev >= 0
     && begin
-         pkt.Packet.ttl <- pkt.Packet.ttl - 1;
+         Packet.set_ttl pkt (pkt.Packet.ttl - 1);
          pkt.Packet.ttl <= 0
        end
   in
@@ -264,7 +264,7 @@ let unicast t ~prev pkt =
     let expired =
       prev >= 0
       && begin
-           pkt.Packet.ttl <- pkt.Packet.ttl - 1;
+           Packet.set_ttl pkt (pkt.Packet.ttl - 1);
            pkt.Packet.ttl <= 0
          end
     in

@@ -36,12 +36,31 @@ let bucket_count t i = t.counts.(i)
 
 (* 2^36 units are 2^62 quanta, the first count an OCaml int cannot
    hold; int_of_float past it (or of an infinity or NaN) is unspecified
-   and wraps the sum.  The comparison is false for NaN. *)
+   and wraps the sum.  The comparison is false for NaN.  The rounding is
+   [Float.round]'s, half away from zero, done inline: below 2^62 the
+   truncation is exact and so is the fraction it leaves. *)
 let[@inline] quantize v =
-  if Float.abs v < 0x1p36 then int_of_float (Float.round (v *. 0x1p26)) else 0
+  if Float.abs v < 0x1p36 then begin
+    let q = v *. 0x1p26 in
+    let i = int_of_float q in
+    let frac = q -. float_of_int i in
+    if frac >= 0.5 then i + 1 else if frac <= -0.5 then i - 1 else i
+  end
+  else 0
 
 let sum t = float_of_int t.sum_q *. quantum
 let mean t = if t.count = 0 then 0.0 else sum t /. float_of_int t.count
+
+(* [ceil (log2 v)] for a finite positive [v], as the C library gives
+   it.  A normal [v] whose mantissa field is at least 2^20 lies at least
+   2^-32 above 2^k (k its binary exponent), where log2 is more than
+   1e-10 past k and well clear of its rounding: the answer is k + 1,
+   read off the bits.  Nearer a power of two, or subnormal, ask log2. *)
+let[@inline] ceil_log2 v =
+  let bits = Int64.bits_of_float v in
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) in
+  if biased > 0 && Int64.to_int bits land 0xF_FFFF_FFFF_FFFF >= 0x10_0000 then biased - 1022
+  else int_of_float (Float.ceil (Float.log2 v))
 
 (* ceil log2, not floor: buckets are upper-inclusive (2^(e-1), 2^e] so
    they agree with the le= edges the Prometheus exporter emits. *)
@@ -53,7 +72,7 @@ let[@inline] bucket_index t v =
        unspecified, so route both to the overflow bin explicitly. *)
     if not (v < infinity) then n - 1
     else begin
-      let e = int_of_float (Float.ceil (Float.log2 v)) in
+      let e = ceil_log2 v in
       let i = e - t.min_exp + 1 in
       if i < 1 then 1 else if i >= n then n - 1 else i
     end

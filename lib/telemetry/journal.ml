@@ -58,6 +58,16 @@ let evictee t =
   if not (full t) then invalid_arg "Journal.evictee: the ring has not wrapped";
   t.ring.(t.next)
 
+let of_retained ~capacity ~total records =
+  let t = create ~capacity () in
+  let n = List.length records in
+  if total < 0 || n <> min total capacity then
+    invalid_arg "Journal.of_retained: records must number min total capacity";
+  List.iteri (fun i x -> t.ring.(i) <- x) records;
+  t.next <- n mod capacity;
+  t.total <- total;
+  t
+
 let total t = t.total
 let retained t = min t.total t.capacity
 let dropped t = max 0 (t.total - t.capacity)

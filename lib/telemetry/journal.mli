@@ -3,9 +3,9 @@
     A fixed-capacity ring of structured records: recording is O(1) and
     the memory footprint is set at creation no matter how many events
     flow through — under sustained load the journal keeps the newest
-    [capacity] records and counts the rest as dropped.  This is the one
-    storage primitive behind {!Netsim.Probe}, [simulate --trace] and
-    {!Span}.
+    [capacity] records and counts the rest as dropped.  It stores
+    {!Span}'s entries and [simulate --trace]'s lines, and is the typed
+    view {!Netsim.Probe.journal} builds from the probe's flat ring.
 
     {b Single-writer}: the ring indices are plain mutable fields, so a
     journal belongs to one domain — the first domain to {!record} after
@@ -42,6 +42,13 @@ val evictee : 'a t -> 'a
     zero-allocation loop — provided no other reference to the evicted
     record is live (see {!Span}'s pinning rules for an example of
     excluding retained records).  Neither call allocates. *)
+
+val of_retained : capacity:int -> total:int -> 'a list -> 'a t
+(** [of_retained ~capacity ~total records] is the journal that would
+    hold [records] (oldest first) after [total] records were offered to
+    a fresh one of [capacity]: how a recorder that keeps its own flat
+    ring ({!Netsim.Probe}) hands out a typed view.  Raises
+    [Invalid_argument] unless [records] number [min total capacity]. *)
 
 val total : 'a t -> int
 (** Records ever offered (including evicted ones). *)

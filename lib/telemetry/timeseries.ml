@@ -18,14 +18,21 @@ type t = {
   counts : int array;
   sums : int array;
   mutable used : int; (* buckets in use: indices [0, used) *)
+  mutable last : int; (* the bucket [record] last computed *)
+  window : window;
 }
+
+(* Times certain to land in bucket [last]: [record] skips its division
+   for them.  A float-only record, so updating it boxes nothing. *)
+and window = { mutable lo : float; mutable hi : float }
 
 let create ?(capacity = 256) ~resolution () =
   if capacity < 2 then invalid_arg "Timeseries.create: capacity < 2";
   if not (resolution > 0.0) then
     invalid_arg "Timeseries.create: resolution must be positive";
   { capacity; res = resolution;
-    counts = Array.make capacity 0; sums = Array.make capacity 0; used = 0 }
+    counts = Array.make capacity 0; sums = Array.make capacity 0; used = 0;
+    last = 0; window = { lo = infinity; hi = neg_infinity } }
 
 let capacity t = t.capacity
 let resolution t = t.res
@@ -59,12 +66,17 @@ let coarsen t =
   Array.fill t.counts half (t.capacity - half) 0;
   Array.fill t.sums half (t.capacity - half) 0;
   t.used <- half;
-  t.res <- t.res *. 2.0
+  t.res <- t.res *. 2.0;
+  t.window.lo <- infinity;
+  t.window.hi <- neg_infinity
 
-(* The time arrives in a flat box and is read here: the dev profile
-   compiles with [-opaque], so a float argument would be boxed at every
-   call. *)
-let record t ~(at : Prioq.Event.fbox) v =
+(* The bucket of [time]: [int_of_float (time /. res)], clamped at 0,
+   coarsening until it fits.  The window it leaves holds every time
+   whose quotient, however it rounds, falls in [i, i + 1): those at
+   least [i * res] and below [(i + 1) * res], each edge pulled inwards
+   by 2^-50 relative, which covers the division's rounding and the
+   edges' own. *)
+let bucket t (at : Prioq.Event.fbox) =
   let time = at.f in
   let idx = int_of_float (time /. t.res) in
   let idx = if idx < 0 then 0 else idx in
@@ -75,6 +87,18 @@ let record t ~(at : Prioq.Event.fbox) v =
     idx := if i < 0 then 0 else i
   done;
   let i = !idx in
+  t.last <- i;
+  t.window.lo <- float_of_int i *. t.res *. (1.0 +. 0x1p-50);
+  t.window.hi <- float_of_int (i + 1) *. t.res *. (1.0 -. 0x1p-50);
+  i
+
+(* The time arrives in a flat box and is read here: the dev profile
+   compiles with [-opaque], so a float argument would be boxed at every
+   call.  Consecutive samples mostly share a bucket, whose window then
+   spares the division. *)
+let record t ~(at : Prioq.Event.fbox) v =
+  let time = at.f in
+  let i = if time >= t.window.lo && time < t.window.hi then t.last else bucket t at in
   t.counts.(i) <- t.counts.(i) + 1;
   t.sums.(i) <- t.sums.(i) + v;
   if i >= t.used then t.used <- i + 1

@@ -123,7 +123,7 @@ let test_fingerprint_ttl_invariant () =
   let key = Crypto_sim.Siphash.key_of_string "ttl" in
   let pkt = Packet.make ~sim ~src:0 ~dst:1 ~flow:0 ~size:100 Packet.Udp in
   let before = Packet.fingerprint key pkt in
-  pkt.Packet.ttl <- pkt.Packet.ttl - 3;
+  Packet.set_ttl pkt (pkt.Packet.ttl - 3);
   Alcotest.(check int64) "hop-invariant" before (Packet.fingerprint key pkt);
   Packet.set_payload pkt 42L;
   Alcotest.(check bool) "payload-sensitive" true

@@ -65,6 +65,103 @@ let test_histogram_min_exp () =
   Alcotest.(check bool) "tiny value above zero not in bin 0" true
     (Hist.bucket_index h 1e-9 >= 1)
 
+(* [Hist.record] finds [ceil (log2 v)] from the float's bits wherever
+   log2's rounding cannot matter and rounds the fixed-point sum without
+   [Float.round]; both must agree with those C calls bit for bit,
+   including within a few ulps of a power of two and at half-quantum
+   ties, where a shortcut would differ. *)
+let hist_value =
+  let open QCheck.Gen in
+  let near_pow2 =
+    map2
+      (fun k d -> Int64.float_of_bits (Int64.add (Int64.bits_of_float (Float.ldexp 1.0 k)) (Int64.of_int d)))
+      (-20 -- 12) (frequency [ (3, -8 -- 8); (1, -3000 -- 3000) ])
+  in
+  let tie = map (fun q -> (float_of_int q +. 0.5) /. 0x1p26) (-100_000 -- 100_000) in
+  oneof
+    [ map Int64.float_of_bits ui64; near_pow2; tie; float_bound_inclusive 10.0;
+      oneofl [ 0.0; -0.0; 1.0; 0.5; 2.0; infinity; neg_infinity; nan; 0x1p-1074; 0x1p36 ] ]
+
+let prop_hist_matches_libm =
+  QCheck.Test.make ~name:"Hist bucket and sum = ceil (log2 v) and Float.round" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") hist_value)
+    (fun v ->
+      let h = Hist.create ~buckets:24 ~min_exp:(-14) () in
+      let n = Hist.buckets h in
+      let bucket =
+        if v <= 0.0 then 0
+        else if not (v < infinity) then n - 1
+        else
+          let i = int_of_float (Float.ceil (Float.log2 v)) - -14 + 1 in
+          if i < 1 then 1 else if i >= n then n - 1 else i
+      in
+      let quanta =
+        if Float.abs v < 0x1p36 then int_of_float (Float.round (v *. 0x1p26)) else 0
+      in
+      Hist.record h v;
+      Hist.bucket_index h v = bucket
+      && Hist.bucket_count h bucket = 1
+      && Hist.sum h = float_of_int quanta *. 0x1p-26)
+
+(* [Timeseries.record] skips its division for a time inside the window
+   of the last bucket; the buckets must be exactly those of the plain
+   division, clamping and coarsening included, on times that sit a few
+   ulps either side of bucket edges. *)
+let timeseries_case =
+  let open QCheck.Gen in
+  let res = oneofl [ 0.05; 0.1; 0.3; 1.0 ] in
+  let time res =
+    frequency
+      [ (3, float_bound_inclusive 40.0);
+        ( 3,
+          map2
+            (fun k d ->
+              Int64.float_of_bits
+                (Int64.add (Int64.bits_of_float (float_of_int k *. res)) (Int64.of_int d)))
+            (0 -- 60) (-4 -- 4) );
+        (1, map (fun x -> -.x) (float_bound_inclusive 1.0)) ]
+  in
+  (* Sorted, as a run's samples mostly are, so the window is in use. *)
+  res >>= fun res ->
+  pair (return res)
+    (map2
+       (fun sorted ts -> if sorted then List.sort compare ts else ts)
+       (frequencyl [ (4, true); (1, false) ])
+       (list_size (0 -- 400) (time res)))
+
+let prop_timeseries_matches_division =
+  QCheck.Test.make ~name:"Timeseries.record = bucket by division" ~count:500
+    (QCheck.make timeseries_case)
+    (fun (res, times) ->
+      let capacity = 64 in
+      let ts = Timeseries.create ~capacity ~resolution:res () in
+      let counts = Array.make capacity 0 and r = ref res and used = ref 0 in
+      let coarsen () =
+        let half = (!used + 1) / 2 in
+        for i = 0 to half - 1 do
+          counts.(i) <- counts.(2 * i) + if (2 * i) + 1 < !used then counts.((2 * i) + 1) else 0
+        done;
+        Array.fill counts half (capacity - half) 0;
+        used := half;
+        r := !r *. 2.0
+      in
+      (* Checked after every sample: a later coarsening can fold a
+         misplaced sample into the right bucket. *)
+      List.for_all
+        (fun time ->
+          Timeseries.record ts ~at:{ Prioq.Event.f = time } 1;
+          let idx () = max 0 (int_of_float (time /. !r)) in
+          while idx () >= capacity do
+            coarsen ()
+          done;
+          let i = idx () in
+          counts.(i) <- counts.(i) + 1;
+          if i >= !used then used := i + 1;
+          Timeseries.resolution ts = !r
+          && Timeseries.used ts = !used
+          && Timeseries.bucket_count ts i = counts.(i))
+        times)
+
 (* --- journal: bounded memory under sustained load --- *)
 
 let test_journal_bounded_1m () =
@@ -353,7 +450,9 @@ let () =
          Alcotest.test_case "overflow bin" `Quick test_histogram_overflow;
          Alcotest.test_case "unrepresentable values skip the sum" `Quick
            test_histogram_unrepresentable_sum;
-         Alcotest.test_case "min_exp shift" `Quick test_histogram_min_exp ]);
+         Alcotest.test_case "min_exp shift" `Quick test_histogram_min_exp;
+         QCheck_alcotest.to_alcotest prop_hist_matches_libm ]);
+      ("timeseries", [ QCheck_alcotest.to_alcotest prop_timeseries_matches_division ]);
       ("journal",
        [ Alcotest.test_case "bounded under 1M events" `Quick test_journal_bounded_1m;
          Alcotest.test_case "under capacity" `Quick test_journal_under_capacity;
