@@ -21,6 +21,21 @@ let false_alarms_of run =
     (fun (r : Chi.report) -> r.Chi.end_time <= run.Scenario.attack_start)
     (alarms_of run)
 
+(* Detection latency: from the attack's start to the end of the first
+   round that alarmed after it.  An alarm raised before the attack is a
+   false one and detects nothing. *)
+let latency_of run =
+  List.find_map
+    (fun (r : Chi.report) ->
+      if r.Chi.end_time > run.Scenario.attack_start then
+        Some (r.Chi.end_time -. run.Scenario.attack_start)
+      else None)
+    (alarms_of run)
+
+let latency_cell = function
+  | Some l -> Exp.float ~decimals:1 l
+  | None -> Exp.text "-"
+
 let jitter_ablation () =
   let rows =
     List.map
@@ -31,17 +46,10 @@ let jitter_ablation () =
               Some (Adversary.on_flows victims (Adversary.drop_when_queue_above 0.90)))
             ()
         in
-        let alarms = alarms_of run in
-        let latency =
-          match alarms with
-          | first :: _ ->
-              Exp.float ~decimals:1 (first.Chi.end_time -. run.Scenario.attack_start)
-          | [] -> Exp.text "-"
-        in
         [ Exp.float ~decimals:0 (jitter_bound *. 1e6);
-          Exp.int (List.length alarms);
+          Exp.int (List.length (alarms_of run));
           Exp.int (List.length (false_alarms_of run));
-          latency ])
+          latency_cell (latency_of run) ])
       [ 0.0; 100e-6; 300e-6; 1e-3; 3e-3 ]
   in
   Exp.section "Ablation 1: processing jitter vs chi calibration"
@@ -51,8 +59,35 @@ let jitter_ablation () =
           "once per-packet jitter approaches the packet serialization time (~800 us here)      the error distribution grows tails the normal fit underestimates and false      alarms appear — chi depends on the paper's small-forwarding-jitter assumption"
         ) ]
 
+(* Ablation 2's finding, read off its rows: (tau, alarms, false alarms,
+   latency). *)
+let tau_finding rows =
+  let secs xs = String.concat ", " (List.map (Printf.sprintf "%g") xs) in
+  let soundness =
+    match List.filter (fun (_, _, false_alarms, _) -> false_alarms > 0) rows with
+    | [] -> "no round length raised a false alarm"
+    | noisy ->
+        Printf.sprintf
+          "rounds of %s s raised false alarms (%s): too few samples per round for \
+           the combined test"
+          (secs (List.map (fun (tau, _, _, _) -> tau) noisy))
+          (String.concat ", " (List.map (fun (_, _, f, _) -> string_of_int f) noisy))
+  in
+  let detected = List.filter_map (fun (tau, _, _, l) -> Option.map (fun l -> (tau, l)) l) rows in
+  let latency =
+    match detected with
+    | [] -> "no round length detected the attack"
+    | _ ->
+        Printf.sprintf "detection waited %s s at tau = %s s"
+          (secs (List.map snd detected)) (secs (List.map fst detected))
+  in
+  Printf.sprintf
+    "%s, and %s: a longer round gathers more samples per round and pays for them \
+     in latency, since detection waits for the next round boundary"
+    soundness latency
+
 let tau_ablation () =
-  let rows =
+  let runs =
     List.map
       (fun tau ->
         let run =
@@ -61,25 +96,22 @@ let tau_ablation () =
               Some (Adversary.on_flows victims (Adversary.drop_fraction ~seed:5 0.2)))
             ()
         in
-        let alarms = alarms_of run in
-        let latency =
-          match alarms with
-          | first :: _ ->
-              Exp.float ~decimals:1 (first.Chi.end_time -. run.Scenario.attack_start)
-          | [] -> Exp.text "-"
-        in
-        [ Exp.float ~decimals:1 tau;
-          Exp.int (List.length alarms);
-          Exp.int (List.length (false_alarms_of run));
-          latency ])
+        ( tau,
+          List.length (alarms_of run),
+          List.length (false_alarms_of run),
+          latency_of run ))
       [ 0.5; 1.0; 2.0; 5.0 ]
+  in
+  let rows =
+    List.map
+      (fun (tau, alarms, false_alarms, latency) ->
+        [ Exp.float ~decimals:1 tau; Exp.int alarms; Exp.int false_alarms;
+          latency_cell latency ])
+      runs
   in
   Exp.section "Ablation 2: validation round length tau vs detection latency"
     [ Exp.table ~header:[ "tau (s)"; "alarms"; "false"; "latency (s)" ] rows;
-      Exp.Note
-        ( "finding",
-          "sub-second rounds leave too few samples per round for the combined test      (occasional false alarm) while tau = 5 s only delays detection to the next      boundary — tau ~ 2 s balances latency and robustness"
-        ) ]
+      Exp.Note ("finding", tau_finding runs) ]
 
 let sampling_ablation () =
   let rt = Topology.Routing.compute (Topology.Generate.line ~n:6) in

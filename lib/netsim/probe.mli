@@ -19,16 +19,22 @@
     [Net.iface_event] / [Net.router_event]), overwritten at each
     emission: both layers have the one shape, a constant kind beside
     the packet, the neighbour and a scalar.  The journal keeps neither
-    the view nor its packet: each entry is a slot of scalars (time,
-    scalar, router, neighbour, kind, the packet's uid, addresses, flow,
-    size and protocol header) filled from the view during the call, the
-    same way for both layers, and once the ring has wrapped the evicted
-    slot is refilled in place.  So a journal names no packet: a dead packet
-    goes straight back to the pool, and reading the journal is safe
-    whatever the network has recycled since.  {!describe} renders an
-    entry as one line and {!write_journal} exports the journal as JSONL;
-    both read the slot, and {!describe_iface} / {!describe_router}
-    render a view through the same slot during a listener's callback.
+    the view nor its packet.  It is a flight recorder: a ring of
+    parallel scalar arrays (the time in a float array, a router event's
+    scalar in another, and per record twelve ints: kind, router,
+    neighbour, the packet's uid, addresses, flow, size and protocol tag
+    with its fields), filled from the view during the call the same way
+    for both layers; a verdict or fault also fills a slot of a side
+    array.  Recording writes scalars into flat arrays, so once the ring
+    has wrapped it allocates nothing, and it needs no pointer store, no
+    domain check and no division.  An {!entry} record is built only when
+    the journal is read ({!journal}, {!describe}, {!json_of_entry},
+    {!write_journal}).  So a journal names no packet: a dead packet goes
+    straight back to the pool, and reading the journal is safe whatever
+    the network has recycled since.  {!describe} renders an entry as one
+    line and {!write_journal} exports the journal as JSONL, and
+    {!describe_iface} / {!describe_router} render a view through the
+    same entry during a listener's callback.
 
     A probe can additionally bridge into a {!Telemetry.Span} collector
     (pass [tracer] at creation): {!on_originate} then assigns each
@@ -80,21 +86,24 @@ type fault_record = {
     malicious action. *)
 
 type entry
-(** One journal slot: a link event, a router event, a verdict or a
-    fault, in recording order.  Slots are refilled in place once the
-    ring has wrapped: render an entry ({!describe}, {!json_of_entry})
-    before the simulation runs on. *)
+(** One journal record: a link event, a router event, a verdict or a
+    fault, built from the recorder when it is read and never changed
+    after. *)
 
 type t
 
 val create : ?journal_capacity:int -> ?tracer:Telemetry.Span.t -> unit -> t
 (** A fresh probe; [journal_capacity] bounds the journal (default 65536
-    records).  Pass [tracer] to record causal spans alongside the
-    journal. *)
+    records; [Invalid_argument] unless positive).  The recorder's arrays
+    grow by doubling up to it as the ring first fills, so a probe that
+    records little holds little.  Pass [tracer] to record causal spans
+    alongside the journal. *)
 
 val journal : t -> entry Telemetry.Journal.t
-(** Every entry, oldest first.  Slots are allocated as the ring fills,
-    so a probe that records nothing holds no slot. *)
+(** The retained entries, oldest first, built on each call: a journal of
+    the probe's capacity whose {!Telemetry.Journal.total} counts every
+    record offered and whose {!Telemetry.Journal.dropped} counts those
+    evicted.  The probe does not record into it. *)
 
 val set_stats : t -> Stats.t option -> unit
 (** Wire the always-on {!Stats} collector (done by [Net.set_probe]):

@@ -1,6 +1,6 @@
-(* References the searches, the segment walk and set reconciliation are
-   checked against, shared by the topology, protocol and setrecon
-   suites.  They share no code with what they check. *)
+(* References the searches, the segment walk, set reconciliation, the
+   event queue and the traffic summaries are checked against, shared by
+   the suites.  They share no code with what they check. *)
 
 open Topology
 
@@ -311,4 +311,73 @@ module Binheap = struct
         Some ev
       end
     end
+end
+
+(* The summary's oracle: [Core.Summary] as it was while it kept its
+   fingerprints in the stdlib [Hashtbl] (unseeded, as the flat table
+   is); [clear] resets the tables to their 64 initial buckets, as a
+   fresh summary has.  The flat summary must read exactly as this one,
+   [fingerprints]' order included: Byz prunes by position in it. *)
+module Hashtbl_summary = struct
+  module S = Core.Summary
+
+  type t = {
+    policy : S.policy;
+    mutable packets : int;
+    mutable bytes : int;
+    fps : (int64, unit) Hashtbl.t;
+    mutable seq_rev : int64 list;
+    times : (int64, float) Hashtbl.t;
+  }
+
+  let create policy =
+    { policy; packets = 0; bytes = 0; fps = Hashtbl.create ~random:false 64;
+      seq_rev = [];
+      times = Hashtbl.create ~random:false (if policy = S.Timeliness then 64 else 1) }
+
+  let keeps_identity t = t.policy <> S.Flow
+  let keeps_order t = match t.policy with S.Order | S.Timeliness -> true | _ -> false
+
+  let observe t ~fp ~size ~time =
+    t.packets <- t.packets + 1;
+    t.bytes <- t.bytes + size;
+    if keeps_identity t then Hashtbl.replace t.fps fp ();
+    if keeps_order t then t.seq_rev <- fp :: t.seq_rev;
+    if t.policy = S.Timeliness then Hashtbl.replace t.times fp time
+
+  let mem t fp = keeps_identity t && Hashtbl.mem t.fps fp
+  let fingerprints t = Hashtbl.fold (fun fp () acc -> fp :: acc) t.fps []
+
+  let sequence t =
+    if not (keeps_order t) then invalid_arg "sequence";
+    Array.of_list (List.rev t.seq_rev)
+
+  let time_of t fp =
+    if t.policy = S.Timeliness then Hashtbl.find_opt t.times fp else None
+
+  let state_words t =
+    match t.policy with
+    | S.Flow -> 2
+    | S.Content -> 2 + Hashtbl.length t.fps
+    | S.Order -> 2 + List.length t.seq_rev
+    | S.Timeliness -> 2 + (2 * List.length t.seq_rev)
+
+  let copy t =
+    { t with fps = Hashtbl.copy t.fps; times = Hashtbl.copy t.times }
+
+  let remove t fp =
+    if keeps_identity t && Hashtbl.mem t.fps fp then begin
+      Hashtbl.remove t.fps fp;
+      t.packets <- t.packets - 1;
+      if keeps_order t then
+        t.seq_rev <- List.filter (fun f -> not (Int64.equal f fp)) t.seq_rev;
+      Hashtbl.remove t.times fp
+    end
+
+  let clear t =
+    t.packets <- 0;
+    t.bytes <- 0;
+    Hashtbl.reset t.fps;
+    t.seq_rev <- [];
+    Hashtbl.reset t.times
 end

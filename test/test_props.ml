@@ -381,74 +381,7 @@ let prop_tv_prev_matches_live_reference =
 
 (* --- Summary against the stdlib table it replaced --- *)
 
-(* [Core.Summary] as it was while it kept its fingerprints in the stdlib
-   [Hashtbl] (unseeded, as the flat table is); [clear] resets the tables
-   to their 64 initial buckets, as a fresh summary has.  The flat table
-   must read exactly as this one, [fingerprints]' order included: Byz
-   prunes by position in it. *)
-module Old_summary = struct
-  module S = Core.Summary
-
-  type t = {
-    policy : S.policy;
-    mutable packets : int;
-    mutable bytes : int;
-    fps : (int64, unit) Hashtbl.t;
-    mutable seq_rev : int64 list;
-    times : (int64, float) Hashtbl.t;
-  }
-
-  let create policy =
-    { policy; packets = 0; bytes = 0; fps = Hashtbl.create ~random:false 64;
-      seq_rev = [];
-      times = Hashtbl.create ~random:false (if policy = S.Timeliness then 64 else 1) }
-
-  let keeps_identity t = t.policy <> S.Flow
-  let keeps_order t = match t.policy with S.Order | S.Timeliness -> true | _ -> false
-
-  let observe t ~fp ~size ~time =
-    t.packets <- t.packets + 1;
-    t.bytes <- t.bytes + size;
-    if keeps_identity t then Hashtbl.replace t.fps fp ();
-    if keeps_order t then t.seq_rev <- fp :: t.seq_rev;
-    if t.policy = S.Timeliness then Hashtbl.replace t.times fp time
-
-  let mem t fp = keeps_identity t && Hashtbl.mem t.fps fp
-  let fingerprints t = Hashtbl.fold (fun fp () acc -> fp :: acc) t.fps []
-
-  let sequence t =
-    if not (keeps_order t) then invalid_arg "sequence";
-    Array.of_list (List.rev t.seq_rev)
-
-  let time_of t fp =
-    if t.policy = S.Timeliness then Hashtbl.find_opt t.times fp else None
-
-  let state_words t =
-    match t.policy with
-    | S.Flow -> 2
-    | S.Content -> 2 + Hashtbl.length t.fps
-    | S.Order -> 2 + List.length t.seq_rev
-    | S.Timeliness -> 2 + (2 * List.length t.seq_rev)
-
-  let copy t =
-    { t with fps = Hashtbl.copy t.fps; times = Hashtbl.copy t.times }
-
-  let remove t fp =
-    if keeps_identity t && Hashtbl.mem t.fps fp then begin
-      Hashtbl.remove t.fps fp;
-      t.packets <- t.packets - 1;
-      if keeps_order t then
-        t.seq_rev <- List.filter (fun f -> not (Int64.equal f fp)) t.seq_rev;
-      Hashtbl.remove t.times fp
-    end
-
-  let clear t =
-    t.packets <- 0;
-    t.bytes <- 0;
-    Hashtbl.reset t.fps;
-    t.seq_rev <- [];
-    Hashtbl.reset t.times
-end
+module Old_summary = Refs.Hashtbl_summary
 
 type summary_op =
   | Observe of int * int64 * int * float
@@ -573,6 +506,67 @@ let prop_summary_matches_stdlib_model =
               before && all ())
         (fill @ ops)
       && all ())
+
+(* Copies are where the order is easiest to lose: a copy keeps its
+   original's bucket count and order, then grows on its own.  Each case
+   runs blocks of a copy, observations into the copy (crossing its
+   resize points), removals from it and sometimes a clear, and checks
+   the fingerprints, [nth] and [diff ?exclude] after every operation. *)
+let summary_copy_case =
+  let open QCheck.Gen in
+  let key = map (fun i -> Int64.mul (Int64.of_int i) 0x9e3779b97f4a7c15L) (0 -- 799) in
+  let time = float_bound_inclusive 100.0 in
+  let block =
+    pair (0 -- 3) (0 -- 3) >>= fun (i, j) ->
+    map3
+      (fun observes removes clear ->
+        (Copy (i, j) :: List.map (fun (fp, tm) -> Observe (j, fp, 500, tm)) observes)
+        @ List.map (fun fp -> Remove (j, fp)) removes
+        @ if clear then [ Clear i ] else [])
+      (list_size (0 -- 150) (pair key time))
+      (list_size (0 -- 20) key)
+      (frequencyl [ (4, false); (1, true) ])
+  in
+  let fill =
+    list_size (100 -- 300) (map (fun (fp, tm) -> Observe (0, fp, 500, tm)) (pair key time))
+  in
+  QCheck.make
+    (triple
+       (oneofl Core.Summary.[ Content; Order; Timeliness ])
+       fill
+       (map List.concat (list_size (1 -- 4) block)))
+
+let prop_summary_copies_match_stdlib_model =
+  QCheck.Test.make ~name:"flat summary = stdlib Hashtbl summary through copies" ~count:12
+    summary_copy_case
+    (fun (policy, fill, ops) ->
+      let old = Array.init 4 (fun _ -> Old_summary.create policy) in
+      let flat = Array.init 4 (fun _ -> Core.Summary.create policy) in
+      let probes = [ 0L; -1L; Int64.max_int ] in
+      List.iter
+        (function
+          | Observe (i, fp, size, time) ->
+              Old_summary.observe old.(i) ~fp ~size ~time;
+              Core.Summary.observe flat.(i) ~fp ~size ~time
+          | _ -> ())
+        fill;
+      List.for_all
+        (fun op ->
+          (match op with
+          | Observe (i, fp, size, time) ->
+              Old_summary.observe old.(i) ~fp ~size ~time;
+              Core.Summary.observe flat.(i) ~fp ~size ~time
+          | Remove (i, fp) ->
+              Old_summary.remove old.(i) fp;
+              Core.Summary.remove flat.(i) fp
+          | Copy (i, j) ->
+              old.(j) <- Old_summary.copy old.(i);
+              flat.(j) <- Core.Summary.copy flat.(i)
+          | Clear i ->
+              Old_summary.clear old.(i);
+              Core.Summary.clear flat.(i));
+          Array.for_all2 (summaries_agree probes) old flat && derived_agree old flat)
+        ops)
 
 (* --- Qmon's queue replay --- *)
 
@@ -950,7 +944,9 @@ let () =
           [ prop_tv_reflexive; prop_tv_missing_fabricated_swap;
             prop_tv_prev_matches_live_reference ] );
       ( "summary",
-        List.map to_alco [ prop_summary_matches_stdlib_model; prop_summary_hash_matches_stdlib ] );
+        List.map to_alco
+          [ prop_summary_matches_stdlib_model; prop_summary_copies_match_stdlib_model;
+            prop_summary_hash_matches_stdlib ] );
       ("qmon", List.map to_alco [ prop_qmon_replay_matches_reference ]);
       ("reconcile", List.map to_alco [ prop_reconcile_fingerprints ]);
       ("ecmp", List.map to_alco [ prop_ecmp_paths_shortest ]);
