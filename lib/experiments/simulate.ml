@@ -140,14 +140,15 @@ let summary_json ~scenario ~attack_start net probe profile =
        | Some t when t >= attack_start -> Float (t -. attack_start)
        | Some _ | None -> Null) ]
   in
+  let journal = Probe.journal probe in
   let engine =
     [ ("events_processed", Int events);
       ("cpu_seconds_in_run", Float cpu);
       ("events_per_cpu_second",
        if cpu > 0.0 then Float (float_of_int events /. cpu) else Null);
       ("sim_seconds", Float (Sim.now sim));
-      ("journal_total", Int (Telemetry.Journal.total (Probe.journal probe)));
-      ("journal_dropped", Int (Telemetry.Journal.dropped (Probe.journal probe))) ]
+      ("journal_total", Int (Telemetry.Journal.total journal));
+      ("journal_dropped", Int (Telemetry.Journal.dropped journal)) ]
   in
   Assoc
     [ ("schema", String "mrdetect-metrics-v1");
